@@ -17,11 +17,10 @@ from .errors import InputDataError
 from .symmat import (
     SpectralDecomp,
     SymMat,
-    _jacobi,
     as_symmat,
     dir_deriv_from_decomp,
+    eigh,
     moreau_split,
-    spectral_decompose,
 )
 
 DEFAULT_MEMBERSHIP_TOL = 1e-7
@@ -87,7 +86,7 @@ def _eig_range(block: np.ndarray):
     """(lambda_min, lambda_max) of a small symmetric block; (0, 0) if empty."""
     if block.size == 0:
         return 0.0, 0.0
-    lam, _ = _jacobi(np.ascontiguousarray(block))
+    lam, _ = eigh(block)
     return float(lam.min()), float(lam.max())
 
 
@@ -190,7 +189,7 @@ def project_critical_cone(ctx: ConeContext, Z) -> SymMat:
     R[sa, sg] = Zt[sa, sg]
     R[sg, sa] = Zt[sg, sa]
     if d.beta.size:
-        lam_b, V_b = _jacobi(np.ascontiguousarray(Zt[sb, sb]))
+        lam_b, V_b = eigh(Zt[sb, sb])
         R[sb, sb] = (V_b * np.maximum(lam_b, 0.0)) @ V_b.T
     return SymMat(d.P @ R @ d.P.T)
 

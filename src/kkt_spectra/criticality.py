@@ -30,10 +30,10 @@ from .problem import (
 )
 from .symmat import (
     SymMat,
-    _jacobi,
     as_symmat,
     common_eigenframe,
     dir_deriv_from_decomp,
+    eigh,
     spectral_decompose,
     svec_indices,
     sym_mat,
@@ -350,7 +350,7 @@ def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) 
     for Dt in rows.Dt:
         B = Dt[np.ix_(beta, beta)]
         if np.abs(B).max() > 0:
-            _, V = _jacobi(B.copy())
+            _, V = eigh(B)
             frames.append(V)
     for _ in range(samples):
         Qr, _ = np.linalg.qr(rng.standard_normal((k, k)))

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericError
-from .symmat import _jacobi, sym_mat, sym_vec
+from .symmat import eigh, sym_mat, sym_vec
 
 FEAS_TOL = 1e-9
 
@@ -199,7 +199,7 @@ def project_simplex(w: np.ndarray) -> np.ndarray:
 
 
 def _project_spectahedron(S: np.ndarray) -> np.ndarray:
-    lam, V = _jacobi(0.5 * (S + S.T))
+    lam, V = eigh(0.5 * (S + S.T))
     w = project_simplex(lam)
     return (V * w) @ V.T
 
@@ -256,7 +256,7 @@ def subspace_psd_nontrivial(constraint_rows, q: int, max_iter: int = 1500) -> Op
         t[0] = 1.0
     for it in range(400):
         M = sym_mat(basis @ t, q).full()
-        lam, V = _jacobi(M)
+        lam, V = eigh(M)
         lo = int(np.argmin(lam))
         best_margin = max(best_margin, lam[lo])
         if lam[lo] >= 1e-7:
@@ -289,7 +289,7 @@ def subspace_psd_nontrivial(constraint_rows, q: int, max_iter: int = 1500) -> Op
     dist = float(np.linalg.norm(coef))
     if dist <= 1e-7:
         Wstar = Wp - sym_mat(basis @ coef, q).full()
-        lam, _ = _jacobi(0.5 * (Wstar + Wstar.T))
+        lam, _ = eigh(0.5 * (Wstar + Wstar.T))
         if lam.min() >= -1e-8 and np.linalg.norm(Wstar) >= 1e-6:
             return Wstar / np.linalg.norm(Wstar)
     if best_margin >= 1e-9:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -20,16 +19,19 @@ from .problem import (
     PerturbationFamily,
     ProblemData,
     eval_G,
-    eval_G_jacobian,
+    jacobian_stack,
     lagrangian_hessian,
     robinson_normal_map,
     shifted_problem,
 )
 from .symmat import (
+    SpectralDecomp,
     SymMat,
     as_symmat,
     project_psd,
     spectral_decompose,
+    svec_indices,
+    svec_scale,
     sym_mat,
     sym_vec,
 )
@@ -82,48 +84,34 @@ class ErrorBoundReport:
 
 
 def _svec_basis_rotation(P: np.ndarray) -> np.ndarray:
-    """Orthogonal change of basis taking svec coordinates to the P frame."""
-    p = P.shape[0]
-    m = p * (p + 1) // 2
-    R = np.empty((m, m))
-    k = 0
-    root2 = math.sqrt(2.0)
-    for i in range(p):
-        for j in range(i, p):
-            B = np.outer(P[:, i], P[:, j])
-            M = 0.5 * (B + B.T)
-            if i != j:
-                M = M * root2
-            R[:, k] = sym_vec(SymMat(M))
-            k += 1
-    return R
+    """Orthogonal change of basis taking svec coordinates to the P frame.
+
+    Column k, for the packed pair (i, j), is svec of the symmetrized
+    outer product of columns i and j of P, scaled by sqrt(2) off the
+    diagonal; entry (l, k) for the packed pair (a, b) is therefore
+    s_l s_k (P_ai P_bj + P_bi P_aj) / 2 with the svec weights s.
+    """
+    rows, cols = svec_indices(P.shape[0])
+    s = svec_scale(P.shape[0])
+    Pa, Pb = P[rows], P[cols]
+    R = Pa[:, rows] * Pb[:, cols] + Pb[:, rows] * Pa[:, cols]
+    return (0.5 * s)[:, None] * R * s
 
 
-def _projection_jacobian(z: SymMat) -> np.ndarray:
+def _projection_jacobian(d: SpectralDecomp) -> np.ndarray:
     """Clarke element of the PSD-projection derivative in svec coordinates.
 
     Zero eigenvalue pairs take weight one, the element that acts as the
     identity on the kernel block.
     """
-    d = spectral_decompose(z)
-    R = _svec_basis_rotation(d.P)
-    p = z.p
-    cls = np.empty(p, dtype=int)
-    cls[d.alpha] = 0
+    rows, cols = svec_indices(d.p)
+    # eigenvalues descend, so the class (alpha 0, beta 1, gamma 2) of the
+    # row index never exceeds that of the column index
+    cls = np.zeros(d.p, dtype=int)
     cls[d.beta] = 1
     cls[d.gamma] = 2
-    w = np.empty(p * (p + 1) // 2)
-    k = 0
-    for i in range(p):
-        for j in range(i, p):
-            # eigenvalues descend, so cls[i] <= cls[j]
-            if cls[j] <= 1:
-                w[k] = 1.0
-            elif cls[i] == 0:
-                w[k] = d.sigma[i, j]
-            else:
-                w[k] = 0.0
-            k += 1
+    w = np.where(cls[cols] <= 1, 1.0, np.where(cls[rows] == 0, d.sigma[rows, cols], 0.0))
+    R = _svec_basis_rotation(d.P)
     return (R * w) @ R.T
 
 
@@ -132,8 +120,12 @@ def solve_perturbed_kkt(pd: ProblemData, p1, p2, start=None, options=None):
 
     Runs a semismooth Newton iteration on the normal-map system of the
     shifted data, with backtracking and a damped finite-difference
-    fallback once full steps stop making progress. Raises
-    ConvergenceError (carrying the best iterate) on stagnation.
+    fallback once full steps stop making progress. Iterates are (x, svec
+    z) arrays; every residual evaluation is one robinson_normal_map call,
+    and the Newton element is assembled from one spectral decomposition
+    of z and the (n, p, p) constraint Jacobian stack. A non-finite
+    iterate raises InputDataError. Raises ConvergenceError (carrying the
+    best iterate) on stagnation.
     """
     opts = dict(DEFAULT_SOLVER_OPTIONS)
     if options:
@@ -159,12 +151,16 @@ def solve_perturbed_kkt(pd: ProblemData, p1, p2, start=None, options=None):
         psi1, psi2 = robinson_normal_map(spd, xc, sym_mat(zvc, p))
         return np.concatenate([psi1, sym_vec(psi2)])
 
+    rows, cols = svec_indices(p)
+    svs = svec_scale(p)
+
     def jacobian(xc, zvc):
-        z = sym_mat(zvc, p)
-        Y = z - project_psd(z)
+        d = spectral_decompose(sym_mat(zvc, p))
+        Pz = (d.P * np.maximum(d.lam, 0.0)) @ d.P.T
+        Y = sym_mat(zvc - Pz[rows, cols] * svs, p)
         Hxx = lagrangian_hessian(spd, xc, Y)
-        Dsv = np.array([sym_vec(D) for D in eval_G_jacobian(spd, xc)])
-        JP = _projection_jacobian(z)
+        Dsv = jacobian_stack(spd, xc)[:, rows, cols] * svs
+        JP = _projection_jacobian(d)
         J = np.zeros((n + m, n + m))
         J[:n, :n] = Hxx
         J[:n, n:] = Dsv @ (np.eye(m) - JP)

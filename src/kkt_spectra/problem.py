@@ -17,7 +17,16 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InputDataError
-from .symmat import SymMat, as_symmat, project_psd, spectral_decompose, sym_vec
+from .symmat import (
+    SymMat,
+    as_symmat,
+    dense_stack,
+    eigh,
+    project_psd,
+    spectral_decompose,
+    svec_indices,
+    sym_vec,
+)
 
 CERTIFICATION_TOL = 1e-8
 
@@ -28,6 +37,10 @@ class ProblemData:
 
     f(x) = f_lin . x + 1/2 x^T f_quad x
     G(x) = G_const + sum_i x_i G_lin[i] + 1/2 sum_ij x_i x_j G_quad[i][j]
+
+    G_lin_stack (n, p, p) and G_quad_stack (n, n, p, p) hold the same
+    matrices as dense read-only arrays, built once per problem, so the
+    evaluations below are single matrix products.
     """
 
     f_lin: np.ndarray
@@ -35,6 +48,8 @@ class ProblemData:
     G_const: SymMat
     G_lin: tuple
     G_quad: tuple
+    G_lin_stack: np.ndarray
+    G_quad_stack: np.ndarray
 
     @property
     def n(self) -> int:
@@ -76,7 +91,9 @@ def make_problem(f_lin, f_quad, G_const, G_lin, G_quad=None) -> ProblemData:
                 if not rows[i][j].allclose(rows[j][i], atol=1e-12):
                     raise InputDataError(f"G_quad[{i}][{j}] != G_quad[{j}][{i}]")
         quad = tuple(rows)
-    return ProblemData(f_lin, f_quad, G_const, lin, quad)
+    lin_stack = dense_stack(lin, p)
+    quad_stack = dense_stack([B for row in quad for B in row], p).reshape(n, n, p, p)
+    return ProblemData(f_lin, f_quad, G_const, lin, quad, lin_stack, quad_stack)
 
 
 def eval_f(pd: ProblemData, x) -> float:
@@ -93,33 +110,37 @@ def eval_hess_f(pd: ProblemData) -> np.ndarray:
     return pd.f_quad
 
 
-def eval_G(pd: ProblemData, x) -> SymMat:
+def _G_array(pd: ProblemData, x: np.ndarray) -> np.ndarray:
+    n, p = pd.n, pd.p
+    lin = x @ pd.G_lin_stack.reshape(n, p * p)
+    quad = np.outer(x, x).ravel() @ pd.G_quad_stack.reshape(n * n, p * p)
+    return pd.G_const.full() + (lin + 0.5 * quad).reshape(p, p)
+
+
+def _checked_x(pd: ProblemData, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.size != pd.n:
         raise InputDataError(f"x has length {x.size}, expected {pd.n}")
-    M = pd.G_const.full().copy()
-    for i in range(pd.n):
-        if x[i] != 0.0:
-            M = M + x[i] * pd.G_lin[i].full()
-    for i in range(pd.n):
-        for j in range(pd.n):
-            c = 0.5 * x[i] * x[j]
-            if c != 0.0:
-                M = M + c * pd.G_quad[i][j].full()
-    return SymMat(M)
+    return x.reshape(pd.n)
+
+
+def eval_G(pd: ProblemData, x) -> SymMat:
+    return SymMat(_G_array(pd, _checked_x(pd, x)))
+
+
+def _jacobian_array(pd: ProblemData, x: np.ndarray) -> np.ndarray:
+    n, p = pd.n, pd.p
+    return pd.G_lin_stack + (x @ pd.G_quad_stack.reshape(n, n, p * p)).reshape(n, p, p)
+
+
+def jacobian_stack(pd: ProblemData, x) -> np.ndarray:
+    """Partial derivative matrices D_i(x) = A_i + sum_j x_j B_ij as an (n, p, p) array."""
+    return _jacobian_array(pd, _checked_x(pd, x))
 
 
 def eval_G_jacobian(pd: ProblemData, x) -> list:
     """Partial derivative matrices D_i(x) = A_i + sum_j x_j B_ij."""
-    x = np.asarray(x, dtype=float)
-    out = []
-    for i in range(pd.n):
-        M = pd.G_lin[i].full().copy()
-        for j in range(pd.n):
-            if x[j] != 0.0:
-                M = M + x[j] * pd.G_quad[i][j].full()
-        out.append(SymMat(M))
-    return out
+    return [SymMat(D) for D in jacobian_stack(pd, x)]
 
 
 def eval_G_second(pd: ProblemData):
@@ -129,29 +150,22 @@ def eval_G_second(pd: ProblemData):
 
 def jacobian_apply(pd: ProblemData, x, d) -> SymMat:
     """Push a primal direction through the constraint Jacobian: G'(x)d."""
-    d = np.asarray(d, dtype=float)
-    Ds = eval_G_jacobian(pd, x)
-    M = np.zeros((pd.p, pd.p))
-    for i in range(pd.n):
-        if d[i] != 0.0:
-            M = M + d[i] * Ds[i].full()
-    return SymMat(M)
+    n, p = pd.n, pd.p
+    d = np.asarray(d, dtype=float).reshape(n)
+    return SymMat((d @ jacobian_stack(pd, x).reshape(n, p * p)).reshape(p, p))
 
 
 def adjoint_jacobian_apply(pd: ProblemData, x, Y) -> np.ndarray:
     """Adjoint of the constraint Jacobian: (G'(x)* Y)_i = <D_i(x), Y>."""
-    Y = as_symmat(Y)
-    Ds = eval_G_jacobian(pd, x)
-    return np.array([D.inner(Y) for D in Ds])
+    n, p = pd.n, pd.p
+    return jacobian_stack(pd, x).reshape(n, p * p) @ as_symmat(Y).full().ravel()
 
 
 def lagrangian_hessian(pd: ProblemData, x, Y) -> np.ndarray:
     """Hessian of the Lagrangian: f_quad + [<Y, B_ij>]."""
-    Y = as_symmat(Y)
-    H = pd.f_quad.copy()
-    for i in range(pd.n):
-        for j in range(pd.n):
-            H[i, j] += pd.G_quad[i][j].inner(Y)
+    n, p = pd.n, pd.p
+    inner = pd.G_quad_stack.reshape(n * n, p * p) @ as_symmat(Y).full().ravel()
+    H = pd.f_quad + inner.reshape(n, n)
     return 0.5 * (H + H.T)
 
 
@@ -169,13 +183,22 @@ def kkt_residual(pd: ProblemData, x, Y) -> tuple[float, float]:
 
 
 def robinson_normal_map(pd: ProblemData, x, z) -> tuple[np.ndarray, SymMat]:
-    """Normal-map value (Psi_1, Psi_2) at (x, z)."""
-    z = as_symmat(z)
-    Pz = project_psd(z)
-    W = z - Pz
-    psi1 = eval_grad_f(pd, x) + adjoint_jacobian_apply(pd, x, W)
-    psi2 = eval_G(pd, x) - Pz
-    return psi1, psi2
+    """Normal-map value (Psi_1, Psi_2) at (x, z).
+
+    Psi_1 = grad f(x) + G'(x)* (z - Pi(z)) and Psi_2 = G(x) - Pi(z), with
+    Pi the PSD projection; computed on dense arrays from one eigensolve.
+    """
+    x = _checked_x(pd, x)
+    if not np.isfinite(x).all():
+        raise InputDataError("x entries must be finite")
+    n, p = pd.n, pd.p
+    Z = as_symmat(z).full()
+    lam, P = eigh(Z)
+    Pz = (P * np.maximum(lam, 0.0)) @ P.T
+    D = _jacobian_array(pd, x).reshape(n, p * p)
+    psi1 = eval_grad_f(pd, x) + D @ (Z - Pz).ravel()
+    psi2 = _G_array(pd, x) - Pz
+    return psi1, SymMat._from_packed(p, psi2[svec_indices(p)])
 
 
 def multiplier_set_residual(pd: ProblemData, xbar, Y) -> tuple[float, float]:
@@ -205,9 +228,7 @@ def multiplier_set_residual(pd: ProblemData, xbar, Y) -> tuple[float, float]:
     Yt = d.rotate(Y)
     N = np.zeros_like(Yt)
     if ka < pd.p:
-        from .symmat import _jacobi
-
-        lam_b, V_b = _jacobi(np.ascontiguousarray(Yt[ka:, ka:]))
+        lam_b, V_b = eigh(Yt[ka:, ka:])
         N[ka:, ka:] = (V_b * np.minimum(lam_b, 0.0)) @ V_b.T
     proj = SymMat(d.P @ N @ d.P.T)
     d2 = (Y - proj).norm()
@@ -244,7 +265,13 @@ def shifted_problem(pd: ProblemData, p1, p2) -> ProblemData:
     p1 = np.asarray(p1, dtype=float).reshape(pd.n)
     p2 = as_symmat(p2)
     return ProblemData(
-        (pd.f_lin - p1).copy(), pd.f_quad, pd.G_const + p2, pd.G_lin, pd.G_quad
+        (pd.f_lin - p1).copy(),
+        pd.f_quad,
+        pd.G_const + p2,
+        pd.G_lin,
+        pd.G_quad,
+        pd.G_lin_stack,
+        pd.G_quad_stack,
     )
 
 

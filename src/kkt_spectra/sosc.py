@@ -31,10 +31,10 @@ from .problem import (
 )
 from .symmat import (
     SymMat,
-    _jacobi,
     as_symmat,
     common_eigenframe,
     dir_deriv_from_decomp,
+    eigh,
     sym_mat,
     sym_vec,
 )
@@ -169,7 +169,7 @@ def _face_minimum(Qh: np.ndarray, A: np.ndarray, tol: float):
         if N.shape[1] == 0:
             continue
         R = N.T @ Qh @ N
-        lam, V = _jacobi(0.5 * (R + R.T))
+        lam, V = eigh(0.5 * (R + R.T))
         lo = int(np.argmin(lam))
         v = N @ V[:, lo]
         for c in (v, -v):
@@ -234,7 +234,7 @@ def check_soscy(pd: ProblemData, xbar, ybar, options: Optional[dict] = None) -> 
 
     exact_subspace = d.beta.size == 0 or block_scale <= 1e-12
     if exact_subspace or d.beta.size == 1:
-        lam, V = _jacobi(Qh.copy())
+        lam, V = eigh(Qh)
         lo = int(np.argmin(lam))
         min_value = float(lam[lo])
         c = V[:, lo]
@@ -262,14 +262,14 @@ def check_soscy(pd: ProblemData, xbar, ybar, options: Optional[dict] = None) -> 
     m = Z.shape[1]
     mu = 1e3 * max(1.0, float(np.abs(Qh).max())) / max(block_scale, 1e-12) ** 2
     starts = list(_sphere_sequence(int(opts["starts"]), m, offset=0))
-    lam0, V0 = _jacobi(Qh.copy())
+    lam0, V0 = eigh(Qh)
     for idx in range(m):
         starts.append(V0[:, idx])
         starts.append(-V0[:, idx])
 
     def penalty_and_grad(c):
         M = beta_block(c)
-        lam, V = _jacobi(M.copy())
+        lam, V = eigh(M)
         neg = np.minimum(lam, 0.0)
         pen = float(np.sum(neg**2))
         g = np.zeros(m)
@@ -372,7 +372,7 @@ def check_soscy(pd: ProblemData, xbar, ybar, options: Optional[dict] = None) -> 
     best_uncert = math.inf
     for c in cands:
         M = beta_block(c)
-        lam, _ = _jacobi(M.copy())
+        lam, _ = eigh(M)
         viol = max(0.0, -float(lam.min()))
         val = float(c @ Qh @ c)
         if viol <= 1e-9:
@@ -429,7 +429,7 @@ def lemma4_check(C, dA, dB, tol: float = 1e-7) -> dict:
             if sb.size:
                 viol = max(viol, float(np.linalg.norm(Wt[np.ix_(sa, sb)])))
         if sb.size:
-            lam_b, _ = _jacobi(np.ascontiguousarray(Wt[np.ix_(sb, sb)]))
+            lam_b, _ = eigh(Wt[np.ix_(sb, sb)])
             viol = max(viol, max(0.0, float(lam_b.max())))
         rhs = viol <= tol * scale
         if rhs:
@@ -481,7 +481,7 @@ def theorem3_conditions(pd: ProblemData, xbar, ybar, options: Optional[dict] = N
                 Wt[list(d.alpha) + list(d.beta), i] = 0.0
             if d.beta.size:
                 bb = Wt[np.ix_(d.beta, d.beta)]
-                lam, V = _jacobi(bb.copy())
+                lam, V = eigh(bb)
                 Wt[np.ix_(d.beta, d.beta)] = (V * np.minimum(lam, 0.0)) @ V.T
             W = SymMat(d.P @ Wt @ d.P.T)
             imgs.append(np.array([Dk.inner(W) for Dk in Ds]))

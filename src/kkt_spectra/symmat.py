@@ -1,10 +1,11 @@
 """Dense symmetric-matrix core.
 
-Provides the SymMat value type, spectral decomposition by cyclic Jacobi
-rotations with a sign partition of the spectrum, the common eigenframe of
-a commuting family, projection onto the PSD cone, the divided-difference
-Sigma matrix, the directional derivative of the PSD projection, and the
-spectral pseudoinverse.
+Provides the SymMat value type, the one symmetric eigensolver that every
+module uses (LAPACK through numpy, with deterministic eigenvector signs),
+spectral decomposition with a sign partition of the spectrum, the common
+eigenframe of a commuting family, projection onto the PSD cone, the
+divided-difference Sigma matrix, the directional derivative of the PSD
+projection, and the spectral pseudoinverse.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputDataError, NumericError
+from .errors import InputDataError
 
 _SQRT2 = math.sqrt(2.0)
-_JACOBI_OFF_TOL = 1e-14   # off-diagonal Frobenius mass target, relative to ||M||_F
-_JACOBI_MAX_SWEEPS = 64
+_SIGN_TIE_TOL = 1e-12  # eigenvector entries this close in magnitude tie
 
 
 class SymMat:
@@ -97,7 +97,8 @@ class SymMat:
         return float(np.sum(self.full() * as_symmat(other).full()))
 
     def allclose(self, other, atol=1e-12, rtol=0.0) -> bool:
-        return bool(np.allclose(self.full(), as_symmat(other).full(), atol=atol, rtol=rtol))
+        other = as_symmat(other)
+        return self._p == other._p and bool(np.allclose(self._upper, other._upper, atol=atol, rtol=rtol))
 
     def to_rowmajor(self) -> list:
         return [float(v) for v in self.full().ravel()]
@@ -138,89 +139,72 @@ def svec_indices(p):
     return rows, cols
 
 
+@functools.cache
+def svec_scale(p):
+    """Per-entry svec weights: 1 on the diagonal, sqrt(2) off it (read-only)."""
+    rows, cols = svec_indices(p)
+    scale = np.where(rows == cols, 1.0, _SQRT2)
+    scale.flags.writeable = False
+    return scale
+
+
+def dense_stack(mats, p) -> np.ndarray:
+    """Read-only (k, p, p) array of k SymMats of order p.
+
+    Filled from the packed triangles, so no SymMat caches its full matrix.
+    """
+    rows, cols = svec_indices(p)
+    upper = np.array([M._upper for M in mats]).reshape(len(mats), rows.size)
+    out = np.zeros((len(mats), p, p))
+    out[:, rows, cols] = upper
+    out[:, cols, rows] = upper
+    out.flags.writeable = False
+    return out
+
+
 def sym_vec(M: SymMat) -> np.ndarray:
     """Isometric vectorization: off-diagonal entries scaled by sqrt(2).
 
     Satisfies <A, B>_F = sym_vec(A) . sym_vec(B).
     """
     M = as_symmat(M)
-    rows, cols = svec_indices(M.p)
-    scale = np.where(rows == cols, 1.0, _SQRT2)
-    return M.full()[rows, cols] * scale
+    return M._upper * svec_scale(M.p)
 
 
 def sym_mat(v, p) -> SymMat:
     """Inverse of sym_vec."""
     v = np.asarray(v, dtype=float)
-    rows, cols = svec_indices(p)
-    if v.shape != rows.shape:
+    scale = svec_scale(p)
+    if v.shape != scale.shape:
         raise InputDataError(f"svec length {v.size} does not match order {p}")
-    m = np.zeros((p, p))
-    vals = v / np.where(rows == cols, 1.0, _SQRT2)
-    m[rows, cols] = vals
-    m[cols, rows] = vals
-    return SymMat(m)
+    if not np.isfinite(v).all():
+        raise InputDataError("matrix entries must be finite")
+    return SymMat._from_packed(p, v / scale)
 
 
-def _jacobi(A0: np.ndarray):
-    """Cyclic Jacobi eigensolver; returns (eigenvalues, eigenvector columns).
+def eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Descending eigenvalues and orthonormal eigenvectors of a symmetric array.
 
-    Deterministic row-major sweep order; converges when the off-diagonal
-    Frobenius mass drops below 1e-14 * ||A||_F, at most 64 sweeps.
+    LAPACK through numpy does the work. Every column is signed so that
+    its largest-magnitude entry is positive (the first such entry, on
+    ties within 1e-12), so equal inputs give equal outputs whatever sign
+    LAPACK picks. Orders 0 and 1 return at once without calling LAPACK.
     """
-    A = A0.copy()
     p = A.shape[0]
-    V = np.eye(p)
-    if p == 1:
-        return np.array([A[0, 0]]), V
-    base = float(np.linalg.norm(A, "fro"))
-    if base == 0.0:
-        return np.zeros(p), V
-    target = _JACOBI_OFF_TOL * base
-    rotate_floor = target / (p * p)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = math.sqrt(2.0 * float(np.sum(np.triu(A, 1) ** 2)))
-        if off <= target:
-            return np.diag(A).copy(), V
-        for i in range(p - 1):
-            for j in range(i + 1, p):
-                aij = A[i, j]
-                if abs(aij) <= rotate_floor:
-                    continue
-                theta = (A[j, j] - A[i, i]) / (2.0 * aij)
-                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rowi = A[i, :].copy()
-                rowj = A[j, :].copy()
-                A[i, :] = c * rowi - s * rowj
-                A[j, :] = s * rowi + c * rowj
-                coli = A[:, i].copy()
-                colj = A[:, j].copy()
-                A[:, i] = c * coli - s * colj
-                A[:, j] = s * coli + c * colj
-                A[i, j] = A[j, i] = 0.0
-                vi = V[:, i].copy()
-                vj = V[:, j].copy()
-                V[:, i] = c * vi - s * vj
-                V[:, j] = s * vi + c * vj
-    off = math.sqrt(2.0 * float(np.sum(np.triu(A, 1) ** 2)))
-    if off <= target:
-        return np.diag(A).copy(), V
-    raise NumericError(
-        f"Jacobi iteration did not converge in {_JACOBI_MAX_SWEEPS} sweeps "
-        f"(off-diagonal mass {off:.3e}, target {target:.3e})"
-    )
+    if p <= 1:
+        return np.array(A, dtype=float).reshape(p), np.eye(p)
+    lam, V = np.linalg.eigh(A)
+    signs = []
+    for col in V.T.tolist()[::-1]:
+        top = max(map(abs, col)) - _SIGN_TIE_TOL
+        lead = next(v for v in col if abs(v) >= top)
+        signs.append(1.0 if lead > 0.0 else -1.0)
+    return lam[::-1].copy(), V[:, ::-1] * signs
 
 
 def jacobi_eigh(M) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvector columns."""
-    M = as_symmat(M)
-    lam, V = _jacobi(M.full())
-    order = np.argsort(-lam, kind="stable")
-    return lam[order], V[:, order]
+    return eigh(as_symmat(M).full())
 
 
 def common_eigenframe(blocks, k: int) -> np.ndarray | None:
@@ -243,7 +227,7 @@ def common_eigenframe(blocks, k: int) -> np.ndarray | None:
     # commuting family: a generic combination supplies the common frame
     weights = [math.pi ** i for i in range(len(blocks))]
     M = sum(w * B for w, B in zip(weights, blocks))
-    _, Q = _jacobi(0.5 * (M + M.T))
+    _, Q = eigh(0.5 * (M + M.T))
     for B in blocks:
         R = Q.T @ B @ Q
         if np.abs(R - np.diag(np.diag(R))).max() > 1e-8 * max(1.0, scale):
@@ -357,7 +341,7 @@ def dir_deriv_from_decomp(d: SpectralDecomp, H) -> SymMat:
         R[sa, sg] = S * Ht[sa, sg]
         R[sg, sa] = R[sa, sg].T
     if kb:
-        lam_b, V_b = _jacobi(np.ascontiguousarray(Ht[sb, sb]))
+        lam_b, V_b = eigh(Ht[sb, sb])
         R[sb, sb] = (V_b * np.maximum(lam_b, 0.0)) @ V_b.T
     return SymMat(d.P @ R @ d.P.T)
 

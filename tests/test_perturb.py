@@ -173,3 +173,36 @@ def test_experiment_continuation_consistency(fam2):
     ea, sa = rep_a.exponent_fit
     eb, sb = rep_b.exponent_fit
     assert abs(ea - eb) <= 3.0 * max(sa, sb, 1e-3)
+
+
+# per-sample Newton step counts, exclusions, root multiplicity, verdicts and
+# fitted order of the default 13-point sweeps; residual and multiplier
+# drift digits at the 1e-16 level are free to move
+SWEEP_PINS = {
+    "example2": (
+        (1e-2, 1e-5),
+        [9, 4, 4, 4, 4, 4, 4, 5, 5, 5, 6, 5, 5],
+        False,
+        ("diverging", "bounded"),
+        0.6670779783246039,
+    ),
+    "example3": (
+        (1e-2, 1e-6),
+        [4, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2],
+        True,
+        ("bounded", "bounded"),
+        0.5,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_PINS))
+def test_default_sweeps_pinned(name, fam2, fam3):
+    (start, end), iters, multiple, verdicts, exponent = SWEEP_PINS[name]
+    fam = fam2 if name == "example2" else fam3
+    rep = error_bound_experiment(fam, np.geomspace(start, end, 13))
+    assert [smp.newton_iters for smp in rep.samples] == iters
+    assert rep.excluded == 0
+    assert rep.multiple_roots is multiple
+    assert (rep.verdict_101, rep.verdict_91) == verdicts
+    assert abs(rep.exponent_fit[0] - exponent) <= 1e-9

@@ -27,7 +27,8 @@ from kkt_spectra.problem import (
     robinson_normal_map,
     shifted_problem,
 )
-from kkt_spectra.symmat import SymMat
+from kkt_spectra.perturb import _svec_basis_rotation
+from kkt_spectra.symmat import SymMat, sym_vec
 
 
 def test_derivatives_against_finite_differences():
@@ -69,6 +70,77 @@ def test_derivatives_against_finite_differences():
     assert worst_jac < 1e-6
     assert worst_hess < 1e-5
     assert worst_adj < 1e-10
+
+
+def _random_quadratic_problem(rng, n, p):
+    quad = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            quad[i][j] = quad[j][i] = random_symmetric(rng, p, 2.0)
+    fq = rng.standard_normal((n, n))
+    return make_problem(
+        rng.standard_normal(n),
+        fq + fq.T,
+        random_symmetric(rng, p, 2.0),
+        [random_symmetric(rng, p, 2.0) for _ in range(n)],
+        quad,
+    )
+
+
+def _close(new, ref):
+    new, ref = np.asarray(new), np.asarray(ref)
+    return np.abs(new - ref).max(initial=0.0) <= 1e-13 * max(1.0, np.abs(ref).max(initial=0.0))
+
+
+def test_stacked_evaluations_match_per_matrix_loops():
+    rng = np.random.default_rng(11)
+    for n in range(1, 5):
+        for p in range(1, 5):
+            pd = _random_quadratic_problem(rng, n, p)
+            x = rng.standard_normal(n)
+            d = rng.standard_normal(n)
+            Y = random_symmetric(rng, p, 2.0)
+            A = [pd.G_lin[i].full() for i in range(n)]
+            B = [[pd.G_quad[i][j].full() for j in range(n)] for i in range(n)]
+
+            G = pd.G_const.full() + sum(x[i] * A[i] for i in range(n))
+            G = G + sum(0.5 * x[i] * x[j] * B[i][j] for i in range(n) for j in range(n))
+            Ds = [A[i] + sum(x[j] * B[i][j] for j in range(n)) for i in range(n)]
+            push = sum(d[i] * Ds[i] for i in range(n))
+            adj = [np.sum(D * Y.full()) for D in Ds]
+            H = pd.f_quad + np.array([[np.sum(B[i][j] * Y.full()) for j in range(n)] for i in range(n)])
+
+            assert _close(eval_G(pd, x).full(), G)
+            assert all(_close(Dn.full(), D) for Dn, D in zip(eval_G_jacobian(pd, x), Ds))
+            assert _close(jacobian_apply(pd, x, d).full(), push)
+            assert _close(adjoint_jacobian_apply(pd, x, Y), adj)
+            assert _close(lagrangian_hessian(pd, x, Y), 0.5 * (H + H.T))
+
+
+def test_shifted_problem_shares_stacks(fam3):
+    pd = fam3.problem
+    p1, p2 = fam3.perturbation(1e-3)
+    sp = shifted_problem(pd, p1, p2)
+    assert sp.G_lin_stack is pd.G_lin_stack
+    assert sp.G_quad_stack is pd.G_quad_stack
+    assert pd.G_lin_stack.shape == (2, 2, 2) and pd.G_quad_stack.shape == (2, 2, 2, 2)
+    assert not pd.G_quad_stack.flags.writeable
+
+
+def test_svec_basis_rotation_matches_loop_definition():
+    rng = np.random.default_rng(5)
+    root2 = math.sqrt(2.0)
+    for p in range(1, 6):
+        P = np.linalg.qr(rng.standard_normal((p, p)))[0]
+        cols = []
+        for i in range(p):
+            for j in range(i, p):
+                B = np.outer(P[:, i], P[:, j])
+                M = 0.5 * (B + B.T) * (root2 if i != j else 1.0)
+                cols.append(sym_vec(SymMat(M)))
+        R = _svec_basis_rotation(P)
+        assert np.allclose(R, np.stack(cols, axis=1), rtol=0.0, atol=1e-15)
+        assert np.allclose(R.T @ R, np.eye(p * (p + 1) // 2), rtol=0.0, atol=1e-12)
 
 
 def test_example2_reference_pair(fam2):

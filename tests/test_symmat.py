@@ -6,6 +6,7 @@ import pytest
 from kkt_spectra.symmat import (
     SymMat,
     dir_deriv_projection,
+    eigh,
     jacobi_eigh,
     moreau_split,
     project_psd,
@@ -30,6 +31,53 @@ def test_jacobi_matches_dense_eigh():
         assert np.allclose(P @ np.diag(lam) @ P.T, M, atol=1e-10 * scale)
         assert np.allclose(P.T @ P, np.eye(p), atol=1e-12)
     assert worst <= 1e-10
+
+
+def _leading_entry(col):
+    """First entry whose magnitude is within 1e-12 of the column maximum."""
+    top = np.abs(col).max()
+    return col[np.flatnonzero(np.abs(col) >= top - 1e-12)[0]]
+
+
+def test_eigh_column_signs():
+    rng = np.random.default_rng(1)
+    mats = [np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(3), -np.eye(2)]
+    for _ in range(100):
+        p = int(rng.integers(2, 7))
+        M = rng.normal(size=(p, p))
+        mats.append(0.5 * (M + M.T))
+    for M in mats:
+        lam, V = eigh(M)
+        assert np.all(np.diff(lam) <= 0.0)
+        for col in V.T:
+            assert _leading_entry(col) > 0.0
+    # exact tie: the first entry of each column decides the sign
+    lam, V = eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert np.allclose(lam, [1.0, -1.0])
+    assert np.all(V[0] > 0.0)
+    assert np.allclose(V, np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
+
+
+def test_eigh_small_orders_skip_lapack(monkeypatch):
+    def refuse(_):
+        raise AssertionError("LAPACK called for order <= 1")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    lam, V = eigh(np.zeros((0, 0)))
+    assert lam.shape == (0,) and V.shape == (0, 0)
+    lam, V = eigh(np.array([[-2.5]]))
+    assert lam.tolist() == [-2.5] and V.tolist() == [[1.0]]
+
+
+def test_eigh_repeatable():
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        p = int(rng.integers(1, 7))
+        M = rng.normal(size=(p, p))
+        M = 0.5 * (M + M.T)
+        lam1, V1 = eigh(M)
+        lam2, V2 = eigh(M.copy())
+        assert np.array_equal(lam1, lam2) and np.array_equal(V1, V2)
 
 
 def test_frozen_decompositions():
