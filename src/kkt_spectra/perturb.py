@@ -39,7 +39,6 @@ from .symmat import (
 DEFAULT_SOLVER_OPTIONS = {
     "maxiter": 60,
     "tol": 1e-12,
-    "fd_step": 1e-7,
     "max_backtracks": 20,
     "lm_max": 60,
 }
@@ -83,6 +82,17 @@ class ErrorBoundReport:
     excluded: int
 
 
+def _merged_options(defaults, options):
+    """Defaults overridden by options; an unknown key raises InputDataError."""
+    opts = dict(defaults)
+    if options:
+        unknown = sorted(map(str, set(options) - set(defaults)))
+        if unknown:
+            raise InputDataError(f"unknown option keys: {', '.join(unknown)}")
+        opts.update(options)
+    return opts
+
+
 def _svec_basis_rotation(P: np.ndarray) -> np.ndarray:
     """Orthogonal change of basis taking svec coordinates to the P frame.
 
@@ -119,17 +129,19 @@ def solve_perturbed_kkt(pd: ProblemData, p1, p2, start=None, options=None):
     """Track a KKT root of the canonically perturbed problem.
 
     Runs a semismooth Newton iteration on the normal-map system of the
-    shifted data, with backtracking and a damped finite-difference
-    fallback once full steps stop making progress. Iterates are (x, svec
-    z) arrays; every residual evaluation is one robinson_normal_map call,
-    and the Newton element is assembled from one spectral decomposition
-    of z and the (n, p, p) constraint Jacobian stack. A non-finite
-    iterate raises InputDataError. Raises ConvergenceError (carrying the
-    best iterate) on stagnation.
+    shifted data, with backtracking, and a Levenberg-Marquardt fallback
+    on the same semismooth element once a line search fails or maxiter
+    steps are spent. Iterates are (x, svec z) arrays; every residual
+    evaluation is one robinson_normal_map call, and the Newton element is
+    assembled from one spectral decomposition of z and the (n, p, p)
+    constraint Jacobian stack. The iteration stops at residual tol *
+    scale, or once it is certifiable (CERT_FACTOR * scale) and a step no
+    longer halves it; the root is then re-certified at the canonical
+    splitting point. A non-finite iterate or an unknown option key raises
+    InputDataError. Raises ConvergenceError (carrying the best iterate)
+    on stagnation.
     """
-    opts = dict(DEFAULT_SOLVER_OPTIONS)
-    if options:
-        opts.update(options)
+    opts = _merged_options(DEFAULT_SOLVER_OPTIONS, options)
     p1 = np.asarray(p1, dtype=float).reshape(pd.n)
     p2 = as_symmat(p2)
     spd = shifted_problem(pd, p1, p2)
@@ -168,11 +180,7 @@ def solve_perturbed_kkt(pd: ProblemData, p1, p2, start=None, options=None):
         J[n:, n:] = -JP
         return J
 
-    r = full_residual(x, zv)
-    rn = float(np.linalg.norm(r))
-    best = (x.copy(), zv.copy(), rn)
-    iters = 0
-    fails = 0
+    tol_cert = CERT_FACTOR * scale
 
     def finalize(xc, zvc, count):
         z = sym_mat(zvc, p)
@@ -181,7 +189,7 @@ def solve_perturbed_kkt(pd: ProblemData, p1, p2, start=None, options=None):
         z_canon = eval_G(spd, xc) + Y
         psi1, psi2 = robinson_normal_map(spd, xc, z_canon)
         res = math.hypot(float(np.linalg.norm(psi1)), psi2.norm())
-        if res > CERT_FACTOR * scale:
+        if res > tol_cert:
             raise ConvergenceError(
                 f"root failed certification: residual {res:.3e}",
                 best=PerturbationSample(p1, p2, xc, Y, count, res),
@@ -189,10 +197,19 @@ def solve_perturbed_kkt(pd: ProblemData, p1, p2, start=None, options=None):
             )
         return PerturbationSample(p1, p2, xc, Y, count, res)
 
+    def settled(rn_new, rn_old):
+        # a certifiable step that no longer halves the residual has reached
+        # the round-off floor; halving still admits the linear convergence
+        # of iterates attracted to a critical multiplier
+        return rn_new <= tol_stop or tol_cert >= rn_new > 0.5 * rn_old
+
+    r = full_residual(x, zv)
+    rn = float(np.linalg.norm(r))
     if rn <= tol_stop:
         return finalize(x, zv, 0)
 
-    while iters < int(opts["maxiter"]) and fails < 3:
+    iters = 0
+    while iters < int(opts["maxiter"]):
         J = jacobian(x, zv)
         rhs = -r
         try:
@@ -202,42 +219,33 @@ def solve_perturbed_kkt(pd: ProblemData, p1, p2, start=None, options=None):
         except np.linalg.LinAlgError:
             delta = np.linalg.lstsq(J, rhs, rcond=None)[0]
         step = 1.0
-        accepted = False
         for _ in range(int(opts["max_backtracks"])):
             xn = x + step * delta[:n]
             zn = zv + step * delta[n:]
             r_new = full_residual(xn, zn)
             rn_new = float(np.linalg.norm(r_new))
             if rn_new <= (1.0 - 1e-4 * step) * rn:
-                x, zv, r, rn = xn, zn, r_new, rn_new
-                accepted = True
                 break
             step *= 0.5
-        if accepted:
-            iters += 1
-            fails = 0
-            if rn < best[2]:
-                best = (x.copy(), zv.copy(), rn)
-            if rn <= tol_stop:
-                return finalize(x, zv, iters)
         else:
-            fails += 1
+            # nothing changed, so a retry would repeat this line search
+            if rn <= tol_cert:
+                return finalize(x, zv, iters)
+            break
+        done = settled(rn_new, rn)
+        x, zv, r, rn = xn, zn, r_new, rn_new
+        iters += 1
+        if done:
+            return finalize(x, zv, iters)
 
-    # damped least-squares fallback with a finite-difference Jacobian
-    h = float(opts["fd_step"])
+    # Levenberg-Marquardt fallback on the same semismooth Newton element;
+    # accepted steps decrease the residual, so the last iterate is the best
     lam = 1e-6
     u = np.concatenate([x, zv])
     for _ in range(int(opts["lm_max"])):
-        if rn <= tol_stop:
-            break
-        Jf = np.empty((n + m, n + m))
-        for j in range(n + m):
-            up = u.copy()
-            up[j] += h
-            Jf[:, j] = (full_residual(up[:n], up[n:]) - r) / h
-        g = Jf.T @ r
-        A = Jf.T @ Jf
-        moved = False
+        J = jacobian(u[:n], u[n:])
+        g = J.T @ r
+        A = J.T @ J
         while lam <= 1e12:
             try:
                 delta = np.linalg.solve(A + lam * np.eye(n + m), -g)
@@ -248,29 +256,26 @@ def solve_perturbed_kkt(pd: ProblemData, p1, p2, start=None, options=None):
             r_new = full_residual(un[:n], un[n:])
             rn_new = float(np.linalg.norm(r_new))
             if rn_new < rn:
-                u, r, rn = un, r_new, rn_new
-                lam = max(lam / 10.0, 1e-12)
-                iters += 1
-                moved = True
                 break
             lam *= 10.0
-        if not moved:
+        else:
             break
-        if rn < best[2]:
-            best = (u[:n].copy(), u[n:].copy(), rn)
+        done = settled(rn_new, rn)
+        u, r, rn = un, r_new, rn_new
+        lam = max(lam / 10.0, 1e-12)
+        iters += 1
+        if done:
+            break
 
-    if rn <= best[2]:
-        xf, zvf, rf = u[:n], u[n:], rn
-    else:
-        xf, zvf, rf = best
-    if rf <= CERT_FACTOR * scale:
+    xf, zvf = u[:n], u[n:]
+    if rn <= tol_cert:
         return finalize(xf, zvf, iters)
     z = sym_mat(zvf, p)
     Y = z - project_psd(z)
     raise ConvergenceError(
-        f"Newton stagnated at residual {rf:.3e} after {iters} steps",
-        best=PerturbationSample(p1, p2, xf, Y, iters, rf),
-        residual=rf,
+        f"Newton stagnated at residual {rn:.3e} after {iters} steps",
+        best=PerturbationSample(p1, p2, xf, Y, iters, rn),
+        residual=rn,
     )
 
 
@@ -327,13 +332,12 @@ def error_bound_experiment(family: PerturbationFamily, schedule, options=None):
 
     Solves are warm-started by continuation along the schedule; at each
     parameter a handful of jittered starts probe for additional roots
-    and the root closest to the reference point is kept.
+    and the root closest to the reference point is kept. An unknown key
+    in options or in its "solver" options raises InputDataError.
     """
-    opts = dict(DEFAULT_EXPERIMENT_OPTIONS)
-    if options:
-        opts.update(options)
+    opts = _merged_options(DEFAULT_EXPERIMENT_OPTIONS, options)
     rng = np.random.default_rng(opts["seed"])
-    solver_opts = opts["solver"]
+    solver_opts = _merged_options(DEFAULT_SOLVER_OPTIONS, opts["solver"])
     pd = family.problem
     xbar = np.asarray(family.xbar, dtype=float)
     ybar = family.ybar

@@ -1,0 +1,30 @@
+"""Every demo script runs to completion against the source tree."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert len(DEMOS) == 6
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[path.stem for path in DEMOS])
+def test_demo_runs(script, tmp_path):
+    # run in a scratch directory: perturbation_sweep.py writes a CSV there
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(script)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

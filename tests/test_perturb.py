@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from kkt_spectra import perturb
 from kkt_spectra.cones import cone_context
-from kkt_spectra.errors import InputDataError
+from kkt_spectra.errors import ConvergenceError, InputDataError
 from kkt_spectra.perturb import (
+    CERT_FACTOR,
+    DEFAULT_SOLVER_OPTIONS,
     error_bound_experiment,
     fit_order_exponent,
     lemma6_order_check,
@@ -16,7 +19,7 @@ from kkt_spectra.perturb import (
     solve_perturbed_kkt,
     xpart_bound_check,
 )
-from kkt_spectra.problem import eval_G, kkt_residual, shifted_problem
+from kkt_spectra.problem import eval_G, kkt_residual, robinson_normal_map, shifted_problem
 from kkt_spectra.symmat import SymMat
 
 
@@ -176,33 +179,110 @@ def test_experiment_continuation_consistency(fam2):
 
 
 # per-sample Newton step counts, exclusions, root multiplicity, verdicts and
-# fitted order of the default 13-point sweeps; residual and multiplier
-# drift digits at the 1e-16 level are free to move
+# fitted order of the default 13-point sweeps and of the benchmark's short
+# reference sweeps, all at the default seed; residual and multiplier drift
+# digits at the 1e-16 level are free to move
 SWEEP_PINS = {
     "example2": (
-        (1e-2, 1e-5),
+        (1e-2, 1e-5, 13),
         [9, 4, 4, 4, 4, 4, 4, 5, 5, 5, 6, 5, 5],
         False,
         ("diverging", "bounded"),
         0.6670779783246039,
     ),
     "example3": (
-        (1e-2, 1e-6),
+        (1e-2, 1e-6, 13),
         [4, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2],
         True,
         ("bounded", "bounded"),
         0.5,
+    ),
+    "example2-ref": (
+        (1e-2, 1e-3, 3),
+        [9, 5, 5],
+        False,
+        ("diverging", "bounded"),
+        0.6685251249439287,
+    ),
+    "example3-ref": (
+        (1e-2, 1e-3, 2),
+        [4, 2],
+        True,
+        ("bounded", "bounded"),
+        0.49999999999999967,
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_PINS))
 def test_default_sweeps_pinned(name, fam2, fam3):
-    (start, end), iters, multiple, verdicts, exponent = SWEEP_PINS[name]
-    fam = fam2 if name == "example2" else fam3
-    rep = error_bound_experiment(fam, np.geomspace(start, end, 13))
+    schedule, iters, multiple, verdicts, exponent = SWEEP_PINS[name]
+    fam = fam2 if name.startswith("example2") else fam3
+    rep = error_bound_experiment(fam, np.geomspace(*schedule))
     assert [smp.newton_iters for smp in rep.samples] == iters
     assert rep.excluded == 0
     assert rep.multiple_roots is multiple
     assert (rep.verdict_101, rep.verdict_91) == verdicts
     assert abs(rep.exponent_fit[0] - exponent) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "dx, Y0",
+    [((0.1, 0.1), [[-0.1, 0.0], [0.0, 0.1]]), ((0.1, -0.1), [[0.0, 0.0], [0.0, 0.0]])],
+    ids=["indefinite-Y0", "zero-Y0"],
+)
+def test_solver_stops_at_certified_floor(dx, Y0, fam3):
+    # both starts reach a certifiable residual within a few steps, above
+    # tol * scale; the solver must stop there rather than creep along the
+    # round-off floor until maxiter and then run the fallback
+    t = 1e-3
+    p1, p2 = fam3.perturbation(t)
+    spd = shifted_problem(fam3.problem, p1, p2)
+    x0 = fam3.reference_x(t) + np.array(dx)
+    smp = solve_perturbed_kkt(fam3.problem, p1, p2, (x0, eval_G(spd, x0) + SymMat(Y0)))
+    assert smp.newton_iters < 20
+    assert smp.residual <= CERT_FACTOR
+    assert np.max(np.abs(smp.x - fam3.reference_x(t))) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "name, schedule, budget",
+    [("example2", (1e-2, 1e-3, 3), 420), ("example3", (1e-2, 1e-3, 2), 200)],
+    ids=["example2", "example3"],
+)
+def test_reference_sweep_evaluation_budget(name, schedule, budget, fam2, fam3, monkeypatch):
+    fam = fam2 if name == "example2" else fam3
+    calls = []
+    steps = []
+
+    def counted(*args):
+        calls.append(None)
+        return robinson_normal_map(*args)
+
+    def recorded(*args):
+        try:
+            smp = solve_perturbed_kkt(*args)
+        except ConvergenceError as exc:
+            steps.append(exc.best.newton_iters)
+            raise
+        steps.append(smp.newton_iters)
+        return smp
+
+    monkeypatch.setattr(perturb, "robinson_normal_map", counted)
+    monkeypatch.setattr(perturb, "solve_perturbed_kkt", recorded)
+    rep = error_bound_experiment(fam, np.geomspace(*schedule), {"seed": 42})
+    assert len(rep.samples) == schedule[2]
+    assert len(calls) <= budget
+    assert steps and max(steps) < DEFAULT_SOLVER_OPTIONS["maxiter"]
+
+
+def test_unknown_option_keys_rejected(fam3):
+    p1, p2 = fam3.perturbation(1e-3)
+    with pytest.raises(InputDataError, match="fd_step"):
+        solve_perturbed_kkt(fam3.problem, p1, p2, natural_start(fam3), {"fd_step": 1e-7})
+    with pytest.raises(InputDataError, match="jitter"):
+        error_bound_experiment(fam3, [1e-3], {"jitter": 2})
+    with pytest.raises(InputDataError, match="maxiters"):
+        error_bound_experiment(fam3, [], {"solver": {"maxiters": 5}})
+    smp = solve_perturbed_kkt(fam3.problem, p1, p2, natural_start(fam3), {"maxiter": 5})
+    assert smp.residual <= CERT_FACTOR
