@@ -11,9 +11,11 @@ import numpy as np
 
 from kkt_spectra import (
     SymMat,
+    build_system,
     builtin_family,
     check_soscy,
     cone_context,
+    kkt_point,
     make_problem,
     sigma_term,
     theorem3_conditions,
@@ -30,6 +32,12 @@ H = SymMat(np.array([[0.0, 1.0], [1.0, 0.0]]))
 print("sigma term for an off-diagonal direction:", sigma_term(ctx, H))
 print("sigma term with zero multiplier:", sigma_term(cone_context(X, SymMat.zeros(2)), H))
 
+# The checks below take the analysis context of a certified KKT pair,
+# which fixes one eigenvalue partition for every check of that pair.
+def context(pd, x, Y):
+    return build_system(pd, kkt_point(pd, x, Y))
+
+
 # Both built-in families satisfy the sufficient condition. The solver
 # reports which path decided it: a subspace cone, a halfspace section
 # and a polyhedral cone (commuting degenerate blocks, settled face by
@@ -37,7 +45,7 @@ print("sigma term with zero multiplier:", sigma_term(cone_context(X, SymMat.zero
 # projected gradient multistarts.
 for name in ("example3", "example2"):
     fam = builtin_family(name)
-    r = check_soscy(fam.problem, fam.xbar, fam.ybar)
+    r = check_soscy(context(fam.problem, fam.xbar, fam.ybar))
     print(
         f"{name}: {r.verdict}  min {r.min_value:.6g}  via {r.search_stats['path']!r}"
     )
@@ -46,7 +54,7 @@ for name in ("example3", "example2"):
 # on the whole cone, so sufficiency fails while the necessary condition
 # (nonnegativity) still holds.
 pd = make_problem([0.0], [[0.0]], SymMat.zeros(1), [SymMat.eye(1)])
-r = check_soscy(pd, [0.0], SymMat.zeros(1))
+r = check_soscy(context(pd, [0.0], SymMat.zeros(1)))
 print("degenerate scalar case:", r.verdict, " necessary condition:", r.sonc_verdict)
 print("minimum", r.min_value, "attained at", r.minimizer)
 
@@ -59,7 +67,7 @@ pd_ind = make_problem(
     SymMat.zeros(2),
     [SymMat.diag([1.0, 0.0]), SymMat([[0.0, 1.0], [1.0, 2.0]])],
 )
-r = check_soscy(pd_ind, [0.0, 0.0], SymMat.zeros(2))
+r = check_soscy(context(pd_ind, [0.0, 0.0], SymMat.zeros(2)))
 print("indefinite case:", r.verdict, " certified endpoints:", r.search_stats["certified"])
 
 # Conditions for a local error bound around the primal point: closed
@@ -67,6 +75,6 @@ print("indefinite case:", r.verdict, " certified endpoints:", r.search_stats["ce
 # second is checked on sampled perturbations; the report separates
 # exact findings from sampled evidence.
 fam = builtin_family("example3")
-t3 = theorem3_conditions(fam.problem, fam.xbar, fam.ybar)
+t3 = theorem3_conditions(context(fam.problem, fam.xbar, fam.ybar))
 for key, row in t3.items():
     print(key, row["verdict"], {k: v for k, v in row.items() if k != "verdict"})

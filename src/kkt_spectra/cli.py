@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cones import cone_context, is_normal_cone_polyhedral, strict_complementarity
+from .cones import is_normal_cone_polyhedral, strict_complementarity
 from .criticality import (
     build_system,
     check_rcq,
@@ -31,7 +31,6 @@ from .problem import (
     FAMILY_NAMES,
     PerturbationFamily,
     builtin_family,
-    eval_G,
     kkt_point,
     load_point,
     load_problem,
@@ -238,6 +237,18 @@ def render(payload: dict, fmt: str) -> str:
     return "\n".join(lines)
 
 
+def _analysis_context(req: AnalysisRequest):
+    """The one analysis context, at the --tol-eig partition, of the
+    requested pair; every section of a report reads it."""
+    _, pd, x, Y = _resolve_inputs(req)
+    return build_system(pd, kkt_point(pd, x, Y), tol=req.tol_eig)
+
+
+def _residuals_payload(sysm):
+    r1, r2 = sysm.kkt.residuals
+    return {"stationarity": r1, "complementarity": r2}
+
+
 def _partition_payload(ctx):
     d = ctx.decomp
     return {
@@ -268,8 +279,8 @@ def _criticality_payload(sysm, req: AnalysisRequest):
     return out
 
 
-def _soscy_payload(pd, x, Y, req: AnalysisRequest):
-    rep = check_soscy(pd, x, Y, {"starts": req.samples, "seed": req.seed})
+def _soscy_payload(sysm, req: AnalysisRequest):
+    rep = check_soscy(sysm, {"starts": req.samples, "seed": req.seed})
     return {
         "verdict": rep.verdict,
         "sonc_verdict": rep.sonc_verdict,
@@ -279,35 +290,32 @@ def _soscy_payload(pd, x, Y, req: AnalysisRequest):
     }
 
 
+def _theorem3_payload(sysm, req: AnalysisRequest):
+    return theorem3_conditions(sysm, {"samples": req.samples, "seed": req.seed})
+
+
 def cmd_analyze(req: AnalysisRequest) -> dict:
-    _, pd, x, Y = _resolve_inputs(req)
-    kkt = kkt_point(pd, x, Y)
-    sysm = build_system(pd, kkt, tol=req.tol_eig)
+    sysm = _analysis_context(req)
+    pd, x, Y = sysm.pd, sysm.kkt.x, sysm.kkt.Y
     return {
         "schema": SCHEMA,
         "command": "analyze",
         "source": req.family or req.problem,
-        "kkt_residuals": {
-            "stationarity": kkt.residuals[0],
-            "complementarity": kkt.residuals[1],
-        },
+        "kkt_residuals": _residuals_payload(sysm),
         "partition": _partition_payload(sysm.ctx),
         "constraint_qualifications": {
             "rcq": check_rcq(pd, x, tol_feas=req.tol_feas),
-            "srcq": check_srcq(pd, x, Y),
+            "srcq": check_srcq(pd, x, Y, tol=req.tol_eig),
         },
         "criticality": _criticality_payload(sysm, req),
         "x_part_condition": xpart_condition(sysm),
-        "soscy": _soscy_payload(pd, x, Y, req),
-        "local_bound_conditions": theorem3_conditions(
-            pd, x, Y, {"samples": req.samples, "seed": req.seed}
-        ),
+        "soscy": _soscy_payload(sysm, req),
+        "local_bound_conditions": _theorem3_payload(sysm, req),
     }
 
 
 def cmd_criticality(req: AnalysisRequest) -> dict:
-    _, pd, x, Y = _resolve_inputs(req)
-    sysm = build_system(pd, kkt_point(pd, x, Y), tol=req.tol_eig)
+    sysm = _analysis_context(req)
     return {
         "schema": SCHEMA,
         "command": "criticality",
@@ -319,32 +327,24 @@ def cmd_criticality(req: AnalysisRequest) -> dict:
 
 
 def cmd_sosc(req: AnalysisRequest) -> dict:
-    _, pd, x, Y = _resolve_inputs(req)
-    build_system(pd, kkt_point(pd, x, Y), tol=req.tol_eig)  # certification gate
+    sysm = _analysis_context(req)
     return {
         "schema": SCHEMA,
         "command": "sosc",
         "source": req.family or req.problem,
-        "soscy": _soscy_payload(pd, x, Y, req),
-        "local_bound_conditions": theorem3_conditions(
-            pd, x, Y, {"samples": req.samples, "seed": req.seed}
-        ),
+        "soscy": _soscy_payload(sysm, req),
+        "local_bound_conditions": _theorem3_payload(sysm, req),
     }
 
 
 def cmd_cones(req: AnalysisRequest) -> dict:
-    _, pd, x, Y = _resolve_inputs(req)
-    kkt = kkt_point(pd, x, Y)
-    ctx = cone_context(eval_G(pd, x), as_symmat(Y), tol_zero=req.tol_eig)
+    sysm = _analysis_context(req)
     return {
         "schema": SCHEMA,
         "command": "cones",
         "source": req.family or req.problem,
-        "kkt_residuals": {
-            "stationarity": kkt.residuals[0],
-            "complementarity": kkt.residuals[1],
-        },
-        "partition": _partition_payload(ctx),
+        "kkt_residuals": _residuals_payload(sysm),
+        "partition": _partition_payload(sysm.ctx),
     }
 
 
@@ -353,17 +353,13 @@ def cmd_perturb(req: AnalysisRequest) -> dict:
     if fam is None:
         if req.p1 is None or req.p2 is None:
             raise InputDataError("user problems need --p1 and --p2 perturbation directions")
-        kkt = kkt_point(pd, x, Y)
-        if not kkt.certified:
-            raise InputDataError(
-                f"KKT residuals {kkt.residuals} exceed certification tolerance"
-            )
+        pair = build_system(pd, kkt_point(pd, x, Y)).kkt
         p1d = np.asarray(req.p1, dtype=float).reshape(pd.n)
         p2d = as_symmat(req.p2)
         if p2d.p != pd.p:
             raise InputDataError("--p2 order does not match the problem")
         fam = PerturbationFamily(
-            "user", pd, np.asarray(x, dtype=float), Y, lambda s: (s * p1d, float(s) * p2d)
+            "user", pd, pair.x, pair.Y, lambda s: (s * p1d, float(s) * p2d)
         )
     start, end, count = req.geo
     schedule = np.geomspace(start, end, count)

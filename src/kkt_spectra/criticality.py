@@ -19,8 +19,13 @@ from typing import Optional
 import numpy as np
 
 from .cones import ConeContext, cone_context
-from .errors import InputDataError, NumericError
-from .lpkernel import cone_kernel_nontrivial, nontrivial_xi_solution, subspace_psd_nontrivial
+from .errors import InputDataError, NumericError, merged_options
+from .lpkernel import (
+    cone_kernel_nontrivial,
+    nontrivial_xi_solution,
+    null_space,
+    subspace_psd_nontrivial,
+)
 from .problem import (
     KKTPoint,
     ProblemData,
@@ -49,12 +54,24 @@ UNDETERMINED = "Undetermined"
 
 @dataclass(frozen=True)
 class CriticalitySystem:
-    """Frozen data of the linearized complementarity system at a KKT pair."""
+    """Analysis context of a certified KKT pair.
 
+    Every analysis of the pair reads the one alpha/beta/gamma partition
+    held in ctx. Dt holds the constraint Jacobians rotated into the
+    eigenframe of G(x) + Y, shape (n, p, p). cone_rows are the x-space
+    equality rows of the critical cone, one per gamma x (beta u gamma)
+    entry (H_ij = 0), and cone_null is an orthonormal basis of their
+    null space.
+    """
+
+    pd: ProblemData
+    kkt: KKTPoint
     hessL: np.ndarray
     jac: tuple
     ctx: ConeContext
-    sigma: np.ndarray
+    Dt: np.ndarray
+    cone_rows: np.ndarray
+    cone_null: np.ndarray
 
     @property
     def n(self) -> int:
@@ -74,81 +91,78 @@ class CriticalityVerdict:
 
 
 def build_system(pd: ProblemData, kkt: KKTPoint, tol: Optional[float] = None) -> CriticalitySystem:
-    """Assemble the system at a certified KKT pair."""
+    """Assemble the analysis context at a certified KKT pair.
+
+    tol is the eigenvalue zero-classification tolerance of the partition
+    (None: the decomposition's default).
+    """
     if not kkt.certified:
         raise InputDataError(
             f"KKT residuals {kkt.residuals} exceed certification tolerance"
         )
     X = eval_G(pd, kkt.x)
     ctx = cone_context(X, kkt.Y, tol_zero=tol, tol=1e-6)
+    d = ctx.decomp
     hessL = lagrangian_hessian(pd, kkt.x, kkt.Y)
     jac = tuple(eval_G_jacobian(pd, kkt.x))
-    return CriticalitySystem(hessL, jac, ctx, ctx.decomp.sigma)
+    Dt = np.array([d.rotate(Dk) for Dk in jac]).reshape(pd.n, d.p, d.p)
+    tail = np.concatenate([d.beta, d.gamma])
+    pairs = [(i, j) for i in d.gamma for j in tail if j <= i]
+    cone_rows = np.array([Dt[:, i, j] for i, j in pairs]).reshape(len(pairs), pd.n)
+    return CriticalitySystem(pd, kkt, hessL, jac, ctx, Dt, cone_rows, null_space(cone_rows))
 
 
 class _Rows:
     """Linear-row assembly over the stacked variable z = (xi, svec eta)."""
 
     def __init__(self, sys: CriticalitySystem):
-        d = sys.ctx.decomp
-        self.d = d
-        self.n = sys.n
-        self.p = d.p
-        self.nsvec = self.p * (self.p + 1) // 2
-        self.dim = self.n + self.nsvec
-        self.Dt = [d.rotate(Dk) for Dk in sys.jac]
-        self.hessL = sys.hessL
-        self.jac = sys.jac
-        self.sigma = sys.sigma
+        self.sys = sys
+        self.dim = sys.n + sys.p * (sys.p + 1) // 2
         self._eta_cache: dict = {}
 
-    def h_row(self, i: int, j: int) -> np.ndarray:
+    def _x_row(self, r: np.ndarray) -> np.ndarray:
         row = np.zeros(self.dim)
-        for k in range(self.n):
-            row[k] = self.Dt[k][i, j]
+        row[: self.sys.n] = r
         return row
+
+    def h_row(self, i: int, j: int) -> np.ndarray:
+        return self._x_row(self.sys.Dt[:, i, j])
 
     def eta_row(self, i: int, j: int) -> np.ndarray:
         key = (min(i, j), max(i, j))
         if key not in self._eta_cache:
-            P = self.d.P
+            P = self.sys.ctx.decomp.P
             outer = 0.5 * (np.outer(P[:, i], P[:, j]) + np.outer(P[:, j], P[:, i]))
             row = np.zeros(self.dim)
-            row[self.n :] = sym_vec(outer)
+            row[self.sys.n :] = sym_vec(outer)
             self._eta_cache[key] = row
         return self._eta_cache[key]
 
     def adjoint_rows(self) -> list:
         rows = []
-        for k in range(self.n):
-            row = np.zeros(self.dim)
-            row[: self.n] = self.hessL[k]
-            row[self.n :] = sym_vec(self.jac[k])
+        for hk, Dk in zip(self.sys.hessL, self.sys.jac):
+            row = self._x_row(hk)
+            row[self.sys.n :] = sym_vec(Dk)
             rows.append(row)
         return rows
 
     def common_rows(self) -> list:
         """Rows valid in every complementarity branch."""
-        d = self.d
-        rows = self.adjoint_rows()
-        tail = np.concatenate([d.beta, d.gamma])
-        for i in d.gamma:
-            for j in tail:
-                if j <= i:
-                    rows.append(self.h_row(i, j))
+        d = self.sys.ctx.decomp
+        rows = self.adjoint_rows() + [self._x_row(r) for r in self.sys.cone_rows]
         for ai, i in enumerate(d.alpha):
             for j in d.alpha[ai:]:
                 rows.append(self.eta_row(i, j))
             for j in d.beta:
                 rows.append(self.eta_row(i, j))
             for j in d.gamma:
-                s = self.sigma[i, j]
+                s = d.sigma[i, j]
                 rows.append((s - 1.0) * self.h_row(i, j) + s * self.eta_row(i, j))
         return rows
 
     def rotated_beta_rows(self, Q: np.ndarray):
         """Entry rows of Q^T H_bb Q and Q^T eta_bb Q over the beta block."""
-        beta = self.d.beta
+        beta = self.sys.ctx.decomp.beta
         k = beta.size
         H = [[self.h_row(beta[a], beta[b]) for b in range(k)] for a in range(k)]
         E = [[self.eta_row(beta[a], beta[b]) for b in range(k)] for a in range(k)]
@@ -179,16 +193,16 @@ def witness_residual(sys: CriticalitySystem, xi, eta) -> float:
     return math.hypot(float(np.linalg.norm(adj)), fixed.norm())
 
 
-def _extract_witness(sys: CriticalitySystem, rows: _Rows, z: np.ndarray):
-    xi = z[: rows.n].copy()
-    eta = sym_mat(z[rows.n :], rows.p)
+def _extract_witness(sys: CriticalitySystem, z: np.ndarray):
+    xi = z[: sys.n].copy()
+    eta = sym_mat(z[sys.n :], sys.p)
     nrm = np.linalg.norm(xi)
     xi /= nrm
     eta = (1.0 / nrm) * eta
     return xi, eta, witness_residual(sys, xi, eta)
 
 
-def _branch_search(sys, rows, base_rows, h_rot, e_rot, k):
+def _branch_search(rows, base_rows, h_rot, e_rot, k):
     """Enumerate complementarity supports of a diagonalized beta block."""
     offdiag = []
     for i in range(k):
@@ -207,7 +221,7 @@ def _branch_search(sys, rows, base_rows, h_rot, e_rot, k):
             else:
                 eqs.append(h_rot[(j, j)])
                 ineqs.append(-e_rot[(j, j)])
-        z, merit = nontrivial_xi_solution(np.stack(eqs), rows.dim, rows.n, ineqs)
+        z, merit = nontrivial_xi_solution(np.stack(eqs), rows.dim, rows.sys.n, ineqs)
         best_merit = min(best_merit, merit)
         if z is not None:
             return z, 0.0
@@ -225,14 +239,12 @@ def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) 
     give a one-sided search: positives are certified witnesses, negatives
     return Undetermined.
     """
-    opts = dict(DEFAULT_OPTIONS)
-    if options:
-        opts.update(options)
+    opts = merged_options(DEFAULT_OPTIONS, options)
     rows = _Rows(sys)
     beta = sys.ctx.decomp.beta
     common = rows.common_rows()
 
-    z, _ = nontrivial_xi_solution(np.stack(common), rows.dim, rows.n)
+    z, _ = nontrivial_xi_solution(np.stack(common), rows.dim, sys.n)
     if z is None:
         cert = (
             "exact: beta empty, homogeneous linear system has no nonzero xi"
@@ -241,7 +253,7 @@ def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) 
         )
         return CriticalityVerdict(NONCRITICAL, None, cert, 0.0)
     if beta.size == 0:
-        xi, eta, res = _extract_witness(sys, rows, z)
+        xi, eta, res = _extract_witness(sys, z)
         if res > 1e-7:
             raise NumericError(f"linear-tier witness re-verification failed: residual {res:.3e}")
         return CriticalityVerdict(CRITICAL, (xi, eta), "exact: beta empty, nonzero linear solution", res)
@@ -253,9 +265,9 @@ def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) 
             (common + [rows.eta_row(b, b)], [rows.h_row(b, b)], "eta-block pinned to zero"),
         )
         for eqs, ineqs, label in branches:
-            z, _ = nontrivial_xi_solution(np.stack(eqs), rows.dim, rows.n, ineqs)
+            z, _ = nontrivial_xi_solution(np.stack(eqs), rows.dim, sys.n, ineqs)
             if z is not None:
-                xi, eta, res = _extract_witness(sys, rows, z)
+                xi, eta, res = _extract_witness(sys, z)
                 if res > 1e-7:
                     raise NumericError(
                         f"singleton-branch witness re-verification failed: residual {res:.3e}"
@@ -268,12 +280,12 @@ def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) 
         )
 
     k = int(beta.size)
-    Q = common_eigenframe([Dt[np.ix_(beta, beta)] for Dt in rows.Dt], k)
+    Q = common_eigenframe([Dt[np.ix_(beta, beta)] for Dt in sys.Dt], k)
     if Q is not None:
         h_rot, e_rot = rows.rotated_beta_rows(Q)
-        z, _ = _branch_search(sys, rows, common, h_rot, e_rot, k)
+        z, _ = _branch_search(rows, common, h_rot, e_rot, k)
         if z is not None:
-            xi, eta, res = _extract_witness(sys, rows, z)
+            xi, eta, res = _extract_witness(sys, z)
             if res > 1e-7:
                 raise NumericError(
                     f"diagonal-enumeration witness re-verification failed: residual {res:.3e}"
@@ -296,9 +308,9 @@ def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) 
             c, s = math.cos(theta), math.sin(theta)
             Qr = np.array([[c, -s], [s, c]])
             h_rot, e_rot = rows.rotated_beta_rows(Qr)
-            z, merit = _branch_search(sys, rows, common, h_rot, e_rot, 2)
+            z, merit = _branch_search(rows, common, h_rot, e_rot, 2)
             if z is not None:
-                xi, eta, res = _extract_witness(sys, rows, z)
+                xi, eta, res = _extract_witness(sys, z)
                 if res <= 1e-7:
                     return CriticalityVerdict(
                         CRITICAL, (xi, eta), f"rotation grid: theta={theta:.6f}", res
@@ -313,7 +325,7 @@ def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) 
         def probe(theta):
             c, s = math.cos(theta), math.sin(theta)
             h_rot, e_rot = rows.rotated_beta_rows(np.array([[c, -s], [s, c]]))
-            return _branch_search(sys, rows, common, h_rot, e_rot, 2)
+            return _branch_search(rows, common, h_rot, e_rot, 2)
 
         a, b = lo, hi
         x1 = b - gr * (b - a)
@@ -323,7 +335,7 @@ def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) 
         for _ in range(24):
             for z, theta in ((z1, x1), (z2, x2)):
                 if z is not None:
-                    xi, eta, res = _extract_witness(sys, rows, z)
+                    xi, eta, res = _extract_witness(sys, z)
                     if res <= 1e-7:
                         return CriticalityVerdict(
                             CRITICAL, (xi, eta), f"rotation grid refinement: theta={theta:.6f}", res
@@ -347,7 +359,7 @@ def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) 
     rng = np.random.default_rng(int(opts["seed"]))
     samples = int(opts["samples"])
     frames = [np.eye(k)]
-    for Dt in rows.Dt:
+    for Dt in sys.Dt:
         B = Dt[np.ix_(beta, beta)]
         if np.abs(B).max() > 0:
             _, V = eigh(B)
@@ -357,9 +369,9 @@ def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) 
         frames.append(Qr)
     for Qr in frames:
         h_rot, e_rot = rows.rotated_beta_rows(Qr)
-        z, _ = _branch_search(sys, rows, common, h_rot, e_rot, k)
+        z, _ = _branch_search(rows, common, h_rot, e_rot, k)
         if z is not None:
-            xi, eta, res = _extract_witness(sys, rows, z)
+            xi, eta, res = _extract_witness(sys, z)
             if res <= 1e-7:
                 return CriticalityVerdict(
                     CRITICAL, (xi, eta), f"random frame search ({len(frames)} frames x 2^{k} supports)", res
@@ -374,17 +386,9 @@ def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) 
 
 def xpart_condition(sys: CriticalitySystem) -> dict:
     """Test whether the eta-free part of the system forces xi = 0."""
-    rows = _Rows(sys)
     d = sys.ctx.decomp
-    eqs = [sys.hessL[i, :].copy() for i in range(sys.n)]
-    tail = np.concatenate([d.beta, d.gamma])
-    for i in d.gamma:
-        for j in tail:
-            if j <= i:
-                eqs.append(rows.h_row(i, j)[: sys.n])
-    for i in d.alpha:
-        for j in d.gamma:
-            eqs.append(rows.h_row(i, j)[: sys.n])
+    coupling = [sys.Dt[:, i, j] for i in d.alpha for j in d.gamma]
+    eqs = np.vstack([sys.hessL, sys.cone_rows, np.reshape(coupling, (len(coupling), sys.n))])
     k = d.beta.size
     block = None
     if k:
@@ -392,10 +396,10 @@ def xpart_condition(sys: CriticalitySystem) -> dict:
         block = []
         for a in range(k):
             for b in range(a, k):
-                r = rows.h_row(d.beta[a], d.beta[b])[: sys.n]
+                r = sys.Dt[:, d.beta[a], d.beta[b]]
                 block.append(r if a == b else math.sqrt(2.0) * r)
         block = np.stack(block)
-    xi = cone_kernel_nontrivial(np.stack(eqs), sys.n, block, k, 1.0)
+    xi = cone_kernel_nontrivial(eqs, sys.n, block, k, 1.0)
     if xi is None:
         return {"holds": True, "witness": None}
     return {"holds": False, "witness": xi / np.linalg.norm(xi)}
@@ -420,10 +424,13 @@ def check_rcq(pd: ProblemData, xbar, tol_feas: float = 1e-8) -> bool:
     return W is None
 
 
-def check_srcq(pd: ProblemData, xbar, ybar) -> bool:
-    """Strict qualification at a KKT pair, via the polar-cone kernel."""
+def check_srcq(pd: ProblemData, xbar, ybar, tol: Optional[float] = None) -> bool:
+    """Strict qualification at a KKT pair, via the polar-cone kernel.
+
+    tol is the partition tolerance, with the meaning it has in build_system.
+    """
     ybar = as_symmat(ybar)
-    ctx = cone_context(eval_G(pd, xbar), ybar, tol=1e-6)
+    ctx = cone_context(eval_G(pd, xbar), ybar, tol_zero=tol, tol=1e-6)
     d = ctx.decomp
     red = np.concatenate([d.beta, d.gamma]).astype(int)
     q = red.size

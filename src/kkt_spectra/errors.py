@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the option-key check
+that raises one."""
 
 
 class KKTSpectraError(Exception):
@@ -32,3 +33,14 @@ class ConvergenceError(KKTSpectraError):
         super().__init__(message)
         self.best = best
         self.residual = residual
+
+
+def merged_options(defaults: dict, options) -> dict:
+    """Defaults overridden by options; an unknown key raises InputDataError."""
+    opts = dict(defaults)
+    if options:
+        unknown = sorted(map(str, set(options) - set(defaults)))
+        if unknown:
+            raise InputDataError(f"unknown option keys: {', '.join(unknown)}")
+        opts.update(options)
+    return opts

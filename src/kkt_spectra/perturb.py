@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import ConeContext
-from .errors import ConvergenceError, InputDataError
+from .criticality import CriticalitySystem
+from .errors import ConvergenceError, InputDataError, merged_options
 from .problem import (
     PerturbationFamily,
     ProblemData,
@@ -24,6 +25,7 @@ from .problem import (
     robinson_normal_map,
     shifted_problem,
 )
+from .sosc import SOSCY_HOLDS, check_soscy
 from .symmat import (
     SpectralDecomp,
     SymMat,
@@ -82,17 +84,6 @@ class ErrorBoundReport:
     excluded: int
 
 
-def _merged_options(defaults, options):
-    """Defaults overridden by options; an unknown key raises InputDataError."""
-    opts = dict(defaults)
-    if options:
-        unknown = sorted(map(str, set(options) - set(defaults)))
-        if unknown:
-            raise InputDataError(f"unknown option keys: {', '.join(unknown)}")
-        opts.update(options)
-    return opts
-
-
 def _svec_basis_rotation(P: np.ndarray) -> np.ndarray:
     """Orthogonal change of basis taking svec coordinates to the P frame.
 
@@ -141,7 +132,7 @@ def solve_perturbed_kkt(pd: ProblemData, p1, p2, start=None, options=None):
     InputDataError. Raises ConvergenceError (carrying the best iterate)
     on stagnation.
     """
-    opts = _merged_options(DEFAULT_SOLVER_OPTIONS, options)
+    opts = merged_options(DEFAULT_SOLVER_OPTIONS, options)
     p1 = np.asarray(p1, dtype=float).reshape(pd.n)
     p2 = as_symmat(p2)
     spd = shifted_problem(pd, p1, p2)
@@ -335,9 +326,9 @@ def error_bound_experiment(family: PerturbationFamily, schedule, options=None):
     and the root closest to the reference point is kept. An unknown key
     in options or in its "solver" options raises InputDataError.
     """
-    opts = _merged_options(DEFAULT_EXPERIMENT_OPTIONS, options)
+    opts = merged_options(DEFAULT_EXPERIMENT_OPTIONS, options)
     rng = np.random.default_rng(opts["seed"])
-    solver_opts = _merged_options(DEFAULT_SOLVER_OPTIONS, opts["solver"])
+    solver_opts = merged_options(DEFAULT_SOLVER_OPTIONS, opts["solver"])
     pd = family.problem
     xbar = np.asarray(family.xbar, dtype=float)
     ybar = family.ybar
@@ -552,16 +543,14 @@ def lemma6_order_check(ctx: ConeContext, samples=8, seed=0, schedule=None):
     return table
 
 
-def xpart_bound_check(pd: ProblemData, xbar, ybar, report: ErrorBoundReport):
+def xpart_bound_check(sys: CriticalitySystem, report: ErrorBoundReport):
     """Pair the x-distance ratio trend with the second-order verdict.
 
     When the second-order condition is certified, the combined ratio
     sequence (distance over perturbation plus multiplier drift) should
     stay bounded; the returned table records both sides.
     """
-    from .sosc import SOSCY_HOLDS, check_soscy
-
-    soscy = check_soscy(pd, xbar, ybar)
+    soscy = check_soscy(sys)
     rows = [
         {"parameter": float(s), "p_norm": pn, "x_dev": dv, "y_dev": yd, "ratio_91": r}
         for s, pn, dv, yd, r in zip(

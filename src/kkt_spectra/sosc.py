@@ -18,14 +18,13 @@ from .cones import (
     critical_cone_psd_membership,
     project_critical_cone_polar,
 )
-from .errors import InputDataError
+from .criticality import CriticalitySystem
+from .errors import InputDataError, merged_options
 from .lpkernel import null_space
 from .problem import (
     ProblemData,
     eval_G,
-    eval_G_jacobian,
     jacobian_apply,
-    kkt_point,
     lagrangian_hessian,
     multiplier_set_residual,
 )
@@ -40,6 +39,13 @@ from .symmat import (
 )
 
 TOL_POS = 1e-8
+
+DEFAULT_SOSCY_OPTIONS = {"starts": 64, "seed": 42}
+DEFAULT_THEOREM3_OPTIONS = {"samples": 64, "seed": 42}
+
+# projected-gradient search: iteration cap per start and initial step
+SEARCH_ITERS = 500
+SEARCH_STEP = 0.1
 
 SOSCY_HOLDS = "SOSCy_holds"
 SOSCY_FAILS = "SOSCy_fails"
@@ -86,15 +92,13 @@ def critical_cone_x_membership(pd: ProblemData, xbar, ybar, d) -> dict:
     return {"member": mem.member, "violation": mem.violation}
 
 
-def _sigma_quadratic(ctx: ConeContext, Ds) -> np.ndarray:
+def _sigma_quadratic(sys: CriticalitySystem) -> np.ndarray:
     """Matrix S with d^T S d = sigma_term(G'(x)d), no membership gate."""
-    d = ctx.decomp
-    n = len(Ds)
-    Dt = [d.rotate(Dk) for Dk in Ds]
-    S = np.zeros((n, n))
+    d = sys.ctx.decomp
+    S = np.zeros((sys.n, sys.n))
     for j in d.gamma:
         for i in d.alpha:
-            v = np.array([Dt[k][j, i] for k in range(n)])
+            v = sys.Dt[:, j, i]
             S += (2.0 * d.lam[j] / d.lam[i]) * np.outer(v, v)
     return S
 
@@ -132,15 +136,13 @@ def _sphere_sequence(count: int, dim: int, offset: int = 0) -> np.ndarray:
     return pts
 
 
-def _beta_block_map(ctx: ConeContext, Ds, Z: np.ndarray):
-    """Per-column beta blocks of the pushed-forward direction map."""
-    d = ctx.decomp
-    beta = d.beta
-    blocks = []
-    for c in range(Z.shape[1]):
-        M = sum(Z[k, c] * d.rotate(Ds[k]) for k in range(len(Ds)))
-        blocks.append(M[np.ix_(beta, beta)])
-    return blocks
+def _beta_block_map(sys: CriticalitySystem):
+    """Beta blocks of the pushed-forward direction map, one per column of
+    the critical-cone basis."""
+    beta = sys.ctx.decomp.beta
+    Db = sys.Dt[:, beta[:, None], beta]
+    Z = sys.cone_null
+    return [sum(Z[k, c] * Db[k] for k in range(sys.n)) for c in range(Z.shape[1])]
 
 
 def _exact_report(min_value: float, minimizer, stats: dict) -> SecondOrderReport:
@@ -181,7 +183,7 @@ def _face_minimum(Qh: np.ndarray, A: np.ndarray, tol: float):
     return best, best_c, feasible
 
 
-def check_soscy(pd: ProblemData, xbar, ybar, options: Optional[dict] = None) -> SecondOrderReport:
+def check_soscy(sys: CriticalitySystem, options: Optional[dict] = None) -> SecondOrderReport:
     """Minimize the second-order form over the unit sphere in C(xbar).
 
     Exact when the cone is a subspace (empty or inactive beta block), a
@@ -193,28 +195,11 @@ def check_soscy(pd: ProblemData, xbar, ybar, options: Optional[dict] = None) -> 
     cone membership count, so a failure verdict always carries a
     certified direction.
     """
-    opts = {"starts": 64, "iters": 500, "step": 0.1, "seed": 42}
-    if options:
-        opts.update(options)
-    kkt = kkt_point(pd, xbar, ybar)
-    if not kkt.certified:
-        raise InputDataError(f"KKT residuals {kkt.residuals} exceed certification tolerance")
-    ctx = cone_context(eval_G(pd, xbar), ybar, tol=1e-6)
-    d = ctx.decomp
-    n = pd.n
-    Ds = eval_G_jacobian(pd, xbar)
-    Dt = [d.rotate(Dk) for Dk in Ds]
-    hessL = lagrangian_hessian(pd, xbar, ybar)
-    Q = hessL - _sigma_quadratic(ctx, Ds)
+    opts = merged_options(DEFAULT_SOSCY_OPTIONS, options)
+    d = sys.ctx.decomp
+    Q = sys.hessL - _sigma_quadratic(sys)
     Q = 0.5 * (Q + Q.T)
-
-    tail = np.concatenate([d.beta, d.gamma])
-    eq_rows = []
-    for i in d.gamma:
-        for j in tail:
-            if j <= i:
-                eq_rows.append(np.array([Dt[k][i, j] for k in range(n)]))
-    Z = null_space(np.stack(eq_rows)) if eq_rows else np.eye(n)
+    Z = sys.cone_null
     stats = {"starts": 0, "certified": 0, "best_uncertified": None}
 
     if Z.shape[1] == 0:
@@ -223,7 +208,7 @@ def check_soscy(pd: ProblemData, xbar, ybar, options: Optional[dict] = None) -> 
 
     Qh = Z.T @ Q @ Z
     Qh = 0.5 * (Qh + Qh.T)
-    blocks = _beta_block_map(ctx, Ds, Z) if d.beta.size else []
+    blocks = _beta_block_map(sys) if d.beta.size else []
     block_scale = max((np.abs(B).max() for B in blocks), default=0.0)
 
     def beta_block(c):
@@ -316,7 +301,7 @@ def check_soscy(pd: ProblemData, xbar, ybar, options: Optional[dict] = None) -> 
         if pen > 1e-22:
             return c
         val = float(c @ Qh @ c)
-        step = float(opts["step"])
+        step = SEARCH_STEP
         for _ in range(100):
             g = 2.0 * (Qh @ c)
             g = g - float(g @ c) * c
@@ -344,14 +329,14 @@ def check_soscy(pd: ProblemData, xbar, ybar, options: Optional[dict] = None) -> 
     for c0 in starts:
         c = c0.copy()
         f = merit(c)
-        for _ in range(int(opts["iters"])):
+        for _ in range(SEARCH_ITERS):
             pen, gp = penalty_and_grad(c)
             grad = 2.0 * (Qh @ c) + mu * gp
             grad = grad - float(grad @ c) * c  # tangent component on the sphere
             gn = float(np.linalg.norm(grad))
             if gn <= 1e-12:
                 break
-            step = float(opts["step"])
+            step = SEARCH_STEP
             moved = False
             for _ in range(20):
                 cn = c - step * grad
@@ -441,21 +426,14 @@ def lemma4_check(C, dA, dB, tol: float = 1e-7) -> dict:
     return {"lhs": lhs, "rhs": bool(rhs)}
 
 
-def theorem3_conditions(pd: ProblemData, xbar, ybar, options: Optional[dict] = None) -> dict:
+def theorem3_conditions(sys: CriticalitySystem, options: Optional[dict] = None) -> dict:
     """Closedness of the adjoint image of K and the orthogonality of
     projected pairs, with exact special cases and sampled evidence."""
-    opts = {"samples": 64, "seed": 42}
-    if options:
-        opts.update(options)
-    kkt = kkt_point(pd, xbar, ybar)
-    if not kkt.certified:
-        raise InputDataError(f"KKT residuals {kkt.residuals} exceed certification tolerance")
-    ctx = cone_context(eval_G(pd, xbar), ybar, tol=1e-6)
+    opts = merged_options(DEFAULT_THEOREM3_OPTIONS, options)
+    ctx = sys.ctx
     d = ctx.decomp
-    n = pd.n
-    p = pd.p
-    Ds = eval_G_jacobian(pd, xbar)
-    Dt = [d.rotate(Dk) for Dk in Ds]
+    n, p = sys.n, sys.p
+    Ds = sys.jac
     jac_scale = max((Dk.max_abs() for Dk in Ds), default=0.0)
 
     nsv = p * (p + 1) // 2
@@ -493,14 +471,7 @@ def theorem3_conditions(pd: ProblemData, xbar, ybar, options: Optional[dict] = N
 
     # cond_ii: sample primal directions in C(xbar), solve the adjoint
     # equation for a multiplier direction, test projected orthogonality
-    tail = np.concatenate([d.beta, d.gamma])
-    eq_rows = []
-    for i in d.gamma:
-        for j in tail:
-            if j <= i:
-                eq_rows.append(np.array([Dt[k][i, j] for k in range(n)]))
-    Z = null_space(np.stack(eq_rows)) if eq_rows else np.eye(n)
-    hessL = lagrangian_hessian(pd, xbar, ybar)
+    Z = sys.cone_null
     rng = np.random.default_rng(int(opts["seed"]) + 1)
     accepted = 0
     rejected = 0
@@ -515,14 +486,14 @@ def theorem3_conditions(pd: ProblemData, xbar, ybar, options: Optional[dict] = N
             rejected += 1
             continue
         xi /= nx
-        H = jacobian_apply(pd, xbar, xi)
+        H = jacobian_apply(sys.pd, sys.kkt.x, xi)
         if not critical_cone_psd_membership(ctx, H).member:
             if critical_cone_psd_membership(ctx, -H).member:
                 xi, H = -xi, -H
             else:
                 rejected += 1
                 continue
-        rhs = -(hessL @ xi)
+        rhs = -(sys.hessL @ xi)
         if A.size:
             eta_v, *_ = np.linalg.lstsq(A, rhs, rcond=None)
             if np.linalg.norm(A @ eta_v - rhs) > 1e-9 * max(1.0, float(np.linalg.norm(rhs))):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from kkt_spectra.cones import cone_context_from_matrix
-from kkt_spectra.problem import builtin_family, eval_G_jacobian, make_problem
+from kkt_spectra.criticality import build_system
+from kkt_spectra.problem import builtin_family, eval_G_jacobian, kkt_point, make_problem
 from kkt_spectra.symmat import SymMat
 
 
@@ -16,6 +17,11 @@ def fam2():
 @pytest.fixture(scope="session")
 def fam3():
     return builtin_family("example3")
+
+
+def context(pd, x, Y):
+    """Analysis context of the pair (x, Y) at the default partition."""
+    return build_system(pd, kkt_point(pd, x, Y))
 
 
 def random_symmetric(rng, p, scale=1.0):

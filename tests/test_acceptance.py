@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import random_cone_context, random_symmetric, sample_diag_problem
+from conftest import context, random_cone_context, random_symmetric, sample_diag_problem
 from kkt_spectra.cones import cone_context, graph_tangent_membership
 from kkt_spectra.criticality import (
     CRITICAL,
@@ -222,7 +222,7 @@ def test_criterion_08_sufficiency_forbids_critical():
             cases.append((pd, xbar, Y))
         holds = 0
         for i, (pd, xbar, Y) in enumerate(cases):
-            if check_soscy(pd, xbar, Y).verdict != SOSCY_HOLDS:
+            if check_soscy(context(pd, xbar, Y)).verdict != SOSCY_HOLDS:
                 continue
             holds += 1
             v = classify_multiplier(build_system(pd, kkt_point(pd, xbar, Y)))
@@ -284,8 +284,8 @@ def test_criterion_12_bounded_ratio_paths():
     def body():
         fam2 = builtin_family("example2")
         fam3 = builtin_family("example3")
-        assert check_soscy(fam2.problem, fam2.xbar, fam2.ybar).verdict == SOSCY_HOLDS
-        assert check_soscy(fam3.problem, fam3.xbar, fam3.ybar).verdict == SOSCY_HOLDS
+        assert check_soscy(context(fam2.problem, fam2.xbar, fam2.ybar)).verdict == SOSCY_HOLDS
+        assert check_soscy(context(fam3.problem, fam3.xbar, fam3.ybar)).verdict == SOSCY_HOLDS
         rep3 = error_bound_experiment(fam3, np.geomspace(1e-2, 1e-6, 13))
         tail = rep3.ratios_91[-6:]
         assert max(tail) / min(tail) <= 3.0, tail

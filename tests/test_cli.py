@@ -95,6 +95,7 @@ def test_file_inputs_and_certification_exits(problem_files, tmp_path):
     far.write_text(json.dumps({"x": [5.0, 5.0], "Y": [[0.0, 0.0], [0.0, 0.0]]}))
     code, _, _ = run(["analyze", "--problem", ppath, "--point", str(far)])
     assert code == 2
+    assert run(["cones", "--problem", ppath, "--point", str(far)])[0] == 2
 
 
 def test_perturb_family_reports():
@@ -172,3 +173,22 @@ def test_flag_validation():
     assert run(["criticality", "--family", "example2", "--seed", "7", "--samples", "16"])[0] == 0
     assert run(["analyze", "--family", "example3", "--grid-points", "1"])[0] == 2
     assert run(["analyze", "--family", "example3", "--tol-feas", "-1"])[0] == 2
+
+
+def test_tol_eig_sets_one_partition_for_every_section():
+    # --tol-eig 2 moves the example2 eigenvalue 1 into beta; SRCQ, SOSC
+    # and the local-bound conditions must all read that partition
+    code, out, err = run(["analyze", "--family", "example2", "--tol-eig", "2", "--format", "json"])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["partition"]["beta"] == [0, 1]
+    assert doc["constraint_qualifications"]["srcq"] is True
+    assert doc["soscy"]["search_stats"]["path"] == "exact face enumeration"
+    assert doc["soscy"]["min_value"] == 2.0
+    assert "beta block <= 1" not in doc["local_bound_conditions"]["cond_i"]["evidence"]
+
+    code, out, err = run(["sosc", "--family", "example2", "--tol-eig", "2", "--format", "json"])
+    assert code == 0, err
+    sosc = json.loads(out)
+    assert sosc["soscy"] == doc["soscy"]
+    assert sosc["local_bound_conditions"] == doc["local_bound_conditions"]

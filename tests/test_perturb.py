@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import context
 from kkt_spectra import perturb
 from kkt_spectra.cones import cone_context
+from kkt_spectra.criticality import classify_multiplier
 from kkt_spectra.errors import ConvergenceError, InputDataError
 from kkt_spectra.perturb import (
     CERT_FACTOR,
@@ -20,6 +22,7 @@ from kkt_spectra.perturb import (
     xpart_bound_check,
 )
 from kkt_spectra.problem import eval_G, kkt_residual, robinson_normal_map, shifted_problem
+from kkt_spectra.sosc import check_soscy, theorem3_conditions
 from kkt_spectra.symmat import SymMat
 
 
@@ -162,10 +165,10 @@ def test_lemma6_eq89_without_degenerate_block():
 
 def test_xpart_bound_check(fam2, fam3):
     rep3 = error_bound_experiment(fam3, np.geomspace(1e-2, 1e-6, 13))
-    out3 = xpart_bound_check(fam3.problem, fam3.xbar, fam3.ybar, rep3)
+    out3 = xpart_bound_check(context(fam3.problem, fam3.xbar, fam3.ybar), rep3)
     assert out3["consistent"] and out3["verdict_91"] == "bounded"
     rep2 = error_bound_experiment(fam2, np.geomspace(1e-2, 1e-5, 13))
-    out2 = xpart_bound_check(fam2.problem, fam2.xbar, fam2.ybar, rep2)
+    out2 = xpart_bound_check(context(fam2.problem, fam2.xbar, fam2.ybar), rep2)
     assert out2["consistent"]
 
 
@@ -284,5 +287,14 @@ def test_unknown_option_keys_rejected(fam3):
         error_bound_experiment(fam3, [1e-3], {"jitter": 2})
     with pytest.raises(InputDataError, match="maxiters"):
         error_bound_experiment(fam3, [], {"solver": {"maxiters": 5}})
+    sys3 = context(fam3.problem, fam3.xbar, fam3.ybar)
+    with pytest.raises(InputDataError, match="grid"):
+        classify_multiplier(sys3, {"grid": 9})
+    with pytest.raises(InputDataError, match="start"):
+        check_soscy(sys3, {"start": 8})
+    with pytest.raises(InputDataError, match="iters"):
+        check_soscy(sys3, {"iters": 10})
+    with pytest.raises(InputDataError, match="sample"):
+        theorem3_conditions(sys3, {"sample": 4})
     smp = solve_perturbed_kkt(fam3.problem, p1, p2, natural_start(fam3), {"maxiter": 5})
     assert smp.residual <= CERT_FACTOR

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_symmetric
+from conftest import context, random_symmetric
 from kkt_spectra.cones import cone_context
 from kkt_spectra.criticality import CRITICAL, build_system, classify_multiplier
 from kkt_spectra.errors import InputDataError
@@ -52,12 +52,12 @@ def test_second_order_form_values(fam2, fam3):
 
 
 def test_check_soscy_exact_tiers(fam2, fam3):
-    r3 = check_soscy(fam3.problem, fam3.xbar, fam3.ybar)
+    r3 = check_soscy(context(fam3.problem, fam3.xbar, fam3.ybar))
     assert r3.verdict == SOSCY_HOLDS and abs(r3.min_value - 1.0) <= 1e-9
     assert r3.sonc_verdict == "holds"
     assert r3.search_stats["path"] == "exact subspace"
 
-    r2 = check_soscy(fam2.problem, fam2.xbar, fam2.ybar)
+    r2 = check_soscy(context(fam2.problem, fam2.xbar, fam2.ybar))
     assert r2.verdict == SOSCY_HOLDS and abs(r2.min_value - 2.0) <= 1e-9
     assert r2.search_stats["path"] == "exact halfspace"
     assert np.allclose(np.abs(r2.minimizer), [0.0, 1.0])
@@ -65,12 +65,12 @@ def test_check_soscy_exact_tiers(fam2, fam3):
 
 def test_check_soscy_scalar_boundary_failure():
     pd = make_problem([0.0], [[0.0]], SymMat.zeros(1), [SymMat.eye(1)])
-    r = check_soscy(pd, [0.0], SymMat.zeros(1))
+    r = check_soscy(context(pd, [0.0], SymMat.zeros(1)))
     assert r.verdict == SOSCY_FAILS and abs(r.min_value) <= 1e-12
     assert r.minimizer[0] > 0.0
     assert r.sonc_verdict == "holds"
     with pytest.raises(InputDataError):
-        check_soscy(pd, [1.0], SymMat.diag([3.0]))
+        check_soscy(context(pd, [1.0], SymMat.diag([3.0])))
 
 
 def test_check_soscy_projected_gradient_tier():
@@ -81,7 +81,7 @@ def test_check_soscy_projected_gradient_tier():
         SymMat.zeros(2),
         [SymMat.diag([1.0, 0.0]), SymMat([[0.0, 1.0], [1.0, 2.0]])],
     )
-    r = check_soscy(pd, [0.0, 0.0], SymMat.zeros(2))
+    r = check_soscy(context(pd, [0.0, 0.0], SymMat.zeros(2)))
     assert r.search_stats["path"] == "projected gradient"
     assert r.verdict == SOSCY_FAILS and r.min_value <= 1e-8
     assert r.search_stats["certified"] > 0
@@ -92,7 +92,7 @@ def test_check_soscy_projected_gradient_tier():
         SymMat.zeros(2),
         [SymMat.diag([1.0, 0.0]), SymMat([[0.0, 1.0], [1.0, 2.0]])],
     )
-    rp = check_soscy(pd_pd, [0.0, 0.0], SymMat.zeros(2))
+    rp = check_soscy(context(pd_pd, [0.0, 0.0], SymMat.zeros(2)))
     assert rp.verdict == SOSCY_HOLDS and abs(rp.min_value - 2.0) <= 1e-6
 
 
@@ -101,7 +101,7 @@ def test_check_soscy_face_enumeration_zero_cone():
     # critical cone {d : d >= 0, -d >= 0} is {0}, so sufficiency holds
     # vacuously even though the form itself is negative
     pd = make_problem([0.0], [[-2.0]], SymMat.zeros(2), [SymMat.diag([1.0, -1.0])])
-    r = check_soscy(pd, [0.0], SymMat.zeros(2))
+    r = check_soscy(context(pd, [0.0], SymMat.zeros(2)))
     assert r.search_stats["path"] == "exact face enumeration"
     assert r.verdict == SOSCY_HOLDS and r.min_value == np.inf
     assert r.minimizer is None and r.sonc_verdict == "holds"
@@ -141,7 +141,7 @@ def test_check_soscy_face_enumeration_boundary_minimizer():
         SymMat.zeros(2),
         [SymMat(np.eye(2)), SymMat(R @ np.diag([1.0, -1.0]) @ R.T)],
     )
-    r = check_soscy(pd, [0.0, 0.0], SymMat.zeros(2))
+    r = check_soscy(context(pd, [0.0, 0.0], SymMat.zeros(2)))
     assert r.search_stats["path"] == "exact face enumeration"
     assert r.verdict == SOSCY_FAILS and r.sonc_verdict == "fails"
     assert abs(r.min_value - cone_section_grid_minimum(pd)) <= 1e-6
@@ -163,7 +163,7 @@ def test_sufficiency_implies_noncritical_on_fixtures(fam2, fam3):
         (pd_pd, [0.0, 0.0], SymMat.zeros(2)),
     )
     for pd, x, Y in cases:
-        if check_soscy(pd, x, Y).verdict == SOSCY_HOLDS:
+        if check_soscy(context(pd, x, Y)).verdict == SOSCY_HOLDS:
             v = classify_multiplier(build_system(pd, kkt_point(pd, x, Y)))
             assert v.tag != CRITICAL
 
@@ -236,18 +236,18 @@ def test_lemma4_equivalence_fuzz():
 
 
 def test_theorem3_conditions(fam2, fam3):
-    t3 = theorem3_conditions(fam3.problem, fam3.xbar, fam3.ybar)
+    t3 = theorem3_conditions(context(fam3.problem, fam3.xbar, fam3.ybar))
     assert t3["cond_i"]["verdict"] == "holds"
     assert t3["cond_ii"]["verdict"] == "holds" and t3["cond_ii"]["max_violation"] == 0.0
     assert t3["cond_ii"]["rejection_rate"] == 1.0
 
-    t2 = theorem3_conditions(fam2.problem, fam2.xbar, fam2.ybar)
+    t2 = theorem3_conditions(context(fam2.problem, fam2.xbar, fam2.ybar))
     assert t2["cond_i"]["verdict"] == "holds"
     assert t2["cond_ii"]["verdict"] == "holds"
     assert t2["cond_ii"]["accepted"] > 0
 
     pd_nd = make_problem([0.0], [[1.0]], SymMat.diag([1.0]), [SymMat.eye(1)])
-    t_nd = theorem3_conditions(pd_nd, [0.0], SymMat.zeros(1))
+    t_nd = theorem3_conditions(context(pd_nd, [0.0], SymMat.zeros(1)))
     assert t_nd["cond_i"]["verdict"] == "holds" and "trivial" in t_nd["cond_i"]["evidence"]
     assert t_nd["cond_ii"]["verdict"] == "holds"
 
@@ -257,7 +257,7 @@ def test_theorem3_conditions(fam2, fam3):
         SymMat.zeros(2),
         [SymMat.diag([1.0, 0.0]), SymMat([[0.0, 1.0], [1.0, 2.0]])],
     )
-    t_u = theorem3_conditions(pd_u, [0.0, 0.0], SymMat.zeros(2))
+    t_u = theorem3_conditions(context(pd_u, [0.0, 0.0], SymMat.zeros(2)))
     assert t_u["cond_i"]["verdict"] in ("holds", "Undetermined")
 
 
