@@ -54,7 +54,6 @@ class AnalysisRequest:
     tol_feas: float = 1e-8
     seed: int = 42
     fmt: str = "text"
-    grid_points: int = 181
     samples: int = 64
     geo: Optional[tuple] = None
     p1: Optional[list] = None
@@ -68,8 +67,6 @@ class AnalysisRequest:
             raise InputDataError("--tol-eig must be positive")
         if self.tol_feas <= 0:
             raise InputDataError("--tol-feas must be positive")
-        if self.grid_points < 2:
-            raise InputDataError("--grid-points must be at least 2")
         if self.samples < 1:
             raise InputDataError("--samples must be at least 1")
 
@@ -133,7 +130,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--tol-feas", type=float, default=1e-8, help="feasibility tolerance")
         sp.add_argument("--seed", type=int, default=42, help="seed for all sampling")
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--grid-points", type=int, default=181, help="rotation grid resolution")
         sp.add_argument("--samples", type=int, default=64, help="sampling budget")
         if name == "perturb":
             sp.add_argument(
@@ -159,7 +155,6 @@ def request_from_args(args) -> AnalysisRequest:
         tol_feas=args.tol_feas,
         seed=args.seed,
         fmt=args.format,
-        grid_points=args.grid_points,
         samples=args.samples,
         geo=getattr(args, "geo", None),
         p1=getattr(args, "p1", None),
@@ -262,10 +257,7 @@ def _partition_payload(ctx):
 
 
 def _criticality_payload(sysm, req: AnalysisRequest):
-    verdict = classify_multiplier(
-        sysm,
-        {"grid_points": req.grid_points, "samples": req.samples, "seed": req.seed},
-    )
+    verdict = classify_multiplier(sysm, {"samples": req.samples, "seed": req.seed})
     out = {
         "tag": verdict.tag,
         "certificate": verdict.certificate,
@@ -280,7 +272,7 @@ def _criticality_payload(sysm, req: AnalysisRequest):
 
 
 def _soscy_payload(sysm, req: AnalysisRequest):
-    rep = check_soscy(sysm, {"starts": req.samples, "seed": req.seed})
+    rep = check_soscy(sysm, {"starts": req.samples})
     return {
         "verdict": rep.verdict,
         "sonc_verdict": rep.sonc_verdict,

@@ -22,6 +22,7 @@ from .cones import ConeContext, cone_context
 from .errors import InputDataError, NumericError, merged_options
 from .lpkernel import (
     cone_kernel_nontrivial,
+    nontrivial_in_span,
     nontrivial_xi_solution,
     null_space,
     subspace_psd_nontrivial,
@@ -39,13 +40,14 @@ from .symmat import (
     common_eigenframe,
     dir_deriv_from_decomp,
     eigh,
+    psd_preimage_span,
     spectral_decompose,
     svec_indices,
     sym_mat,
     sym_vec,
 )
 
-DEFAULT_OPTIONS = {"grid_points": 181, "samples": 64, "seed": 42}
+DEFAULT_OPTIONS = {"samples": 64, "seed": 42}
 
 CRITICAL = "Critical"
 NONCRITICAL = "Noncritical"
@@ -209,7 +211,6 @@ def _branch_search(rows, base_rows, h_rot, e_rot, k):
         for j in range(i + 1, k):
             offdiag.append(h_rot[(i, j)])
             offdiag.append(e_rot[(i, j)])
-    best_merit = np.inf
     for mask in range(1 << k):
         support = [(mask >> j) & 1 for j in range(k)]
         eqs = list(base_rows) + offdiag
@@ -221,23 +222,212 @@ def _branch_search(rows, base_rows, h_rot, e_rot, k):
             else:
                 eqs.append(h_rot[(j, j)])
                 ineqs.append(-e_rot[(j, j)])
-        z, merit = nontrivial_xi_solution(np.stack(eqs), rows.dim, rows.sys.n, ineqs)
-        best_merit = min(best_merit, merit)
+        z, _ = nontrivial_xi_solution(np.stack(eqs), rows.dim, rows.sys.n, ineqs)
         if z is not None:
-            return z, 0.0
-    return None, best_merit
+            return z
+    return None
+
+
+def _psd_point_with_xi(Z: np.ndarray, block: np.ndarray, xi_dim: int):
+    """A point z of span(Z) with xi(z) != 0 whose 2x2 block is PSD, or None.
+
+    block holds the (00, 01, 11) rows of the block map in the coordinates
+    of the orthonormal columns Z. The cone of such points spans the set
+    psd_preimage_span returns, so xi is nonzero somewhere on the cone iff
+    it is nonzero on that span.
+    """
+    span, anchor = psd_preimage_span(*block)
+    if anchor is None:
+        return None
+    Zxi = Z[:xi_dim] @ span
+    if np.abs(Zxi).max() <= 1e-12:
+        return None
+
+    def mat(c):
+        x, y, w = block @ c
+        return np.array([[x, y], [y, w]])
+
+    _, _, vt = np.linalg.svd(Zxi)
+    c = span @ vt[0]
+    for cand in (c, -c):
+        M = mat(cand)
+        if np.linalg.eigvalsh(M)[0] >= -1e-8 * np.abs(M).max():
+            return Z @ cand
+    # c leaves the cone, so the cone has interior and the anchor lies in
+    # it: a small step along c keeps the block PSD and makes xi nonzero
+    eps = 0.5 * np.linalg.eigvalsh(mat(anchor))[0] / np.linalg.norm(mat(c), 2)
+    u, w = Z[:xi_dim] @ anchor, eps * (Z[:xi_dim] @ c)
+    return Z @ (anchor + eps * c if np.linalg.norm(u + w) >= np.linalg.norm(u - w) else anchor - eps * c)
+
+
+def _mixed_rows(H: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Rows h_uv, e_uv, h_vv, e_uu in the frame u = (1, t), v = (-t, 1).
+
+    H and E hold the (00, 01, 11) entry rows of the beta blocks of h and
+    e. Returns the coefficients of t^0, t^1 and t^2, shape (3, 4, dim);
+    at an angle theta the rows are c^2 C[0] + c s C[1] + s^2 C[2] with
+    (c, s) = (cos theta, sin theta).
+    """
+    (H00, H01, H11), (E00, E01, E11) = H, E
+    return np.array(
+        [
+            [H01, E01, H11, E00],
+            [H11 - H00, E11 - E00, -2.0 * H01, 2.0 * E01],
+            [-H01, -E01, H00, E11],
+        ]
+    )
+
+
+def _refine_angle(C: np.ndarray, theta: float, steps: int = 8) -> Optional[float]:
+    """Gauss-Newton on M(theta) x = 0 with |x| = 1, from a root estimate.
+
+    A double root of the chosen minor is only known to about the square
+    root of machine precision; the full 4-row system pins it down again.
+    Returns theta in [0, pi), or None when M(theta) is far from losing
+    rank (a root of the minor alone).
+    """
+    c, s = math.cos(theta), math.sin(theta)
+    _, sv, vt = np.linalg.svd(c * c * C[0] + c * s * C[1] + s * s * C[2])
+    if sv[-1] > 1e-4:
+        return None
+    x = vt[-1]
+    for _ in range(steps):
+        c, s = math.cos(theta), math.sin(theta)
+        M = c * c * C[0] + c * s * C[1] + s * s * C[2]
+        r = M @ x
+        if np.linalg.norm(r) <= 1e-15:
+            break
+        dM = 2.0 * c * s * (C[2] - C[0]) + (c * c - s * s) * C[1]
+        J = np.vstack([np.column_stack([dM @ x, M]), np.append(0.0, x)])
+        step = np.linalg.lstsq(J, np.append(r, 0.0), rcond=None)[0]
+        theta -= step[0]
+        x = x - step[1:]
+        x /= np.linalg.norm(x)
+    return theta % math.pi
+
+
+def _mixed_support_angles(C: np.ndarray, d: int):
+    """Candidate angles of the mixed support and the real-root count.
+
+    C holds the mixed rows on N (see _mixed_rows), d = dim N <= 4. A
+    nonzero solution needs rank M(theta) < d, so every such angle is
+    pi/2 or a real root in t = tan(theta) of any d x d minor of M, a
+    polynomial of degree 2d. Its coefficients come from its values at the
+    m-th roots of unity. Along a mixed solution h_vv and e_uu vanish to
+    second order in theta, so a minor holding both has a double root
+    there: the minor used holds the fewest of those two rows, then is the
+    largest. Returns None when every minor vanishes at every angle.
+    Roots where M keeps full rank are dropped (see _refine_angle).
+    """
+    m = 2 * d + 1
+    V = np.exp(2j * np.pi * np.outer(np.arange(m), np.arange(m)) / m)  # V[k, j] = t_k^j
+    t = V[:, 1, None, None]
+    Mt = C[0] + t * C[1] + t * t * C[2]
+    minors = []
+    for S in itertools.combinations(range(4), d):
+        poly = (V.conj().T @ np.linalg.det(Mt[:, S, :])).real / m
+        top = np.abs(poly).max()
+        if top > 1e-10:
+            minors.append((len({2, 3}.intersection(S)), -top, poly))
+    if not minors:
+        return None
+    _, neg_top, poly = min(minors, key=lambda entry: entry[:2])
+    deg = int(np.flatnonzero(np.abs(poly) > -1e-12 * neg_top)[-1])
+    # near-real roots, judged in angle: d theta = d t / (1 + t^2)
+    roots = [r for r in np.roots(poly[deg::-1]) if abs(r.imag) <= 1e-6 * (1.0 + abs(r) ** 2)]
+    refined = [_refine_angle(C, math.atan(r.real)) for r in roots]
+    return [math.pi / 2.0] + [theta for theta in refined if theta is not None], len(roots)
+
+
+def _classify_two_block(sys: CriticalitySystem, rows: _Rows, common: list) -> CriticalityVerdict:
+    """Exact tier for a non-commuting 2x2 beta block.
+
+    On the block the pair (h, -e) = (H_bb, -eta_bb) must be complementary
+    in S^2_+. That leaves three supports. The pure ones, h PSD with e = 0
+    and h = 0 with e NSD, are frame-free and decided on the span of the
+    PSD preimage of the det form. In the mixed one both blocks have rank
+    one in a frame u = (cos theta, sin theta), v = (-sin theta, cos theta):
+    the rows h_uv, e_uv, h_vv and e_uu vanish on the null space N of the
+    common rows, with h_uu >= 0 and e_vv <= 0. At each candidate angle of
+    _mixed_support_angles the sign-row LP over the null space of those
+    rows decides. N has dimension d >= 3 (the common rows leave exactly
+    the three beta x beta entries free); d > 4, or a minor that vanishes
+    at every angle, returns Undetermined.
+    """
+    b0, b1 = sys.ctx.decomp.beta
+    H = np.stack([rows.h_row(b0, b0), rows.h_row(b0, b1), rows.h_row(b1, b1)])
+    E = np.stack([rows.eta_row(b0, b0), rows.eta_row(b0, b1), rows.eta_row(b1, b1)])
+    unverified = []
+    for label, pinned, block in (("h psd, e = 0", E, H), ("h = 0, e nsd", H, -E)):
+        Z = null_space(np.vstack([np.stack(common), pinned]))
+        z = _psd_point_with_xi(Z, block @ Z, sys.n)
+        if z is not None:
+            xi, eta, res = _extract_witness(sys, z)
+            if res <= 1e-7:
+                return CriticalityVerdict(
+                    CRITICAL, (xi, eta), f"exact: 2x2 beta block, pure support '{label}'", res
+                )
+            unverified.append(label)
+
+    N = null_space(np.stack(common))
+    d = N.shape[1]
+    if d > 4:
+        return CriticalityVerdict(
+            UNDETERMINED, None, f"semi-decision: 2x2 beta block, mixed support with d = {d} > 4 not decided", 0.0
+        )
+    HN, EN = H @ N, E @ N
+    h_scale, e_scale = np.abs(HN).max(), np.abs(EN).max()
+    thetas = []
+    mixed = "the mixed support (h or e vanishes on N, so it is pure)"
+    if h_scale > 1e-12 * np.abs(H).max() and e_scale > 1e-12:
+        # each block scaled to unit size: ranks are unchanged and the
+        # tolerances are relative to both blocks
+        C = _mixed_rows(HN / h_scale, EN / e_scale)
+        found = _mixed_support_angles(C, d)
+        if found is None:
+            return CriticalityVerdict(
+                UNDETERMINED, None, f"semi-decision: 2x2 beta block, every {d}x{d} minor of the mixed rows vanishes", 0.0
+            )
+        thetas, count = found
+        mixed = f"the mixed support (pi/2 and {count} real roots in tan(theta) of a {d}x{d} minor)"
+    for theta in thetas:
+        c, s = math.cos(theta), math.sin(theta)
+        _, sv, vt = np.linalg.svd(c * c * C[0] + c * s * C[1] + s * s * C[2])
+        null = vt[sv <= 1e-8]
+        if null.shape[0] == 0:
+            continue
+        h_uu = c * c * H[0] + 2.0 * c * s * H[1] + s * s * H[2]
+        e_vv = s * s * E[0] - 2.0 * c * s * E[1] + c * c * E[2]
+        z, _ = nontrivial_in_span(N @ null.T, sys.n, [h_uu, -e_vv])
+        if z is None:
+            continue
+        xi, eta, res = _extract_witness(sys, z)
+        if res <= 1e-7:
+            return CriticalityVerdict(
+                CRITICAL, (xi, eta), f"exact: 2x2 beta block, mixed support at theta={theta:.6f}", res
+            )
+        unverified.append(f"theta={theta:.6f}")
+    if unverified:
+        return CriticalityVerdict(
+            UNDETERMINED,
+            None,
+            f"semi-decision: 2x2 beta block, witness re-verification failed ({', '.join(unverified)})",
+            0.0,
+        )
+    return CriticalityVerdict(NONCRITICAL, None, f"exact: 2x2 beta block, pure supports and {mixed} exhausted", 0.0)
 
 
 def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) -> CriticalityVerdict:
     """Decide whether the system admits a nonzero direction.
 
     Exact tiers: empty degenerate block (pure linear system), singleton
-    block (two polyhedral branches), and any block whose Jacobian data is
+    block (two polyhedral branches), any block whose Jacobian data is
     simultaneously diagonalizable (support enumeration after a provably
-    lossless diagonal reduction of the dual block). Otherwise a rotation
-    grid (two-dimensional blocks) or seeded random frames (larger blocks)
-    give a one-sided search: positives are certified witnesses, negatives
-    return Undetermined.
+    lossless diagonal reduction of the dual block), and any other 2x2
+    block (pure supports on the det-form span, mixed support at the real
+    roots in tan(theta) of a minor; see _classify_two_block). Larger
+    non-commuting blocks get seeded random frames, a one-sided search:
+    positives are certified witnesses, negatives return Undetermined.
     """
     opts = merged_options(DEFAULT_OPTIONS, options)
     rows = _Rows(sys)
@@ -283,7 +473,7 @@ def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) 
     Q = common_eigenframe([Dt[np.ix_(beta, beta)] for Dt in sys.Dt], k)
     if Q is not None:
         h_rot, e_rot = rows.rotated_beta_rows(Q)
-        z, _ = _branch_search(rows, common, h_rot, e_rot, k)
+        z = _branch_search(rows, common, h_rot, e_rot, k)
         if z is not None:
             xi, eta, res = _extract_witness(sys, z)
             if res > 1e-7:
@@ -301,59 +491,7 @@ def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) 
         )
 
     if k == 2:
-        grid = int(opts["grid_points"])
-        thetas = [math.pi * i / grid for i in range(grid)]
-        merits = []
-        for theta in thetas:
-            c, s = math.cos(theta), math.sin(theta)
-            Qr = np.array([[c, -s], [s, c]])
-            h_rot, e_rot = rows.rotated_beta_rows(Qr)
-            z, merit = _branch_search(rows, common, h_rot, e_rot, 2)
-            if z is not None:
-                xi, eta, res = _extract_witness(sys, z)
-                if res <= 1e-7:
-                    return CriticalityVerdict(
-                        CRITICAL, (xi, eta), f"rotation grid: theta={theta:.6f}", res
-                    )
-            merits.append(merit)
-        # golden-section refinement around the most promising grid angle
-        i0 = int(np.argmin(merits))
-        lo = thetas[i0] - math.pi / grid
-        hi = thetas[i0] + math.pi / grid
-        gr = (math.sqrt(5.0) - 1.0) / 2.0
-
-        def probe(theta):
-            c, s = math.cos(theta), math.sin(theta)
-            h_rot, e_rot = rows.rotated_beta_rows(np.array([[c, -s], [s, c]]))
-            return _branch_search(rows, common, h_rot, e_rot, 2)
-
-        a, b = lo, hi
-        x1 = b - gr * (b - a)
-        x2 = a + gr * (b - a)
-        z1, m1 = probe(x1)
-        z2, m2 = probe(x2)
-        for _ in range(24):
-            for z, theta in ((z1, x1), (z2, x2)):
-                if z is not None:
-                    xi, eta, res = _extract_witness(sys, z)
-                    if res <= 1e-7:
-                        return CriticalityVerdict(
-                            CRITICAL, (xi, eta), f"rotation grid refinement: theta={theta:.6f}", res
-                        )
-            if m1 <= m2:
-                b, x2, m2 = x2, x1, m1
-                x1 = b - gr * (b - a)
-                z1, m1 = probe(x1)
-            else:
-                a, x1, m1 = x1, x2, m2
-                x2 = a + gr * (b - a)
-                z2, m2 = probe(x2)
-        return CriticalityVerdict(
-            UNDETERMINED,
-            None,
-            f"semi-decision: {grid}-point rotation grid x 4 supports + golden-section refinement, no witness",
-            0.0,
-        )
+        return _classify_two_block(sys, rows, common)
 
     # beta block of size >= 3: seeded random frames
     rng = np.random.default_rng(int(opts["seed"]))
@@ -369,7 +507,7 @@ def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) 
         frames.append(Qr)
     for Qr in frames:
         h_rot, e_rot = rows.rotated_beta_rows(Qr)
-        z, _ = _branch_search(rows, common, h_rot, e_rot, k)
+        z = _branch_search(rows, common, h_rot, e_rot, k)
         if z is not None:
             xi, eta, res = _extract_witness(sys, z)
             if res <= 1e-7:

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericError
-from .symmat import eigh, sym_mat, sym_vec
+from .symmat import eigh, psd_preimage_span, sym_mat, sym_vec
 
 FEAS_TOL = 1e-9
 
@@ -148,7 +148,11 @@ def nontrivial_xi_solution(eq_rows, dim: int, xi_dim: int, ineq_rows=()):
     eq = np.atleast_2d(np.asarray(eq_rows, dtype=float)) if len(np.atleast_1d(eq_rows)) else np.zeros((0, dim))
     if eq.size == 0:
         eq = np.zeros((0, dim))
-    Z = null_space(eq)
+    return nontrivial_in_span(null_space(eq), xi_dim, ineq_rows)
+
+
+def nontrivial_in_span(Z: np.ndarray, xi_dim: int, ineq_rows=()):
+    """nontrivial_xi_solution over the span of the orthonormal columns Z."""
     if Z.shape[1] == 0:
         return None, np.inf
     Zxi = Z[:xi_dim]
@@ -212,9 +216,10 @@ def subspace_psd_nontrivial(constraint_rows, q: int, max_iter: int = 1500) -> Op
     subspace meets the PSD cone only at 0 iff its orthogonal complement
     contains a positive definite matrix, because the trace-one spectahedron
     slice is compact and strictly separable from the subspace. The search
-    runs a diagonal fast path, a least-squares-plus-supergradient dual
-    ascent, and an accelerated projected-gradient primal pass; if none of
-    them produces a verdict the call raises rather than guess.
+    runs a diagonal fast path, then at q = 2 the exact det-form test, and
+    otherwise a least-squares-plus-supergradient dual ascent and an
+    accelerated projected-gradient primal pass; if none of them produces
+    a verdict the call raises rather than guess.
     """
     if q == 0:
         return None
@@ -245,6 +250,15 @@ def subspace_psd_nontrivial(constraint_rows, q: int, max_iter: int = 1500) -> Op
                 W = np.diag(D @ c)
                 return W / np.linalg.norm(W)
         return None
+
+    if q == 2:
+        # the map c -> mat(N c) is injective, so the subspace meets
+        # S^2_+ \ {0} iff its det form is not negative definite
+        _, anchor = psd_preimage_span(N[0], N[1] / np.sqrt(2.0), N[2])
+        if anchor is None:
+            return None
+        W = sym_mat(N @ anchor, 2).full()
+        return W / np.linalg.norm(W)
 
     # dual certificate: least-squares fit of the identity, then ascent
     t = basis.T @ sym_vec(np.eye(q))

@@ -40,7 +40,7 @@ from .symmat import (
 
 TOL_POS = 1e-8
 
-DEFAULT_SOSCY_OPTIONS = {"starts": 64, "seed": 42}
+DEFAULT_SOSCY_OPTIONS = {"starts": 64}
 DEFAULT_THEOREM3_OPTIONS = {"samples": 64, "seed": 42}
 
 # projected-gradient search: iteration cap per start and initial step

@@ -3,7 +3,8 @@
 Provides the SymMat value type, the one symmetric eigensolver that every
 module uses (LAPACK through numpy, with deterministic eigenvector signs),
 spectral decomposition with a sign partition of the spectrum, the common
-eigenframe of a commuting family, projection onto the PSD cone, the
+eigenframe of a commuting family, the det form of a linear map into S^2
+and the span of its PSD preimage, projection onto the PSD cone, the
 divided-difference Sigma matrix, the directional derivative of the PSD
 projection, and the spectral pseudoinverse.
 """
@@ -233,6 +234,46 @@ def common_eigenframe(blocks, k: int) -> np.ndarray | None:
         if np.abs(R - np.diag(np.diag(R))).max() > 1e-8 * max(1.0, scale):
             return None
     return Q
+
+
+def det_form(a, f, b) -> np.ndarray:
+    """Quadratic form K with det [[a.c, f.c], [f.c, b.c]] = c^T K c."""
+    ab = np.outer(a, b)
+    return 0.5 * (ab + ab.T) - np.outer(f, f)
+
+
+def psd_preimage_span(a, f, b):
+    """Span of the cone {c : [[a.c, f.c], [f.c, b.c]] is PSD}.
+
+    Returns (span, anchor): orthonormal columns spanning the cone and a
+    unit vector of the cone (None when the cone is {0}). If the det form
+    K has a positive eigenvalue, its eigenvector maps into the interior
+    of S^2_+ or of -S^2_+, so the cone has interior and spans everything;
+    the anchor is that eigenvector, signed into S^2_+. If K is negative
+    semidefinite, the cone lies in null(K), whose image is at most one
+    rank-one line (no 2-dimensional subspace of S^2 is det-isotropic), so
+    the cone is the kernel of the map plus one semidefinite ray and spans
+    null(K); the anchor is the null(K) direction of largest image.
+    Eigenvalues of K within 1e-9 of zero, relative to the largest squared
+    row norm, count as zero.
+    """
+    B = np.array([a, f, b], dtype=float)
+    m = B.shape[1]
+    scale = float(np.max(np.sum(B * B, axis=1)))
+    if scale == 0.0:
+        return np.eye(m), (np.eye(m)[:, 0] if m else None)
+    lam, V = eigh(det_form(*B))
+    if lam[0] > 1e-9 * scale:
+        span, anchor = np.eye(m), V[:, 0]
+    else:
+        span = V[:, lam >= -1e-9 * scale]
+        if span.shape[1] == 0:
+            return span, None
+        _, _, vt = np.linalg.svd(B @ span)
+        anchor = span @ vt[0]
+    if (B[0] + B[2]) @ anchor < 0.0:
+        anchor = -anchor
+    return span, anchor
 
 
 def default_tol_zero(lam: np.ndarray) -> float:

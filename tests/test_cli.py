@@ -38,6 +38,7 @@ def test_usage_errors_exit_1():
     assert run(["perturb", "--family", "example2", "--geo", "nope"])[0] == 1
     assert run(["analyze", "--family", "example2", "--problem", "x.json"])[0] == 1
     assert run(["frobnicate"])[0] == 1
+    assert run(["analyze", "--family", "example3", "--grid-points", "181"])[0] == 1  # flag removed
 
 
 def test_analyze_example3_text_report():
@@ -171,7 +172,7 @@ def test_perturb_user_problem_with_csv(problem_files, tmp_path):
 
 def test_flag_validation():
     assert run(["criticality", "--family", "example2", "--seed", "7", "--samples", "16"])[0] == 0
-    assert run(["analyze", "--family", "example3", "--grid-points", "1"])[0] == 2
+    assert run(["analyze", "--family", "example3", "--samples", "0"])[0] == 2
     assert run(["analyze", "--family", "example3", "--tol-feas", "-1"])[0] == 2
 
 

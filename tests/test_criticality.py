@@ -10,6 +10,8 @@ from kkt_spectra.criticality import (
     CRITICAL,
     NONCRITICAL,
     UNDETERMINED,
+    _mixed_rows,
+    _refine_angle,
     _Rows,
     build_system,
     check_rcq,
@@ -21,7 +23,7 @@ from kkt_spectra.criticality import (
     xpart_condition,
 )
 from kkt_spectra.errors import InputDataError
-from kkt_spectra.lpkernel import null_space
+from kkt_spectra.lpkernel import nontrivial_xi_solution, null_space
 from kkt_spectra.problem import kkt_point, make_problem
 from kkt_spectra.symmat import SymMat, sym_mat
 
@@ -85,18 +87,24 @@ def test_classify_common_eigenframe_tier():
     assert v.residual <= 1e-7
 
 
-def test_classify_rotation_grid_tier():
+def test_classify_two_block_tier():
     pd = make_problem(
         [0.0, 0.0],
         [[0.0, 2.0], [2.0, 0.0]],
         SymMat.zeros(2),
         [SymMat.diag([1.0, 0.0]), SymMat([[0.0, 1.0], [1.0, 2.0]])],
     )
-    v = classify_multiplier(build_system(pd, kkt_point(pd, [0.0, 0.0], SymMat.zeros(2))))
+    sysm = build_system(pd, kkt_point(pd, [0.0, 0.0], SymMat.zeros(2)))
+    v = classify_multiplier(sysm)
     assert v.tag == CRITICAL and v.residual <= 1e-7
+    assert v.certificate.startswith("exact: 2x2 beta block")
+    with pytest.raises(InputDataError, match="grid_points"):
+        classify_multiplier(sysm, {"grid_points": 181})
 
 
 def test_classify_undetermined_semidecision():
+    # |beta| = 2: e = 0 is forced and det h = -xi1^2 / 2 - xi2^2 < 0, so
+    # the exact 2x2 tier excludes every support
     pd = make_problem(
         [0.0, 0.0],
         [[0.0, 0.0], [0.0, 0.0]],
@@ -104,7 +112,190 @@ def test_classify_undetermined_semidecision():
         [SymMat.diag([1.0, -0.5]), SymMat([[0.0, 1.0], [1.0, 0.0]])],
     )
     v = classify_multiplier(build_system(pd, kkt_point(pd, [0.0, 0.0], SymMat.zeros(2))))
-    assert v.tag == UNDETERMINED
+    assert v.tag == NONCRITICAL and v.certificate.startswith("exact: 2x2 beta block")
+    # |beta| = 3 with non-commuting data stays on the random-frame search,
+    # which can only fail to find a witness
+    pd3 = make_problem(
+        [0.0, 0.0],
+        [[0.0, 0.0], [0.0, 0.0]],
+        SymMat.zeros(3),
+        [
+            SymMat.diag([1.0, -0.5, 0.0]),
+            SymMat([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+        ],
+    )
+    v3 = classify_multiplier(build_system(pd3, kkt_point(pd3, [0.0, 0.0], SymMat.zeros(3))))
+    assert v3.tag == UNDETERMINED and v3.certificate.startswith("semi-decision")
+
+
+def test_classify_two_block_mixed_support_off_grid():
+    # witness xi = e1, h = u u^T and eta = -v v^T for the frame (u, v) at
+    # angle 0.3; f_quad is back-solved so the adjoint row holds, and it is
+    # nonsingular, so neither pure support has a nonzero xi
+    theta = 0.3
+    u = np.array([math.cos(theta), math.sin(theta)])
+    s2 = math.sin(2.0 * theta)
+    pd = make_problem(
+        [0.0, 0.0],
+        [[0.0, -s2], [-s2, 1.0]],
+        SymMat.zeros(2),
+        [SymMat(np.outer(u, u)), SymMat([[0.0, 1.0], [1.0, 0.0]])],
+    )
+    sysm = build_system(pd, kkt_point(pd, [0.0, 0.0], SymMat.zeros(2)))
+    v = classify_multiplier(sysm)
+    assert v.tag == CRITICAL and "mixed support" in v.certificate
+    assert witness_residual(sysm, *v.witness) <= 1e-7
+    # the angle is measured in the eigenframe of G + Y; it is off the
+    # 181-point grid pi i / 181 by more than a fifth of its spacing
+    found = float(v.certificate.split("theta=")[1])
+    assert min(abs(found - math.pi * i / 181) for i in range(182)) > 0.2 * math.pi / 181
+    xi, _ = v.witness
+    h = xi[0] * np.outer(u, u) + xi[1] * np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert np.allclose(h, np.outer(u, u) * np.trace(h), atol=1e-9)
+
+
+def test_classify_two_block_pure_support():
+    # f_quad has kernel e1 and the first Jacobian is positive definite, so
+    # xi = e1, eta = 0 is a witness with h PSD and e = 0
+    pd = make_problem(
+        [0.0, 0.0],
+        [[0.0, 0.0], [0.0, 1.0]],
+        SymMat.zeros(2),
+        [SymMat([[2.0, 0.5], [0.5, 1.0]]), SymMat([[0.0, 1.0], [1.0, -1.0]])],
+    )
+    sysm = build_system(pd, kkt_point(pd, [0.0, 0.0], SymMat.zeros(2)))
+    v = classify_multiplier(sysm)
+    assert v.tag == CRITICAL and v.certificate == "exact: 2x2 beta block, pure support 'h psd, e = 0'"
+    assert witness_residual(sysm, *v.witness) <= 1e-7
+    assert abs(abs(v.witness[0][0]) - 1.0) <= 1e-9
+    # the third Jacobian is the sum of the first two, so xi = (1, 1, -1)
+    # gives h = 0; f_quad maps it to (v' D_k v)_k for v = (0.6, 0.8), so
+    # eta = -v v^T closes the adjoint row. f_quad is nonsingular, so the
+    # h PSD, e = 0 support has no nonzero xi and h = 0, e NSD decides
+    D1 = np.array([[1.0, 0.0], [0.0, -1.0]])
+    D2 = np.array([[0.0, 1.0], [1.0, 0.5]])
+    pd = make_problem(
+        [0.0, 0.0, 0.0],
+        [[0.48, 0.0, 0.76], [0.0, 1.52, 0.24], [0.76, 0.24, 0.0]],
+        SymMat.zeros(2),
+        [SymMat(D1), SymMat(D2), SymMat(D1 + D2)],
+    )
+    sysm = build_system(pd, kkt_point(pd, [0.0, 0.0, 0.0], SymMat.zeros(2)))
+    v = classify_multiplier(sysm)
+    assert v.tag == CRITICAL and v.certificate == "exact: 2x2 beta block, pure support 'h = 0, e nsd'"
+    assert witness_residual(sysm, *v.witness) <= 1e-7
+    assert np.allclose(np.abs(v.witness[0]), 1.0 / math.sqrt(3.0), atol=1e-9)
+
+
+def test_refine_angle_recovers_a_rank_drop():
+    # the mixed rows of the planted fixture lose rank at one angle; a
+    # perturbed estimate (as a double root of a minor yields) is pulled
+    # back onto it, and an angle far from any rank drop is dropped
+    theta = 0.3
+    u = np.array([math.cos(theta), math.sin(theta)])
+    s2 = math.sin(2.0 * theta)
+    pd = make_problem(
+        [0.0, 0.0],
+        [[0.0, -s2], [-s2, 1.0]],
+        SymMat.zeros(2),
+        [SymMat(np.outer(u, u)), SymMat([[0.0, 1.0], [1.0, 0.0]])],
+    )
+    sysm = build_system(pd, kkt_point(pd, [0.0, 0.0], SymMat.zeros(2)))
+    rows = _Rows(sysm)
+    N = null_space(np.stack(rows.common_rows()))
+    H = np.stack([rows.h_row(0, 0), rows.h_row(0, 1), rows.h_row(1, 1)]) @ N
+    E = np.stack([rows.eta_row(0, 0), rows.eta_row(0, 1), rows.eta_row(1, 1)]) @ N
+    C = _mixed_rows(H / np.abs(H).max(), E / np.abs(E).max())
+    # the angle of u, measured in the eigenframe of G + Y
+    uP = sysm.ctx.decomp.P.T @ u
+    target = math.atan2(uP[1], uP[0]) % math.pi
+    assert abs(_refine_angle(C, target + 1e-6) - target) <= 1e-12
+    assert _refine_angle(C, target + 0.5) is None
+
+
+def test_classify_pd_pd_noncritical():
+    # the sufficiency fixture of acceptance criterion 8: SOSC holds there,
+    # and the classifier reaches Noncritical on its own
+    pd = make_problem(
+        [0.0, 0.0],
+        [[2.0, 0.0], [0.0, 2.0]],
+        SymMat.zeros(2),
+        [SymMat.diag([1.0, 0.0]), SymMat([[0.0, 1.0], [1.0, 2.0]])],
+    )
+    v = classify_multiplier(build_system(pd, kkt_point(pd, [0.0, 0.0], SymMat.zeros(2))))
+    assert v.tag == NONCRITICAL and v.certificate.startswith("exact: 2x2 beta block")
+
+
+def _two_block_problem(rng, kind):
+    """p = 2 at xbar = 0, Y = 0 with non-commuting Jacobians.
+
+    kind 0: generic data; kind 1: f_quad of rank one in n = 3, so the
+    h PSD, e = 0 support has a two-dimensional family; kind 2: a planted
+    mixed-support witness at a random angle.
+    """
+    n = 3 if kind == 1 else int(rng.integers(2, 4))
+    D = [rng.standard_normal((2, 2)) for _ in range(n)]
+    D = [M + M.T for M in D]
+    F = rng.standard_normal((n, n))
+    F = F + F.T
+    if kind == 1:
+        w = rng.standard_normal(n)
+        w /= np.linalg.norm(w)
+        F = (w @ F @ w) * np.outer(w, w)
+    if kind == 2:
+        theta = rng.uniform(0.0, math.pi)
+        u = np.array([math.cos(theta), math.sin(theta)])
+        v = np.array([-u[1], u[0]])
+        D[0] = np.outer(u, u)
+        col = np.array([np.sum(M * np.outer(v, v)) for M in D])
+        F[:, 0] = col
+        F[0, :] = col
+    pd = make_problem([0.0] * n, F, SymMat.zeros(2), [SymMat(M) for M in D])
+    return build_system(pd, kkt_point(pd, np.zeros(n), SymMat.zeros(2)))
+
+
+def _angle_grid_oracle(sysm, angles):
+    """Any re-verified witness of the four supports in frames pi i / angles."""
+    rows = _Rows(sysm)
+    common = rows.common_rows()
+    for i in range(angles):
+        c, s = math.cos(math.pi * i / angles), math.sin(math.pi * i / angles)
+        h, e = rows.rotated_beta_rows(np.array([[c, -s], [s, c]]))
+        for mask in range(4):
+            eqs = common + [h[(0, 1)], e[(0, 1)]]
+            ineqs = []
+            for j in range(2):
+                if (mask >> j) & 1:
+                    eqs.append(e[(j, j)])
+                    ineqs.append(h[(j, j)])
+                else:
+                    eqs.append(h[(j, j)])
+                    ineqs.append(-e[(j, j)])
+            z, _ = nontrivial_xi_solution(np.stack(eqs), rows.dim, sysm.n, ineqs)
+            if z is not None:
+                nx = np.linalg.norm(z[: sysm.n])
+                if witness_residual(sysm, z[: sysm.n] / nx, sym_mat(z[sysm.n :] / nx, sysm.p)) <= 1e-7:
+                    return True
+    return False
+
+
+def test_classify_two_block_agrees_with_angle_grid_oracle():
+    rng = np.random.default_rng(2)
+    counts = {"oracle": 0, CRITICAL: 0, NONCRITICAL: 0}
+    for trial in range(30):
+        kind = trial % 3
+        sysm = _two_block_problem(rng, kind)
+        v = classify_multiplier(sysm)
+        assert v.certificate.startswith("exact: 2x2 beta block"), (trial, v)
+        counts[v.tag] += 1
+        if v.tag == CRITICAL:
+            assert witness_residual(sysm, *v.witness) <= 1e-7, trial
+        if kind == 2:
+            assert v.tag == CRITICAL, (trial, v)
+        if _angle_grid_oracle(sysm, 240):
+            counts["oracle"] += 1
+            assert v.tag == CRITICAL, (trial, v)
+    assert counts["oracle"] >= 3 and counts[NONCRITICAL] >= 5, counts
 
 
 def test_classify_beta3_and_determinism():

@@ -10,7 +10,7 @@ from kkt_spectra.lpkernel import (
     project_simplex,
     subspace_psd_nontrivial,
 )
-from kkt_spectra.symmat import sym_vec
+from kkt_spectra.symmat import sym_mat, sym_vec
 
 
 def test_null_space():
@@ -172,3 +172,31 @@ def test_cone_kernel_nontrivial():
     # zero diagonal forced: remaining off-diagonal block is PSD only at 0
     rows_eq = np.stack([sym_vec(np.diag([1.0, 0.0])), sym_vec(np.diag([0.0, 1.0]))])
     assert cone_kernel_nontrivial(rows_eq, 3, np.eye(3), 2, 1.0) is None
+
+
+def test_subspace_psd_q2_det_form():
+    # random subspaces of S^2, one or two dimensional: a nonzero PSD
+    # element exists iff the det form is not negative definite, which a
+    # dense circle of directions decides away from the boundary
+    rng = np.random.default_rng(5)
+    decided = {True: 0, False: 0}
+    for _ in range(200):
+        k = int(rng.integers(1, 3))
+        V, _ = np.linalg.qr(rng.standard_normal((3, k)))
+        comp = null_space(V.T).T
+        mats = [sym_mat(V[:, j], 2).full() for j in range(k)]
+        if k == 1:
+            dets = [np.linalg.det(mats[0])]
+        else:
+            phis = np.linspace(0.0, np.pi, 721)
+            dets = [np.linalg.det(np.cos(t) * mats[0] + np.sin(t) * mats[1]) for t in phis]
+        if abs(max(dets)) <= 1e-3:
+            continue
+        expect = max(dets) > 0
+        W = subspace_psd_nontrivial(comp, 2)
+        assert (W is not None) == expect
+        decided[expect] += 1
+        if W is not None:
+            assert np.linalg.norm(comp @ sym_vec(W)) <= 1e-9
+            assert np.linalg.eigvalsh(W).min() >= -1e-9 and abs(np.linalg.norm(W) - 1.0) <= 1e-12
+    assert min(decided.values()) >= 40, decided

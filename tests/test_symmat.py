@@ -5,12 +5,14 @@ import pytest
 
 from kkt_spectra.symmat import (
     SymMat,
+    det_form,
     dir_deriv_projection,
     eigh,
     jacobi_eigh,
     moreau_split,
     project_psd,
     pseudoinverse,
+    psd_preimage_span,
     spectral_decompose,
     sym_mat,
     sym_vec,
@@ -166,3 +168,36 @@ def test_moreau_split():
         assert abs(X.inner(Y)) <= 1e-8 * max(1, X.norm() * Y.norm())
         assert np.linalg.eigvalsh(X.full()).min() >= -1e-10
         assert np.linalg.eigvalsh(Y.full()).max() <= 1e-10
+
+
+def test_det_form_matches_determinant():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        a, f, b, c = rng.standard_normal((4, 5))
+        M = np.array([[a @ c, f @ c], [f @ c, b @ c]])
+        assert abs(c @ det_form(a, f, b) @ c - np.linalg.det(M)) <= 1e-10 * (1.0 + np.abs(M).max() ** 2)
+
+
+def test_psd_preimage_span_cases():
+    def block(B, c):
+        x, y, w = np.asarray(B, dtype=float) @ c
+        return np.array([[x, y], [y, w]])
+
+    # identity onto S^2: a positive det direction, so the cone spans R^3
+    span, anchor = psd_preimage_span([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
+    assert span.shape == (3, 3) and np.linalg.eigvalsh(block(np.eye(3), anchor)).min() > 0.1
+    # off-diagonal line: det = -c^2 is negative definite, the cone is {0}
+    span, anchor = psd_preimage_span([0.0], [1.0], [0.0])
+    assert span.shape == (1, 0) and anchor is None
+    # c -> [[c1, c2], [c2, 0]] plus an unused coordinate: det = -c2^2, so
+    # the cone is the kernel (e3) plus the ray of diag(1, 0) (e1)
+    B = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
+    span, anchor = psd_preimage_span(*B)
+    assert span.shape == (3, 2) and np.allclose(span[1], 0.0)
+    assert np.allclose(anchor, [1.0, 0.0, 0.0]) and np.allclose(block(B, anchor), np.diag([1.0, 0.0]))
+    # the negative ray signs into S^2_+
+    _, anchor = psd_preimage_span([-1.0], [0.0], [0.0])
+    assert np.allclose(anchor, [-1.0])
+    # zero map: every point qualifies
+    span, anchor = psd_preimage_span([0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
+    assert span.shape == (2, 2) and anchor is not None
