@@ -16,7 +16,6 @@ from .symmat import (
     moreau_split,
     project_psd,
     pseudoinverse,
-    sigma_matrix,
     spectral_decompose,
     sym_mat,
     sym_vec,

@@ -9,6 +9,7 @@ uncertified input, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -104,7 +105,10 @@ def _inline_json(label):
     return parse
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process and shared by every
+    main() call; parsing leaves it unchanged."""
     parser = _Parser(prog="kkt-spectra", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, blurb in (

@@ -19,12 +19,13 @@ from typing import Optional
 import numpy as np
 
 from .cones import ConeContext, cone_context
-from .errors import InputDataError, NumericError, merged_options
+from .errors import InputDataError, merged_options
 from .lpkernel import (
     cone_kernel_nontrivial,
     nontrivial_in_span,
     nontrivial_xi_solution,
     null_space,
+    polish_xi_solution,
     subspace_psd_nontrivial,
 )
 from .problem import (
@@ -39,6 +40,7 @@ from .symmat import (
     as_symmat,
     common_eigenframe,
     dir_deriv_from_decomp,
+    eig_range,
     eigh,
     psd_preimage_span,
     spectral_decompose,
@@ -204,8 +206,29 @@ def _extract_witness(sys: CriticalitySystem, z: np.ndarray):
     return xi, eta, witness_residual(sys, xi, eta)
 
 
+def _verified_witness(sys: CriticalitySystem, eqs: list, z: np.ndarray):
+    """(xi, eta, residual) of a solution z of the rows eqs, or None.
+
+    A witness that misses re-verification is polished once (eta re-solved
+    against eqs at its xi) and checked again.
+    """
+    xi, eta, res = _extract_witness(sys, z)
+    if res > 1e-7:
+        xi, eta, res = _extract_witness(sys, polish_xi_solution(np.stack(eqs), z, sys.n))
+    return (xi, eta, res) if res <= 1e-7 else None
+
+
+def _unverified(tier: str) -> CriticalityVerdict:
+    """Undetermined verdict of a tier whose witness failed re-verification."""
+    return CriticalityVerdict(UNDETERMINED, None, f"semi-decision: {tier}, witness re-verification failed", 0.0)
+
+
 def _branch_search(rows, base_rows, h_rot, e_rot, k):
-    """Enumerate complementarity supports of a diagonalized beta block."""
+    """Enumerate complementarity supports of a diagonalized beta block.
+
+    Returns (equality rows, solution) of the first support whose system
+    has a nonzero xi, or None.
+    """
     offdiag = []
     for i in range(k):
         for j in range(i + 1, k):
@@ -224,7 +247,7 @@ def _branch_search(rows, base_rows, h_rot, e_rot, k):
                 ineqs.append(-e_rot[(j, j)])
         z, _ = nontrivial_xi_solution(np.stack(eqs), rows.dim, rows.sys.n, ineqs)
         if z is not None:
-            return z
+            return eqs, z
     return None
 
 
@@ -251,11 +274,11 @@ def _psd_point_with_xi(Z: np.ndarray, block: np.ndarray, xi_dim: int):
     c = span @ vt[0]
     for cand in (c, -c):
         M = mat(cand)
-        if np.linalg.eigvalsh(M)[0] >= -1e-8 * np.abs(M).max():
+        if eig_range(M)[0] >= -1e-8 * np.abs(M).max():
             return Z @ cand
     # c leaves the cone, so the cone has interior and the anchor lies in
     # it: a small step along c keeps the block PSD and makes xi nonzero
-    eps = 0.5 * np.linalg.eigvalsh(mat(anchor))[0] / np.linalg.norm(mat(c), 2)
+    eps = 0.5 * eig_range(mat(anchor))[0] / np.linalg.norm(mat(c), 2)
     u, w = Z[:xi_dim] @ anchor, eps * (Z[:xi_dim] @ c)
     return Z @ (anchor + eps * c if np.linalg.norm(u + w) >= np.linalg.norm(u - w) else anchor - eps * c)
 
@@ -428,6 +451,8 @@ def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) 
     roots in tan(theta) of a minor; see _classify_two_block). Larger
     non-commuting blocks get seeded random frames, a one-sided search:
     positives are certified witnesses, negatives return Undetermined.
+    Every witness is re-verified, after one polish if needed; an exact
+    tier whose witness still fails returns Undetermined.
     """
     opts = merged_options(DEFAULT_OPTIONS, options)
     rows = _Rows(sys)
@@ -443,9 +468,10 @@ def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) 
         )
         return CriticalityVerdict(NONCRITICAL, None, cert, 0.0)
     if beta.size == 0:
-        xi, eta, res = _extract_witness(sys, z)
-        if res > 1e-7:
-            raise NumericError(f"linear-tier witness re-verification failed: residual {res:.3e}")
+        found = _verified_witness(sys, common, z)
+        if found is None:
+            return _unverified("beta empty, nonzero linear solution")
+        xi, eta, res = found
         return CriticalityVerdict(CRITICAL, (xi, eta), "exact: beta empty, nonzero linear solution", res)
 
     if beta.size == 1:
@@ -457,11 +483,10 @@ def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) 
         for eqs, ineqs, label in branches:
             z, _ = nontrivial_xi_solution(np.stack(eqs), rows.dim, sys.n, ineqs)
             if z is not None:
-                xi, eta, res = _extract_witness(sys, z)
-                if res > 1e-7:
-                    raise NumericError(
-                        f"singleton-branch witness re-verification failed: residual {res:.3e}"
-                    )
+                found = _verified_witness(sys, eqs, z)
+                if found is None:
+                    return _unverified(f"beta singleton, branch '{label}'")
+                xi, eta, res = found
                 return CriticalityVerdict(
                     CRITICAL, (xi, eta), f"exact: beta singleton, branch '{label}'", res
                 )
@@ -473,13 +498,12 @@ def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) 
     Q = common_eigenframe([Dt[np.ix_(beta, beta)] for Dt in sys.Dt], k)
     if Q is not None:
         h_rot, e_rot = rows.rotated_beta_rows(Q)
-        z = _branch_search(rows, common, h_rot, e_rot, k)
-        if z is not None:
-            xi, eta, res = _extract_witness(sys, z)
-            if res > 1e-7:
-                raise NumericError(
-                    f"diagonal-enumeration witness re-verification failed: residual {res:.3e}"
-                )
+        branch = _branch_search(rows, common, h_rot, e_rot, k)
+        if branch is not None:
+            found = _verified_witness(sys, *branch)
+            if found is None:
+                return _unverified(f"common-eigenframe enumeration over 2^{k} supports")
+            xi, eta, res = found
             return CriticalityVerdict(
                 CRITICAL, (xi, eta), f"exact: common-eigenframe enumeration over 2^{k} supports", res
             )
@@ -507,10 +531,11 @@ def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) 
         frames.append(Qr)
     for Qr in frames:
         h_rot, e_rot = rows.rotated_beta_rows(Qr)
-        z = _branch_search(rows, common, h_rot, e_rot, k)
-        if z is not None:
-            xi, eta, res = _extract_witness(sys, z)
-            if res <= 1e-7:
+        branch = _branch_search(rows, common, h_rot, e_rot, k)
+        if branch is not None:
+            found = _verified_witness(sys, *branch)
+            if found is not None:
+                xi, eta, res = found
                 return CriticalityVerdict(
                     CRITICAL, (xi, eta), f"random frame search ({len(frames)} frames x 2^{k} supports)", res
                 )
@@ -726,12 +751,13 @@ def classify_nlp(nlp: NLPSystem, xbar, mu, tol: float = 1e-8) -> CriticalityVerd
                 ineqs.append(-row_e)
         z, _ = nontrivial_xi_solution(np.stack(eqs), dim, nlp.n, ineqs)
         if z is not None:
-            xi = z[: nlp.n]
-            nrm = np.linalg.norm(xi)
-            z = z / nrm
+            z = z / np.linalg.norm(z[: nlp.n])
             res = _residual(z)
             if res > 1e-7:
-                raise NumericError(f"scalar-branch witness re-verification failed: {res:.3e}")
+                z = polish_xi_solution(np.stack(eqs), z, nlp.n)
+                res = _residual(z)
+            if res > 1e-7:
+                return _unverified(f"scalar branch enumeration over 2^{len(i_zero)} supports")
             return CriticalityVerdict(
                 CRITICAL,
                 (z[: nlp.n], SymMat.diag(z[nlp.n :])),

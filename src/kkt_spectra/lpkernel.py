@@ -190,6 +190,22 @@ def nontrivial_in_span(Z: np.ndarray, xi_dim: int, ineq_rows=()):
     return None, best
 
 
+def polish_xi_solution(eq_rows, z: np.ndarray, xi_dim: int) -> np.ndarray:
+    """z with its leading block scaled to unit norm and the rest re-solved.
+
+    One Gauss-Newton step on the homogeneous rows with the leading block
+    held, which is exact because the rows are linear: the trailing block
+    becomes the least-squares solution w of
+    eq_rows[:, xi_dim:] w = -eq_rows[:, :xi_dim] xi. It removes the error
+    an inexact solve leaves in w; no w can repair a xi that the rows
+    themselves reject.
+    """
+    E = np.atleast_2d(np.asarray(eq_rows, dtype=float))
+    xi = z[:xi_dim] / np.linalg.norm(z[:xi_dim])
+    w = np.linalg.lstsq(E[:, xi_dim:], -(E[:, :xi_dim] @ xi), rcond=None)[0]
+    return np.concatenate([xi, w])
+
+
 def project_simplex(w: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {w >= 0, sum w = 1}."""
     w = np.asarray(w, dtype=float)

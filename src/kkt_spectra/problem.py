@@ -143,11 +143,6 @@ def eval_G_jacobian(pd: ProblemData, x) -> list:
     return [SymMat(D) for D in jacobian_stack(pd, x)]
 
 
-def eval_G_second(pd: ProblemData):
-    """The constant second-derivative array B_ij."""
-    return pd.G_quad
-
-
 def jacobian_apply(pd: ProblemData, x, d) -> SymMat:
     """Push a primal direction through the constraint Jacobian: G'(x)d."""
     n, p = pd.n, pd.p

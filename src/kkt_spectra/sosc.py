@@ -12,11 +12,11 @@ from typing import Optional
 import numpy as np
 
 from .cones import (
+    DEFAULT_MEMBERSHIP_TOL,
     ConeContext,
     cone_context,
     cone_context_from_matrix,
     critical_cone_psd_membership,
-    project_critical_cone_polar,
 )
 from .criticality import CriticalitySystem
 from .errors import InputDataError, merged_options
@@ -33,8 +33,11 @@ from .symmat import (
     as_symmat,
     common_eigenframe,
     dir_deriv_from_decomp,
+    eig_range,
     eigh,
-    sym_mat,
+    psd_part,
+    svec_indices,
+    svec_scale,
     sym_vec,
 )
 
@@ -46,6 +49,9 @@ DEFAULT_THEOREM3_OPTIONS = {"samples": 64, "seed": 42}
 # projected-gradient search: iteration cap per start and initial step
 SEARCH_ITERS = 500
 SEARCH_STEP = 0.1
+
+# theorem-3 samples evaluated per stacked block; bounds memory, not the budget
+SAMPLE_BLOCK = 256
 
 SOSCY_HOLDS = "SOSCy_holds"
 SOSCY_FAILS = "SOSCy_fails"
@@ -426,15 +432,30 @@ def lemma4_check(C, dA, dB, tol: float = 1e-7) -> dict:
     return {"lhs": lhs, "rhs": bool(rhs)}
 
 
+def _sample_blocks(samples: int):
+    """Sizes of the consecutive blocks that evaluate a sample budget."""
+    return [min(SAMPLE_BLOCK, samples - s) for s in range(0, samples, SAMPLE_BLOCK)]
+
+
 def theorem3_conditions(sys: CriticalitySystem, options: Optional[dict] = None) -> dict:
     """Closedness of the adjoint image of K and the orthogonality of
-    projected pairs, with exact special cases and sampled evidence."""
+    projected pairs, with exact special cases and sampled evidence.
+
+    The sampled branches evaluate their `samples` random directions as
+    stacked array operations, SAMPLE_BLOCK samples at a time, so memory
+    stays bounded for any budget. Each block draws the next stretch of the
+    same random stream that one draw per sample would, so the budget, the
+    seed and the evidence mean what they would sample by sample.
+    """
     opts = merged_options(DEFAULT_THEOREM3_OPTIONS, options)
-    ctx = sys.ctx
-    d = ctx.decomp
+    d = sys.ctx.decomp
     n, p = sys.n, sys.p
+    samples = int(opts["samples"])
     Ds = sys.jac
     jac_scale = max((Dk.max_abs() for Dk in Ds), default=0.0)
+    # beta is the index range ka:kb of the eigenframe, gamma the range kb:p
+    ka, kb = d.alpha.size, d.alpha.size + d.beta.size
+    Dflat = sys.Dt.reshape(n, p * p)
 
     nsv = p * (p + 1) // 2
     A = np.stack([sym_vec(Dk) for Dk in Ds]) if n else np.zeros((0, nsv))
@@ -449,72 +470,73 @@ def theorem3_conditions(sys: CriticalitySystem, options: Optional[dict] = None) 
     elif np.linalg.matrix_rank(A, tol=1e-11) == nsv:
         cond_i = {"verdict": "holds", "evidence": "injective adjoint on symmetric matrices"}
     else:
+        # polar-cone directions Wt in the eigenframe: alpha x (alpha u beta)
+        # entries vanish, the beta block is NSD. Their images
+        # <D_k, P Wt P^T> = <Dt_k, Wt> fold into the R factor of the
+        # stacked images, which has the same singular values.
         rng = np.random.default_rng(int(opts["seed"]))
-        imgs = []
-        for _ in range(int(opts["samples"])):
-            Wt = rng.standard_normal((p, p))
-            Wt = 0.5 * (Wt + Wt.T)
-            for i in d.alpha:
-                Wt[i, list(d.alpha) + list(d.beta)] = 0.0
-                Wt[list(d.alpha) + list(d.beta), i] = 0.0
-            if d.beta.size:
-                bb = Wt[np.ix_(d.beta, d.beta)]
-                lam, V = eigh(bb)
-                Wt[np.ix_(d.beta, d.beta)] = (V * np.minimum(lam, 0.0)) @ V.T
-            W = SymMat(d.P @ Wt @ d.P.T)
-            imgs.append(np.array([Dk.inner(W) for Dk in Ds]))
-        rank = int(np.linalg.matrix_rank(np.stack(imgs), tol=1e-9)) if imgs else 0
+        R = np.zeros((0, n))
+        for size in _sample_blocks(samples):
+            Wt = rng.standard_normal((size, p, p))
+            Wt = 0.5 * (Wt + Wt.transpose(0, 2, 1))
+            Wt[:, :ka, :kb] = 0.0
+            Wt[:, :kb, :ka] = 0.0
+            Wt[:, ka:kb, ka:kb] = -psd_part(-Wt[:, ka:kb, ka:kb])
+            R = np.linalg.qr(np.vstack([R, Wt.reshape(size, p * p) @ Dflat.T]), mode="r")
+        rank = int(np.linalg.matrix_rank(R, tol=1e-9)) if R.size else 0
         cond_i = {
             "verdict": "Undetermined",
             "evidence": f"sampled adjoint image of the polar cone spans rank {rank} of {n}",
         }
 
     # cond_ii: sample primal directions in C(xbar), solve the adjoint
-    # equation for a multiplier direction, test projected orthogonality
+    # equation for a multiplier direction, test projected orthogonality.
+    # An empty cone basis (n = 0 included) rejects every sample.
     Z = sys.cone_null
     rng = np.random.default_rng(int(opts["seed"]) + 1)
     accepted = 0
-    rejected = 0
     max_violation = 0.0
-    for _ in range(int(opts["samples"])):
-        if Z.shape[1] == 0:
-            rejected += 1
-            continue
-        xi = Z @ rng.standard_normal(Z.shape[1])
-        nx = float(np.linalg.norm(xi))
-        if nx <= 1e-12:
-            rejected += 1
-            continue
-        xi /= nx
-        H = jacobian_apply(sys.pd, sys.kkt.x, xi)
-        if not critical_cone_psd_membership(ctx, H).member:
-            if critical_cone_psd_membership(ctx, -H).member:
-                xi, H = -xi, -H
-            else:
-                rejected += 1
-                continue
-        rhs = -(sys.hessL @ xi)
-        if A.size:
-            eta_v, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-            if np.linalg.norm(A @ eta_v - rhs) > 1e-9 * max(1.0, float(np.linalg.norm(rhs))):
-                rejected += 1
-                continue
-            eta = sym_mat(eta_v, p)
-        else:
-            if np.linalg.norm(rhs) > 1e-12:
-                rejected += 1
-                continue
-            eta = SymMat.zeros(p)
-        pk_h = project_critical_cone_polar(ctx, H)
-        pk_e = project_critical_cone_polar(ctx, eta)
-        max_violation = max(max_violation, abs(pk_h.inner(pk_e)))
-        accepted += 1
-    total = accepted + rejected
+    rows, cols = svec_indices(p)
+    tail = np.arange(p) >= ka
+    gamma = np.arange(p) >= kb
+    # entries of the polar cone outside its beta block: gamma x (beta u gamma)
+    # and its transpose pass through, everything else there vanishes
+    polar_off = np.outer(gamma, tail) | np.outer(tail, gamma)
+    for size in _sample_blocks(samples) if Z.shape[1] else ():
+        xi = rng.standard_normal((size, Z.shape[1])) @ Z.T
+        nx = np.linalg.norm(xi, axis=1)
+        keep = nx > 1e-12
+        xi = xi[keep] / nx[keep, None]
+        # H = G'(x) xi in the eigenframe; H or -H must lie in the critical
+        # cone: gamma rows vanish off the alpha columns, beta block PSD
+        Ht = (xi @ Dflat).reshape(-1, p, p)
+        eq = np.linalg.norm(Ht[:, kb:, ka:], axis=(1, 2))
+        lo, hi = eig_range(Ht[:, ka:kb, ka:kb])
+        plus = np.maximum(eq, -lo) <= DEFAULT_MEMBERSHIP_TOL
+        minus = ~plus & (np.maximum(eq, hi) <= DEFAULT_MEMBERSHIP_TOL)
+        sign = np.where(minus, -1.0, 1.0)[plus | minus]
+        xi = xi[plus | minus] * sign[:, None]
+        Ht = Ht[plus | minus] * sign[:, None, None]
+        rhs = -(sys.hessL @ xi.T)
+        eta_v = np.linalg.lstsq(A, rhs, rcond=None)[0]
+        solved = np.linalg.norm(A @ eta_v - rhs, axis=0) <= 1e-9 * np.maximum(
+            1.0, np.linalg.norm(rhs, axis=0)
+        )
+        E = np.zeros((int(solved.sum()), p, p))
+        E[:, rows, cols] = (eta_v[:, solved] / svec_scale(p)[:, None]).T
+        E[:, cols, rows] = E[:, rows, cols]
+        pair = np.stack([Ht[solved], d.P.T @ E @ d.P])
+        blocks = pair[..., ka:kb, ka:kb]
+        nsd = blocks - psd_part(blocks)
+        inner = np.sum(pair[0] * pair[1] * polar_off, axis=(1, 2)) + np.sum(nsd[0] * nsd[1], axis=(1, 2))
+        max_violation = max(max_violation, float(np.abs(inner).max(initial=0.0)))
+        accepted += inner.size
+    rejected = samples - accepted
     cond_ii = {
         "verdict": "holds" if max_violation <= 1e-7 else "fails",
         "max_violation": max_violation,
         "accepted": accepted,
-        "rejection_rate": (rejected / total) if total else 0.0,
+        "rejection_rate": (rejected / samples) if samples else 0.0,
     }
     return {"cond_i": cond_i, "cond_ii": cond_ii}
 

@@ -5,8 +5,9 @@ module uses (LAPACK through numpy, with deterministic eigenvector signs),
 spectral decomposition with a sign partition of the spectrum, the common
 eigenframe of a commuting family, the det form of a linear map into S^2
 and the span of its PSD preimage, projection onto the PSD cone, the
-divided-difference Sigma matrix, the directional derivative of the PSD
-projection, and the spectral pseudoinverse.
+stacked kernels (eigenvalue range and PSD part of a stack of arrays),
+the divided-difference Sigma matrix, the directional derivative of the
+PSD projection, and the spectral pseudoinverse.
 """
 
 from __future__ import annotations
@@ -203,6 +204,25 @@ def eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam[::-1].copy(), V[:, ::-1] * signs
 
 
+def eig_range(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest eigenvalues of each symmetric array of a stack.
+
+    A has shape (..., k, k); one LAPACK call (eigvalsh) covers the whole
+    stack. An empty order gives zeros, the range of the zero matrix.
+    """
+    if A.shape[-1] == 0:
+        zero = np.zeros(A.shape[:-2])
+        return zero, zero
+    lam = np.linalg.eigvalsh(A)
+    return lam[..., 0], lam[..., -1]
+
+
+def psd_part(A: np.ndarray) -> np.ndarray:
+    """Projection onto the PSD cone of each symmetric array of a stack (..., k, k)."""
+    lam, V = np.linalg.eigh(A)
+    return (V * np.maximum(lam, 0.0)[..., None, :]) @ np.swapaxes(V, -1, -2)
+
+
 def jacobi_eigh(M) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvector columns."""
     return eigh(as_symmat(M).full())
@@ -337,11 +357,6 @@ def spectral_decompose(M, tol_zero: float | None = None) -> SpectralDecomp:
     for arr in (P, lam, alpha, beta, gamma, sigma):
         arr.flags.writeable = False
     return SpectralDecomp(M, P, lam, alpha, beta, gamma, float(tol_zero), sigma)
-
-
-def sigma_matrix(d: SpectralDecomp) -> np.ndarray:
-    """Divided-difference matrix of eigenvalue clamps, 0/0 taken as 1."""
-    return d.sigma
 
 
 def project_psd(M) -> SymMat:

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from kkt_spectra.cli import main
+from kkt_spectra.cli import build_parser, main
 from kkt_spectra.problem import example3_family, problem_to_dict
 
 
@@ -193,3 +193,18 @@ def test_tol_eig_sets_one_partition_for_every_section():
     sosc = json.loads(out)
     assert sosc["soscy"] == doc["soscy"]
     assert sosc["local_bound_conditions"] == doc["local_bound_conditions"]
+
+
+def test_parser_built_once_matches_fresh_parser():
+    calls = [
+        ["analyze", "--family", "example2", "--format", "json"],
+        ["analyze", "--family", "example2", "--samples", "many"],
+        ["perturb", "--family", "example3", "--geo", "1e-2:1e-3:2", "--format", "json"],
+    ]
+    build_parser.cache_clear()
+    shared = [run(argv) for argv in calls]
+    assert [code for code, _, _ in shared] == [0, 1, 0]
+    assert build_parser() is build_parser()
+    for argv, result in zip(calls, shared):
+        build_parser.cache_clear()
+        assert run(argv) == result

@@ -316,6 +316,21 @@ def test_classify_beta3_and_determinism():
     assert np.array_equal(v2.witness[0], v.witness[0])
 
 
+def test_classify_unverifiable_witness_is_undetermined():
+    # nearly rank-one Jacobian (eigenvalues -1.21 and 1.2e-5): the support
+    # LP accepts a xi about 1e-6 the size of its eta, and no eta repairs
+    # the normalized witness; this used to raise NumericError
+    J = SymMat(
+        [[-0.8619863704042148, 0.5498779740333893], [0.5498779740333893, -0.35076154978635793]]
+    )
+    pd = make_problem([0.0], [[-9.073675883084164]], SymMat.zeros(2), [J])
+    v = classify_multiplier(build_system(pd, kkt_point(pd, [0.0], SymMat.zeros(2))))
+    assert v.tag == UNDETERMINED and v.witness is None
+    assert v.certificate == (
+        "semi-decision: common-eigenframe enumeration over 2^2 supports, witness re-verification failed"
+    )
+
+
 def test_xpart_condition(scalar_system, fam3):
     _, sys1 = scalar_system
     sys3 = build_system(fam3.problem, kkt_point(fam3.problem, fam3.xbar, fam3.ybar))

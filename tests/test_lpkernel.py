@@ -1,12 +1,14 @@
 """Linear-algebra kernels: null spaces, LP feasibility, cone witnesses."""
 
 import numpy as np
+import pytest
 
 from kkt_spectra.lpkernel import (
     cone_kernel_nontrivial,
     linear_feasible,
     nontrivial_xi_solution,
     null_space,
+    polish_xi_solution,
     project_simplex,
     subspace_psd_nontrivial,
 )
@@ -93,6 +95,17 @@ def test_nontrivial_xi_solution_random():
         assert min(a @ z for a in ineqs) >= -1e-7 * max(1, np.linalg.norm(z))
         assert np.linalg.norm(z[:xi_dim]) > 1e-9
     assert found > 0
+
+
+def test_polish_xi_solution_resolves_trailing_block():
+    rng = np.random.default_rng(3)
+    E = rng.standard_normal((3, 5))
+    z = null_space(E)[:, 0]
+    noisy = 7.0 * z + np.concatenate([np.zeros(2), 1e-6 * rng.standard_normal(3)])
+    out = polish_xi_solution(E, noisy, 2)
+    assert np.linalg.norm(out[:2]) == pytest.approx(1.0, abs=1e-15)
+    assert np.abs(E @ out).max() <= 1e-12
+    assert np.allclose(out, z / np.linalg.norm(z[:2]), atol=1e-12)
 
 
 def test_project_simplex():

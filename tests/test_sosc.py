@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import context, random_symmetric
-from kkt_spectra.cones import cone_context
+from conftest import context, random_symmetric, sample_diag_problem
+from kkt_spectra.cones import cone_context, critical_cone_psd_membership, project_critical_cone_polar
 from kkt_spectra.criticality import CRITICAL, build_system, classify_multiplier
 from kkt_spectra.errors import InputDataError
-from kkt_spectra.problem import builtin_family, kkt_point, make_problem
+from kkt_spectra.problem import builtin_family, jacobian_apply, kkt_point, make_problem
 from kkt_spectra.sosc import (
+    SAMPLE_BLOCK,
     SOSCY_FAILS,
     SOSCY_HOLDS,
     check_soscy,
@@ -19,7 +20,7 @@ from kkt_spectra.sosc import (
     sigma_term,
     theorem3_conditions,
 )
-from kkt_spectra.symmat import SymMat, project_psd, spectral_decompose
+from kkt_spectra.symmat import SymMat, eigh, project_psd, spectral_decompose, sym_mat, sym_vec
 
 
 def test_sigma_term_fixtures():
@@ -259,6 +260,126 @@ def test_theorem3_conditions(fam2, fam3):
     )
     t_u = theorem3_conditions(context(pd_u, [0.0, 0.0], SymMat.zeros(2)))
     assert t_u["cond_i"]["verdict"] in ("holds", "Undetermined")
+
+
+def theorem3_sample_loop(sys, samples, seed):
+    """Sampled evidence of theorem3_conditions, one sample at a time.
+
+    The per-sample loop the stacked implementation replaced, kept as the
+    reference: cond_i's rank (None unless its sampled branch runs) and
+    cond_ii's counts and largest violation.
+    """
+    d = sys.ctx.decomp
+    p = sys.p
+    A = np.stack([sym_vec(Dk) for Dk in sys.jac])
+    rank = None
+    nsv = p * (p + 1) // 2
+    if (
+        d.alpha.size < p
+        and max(Dk.max_abs() for Dk in sys.jac) > 1e-14
+        and d.beta.size > 1
+        and np.linalg.matrix_rank(A, tol=1e-11) < nsv
+    ):
+        rng = np.random.default_rng(seed)
+        imgs = []
+        for _ in range(samples):
+            Wt = rng.standard_normal((p, p))
+            Wt = 0.5 * (Wt + Wt.T)
+            for i in d.alpha:
+                Wt[i, list(d.alpha) + list(d.beta)] = 0.0
+                Wt[list(d.alpha) + list(d.beta), i] = 0.0
+            bb = Wt[np.ix_(d.beta, d.beta)]
+            lam, V = eigh(bb)
+            Wt[np.ix_(d.beta, d.beta)] = (V * np.minimum(lam, 0.0)) @ V.T
+            W = SymMat(d.P @ Wt @ d.P.T)
+            imgs.append(np.array([Dk.inner(W) for Dk in sys.jac]))
+        rank = int(np.linalg.matrix_rank(np.stack(imgs), tol=1e-9))
+
+    Z = sys.cone_null
+    rng = np.random.default_rng(seed + 1)
+    accepted = rejected = 0
+    max_violation = 0.0
+    for _ in range(samples):
+        if Z.shape[1] == 0:
+            rejected += 1
+            continue
+        xi = Z @ rng.standard_normal(Z.shape[1])
+        xi /= np.linalg.norm(xi)
+        H = jacobian_apply(sys.pd, sys.kkt.x, xi)
+        if not critical_cone_psd_membership(sys.ctx, H).member:
+            if critical_cone_psd_membership(sys.ctx, -H).member:
+                xi, H = -xi, -H
+            else:
+                rejected += 1
+                continue
+        rhs = -(sys.hessL @ xi)
+        eta_v, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+        if np.linalg.norm(A @ eta_v - rhs) > 1e-9 * max(1.0, float(np.linalg.norm(rhs))):
+            rejected += 1
+            continue
+        pk_h = project_critical_cone_polar(sys.ctx, H)
+        pk_e = project_critical_cone_polar(sys.ctx, sym_mat(eta_v, p))
+        max_violation = max(max_violation, abs(pk_h.inner(pk_e)))
+        accepted += 1
+    return rank, accepted, rejected / samples, max_violation
+
+
+def rotated_context(pd, x, Y, Q):
+    """Context of the pair seen in the orthogonal frame Q."""
+
+    def rot(M):
+        return SymMat(Q @ M.full() @ Q.T)
+
+    rpd = make_problem(
+        pd.f_lin, pd.f_quad, rot(pd.G_const), [rot(M) for M in pd.G_lin], [[rot(M) for M in row] for row in pd.G_quad]
+    )
+    return context(rpd, x, rot(Y))
+
+
+def assert_matches_loop(sys, samples, seed):
+    t3 = theorem3_conditions(sys, {"samples": samples, "seed": seed})
+    rank, accepted, rate, violation = theorem3_sample_loop(sys, samples, seed)
+    if rank is not None:
+        assert t3["cond_i"]["verdict"] == "Undetermined"
+        assert t3["cond_i"]["evidence"] == f"sampled adjoint image of the polar cone spans rank {rank} of {sys.n}"
+    c2 = t3["cond_ii"]
+    assert (c2["accepted"], c2["rejection_rate"]) == (accepted, rate)
+    assert c2["verdict"] == ("holds" if violation <= 1e-7 else "fails")
+    assert abs(c2["max_violation"] - violation) <= 1e-12
+    return rank is not None, 0.0 < rate < 1.0
+
+
+def test_theorem3_stacked_samples_match_loop():
+    rng = np.random.default_rng(5)
+    rank_paths = partial_rejections = 0
+    for trial in range(48):
+        n, p = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        pd, x, Y, _ = sample_diag_problem(rng, n, p, pd_quad=bool(trial % 2))
+        systems = [context(pd, x, Y)]
+        if p > 1:
+            systems.append(rotated_context(pd, x, Y, np.linalg.qr(rng.standard_normal((p, p)))[0]))
+        for sys in systems:
+            ranked, partial = assert_matches_loop(sys, 64, 42)
+            rank_paths += ranked
+            partial_rejections += partial
+    # both sampled cond_i ranks and partly rejected cond_ii samples occur
+    assert rank_paths >= 3 and partial_rejections >= 3
+
+
+def test_theorem3_block_boundary_deterministic():
+    # one sample past a block: the stacked draws must continue the stream
+    # exactly where the per-sample draws would, in both conditions
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        pd, x, Y, _ = sample_diag_problem(rng, 2, 3)
+        sys = context(pd, x, Y)
+        if sys.ctx.decomp.beta.size >= 2:
+            break
+    samples = SAMPLE_BLOCK + 1
+    first = theorem3_conditions(sys, {"samples": samples, "seed": 3})
+    assert theorem3_conditions(sys, {"samples": samples, "seed": 3}) == first
+    ranked, _ = assert_matches_loop(sys, samples, 3)
+    assert ranked
 
 
 def test_multiplier_distance_estimate(fam2):

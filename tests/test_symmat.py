@@ -7,11 +7,13 @@ from kkt_spectra.symmat import (
     SymMat,
     det_form,
     dir_deriv_projection,
+    eig_range,
     eigh,
     jacobi_eigh,
     moreau_split,
     project_psd,
     pseudoinverse,
+    psd_part,
     psd_preimage_span,
     spectral_decompose,
     sym_mat,
@@ -99,6 +101,22 @@ def test_frozen_decompositions():
 def test_projection_examples():
     assert project_psd([[0, 1], [1, 0]]).allclose([[0.5, 0.5], [0.5, 0.5]])
     assert project_psd(SymMat.diag([2, -3])).allclose(np.diag([2.0, 0.0]))
+
+
+def test_stacked_kernels_match_single_matrices():
+    rng = np.random.default_rng(4)
+    for k in (1, 2, 3, 4):
+        M = rng.standard_normal((2, 3, k, k))
+        M = M + M.swapaxes(-1, -2)
+        lo, hi = eig_range(M)
+        part = psd_part(M)
+        assert lo.shape == hi.shape == (2, 3) and part.shape == M.shape
+        for idx in np.ndindex(2, 3):
+            lam = np.linalg.eigvalsh(M[idx])
+            assert (lo[idx], hi[idx]) == (lam[0], lam[-1])
+            assert np.allclose(part[idx], project_psd(M[idx]).full(), atol=1e-12)
+    lo, hi = eig_range(np.zeros((5, 0, 0)))
+    assert lo.shape == (5,) and not lo.any() and not hi.any()
 
 
 def test_sigma_entry_divided_difference():
