@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .cones import ConeContext, cone_context
-from .errors import InputDataError, merged_options
+from .errors import InputDataError, NumericError, merged_options
 from .lpkernel import (
     cone_kernel_nontrivial,
     nontrivial_in_span,
@@ -218,22 +218,27 @@ def _verified_witness(sys: CriticalitySystem, eqs: list, z: np.ndarray):
     return (xi, eta, res) if res <= 1e-7 else None
 
 
-def _unverified(tier: str) -> CriticalityVerdict:
-    """Undetermined verdict of a tier whose witness failed re-verification."""
-    return CriticalityVerdict(UNDETERMINED, None, f"semi-decision: {tier}, witness re-verification failed", 0.0)
+LP_UNDECIDED = "support LP numerically undecided"
+
+
+def _unverified(tier: str, reason: str = "witness re-verification failed") -> CriticalityVerdict:
+    """Undetermined verdict of an exact tier that could not certify its answer."""
+    return CriticalityVerdict(UNDETERMINED, None, f"semi-decision: {tier}, {reason}", 0.0)
 
 
 def _branch_search(rows, base_rows, h_rot, e_rot, k):
     """Enumerate complementarity supports of a diagonalized beta block.
 
-    Returns (equality rows, solution) of the first support whose system
-    has a nonzero xi, or None.
+    Returns (branch, undecided): branch is (equality rows, solution) of
+    the first support whose system has a nonzero xi, or None; undecided
+    says whether the support LP raised NumericError on a support before it.
     """
     offdiag = []
     for i in range(k):
         for j in range(i + 1, k):
             offdiag.append(h_rot[(i, j)])
             offdiag.append(e_rot[(i, j)])
+    undecided = False
     for mask in range(1 << k):
         support = [(mask >> j) & 1 for j in range(k)]
         eqs = list(base_rows) + offdiag
@@ -245,10 +250,14 @@ def _branch_search(rows, base_rows, h_rot, e_rot, k):
             else:
                 eqs.append(h_rot[(j, j)])
                 ineqs.append(-e_rot[(j, j)])
-        z, _ = nontrivial_xi_solution(np.stack(eqs), rows.dim, rows.sys.n, ineqs)
+        try:
+            z, _ = nontrivial_xi_solution(np.stack(eqs), rows.dim, rows.sys.n, ineqs)
+        except NumericError:
+            undecided = True
+            continue
         if z is not None:
-            return eqs, z
-    return None
+            return (eqs, z), undecided
+    return None, undecided
 
 
 def _psd_point_with_xi(Z: np.ndarray, block: np.ndarray, xi_dim: int):
@@ -380,7 +389,7 @@ def _classify_two_block(sys: CriticalitySystem, rows: _Rows, common: list) -> Cr
     b0, b1 = sys.ctx.decomp.beta
     H = np.stack([rows.h_row(b0, b0), rows.h_row(b0, b1), rows.h_row(b1, b1)])
     E = np.stack([rows.eta_row(b0, b0), rows.eta_row(b0, b1), rows.eta_row(b1, b1)])
-    unverified = []
+    unverified, undecided = [], []
     for label, pinned, block in (("h psd, e = 0", E, H), ("h = 0, e nsd", H, -E)):
         Z = null_space(np.vstack([np.stack(common), pinned]))
         z = _psd_point_with_xi(Z, block @ Z, sys.n)
@@ -421,7 +430,11 @@ def _classify_two_block(sys: CriticalitySystem, rows: _Rows, common: list) -> Cr
             continue
         h_uu = c * c * H[0] + 2.0 * c * s * H[1] + s * s * H[2]
         e_vv = s * s * E[0] - 2.0 * c * s * E[1] + c * c * E[2]
-        z, _ = nontrivial_in_span(N @ null.T, sys.n, [h_uu, -e_vv])
+        try:
+            z, _ = nontrivial_in_span(N @ null.T, sys.n, [h_uu, -e_vv])
+        except NumericError:
+            undecided.append(f"theta={theta:.6f}")
+            continue
         if z is None:
             continue
         xi, eta, res = _extract_witness(sys, z)
@@ -430,13 +443,13 @@ def _classify_two_block(sys: CriticalitySystem, rows: _Rows, common: list) -> Cr
                 CRITICAL, (xi, eta), f"exact: 2x2 beta block, mixed support at theta={theta:.6f}", res
             )
         unverified.append(f"theta={theta:.6f}")
-    if unverified:
-        return CriticalityVerdict(
-            UNDETERMINED,
-            None,
-            f"semi-decision: 2x2 beta block, witness re-verification failed ({', '.join(unverified)})",
-            0.0,
-        )
+    reasons = [
+        f"{reason} ({', '.join(labels)})"
+        for reason, labels in (("witness re-verification failed", unverified), (LP_UNDECIDED, undecided))
+        if labels
+    ]
+    if reasons:
+        return _unverified("2x2 beta block", "; ".join(reasons))
     return CriticalityVerdict(NONCRITICAL, None, f"exact: 2x2 beta block, pure supports and {mixed} exhausted", 0.0)
 
 
@@ -452,7 +465,8 @@ def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) 
     non-commuting blocks get seeded random frames, a one-sided search:
     positives are certified witnesses, negatives return Undetermined.
     Every witness is re-verified, after one polish if needed; an exact
-    tier whose witness still fails returns Undetermined.
+    tier whose witness still fails, or whose support LP raises
+    NumericError without a witness elsewhere, returns Undetermined.
     """
     opts = merged_options(DEFAULT_OPTIONS, options)
     rows = _Rows(sys)
@@ -498,15 +512,16 @@ def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) 
     Q = common_eigenframe([Dt[np.ix_(beta, beta)] for Dt in sys.Dt], k)
     if Q is not None:
         h_rot, e_rot = rows.rotated_beta_rows(Q)
-        branch = _branch_search(rows, common, h_rot, e_rot, k)
+        tier = f"common-eigenframe enumeration over 2^{k} supports"
+        branch, undecided = _branch_search(rows, common, h_rot, e_rot, k)
         if branch is not None:
             found = _verified_witness(sys, *branch)
             if found is None:
-                return _unverified(f"common-eigenframe enumeration over 2^{k} supports")
+                return _unverified(tier)
             xi, eta, res = found
-            return CriticalityVerdict(
-                CRITICAL, (xi, eta), f"exact: common-eigenframe enumeration over 2^{k} supports", res
-            )
+            return CriticalityVerdict(CRITICAL, (xi, eta), f"exact: {tier}", res)
+        if undecided:
+            return _unverified(tier, LP_UNDECIDED)
         return CriticalityVerdict(
             NONCRITICAL,
             None,
@@ -531,7 +546,7 @@ def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) 
         frames.append(Qr)
     for Qr in frames:
         h_rot, e_rot = rows.rotated_beta_rows(Qr)
-        branch = _branch_search(rows, common, h_rot, e_rot, k)
+        branch, _ = _branch_search(rows, common, h_rot, e_rot, k)
         if branch is not None:
             found = _verified_witness(sys, *branch)
             if found is not None:
@@ -735,6 +750,8 @@ def classify_nlp(nlp: NLPSystem, xbar, mu, tol: float = 1e-8) -> CriticalityVerd
             parts.append(grads[j] @ xi - proj)
         return math.hypot(r1, float(np.linalg.norm(parts)))
 
+    tier = f"scalar branch enumeration over 2^{len(i_zero)} supports"
+    undecided = False
     for bits in itertools.product((0, 1), repeat=len(i_zero)):
         eqs = list(base)
         ineqs = []
@@ -749,7 +766,11 @@ def classify_nlp(nlp: NLPSystem, xbar, mu, tol: float = 1e-8) -> CriticalityVerd
             else:
                 eqs.append(row_g)
                 ineqs.append(-row_e)
-        z, _ = nontrivial_xi_solution(np.stack(eqs), dim, nlp.n, ineqs)
+        try:
+            z, _ = nontrivial_xi_solution(np.stack(eqs), dim, nlp.n, ineqs)
+        except NumericError:
+            undecided = True
+            continue
         if z is not None:
             z = z / np.linalg.norm(z[: nlp.n])
             res = _residual(z)
@@ -757,16 +778,8 @@ def classify_nlp(nlp: NLPSystem, xbar, mu, tol: float = 1e-8) -> CriticalityVerd
                 z = polish_xi_solution(np.stack(eqs), z, nlp.n)
                 res = _residual(z)
             if res > 1e-7:
-                return _unverified(f"scalar branch enumeration over 2^{len(i_zero)} supports")
-            return CriticalityVerdict(
-                CRITICAL,
-                (z[: nlp.n], SymMat.diag(z[nlp.n :])),
-                f"exact: scalar branch enumeration over 2^{len(i_zero)} supports",
-                res,
-            )
-    return CriticalityVerdict(
-        NONCRITICAL,
-        None,
-        f"exact: scalar branch enumeration over 2^{len(i_zero)} supports exhausted",
-        0.0,
-    )
+                return _unverified(tier)
+            return CriticalityVerdict(CRITICAL, (z[: nlp.n], SymMat.diag(z[nlp.n :])), f"exact: {tier}", res)
+    if undecided:
+        return _unverified(tier, LP_UNDECIDED)
+    return CriticalityVerdict(NONCRITICAL, None, f"exact: {tier} exhausted", 0.0)

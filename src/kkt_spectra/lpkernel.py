@@ -7,6 +7,12 @@ solution whose designated leading block is nonzero. For semidefinite
 blocks, subspace_psd_nontrivial decides whether a linear subspace of
 symmetric matrices meets the PSD cone nontrivially, and
 cone_kernel_nontrivial lifts that to kernels with one signed block.
+
+subspace_psd_nontrivial tries its tiers in order: a diagonal null space
+(an LP sweep), q = 2 (the det-form test), commuting rows (a certified
+LP on the diagonal of their common eigenframe), and otherwise a dual
+ascent and a projected-gradient search. The first three are exact; the
+search may raise rather than guess.
 """
 
 from __future__ import annotations
@@ -16,9 +22,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericError
-from .symmat import eigh, psd_preimage_span, sym_mat, sym_vec
+from .symmat import common_eigenframe, eigh, psd_preimage_span, sym_mat, sym_vec
 
 FEAS_TOL = 1e-9
+# step budgets of the subspace-PSD search: dual ascent, then primal pass
+DUAL_STEPS = 400
+PRIMAL_STEPS = 1500
 
 
 def null_space(A, rtol: float = 1e-11) -> np.ndarray:
@@ -224,18 +233,59 @@ def _project_spectahedron(S: np.ndarray) -> np.ndarray:
     return (V * w) @ V.T
 
 
-def subspace_psd_nontrivial(constraint_rows, q: int, max_iter: int = 1500) -> Optional[np.ndarray]:
+def _commuting_rows_tier(rows: np.ndarray, basis: np.ndarray, q: int):
+    """Exact decision for rows that commute: (decided, W or None).
+
+    In the common eigenframe Q of the row space only diag(Q^T W Q) is
+    constrained, and the diagonal of a PSD matrix is a nonnegative vector,
+    so the subspace meets S^q_+ \\ {0} iff {d >= 0, 1^T d = 1, D d = 0} is
+    feasible, D[k, i] = (Q^T R_k Q)_ii over an orthonormal basis R_k of the
+    row space. A feasible d gives W = Q diag(d) Q^T, returned only if the
+    rows annihilate it to 1e-9; an infeasible LP has a Gordan multiplier y
+    with D^T y >= 1, and None is returned only if mat(basis y) is positive
+    definite beyond round-off. Non-commuting rows, an LP that raises, or a
+    verdict that fails its check leave the decision open (False, None).
+    """
+    mats = np.stack([sym_mat(basis[:, j], q).full() for j in range(basis.shape[1])])
+    Q = common_eigenframe(mats, q)
+    if Q is None:
+        return False, None
+    D = np.einsum("ij,rik,kj->rj", Q, mats, Q)  # r x q
+    lhs = np.vstack([D, np.ones(q)])
+    rhs = np.zeros(lhs.shape[0])
+    rhs[-1] = 1.0
+    try:
+        d, infeas = _phase1(lhs, rhs)
+        y = None if infeas <= FEAS_TOL else linear_feasible(None, None, D.T, np.ones(q))[0]
+    except NumericError:
+        return False, None
+    if infeas <= FEAS_TOL:
+        W = (Q * np.maximum(d, 0.0)) @ Q.T
+        W /= np.linalg.norm(W)
+        if np.linalg.norm(rows @ sym_vec(W)) <= FEAS_TOL * max(1.0, np.abs(rows).max()):
+            return True, W
+    elif y is not None:
+        lam, _ = eigh(sym_mat(basis @ y, q).full())
+        if lam[-1] > 1e-12 * lam[0]:
+            return True, None
+    return False, None
+
+
+def subspace_psd_nontrivial(constraint_rows, q: int) -> Optional[np.ndarray]:
     """Find a nonzero PSD matrix in a subspace of S^q, or certify none.
 
     The subspace is {W : <R_k, W> = 0} for the given rows (isometric svec
     coordinates). Exact duality drives the trivial certificate: the
     subspace meets the PSD cone only at 0 iff its orthogonal complement
     contains a positive definite matrix, because the trace-one spectahedron
-    slice is compact and strictly separable from the subspace. The search
-    runs a diagonal fast path, then at q = 2 the exact det-form test, and
-    otherwise a least-squares-plus-supergradient dual ascent and an
-    accelerated projected-gradient primal pass; if none of them produces
-    a verdict the call raises rather than guess.
+    slice is compact and strictly separable from the subspace. The tiers,
+    in order: a diagonal fast path when every null-space matrix is
+    diagonal; at q = 2 the exact det-form test; for commuting rows a
+    certified LP on the diagonal of their common eigenframe (see
+    _commuting_rows_tier); otherwise a least-squares-plus-supergradient
+    dual ascent of DUAL_STEPS steps and an accelerated projected-gradient
+    primal pass of PRIMAL_STEPS steps. If the search produces no verdict
+    the call raises rather than guess.
     """
     if q == 0:
         return None
@@ -276,6 +326,10 @@ def subspace_psd_nontrivial(constraint_rows, q: int, max_iter: int = 1500) -> Op
         W = sym_mat(N @ anchor, 2).full()
         return W / np.linalg.norm(W)
 
+    decided, W = _commuting_rows_tier(rows, basis, q)
+    if decided:
+        return W
+
     # dual certificate: least-squares fit of the identity, then ascent
     t = basis.T @ sym_vec(np.eye(q))
     best_margin = -np.inf
@@ -284,7 +338,7 @@ def subspace_psd_nontrivial(constraint_rows, q: int, max_iter: int = 1500) -> Op
     else:
         t = np.zeros(r)
         t[0] = 1.0
-    for it in range(400):
+    for it in range(DUAL_STEPS):
         M = sym_mat(basis @ t, q).full()
         lam, V = eigh(M)
         lo = int(np.argmin(lam))
@@ -304,7 +358,7 @@ def subspace_psd_nontrivial(constraint_rows, q: int, max_iter: int = 1500) -> Op
     Wp = W.copy()
     tk = 1.0
     dist = np.inf
-    for _ in range(max_iter):
+    for _ in range(PRIMAL_STEPS):
         coef = basis.T @ sym_vec(W)
         dist = float(np.linalg.norm(coef))
         if dist <= 1e-10:

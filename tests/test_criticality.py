@@ -331,6 +331,20 @@ def test_classify_unverifiable_witness_is_undetermined():
     )
 
 
+def test_classify_undecided_support_lp_is_undetermined():
+    # nearly rank-one Jacobian: the phase-1 simplex of the support LP meets
+    # a column it cannot pivot on; this used to raise NumericError
+    J = SymMat(
+        [[0.1918335591520085, 0.09061665335719286], [0.09061665335719286, 0.04280465503210568]]
+    )
+    pd = make_problem([0.0], [[-5.852713175501513]], SymMat.zeros(2), [J])
+    v = classify_multiplier(build_system(pd, kkt_point(pd, [0.0], SymMat.zeros(2))))
+    assert v.tag == UNDETERMINED and v.witness is None
+    assert v.certificate == (
+        "semi-decision: common-eigenframe enumeration over 2^2 supports, support LP numerically undecided"
+    )
+
+
 def test_xpart_condition(scalar_system, fam3):
     _, sys1 = scalar_system
     sys3 = build_system(fam3.problem, kkt_point(fam3.problem, fam3.xbar, fam3.ybar))

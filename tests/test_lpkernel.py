@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kkt_spectra import lpkernel
 from kkt_spectra.lpkernel import (
     cone_kernel_nontrivial,
     linear_feasible,
@@ -12,7 +13,7 @@ from kkt_spectra.lpkernel import (
     project_simplex,
     subspace_psd_nontrivial,
 )
-from kkt_spectra.symmat import sym_mat, sym_vec
+from kkt_spectra.symmat import common_eigenframe, eigh, sym_mat, sym_vec
 
 
 def test_null_space():
@@ -213,3 +214,110 @@ def test_subspace_psd_q2_det_form():
             assert np.linalg.norm(comp @ sym_vec(W)) <= 1e-9
             assert np.linalg.eigvalsh(W).min() >= -1e-9 and abs(np.linalg.norm(W) - 1.0) <= 1e-12
     assert min(decided.values()) >= 40, decided
+
+
+def _frame_rows(Q, D):
+    """Rows svec(Q diag(D[k]) Q^T): a commuting family in the frame Q."""
+    return np.stack([sym_vec((Q * Dk) @ Q.T) for Dk in D])
+
+
+def _planted_rows(rng, q):
+    """Commuting rows with a planted d >= 0 in the kernel of their diagonal
+    data D, one entry of D scaled by 1e-6 and one by 1e-8; returns
+    (rows, frame, d)."""
+    Q, _ = np.linalg.qr(rng.standard_normal((q, q)))
+    r = int(rng.integers(1, q))
+    d = rng.uniform(0.1, 1.0, q) * (rng.uniform(size=q) < 0.7)
+    d[-1] = rng.uniform(0.5, 1.0)
+    D = rng.standard_normal((r, q))
+    D[0, 0] *= 1e-6
+    D[-1, 1] *= 1e-8
+    D[:, -1] = -(D[:, :-1] @ d[:-1]) / d[-1]
+    return _frame_rows(Q, D), Q, d
+
+
+def _certified_trivial_rows(rng, q):
+    """Commuting rows, scaled as in _planted_rows, some combination of
+    which is positive definite."""
+    Q, _ = np.linalg.qr(rng.standard_normal((q, q)))
+    r = int(rng.integers(1, q + 1))
+    y = rng.standard_normal(r)
+    y[0] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+    D = rng.standard_normal((r, q))
+    D[-1, 0] *= 1e-6
+    D[-1, 1] *= 1e-8
+    D[0] = (rng.uniform(0.5, 2.0, q) - D[1:].T @ y[1:]) / y[0]
+    return _frame_rows(Q, D)
+
+
+def _count_eigh(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(lpkernel, "eigh", counted)
+    return calls
+
+
+def test_subspace_psd_commuting_rows_planted_witness():
+    rng = np.random.default_rng(23)
+    for q in range(3, 7):
+        for _ in range(40):
+            rows, _, _ = _planted_rows(rng, q)
+            W = subspace_psd_nontrivial(rows, q)
+            assert W is not None, "planted PSD element missed"
+            assert np.linalg.norm(rows @ sym_vec(W)) <= 1e-9 * max(1.0, np.abs(rows).max())
+            assert np.linalg.eigvalsh(W).min() >= -1e-12 and abs(np.linalg.norm(W) - 1.0) <= 1e-12
+
+
+def test_subspace_psd_commuting_rows_certified_trivial():
+    rng = np.random.default_rng(29)
+    for q in range(3, 7):
+        for _ in range(40):
+            assert subspace_psd_nontrivial(_certified_trivial_rows(rng, q), q) is None
+
+
+def test_subspace_psd_commuting_rows_skip_the_search(monkeypatch):
+    # cost guard: commuting rows are decided by the diagonal LP, which
+    # calls eigh at most once (the Gordan check); the dual ascent would
+    # call it up to DUAL_STEPS times
+    rng = np.random.default_rng(31)
+    calls = _count_eigh(monkeypatch)
+    rows, _, _ = _planted_rows(rng, 6)
+    assert subspace_psd_nontrivial(rows, 6) is not None
+    assert len(calls) <= 2
+    calls.clear()
+    assert subspace_psd_nontrivial(_certified_trivial_rows(rng, 6), 6) is None
+    assert len(calls) <= 2
+
+
+def test_subspace_psd_non_commuting_rows_reach_the_search(monkeypatch):
+    # q - 1 rows annihilating a positive definite W0, bumped off their
+    # common frame by 1e-6 (commutators far above the common_eigenframe
+    # threshold): the diagonal tier must decline, and the search finds a
+    # PSD element only after its full dual ascent
+    rng = np.random.default_rng(37)
+    frames = []
+    monkeypatch.setattr(
+        lpkernel, "common_eigenframe", lambda *a: frames.append(common_eigenframe(*a)) or frames[-1]
+    )
+    calls = _count_eigh(monkeypatch)
+    for q in (3, 5):
+        Q, _ = np.linalg.qr(rng.standard_normal((q, q)))
+        w = rng.uniform(0.5, 1.0, q)
+        D = rng.standard_normal((q - 1, q))
+        D -= np.outer(D @ w, w) / (w @ w)
+        w0 = sym_vec((Q * w) @ Q.T)
+        bump = rng.standard_normal((q - 1, w0.size))
+        bump -= np.outer(bump @ w0, w0) / (w0 @ w0)
+        rows = _frame_rows(Q, D) + 1e-6 * bump
+        assert np.abs(rows @ w0).max() <= 1e-12
+        frames.clear()
+        calls.clear()
+        W = subspace_psd_nontrivial(rows, q)
+        assert len(frames) == 1 and frames[0] is None
+        assert len(calls) >= lpkernel.DUAL_STEPS
+        assert W is not None and np.linalg.eigvalsh(W).min() >= -1e-8
+        assert np.linalg.norm(rows @ sym_vec(W)) <= 1e-7
