@@ -19,6 +19,7 @@ from .symmat import (
     SymMat,
     as_symmat,
     dir_deriv_from_decomp,
+    eig_range,
     eigh,
     moreau_split,
 )
@@ -82,22 +83,14 @@ def _block_slices(d: SpectralDecomp):
     return slice(0, ka), slice(ka, ka + kb), slice(ka + kb, d.p)
 
 
-def _eig_range(block: np.ndarray):
-    """(lambda_min, lambda_max) of a small symmetric block; (0, 0) if empty."""
-    if block.size == 0:
-        return 0.0, 0.0
-    lam, _ = eigh(block)
-    return float(lam.min()), float(lam.max())
-
-
 def tangent_membership(ctx: ConeContext, H, tol=DEFAULT_MEMBERSHIP_TOL) -> Membership:
     """Tangent cone to the PSD cone at X: compressed (beta+gamma) block PSD."""
     d = ctx.decomp
     _, sb, sg = _block_slices(d)
     Ht = d.rotate(H)
     comp = Ht[sb.start : d.p, sb.start : d.p]
-    lo, _ = _eig_range(comp)
-    violation = max(0.0, -lo)
+    lo, _ = eig_range(comp)
+    violation = max(0.0, -float(lo))
     return Membership(violation <= tol, violation)
 
 
@@ -108,8 +101,8 @@ def normal_membership(ctx: ConeContext, H, tol=DEFAULT_MEMBERSHIP_TOL) -> Member
     Ht = d.rotate(H)
     eq = float(np.linalg.norm(Ht[sa, :]))
     comp = Ht[sb.start : d.p, sb.start : d.p]
-    _, hi = _eig_range(comp)
-    violation = max(eq, max(0.0, hi))
+    _, hi = eig_range(comp)
+    violation = max(eq, max(0.0, float(hi)))
     return Membership(violation <= tol, violation)
 
 
@@ -119,8 +112,8 @@ def critical_cone_psd_membership(ctx: ConeContext, H, tol=DEFAULT_MEMBERSHIP_TOL
     sa, sb, sg = _block_slices(d)
     Ht = d.rotate(H)
     eq = float(np.linalg.norm(Ht[sg, sb.start : d.p]))
-    lo, _ = _eig_range(Ht[sb, sb])
-    violation = max(eq, max(0.0, -lo))
+    lo, _ = eig_range(Ht[sb, sb])
+    violation = max(eq, max(0.0, -float(lo)))
     return Membership(violation <= tol, violation)
 
 
@@ -130,8 +123,8 @@ def critical_cone_nsd_membership(ctx: ConeContext, H, tol=DEFAULT_MEMBERSHIP_TOL
     sa, sb, sg = _block_slices(d)
     Ht = d.rotate(H)
     eq = float(np.linalg.norm(Ht[sa, 0 : sb.stop]))
-    _, hi = _eig_range(Ht[sb, sb])
-    violation = max(eq, max(0.0, hi))
+    _, hi = eig_range(Ht[sb, sb])
+    violation = max(eq, max(0.0, float(hi)))
     return Membership(violation <= tol, violation)
 
 
@@ -160,10 +153,10 @@ def graph_tangent_membership(ctx: ConeContext, H1, H2, tol=DEFAULT_MEMBERSHIP_TO
     viols.append(float(np.linalg.norm((S - 1.0) * H1t[sa, sg] + S * H2t[sa, sg])))
     B1 = H1t[sb, sb]
     B2 = H2t[sb, sb]
-    lo1, _ = _eig_range(B1)
-    _, hi2 = _eig_range(B2)
-    viols.append(max(0.0, -lo1))
-    viols.append(max(0.0, hi2))
+    lo1, _ = eig_range(B1)
+    _, hi2 = eig_range(B2)
+    viols.append(max(0.0, -float(lo1)))
+    viols.append(max(0.0, float(hi2)))
     n1 = float(np.linalg.norm(B1))
     n2 = float(np.linalg.norm(B2))
     viols.append(abs(float(np.sum(B1 * B2))) / max(1.0, n1 * n2))

@@ -7,6 +7,13 @@ the eigenframe of G(x) + Y: hard zero blocks, a divided-difference
 coupling between the positive and negative blocks, and a complementary
 PSD/NSD pair on the degenerate block. Everything below reduces those
 conditions to the feasibility kernels in lpkernel.
+
+The rows of the system act on the stacked variable z = (xi, svec eta)
+of length n + p(p + 1)/2. entry_rows builds them once per pair as two
+(p, p, dim) arrays, H for the entries of P^T G'(x) xi P and E for those
+of P^T eta P, and every tier reads its rows from them by indexing:
+common_rows stacks the rows valid in every branch, rotated_beta_rows
+turns the beta block into a frame Q.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from .problem import (
     lagrangian_hessian,
 )
 from .symmat import (
+    SpectralDecomp,
     SymMat,
     as_symmat,
     common_eigenframe,
@@ -45,6 +53,7 @@ from .symmat import (
     psd_preimage_span,
     spectral_decompose,
     svec_indices,
+    svec_scale,
     sym_mat,
     sym_vec,
 )
@@ -110,81 +119,54 @@ def build_system(pd: ProblemData, kkt: KKTPoint, tol: Optional[float] = None) ->
     hessL = lagrangian_hessian(pd, kkt.x, kkt.Y)
     jac = tuple(eval_G_jacobian(pd, kkt.x))
     Dt = np.array([d.rotate(Dk) for Dk in jac]).reshape(pd.n, d.p, d.p)
-    tail = np.concatenate([d.beta, d.gamma])
-    pairs = [(i, j) for i in d.gamma for j in tail if j <= i]
-    cone_rows = np.array([Dt[:, i, j] for i, j in pairs]).reshape(len(pairs), pd.n)
+    # gamma x (beta u gamma) entries on and below the diagonal, row-major;
+    # the alpha, beta and gamma index blocks are contiguous in that order
+    ka, g0 = d.alpha.size, d.p - d.gamma.size
+    ii, jj = np.nonzero(np.tri(d.p, dtype=bool)[g0:, ka:])
+    cone_rows = Dt[:, ii + g0, jj + ka].T
     return CriticalitySystem(pd, kkt, hessL, jac, ctx, Dt, cone_rows, null_space(cone_rows))
 
 
-class _Rows:
-    """Linear-row assembly over the stacked variable z = (xi, svec eta)."""
+def entry_rows(sys: CriticalitySystem):
+    """Entry rows (H, E) of the rotated blocks, each of shape (p, p, dim).
 
-    def __init__(self, sys: CriticalitySystem):
-        self.sys = sys
-        self.dim = sys.n + sys.p * (sys.p + 1) // 2
-        self._eta_cache: dict = {}
+    H[i, j] @ z is entry (i, j) of P^T G'(x) xi P and E[i, j] @ z is entry
+    (i, j) of P^T eta P, for z = (xi, svec eta) of length dim.
+    """
+    n, p = sys.n, sys.p
+    P = sys.ctx.decomp.P
+    dim = n + p * (p + 1) // 2
+    H = np.zeros((p, p, dim))
+    H[:, :, :n] = np.moveaxis(sys.Dt, 0, -1)
+    O = np.einsum("ai,bj->ijab", P, P)
+    rows, cols = svec_indices(p)
+    E = np.zeros((p, p, dim))
+    E[:, :, n:] = (0.5 * (O + O.transpose(1, 0, 2, 3)))[:, :, rows, cols] * svec_scale(p)
+    return H, E
 
-    def _x_row(self, r: np.ndarray) -> np.ndarray:
-        row = np.zeros(self.dim)
-        row[: self.sys.n] = r
-        return row
 
-    def h_row(self, i: int, j: int) -> np.ndarray:
-        return self._x_row(self.sys.Dt[:, i, j])
+def common_rows(sys: CriticalitySystem, H: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Rows valid in every complementarity branch, shape (m, dim).
 
-    def eta_row(self, i: int, j: int) -> np.ndarray:
-        key = (min(i, j), max(i, j))
-        if key not in self._eta_cache:
-            P = self.sys.ctx.decomp.P
-            outer = 0.5 * (np.outer(P[:, i], P[:, j]) + np.outer(P[:, j], P[:, i]))
-            row = np.zeros(self.dim)
-            row[self.sys.n :] = sym_vec(outer)
-            self._eta_cache[key] = row
-        return self._eta_cache[key]
+    In order: the adjoint rows, the critical-cone rows, then for each
+    alpha index i the rows of eta over alpha (from i on) and beta and the
+    divided-difference coupling over gamma.
+    """
+    d = sys.ctx.decomp
+    n, dim = sys.n, H.shape[-1]
+    adjoint = np.hstack([sys.hessL, np.array([sym_vec(Dk) for Dk in sys.jac]).reshape(n, dim - n)])
+    cone = np.hstack([sys.cone_rows, np.zeros((len(sys.cone_rows), dim - n))])
+    blocks = [adjoint, cone]
+    for ai, i in enumerate(d.alpha):
+        s = d.sigma[i, d.gamma][:, None]
+        blocks += [E[i, d.alpha[ai:]], E[i, d.beta], (s - 1.0) * H[i, d.gamma] + s * E[i, d.gamma]]
+    return np.vstack(blocks)
 
-    def adjoint_rows(self) -> list:
-        rows = []
-        for hk, Dk in zip(self.sys.hessL, self.sys.jac):
-            row = self._x_row(hk)
-            row[self.sys.n :] = sym_vec(Dk)
-            rows.append(row)
-        return rows
 
-    def common_rows(self) -> list:
-        """Rows valid in every complementarity branch."""
-        d = self.sys.ctx.decomp
-        rows = self.adjoint_rows() + [self._x_row(r) for r in self.sys.cone_rows]
-        for ai, i in enumerate(d.alpha):
-            for j in d.alpha[ai:]:
-                rows.append(self.eta_row(i, j))
-            for j in d.beta:
-                rows.append(self.eta_row(i, j))
-            for j in d.gamma:
-                s = d.sigma[i, j]
-                rows.append((s - 1.0) * self.h_row(i, j) + s * self.eta_row(i, j))
-        return rows
-
-    def rotated_beta_rows(self, Q: np.ndarray):
-        """Entry rows of Q^T H_bb Q and Q^T eta_bb Q over the beta block."""
-        beta = self.sys.ctx.decomp.beta
-        k = beta.size
-        H = [[self.h_row(beta[a], beta[b]) for b in range(k)] for a in range(k)]
-        E = [[self.eta_row(beta[a], beta[b]) for b in range(k)] for a in range(k)]
-        h_rot = {}
-        e_rot = {}
-        for i in range(k):
-            for j in range(i, k):
-                hr = np.zeros(self.dim)
-                er = np.zeros(self.dim)
-                for a in range(k):
-                    for b in range(k):
-                        c = Q[a, i] * Q[b, j]
-                        if c != 0.0:
-                            hr = hr + c * H[a][b]
-                            er = er + c * E[a][b]
-                h_rot[(i, j)] = hr
-                e_rot[(i, j)] = er
-        return h_rot, e_rot
+def rotated_beta_rows(sys: CriticalitySystem, H: np.ndarray, E: np.ndarray, Q: np.ndarray):
+    """Entry rows of Q^T H_bb Q and Q^T eta_bb Q, each of shape (k, k, dim)."""
+    b = sys.ctx.decomp.beta
+    return tuple(np.einsum("ai,bj,abd->ijd", Q, Q, M[np.ix_(b, b)]) for M in (H, E))
 
 
 def witness_residual(sys: CriticalitySystem, xi, eta) -> float:
@@ -206,7 +188,7 @@ def _extract_witness(sys: CriticalitySystem, z: np.ndarray):
     return xi, eta, witness_residual(sys, xi, eta)
 
 
-def _verified_witness(sys: CriticalitySystem, eqs: list, z: np.ndarray):
+def _verified_witness(sys: CriticalitySystem, eqs: np.ndarray, z: np.ndarray):
     """(xi, eta, residual) of a solution z of the rows eqs, or None.
 
     A witness that misses re-verification is polished once (eta re-solved
@@ -214,7 +196,7 @@ def _verified_witness(sys: CriticalitySystem, eqs: list, z: np.ndarray):
     """
     xi, eta, res = _extract_witness(sys, z)
     if res > 1e-7:
-        xi, eta, res = _extract_witness(sys, polish_xi_solution(np.stack(eqs), z, sys.n))
+        xi, eta, res = _extract_witness(sys, polish_xi_solution(eqs, z, sys.n))
     return (xi, eta, res) if res <= 1e-7 else None
 
 
@@ -226,32 +208,24 @@ def _unverified(tier: str, reason: str = "witness re-verification failed") -> Cr
     return CriticalityVerdict(UNDETERMINED, None, f"semi-decision: {tier}, {reason}", 0.0)
 
 
-def _branch_search(rows, base_rows, h_rot, e_rot, k):
+def _branch_search(sys: CriticalitySystem, common: np.ndarray, h: np.ndarray, e: np.ndarray):
     """Enumerate complementarity supports of a diagonalized beta block.
 
-    Returns (branch, undecided): branch is (equality rows, solution) of
-    the first support whose system has a nonzero xi, or None; undecided
-    says whether the support LP raised NumericError on a support before it.
+    h and e are the rotated beta rows (see rotated_beta_rows). Returns
+    (branch, undecided): branch is (equality rows, solution) of the first
+    support whose system has a nonzero xi, or None; undecided says whether
+    the support LP raised NumericError on a support before it.
     """
-    offdiag = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            offdiag.append(h_rot[(i, j)])
-            offdiag.append(e_rot[(i, j)])
+    k = h.shape[0]
+    iu = np.triu_indices(k, 1)
+    offdiag = np.stack([h[iu], e[iu]], axis=1).reshape(-1, h.shape[-1])
+    hd, ed = h[range(k), range(k)], e[range(k), range(k)]
     undecided = False
     for mask in range(1 << k):
-        support = [(mask >> j) & 1 for j in range(k)]
-        eqs = list(base_rows) + offdiag
-        ineqs = []
-        for j in range(k):
-            if support[j]:
-                eqs.append(e_rot[(j, j)])
-                ineqs.append(h_rot[(j, j)])
-            else:
-                eqs.append(h_rot[(j, j)])
-                ineqs.append(-e_rot[(j, j)])
+        on = ((mask >> np.arange(k)) & 1).astype(bool)[:, None]
+        eqs = np.vstack([common, offdiag, np.where(on, ed, hd)])
         try:
-            z, _ = nontrivial_xi_solution(np.stack(eqs), rows.dim, rows.sys.n, ineqs)
+            z, _ = nontrivial_xi_solution(eqs, h.shape[-1], sys.n, np.where(on, hd, -ed))
         except NumericError:
             undecided = True
             continue
@@ -371,7 +345,9 @@ def _mixed_support_angles(C: np.ndarray, d: int):
     return [math.pi / 2.0] + [theta for theta in refined if theta is not None], len(roots)
 
 
-def _classify_two_block(sys: CriticalitySystem, rows: _Rows, common: list) -> CriticalityVerdict:
+def _classify_two_block(
+    sys: CriticalitySystem, H: np.ndarray, E: np.ndarray, common: np.ndarray
+) -> CriticalityVerdict:
     """Exact tier for a non-commuting 2x2 beta block.
 
     On the block the pair (h, -e) = (H_bb, -eta_bb) must be complementary
@@ -387,11 +363,11 @@ def _classify_two_block(sys: CriticalitySystem, rows: _Rows, common: list) -> Cr
     at every angle, returns Undetermined.
     """
     b0, b1 = sys.ctx.decomp.beta
-    H = np.stack([rows.h_row(b0, b0), rows.h_row(b0, b1), rows.h_row(b1, b1)])
-    E = np.stack([rows.eta_row(b0, b0), rows.eta_row(b0, b1), rows.eta_row(b1, b1)])
+    # (00, 01, 11) entry rows of the beta blocks of h and e
+    H, E = H[[b0, b0, b1], [b0, b1, b1]], E[[b0, b0, b1], [b0, b1, b1]]
     unverified, undecided = [], []
     for label, pinned, block in (("h psd, e = 0", E, H), ("h = 0, e nsd", H, -E)):
-        Z = null_space(np.vstack([np.stack(common), pinned]))
+        Z = null_space(np.vstack([common, pinned]))
         z = _psd_point_with_xi(Z, block @ Z, sys.n)
         if z is not None:
             xi, eta, res = _extract_witness(sys, z)
@@ -401,7 +377,7 @@ def _classify_two_block(sys: CriticalitySystem, rows: _Rows, common: list) -> Cr
                 )
             unverified.append(label)
 
-    N = null_space(np.stack(common))
+    N = null_space(common)
     d = N.shape[1]
     if d > 4:
         return CriticalityVerdict(
@@ -469,11 +445,11 @@ def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) 
     NumericError without a witness elsewhere, returns Undetermined.
     """
     opts = merged_options(DEFAULT_OPTIONS, options)
-    rows = _Rows(sys)
+    H, E = entry_rows(sys)
     beta = sys.ctx.decomp.beta
-    common = rows.common_rows()
+    common = common_rows(sys, H, E)
 
-    z, _ = nontrivial_xi_solution(np.stack(common), rows.dim, sys.n)
+    z, _ = nontrivial_xi_solution(common, H.shape[-1], sys.n)
     if z is None:
         cert = (
             "exact: beta empty, homogeneous linear system has no nonzero xi"
@@ -491,11 +467,12 @@ def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) 
     if beta.size == 1:
         b = beta[0]
         branches = (
-            (common + [rows.h_row(b, b)], [-rows.eta_row(b, b)], "H-block pinned to zero"),
-            (common + [rows.eta_row(b, b)], [rows.h_row(b, b)], "eta-block pinned to zero"),
+            (H[b, b], -E[b, b], "H-block pinned to zero"),
+            (E[b, b], H[b, b], "eta-block pinned to zero"),
         )
-        for eqs, ineqs, label in branches:
-            z, _ = nontrivial_xi_solution(np.stack(eqs), rows.dim, sys.n, ineqs)
+        for pinned, ineq, label in branches:
+            eqs = np.vstack([common, pinned])
+            z, _ = nontrivial_xi_solution(eqs, H.shape[-1], sys.n, [ineq])
             if z is not None:
                 found = _verified_witness(sys, eqs, z)
                 if found is None:
@@ -511,9 +488,8 @@ def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) 
     k = int(beta.size)
     Q = common_eigenframe([Dt[np.ix_(beta, beta)] for Dt in sys.Dt], k)
     if Q is not None:
-        h_rot, e_rot = rows.rotated_beta_rows(Q)
         tier = f"common-eigenframe enumeration over 2^{k} supports"
-        branch, undecided = _branch_search(rows, common, h_rot, e_rot, k)
+        branch, undecided = _branch_search(sys, common, *rotated_beta_rows(sys, H, E, Q))
         if branch is not None:
             found = _verified_witness(sys, *branch)
             if found is None:
@@ -530,7 +506,7 @@ def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) 
         )
 
     if k == 2:
-        return _classify_two_block(sys, rows, common)
+        return _classify_two_block(sys, H, E, common)
 
     # beta block of size >= 3: seeded random frames
     rng = np.random.default_rng(int(opts["seed"]))
@@ -545,8 +521,7 @@ def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) 
         Qr, _ = np.linalg.qr(rng.standard_normal((k, k)))
         frames.append(Qr)
     for Qr in frames:
-        h_rot, e_rot = rows.rotated_beta_rows(Qr)
-        branch, _ = _branch_search(rows, common, h_rot, e_rot, k)
+        branch, _ = _branch_search(sys, common, *rotated_beta_rows(sys, H, E, Qr))
         if branch is not None:
             found = _verified_witness(sys, *branch)
             if found is not None:
@@ -565,22 +540,24 @@ def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) 
 def xpart_condition(sys: CriticalitySystem) -> dict:
     """Test whether the eta-free part of the system forces xi = 0."""
     d = sys.ctx.decomp
-    coupling = [sys.Dt[:, i, j] for i in d.alpha for j in d.gamma]
-    eqs = np.vstack([sys.hessL, sys.cone_rows, np.reshape(coupling, (len(coupling), sys.n))])
+    coupling = sys.Dt[:, d.alpha][:, :, d.gamma].reshape(sys.n, -1).T
+    eqs = np.vstack([sys.hessL, sys.cone_rows, coupling])
     k = d.beta.size
     block = None
     if k:
-        # rows follow the row-major upper-triangle svec convention
-        block = []
-        for a in range(k):
-            for b in range(a, k):
-                r = sys.Dt[:, d.beta[a], d.beta[b]]
-                block.append(r if a == b else math.sqrt(2.0) * r)
-        block = np.stack(block)
+        ii, jj = svec_indices(k)
+        block = sys.Dt[:, d.beta[ii], d.beta[jj]].T * svec_scale(k)[:, None]
     xi = cone_kernel_nontrivial(eqs, sys.n, block, k, 1.0)
     if xi is None:
         return {"holds": True, "witness": None}
     return {"holds": False, "witness": xi / np.linalg.norm(xi)}
+
+
+def _jacobian_block_rows(pd: ProblemData, xbar, d: SpectralDecomp, idx: np.ndarray) -> np.ndarray:
+    """svec of the symmetrized idx x idx block of each rotated constraint Jacobian, one row each."""
+    Dt = np.array([d.rotate(Dk) for Dk in eval_G_jacobian(pd, xbar)]).reshape(pd.n, d.p, d.p)
+    ii, jj = svec_indices(idx.size)
+    return 0.5 * (Dt[:, idx[ii], idx[jj]] + Dt[:, idx[jj], idx[ii]]) * svec_scale(idx.size)
 
 
 def check_rcq(pd: ProblemData, xbar, tol_feas: float = 1e-8) -> bool:
@@ -593,13 +570,7 @@ def check_rcq(pd: ProblemData, xbar, tol_feas: float = 1e-8) -> bool:
     J = np.where(d.lam <= d.tol_zero)[0]
     if J.size == 0:
         return True
-    Ds = eval_G_jacobian(pd, xbar)
-    rows = []
-    for Dk in Ds:
-        Dt = d.rotate(Dk)
-        rows.append(sym_vec(Dt[np.ix_(J, J)]))
-    W = subspace_psd_nontrivial(np.stack(rows) if rows else np.zeros((0, J.size * (J.size + 1) // 2)), J.size)
-    return W is None
+    return subspace_psd_nontrivial(_jacobian_block_rows(pd, xbar, d, J), J.size) is None
 
 
 def check_srcq(pd: ProblemData, xbar, ybar, tol: Optional[float] = None) -> bool:
@@ -614,27 +585,12 @@ def check_srcq(pd: ProblemData, xbar, ybar, tol: Optional[float] = None) -> bool
     q = red.size
     if q == 0:
         return True
-    Ds = eval_G_jacobian(pd, xbar)
-    eqs = []
-    for Dk in Ds:
-        Dt = d.rotate(Dk)
-        eqs.append(sym_vec(Dt[np.ix_(red, red)]))
     nb = int(d.beta.size)
-    block = None
-    if nb:
-        # selection rows: the leading principal subblock of the reduced
-        # variable, in matching isometric svec coordinates on both sides
-        nsv = q * (q + 1) // 2
-        ii, jj = svec_indices(q)
-        pos = {(a, b): t for t, (a, b) in enumerate(zip(ii, jj))}
-        block = []
-        for a in range(nb):
-            for b in range(a, nb):
-                row = np.zeros(nsv)
-                row[pos[(a, b)]] = 1.0
-                block.append(row)
-        block = np.stack(block)
-    v = cone_kernel_nontrivial(np.stack(eqs), q * (q + 1) // 2, block, nb, -1.0)
+    nsv = q * (q + 1) // 2
+    # selection rows: the leading principal subblock of the reduced
+    # variable, in matching isometric svec coordinates on both sides
+    block = np.eye(nsv)[svec_indices(q)[1] < nb] if nb else None
+    v = cone_kernel_nontrivial(_jacobian_block_rows(pd, xbar, d, red), nsv, block, nb, -1.0)
     return v is None
 
 
@@ -718,20 +674,10 @@ def classify_nlp(nlp: NLPSystem, xbar, mu, tol: float = 1e-8) -> CriticalityVerd
     hessL = 0.5 * (hessL + hessL.T)
 
     dim = nlp.n + nlp.m
-    base = []
-    for a in range(nlp.n):
-        row = np.zeros(dim)
-        row[: nlp.n] = hessL[a]
-        row[nlp.n :] = grads[:, a]
-        base.append(row)
-    for j in inactive:
-        row = np.zeros(dim)
-        row[nlp.n + j] = 1.0
-        base.append(row)
-    for j in i_minus:
-        row = np.zeros(dim)
-        row[: nlp.n] = grads[j]
-        base.append(row)
+    g_rows = np.hstack([grads, np.zeros((nlp.m, nlp.m))])
+    e_rows = np.eye(dim)[nlp.n :]
+    base = np.vstack([np.hstack([hessL, grads.T]), e_rows[inactive], g_rows[i_minus]])
+    g_zero, e_zero = g_rows[i_zero], e_rows[i_zero]
 
     def _residual(z) -> float:
         xi = z[: nlp.n]
@@ -753,21 +699,10 @@ def classify_nlp(nlp: NLPSystem, xbar, mu, tol: float = 1e-8) -> CriticalityVerd
     tier = f"scalar branch enumeration over 2^{len(i_zero)} supports"
     undecided = False
     for bits in itertools.product((0, 1), repeat=len(i_zero)):
-        eqs = list(base)
-        ineqs = []
-        for b, j in zip(bits, i_zero):
-            row_g = np.zeros(dim)
-            row_g[: nlp.n] = grads[j]
-            row_e = np.zeros(dim)
-            row_e[nlp.n + j] = 1.0
-            if b:
-                eqs.append(row_e)
-                ineqs.append(row_g)
-            else:
-                eqs.append(row_g)
-                ineqs.append(-row_e)
+        on = np.array(bits, dtype=bool)[:, None]
+        eqs = np.vstack([base, np.where(on, e_zero, g_zero)])
         try:
-            z, _ = nontrivial_xi_solution(np.stack(eqs), dim, nlp.n, ineqs)
+            z, _ = nontrivial_xi_solution(eqs, dim, nlp.n, np.where(on, g_zero, -e_zero))
         except NumericError:
             undecided = True
             continue
@@ -775,7 +710,7 @@ def classify_nlp(nlp: NLPSystem, xbar, mu, tol: float = 1e-8) -> CriticalityVerd
             z = z / np.linalg.norm(z[: nlp.n])
             res = _residual(z)
             if res > 1e-7:
-                z = polish_xi_solution(np.stack(eqs), z, nlp.n)
+                z = polish_xi_solution(eqs, z, nlp.n)
                 res = _residual(z)
             if res > 1e-7:
                 return _unverified(tier)

@@ -38,18 +38,13 @@ from .symmat import (
     sym_vec,
 )
 
-DEFAULT_SOLVER_OPTIONS = {
-    "maxiter": 60,
-    "tol": 1e-12,
-    "max_backtracks": 20,
-    "lm_max": 60,
-}
+NEWTON_STEPS = 60  # semismooth Newton iterations before the fallback
+BACKTRACKS = 20  # step halvings per Newton line search
+LM_STEPS = 60  # Levenberg-Marquardt fallback iterations
+RESIDUAL_TOL = 1e-12  # stopping residual, relative to the perturbation scale
+JITTER_STARTS = 8  # jittered starts per schedule point
 
-DEFAULT_EXPERIMENT_OPTIONS = {
-    "seed": 42,
-    "jitter_starts": 8,
-    "solver": None,
-}
+DEFAULT_EXPERIMENT_OPTIONS = {"seed": 42}
 
 CERT_FACTOR = 1e-10
 
@@ -116,23 +111,22 @@ def _projection_jacobian(d: SpectralDecomp) -> np.ndarray:
     return (R * w) @ R.T
 
 
-def solve_perturbed_kkt(pd: ProblemData, p1, p2, start=None, options=None):
+def solve_perturbed_kkt(pd: ProblemData, p1, p2, start=None):
     """Track a KKT root of the canonically perturbed problem.
 
     Runs a semismooth Newton iteration on the normal-map system of the
     shifted data, with backtracking, and a Levenberg-Marquardt fallback
-    on the same semismooth element once a line search fails or maxiter
-    steps are spent. Iterates are (x, svec z) arrays; every residual
-    evaluation is one robinson_normal_map call, and the Newton element is
-    assembled from one spectral decomposition of z and the (n, p, p)
-    constraint Jacobian stack. The iteration stops at residual tol *
-    scale, or once it is certifiable (CERT_FACTOR * scale) and a step no
-    longer halves it; the root is then re-certified at the canonical
-    splitting point. A non-finite iterate or an unknown option key raises
+    on the same semismooth element once a line search fails or
+    NEWTON_STEPS steps are spent. Iterates are (x, svec z) arrays; every
+    residual evaluation is one robinson_normal_map call, and the Newton
+    element is assembled from one spectral decomposition of z and the
+    (n, p, p) constraint Jacobian stack. The iteration stops at residual
+    RESIDUAL_TOL * scale, or once it is certifiable (CERT_FACTOR * scale)
+    and a step no longer halves it; the root is then re-certified at the
+    canonical splitting point. A non-finite iterate raises
     InputDataError. Raises ConvergenceError (carrying the best iterate)
     on stagnation.
     """
-    opts = merged_options(DEFAULT_SOLVER_OPTIONS, options)
     p1 = np.asarray(p1, dtype=float).reshape(pd.n)
     p2 = as_symmat(p2)
     spd = shifted_problem(pd, p1, p2)
@@ -148,7 +142,7 @@ def solve_perturbed_kkt(pd: ProblemData, p1, p2, start=None, options=None):
     zv = sym_vec(as_symmat(z0))
 
     scale = max(1.0, float(np.linalg.norm(p1)) + p2.norm())
-    tol_stop = float(opts["tol"]) * scale
+    tol_stop = RESIDUAL_TOL * scale
 
     def full_residual(xc, zvc):
         psi1, psi2 = robinson_normal_map(spd, xc, sym_mat(zvc, p))
@@ -200,7 +194,7 @@ def solve_perturbed_kkt(pd: ProblemData, p1, p2, start=None, options=None):
         return finalize(x, zv, 0)
 
     iters = 0
-    while iters < int(opts["maxiter"]):
+    while iters < NEWTON_STEPS:
         J = jacobian(x, zv)
         rhs = -r
         try:
@@ -210,7 +204,7 @@ def solve_perturbed_kkt(pd: ProblemData, p1, p2, start=None, options=None):
         except np.linalg.LinAlgError:
             delta = np.linalg.lstsq(J, rhs, rcond=None)[0]
         step = 1.0
-        for _ in range(int(opts["max_backtracks"])):
+        for _ in range(BACKTRACKS):
             xn = x + step * delta[:n]
             zn = zv + step * delta[n:]
             r_new = full_residual(xn, zn)
@@ -233,7 +227,7 @@ def solve_perturbed_kkt(pd: ProblemData, p1, p2, start=None, options=None):
     # accepted steps decrease the residual, so the last iterate is the best
     lam = 1e-6
     u = np.concatenate([x, zv])
-    for _ in range(int(opts["lm_max"])):
+    for _ in range(LM_STEPS):
         J = jacobian(u[:n], u[n:])
         g = J.T @ r
         A = J.T @ J
@@ -322,13 +316,12 @@ def error_bound_experiment(family: PerturbationFamily, schedule, options=None):
     """Sweep a perturbation schedule and collect distance ratios.
 
     Solves are warm-started by continuation along the schedule; at each
-    parameter a handful of jittered starts probe for additional roots
-    and the root closest to the reference point is kept. An unknown key
-    in options or in its "solver" options raises InputDataError.
+    parameter JITTER_STARTS jittered starts probe for additional roots
+    and the root closest to the reference point is kept. options holds
+    only the jitter "seed"; an unknown key raises InputDataError.
     """
     opts = merged_options(DEFAULT_EXPERIMENT_OPTIONS, options)
     rng = np.random.default_rng(opts["seed"])
-    solver_opts = merged_options(DEFAULT_SOLVER_OPTIONS, opts["solver"])
     pd = family.problem
     xbar = np.asarray(family.xbar, dtype=float)
     ybar = family.ybar
@@ -354,7 +347,7 @@ def error_bound_experiment(family: PerturbationFamily, schedule, options=None):
         def attempt(x0, Y0):
             z0 = eval_G(spd, x0) + Y0
             try:
-                roots.append(solve_perturbed_kkt(pd, p1, p2, (x0, z0), solver_opts))
+                roots.append(solve_perturbed_kkt(pd, p1, p2, (x0, z0)))
             except ConvergenceError:
                 pass
 
@@ -364,7 +357,7 @@ def error_bound_experiment(family: PerturbationFamily, schedule, options=None):
             math.sqrt(pnorm),
             1e-8,
         )
-        for _ in range(int(opts["jitter_starts"])):
+        for _ in range(JITTER_STARTS):
             M = rng.standard_normal((p, p))
             attempt(
                 prev_x + delta * rng.standard_normal(n),

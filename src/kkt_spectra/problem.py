@@ -96,18 +96,9 @@ def make_problem(f_lin, f_quad, G_const, G_lin, G_quad=None) -> ProblemData:
     return ProblemData(f_lin, f_quad, G_const, lin, quad, lin_stack, quad_stack)
 
 
-def eval_f(pd: ProblemData, x) -> float:
-    x = np.asarray(x, dtype=float)
-    return float(pd.f_lin @ x + 0.5 * x @ pd.f_quad @ x)
-
-
 def eval_grad_f(pd: ProblemData, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     return pd.f_lin + pd.f_quad @ x
-
-
-def eval_hess_f(pd: ProblemData) -> np.ndarray:
-    return pd.f_quad
 
 
 def _G_array(pd: ProblemData, x: np.ndarray) -> np.ndarray:

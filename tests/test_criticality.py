@@ -12,13 +12,15 @@ from kkt_spectra.criticality import (
     UNDETERMINED,
     _mixed_rows,
     _refine_angle,
-    _Rows,
     build_system,
     check_rcq,
     check_srcq,
     classify_multiplier,
     classify_nlp,
+    common_rows,
     diagonal_reduction,
+    entry_rows,
+    rotated_beta_rows,
     witness_residual,
     xpart_condition,
 )
@@ -187,6 +189,45 @@ def test_classify_two_block_pure_support():
     assert np.allclose(np.abs(v.witness[0]), 1.0 / math.sqrt(3.0), atol=1e-9)
 
 
+def _rotated_partition_pair(rng, ka, kb, kg, n):
+    """Certified pair at x = 0 with |alpha|, |beta|, |gamma| = ka, kb, kg,
+    dense Jacobians, all seen in a random orthogonal frame."""
+    p = ka + kb + kg
+    Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    d = np.concatenate([rng.uniform(0.5, 2.0, ka), np.zeros(kb + kg)])
+    w = np.concatenate([np.zeros(ka + kb), rng.uniform(0.5, 2.0, kg)])
+    A = [Q @ (M + M.T) @ Q.T for M in rng.standard_normal((n, p, p))]
+    Y = -(Q * w) @ Q.T
+    F = rng.standard_normal((n, n))
+    flin = [-float(np.sum(M * Y)) for M in A]
+    pd = make_problem(flin, F + F.T, SymMat((Q * d) @ Q.T), [SymMat(M) for M in A])
+    return build_system(pd, kkt_point(pd, np.zeros(n), SymMat(Y)))
+
+
+def test_entry_rows_match_definition():
+    rng = np.random.default_rng(11)
+    for ka, kb, kg, n in [(1, 2, 1, 2), (2, 3, 1, 3), (1, 2, 2, 1)]:
+        sysm = _rotated_partition_pair(rng, ka, kb, kg, n)
+        d = sysm.ctx.decomp
+        assert (d.alpha.size, d.beta.size, d.gamma.size) == (ka, kb, kg)
+        assert np.abs(np.abs(d.P) - np.eye(d.p)).max() > 0.1
+        H, E = entry_rows(sysm)
+        p = sysm.p
+        assert H.shape == E.shape == (p, p, n + p * (p + 1) // 2)
+        Qb, _ = np.linalg.qr(rng.standard_normal((kb, kb)))
+        h, e = rotated_beta_rows(sysm, H, E, Qb)
+        for _ in range(5):
+            z = rng.standard_normal(H.shape[-1])
+            Gxi = sum(z[k] * sysm.jac[k].full() for k in range(n))
+            Ht = d.P.T @ Gxi @ d.P
+            Et = d.P.T @ sym_mat(z[n:], p).full() @ d.P
+            assert np.allclose(H @ z, Ht, rtol=0.0, atol=1e-12)
+            assert np.allclose(E @ z, Et, rtol=0.0, atol=1e-12)
+            bb = np.ix_(d.beta, d.beta)
+            assert np.allclose(h @ z, Qb.T @ Ht[bb] @ Qb, rtol=0.0, atol=1e-12)
+            assert np.allclose(e @ z, Qb.T @ Et[bb] @ Qb, rtol=0.0, atol=1e-12)
+
+
 def test_refine_angle_recovers_a_rank_drop():
     # the mixed rows of the planted fixture lose rank at one angle; a
     # perturbed estimate (as a double root of a minor yields) is pulled
@@ -201,10 +242,10 @@ def test_refine_angle_recovers_a_rank_drop():
         [SymMat(np.outer(u, u)), SymMat([[0.0, 1.0], [1.0, 0.0]])],
     )
     sysm = build_system(pd, kkt_point(pd, [0.0, 0.0], SymMat.zeros(2)))
-    rows = _Rows(sysm)
-    N = null_space(np.stack(rows.common_rows()))
-    H = np.stack([rows.h_row(0, 0), rows.h_row(0, 1), rows.h_row(1, 1)]) @ N
-    E = np.stack([rows.eta_row(0, 0), rows.eta_row(0, 1), rows.eta_row(1, 1)]) @ N
+    H, E = entry_rows(sysm)
+    N = null_space(common_rows(sysm, H, E))
+    H = H[[0, 0, 1], [0, 1, 1]] @ N
+    E = E[[0, 0, 1], [0, 1, 1]] @ N
     C = _mixed_rows(H / np.abs(H).max(), E / np.abs(E).max())
     # the angle of u, measured in the eigenframe of G + Y
     uP = sysm.ctx.decomp.P.T @ u
@@ -256,11 +297,11 @@ def _two_block_problem(rng, kind):
 
 def _angle_grid_oracle(sysm, angles):
     """Any re-verified witness of the four supports in frames pi i / angles."""
-    rows = _Rows(sysm)
-    common = rows.common_rows()
+    H, E = entry_rows(sysm)
+    common = list(common_rows(sysm, H, E))
     for i in range(angles):
         c, s = math.cos(math.pi * i / angles), math.sin(math.pi * i / angles)
-        h, e = rows.rotated_beta_rows(np.array([[c, -s], [s, c]]))
+        h, e = rotated_beta_rows(sysm, H, E, np.array([[c, -s], [s, c]]))
         for mask in range(4):
             eqs = common + [h[(0, 1)], e[(0, 1)]]
             ineqs = []
@@ -271,7 +312,7 @@ def _angle_grid_oracle(sysm, angles):
                 else:
                     eqs.append(h[(j, j)])
                     ineqs.append(-e[(j, j)])
-            z, _ = nontrivial_xi_solution(np.stack(eqs), rows.dim, sysm.n, ineqs)
+            z, _ = nontrivial_xi_solution(np.stack(eqs), H.shape[-1], sysm.n, ineqs)
             if z is not None:
                 nx = np.linalg.norm(z[: sysm.n])
                 if witness_residual(sysm, z[: sysm.n] / nx, sym_mat(z[sysm.n :] / nx, sysm.p)) <= 1e-7:
@@ -450,8 +491,7 @@ def test_noncritical_claims_survive_sampling():
             continue
         if classify_multiplier(sysm).tag != NONCRITICAL:
             continue
-        rows = _Rows(sysm)
-        Z = null_space(np.stack(rows.common_rows()))
+        Z = null_space(common_rows(sysm, *entry_rows(sysm)))
         for _ in range(800):
             if Z.shape[1] == 0:
                 break

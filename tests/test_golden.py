@@ -1,16 +1,24 @@
-"""Default JSON of the report subcommands, pinned byte for byte.
+"""Default JSON of the report subcommands, pinned byte for byte, and
+the classification of fixed KKT pairs.
 
 tests/golden/<command>_<family>.json holds the output of
 `kkt-spectra <command> --family <family> --format json`.
+tests/golden/pair_<name>.json holds a problem and point in the CLI file
+format, with the qualification, classifier and x-part results expected
+at that pair.
 """
 
 import contextlib
 import io
+import json
 import os
 
+import numpy as np
 import pytest
 
 from kkt_spectra.cli import main
+from kkt_spectra.criticality import build_system, check_rcq, check_srcq, classify_multiplier, xpart_condition
+from kkt_spectra.problem import kkt_point, problem_from_dict
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -24,3 +32,26 @@ def test_default_json_matches_golden(command, family):
     assert code == 0
     with open(os.path.join(GOLDEN, f"{command}_{family}.json"), encoding="utf-8") as fh:
         assert out.getvalue() == fh.read()
+
+
+@pytest.mark.parametrize("name", ["ref_rotated", "ref_coupled", "critical_rotated"])
+def test_classified_pair_matches_golden(name):
+    # a commuting rotated beta block (Noncritical and Critical) and a
+    # non-commuting 2x2 one: verdicts and x-part exact, witness to 1e-9
+    with open(os.path.join(GOLDEN, f"pair_{name}.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    exp = doc["expected"]
+    pd = problem_from_dict(doc["problem"])
+    x, Y = np.asarray(doc["point"]["x"]), np.asarray(doc["point"]["Y"])
+    sysm = build_system(pd, kkt_point(pd, x, Y))
+    v = classify_multiplier(sysm)
+    xp = xpart_condition(sysm)
+    assert (check_rcq(pd, x), check_srcq(pd, x, Y)) == (exp["rcq"], exp["srcq"])
+    assert (v.tag, v.certificate) == (exp["tag"], exp["certificate"])
+    assert xp["holds"] == exp["xpart_holds"]
+    assert (None if xp["witness"] is None else xp["witness"].tolist()) == exp["xpart_witness"]
+    if exp["witness"] is None:
+        assert v.witness is None
+    else:
+        np.testing.assert_allclose(v.witness[0], exp["witness"]["xi"], rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(v.witness[1].full(), exp["witness"]["eta"], rtol=0.0, atol=1e-9)

@@ -12,7 +12,7 @@ from kkt_spectra.criticality import classify_multiplier
 from kkt_spectra.errors import ConvergenceError, InputDataError
 from kkt_spectra.perturb import (
     CERT_FACTOR,
-    DEFAULT_SOLVER_OPTIONS,
+    NEWTON_STEPS,
     error_bound_experiment,
     fit_order_exponent,
     lemma6_order_check,
@@ -236,8 +236,8 @@ def test_default_sweeps_pinned(name, fam2, fam3):
 )
 def test_solver_stops_at_certified_floor(dx, Y0, fam3):
     # both starts reach a certifiable residual within a few steps, above
-    # tol * scale; the solver must stop there rather than creep along the
-    # round-off floor until maxiter and then run the fallback
+    # RESIDUAL_TOL * scale; the solver must stop there rather than creep
+    # along the round-off floor until NEWTON_STEPS and then run the fallback
     t = 1e-3
     p1, p2 = fam3.perturbation(t)
     spd = shifted_problem(fam3.problem, p1, p2)
@@ -276,16 +276,13 @@ def test_reference_sweep_evaluation_budget(name, schedule, budget, fam2, fam3, m
     rep = error_bound_experiment(fam, np.geomspace(*schedule), {"seed": 42})
     assert len(rep.samples) == schedule[2]
     assert len(calls) <= budget
-    assert steps and max(steps) < DEFAULT_SOLVER_OPTIONS["maxiter"]
+    assert steps and max(steps) < NEWTON_STEPS
 
 
 def test_unknown_option_keys_rejected(fam3):
-    p1, p2 = fam3.perturbation(1e-3)
-    with pytest.raises(InputDataError, match="fd_step"):
-        solve_perturbed_kkt(fam3.problem, p1, p2, natural_start(fam3), {"fd_step": 1e-7})
     with pytest.raises(InputDataError, match="jitter"):
         error_bound_experiment(fam3, [1e-3], {"jitter": 2})
-    with pytest.raises(InputDataError, match="maxiters"):
+    with pytest.raises(InputDataError, match="solver"):
         error_bound_experiment(fam3, [], {"solver": {"maxiters": 5}})
     sys3 = context(fam3.problem, fam3.xbar, fam3.ybar)
     with pytest.raises(InputDataError, match="grid"):
@@ -296,5 +293,3 @@ def test_unknown_option_keys_rejected(fam3):
         check_soscy(sys3, {"iters": 10})
     with pytest.raises(InputDataError, match="sample"):
         theorem3_conditions(sys3, {"sample": 4})
-    smp = solve_perturbed_kkt(fam3.problem, p1, p2, natural_start(fam3), {"maxiter": 5})
-    assert smp.residual <= CERT_FACTOR
