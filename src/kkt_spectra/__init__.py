@@ -47,6 +47,7 @@ from .problem import (
     load_point,
     load_problem,
     make_problem,
+    normal_map_stack,
     problem_from_dict,
     problem_to_dict,
     robinson_normal_map,
@@ -84,6 +85,7 @@ from .perturb import (
     report_to_csv,
     report_to_dict,
     solve_perturbed_kkt,
+    solve_perturbed_starts,
     xpart_bound_check,
 )
 

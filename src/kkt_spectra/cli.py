@@ -360,6 +360,12 @@ def cmd_perturb(req: AnalysisRequest) -> dict:
     start, end, count = req.geo
     schedule = np.geomspace(start, end, count)
     report = error_bound_experiment(fam, schedule, {"seed": req.seed})
+    for s, res in zip(report.excluded_params, report.excluded_residuals):
+        print(
+            f"warning: dropped parameter {s:.17g}: no start reached a certified root "
+            f"(best residual {res:.3e})",
+            file=sys.stderr,
+        )
     payload = {
         "schema": SCHEMA,
         "command": "perturb",

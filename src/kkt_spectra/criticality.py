@@ -124,7 +124,17 @@ def build_system(pd: ProblemData, kkt: KKTPoint, tol: Optional[float] = None) ->
     ka, g0 = d.alpha.size, d.p - d.gamma.size
     ii, jj = np.nonzero(np.tri(d.p, dtype=bool)[g0:, ka:])
     cone_rows = Dt[:, ii + g0, jj + ka].T
-    return CriticalitySystem(pd, kkt, hessL, jac, ctx, Dt, cone_rows, null_space(cone_rows))
+    cone_null = null_space(cone_rows, atol=_rank_atol(Dt))
+    return CriticalitySystem(pd, kkt, hessL, jac, ctx, Dt, cone_rows, cone_null)
+
+
+def _rank_atol(Dt: np.ndarray) -> float:
+    """Absolute rank cut for rows taken from the rotated Jacobians.
+
+    Rows at rotation round-off on the data's scale count as zero, so an
+    exactly zero block seen in a rotated frame does not cut a null space.
+    """
+    return 1e-11 * max(1.0, float(np.abs(Dt).max(initial=0.0)))
 
 
 def entry_rows(sys: CriticalitySystem):
@@ -547,7 +557,7 @@ def xpart_condition(sys: CriticalitySystem) -> dict:
     if k:
         ii, jj = svec_indices(k)
         block = sys.Dt[:, d.beta[ii], d.beta[jj]].T * svec_scale(k)[:, None]
-    xi = cone_kernel_nontrivial(eqs, sys.n, block, k, 1.0)
+    xi = cone_kernel_nontrivial(eqs, sys.n, block, k, 1.0, atol=_rank_atol(sys.Dt))
     if xi is None:
         return {"holds": True, "witness": None}
     return {"holds": False, "witness": xi / np.linalg.norm(xi)}

@@ -30,8 +30,13 @@ DUAL_STEPS = 400
 PRIMAL_STEPS = 1500
 
 
-def null_space(A, rtol: float = 1e-11) -> np.ndarray:
-    """Orthonormal basis (columns) of the null space of A."""
+def null_space(A, rtol: float = 1e-11, atol: float = 0.0) -> np.ndarray:
+    """Orthonormal basis (columns) of the null space of A.
+
+    Singular values at or below max(rtol * s_max, atol) count as zero, so
+    an atol taken from the data's scale keeps rows of pure round-off, such
+    as a zero block seen in a rotated frame, from cutting the space.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     m, n = A.shape
     if n == 0:
@@ -39,7 +44,7 @@ def null_space(A, rtol: float = 1e-11) -> np.ndarray:
     if m == 0 or not np.any(A):
         return np.eye(n)
     _, s, vt = np.linalg.svd(A)
-    r = int(np.sum(s > rtol * s[0]))
+    r = int(np.sum(s > max(rtol * s[0], atol)))
     return vt[r:].T.copy()
 
 
@@ -384,19 +389,22 @@ def subspace_psd_nontrivial(constraint_rows, q: int) -> Optional[np.ndarray]:
     )
 
 
-def cone_kernel_nontrivial(eq_rows, dim: int, block_rows, q: int, sign: float = 1.0) -> Optional[np.ndarray]:
+def cone_kernel_nontrivial(
+    eq_rows, dim: int, block_rows, q: int, sign: float = 1.0, atol: float = 0.0
+) -> Optional[np.ndarray]:
     """Find v != 0 with eq_rows v = 0 and sign * mat(block_rows v) PSD.
 
     block_rows maps v to the svec of a symmetric q-block. Returns a
     witness v or None when only v = 0 qualifies. The kernel of the block
     map inside the equality null space settles the easy case (block zero
     is PSD); otherwise the block map is injective there and the decision
-    reduces to subspace_psd_nontrivial on its image.
+    reduces to subspace_psd_nontrivial on its image. atol is the absolute
+    rank cut of the equality rows (see null_space).
     """
     eq = np.atleast_2d(np.asarray(eq_rows, dtype=float)) if np.size(eq_rows) else np.zeros((0, dim))
     if eq.size == 0:
         eq = np.zeros((0, dim))
-    Z = null_space(eq)
+    Z = null_space(eq, atol=atol)
     if Z.shape[1] == 0:
         return None
     if q == 0 or block_rows is None:

@@ -1,9 +1,10 @@
 """Perturbed KKT solving and empirical error-bound experiments.
 
 The solver tracks roots of the normal-map system of a canonically
-perturbed problem; the experiment layer sweeps perturbation schedules,
-fits order exponents, and renders boundedness verdicts for the
-solution-distance ratios.
+perturbed problem from several starts at once, as one stacked iterate;
+the experiment layer sweeps perturbation schedules, fits order
+exponents, and renders boundedness verdicts for the solution-distance
+ratios.
 """
 
 from __future__ import annotations
@@ -20,18 +21,18 @@ from .problem import (
     PerturbationFamily,
     ProblemData,
     eval_G,
-    jacobian_stack,
-    lagrangian_hessian,
-    robinson_normal_map,
+    hessian_array,
+    jacobian_array,
+    normal_map_stack,
     shifted_problem,
 )
 from .sosc import SOSCY_HOLDS, check_soscy
 from .symmat import (
-    SpectralDecomp,
     SymMat,
     as_symmat,
+    default_tol_zero,
     project_psd,
-    spectral_decompose,
+    spectral_stack,
     svec_indices,
     svec_scale,
     sym_mat,
@@ -76,95 +77,149 @@ class ErrorBoundReport:
     p_norms: list
     y_devs: list
     multiple_roots: bool
-    excluded: int
+    excluded_params: list  # schedule values where no start reached a certified root
+    excluded_residuals: list  # the best residual any start reached at each of them
+
+    @property
+    def excluded(self) -> int:
+        return len(self.excluded_params)
 
 
 def _svec_basis_rotation(P: np.ndarray) -> np.ndarray:
-    """Orthogonal change of basis taking svec coordinates to the P frame.
+    """Orthogonal changes of basis taking svec coordinates to the frames P.
 
-    Column k, for the packed pair (i, j), is svec of the symmetrized
-    outer product of columns i and j of P, scaled by sqrt(2) off the
-    diagonal; entry (l, k) for the packed pair (a, b) is therefore
-    s_l s_k (P_ai P_bj + P_bi P_aj) / 2 with the svec weights s.
+    P has shape (k, p, p). Column c of slice q, for the packed pair (i, j),
+    is svec of the symmetrized outer product of columns i and j of P[q],
+    scaled by sqrt(2) off the diagonal; entry (l, c) for the packed pair
+    (a, b) is therefore s_l s_c (P_ai P_bj + P_bi P_aj) / 2 with the svec
+    weights s.
     """
-    rows, cols = svec_indices(P.shape[0])
-    s = svec_scale(P.shape[0])
-    Pa, Pb = P[rows], P[cols]
-    R = Pa[:, rows] * Pb[:, cols] + Pb[:, rows] * Pa[:, cols]
+    rows, cols = svec_indices(P.shape[-1])
+    s = svec_scale(P.shape[-1])
+    r, c = rows[:, None], cols[:, None]
+    R = P[:, r, rows] * P[:, c, cols] + P[:, c, rows] * P[:, r, cols]
     return (0.5 * s)[:, None] * R * s
 
 
-def _projection_jacobian(d: SpectralDecomp) -> np.ndarray:
-    """Clarke element of the PSD-projection derivative in svec coordinates.
+def _projection_jacobian(lam: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Clarke elements of the PSD-projection derivative in svec coordinates.
 
-    Zero eigenvalue pairs take weight one, the element that acts as the
-    identity on the kernel block.
+    lam (k, p) holds descending spectra and P (k, p, p) their frames. A
+    pair (i, j) of a positive and a negative eigenvalue takes the divided
+    difference lam_i / (lam_i - lam_j), a pair of two negative ones zero,
+    and every other pair one, zero eigenvalues included: the element
+    that acts as the identity on the kernel block.
     """
-    rows, cols = svec_indices(d.p)
-    # eigenvalues descend, so the class (alpha 0, beta 1, gamma 2) of the
-    # row index never exceeds that of the column index
-    cls = np.zeros(d.p, dtype=int)
-    cls[d.beta] = 1
-    cls[d.gamma] = 2
-    w = np.where(cls[cols] <= 1, 1.0, np.where(cls[rows] == 0, d.sigma[rows, cols], 0.0))
-    R = _svec_basis_rotation(d.P)
-    return (R * w) @ R.T
+    rows, cols = svec_indices(lam.shape[1])
+    tol = default_tol_zero(lam)[:, None]
+    li, lj = lam[:, rows], lam[:, cols]
+    w = np.where(lj >= -tol, 1.0, 0.0)
+    np.divide(li, li - lj, out=w, where=(li > tol) & (lj < -tol))
+    R = _svec_basis_rotation(P)
+    return (R * w[:, None, :]) @ np.swapaxes(R, 1, 2)
 
 
-def solve_perturbed_kkt(pd: ProblemData, p1, p2, start=None):
-    """Track a KKT root of the canonically perturbed problem.
+def _svec_full(V: np.ndarray, p: int) -> np.ndarray:
+    """Dense symmetric (k, p, p) arrays from rows of svec coordinates."""
+    if not np.isfinite(V).all():
+        raise InputDataError("matrix entries must be finite")
+    rows, cols = svec_indices(p)
+    U = V / svec_scale(p)
+    Z = np.zeros((len(V), p, p))
+    Z[:, rows, cols] = U
+    Z[:, cols, rows] = U
+    return Z
 
-    Runs a semismooth Newton iteration on the normal-map system of the
-    shifted data, with backtracking, and a Levenberg-Marquardt fallback
-    on the same semismooth element once a line search fails or
-    NEWTON_STEPS steps are spent. Iterates are (x, svec z) arrays; every
-    residual evaluation is one robinson_normal_map call, and the Newton
-    element is assembled from one spectral decomposition of z and the
-    (n, p, p) constraint Jacobian stack. The iteration stops at residual
+
+def _residuals(spd: ProblemData, X: np.ndarray, ZV: np.ndarray):
+    """Normal-map residual rows (Psi_1, svec Psi_2) of a stack of iterates,
+    with their norms."""
+    p = spd.p
+    rows, cols = svec_indices(p)
+    psi1, psi2 = normal_map_stack(spd, X, _svec_full(ZV, p))
+    R = np.concatenate([psi1, psi2[:, rows, cols] * svec_scale(p)], axis=1)
+    # one dot product per row, the sum np.linalg.norm takes of one vector
+    return R, np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
+
+
+def _newton_elements(spd: ProblemData, X: np.ndarray, ZV: np.ndarray) -> np.ndarray:
+    """Semismooth Newton elements of the normal map at a stack of iterates.
+
+    One eigensolve of the (k, p, p) stack of z gives the frames, the
+    multipliers Y = z - Pi(z) and the projection elements; the blocks are
+    the Lagrangian Hessians, the svec constraint Jacobians and the
+    projection elements, shape (k, n + m, n + m).
+    """
+    k, n, p = len(X), spd.n, spd.p
+    m = p * (p + 1) // 2
+    rows, cols = svec_indices(p)
+    svs = svec_scale(p)
+    lam, P, Pz = spectral_stack(_svec_full(ZV, p))
+    Y = _svec_full(ZV - Pz[:, rows, cols] * svs, p)
+    Dsv = jacobian_array(spd, X)[:, :, rows, cols] * svs
+    JP = _projection_jacobian(lam, P)
+    J = np.zeros((k, n + m, n + m))
+    J[:, :n, :n] = hessian_array(spd, Y)
+    J[:, :n, n:] = Dsv @ (np.eye(m) - JP)
+    J[:, n:, :n] = np.swapaxes(Dsv, 1, 2)
+    J[:, n:, n:] = -JP
+    return J
+
+
+def _newton_direction(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Newton step of one element, by least squares where it is singular."""
+    try:
+        delta = np.linalg.solve(J, rhs)
+        if np.all(np.isfinite(delta)):
+            return delta
+    except np.linalg.LinAlgError:
+        pass
+    return np.linalg.lstsq(J, rhs, rcond=None)[0]
+
+
+def _newton_directions(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Newton steps of a stack of elements in one batched solve; a batch
+    that meets a singular element falls back to the one-element rule."""
+    try:
+        delta = np.linalg.solve(J, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        return np.array([_newton_direction(Ji, ri) for Ji, ri in zip(J, rhs)])
+    for i in np.flatnonzero(~np.isfinite(delta).all(axis=1)):
+        delta[i] = np.linalg.lstsq(J[i], rhs[i], rcond=None)[0]
+    return delta
+
+
+def solve_perturbed_starts(pd: ProblemData, p1, p2, starts) -> list:
+    """Track KKT roots of the canonically perturbed problem from k starts.
+
+    starts lists (x, z) pairs. The semismooth Newton iteration on the
+    normal-map system of the shifted data runs all starts in lockstep as
+    one (k, n + p(p+1)/2) stack of (x, svec z) iterates: each step builds
+    the Newton elements of the live starts at once and solves them in one
+    batched solve, and each backtracking round evaluates the residuals of
+    the starts still searching in one normal_map_stack call. A mask keeps
+    every start's own control flow: its line search, its stop at residual
     RESIDUAL_TOL * scale, or once it is certifiable (CERT_FACTOR * scale)
-    and a step no longer halves it; the root is then re-certified at the
-    canonical splitting point. A non-finite iterate raises
-    InputDataError. Raises ConvergenceError (carrying the best iterate)
-    on stagnation.
+    and a step no longer halves it, and its handoff to the fallback. A
+    start whose line search fails uncertified, or that spends NEWTON_STEPS
+    steps, goes on alone through a Levenberg-Marquardt fallback on the
+    same kernels at k = 1. Each root is re-certified at the canonical
+    splitting point. Returns, in start order, a PerturbationSample per
+    certified root and a ConvergenceError (carrying the best iterate) per
+    stagnated start; a row's outcome does not depend on the other rows. A
+    non-finite iterate raises InputDataError.
     """
     p1 = np.asarray(p1, dtype=float).reshape(pd.n)
     p2 = as_symmat(p2)
     spd = shifted_problem(pd, p1, p2)
     n, p = pd.n, pd.p
     m = p * (p + 1) // 2
-
-    if start is None:
-        x0 = np.zeros(n)
-        z0 = eval_G(spd, x0)
-    else:
-        x0, z0 = start
-    x = np.asarray(x0, dtype=float).reshape(n).copy()
-    zv = sym_vec(as_symmat(z0))
+    k = len(starts)
+    X = np.array([np.asarray(x0, dtype=float).reshape(n) for x0, _ in starts]).reshape(k, n)
+    ZV = np.array([sym_vec(as_symmat(z0)) for _, z0 in starts]).reshape(k, m)
 
     scale = max(1.0, float(np.linalg.norm(p1)) + p2.norm())
     tol_stop = RESIDUAL_TOL * scale
-
-    def full_residual(xc, zvc):
-        psi1, psi2 = robinson_normal_map(spd, xc, sym_mat(zvc, p))
-        return np.concatenate([psi1, sym_vec(psi2)])
-
-    rows, cols = svec_indices(p)
-    svs = svec_scale(p)
-
-    def jacobian(xc, zvc):
-        d = spectral_decompose(sym_mat(zvc, p))
-        Pz = (d.P * np.maximum(d.lam, 0.0)) @ d.P.T
-        Y = sym_mat(zvc - Pz[rows, cols] * svs, p)
-        Hxx = lagrangian_hessian(spd, xc, Y)
-        Dsv = jacobian_stack(spd, xc)[:, rows, cols] * svs
-        JP = _projection_jacobian(d)
-        J = np.zeros((n + m, n + m))
-        J[:n, :n] = Hxx
-        J[:n, n:] = Dsv @ (np.eye(m) - JP)
-        J[n:, :n] = Dsv.T
-        J[n:, n:] = -JP
-        return J
-
     tol_cert = CERT_FACTOR * scale
 
     def finalize(xc, zvc, count):
@@ -172,96 +227,122 @@ def solve_perturbed_kkt(pd: ProblemData, p1, p2, start=None):
         Y = z - project_psd(z)
         # certify at the canonical splitting point G(x) + Y
         z_canon = eval_G(spd, xc) + Y
-        psi1, psi2 = robinson_normal_map(spd, xc, z_canon)
-        res = math.hypot(float(np.linalg.norm(psi1)), psi2.norm())
+        psi1, psi2 = normal_map_stack(spd, xc[None], z_canon.full()[None])
+        res = math.hypot(float(np.linalg.norm(psi1)), float(np.linalg.norm(psi2)))
+        sample = PerturbationSample(p1, p2, xc, Y, int(count), res)
         if res > tol_cert:
-            raise ConvergenceError(
-                f"root failed certification: residual {res:.3e}",
-                best=PerturbationSample(p1, p2, xc, Y, count, res),
-                residual=res,
+            return ConvergenceError(
+                f"root failed certification: residual {res:.3e}", best=sample, residual=res
             )
-        return PerturbationSample(p1, p2, xc, Y, count, res)
+        return sample
 
     def settled(rn_new, rn_old):
         # a certifiable step that no longer halves the residual has reached
         # the round-off floor; halving still admits the linear convergence
         # of iterates attracted to a critical multiplier
-        return rn_new <= tol_stop or tol_cert >= rn_new > 0.5 * rn_old
+        return (rn_new <= tol_stop) | ((tol_cert >= rn_new) & (rn_new > 0.5 * rn_old))
 
-    r = full_residual(x, zv)
-    rn = float(np.linalg.norm(r))
-    if rn <= tol_stop:
-        return finalize(x, zv, 0)
-
-    iters = 0
-    while iters < NEWTON_STEPS:
-        J = jacobian(x, zv)
-        rhs = -r
-        try:
-            delta = np.linalg.solve(J, rhs)
-            if not np.all(np.isfinite(delta)):
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            delta = np.linalg.lstsq(J, rhs, rcond=None)[0]
-        step = 1.0
-        for _ in range(BACKTRACKS):
-            xn = x + step * delta[:n]
-            zn = zv + step * delta[n:]
-            r_new = full_residual(xn, zn)
-            rn_new = float(np.linalg.norm(r_new))
-            if rn_new <= (1.0 - 1e-4 * step) * rn:
-                break
-            step *= 0.5
-        else:
-            # nothing changed, so a retry would repeat this line search
-            if rn <= tol_cert:
-                return finalize(x, zv, iters)
-            break
-        done = settled(rn_new, rn)
-        x, zv, r, rn = xn, zn, r_new, rn_new
-        iters += 1
-        if done:
-            return finalize(x, zv, iters)
-
-    # Levenberg-Marquardt fallback on the same semismooth Newton element;
-    # accepted steps decrease the residual, so the last iterate is the best
-    lam = 1e-6
-    u = np.concatenate([x, zv])
-    for _ in range(LM_STEPS):
-        J = jacobian(u[:n], u[n:])
-        g = J.T @ r
-        A = J.T @ J
-        while lam <= 1e12:
-            try:
-                delta = np.linalg.solve(A + lam * np.eye(n + m), -g)
-            except np.linalg.LinAlgError:
+    def levenberg_marquardt(i):
+        # fallback on the same semismooth Newton element; accepted steps
+        # decrease the residual, so the last iterate is the best
+        lam = 1e-6
+        u = np.concatenate([X[i], ZV[i]])
+        r, rn, iters = R[i], RN[i], int(steps[i])
+        for _ in range(LM_STEPS):
+            J = _newton_elements(spd, u[None, :n], u[None, n:])[0]
+            g = J.T @ r
+            A = J.T @ J
+            while lam <= 1e12:
+                try:
+                    delta = np.linalg.solve(A + lam * np.eye(n + m), -g)
+                except np.linalg.LinAlgError:
+                    lam *= 10.0
+                    continue
+                un = u + delta
+                r_new, rn_new = (v[0] for v in _residuals(spd, un[None, :n], un[None, n:]))
+                if rn_new < rn:
+                    break
                 lam *= 10.0
-                continue
-            un = u + delta
-            r_new = full_residual(un[:n], un[n:])
-            rn_new = float(np.linalg.norm(r_new))
-            if rn_new < rn:
+            else:
                 break
-            lam *= 10.0
-        else:
-            break
-        done = settled(rn_new, rn)
-        u, r, rn = un, r_new, rn_new
-        lam = max(lam / 10.0, 1e-12)
-        iters += 1
-        if done:
-            break
+            done = settled(rn_new, rn)
+            u, r, rn = un, r_new, rn_new
+            lam = max(lam / 10.0, 1e-12)
+            iters += 1
+            if done:
+                break
+        xf, zvf = u[:n], u[n:]
+        if rn <= tol_cert:
+            return finalize(xf, zvf, iters)
+        z = sym_mat(zvf, p)
+        Y = z - project_psd(z)
+        return ConvergenceError(
+            f"Newton stagnated at residual {rn:.3e} after {iters} steps",
+            best=PerturbationSample(p1, p2, xf, Y, iters, float(rn)),
+            residual=float(rn),
+        )
 
-    xf, zvf = u[:n], u[n:]
-    if rn <= tol_cert:
-        return finalize(xf, zvf, iters)
-    z = sym_mat(zvf, p)
-    Y = z - project_psd(z)
-    raise ConvergenceError(
-        f"Newton stagnated at residual {rn:.3e} after {iters} steps",
-        best=PerturbationSample(p1, p2, xf, Y, iters, rn),
-        residual=rn,
-    )
+    out = [None] * k
+    steps = np.zeros(k, dtype=int)
+    R, RN = _residuals(spd, X, ZV)
+    live = RN > tol_stop
+    for i in np.flatnonzero(~live):
+        out[i] = finalize(X[i].copy(), ZV[i].copy(), 0)
+    fallback = []
+    while live.any():
+        a = np.flatnonzero(live)
+        delta = _newton_directions(_newton_elements(spd, X[a], ZV[a]), -R[a])
+        step = np.ones(a.size)
+        Xt, Zt, Rt, RNt = X[a], ZV[a], R[a], RN[a]
+        searching = np.ones(a.size, dtype=bool)
+        for _ in range(BACKTRACKS):
+            b = np.flatnonzero(searching)
+            Xt[b] = X[a[b]] + step[b, None] * delta[b, :n]
+            Zt[b] = ZV[a[b]] + step[b, None] * delta[b, n:]
+            Rt[b], RNt[b] = _residuals(spd, Xt[b], Zt[b])
+            ok = RNt[b] <= (1.0 - 1e-4 * step[b]) * RN[a[b]]
+            searching[b[ok]] = False
+            step[b[~ok]] *= 0.5
+            if not searching.any():
+                break
+        for i in a[searching]:
+            # nothing changed, so a retry would repeat this line search
+            live[i] = False
+            if RN[i] <= tol_cert:
+                out[i] = finalize(X[i].copy(), ZV[i].copy(), steps[i])
+            else:
+                fallback.append(i)
+        acc = ~searching
+        moved = a[acc]
+        done = settled(RNt[acc], RN[moved])
+        X[moved], ZV[moved], R[moved], RN[moved] = Xt[acc], Zt[acc], Rt[acc], RNt[acc]
+        steps[moved] += 1
+        for i in moved[done]:
+            live[i] = False
+            out[i] = finalize(X[i].copy(), ZV[i].copy(), steps[i])
+        for i in moved[~done & (steps[moved] >= NEWTON_STEPS)]:
+            live[i] = False
+            fallback.append(i)
+    for i in fallback:
+        out[i] = levenberg_marquardt(i)
+    return out
+
+
+def solve_perturbed_kkt(pd: ProblemData, p1, p2, start=None):
+    """Track a KKT root of the canonically perturbed problem from one start.
+
+    The k = 1 case of solve_perturbed_starts; start is an (x, z) pair and
+    defaults to x = 0, z = G(0) of the shifted data. Returns the certified
+    PerturbationSample, raises its ConvergenceError (carrying the best
+    iterate) on stagnation, and InputDataError on a non-finite iterate.
+    """
+    if start is None:
+        x0 = np.zeros(pd.n)
+        start = (x0, eval_G(shifted_problem(pd, p1, p2), x0))
+    (out,) = solve_perturbed_starts(pd, p1, p2, [start])
+    if isinstance(out, ConvergenceError):
+        raise out
+    return out
 
 
 def fit_order_exponent(pairs):
@@ -316,9 +397,12 @@ def error_bound_experiment(family: PerturbationFamily, schedule, options=None):
     """Sweep a perturbation schedule and collect distance ratios.
 
     Solves are warm-started by continuation along the schedule; at each
-    parameter JITTER_STARTS jittered starts probe for additional roots
-    and the root closest to the reference point is kept. options holds
-    only the jitter "seed"; an unknown key raises InputDataError.
+    parameter the continuation start and JITTER_STARTS jittered starts
+    (each drawn as its multiplier noise, then its x noise) are solved in
+    lockstep by one solve_perturbed_starts call, and the certified root
+    closest to the reference point is kept. A parameter where no start
+    certifies is dropped and named in excluded_params. options holds only
+    the jitter "seed"; an unknown key raises InputDataError.
     """
     opts = merged_options(DEFAULT_EXPERIMENT_OPTIONS, options)
     rng = np.random.default_rng(opts["seed"])
@@ -333,7 +417,8 @@ def error_bound_experiment(family: PerturbationFamily, schedule, options=None):
 
     samples = []
     kept_params = []
-    excluded = 0
+    excluded_params = []
+    excluded_residuals = []
     multiple_roots = False
 
     for s in schedule:
@@ -342,16 +427,7 @@ def error_bound_experiment(family: PerturbationFamily, schedule, options=None):
         p2 = as_symmat(p2)
         pnorm = float(np.linalg.norm(p1)) + p2.norm()
         spd = shifted_problem(pd, p1, p2)
-        roots = []
-
-        def attempt(x0, Y0):
-            z0 = eval_G(spd, x0) + Y0
-            try:
-                roots.append(solve_perturbed_kkt(pd, p1, p2, (x0, z0)))
-            except ConvergenceError:
-                pass
-
-        attempt(prev_x, prev_Y)
+        starts = [(prev_x, prev_Y)]
         delta = 0.5 * max(
             float(np.max(np.abs(prev_x - xbar))) if n else 0.0,
             math.sqrt(pnorm),
@@ -359,12 +435,16 @@ def error_bound_experiment(family: PerturbationFamily, schedule, options=None):
         )
         for _ in range(JITTER_STARTS):
             M = rng.standard_normal((p, p))
-            attempt(
-                prev_x + delta * rng.standard_normal(n),
-                prev_Y + delta * SymMat(0.5 * (M + M.T)),
+            starts.append(
+                (prev_x + delta * rng.standard_normal(n), prev_Y + delta * SymMat(0.5 * (M + M.T)))
             )
+        outcomes = solve_perturbed_starts(
+            pd, p1, p2, [(x0, eval_G(spd, x0) + Y0) for x0, Y0 in starts]
+        )
+        roots = [o for o in outcomes if isinstance(o, PerturbationSample)]
         if not roots:
-            excluded += 1
+            excluded_params.append(float(s))
+            excluded_residuals.append(min(o.residual for o in outcomes))
             continue
         distinct = []
         for smp in roots:
@@ -422,7 +502,8 @@ def error_bound_experiment(family: PerturbationFamily, schedule, options=None):
         p_norms=p_norms,
         y_devs=y_devs,
         multiple_roots=multiple_roots,
-        excluded=excluded,
+        excluded_params=excluded_params,
+        excluded_residuals=excluded_residuals,
     )
 
 

@@ -3,7 +3,9 @@
 A problem is min f(x) subject to G(x) PSD, with quadratic f and a
 degree-2 matrix polynomial G(x) = A0 + sum_i x_i A_i + 1/2 sum_ij x_i x_j B_ij.
 This module evaluates values and derivatives, KKT and normal-map
-residuals, multiplier-set distances, and loads problems from JSON files.
+residuals (the normal map also at a stack of points, and G, its
+Jacobians and the Lagrangian Hessian on stacked arrays), multiplier-set
+distances, and loads problems from JSON files.
 It also registers the two builtin perturbation families.
 """
 
@@ -24,6 +26,7 @@ from .symmat import (
     eigh,
     project_psd,
     spectral_decompose,
+    spectral_stack,
     svec_indices,
     sym_vec,
 )
@@ -102,10 +105,13 @@ def eval_grad_f(pd: ProblemData, x) -> np.ndarray:
 
 
 def _G_array(pd: ProblemData, x: np.ndarray) -> np.ndarray:
+    """G at x of shape (n,), or at each row of a stack (k, n), as (..., p, p)."""
     n, p = pd.n, pd.p
-    lin = x @ pd.G_lin_stack.reshape(n, p * p)
-    quad = np.outer(x, x).ravel() @ pd.G_quad_stack.reshape(n * n, p * p)
-    return pd.G_const.full() + (lin + 0.5 * quad).reshape(p, p)
+    lead = x.shape[:-1]
+    lin = x[..., None, :] @ pd.G_lin_stack.reshape(n, p * p)
+    outer = (x[..., :, None] * x[..., None, :]).reshape(*lead, 1, n * n)
+    quad = outer @ pd.G_quad_stack.reshape(n * n, p * p)
+    return pd.G_const.full() + (lin + 0.5 * quad).reshape(*lead, p, p)
 
 
 def _checked_x(pd: ProblemData, x) -> np.ndarray:
@@ -119,14 +125,16 @@ def eval_G(pd: ProblemData, x) -> SymMat:
     return SymMat(_G_array(pd, _checked_x(pd, x)))
 
 
-def _jacobian_array(pd: ProblemData, x: np.ndarray) -> np.ndarray:
+def jacobian_array(pd: ProblemData, x: np.ndarray) -> np.ndarray:
+    """D_i at x of shape (n,), or at each row of a stack (k, n), as (..., n, p, p)."""
     n, p = pd.n, pd.p
-    return pd.G_lin_stack + (x @ pd.G_quad_stack.reshape(n, n, p * p)).reshape(n, p, p)
+    D = x[..., None, None, :] @ pd.G_quad_stack.reshape(n, n, p * p)
+    return pd.G_lin_stack + D.reshape(*x.shape[:-1], n, p, p)
 
 
 def jacobian_stack(pd: ProblemData, x) -> np.ndarray:
     """Partial derivative matrices D_i(x) = A_i + sum_j x_j B_ij as an (n, p, p) array."""
-    return _jacobian_array(pd, _checked_x(pd, x))
+    return jacobian_array(pd, _checked_x(pd, x))
 
 
 def eval_G_jacobian(pd: ProblemData, x) -> list:
@@ -147,12 +155,19 @@ def adjoint_jacobian_apply(pd: ProblemData, x, Y) -> np.ndarray:
     return jacobian_stack(pd, x).reshape(n, p * p) @ as_symmat(Y).full().ravel()
 
 
+def hessian_array(pd: ProblemData, Y: np.ndarray) -> np.ndarray:
+    """Lagrangian Hessian f_quad + [<Y, B_ij>] for a dense symmetric Y of
+    shape (p, p), or for each slice of a stack (k, p, p), as (..., n, n)."""
+    n, p = pd.n, pd.p
+    lead = Y.shape[:-2]
+    inner = pd.G_quad_stack.reshape(n * n, p * p) @ Y.reshape(*lead, p * p, 1)
+    H = pd.f_quad + inner.reshape(*lead, n, n)
+    return 0.5 * (H + np.swapaxes(H, -1, -2))
+
+
 def lagrangian_hessian(pd: ProblemData, x, Y) -> np.ndarray:
     """Hessian of the Lagrangian: f_quad + [<Y, B_ij>]."""
-    n, p = pd.n, pd.p
-    inner = pd.G_quad_stack.reshape(n * n, p * p) @ as_symmat(Y).full().ravel()
-    H = pd.f_quad + inner.reshape(n, n)
-    return 0.5 * (H + H.T)
+    return hessian_array(pd, as_symmat(Y).full())
 
 
 def kkt_residual(pd: ProblemData, x, Y) -> tuple[float, float]:
@@ -168,23 +183,37 @@ def kkt_residual(pd: ProblemData, x, Y) -> tuple[float, float]:
     return r1, r2
 
 
-def robinson_normal_map(pd: ProblemData, x, z) -> tuple[np.ndarray, SymMat]:
-    """Normal-map value (Psi_1, Psi_2) at (x, z).
+def normal_map_stack(pd: ProblemData, x, z) -> tuple[np.ndarray, np.ndarray]:
+    """Normal-map values (Psi_1, Psi_2) at a stack of k points (x, z).
 
     Psi_1 = grad f(x) + G'(x)* (z - Pi(z)) and Psi_2 = G(x) - Pi(z), with
-    Pi the PSD projection; computed on dense arrays from one eigensolve.
+    Pi the PSD projection. x has shape (k, n) and z shape (k, p, p) with
+    symmetric slices; returns Psi_1 as (k, n) and Psi_2 as (k, p, p),
+    whose lower triangles mirror the upper ones. One LAPACK call covers
+    the stack and every product is a batched matmul whose slices are the
+    products of one point, so each row is the value that point gets alone.
     """
-    x = _checked_x(pd, x)
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != pd.n:
+        raise InputDataError(f"x stack has shape {x.shape}, expected (k, {pd.n})")
     if not np.isfinite(x).all():
         raise InputDataError("x entries must be finite")
-    n, p = pd.n, pd.p
-    Z = as_symmat(z).full()
-    lam, P = eigh(Z)
-    Pz = (P * np.maximum(lam, 0.0)) @ P.T
-    D = _jacobian_array(pd, x).reshape(n, p * p)
-    psi1 = eval_grad_f(pd, x) + D @ (Z - Pz).ravel()
+    k, n, p = x.shape[0], pd.n, pd.p
+    _, _, Pz = spectral_stack(z)
+    D = jacobian_array(pd, x).reshape(k, n, p * p)
+    grad = pd.f_lin + (pd.f_quad @ x[:, :, None])[:, :, 0]
+    psi1 = grad + (D @ (z - Pz).reshape(k, p * p, 1))[:, :, 0]
     psi2 = _G_array(pd, x) - Pz
-    return psi1, SymMat._from_packed(p, psi2[svec_indices(p)])
+    rows, cols = svec_indices(p)
+    psi2[:, cols, rows] = psi2[:, rows, cols]
+    return psi1, psi2
+
+
+def robinson_normal_map(pd: ProblemData, x, z) -> tuple[np.ndarray, SymMat]:
+    """Normal-map value (Psi_1, Psi_2) at (x, z): normal_map_stack at k = 1."""
+    x = _checked_x(pd, x)
+    psi1, psi2 = normal_map_stack(pd, x[None], as_symmat(z).full()[None])
+    return psi1[0], SymMat._from_packed(pd.p, psi2[0][svec_indices(pd.p)])
 
 
 def multiplier_set_residual(pd: ProblemData, xbar, Y) -> tuple[float, float]:

@@ -5,9 +5,10 @@ module uses (LAPACK through numpy, with deterministic eigenvector signs),
 spectral decomposition with a sign partition of the spectrum, the common
 eigenframe of a commuting family, the det form of a linear map into S^2
 and the span of its PSD preimage, projection onto the PSD cone, the
-stacked kernels (eigenvalue range and PSD part of a stack of arrays),
-the divided-difference Sigma matrix, the directional derivative of the
-PSD projection, and the spectral pseudoinverse.
+stacked kernels (eigenvalue range, PSD part and descending spectral split
+of a stack of arrays), the divided-difference Sigma matrix, the
+directional derivative of the PSD projection, and the spectral
+pseudoinverse.
 """
 
 from __future__ import annotations
@@ -223,6 +224,21 @@ def psd_part(A: np.ndarray) -> np.ndarray:
     return (V * np.maximum(lam, 0.0)[..., None, :]) @ np.swapaxes(V, -1, -2)
 
 
+def spectral_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Descending eigenvalues, eigenvectors and PSD part of each array of a stack.
+
+    A has shape (k, p, p) with symmetric slices; one LAPACK call covers
+    the stack. Eigenvalues and vectors come in the descending order of
+    eigh but without its sign normalisation, which neither the PSD part
+    (P * max(lam, 0)) @ P^T nor any frame product that pairs each column
+    with itself depends on. Each slice's product runs in the same order,
+    on the same contiguous layout, as it does for eigh's output.
+    """
+    lam, V = np.linalg.eigh(A)
+    lam, P = lam[:, ::-1], np.ascontiguousarray(V[:, :, ::-1])
+    return lam, P, (P * np.maximum(lam, 0.0)[:, None, :]) @ np.swapaxes(P, 1, 2)
+
+
 def jacobi_eigh(M) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvector columns."""
     return eigh(as_symmat(M).full())
@@ -296,10 +312,13 @@ def psd_preimage_span(a, f, b):
     return span, anchor
 
 
-def default_tol_zero(lam: np.ndarray) -> float:
-    """Relative zero-eigenvalue threshold: 1e-8 * max(1, spectral radius)."""
-    scale = float(np.max(np.abs(lam))) if lam.size else 0.0
-    return 1e-8 * max(1.0, scale)
+def default_tol_zero(lam: np.ndarray):
+    """Relative zero-eigenvalue threshold: 1e-8 * max(1, spectral radius).
+
+    lam holds one spectrum, or a stack of them along the last axis, which
+    gives one threshold per spectrum.
+    """
+    return 1e-8 * np.maximum(1.0, np.abs(lam).max(axis=-1, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -361,9 +380,7 @@ def spectral_decompose(M, tol_zero: float | None = None) -> SpectralDecomp:
 
 def project_psd(M) -> SymMat:
     """Metric projection onto the PSD cone (eigenvalue clamping)."""
-    M = as_symmat(M)
-    lam, P = jacobi_eigh(M)
-    return SymMat((P * np.maximum(lam, 0.0)) @ P.T)
+    return SymMat(spectral_stack(as_symmat(M).full()[None])[2][0])
 
 
 def moreau_split(M, tol_zero: float | None = None):

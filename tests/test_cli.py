@@ -170,6 +170,28 @@ def test_perturb_user_problem_with_csv(problem_files, tmp_path):
     assert len(rows) == 6
 
 
+def test_perturb_names_dropped_points(problem_files):
+    # at this seed no start certifies a root at t = 1e-2; the sweep still
+    # exits 0 with the JSON it always printed, and stderr names the point
+    ppath, xpath = problem_files
+    argv = [
+        "perturb", "--problem", ppath, "--point", xpath, "--p1", "[0.1, 0.0]",
+        "--p2", "[[0.0, 0.0], [0.0, 0.0]]", "--geo", "1e-2:1e-4:5", "--format", "json",
+    ]
+    code, out, err = run(argv + ["--seed", "1742692732"])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["excluded"] == 1 and len(doc["samples"]) == 4
+    assert "excluded_params" not in doc
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("warning: dropped parameter 0.01: no start reached a certified root")
+    assert lines[0].endswith("(best residual 8.554e-08)")
+    # a sweep that keeps every point prints nothing there
+    code, _, err = run(argv + ["--seed", "42"])
+    assert code == 0 and err == ""
+
+
 def test_flag_validation():
     assert run(["criticality", "--family", "example2", "--seed", "7", "--samples", "16"])[0] == 0
     assert run(["analyze", "--family", "example3", "--samples", "0"])[0] == 2

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import sample_diag_problem
+from conftest import context, sample_diag_problem
 from kkt_spectra.criticality import (
     CRITICAL,
     NONCRITICAL,
@@ -27,6 +27,7 @@ from kkt_spectra.criticality import (
 from kkt_spectra.errors import InputDataError
 from kkt_spectra.lpkernel import nontrivial_xi_solution, null_space
 from kkt_spectra.problem import kkt_point, make_problem
+from kkt_spectra.sosc import check_soscy
 from kkt_spectra.symmat import SymMat, sym_mat
 
 
@@ -475,6 +476,46 @@ def test_classification_scale_invariance():
         v_a = classify_multiplier(build_system(pd, kkt_point(pd, xbar, Y)))
         v_b = classify_multiplier(build_system(pd_s, kkt_point(pd_s, xbar, c * Y)))
         assert v_a.tag == v_b.tag, (trial, v_a.tag, v_b.tag)
+
+
+def test_rotation_keeps_cone_sosc_and_tag():
+    # a zero critical-cone row of a diagonal pair turns into rotation
+    # round-off in a random orthogonal frame; read as rank, it would
+    # collapse the cone to {0} and make the second-order condition hold
+    # trivially. Both frames must agree.
+    rng = np.random.default_rng(0)
+
+    def rot(M, Q):
+        return SymMat(Q @ M.full() @ Q.T)
+
+    collapsible = 0
+    for trial in range(100):
+        n = int(rng.integers(1, 3))
+        p = int(rng.integers(2, 6))
+        pd, xbar, Y, _ = sample_diag_problem(rng, n, p)
+        Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+        pd_r = make_problem(
+            pd.f_lin,
+            pd.f_quad,
+            rot(pd.G_const, Q),
+            [rot(A, Q) for A in pd.G_lin],
+            [[rot(B, Q) for B in row] for row in pd.G_quad],
+        )
+        answers = []
+        for sysm in (context(pd, xbar, Y), context(pd_r, xbar, rot(Y, Q))):
+            answers.append(
+                (
+                    sysm.cone_null.shape[1],
+                    check_soscy(sysm).verdict,
+                    classify_multiplier(sysm).tag,
+                    xpart_condition(sysm)["holds"],
+                )
+            )
+        assert answers[0] == answers[1], (trial, answers)
+        base = context(pd, xbar, Y)
+        collapsible += bool(base.cone_rows.size) and not np.any(base.cone_rows)
+    # the draws do exercise the zero-row case
+    assert collapsible >= 3
 
 
 def test_noncritical_claims_survive_sampling():

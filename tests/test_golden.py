@@ -5,7 +5,8 @@ tests/golden/<command>_<family>.json holds the output of
 `kkt-spectra <command> --family <family> --format json`.
 tests/golden/pair_<name>.json holds a problem and point in the CLI file
 format, with the qualification, classifier and x-part results expected
-at that pair.
+at that pair, and for some pairs the critical-cone dimension and the
+SOSC verdict.
 """
 
 import contextlib
@@ -19,6 +20,7 @@ import pytest
 from kkt_spectra.cli import main
 from kkt_spectra.criticality import build_system, check_rcq, check_srcq, classify_multiplier, xpart_condition
 from kkt_spectra.problem import kkt_point, problem_from_dict
+from kkt_spectra.sosc import check_soscy
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -34,10 +36,11 @@ def test_default_json_matches_golden(command, family):
         assert out.getvalue() == fh.read()
 
 
-@pytest.mark.parametrize("name", ["ref_rotated", "ref_coupled", "critical_rotated"])
+@pytest.mark.parametrize("name", ["ref_rotated", "ref_coupled", "critical_rotated", "rotated_cone"])
 def test_classified_pair_matches_golden(name):
-    # a commuting rotated beta block (Noncritical and Critical) and a
-    # non-commuting 2x2 one: verdicts and x-part exact, witness to 1e-9
+    # a commuting rotated beta block (Noncritical and Critical), a
+    # non-commuting 2x2 one, and a zero critical-cone row seen in a rotated
+    # frame: verdicts and x-part exact, witness to 1e-9
     with open(os.path.join(GOLDEN, f"pair_{name}.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
     exp = doc["expected"]
@@ -50,6 +53,9 @@ def test_classified_pair_matches_golden(name):
     assert (v.tag, v.certificate) == (exp["tag"], exp["certificate"])
     assert xp["holds"] == exp["xpart_holds"]
     assert (None if xp["witness"] is None else xp["witness"].tolist()) == exp["xpart_witness"]
+    if "cone_dim" in exp:
+        assert sysm.cone_null.shape[1] == exp["cone_dim"]
+        assert check_soscy(sysm).verdict == exp["soscy"]
     if exp["witness"] is None:
         assert v.witness is None
     else:

@@ -12,6 +12,7 @@ from kkt_spectra.criticality import classify_multiplier
 from kkt_spectra.errors import ConvergenceError, InputDataError
 from kkt_spectra.perturb import (
     CERT_FACTOR,
+    JITTER_STARTS,
     NEWTON_STEPS,
     error_bound_experiment,
     fit_order_exponent,
@@ -19,9 +20,16 @@ from kkt_spectra.perturb import (
     report_to_csv,
     report_to_dict,
     solve_perturbed_kkt,
+    solve_perturbed_starts,
     xpart_bound_check,
 )
-from kkt_spectra.problem import eval_G, kkt_residual, robinson_normal_map, shifted_problem
+from kkt_spectra.problem import (
+    PerturbationFamily,
+    eval_G,
+    kkt_residual,
+    normal_map_stack,
+    shifted_problem,
+)
 from kkt_spectra.sosc import check_soscy, theorem3_conditions
 from kkt_spectra.symmat import SymMat
 
@@ -254,29 +262,84 @@ def test_solver_stops_at_certified_floor(dx, Y0, fam3):
     ids=["example2", "example3"],
 )
 def test_reference_sweep_evaluation_budget(name, schedule, budget, fam2, fam3, monkeypatch):
+    # a residual evaluation is one row through the stacked normal-map
+    # kernel: one per start, per trial point and per certification
     fam = fam2 if name == "example2" else fam3
-    calls = []
+    rows = []
     steps = []
 
-    def counted(*args):
-        calls.append(None)
-        return robinson_normal_map(*args)
+    def counted(spd, x, z):
+        rows.append(len(x))
+        return normal_map_stack(spd, x, z)
 
     def recorded(*args):
-        try:
-            smp = solve_perturbed_kkt(*args)
-        except ConvergenceError as exc:
-            steps.append(exc.best.newton_iters)
-            raise
-        steps.append(smp.newton_iters)
-        return smp
+        outcomes = solve_perturbed_starts(*args)
+        for out in outcomes:
+            steps.append(out.best.newton_iters if isinstance(out, ConvergenceError) else out.newton_iters)
+        return outcomes
 
-    monkeypatch.setattr(perturb, "robinson_normal_map", counted)
-    monkeypatch.setattr(perturb, "solve_perturbed_kkt", recorded)
+    monkeypatch.setattr(perturb, "normal_map_stack", counted)
+    monkeypatch.setattr(perturb, "solve_perturbed_starts", recorded)
     rep = error_bound_experiment(fam, np.geomspace(*schedule), {"seed": 42})
     assert len(rep.samples) == schedule[2]
-    assert len(calls) <= budget
+    assert sum(rows) <= budget
     assert steps and max(steps) < NEWTON_STEPS
+
+
+def user_family(fam3):
+    """The example3 problem under the stationarity shift p1 = 0.1 t e1."""
+    e1 = np.array([0.1, 0.0])
+    return PerturbationFamily(
+        "user", fam3.problem, fam3.xbar, fam3.ybar, lambda t: (t * e1, SymMat.zeros(2))
+    )
+
+
+def sweep_starts(fam, s, seed, monkeypatch):
+    """The (pd, p1, p2, starts) a one-point sweep at s hands to the solver:
+    the reference pair, then JITTER_STARTS jittered starts."""
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return solve_perturbed_starts(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(perturb, "solve_perturbed_starts", recorded)
+        error_bound_experiment(fam, [s], {"seed": seed})
+    assert len(calls) == 1 and len(calls[0][3]) == 1 + JITTER_STARTS
+    return calls[0]
+
+
+@pytest.mark.parametrize(
+    "name, s, seed",
+    [("example2", 1e-2, 42), ("example3", 1e-3, 42), ("user", 1e-2, 42), ("user", 1e-2, 1742692732)],
+    ids=["example2", "example3", "user-lm", "user-all-fail"],
+)
+def test_lockstep_starts_match_single_solves(name, s, seed, fam2, fam3, monkeypatch):
+    # one k-start call gives, start by start and bit for bit, what k
+    # separate single-start calls give
+    fam = {"example2": fam2, "example3": fam3, "user": user_family(fam3)}[name]
+    pd, p1, p2, starts = sweep_starts(fam, s, seed, monkeypatch)
+    together = solve_perturbed_starts(pd, p1, p2, starts)
+    assert len(together) == len(starts)
+    for start, joint in zip(starts, together):
+        try:
+            alone = solve_perturbed_kkt(pd, p1, p2, start)
+        except ConvergenceError as exc:
+            alone = exc
+        assert type(joint) is type(alone)
+        if isinstance(alone, ConvergenceError):
+            assert (str(joint), joint.residual) == (str(alone), alone.residual)
+            joint, alone = joint.best, alone.best
+        assert joint.x.tobytes() == alone.x.tobytes()
+        assert joint.Y.full().tobytes() == alone.Y.full().tobytes()
+        assert (joint.newton_iters, joint.residual) == (alone.newton_iters, alone.residual)
+    iters = [o.best.newton_iters if isinstance(o, ConvergenceError) else o.newton_iters for o in together]
+    if name == "user":
+        # some start spends every Newton step and goes on through the fallback
+        assert max(iters) > NEWTON_STEPS
+    if seed == 1742692732:
+        assert all(isinstance(o, ConvergenceError) for o in together)
 
 
 def test_unknown_option_keys_rejected(fam3):

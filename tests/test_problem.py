@@ -128,19 +128,24 @@ def test_shifted_problem_shares_stacks(fam3):
 
 
 def test_svec_basis_rotation_matches_loop_definition():
+    # each slice of a stack of frames (here P and its transpose) is the
+    # change of basis of that frame alone
     rng = np.random.default_rng(5)
     root2 = math.sqrt(2.0)
     for p in range(1, 6):
         P = np.linalg.qr(rng.standard_normal((p, p)))[0]
-        cols = []
-        for i in range(p):
-            for j in range(i, p):
-                B = np.outer(P[:, i], P[:, j])
-                M = 0.5 * (B + B.T) * (root2 if i != j else 1.0)
-                cols.append(sym_vec(SymMat(M)))
-        R = _svec_basis_rotation(P)
-        assert np.allclose(R, np.stack(cols, axis=1), rtol=0.0, atol=1e-15)
-        assert np.allclose(R.T @ R, np.eye(p * (p + 1) // 2), rtol=0.0, atol=1e-12)
+        frames = np.stack([P, P.T])
+        stacked = _svec_basis_rotation(frames)
+        assert stacked.shape == (2, p * (p + 1) // 2, p * (p + 1) // 2)
+        for F, R in zip(frames, stacked):
+            cols = []
+            for i in range(p):
+                for j in range(i, p):
+                    B = np.outer(F[:, i], F[:, j])
+                    M = 0.5 * (B + B.T) * (root2 if i != j else 1.0)
+                    cols.append(sym_vec(SymMat(M)))
+            assert np.allclose(R, np.stack(cols, axis=1), rtol=0.0, atol=1e-15)
+            assert np.allclose(R.T @ R, np.eye(p * (p + 1) // 2), rtol=0.0, atol=1e-12)
 
 
 def test_example2_reference_pair(fam2):
