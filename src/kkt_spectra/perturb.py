@@ -20,10 +20,11 @@ from .errors import ConvergenceError, InputDataError, merged_options
 from .problem import (
     PerturbationFamily,
     ProblemData,
+    _G_array,
     eval_G,
     hessian_array,
     jacobian_array,
-    normal_map_stack,
+    normal_map_spectral,
     shifted_problem,
 )
 from .sosc import SOSCY_HOLDS, check_soscy
@@ -32,10 +33,8 @@ from .symmat import (
     as_symmat,
     default_tol_zero,
     project_psd,
-    spectral_stack,
     svec_indices,
     svec_scale,
-    sym_mat,
     sym_vec,
 )
 
@@ -123,38 +122,65 @@ def _svec_full(V: np.ndarray, p: int) -> np.ndarray:
     """Dense symmetric (k, p, p) arrays from rows of svec coordinates."""
     if not np.isfinite(V).all():
         raise InputDataError("matrix entries must be finite")
+    return _packed_full(V / svec_scale(p), p)
+
+
+def _packed_full(U: np.ndarray, p: int) -> np.ndarray:
+    """Dense symmetric (k, p, p) arrays from rows of packed upper triangles."""
     rows, cols = svec_indices(p)
-    U = V / svec_scale(p)
-    Z = np.zeros((len(V), p, p))
+    Z = np.zeros((len(U), p, p))
     Z[:, rows, cols] = U
     Z[:, cols, rows] = U
     return Z
 
 
+def _packed_sym(A: np.ndarray) -> np.ndarray:
+    """Packed upper triangles of the symmetric parts 0.5 (A + A^T) of a
+    (k, p, p) stack, the entries SymMat keeps of each slice."""
+    rows, cols = svec_indices(A.shape[-1])
+    return (0.5 * (A + np.swapaxes(A, 1, 2)))[:, rows, cols]
+
+
+def _multipliers(ZV: np.ndarray, Pz: np.ndarray, p: int) -> np.ndarray:
+    """Packed multipliers Y = z - Pi(z) of rows of svec z, given Pi(z)."""
+    return ZV / svec_scale(p) - _packed_sym(Pz)
+
+
+def _perturbation(pd: ProblemData, p1, p2):
+    """The canonical perturbation as (p1 array, p2 SymMat); InputDataError
+    unless every entry is finite."""
+    p1 = np.asarray(p1, dtype=float).reshape(pd.n)
+    p2 = as_symmat(p2)
+    if not (np.isfinite(p1).all() and math.isfinite(p2.max_abs())):
+        raise InputDataError("perturbation entries must be finite")
+    return p1, p2
+
+
 def _residuals(spd: ProblemData, X: np.ndarray, ZV: np.ndarray):
     """Normal-map residual rows (Psi_1, svec Psi_2) of a stack of iterates,
-    with their norms."""
+    their norms, and the spectral split (lam, P, Pi(z)) of each z."""
     p = spd.p
     rows, cols = svec_indices(p)
-    psi1, psi2 = normal_map_stack(spd, X, _svec_full(ZV, p))
+    psi1, psi2, split = normal_map_spectral(spd, X, _svec_full(ZV, p))
     R = np.concatenate([psi1, psi2[:, rows, cols] * svec_scale(p)], axis=1)
     # one dot product per row, the sum np.linalg.norm takes of one vector
-    return R, np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
+    return R, np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0]), split
 
 
-def _newton_elements(spd: ProblemData, X: np.ndarray, ZV: np.ndarray) -> np.ndarray:
+def _newton_elements(spd: ProblemData, X: np.ndarray, ZV: np.ndarray, split) -> np.ndarray:
     """Semismooth Newton elements of the normal map at a stack of iterates.
 
-    One eigensolve of the (k, p, p) stack of z gives the frames, the
-    multipliers Y = z - Pi(z) and the projection elements; the blocks are
-    the Lagrangian Hessians, the svec constraint Jacobians and the
-    projection elements, shape (k, n + m, n + m).
+    split is the spectral split (lam, P, Pi(z)) of the (k, p, p) stack of
+    z that the residual evaluation of the same iterates returned; it gives
+    the frames, the multipliers Y = z - Pi(z) and the projection elements.
+    The blocks are the Lagrangian Hessians, the svec constraint Jacobians
+    and the projection elements, shape (k, n + m, n + m).
     """
     k, n, p = len(X), spd.n, spd.p
     m = p * (p + 1) // 2
     rows, cols = svec_indices(p)
     svs = svec_scale(p)
-    lam, P, Pz = spectral_stack(_svec_full(ZV, p))
+    lam, P, Pz = split
     Y = _svec_full(ZV - Pz[:, rows, cols] * svs, p)
     Dsv = jacobian_array(spd, X)[:, :, rows, cols] * svs
     JP = _projection_jacobian(lam, P)
@@ -166,27 +192,49 @@ def _newton_elements(spd: ProblemData, X: np.ndarray, ZV: np.ndarray) -> np.ndar
     return J
 
 
-def _newton_direction(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Newton step of one element, by least squares where it is singular."""
-    try:
-        delta = np.linalg.solve(J, rhs)
-        if np.all(np.isfinite(delta)):
-            return delta
-    except np.linalg.LinAlgError:
-        pass
-    return np.linalg.lstsq(J, rhs, rcond=None)[0]
-
-
 def _newton_directions(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Newton steps of a stack of elements in one batched solve; a batch
-    that meets a singular element falls back to the one-element rule."""
+    """Newton steps of a stack of elements in one batched solve.
+
+    Where that solve raises, one stacked slogdet finds the elements whose
+    LU meets a zero pivot (sign 0, the test the solve applies) and the
+    others are solved in one batched call. A singular element, or one
+    whose step is not finite, takes the least-squares step instead.
+    """
     try:
         delta = np.linalg.solve(J, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        return np.array([_newton_direction(Ji, ri) for Ji, ri in zip(J, rhs)])
+        regular = np.linalg.slogdet(J)[0] != 0
+        delta = np.full(rhs.shape, np.nan)
+        if regular.any():
+            delta[regular] = np.linalg.solve(J[regular], rhs[regular, :, None])[:, :, 0]
     for i in np.flatnonzero(~np.isfinite(delta).all(axis=1)):
         delta[i] = np.linalg.lstsq(J[i], rhs[i], rcond=None)[0]
     return delta
+
+
+def _certify(spd: ProblemData, p1, p2, X, ZV, Pz, steps, tol_cert) -> list:
+    """Certify a stack of roots at their canonical splitting points.
+
+    Row i has the iterate (X[i], svec z ZV[i]), Pi(z) in Pz[i] and its
+    step count. Its multiplier is Y = z - Pi(z) and its residual the
+    normal-map norm at (x, G(x) + Y), all rows in one stacked pass with
+    the packing SymMat applies. Returns a PerturbationSample per row whose
+    residual is at most tol_cert and a ConvergenceError per other row.
+    """
+    p = spd.p
+    Y = _multipliers(ZV, Pz, p)
+    Zc = _packed_full(_packed_sym(_G_array(spd, X)) + Y, p)
+    psi1, psi2, _ = normal_map_spectral(spd, X, Zc)
+    out = []
+    for x, y, count, r1, r2 in zip(X, Y, steps, psi1, psi2):
+        res = math.hypot(float(np.linalg.norm(r1)), float(np.linalg.norm(r2)))
+        sample = PerturbationSample(p1, p2, x, SymMat._from_packed(p, y), int(count), res)
+        if not (res <= tol_cert):
+            sample = ConvergenceError(
+                f"root failed certification: residual {res:.3e}", best=sample, residual=res
+            )
+        out.append(sample)
+    return out
 
 
 def solve_perturbed_starts(pd: ProblemData, p1, p2, starts) -> list:
@@ -194,23 +242,26 @@ def solve_perturbed_starts(pd: ProblemData, p1, p2, starts) -> list:
 
     starts lists (x, z) pairs. The semismooth Newton iteration on the
     normal-map system of the shifted data runs all starts in lockstep as
-    one (k, n + p(p+1)/2) stack of (x, svec z) iterates: each step builds
-    the Newton elements of the live starts at once and solves them in one
-    batched solve, and each backtracking round evaluates the residuals of
-    the starts still searching in one normal_map_stack call. A mask keeps
-    every start's own control flow: its line search, its stop at residual
+    one (k, n + p(p+1)/2) stack of (x, svec z) iterates. Each residual
+    evaluation (one normal_map_spectral call per backtracking round, over
+    the starts still searching) also returns the eigensolve of z it made;
+    it is kept per start next to the residual, so each step builds the
+    Newton elements of the live starts without a new eigensolve and solves
+    them in one batched solve, with a masked batch around any singular
+    element, whose step is taken by least squares. A mask keeps every
+    start's own control flow: its line search, its stop at residual
     RESIDUAL_TOL * scale, or once it is certifiable (CERT_FACTOR * scale)
     and a step no longer halves it, and its handoff to the fallback. A
     start whose line search fails uncertified, or that spends NEWTON_STEPS
     steps, goes on alone through a Levenberg-Marquardt fallback on the
-    same kernels at k = 1. Each root is re-certified at the canonical
-    splitting point. Returns, in start order, a PerturbationSample per
-    certified root and a ConvergenceError (carrying the best iterate) per
-    stagnated start; a row's outcome does not depend on the other rows. A
-    non-finite iterate raises InputDataError.
+    same kernels at k = 1. The roots of all starts are then certified
+    together at their canonical splitting points in one stacked pass.
+    Returns, in start order, a PerturbationSample per certified root and
+    a ConvergenceError (carrying the best iterate) per stagnated start; a
+    row's outcome does not depend on the other rows. A non-finite
+    perturbation or iterate raises InputDataError.
     """
-    p1 = np.asarray(p1, dtype=float).reshape(pd.n)
-    p2 = as_symmat(p2)
+    p1, p2 = _perturbation(pd, p1, p2)
     spd = shifted_problem(pd, p1, p2)
     n, p = pd.n, pd.p
     m = p * (p + 1) // 2
@@ -222,20 +273,6 @@ def solve_perturbed_starts(pd: ProblemData, p1, p2, starts) -> list:
     tol_stop = RESIDUAL_TOL * scale
     tol_cert = CERT_FACTOR * scale
 
-    def finalize(xc, zvc, count):
-        z = sym_mat(zvc, p)
-        Y = z - project_psd(z)
-        # certify at the canonical splitting point G(x) + Y
-        z_canon = eval_G(spd, xc) + Y
-        psi1, psi2 = normal_map_stack(spd, xc[None], z_canon.full()[None])
-        res = math.hypot(float(np.linalg.norm(psi1)), float(np.linalg.norm(psi2)))
-        sample = PerturbationSample(p1, p2, xc, Y, int(count), res)
-        if res > tol_cert:
-            return ConvergenceError(
-                f"root failed certification: residual {res:.3e}", best=sample, residual=res
-            )
-        return sample
-
     def settled(rn_new, rn_old):
         # a certifiable step that no longer halves the residual has reached
         # the round-off floor; halving still admits the linear convergence
@@ -244,12 +281,14 @@ def solve_perturbed_starts(pd: ProblemData, p1, p2, starts) -> list:
 
     def levenberg_marquardt(i):
         # fallback on the same semismooth Newton element; accepted steps
-        # decrease the residual, so the last iterate is the best
+        # decrease the residual, so the last iterate is the best, and row
+        # i of the state ends there
         lam = 1e-6
         u = np.concatenate([X[i], ZV[i]])
         r, rn, iters = R[i], RN[i], int(steps[i])
+        split = (LAM[i : i + 1], PF[i : i + 1], PZ[i : i + 1])
         for _ in range(LM_STEPS):
-            J = _newton_elements(spd, u[None, :n], u[None, n:])[0]
+            J = _newton_elements(spd, u[None, :n], u[None, n:], split)[0]
             g = J.T @ r
             A = J.T @ J
             while lam <= 1e12:
@@ -259,47 +298,40 @@ def solve_perturbed_starts(pd: ProblemData, p1, p2, starts) -> list:
                     lam *= 10.0
                     continue
                 un = u + delta
-                r_new, rn_new = (v[0] for v in _residuals(spd, un[None, :n], un[None, n:]))
-                if rn_new < rn:
+                r_new, rn_new, split_new = _residuals(spd, un[None, :n], un[None, n:])
+                if rn_new[0] < rn:
                     break
                 lam *= 10.0
             else:
                 break
-            done = settled(rn_new, rn)
-            u, r, rn = un, r_new, rn_new
+            done = settled(rn_new[0], rn)
+            u, r, rn, split = un, r_new[0], rn_new[0], split_new
             lam = max(lam / 10.0, 1e-12)
             iters += 1
             if done:
                 break
-        xf, zvf = u[:n], u[n:]
-        if rn <= tol_cert:
-            return finalize(xf, zvf, iters)
-        z = sym_mat(zvf, p)
-        Y = z - project_psd(z)
-        return ConvergenceError(
-            f"Newton stagnated at residual {rn:.3e} after {iters} steps",
-            best=PerturbationSample(p1, p2, xf, Y, iters, float(rn)),
-            residual=float(rn),
-        )
+        X[i], ZV[i], RN[i], steps[i] = u[:n], u[n:], rn, iters
+        LAM[i], PF[i], PZ[i] = (a[0] for a in split)
 
     out = [None] * k
     steps = np.zeros(k, dtype=int)
-    R, RN = _residuals(spd, X, ZV)
+    R, RN, (LAM, PF, PZ) = _residuals(spd, X, ZV)
     live = RN > tol_stop
-    for i in np.flatnonzero(~live):
-        out[i] = finalize(X[i].copy(), ZV[i].copy(), 0)
+    certify = ~live
     fallback = []
     while live.any():
         a = np.flatnonzero(live)
-        delta = _newton_directions(_newton_elements(spd, X[a], ZV[a]), -R[a])
+        J = _newton_elements(spd, X[a], ZV[a], (LAM[a], PF[a], PZ[a]))
+        delta = _newton_directions(J, -R[a])
         step = np.ones(a.size)
         Xt, Zt, Rt, RNt = X[a], ZV[a], R[a], RN[a]
+        Lt, Pt, PZt = LAM[a], PF[a], PZ[a]
         searching = np.ones(a.size, dtype=bool)
         for _ in range(BACKTRACKS):
             b = np.flatnonzero(searching)
             Xt[b] = X[a[b]] + step[b, None] * delta[b, :n]
             Zt[b] = ZV[a[b]] + step[b, None] * delta[b, n:]
-            Rt[b], RNt[b] = _residuals(spd, Xt[b], Zt[b])
+            Rt[b], RNt[b], (Lt[b], Pt[b], PZt[b]) = _residuals(spd, Xt[b], Zt[b])
             ok = RNt[b] <= (1.0 - 1e-4 * step[b]) * RN[a[b]]
             searching[b[ok]] = False
             step[b[~ok]] *= 0.5
@@ -309,22 +341,36 @@ def solve_perturbed_starts(pd: ProblemData, p1, p2, starts) -> list:
             # nothing changed, so a retry would repeat this line search
             live[i] = False
             if RN[i] <= tol_cert:
-                out[i] = finalize(X[i].copy(), ZV[i].copy(), steps[i])
+                certify[i] = True
             else:
                 fallback.append(i)
         acc = ~searching
         moved = a[acc]
         done = settled(RNt[acc], RN[moved])
         X[moved], ZV[moved], R[moved], RN[moved] = Xt[acc], Zt[acc], Rt[acc], RNt[acc]
+        LAM[moved], PF[moved], PZ[moved] = Lt[acc], Pt[acc], PZt[acc]
         steps[moved] += 1
-        for i in moved[done]:
-            live[i] = False
-            out[i] = finalize(X[i].copy(), ZV[i].copy(), steps[i])
+        live[moved[done]] = False
+        certify[moved[done]] = True
         for i in moved[~done & (steps[moved] >= NEWTON_STEPS)]:
             live[i] = False
             fallback.append(i)
     for i in fallback:
-        out[i] = levenberg_marquardt(i)
+        levenberg_marquardt(i)
+        if RN[i] <= tol_cert:
+            certify[i] = True
+            continue
+        rn, iters = float(RN[i]), int(steps[i])
+        Y = SymMat._from_packed(p, _multipliers(ZV[i : i + 1], PZ[i : i + 1], p)[0])
+        out[i] = ConvergenceError(
+            f"Newton stagnated at residual {rn:.3e} after {iters} steps",
+            best=PerturbationSample(p1, p2, X[i].copy(), Y, iters, rn),
+            residual=rn,
+        )
+    c = np.flatnonzero(certify)
+    if c.size:
+        for i, o in zip(c, _certify(spd, p1, p2, X[c], ZV[c], PZ[c], steps[c], tol_cert)):
+            out[i] = o
     return out
 
 
@@ -334,8 +380,10 @@ def solve_perturbed_kkt(pd: ProblemData, p1, p2, start=None):
     The k = 1 case of solve_perturbed_starts; start is an (x, z) pair and
     defaults to x = 0, z = G(0) of the shifted data. Returns the certified
     PerturbationSample, raises its ConvergenceError (carrying the best
-    iterate) on stagnation, and InputDataError on a non-finite iterate.
+    iterate) on stagnation, and InputDataError on a non-finite
+    perturbation or iterate.
     """
+    p1, p2 = _perturbation(pd, p1, p2)
     if start is None:
         x0 = np.zeros(pd.n)
         start = (x0, eval_G(shifted_problem(pd, p1, p2), x0))
@@ -343,6 +391,15 @@ def solve_perturbed_kkt(pd: ProblemData, p1, p2, start=None):
     if isinstance(out, ConvergenceError):
         raise out
     return out
+
+
+def _jitter_draws(rng, n: int, p: int):
+    """The JITTER_STARTS jitters of one schedule point from one block draw:
+    per start its multiplier noise (p, p), then its x noise (n,), the
+    stream and order of one draw after another. Returns the noise stacks
+    of shape (JITTER_STARTS, p, p) and (JITTER_STARTS, n)."""
+    W = rng.standard_normal((JITTER_STARTS, p * p + n))
+    return W[:, : p * p].reshape(JITTER_STARTS, p, p), W[:, p * p :]
 
 
 def fit_order_exponent(pairs):
@@ -398,7 +455,8 @@ def error_bound_experiment(family: PerturbationFamily, schedule, options=None):
 
     Solves are warm-started by continuation along the schedule; at each
     parameter the continuation start and JITTER_STARTS jittered starts
-    (each drawn as its multiplier noise, then its x noise) are solved in
+    (drawn as one block: per start its multiplier noise, then its x noise)
+    are assembled as one stack, x0 and z0 = G(x0) + Y0, and solved in
     lockstep by one solve_perturbed_starts call, and the certified root
     closest to the reference point is kept. A parameter where no start
     certifies is dropped and named in excluded_params. options holds only
@@ -421,25 +479,24 @@ def error_bound_experiment(family: PerturbationFamily, schedule, options=None):
     excluded_residuals = []
     multiple_roots = False
 
+    rows, cols = svec_indices(p)
     for s in schedule:
-        p1, p2 = family.perturbation(float(s))
-        p1 = np.asarray(p1, dtype=float).reshape(n)
-        p2 = as_symmat(p2)
+        p1, p2 = _perturbation(pd, *family.perturbation(float(s)))
         pnorm = float(np.linalg.norm(p1)) + p2.norm()
         spd = shifted_problem(pd, p1, p2)
-        starts = [(prev_x, prev_Y)]
         delta = 0.5 * max(
             float(np.max(np.abs(prev_x - xbar))) if n else 0.0,
             math.sqrt(pnorm),
             1e-8,
         )
-        for _ in range(JITTER_STARTS):
-            M = rng.standard_normal((p, p))
-            starts.append(
-                (prev_x + delta * rng.standard_normal(n), prev_Y + delta * SymMat(0.5 * (M + M.T)))
-            )
+        # the continuation start, then the jittered ones: x0 and z0 = G(x0) + Y0
+        M, dx = _jitter_draws(rng, n, p)
+        X0 = np.vstack([prev_x, prev_x + delta * dx])
+        Y_up = prev_Y.full()[rows, cols]
+        Y0 = np.vstack([Y_up, Y_up + delta * _packed_sym(0.5 * (M + np.swapaxes(M, 1, 2)))])
+        Z0 = _packed_sym(_G_array(spd, X0)) + Y0
         outcomes = solve_perturbed_starts(
-            pd, p1, p2, [(x0, eval_G(spd, x0) + Y0) for x0, Y0 in starts]
+            pd, p1, p2, [(x0, SymMat._from_packed(p, z0)) for x0, z0 in zip(X0, Z0)]
         )
         roots = [o for o in outcomes if isinstance(o, PerturbationSample)]
         if not roots:

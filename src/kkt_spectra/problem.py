@@ -3,9 +3,10 @@
 A problem is min f(x) subject to G(x) PSD, with quadratic f and a
 degree-2 matrix polynomial G(x) = A0 + sum_i x_i A_i + 1/2 sum_ij x_i x_j B_ij.
 This module evaluates values and derivatives, KKT and normal-map
-residuals (the normal map also at a stack of points, and G, its
-Jacobians and the Lagrangian Hessian on stacked arrays), multiplier-set
-distances, and loads problems from JSON files.
+residuals (the normal map also at a stack of points, with the spectral
+split of z it computed if asked, and G, its Jacobians and the Lagrangian
+Hessian on stacked arrays), multiplier-set distances, and loads problems
+from JSON files.
 It also registers the two builtin perturbation families.
 """
 
@@ -183,15 +184,17 @@ def kkt_residual(pd: ProblemData, x, Y) -> tuple[float, float]:
     return r1, r2
 
 
-def normal_map_stack(pd: ProblemData, x, z) -> tuple[np.ndarray, np.ndarray]:
-    """Normal-map values (Psi_1, Psi_2) at a stack of k points (x, z).
+def normal_map_spectral(pd: ProblemData, x, z):
+    """Normal-map values (Psi_1, Psi_2) at a stack of k points (x, z), with
+    the spectral split (lam, P, Pi(z)) of z they were computed from.
 
     Psi_1 = grad f(x) + G'(x)* (z - Pi(z)) and Psi_2 = G(x) - Pi(z), with
     Pi the PSD projection. x has shape (k, n) and z shape (k, p, p) with
     symmetric slices; returns Psi_1 as (k, n) and Psi_2 as (k, p, p),
-    whose lower triangles mirror the upper ones. One LAPACK call covers
-    the stack and every product is a batched matmul whose slices are the
-    products of one point, so each row is the value that point gets alone.
+    whose lower triangles mirror the upper ones, and the spectral_stack
+    output of z. One LAPACK call covers the stack and every product is a
+    batched matmul whose slices are the products of one point, so each row
+    is the value that point gets alone.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != pd.n:
@@ -199,13 +202,21 @@ def normal_map_stack(pd: ProblemData, x, z) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(x).all():
         raise InputDataError("x entries must be finite")
     k, n, p = x.shape[0], pd.n, pd.p
-    _, _, Pz = spectral_stack(z)
+    split = spectral_stack(z)
+    Pz = split[2]
     D = jacobian_array(pd, x).reshape(k, n, p * p)
     grad = pd.f_lin + (pd.f_quad @ x[:, :, None])[:, :, 0]
     psi1 = grad + (D @ (z - Pz).reshape(k, p * p, 1))[:, :, 0]
     psi2 = _G_array(pd, x) - Pz
     rows, cols = svec_indices(p)
     psi2[:, cols, rows] = psi2[:, rows, cols]
+    return psi1, psi2, split
+
+
+def normal_map_stack(pd: ProblemData, x, z) -> tuple[np.ndarray, np.ndarray]:
+    """Normal-map values (Psi_1, Psi_2) at a stack of k points (x, z):
+    normal_map_spectral without the spectral split."""
+    psi1, psi2, _ = normal_map_spectral(pd, x, z)
     return psi1, psi2
 
 

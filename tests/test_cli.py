@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import warnings
 
 import pytest
 
@@ -190,6 +191,22 @@ def test_perturb_names_dropped_points(problem_files):
     # a sweep that keeps every point prints nothing there
     code, _, err = run(argv + ["--seed", "42"])
     assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("p1", ["[Infinity, 0.0]", "[NaN, 0.0]"])
+def test_perturb_rejects_nonfinite_shift(problem_files, p1):
+    # the shift is rejected before any arithmetic touches it: exit 2 with
+    # one error line, and no floating-point warning on the way
+    ppath, xpath = problem_files
+    argv = [
+        "perturb", "--problem", ppath, "--point", xpath, "--p1", p1,
+        "--p2", "[[0.0, 0.0], [0.0, 0.0]]", "--geo", "1e-2:1e-4:5", "--format", "json",
+    ]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(argv)
+    assert (code, out, err) == (2, "", "error: perturbation entries must be finite\n")
+    assert caught == []
 
 
 def test_flag_validation():

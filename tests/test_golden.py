@@ -2,7 +2,10 @@
 the classification of fixed KKT pairs.
 
 tests/golden/<command>_<family>.json holds the output of
-`kkt-spectra <command> --family <family> --format json`.
+`kkt-spectra <command> --family <family> --format json`, and
+tests/golden/perturb_<family>_<ref|default>.json that of `kkt-spectra
+perturb --family <family> --format json` at the short reference schedule
+or the 13-point one, at the default seed.
 tests/golden/pair_<name>.json holds a problem and point in the CLI file
 format, with the qualification, classifier and x-part results expected
 at that pair, and for some pairs the critical-cone dimension and the
@@ -33,6 +36,25 @@ def test_default_json_matches_golden(command, family):
         code = main([command, "--family", family, "--format", "json"])
     assert code == 0
     with open(os.path.join(GOLDEN, f"{command}_{family}.json"), encoding="utf-8") as fh:
+        assert out.getvalue() == fh.read()
+
+
+PERTURB_SCHEDULES = {
+    ("example2", "ref"): "1e-2:1e-3:3",
+    ("example2", "default"): "1e-2:1e-5:13",
+    ("example3", "ref"): "1e-2:1e-3:2",
+    ("example3", "default"): "1e-2:1e-6:13",
+}
+
+
+@pytest.mark.parametrize("family, schedule", sorted(PERTURB_SCHEDULES))
+def test_perturb_json_matches_golden(family, schedule):
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["perturb", "--family", family, "--geo", PERTURB_SCHEDULES[family, schedule], "--format", "json"]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue()) == (0, "")
+    with open(os.path.join(GOLDEN, f"perturb_{family}_{schedule}.json"), encoding="utf-8") as fh:
         assert out.getvalue() == fh.read()
 
 

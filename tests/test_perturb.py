@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import context
+from conftest import context, random_symmetric
 from kkt_spectra import perturb
 from kkt_spectra.cones import cone_context
 from kkt_spectra.criticality import classify_multiplier
@@ -27,11 +27,13 @@ from kkt_spectra.problem import (
     PerturbationFamily,
     eval_G,
     kkt_residual,
+    make_problem,
+    normal_map_spectral,
     normal_map_stack,
     shifted_problem,
 )
 from kkt_spectra.sosc import check_soscy, theorem3_conditions
-from kkt_spectra.symmat import SymMat
+from kkt_spectra.symmat import SymMat, project_psd, sym_mat
 
 
 def natural_start(fam):
@@ -263,14 +265,15 @@ def test_solver_stops_at_certified_floor(dx, Y0, fam3):
 )
 def test_reference_sweep_evaluation_budget(name, schedule, budget, fam2, fam3, monkeypatch):
     # a residual evaluation is one row through the stacked normal-map
-    # kernel: one per start, per trial point and per certification
+    # kernel the solver calls: one per start, per trial point and per root
+    # in the stacked certification pass
     fam = fam2 if name == "example2" else fam3
     rows = []
     steps = []
 
     def counted(spd, x, z):
         rows.append(len(x))
-        return normal_map_stack(spd, x, z)
+        return normal_map_spectral(spd, x, z)
 
     def recorded(*args):
         outcomes = solve_perturbed_starts(*args)
@@ -278,7 +281,7 @@ def test_reference_sweep_evaluation_budget(name, schedule, budget, fam2, fam3, m
             steps.append(out.best.newton_iters if isinstance(out, ConvergenceError) else out.newton_iters)
         return outcomes
 
-    monkeypatch.setattr(perturb, "normal_map_stack", counted)
+    monkeypatch.setattr(perturb, "normal_map_spectral", counted)
     monkeypatch.setattr(perturb, "solve_perturbed_starts", recorded)
     rep = error_bound_experiment(fam, np.geomspace(*schedule), {"seed": 42})
     assert len(rep.samples) == schedule[2]
@@ -356,3 +359,131 @@ def test_unknown_option_keys_rejected(fam3):
         check_soscy(sys3, {"iters": 10})
     with pytest.raises(InputDataError, match="sample"):
         theorem3_conditions(sys3, {"sample": 4})
+
+
+def test_nonfinite_perturbation_rejected(fam3):
+    # a NaN residual never compares above the certification floor, and an
+    # infinite shift makes that floor infinite: both must stop at the input
+    for bad in ([math.nan, 0.0], [math.inf, 0.0]):
+        with pytest.raises(InputDataError, match="finite"):
+            solve_perturbed_kkt(fam3.problem, bad, np.zeros((2, 2)))
+        with pytest.raises(InputDataError, match="finite"):
+            solve_perturbed_starts(fam3.problem, bad, np.zeros((2, 2)), [natural_start(fam3)])
+        fam = PerturbationFamily(
+            "bad", fam3.problem, fam3.xbar, fam3.ybar, lambda t, v=bad: (t * np.array(v), SymMat.zeros(2))
+        )
+        with pytest.raises(InputDataError, match="finite"):
+            error_bound_experiment(fam, [1e-2])
+    with np.errstate(over="ignore"):
+        inf_p2 = SymMat.eye(2) * 1e308 * 10.0
+    with pytest.raises(InputDataError, match="finite"):
+        solve_perturbed_kkt(fam3.problem, np.zeros(2), inf_p2)
+
+
+def per_element_newton_directions(J, rhs):
+    """The one-element rule applied to the whole stack when a batched
+    solve raises: solve each element alone, by least squares where it is
+    singular or its step is not finite."""
+
+    def one(Ji, ri):
+        try:
+            delta = np.linalg.solve(Ji, ri)
+            if np.all(np.isfinite(delta)):
+                return delta
+        except np.linalg.LinAlgError:
+            pass
+        return np.linalg.lstsq(Ji, ri, rcond=None)[0]
+
+    try:
+        delta = np.linalg.solve(J, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        return np.array([one(Ji, ri) for Ji, ri in zip(J, rhs)])
+    for i in np.flatnonzero(~np.isfinite(delta).all(axis=1)):
+        delta[i] = np.linalg.lstsq(J[i], rhs[i], rcond=None)[0]
+    return delta
+
+
+def test_newton_directions_mask_singular_elements(fam3):
+    # the continuation start of example3 at t = 1e-2 sits at x = 0 with the
+    # zero multiplier: z is negative definite and G'(0) = 0, so its Clarke
+    # element has a zero block; beside it a regular element and one whose
+    # solve overflows
+    p1, p2 = fam3.perturbation(1e-2)
+    spd = shifted_problem(fam3.problem, p1, p2)
+    X = np.array([[0.0, 0.0], [0.1, 0.05]])
+    Z = np.array([eval_G(spd, X[0]).full(), eval_G(spd, X[1]).full() + np.diag([-0.3, 0.2])])
+    ZV = Z[:, [0, 0, 1], [0, 1, 1]] * np.array([1.0, math.sqrt(2.0), 1.0])
+    R, _, split = perturb._residuals(spd, X, ZV)
+    singular, regular = perturb._newton_elements(spd, X, ZV, split)
+    overflow = 1e-310 * np.eye(5)
+    sign = np.linalg.slogdet(np.array([singular, regular, overflow]))[0]
+    assert sign[0] == 0.0 and sign[1] != 0.0 and sign[2] != 0.0
+    rng = np.random.default_rng(3)
+    pool = {
+        "s": (singular, -R[0]),
+        "r": (regular, -R[1]),
+        "n": (-regular, R[1]),  # negative determinant
+        "o": (overflow, np.full(5, 0.5)),
+    }
+    for order in ("srs", "rson", "osnr", "ss", "rn", "o", "s"):
+        J = np.array([pool[c][0] for c in order])
+        rhs = np.array([pool[c][1] for c in order]) * (1.0 + rng.random((len(order), 1)))
+        got = perturb._newton_directions(J, rhs)
+        assert got.tobytes() == per_element_newton_directions(J, rhs).tobytes(), order
+    assert not np.isfinite(perturb._newton_directions(overflow[None], np.full((1, 5), 0.5))).all()
+
+
+def test_block_jitter_draw_matches_per_start_draws():
+    for n in range(5):
+        for p in range(1, 5):
+            one, block = np.random.default_rng(n + 10 * p), np.random.default_rng(n + 10 * p)
+            M, dx = perturb._jitter_draws(block, n, p)
+            assert M.shape == (JITTER_STARTS, p, p) and dx.shape == (JITTER_STARTS, n)
+            for j in range(JITTER_STARTS):
+                assert one.standard_normal((p, p)).tobytes() == M[j].tobytes()
+                assert one.standard_normal(n).tobytes() == dx[j].tobytes()
+            assert one.random() == block.random()
+
+
+def test_stacked_certification_matches_per_root_rule():
+    # the per-root rule: multiplier from project_psd, canonical point from
+    # eval_G and SymMat arithmetic, one normal-map call per root
+    def per_root(spd, p1, p2, xc, zvc, count, tol_cert):
+        z = sym_mat(zvc, spd.p)
+        Y = z - project_psd(z)
+        z_canon = eval_G(spd, xc) + Y
+        psi1, psi2 = normal_map_stack(spd, xc[None], z_canon.full()[None])
+        res = math.hypot(float(np.linalg.norm(psi1)), float(np.linalg.norm(psi2)))
+        sample = perturb.PerturbationSample(p1, p2, xc, Y, int(count), res)
+        if res > tol_cert:
+            return ConvergenceError(f"root failed certification: residual {res:.3e}", best=sample, residual=res)
+        return sample
+
+    rng = np.random.default_rng(12)
+    for n in range(1, 4):
+        for p in range(1, 4):
+            lin = [random_symmetric(rng, p) for _ in range(n)]
+            quad = [[None] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    quad[i][j] = quad[j][i] = random_symmetric(rng, p, 0.3)
+            pd = make_problem(rng.standard_normal(n), np.eye(n), random_symmetric(rng, p), lin, quad)
+            p1, p2 = 1e-3 * rng.standard_normal(n), random_symmetric(rng, p, 1e-3)
+            spd = shifted_problem(pd, p1, p2)
+            k = 7
+            X = rng.standard_normal((k, n)) * 10.0 ** rng.integers(-6, 1, size=(k, 1))
+            ZV = rng.standard_normal((k, p * (p + 1) // 2))
+            steps = rng.integers(0, 60, size=k)
+            Pz = perturb._residuals(spd, X, ZV)[2][2]
+            res = [per_root(spd, p1, p2, X[i], ZV[i], steps[i], math.inf).residual for i in range(k)]
+            tol_cert = float(np.median(res))
+            got = perturb._certify(spd, p1, p2, X, ZV, Pz, steps, tol_cert)
+            for i, out in enumerate(got):
+                want = per_root(spd, p1, p2, X[i].copy(), ZV[i].copy(), steps[i], tol_cert)
+                assert type(out) is type(want)
+                if isinstance(want, ConvergenceError):
+                    assert (str(out), out.residual) == (str(want), want.residual)
+                    out, want = out.best, want.best
+                assert out.x.tobytes() == want.x.tobytes()
+                assert out.Y.full().tobytes() == want.Y.full().tobytes()
+                assert (out.newton_iters, out.residual) == (want.newton_iters, want.residual)
