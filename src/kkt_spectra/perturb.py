@@ -32,6 +32,7 @@ from .symmat import (
     SymMat,
     as_symmat,
     default_tol_zero,
+    packing_tables,
     project_psd,
     svec_indices,
     svec_scale,
@@ -91,13 +92,15 @@ def _svec_basis_rotation(P: np.ndarray) -> np.ndarray:
     is svec of the symmetrized outer product of columns i and j of P[q],
     scaled by sqrt(2) off the diagonal; entry (l, c) for the packed pair
     (a, b) is therefore s_l s_c (P_ai P_bj + P_bi P_aj) / 2 with the svec
-    weights s.
+    weights s. The four factors come from one gather on the flat frames,
+    stacked last in memory: the layout fancy indexing gives them, which
+    the products of the projection elements run on.
     """
-    rows, cols = svec_indices(P.shape[-1])
-    s = svec_scale(P.shape[-1])
-    r, c = rows[:, None], cols[:, None]
-    R = P[:, r, rows] * P[:, c, cols] + P[:, c, rows] * P[:, r, cols]
-    return (0.5 * s)[:, None] * R * s
+    k, p = len(P), P.shape[-1]
+    tables = packing_tables(p)
+    F = P.reshape(k, p * p).T.take(tables.rotation, 0)
+    R = (F[0] * F[1] + F[2] * F[3]).transpose(2, 0, 1)
+    return tables.half_s * R * svec_scale(p)
 
 
 def _projection_jacobian(lam: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -111,11 +114,12 @@ def _projection_jacobian(lam: np.ndarray, P: np.ndarray) -> np.ndarray:
     """
     rows, cols = svec_indices(lam.shape[1])
     tol = default_tol_zero(lam)[:, None]
-    li, lj = lam[:, rows], lam[:, cols]
+    # laid out as lam[:, rows] is, a layout that R * w below inherits
+    li, lj = lam.T.take(rows, 0).T, lam.T.take(cols, 0).T
     w = np.where(lj >= -tol, 1.0, 0.0)
     np.divide(li, li - lj, out=w, where=(li > tol) & (lj < -tol))
     R = _svec_basis_rotation(P)
-    return (R * w[:, None, :]) @ np.swapaxes(R, 1, 2)
+    return (R * w[:, None, :]) @ R.swapaxes(1, 2)
 
 
 def _svec_full(V: np.ndarray, p: int) -> np.ndarray:
@@ -127,18 +131,22 @@ def _svec_full(V: np.ndarray, p: int) -> np.ndarray:
 
 def _packed_full(U: np.ndarray, p: int) -> np.ndarray:
     """Dense symmetric (k, p, p) arrays from rows of packed upper triangles."""
-    rows, cols = svec_indices(p)
-    Z = np.zeros((len(U), p, p))
-    Z[:, rows, cols] = U
-    Z[:, cols, rows] = U
-    return Z
+    return U.take(packing_tables(p).gather, 1).reshape(len(U), p, p)
+
+
+def _packed_upper(A: np.ndarray) -> np.ndarray:
+    """Packed upper triangles A[:, rows, cols] of a (k, p, p) stack, laid
+    out as that fancy index lays them out: packed entries outermost in
+    memory. Products and concatenations of these rows round by their
+    layout, so the gather keeps the layout of the fancy index."""
+    k, p = len(A), A.shape[-1]
+    return A.reshape(k, p * p).T.take(packing_tables(p).upper, 0).T
 
 
 def _packed_sym(A: np.ndarray) -> np.ndarray:
     """Packed upper triangles of the symmetric parts 0.5 (A + A^T) of a
     (k, p, p) stack, the entries SymMat keeps of each slice."""
-    rows, cols = svec_indices(A.shape[-1])
-    return (0.5 * (A + np.swapaxes(A, 1, 2)))[:, rows, cols]
+    return _packed_upper(0.5 * (A + A.swapaxes(1, 2)))
 
 
 def _multipliers(ZV: np.ndarray, Pz: np.ndarray, p: int) -> np.ndarray:
@@ -160,9 +168,8 @@ def _residuals(spd: ProblemData, X: np.ndarray, ZV: np.ndarray):
     """Normal-map residual rows (Psi_1, svec Psi_2) of a stack of iterates,
     their norms, and the spectral split (lam, P, Pi(z)) of each z."""
     p = spd.p
-    rows, cols = svec_indices(p)
     psi1, psi2, split = normal_map_spectral(spd, X, _svec_full(ZV, p))
-    R = np.concatenate([psi1, psi2[:, rows, cols] * svec_scale(p)], axis=1)
+    R = np.concatenate([psi1, _packed_upper(psi2) * svec_scale(p)], axis=1)
     # one dot product per row, the sum np.linalg.norm takes of one vector
     return R, np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0]), split
 
@@ -178,16 +185,17 @@ def _newton_elements(spd: ProblemData, X: np.ndarray, ZV: np.ndarray, split) -> 
     """
     k, n, p = len(X), spd.n, spd.p
     m = p * (p + 1) // 2
-    rows, cols = svec_indices(p)
     svs = svec_scale(p)
     lam, P, Pz = split
-    Y = _svec_full(ZV - Pz[:, rows, cols] * svs, p)
-    Dsv = jacobian_array(spd, X)[:, :, rows, cols] * svs
+    Y = _svec_full(ZV - _packed_upper(Pz) * svs, p)
+    # packed entries outermost in memory, as _packed_upper lays them out
+    D = jacobian_array(spd, X).reshape(k, n, p * p).transpose(2, 0, 1)
+    Dsv = D.take(packing_tables(p).upper, 0).transpose(1, 2, 0) * svs
     JP = _projection_jacobian(lam, P)
-    J = np.zeros((k, n + m, n + m))
+    J = np.empty((k, n + m, n + m))
     J[:, :n, :n] = hessian_array(spd, Y)
     J[:, :n, n:] = Dsv @ (np.eye(m) - JP)
-    J[:, n:, :n] = np.swapaxes(Dsv, 1, 2)
+    J[:, n:, :n] = Dsv.swapaxes(1, 2)
     J[:, n:, n:] = -JP
     return J
 
@@ -207,8 +215,9 @@ def _newton_directions(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         delta = np.full(rhs.shape, np.nan)
         if regular.any():
             delta[regular] = np.linalg.solve(J[regular], rhs[regular, :, None])[:, :, 0]
-    for i in np.flatnonzero(~np.isfinite(delta).all(axis=1)):
-        delta[i] = np.linalg.lstsq(J[i], rhs[i], rcond=None)[0]
+    if not np.isfinite(delta).all():
+        for i in np.flatnonzero(~np.isfinite(delta).all(axis=1)):
+            delta[i] = np.linalg.lstsq(J[i], rhs[i], rcond=None)[0]
     return delta
 
 
@@ -248,14 +257,24 @@ def solve_perturbed_starts(pd: ProblemData, p1, p2, starts) -> list:
     it is kept per start next to the residual, so each step builds the
     Newton elements of the live starts without a new eigensolve and solves
     them in one batched solve, with a masked batch around any singular
-    element, whose step is taken by least squares. A mask keeps every
-    start's own control flow: its line search, its stop at residual
-    RESIDUAL_TOL * scale, or once it is certifiable (CERT_FACTOR * scale)
-    and a step no longer halves it, and its handoff to the fallback. A
-    start whose line search fails uncertified, or that spends NEWTON_STEPS
-    steps, goes on alone through a Levenberg-Marquardt fallback on the
-    same kernels at k = 1. The roots of all starts are then certified
-    together at their canonical splitting points in one stacked pass.
+    element, whose step is taken by least squares. The kernels pack and
+    unpack svec rows through the cached flat index tables of
+    symmat.packing_tables, each gather laid out in memory as the
+    corresponding fancy index lays it out, since the products downstream
+    round by layout.
+
+    The live starts are kept as one compact stack, gathered again only
+    when a start leaves it. The first line-search round of a step tries
+    the full step on that stack directly; only later rounds, which all
+    halve to the same step, gather the starts still searching. Every
+    start keeps its own control flow: its line search, its stop at
+    residual RESIDUAL_TOL * scale, or once it is certifiable
+    (CERT_FACTOR * scale) and a step no longer halves it, and its handoff
+    to the fallback. A start whose line search fails uncertified, or that
+    spends NEWTON_STEPS steps, goes on alone through a
+    Levenberg-Marquardt fallback on the same kernels at k = 1. The roots
+    of all starts are then certified together at their canonical
+    splitting points in one stacked pass.
     Returns, in start order, a PerturbationSample per certified root and
     a ConvergenceError (carrying the best iterate) per stagnated start; a
     row's outcome does not depend on the other rows. A non-finite
@@ -287,13 +306,14 @@ def solve_perturbed_starts(pd: ProblemData, p1, p2, starts) -> list:
         u = np.concatenate([X[i], ZV[i]])
         r, rn, iters = R[i], RN[i], int(steps[i])
         split = (LAM[i : i + 1], PF[i : i + 1], PZ[i : i + 1])
+        eye = np.eye(n + m)
         for _ in range(LM_STEPS):
             J = _newton_elements(spd, u[None, :n], u[None, n:], split)[0]
             g = J.T @ r
             A = J.T @ J
             while lam <= 1e12:
                 try:
-                    delta = np.linalg.solve(A + lam * np.eye(n + m), -g)
+                    delta = np.linalg.solve(A + lam * eye, -g)
                 except np.linalg.LinAlgError:
                     lam *= 10.0
                     continue
@@ -316,45 +336,61 @@ def solve_perturbed_starts(pd: ProblemData, p1, p2, starts) -> list:
     out = [None] * k
     steps = np.zeros(k, dtype=int)
     R, RN, (LAM, PF, PZ) = _residuals(spd, X, ZV)
-    live = RN > tol_stop
-    certify = ~live
+    state = (X, ZV, R, RN, LAM, PF, PZ, steps)
+    certify = ~(RN > tol_stop)
     fallback = []
-    while live.any():
-        a = np.flatnonzero(live)
-        J = _newton_elements(spd, X[a], ZV[a], (LAM[a], PF[a], PZ[a]))
-        delta = _newton_directions(J, -R[a])
-        step = np.ones(a.size)
-        Xt, Zt, Rt, RNt = X[a], ZV[a], R[a], RN[a]
-        Lt, Pt, PZt = LAM[a], PF[a], PZ[a]
-        searching = np.ones(a.size, dtype=bool)
-        for _ in range(BACKTRACKS):
-            b = np.flatnonzero(searching)
-            Xt[b] = X[a[b]] + step[b, None] * delta[b, :n]
-            Zt[b] = ZV[a[b]] + step[b, None] * delta[b, n:]
-            Rt[b], RNt[b], (Lt[b], Pt[b], PZt[b]) = _residuals(spd, Xt[b], Zt[b])
-            ok = RNt[b] <= (1.0 - 1e-4 * step[b]) * RN[a[b]]
-            searching[b[ok]] = False
-            step[b[~ok]] *= 0.5
-            if not searching.any():
-                break
-        for i in a[searching]:
-            # nothing changed, so a retry would repeat this line search
-            live[i] = False
-            if RN[i] <= tol_cert:
-                certify[i] = True
-            else:
-                fallback.append(i)
-        acc = ~searching
-        moved = a[acc]
-        done = settled(RNt[acc], RN[moved])
-        X[moved], ZV[moved], R[moved], RN[moved] = Xt[acc], Zt[acc], Rt[acc], RNt[acc]
-        LAM[moved], PF[moved], PZ[moved] = Lt[acc], Pt[acc], PZt[acc]
-        steps[moved] += 1
-        live[moved[done]] = False
-        certify[moved[done]] = True
-        for i in moved[~done & (steps[moved] >= NEWTON_STEPS)]:
-            live[i] = False
-            fallback.append(i)
+    # the live starts a hold their state as one compact stack, gathered
+    # again only when a start leaves it
+    a = (~certify).nonzero()[0]
+    stack = [A.take(a, 0) for A in state]
+    while a.size:
+        Xa, Za, Ra, RNa, La, Pa, PZa, Sa = stack
+        J = _newton_elements(spd, Xa, Za, (La, Pa, PZa))
+        delta = _newton_directions(J, -Ra)
+        # the first round tries the full step on the whole stack; each later
+        # round halves the step of the starts still searching, so they all
+        # share the step t of that round
+        Xt, Zt = Xa + delta[:, :n], Za + delta[:, n:]
+        Rt, RNt, (Lt, Pt, PZt) = _residuals(spd, Xt, Zt)
+        St = Sa + 1
+        trial = [Xt, Zt, Rt, RNt, Lt, Pt, PZt, St]
+        searching = ~(RNt <= (1.0 - 1e-4) * RNa)
+        if np.count_nonzero(searching):
+            b = searching.nonzero()[0]
+            Xb, Zb, RNb, db = (A.take(b, 0) for A in (Xa, Za, RNa, delta))
+            t = 1.0
+            for _ in range(BACKTRACKS - 1):
+                t *= 0.5
+                Xs, Zs = Xb + t * db[:, :n], Zb + t * db[:, n:]
+                Rs, RNs, (Ls, Ps, PZs) = _residuals(spd, Xs, Zs)
+                ok = RNs <= (1.0 - 1e-4 * t) * RNb
+                if np.count_nonzero(ok):
+                    hit, rest = ok.nonzero()[0], (~ok).nonzero()[0]
+                    rows = b.take(hit)
+                    for T, S in zip(trial, (Xs, Zs, Rs, RNs, Ls, Ps, PZs)):
+                        T[rows] = S.take(hit, 0)
+                    searching[rows] = False
+                    b, Xb, Zb, RNb, db = (A.take(rest, 0) for A in (b, Xb, Zb, RNb, db))
+                    if not b.size:
+                        break
+            # a start whose line search failed keeps its iterate and leaves:
+            # nothing changed, so a retry would repeat the same search
+            for T, A in zip(trial, stack):
+                T[b] = A.take(b, 0)
+        done = ~searching & settled(RNt, RNa)
+        leave = done | searching | (St >= NEWTON_STEPS)
+        stack = trial
+        if np.count_nonzero(leave):
+            out_rows, keep = leave.nonzero()[0], (~leave).nonzero()[0]
+            gone = a.take(out_rows)
+            for A, T in zip(state, trial):
+                A[gone] = T.take(out_rows, 0)
+            # a failed search at a certifiable residual is certified as well
+            cert = (done | searching & (RNt <= tol_cert)).take(out_rows)
+            certify[gone[cert]] = True
+            fallback.extend(gone[~cert])
+            a = a.take(keep)
+            stack = [T.take(keep, 0) for T in trial]
     for i in fallback:
         levenberg_marquardt(i)
         if RN[i] <= tol_cert:
@@ -505,10 +541,8 @@ def error_bound_experiment(family: PerturbationFamily, schedule, options=None):
             continue
         distinct = []
         for smp in roots:
-            if all(
-                np.linalg.norm(smp.x - other.x) > 1e-6 * max(1.0, float(np.linalg.norm(smp.x)))
-                for other in distinct
-            ):
+            tol = 1e-6 * max(1.0, float(np.linalg.norm(smp.x)))
+            if all(np.linalg.norm(smp.x - other.x) > tol for other in distinct):
                 distinct.append(smp)
         if len(distinct) > 1:
             multiple_roots = True

@@ -25,6 +25,7 @@ from .symmat import (
     as_symmat,
     dense_stack,
     eigh,
+    packing_tables,
     project_psd,
     spectral_decompose,
     spectral_stack,
@@ -163,7 +164,7 @@ def hessian_array(pd: ProblemData, Y: np.ndarray) -> np.ndarray:
     lead = Y.shape[:-2]
     inner = pd.G_quad_stack.reshape(n * n, p * p) @ Y.reshape(*lead, p * p, 1)
     H = pd.f_quad + inner.reshape(*lead, n, n)
-    return 0.5 * (H + np.swapaxes(H, -1, -2))
+    return 0.5 * (H + H.swapaxes(-1, -2))
 
 
 def lagrangian_hessian(pd: ProblemData, x, Y) -> np.ndarray:
@@ -197,20 +198,19 @@ def normal_map_spectral(pd: ProblemData, x, z):
     is the value that point gets alone.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != pd.n:
-        raise InputDataError(f"x stack has shape {x.shape}, expected (k, {pd.n})")
+    n = pd.n
+    if x.ndim != 2 or x.shape[1] != n:
+        raise InputDataError(f"x stack has shape {x.shape}, expected (k, {n})")
     if not np.isfinite(x).all():
         raise InputDataError("x entries must be finite")
-    k, n, p = x.shape[0], pd.n, pd.p
+    k, p = len(x), pd.p
     split = spectral_stack(z)
     Pz = split[2]
     D = jacobian_array(pd, x).reshape(k, n, p * p)
     grad = pd.f_lin + (pd.f_quad @ x[:, :, None])[:, :, 0]
     psi1 = grad + (D @ (z - Pz).reshape(k, p * p, 1))[:, :, 0]
-    psi2 = _G_array(pd, x) - Pz
-    rows, cols = svec_indices(p)
-    psi2[:, cols, rows] = psi2[:, rows, cols]
-    return psi1, psi2, split
+    psi2 = (_G_array(pd, x) - Pz).reshape(k, p * p).take(packing_tables(p).mirror, 1)
+    return psi1, psi2.reshape(k, p, p), split
 
 
 def normal_map_stack(pd: ProblemData, x, z) -> tuple[np.ndarray, np.ndarray]:

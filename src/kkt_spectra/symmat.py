@@ -16,12 +16,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputDataError
 
 _SQRT2 = math.sqrt(2.0)
+_HALF_MAX = 0.5 * np.finfo(float).max  # no sum of two entries this size overflows
 _SIGN_TIE_TOL = 1e-12  # eigenvector entries this close in magnitude tie
 
 
@@ -38,9 +40,15 @@ class SymMat:
         arr = np.asarray(entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InputDataError(f"expected a square matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InputDataError("matrix entries must be finite")
-        arr = 0.5 * (arr + arr.T)
+        if np.abs(arr).max(initial=0.0) <= _HALF_MAX:
+            arr = 0.5 * (arr + arr.T)
+        else:
+            # a non-finite entry, or one large enough for the sum to overflow:
+            # the check reads the symmetrized matrix
+            with np.errstate(over="ignore", invalid="ignore"):
+                arr = 0.5 * (arr + arr.T)
+            if not np.isfinite(arr).all():
+                raise InputDataError("matrix entries must be finite")
         p = arr.shape[0]
         self._p = p
         self._upper = arr[svec_indices(p)]
@@ -55,6 +63,14 @@ class SymMat:
         obj._upper.flags.writeable = False
         obj._cache = None
         return obj
+
+    @classmethod
+    def _finite(cls, p, upper):
+        """_from_packed for the result of arithmetic made under np.errstate:
+        InputDataError unless every entry is finite."""
+        if not np.isfinite(upper).all():
+            raise InputDataError("matrix entries must be finite")
+        return cls._from_packed(p, upper)
 
     @classmethod
     def zeros(cls, p):
@@ -107,16 +123,26 @@ class SymMat:
         return [float(v) for v in self.full().ravel()]
 
     def __add__(self, other):
-        return SymMat._from_packed(self._p, self._upper + as_symmat(other)._upper)
+        other = as_symmat(other)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return SymMat._finite(self._p, self._upper + other._upper)
 
     def __sub__(self, other):
-        return SymMat._from_packed(self._p, self._upper - as_symmat(other)._upper)
+        other = as_symmat(other)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return SymMat._finite(self._p, self._upper - other._upper)
 
     def __neg__(self):
         return SymMat._from_packed(self._p, -self._upper)
 
     def __mul__(self, c):
-        return SymMat._from_packed(self._p, float(c) * self._upper)
+        c = float(c)
+        if not math.isfinite(c):
+            raise InputDataError("scalar factor must be finite")
+        if abs(c) <= 1.0:  # shrinks finite entries: nothing can overflow
+            return SymMat._from_packed(self._p, c * self._upper)
+        with np.errstate(over="ignore"):
+            return SymMat._finite(self._p, c * self._upper)
 
     __rmul__ = __mul__
 
@@ -149,6 +175,51 @@ def svec_scale(p):
     scale = np.where(rows == cols, 1.0, _SQRT2)
     scale.flags.writeable = False
     return scale
+
+
+class PackingTables(NamedTuple):
+    """Flat index tables of one order p, with m = p(p+1)/2 packed entries.
+
+    upper (m,): flat positions of the packed upper triangle, so
+        A.reshape(k, p * p).take(upper, 1) holds the entries of
+        A[:, rows, cols];
+    gather (p * p,): the packed entry of each flat position, so
+        U.take(gather, 1) spreads rows of packed triangles into dense
+        symmetric rows;
+    mirror (p * p,): the flat upper-triangle position of each flat
+        position, so A.reshape(k, p * p).take(mirror, 1) copies each
+        upper triangle onto the lower one;
+    rotation (4, m, m): the flat frame positions of the four factors
+        P_ai P_bj, P_bi P_aj of the svec basis rotation (pairs (a, b)
+        down, (i, j) across);
+    half_s (m, 1): the column of weights 0.5 s of that rotation.
+    """
+
+    upper: np.ndarray
+    gather: np.ndarray
+    mirror: np.ndarray
+    rotation: np.ndarray
+    half_s: np.ndarray
+
+
+@functools.cache
+def packing_tables(p) -> PackingTables:
+    """The PackingTables of order p, built once per order and shared (read-only)."""
+    rows, cols = svec_indices(p)
+    upper = rows * p + cols
+    gather = np.empty(p * p, dtype=np.intp)
+    gather[upper] = gather[cols * p + rows] = np.arange(rows.size)
+    r, c = rows[:, None], cols[:, None]
+    tables = PackingTables(
+        upper,
+        gather,
+        upper[gather],
+        np.array([r * p + rows, c * p + cols, c * p + rows, r * p + cols]),
+        (0.5 * svec_scale(p))[:, None],
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def dense_stack(mats, p) -> np.ndarray:
@@ -236,7 +307,7 @@ def spectral_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     lam, V = np.linalg.eigh(A)
     lam, P = lam[:, ::-1], np.ascontiguousarray(V[:, :, ::-1])
-    return lam, P, (P * np.maximum(lam, 0.0)[:, None, :]) @ np.swapaxes(P, 1, 2)
+    return lam, P, (P * np.maximum(lam, 0.0)[:, None, :]) @ P.swapaxes(1, 2)
 
 
 def jacobi_eigh(M) -> tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,11 @@ tests/golden/<command>_<family>.json holds the output of
 `kkt-spectra <command> --family <family> --format json`, and
 tests/golden/perturb_<family>_<ref|default>.json that of `kkt-spectra
 perturb --family <family> --format json` at the short reference schedule
-or the 13-point one, at the default seed.
+or the 13-point one, at the default seed;
+tests/golden/perturb_example2_direction.json pins the example2 sweep along
+a fixed --direction, and tests/golden/perturb_user.json the sweep of the
+example3 problem read from files under a stationarity shift, the sweep
+whose starts take the Levenberg-Marquardt fallback.
 tests/golden/pair_<name>.json holds a problem and point in the CLI file
 format, with the qualification, classifier and x-part results expected
 at that pair, and for some pairs the critical-cone dimension and the
@@ -22,7 +26,7 @@ import pytest
 
 from kkt_spectra.cli import main
 from kkt_spectra.criticality import build_system, check_rcq, check_srcq, classify_multiplier, xpart_condition
-from kkt_spectra.problem import kkt_point, problem_from_dict
+from kkt_spectra.problem import example3_family, kkt_point, problem_from_dict, problem_to_dict
 from kkt_spectra.sosc import check_soscy
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -45,16 +49,31 @@ PERTURB_SCHEDULES = {
     ("example3", "ref"): "1e-2:1e-3:2",
     ("example3", "default"): "1e-2:1e-6:13",
 }
+PERTURB_SWEEPS = {
+    f"{family}-{schedule}": ["--family", family, "--geo", geo]
+    for (family, schedule), geo in PERTURB_SCHEDULES.items()
+}
+PERTURB_SWEEPS["example2-direction"] = [
+    "--family", "example2", "--direction", "[[0.3, 1.0], [1.0, -0.7]]", "--geo", "1e-2:1e-5:13",
+]
+PERTURB_SWEEPS["user"] = [
+    "--problem", "{problem}", "--point", "{point}",
+    "--p1", "[0.1, 0.0]", "--p2", "[[0.0, 0.0], [0.0, 0.0]]", "--geo", "1e-2:1e-4:5",
+]
 
 
-@pytest.mark.parametrize("family, schedule", sorted(PERTURB_SCHEDULES))
-def test_perturb_json_matches_golden(family, schedule):
+@pytest.mark.parametrize("name", sorted(PERTURB_SWEEPS))
+def test_perturb_json_matches_golden(name, tmp_path):
+    fam = example3_family()
+    files = {"problem": tmp_path / "problem.json", "point": tmp_path / "point.json"}
+    files["problem"].write_text(json.dumps(problem_to_dict(fam.problem)))
+    files["point"].write_text(json.dumps({"x": [0.0, 0.0], "Y": [[0.0, 0.0], [0.0, 0.0]]}))
+    tail = [arg.format(**files) for arg in PERTURB_SWEEPS[name]]
     out, err = io.StringIO(), io.StringIO()
-    argv = ["perturb", "--family", family, "--geo", PERTURB_SCHEDULES[family, schedule], "--format", "json"]
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        code = main(["perturb"] + tail + ["--format", "json"])
     assert (code, err.getvalue()) == (0, "")
-    with open(os.path.join(GOLDEN, f"perturb_{family}_{schedule}.json"), encoding="utf-8") as fh:
+    with open(os.path.join(GOLDEN, f"perturb_{name.replace('-', '_')}.json"), encoding="utf-8") as fh:
         assert out.getvalue() == fh.read()
 
 

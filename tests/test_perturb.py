@@ -26,6 +26,8 @@ from kkt_spectra.perturb import (
 from kkt_spectra.problem import (
     PerturbationFamily,
     eval_G,
+    hessian_array,
+    jacobian_array,
     kkt_residual,
     make_problem,
     normal_map_spectral,
@@ -33,7 +35,16 @@ from kkt_spectra.problem import (
     shifted_problem,
 )
 from kkt_spectra.sosc import check_soscy, theorem3_conditions
-from kkt_spectra.symmat import SymMat, project_psd, sym_mat
+from kkt_spectra.symmat import (
+    SymMat,
+    default_tol_zero,
+    packing_tables,
+    project_psd,
+    spectral_stack,
+    svec_indices,
+    svec_scale,
+    sym_mat,
+)
 
 
 def natural_start(fam):
@@ -374,8 +385,9 @@ def test_nonfinite_perturbation_rejected(fam3):
         )
         with pytest.raises(InputDataError, match="finite"):
             error_bound_experiment(fam, [1e-2])
-    with np.errstate(over="ignore"):
-        inf_p2 = SymMat.eye(2) * 1e308 * 10.0
+    # SymMat arithmetic no longer makes an infinite shift, so build one
+    # from its packed entries
+    inf_p2 = SymMat._from_packed(2, np.array([math.inf, 0.0, math.inf]))
     with pytest.raises(InputDataError, match="finite"):
         solve_perturbed_kkt(fam3.problem, np.zeros(2), inf_p2)
 
@@ -487,3 +499,119 @@ def test_stacked_certification_matches_per_root_rule():
                 assert out.x.tobytes() == want.x.tobytes()
                 assert out.Y.full().tobytes() == want.Y.full().tobytes()
                 assert (out.newton_iters, out.residual) == (want.newton_iters, want.residual)
+
+
+def random_kernel_problem(rng, n, p):
+    """A shifted problem with n variables and order-p constraint data."""
+    lin = [random_symmetric(rng, p) for _ in range(n)]
+    quad = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            quad[i][j] = quad[j][i] = random_symmetric(rng, p, 0.3)
+    pd = make_problem(rng.standard_normal(n), np.eye(n), random_symmetric(rng, p), lin, quad)
+    return shifted_problem(pd, 1e-3 * rng.standard_normal(n), random_symmetric(rng, p, 1e-3))
+
+
+def kernel_stacks():
+    """Seeded (spd, X, ZV) stacks over n in 0..3, p in 1..4, k in {1, 3, 9};
+    every other stack has a zero eigenvalue in each z, so that the
+    projection elements meet their kernel block."""
+    rng = np.random.default_rng(14)
+    for n in range(4):
+        for p in range(1, 5):
+            spd = random_kernel_problem(rng, n, p)
+            rows, cols = svec_indices(p)
+            for k in (1, 3, 9):
+                X = rng.standard_normal((k, n))
+                Q = np.linalg.qr(rng.standard_normal((k, p, p)))[0]
+                lam = rng.standard_normal((k, p))
+                if (n + p + k) % 2:
+                    lam[:, 0] = 0.0
+                Z = (Q * lam[:, None, :]) @ np.swapaxes(Q, 1, 2)
+                yield spd, X, Z[:, rows, cols] * svec_scale(p)
+
+
+def dense_from_svec(ZV, p):
+    """The scatter definition of the dense symmetric stack of svec rows."""
+    rows, cols = svec_indices(p)
+    U = ZV / svec_scale(p)
+    Z = np.zeros((len(ZV), p, p))
+    Z[:, rows, cols] = U
+    Z[:, cols, rows] = U
+    return Z
+
+
+def test_packing_tables_match_index_definitions():
+    rng = np.random.default_rng(2)
+    for p in range(1, 5):
+        t = packing_tables(p)
+        assert packing_tables(p) is t
+        assert all(not table.flags.writeable for table in t)
+        rows, cols = svec_indices(p)
+        m = rows.size
+        for k in (1, 3, 9):
+            A = rng.standard_normal((k, p, p))
+            flat = A.reshape(k, p * p)
+            assert flat.take(t.upper, 1).tobytes() == A[:, rows, cols].tobytes()
+            U = rng.standard_normal((k, m))
+            Z = np.zeros((k, p, p))
+            Z[:, rows, cols] = U
+            Z[:, cols, rows] = U
+            assert U.take(t.gather, 1).reshape(k, p, p).tobytes() == Z.tobytes()
+            M = A.copy()
+            M[:, cols, rows] = M[:, rows, cols]
+            assert flat.take(t.mirror, 1).reshape(k, p, p).tobytes() == M.tobytes()
+            r, c = rows[:, None], cols[:, None]
+            factors = (A[:, r, rows], A[:, c, cols], A[:, c, rows], A[:, r, cols])
+            for index, factor in zip(t.rotation, factors):
+                assert flat.take(index, 1).tobytes() == factor.tobytes()
+        assert t.half_s.tobytes() == (0.5 * svec_scale(p))[:, None].tobytes()
+
+
+def test_residual_rows_match_normal_map():
+    # the residual rows are normal_map_stack at the dense z, packed by svec
+    # through the fancy index; the norms are one dot product per row
+    for spd, X, ZV in kernel_stacks():
+        p = spd.p
+        rows, cols = svec_indices(p)
+        Z = dense_from_svec(ZV, p)
+        R, RN, split = perturb._residuals(spd, X, ZV)
+        psi1, psi2 = normal_map_stack(spd, X, Z)
+        want = np.concatenate([psi1, psi2[:, rows, cols] * svec_scale(p)], axis=1)
+        assert R.tobytes() == want.tobytes()
+        assert RN.tobytes() == np.sqrt((want[:, None, :] @ want[:, :, None])[:, 0, 0]).tobytes()
+        for got, ref in zip(split, spectral_stack(Z)):
+            assert got.tobytes() == ref.tobytes()
+
+
+def assembled_newton_elements(spd, X, ZV, split):
+    """The Newton elements assembled entry by entry from scatters and
+    fancy-indexed frames."""
+    k, n, p = len(X), spd.n, spd.p
+    m = p * (p + 1) // 2
+    rows, cols = svec_indices(p)
+    svs = svec_scale(p)
+    lam, P, Pz = split
+    Y = dense_from_svec(ZV - Pz[:, rows, cols] * svs, p)
+    Dsv = jacobian_array(spd, X)[:, :, rows, cols] * svs
+    tol = default_tol_zero(lam)[:, None]
+    li, lj = lam[:, rows], lam[:, cols]
+    w = np.where(lj >= -tol, 1.0, 0.0)
+    np.divide(li, li - lj, out=w, where=(li > tol) & (lj < -tol))
+    r, c = rows[:, None], cols[:, None]
+    B = P[:, r, rows] * P[:, c, cols] + P[:, c, rows] * P[:, r, cols]
+    B = (0.5 * svs)[:, None] * B * svs
+    JP = (B * w[:, None, :]) @ np.swapaxes(B, 1, 2)
+    J = np.zeros((k, n + m, n + m))
+    J[:, :n, :n] = hessian_array(spd, Y)
+    J[:, :n, n:] = Dsv @ (np.eye(m) - JP)
+    J[:, n:, :n] = np.swapaxes(Dsv, 1, 2)
+    J[:, n:, n:] = -JP
+    return J
+
+
+def test_newton_elements_match_assembly():
+    for spd, X, ZV in kernel_stacks():
+        split = perturb._residuals(spd, X, ZV)[2]
+        got = perturb._newton_elements(spd, X, ZV, split)
+        assert got.tobytes() == assembled_newton_elements(spd, X, ZV, split).tobytes()

@@ -1,8 +1,12 @@
 """Spectral core: eigensolver, projections, directional derivatives."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
+from kkt_spectra.errors import InputDataError
 from kkt_spectra.symmat import (
     SymMat,
     det_form,
@@ -219,3 +223,34 @@ def test_psd_preimage_span_cases():
     # zero map: every point qualifies
     span, anchor = psd_preimage_span([0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
     assert span.shape == (2, 2) and anchor is not None
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SymMat.diag([1e308, 1.0]), "matrix entries"),  # 1e308 + 1e308 overflows
+        (lambda: SymMat([[0.0, 1.7e308], [1.7e308, 0.0]]), "matrix entries"),
+        (lambda: SymMat([[1.0, math.nan], [0.0, 1.0]]), "matrix entries"),
+        (lambda: math.inf * SymMat.eye(2), "scalar factor"),
+        (lambda: SymMat.eye(2) * math.nan, "scalar factor"),
+        (lambda: SymMat.eye(2) * 1e308 * 10.0, "matrix entries"),
+        (lambda: SymMat.diag([1e308, 0.0]) + SymMat.diag([1e308, 0.0]), "matrix entries"),
+        (lambda: SymMat.diag([-1e308, 0.0]) - SymMat.diag([1e308, 0.0]), "matrix entries"),
+        (lambda: SymMat.eye(2) + [[math.inf, 0.0], [0.0, 0.0]], "matrix entries"),
+    ],
+    ids=["init-diag", "init-offdiag", "init-nan", "mul-inf", "mul-nan", "mul-overflow",
+         "add-overflow", "sub-overflow", "add-inf"],
+)
+def test_symmat_rejects_nonfinite_entries(build, message):
+    # every SymMat holds finite entries: a symmetrized matrix, scalar or
+    # sum that is not finite raises, with no floating-point warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputDataError, match=message):
+            build()
+
+
+def test_symmat_keeps_large_finite_entries():
+    big = SymMat.diag([8e307, 1.0])
+    assert big.max_abs() == 8e307
+    assert (big + big).max_abs() == 1.6e308 and (2.0 * big).max_abs() == 1.6e308
