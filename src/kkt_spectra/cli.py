@@ -275,8 +275,8 @@ def _criticality_payload(sysm, req: AnalysisRequest):
     return out
 
 
-def _soscy_payload(sysm, req: AnalysisRequest):
-    rep = check_soscy(sysm, {"starts": req.samples})
+def _soscy_payload(sysm):
+    rep = check_soscy(sysm)
     return {
         "verdict": rep.verdict,
         "sonc_verdict": rep.sonc_verdict,
@@ -305,7 +305,7 @@ def cmd_analyze(req: AnalysisRequest) -> dict:
         },
         "criticality": _criticality_payload(sysm, req),
         "x_part_condition": xpart_condition(sysm),
-        "soscy": _soscy_payload(sysm, req),
+        "soscy": _soscy_payload(sysm),
         "local_bound_conditions": _theorem3_payload(sysm, req),
     }
 
@@ -328,7 +328,7 @@ def cmd_sosc(req: AnalysisRequest) -> dict:
         "schema": SCHEMA,
         "command": "sosc",
         "source": req.family or req.problem,
-        "soscy": _soscy_payload(sysm, req),
+        "soscy": _soscy_payload(sysm),
         "local_bound_conditions": _theorem3_payload(sysm, req),
     }
 

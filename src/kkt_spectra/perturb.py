@@ -276,8 +276,10 @@ def solve_perturbed_starts(pd: ProblemData, p1, p2, starts) -> list:
     of all starts are then certified together at their canonical
     splitting points in one stacked pass.
     Returns, in start order, a PerturbationSample per certified root and
-    a ConvergenceError (carrying the best iterate) per stagnated start; a
-    row's outcome does not depend on the other rows. A non-finite
+    a ConvergenceError (carrying the best iterate) per stagnated start.
+    For n >= 2 a row's outcome does not depend on the other rows; at
+    n = 1 the packed-block products round by the stack's layout, so a
+    start can end differently in a stack than alone. A non-finite
     perturbation or iterate raises InputDataError.
     """
     p1, p2 = _perturbation(pd, p1, p2)

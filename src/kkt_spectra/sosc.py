@@ -5,6 +5,7 @@ the multiplier error bound."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -32,10 +33,12 @@ from .symmat import (
     SymMat,
     as_symmat,
     common_eigenframe,
+    det_form,
     dir_deriv_from_decomp,
     eig_range,
     eigh,
     psd_part,
+    psd_preimage_span,
     svec_indices,
     svec_scale,
     sym_vec,
@@ -43,12 +46,10 @@ from .symmat import (
 
 TOL_POS = 1e-8
 
-DEFAULT_SOSCY_OPTIONS = {"starts": 64}
 DEFAULT_THEOREM3_OPTIONS = {"samples": 64, "seed": 42}
 
-# projected-gradient search: iteration cap per start and initial step
-SEARCH_ITERS = 500
-SEARCH_STEP = 0.1
+# mu evaluations per S-procedure bound; the |beta| = 2 bisection needs about 60
+BOUND_STEPS = 200
 
 # theorem-3 samples evaluated per stacked block; bounds memory, not the budget
 SAMPLE_BLOCK = 256
@@ -118,44 +119,24 @@ def evaluate_second_order_form(pd: ProblemData, xbar, ybar, d) -> float:
     return float(d @ hessL @ d) - sigma_term(ctx, H)
 
 
-def _sphere_sequence(count: int, dim: int, offset: int = 0) -> np.ndarray:
-    """Deterministic low-discrepancy points on the unit sphere.
-
-    Kronecker lattice in [0,1)^dim driven through a Box-Muller map; the
-    resulting directions are equidistributed without any RNG state.
-    """
-    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
-    k = 2 * ((dim + 1) // 2)
-    alphas = np.sqrt(primes[: k])
-    pts = np.zeros((count, dim))
-    for i in range(count):
-        u = np.modf((offset + i + 1) * alphas)[0]
-        u = np.where(u <= 1e-12, 0.5, u)
-        g = np.zeros(k)
-        for j in range(0, k, 2):
-            r = math.sqrt(-2.0 * math.log(u[j]))
-            g[j] = r * math.cos(2.0 * math.pi * u[j + 1])
-            g[j + 1] = r * math.sin(2.0 * math.pi * u[j + 1])
-        v = g[:dim]
-        nv = np.linalg.norm(v)
-        pts[i] = v / nv if nv > 0 else np.eye(dim)[0]
-    return pts
-
-
 def _beta_block_map(sys: CriticalitySystem):
     """Beta blocks of the pushed-forward direction map, one per column of
     the critical-cone basis."""
     beta = sys.ctx.decomp.beta
     Db = sys.Dt[:, beta[:, None], beta]
     Z = sys.cone_null
-    return [sum(Z[k, c] * Db[k] for k in range(sys.n)) for c in range(Z.shape[1])]
+    return np.array([sum(Z[k, c] * Db[k] for k in range(sys.n)) for c in range(Z.shape[1])])
 
 
-def _exact_report(min_value: float, minimizer, stats: dict) -> SecondOrderReport:
-    """Report of an exact tier; an infinite minimum means the cone is {0}."""
-    verdict = SOSCY_HOLDS if min_value > TOL_POS else SOSCY_FAILS
-    sonc = "holds" if min_value >= -TOL_POS else "fails"
-    return SecondOrderReport(min_value, minimizer, verdict, sonc, stats)
+def _report(bound: float, value: float, minimizer, stats: dict) -> SecondOrderReport:
+    """Verdicts from a certified lower bound and the value at a direction
+    verified in the cone (inf without one; a holds then reports its bound).
+    An exact tier passes its minimum as both; inf means the cone is {0}."""
+    verdict = SOSCY_FAILS if value <= TOL_POS else SOSCY_HOLDS if bound > TOL_POS else UNDETERMINED
+    sonc = "holds" if bound >= -TOL_POS else "fails" if value < -TOL_POS else UNDETERMINED
+    if minimizer is None:
+        value = bound if verdict == SOSCY_HOLDS else math.nan
+    return SecondOrderReport(value, minimizer, verdict, sonc, stats)
 
 
 def _face_minimum(Qh: np.ndarray, A: np.ndarray, tol: float):
@@ -189,19 +170,99 @@ def _face_minimum(Qh: np.ndarray, A: np.ndarray, tol: float):
     return best, best_c, feasible
 
 
-def check_soscy(sys: CriticalitySystem, options: Optional[dict] = None) -> SecondOrderReport:
+def _restore(blocks, c):
+    """Descend the exterior penalty (squared negative eigenvalues of B(c))
+    on the unit sphere until B(c) is PSD to 1e-11 or the descent stalls."""
+
+    def penalty(c):
+        lam, V = eigh(np.tensordot(c, blocks, 1))
+        neg = np.minimum(lam, 0.0)
+        return float(np.sum(neg**2)), 2.0 * np.einsum("i,ai,kab,bi->k", neg, V, blocks, V)
+
+    for _ in range(50):
+        pen, gp = penalty(c)
+        g = gp - float(gp @ c) * c
+        gn = float(np.linalg.norm(g))
+        if pen <= 1e-22 or gn <= 1e-14:
+            break
+        for step in min(1.0, 4.0 * pen / gn**2) * 0.5 ** np.arange(15):
+            cn = c - step * g
+            cn /= np.linalg.norm(cn)
+            pn, _ = penalty(cn)
+            if pn <= 1e-22 or pn < pen * (1.0 - 1e-3):
+                break
+        else:
+            break
+        c = cn
+    return c
+
+
+def _s_lemma(Qh: np.ndarray, K: np.ndarray):
+    """max over mu >= 0 of lambda_min(Qh - mu K), and candidate minimizers.
+
+    A bottom eigenvector v gives the supergradient -v^T K v, so doubling
+    and then bisection on its sign bracket the maximizer. Candidates are v
+    at both ends and a K-isotropic combination of the two, which attains
+    the maximum where the bottom eigenvalue is double.
+    """
+    lo, hi, ends = 0.0, None, [None, None]
+    bound, mu = -math.inf, 0.0
+    scale = max(1.0, float(np.abs(Qh).max())) / float(np.abs(K).max())
+    for _ in range(BOUND_STEPS):
+        lam, V = eigh(Qh - mu * K)
+        bound = max(bound, float(lam[-1]))
+        if V[:, -1] @ K @ V[:, -1] >= 0.0:
+            hi, ends[1] = mu, V[:, -1]
+        else:
+            lo, ends[0] = mu, V[:, -1]
+        if hi is not None and hi - lo <= 1e-15 * hi:
+            break
+        mu = max(2.0 * lo, scale) if hi is None else 0.5 * (lo + hi)
+    cands = [v for v in ends if v is not None]
+    if len(cands) == 2:
+        (k_ll, k_lh), (_, k_hh) = np.array(ends) @ K @ np.array(ends).T
+        if k_ll < 0.0 < k_hh:
+            x = ends[0] + (math.sqrt(k_lh**2 - k_ll * k_hh) - k_lh) / k_hh * ends[1]
+            cands.append(x / np.linalg.norm(x))
+    return bound, cands
+
+
+def _supergradient_bound(Qh: np.ndarray, blocks: np.ndarray):
+    """Best bound lambda_min(Qh - sum_i mu_i F_i) of a projected
+    supergradient ascent over mu >= 0 with normalized, diminishing steps,
+    and the eigenvectors there, bottom first, as candidates. Each 2x2
+    principal minor of B(c) gives two forms F_i, nonnegative wherever B(c)
+    is PSD or NSD: its determinant and, with the coupling dropped, the
+    product of its diagonal entries."""
+    pairs = itertools.combinations(range(blocks.shape[1]), 2)
+    minors = [(blocks[:, i, i], blocks[:, i, j], blocks[:, j, j]) for i, j in pairs]
+    forms = np.array([det_form(a, w * f, b) for a, f, b in minors for w in (1.0, 0.0)])
+    mu = np.zeros(len(forms))
+    bound, best = -math.inf, None
+    scale = max(1.0, float(np.abs(Qh).max())) / float(np.abs(forms).max())
+    for k in range(BOUND_STEPS):
+        lam, V = eigh(Qh - np.tensordot(mu, forms, 1))
+        if lam[-1] > bound:
+            bound, best = float(lam[-1]), V[:, ::-1]
+        g = -np.einsum("i,kij,j->k", V[:, -1], forms, V[:, -1])
+        if not g.any():
+            break
+        mu = np.maximum(mu + scale / math.sqrt(k + 1.0) * g / np.linalg.norm(g), 0.0)
+    return bound, list(best.T)
+
+
+def check_soscy(sys: CriticalitySystem) -> SecondOrderReport:
     """Minimize the second-order form over the unit sphere in C(xbar).
 
     Exact when the cone is a subspace (empty or inactive beta block), a
     halfspace section (singleton beta block, settled by evenness of the
     form), or polyhedral (commuting beta blocks, settled by enumerating
     its faces; a cone that reduces to {0} holds with an infinite
-    minimum). Non-commuting blocks fall back to multistart projected
-    gradient with an exterior penalty; only endpoints that certify exact
-    cone membership count, so a failure verdict always carries a
-    certified direction.
+    minimum). Non-commuting blocks take an S-procedure lower bound over
+    C u -C, where the even form has the same minimum, exact at |beta| = 2
+    by the S-lemma; `fails` there needs a direction re-verified in the
+    cone (see _report).
     """
-    opts = merged_options(DEFAULT_SOSCY_OPTIONS, options)
     d = sys.ctx.decomp
     Q = sys.hessL - _sigma_quadratic(sys)
     Q = 0.5 * (Q + Q.T)
@@ -210,18 +271,12 @@ def check_soscy(sys: CriticalitySystem, options: Optional[dict] = None) -> Secon
 
     if Z.shape[1] == 0:
         stats["path"] = "trivial cone"
-        return _exact_report(math.inf, None, stats)
+        return _report(math.inf, math.inf, None, stats)
 
     Qh = Z.T @ Q @ Z
     Qh = 0.5 * (Qh + Qh.T)
     blocks = _beta_block_map(sys) if d.beta.size else []
     block_scale = max((np.abs(B).max() for B in blocks), default=0.0)
-
-    def beta_block(c):
-        M = np.zeros((d.beta.size, d.beta.size))
-        for k, B in enumerate(blocks):
-            M += c[k] * B
-        return M
 
     exact_subspace = d.beta.size == 0 or block_scale <= 1e-12
     if exact_subspace or d.beta.size == 1:
@@ -232,11 +287,11 @@ def check_soscy(sys: CriticalitySystem, options: Optional[dict] = None) -> Secon
         if not exact_subspace:
             # singleton block: the form is even, so the halfspace section
             # attains the same minimum; flip the sign to land inside
-            if beta_block(c)[0, 0] < 0.0:
+            if sum(c[k] * B for k, B in enumerate(blocks))[0, 0] < 0.0:
                 c = -c
         stats["path"] = "exact subspace" if exact_subspace else "exact halfspace"
         stats["certified"] = 1
-        return _exact_report(min_value, Z @ c, stats)
+        return _report(min_value, min_value, Z @ c, stats)
 
     frame = common_eigenframe(blocks, d.beta.size)
     if frame is not None:
@@ -246,145 +301,40 @@ def check_soscy(sys: CriticalitySystem, options: Optional[dict] = None) -> Secon
         min_value, c, faces = _face_minimum(Qh, A, 1e-9 * max(1.0, block_scale))
         stats["path"] = "exact face enumeration"
         stats["certified"] = faces
-        return _exact_report(min_value, None if c is None else Z @ c, stats)
+        return _report(min_value, min_value, None if c is None else Z @ c, stats)
 
-    # non-commuting beta blocks: multistart projected gradient with an
-    # exterior penalty on the smallest block eigenvalue
-    m = Z.shape[1]
-    mu = 1e3 * max(1.0, float(np.abs(Qh).max())) / max(block_scale, 1e-12) ** 2
-    starts = list(_sphere_sequence(int(opts["starts"]), m, offset=0))
-    lam0, V0 = eigh(Qh)
-    for idx in range(m):
-        starts.append(V0[:, idx])
-        starts.append(-V0[:, idx])
+    # non-commuting blocks: each pair form is nonnegative on C u -C, so
+    # lambda_min(Qh - sum_i mu_i F_i) bounds the minimum for every mu >= 0
+    stats["path"] = "S-procedure"
+    if d.beta.size > 2:
+        bound, cands = _supergradient_bound(Qh, blocks)
+    else:
+        a, f, b = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 1]
+        span, _ = psd_preimage_span(a, f, b)
+        if span.shape[1] < Z.shape[1]:
+            # the det form has no positive eigenvalue: C u -C is its null space
+            lam, V = eigh(span.T @ Qh @ span)
+            bound, cands = float(lam.min(initial=math.inf)), list((span @ V[:, -1:]).T)
+        else:
+            bound, cands = _s_lemma(Qh, det_form(a, f, b))
 
-    def penalty_and_grad(c):
-        M = beta_block(c)
-        lam, V = eigh(M)
-        neg = np.minimum(lam, 0.0)
-        pen = float(np.sum(neg**2))
-        g = np.zeros(m)
-        for i, nv in enumerate(neg):
-            if nv < 0.0:
-                vi = V[:, i]
-                for k, B in enumerate(blocks):
-                    g[k] += 2.0 * nv * float(vi @ B @ vi)
-        return pen, g
-
-    def merit(c):
-        pen, _ = penalty_and_grad(c)
-        return float(c @ Qh @ c) + mu * pen
-
-    def restore(c, iters=50):
-        # descend the penalty alone until the block is PSD to 1e-11
-        for _ in range(iters):
-            pen, gp = penalty_and_grad(c)
-            if pen <= 1e-22:
-                break
-            g = gp - float(gp @ c) * c
-            gn = float(np.linalg.norm(g))
-            if gn <= 1e-14:
-                break
-            step = min(1.0, 4.0 * pen / gn**2)
-            moved = False
-            for _ in range(15):
-                cn = c - step * g
-                cn /= np.linalg.norm(cn)
-                pn, _ = penalty_and_grad(cn)
-                if pn <= 1e-22 or pn < pen * (1.0 - 1e-3):
-                    c = cn
-                    moved = True
-                    break
-                step *= 0.5
-            if not moved:
-                break
-        return c
-
-    def slide(c):
-        # feasible-direction descent: step on the form, restore, accept on decrease
-        c = restore(c)
-        pen, _ = penalty_and_grad(c)
-        if pen > 1e-22:
-            return c
+    # a candidate counts once G'(x)(Z c) passes the critical-cone test
+    tol = 1e-9 * max(1.0, block_scale)
+    best_c, best_val, best_uncert = None, math.inf, math.inf
+    for c in (s * v for v in cands for s in (1.0, -1.0)):
+        c = _restore(blocks, c) if d.beta.size > 2 else c
+        stats["starts"] += 1
+        mem = critical_cone_psd_membership(sys.ctx, jacobian_apply(sys.pd, sys.kkt.x, Z @ c), tol)
         val = float(c @ Qh @ c)
-        step = SEARCH_STEP
-        for _ in range(100):
-            g = 2.0 * (Qh @ c)
-            g = g - float(g @ c) * c
-            if float(np.linalg.norm(g)) <= 1e-12:
-                break
-            moved = False
-            s = step
-            for _ in range(12):
-                cn = c - s * g
-                cn /= np.linalg.norm(cn)
-                cn = restore(cn)
-                pn, _ = penalty_and_grad(cn)
-                vn = float(cn @ Qh @ cn)
-                if pn <= 1e-22 and vn < val - 1e-14:
-                    c, val = cn, vn
-                    step = min(2.0 * s, 1.0)
-                    moved = True
-                    break
-                s *= 0.5
-            if not moved:
-                break
-        return c
-
-    cands = []
-    for c0 in starts:
-        c = c0.copy()
-        f = merit(c)
-        for _ in range(SEARCH_ITERS):
-            pen, gp = penalty_and_grad(c)
-            grad = 2.0 * (Qh @ c) + mu * gp
-            grad = grad - float(grad @ c) * c  # tangent component on the sphere
-            gn = float(np.linalg.norm(grad))
-            if gn <= 1e-12:
-                break
-            step = SEARCH_STEP
-            moved = False
-            for _ in range(20):
-                cn = c - step * grad
-                cn /= np.linalg.norm(cn)
-                fn = merit(cn)
-                if fn < f - 1e-12:
-                    c, f = cn, fn
-                    moved = True
-                    break
-                step *= 0.5
-            if not moved:
-                break
-        cands.append(slide(c))
-    stats["starts"] = len(starts)
-
-    best_cert = None
-    best_cert_val = math.inf
-    best_uncert = math.inf
-    for c in cands:
-        M = beta_block(c)
-        lam, _ = eigh(M)
-        viol = max(0.0, -float(lam.min()))
-        val = float(c @ Qh @ c)
-        if viol <= 1e-9:
+        if mem.member:
             stats["certified"] += 1
-            if val < best_cert_val:
-                best_cert_val = val
-                best_cert = c
-        elif viol <= 1e-5:
+            if val < best_val:
+                best_c, best_val = c, val
+        elif mem.violation <= 1e-5:
             best_uncert = min(best_uncert, val)
-    stats["best_uncertified"] = None if best_uncert is math.inf else best_uncert
-    stats["path"] = "projected gradient"
-
-    if best_cert is None:
-        return SecondOrderReport(math.nan, None, UNDETERMINED, "holds", stats)
-    minimizer = Z @ best_cert
-    sonc = "holds" if best_cert_val >= -TOL_POS else "fails"
-    if best_cert_val > TOL_POS:
-        if best_uncert < -TOL_POS:
-            return SecondOrderReport(best_cert_val, minimizer, UNDETERMINED, sonc, stats)
-        return SecondOrderReport(best_cert_val, minimizer, SOSCY_HOLDS, sonc, stats)
-    return SecondOrderReport(best_cert_val, minimizer, SOSCY_FAILS, sonc, stats)
+    stats["best_uncertified"] = None if best_uncert == math.inf else best_uncert
+    stats["lower_bound"] = bound
+    return _report(bound, best_val, None if best_c is None else Z @ best_c, stats)
 
 
 def lemma4_check(C, dA, dB, tol: float = 1e-7) -> dict:

@@ -364,10 +364,6 @@ def test_unknown_option_keys_rejected(fam3):
     sys3 = context(fam3.problem, fam3.xbar, fam3.ybar)
     with pytest.raises(InputDataError, match="grid"):
         classify_multiplier(sys3, {"grid": 9})
-    with pytest.raises(InputDataError, match="start"):
-        check_soscy(sys3, {"start": 8})
-    with pytest.raises(InputDataError, match="iters"):
-        check_soscy(sys3, {"iters": 10})
     with pytest.raises(InputDataError, match="sample"):
         theorem3_conditions(sys3, {"sample": 4})
 

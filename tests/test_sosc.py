@@ -12,6 +12,8 @@ from kkt_spectra.sosc import (
     SAMPLE_BLOCK,
     SOSCY_FAILS,
     SOSCY_HOLDS,
+    TOL_POS,
+    UNDETERMINED,
     check_soscy,
     critical_cone_x_membership,
     evaluate_second_order_form,
@@ -74,7 +76,7 @@ def test_check_soscy_scalar_boundary_failure():
         check_soscy(context(pd, [1.0], SymMat.diag([3.0])))
 
 
-def test_check_soscy_projected_gradient_tier():
+def test_check_soscy_s_procedure_tier():
     # indefinite form 4 d1 d2 with a boundary minimizer at a cone vertex
     pd = make_problem(
         [0.0, 0.0],
@@ -83,7 +85,7 @@ def test_check_soscy_projected_gradient_tier():
         [SymMat.diag([1.0, 0.0]), SymMat([[0.0, 1.0], [1.0, 2.0]])],
     )
     r = check_soscy(context(pd, [0.0, 0.0], SymMat.zeros(2)))
-    assert r.search_stats["path"] == "projected gradient"
+    assert r.search_stats["path"] == "S-procedure"
     assert r.verdict == SOSCY_FAILS and r.min_value <= 1e-8
     assert r.search_stats["certified"] > 0
 
@@ -149,6 +151,78 @@ def test_check_soscy_face_enumeration_boundary_minimizer():
     assert critical_cone_x_membership(pd, [0.0, 0.0], SymMat.zeros(2), r.minimizer)["member"]
     form = evaluate_second_order_form(pd, [0.0, 0.0], SymMat.zeros(2), r.minimizer)
     assert abs(form - r.min_value) <= 1e-12
+
+
+def test_s_procedure_exact_on_the_circle():
+    # |beta| = 2 with dim C = 2: G = 0 and Y = 0, so the cone is the arc
+    # of the plane where d1 G_1 + d2 G_2 is PSD and the form is f_quad;
+    # random G_k do not commute, and some draws have the cone {0}
+    rng = np.random.default_rng(3)
+    for _ in range(16):
+        G_lin = [random_symmetric(rng, 2), random_symmetric(rng, 2)]
+        pd = make_problem([0.0, 0.0], random_symmetric(rng, 2).full(), SymMat.zeros(2), G_lin)
+        r = check_soscy(context(pd, [0.0, 0.0], SymMat.zeros(2)))
+        assert r.search_stats["path"] == "S-procedure"
+        grid = cone_section_grid_minimum(pd)
+        if np.isinf(grid):
+            assert r.min_value == np.inf and r.verdict == SOSCY_HOLDS
+        else:
+            assert abs(r.min_value - grid) <= 1e-6
+
+
+def coupled_block_pair(rng, n, q):
+    """Pair at x = 0 whose q x q degenerate block is driven by dense
+    Jacobians, so its blocks do not commute.
+
+    G(0) = 0 of order q + 1 and Y = Diag(0, ..., 0, -w): beta is the
+    first q indices and gamma the last. The first Jacobian is positive
+    definite, so Robinson's condition holds, and f_lin makes the pair
+    stationary.
+    """
+    p = q + 1
+    w = float(rng.uniform(0.5, 2.0))
+    A = [random_symmetric(rng, p).full() for _ in range(n)]
+    A[0] = A[0] + (0.5 - min(0.0, np.linalg.eigvalsh(A[0]).min())) * np.eye(p)
+    G_lin = [SymMat(Ak) for Ak in A]
+    pd = make_problem([w * Ak[-1, -1] for Ak in A], random_symmetric(rng, n).full(), SymMat.zeros(p), G_lin)
+    return pd, np.zeros(n), SymMat.diag([0.0] * q + [-w])
+
+
+def test_s_procedure_verdicts_are_certified():
+    rng = np.random.default_rng(5)
+    seen = set()
+    for trial in range(32):
+        q = 2 + trial % 2
+        pd, x, Y = coupled_block_pair(rng, int(rng.integers(q + 3, q + 5)), q)
+        sys = context(pd, x, Y)
+        r = check_soscy(sys)
+        stats = r.search_stats
+        assert stats["path"] == "S-procedure"
+        seen.add((q, r.verdict))
+        if r.verdict == SOSCY_HOLDS:
+            assert stats["lower_bound"] > TOL_POS
+        if r.minimizer is not None:
+            assert critical_cone_x_membership(pd, x, Y, r.minimizer)["member"]
+            form = evaluate_second_order_form(pd, x, Y, r.minimizer)
+            assert abs(form - r.min_value) <= 1e-9 and r.min_value >= stats["lower_bound"] - 1e-9
+        if r.verdict == SOSCY_FAILS:
+            assert r.minimizer is not None and r.min_value <= TOL_POS
+        if q == 2 and np.isfinite(r.min_value):
+            # the S-lemma makes the bound the minimum
+            scale = max(1.0, float(np.abs(sys.hessL).max()))
+            assert abs(r.min_value - stats["lower_bound"]) <= 1e-9 * scale
+    assert {(2, SOSCY_HOLDS), (2, SOSCY_FAILS), (3, SOSCY_HOLDS), (3, SOSCY_FAILS)} <= seen
+
+
+def test_sonc_undetermined_without_a_witness():
+    # the bound stays negative and no candidate restores into the cone,
+    # so neither the sufficient nor the necessary condition is settled
+    pd, x, Y = coupled_block_pair(np.random.default_rng(14), 7, 3)
+    r = check_soscy(context(pd, x, Y))
+    assert r.search_stats["path"] == "S-procedure"
+    assert r.search_stats["lower_bound"] < -TOL_POS and r.search_stats["certified"] == 0
+    assert r.verdict == UNDETERMINED and r.sonc_verdict == UNDETERMINED
+    assert r.minimizer is None
 
 
 def test_sufficiency_implies_noncritical_on_fixtures(fam2, fam3):
