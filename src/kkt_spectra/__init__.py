@@ -57,12 +57,15 @@ from .criticality import (
     CriticalitySystem,
     CriticalityVerdict,
     NLPSystem,
+    analysis_context,
     build_system,
     check_rcq,
     check_srcq,
     classify_multiplier,
     classify_nlp,
     diagonal_reduction,
+    rcq_holds,
+    srcq_holds,
     witness_residual,
     xpart_condition,
 )

@@ -20,10 +20,10 @@ import numpy as np
 
 from .cones import is_normal_cone_polyhedral, strict_complementarity
 from .criticality import (
-    build_system,
-    check_rcq,
-    check_srcq,
+    analysis_context,
     classify_multiplier,
+    rcq_holds,
+    srcq_holds,
     xpart_condition,
 )
 from .errors import ConvergenceError, InputDataError, NumericError
@@ -32,7 +32,6 @@ from .problem import (
     FAMILY_NAMES,
     PerturbationFamily,
     builtin_family,
-    kkt_point,
     load_point,
     load_problem,
 )
@@ -240,7 +239,7 @@ def _analysis_context(req: AnalysisRequest):
     """The one analysis context, at the --tol-eig partition, of the
     requested pair; every section of a report reads it."""
     _, pd, x, Y = _resolve_inputs(req)
-    return build_system(pd, kkt_point(pd, x, Y), tol=req.tol_eig)
+    return analysis_context(pd, x, Y, tol=req.tol_eig)
 
 
 def _residuals_payload(sysm):
@@ -292,7 +291,6 @@ def _theorem3_payload(sysm, req: AnalysisRequest):
 
 def cmd_analyze(req: AnalysisRequest) -> dict:
     sysm = _analysis_context(req)
-    pd, x, Y = sysm.pd, sysm.kkt.x, sysm.kkt.Y
     return {
         "schema": SCHEMA,
         "command": "analyze",
@@ -300,8 +298,8 @@ def cmd_analyze(req: AnalysisRequest) -> dict:
         "kkt_residuals": _residuals_payload(sysm),
         "partition": _partition_payload(sysm.ctx),
         "constraint_qualifications": {
-            "rcq": check_rcq(pd, x, tol_feas=req.tol_feas),
-            "srcq": check_srcq(pd, x, Y, tol=req.tol_eig),
+            "rcq": rcq_holds(sysm.G, sysm.Ds, tol_feas=req.tol_feas),
+            "srcq": srcq_holds(sysm.ctx.decomp, sysm.Dt),
         },
         "criticality": _criticality_payload(sysm, req),
         "x_part_condition": xpart_condition(sysm),
@@ -349,7 +347,7 @@ def cmd_perturb(req: AnalysisRequest) -> dict:
     if fam is None:
         if req.p1 is None or req.p2 is None:
             raise InputDataError("user problems need --p1 and --p2 perturbation directions")
-        pair = build_system(pd, kkt_point(pd, x, Y)).kkt
+        pair = analysis_context(pd, x, Y).kkt
         p1d = np.asarray(req.p1, dtype=float).reshape(pd.n)
         p2d = as_symmat(req.p2)
         if p2d.p != pd.p:

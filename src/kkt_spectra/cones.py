@@ -67,15 +67,20 @@ def cone_context(X, Y, tol_zero=None, tol=1e-8) -> ConeContext:
     Y = as_symmat(Y)
     if X.p != Y.p:
         raise InputDataError(f"matrix orders differ: {X.p} vs {Y.p}")
-    A = X + Y
-    ctx = cone_context_from_matrix(A, tol_zero)
-    scale = max(1.0, A.norm())
+    ctx = cone_context_from_matrix(X + Y, tol_zero)
+    check_complementary(ctx, X, Y, tol)
+    return ctx
+
+
+def check_complementary(ctx: ConeContext, X: SymMat, Y: SymMat, tol=1e-8) -> None:
+    """Raise InputDataError unless ctx, the split of X + Y, gives back
+    (X, Y) within tol relative to max(1, |X + Y|)."""
+    scale = max(1.0, ctx.decomp.source.norm())
     gap = max((ctx.X - X).norm(), (ctx.Y - Y).norm())
     if gap > tol * scale:
         raise InputDataError(
             f"pair is not a complementary PSD/NSD split (defect {gap:.3e})"
         )
-    return ctx
 
 
 def _block_slices(d: SpectralDecomp):

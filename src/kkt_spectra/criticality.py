@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cones import ConeContext, cone_context
+from .cones import ConeContext, check_complementary, cone_context, cone_context_from_matrix
 from .errors import InputDataError, NumericError, merged_options
 from .lpkernel import (
     cone_kernel_nontrivial,
@@ -39,7 +39,8 @@ from .problem import (
     KKTPoint,
     ProblemData,
     eval_G,
-    eval_G_jacobian,
+    jacobian_stack,
+    kkt_residual_from,
     lagrangian_hessian,
 )
 from .symmat import (
@@ -47,15 +48,15 @@ from .symmat import (
     SymMat,
     as_symmat,
     common_eigenframe,
-    dir_deriv_from_decomp,
+    dir_deriv_dense,
     eig_range,
     eigh,
     psd_preimage_span,
     spectral_decompose,
     svec_indices,
     svec_scale,
+    svec_stack,
     sym_mat,
-    sym_vec,
 )
 
 DEFAULT_OPTIONS = {"samples": 64, "seed": 42}
@@ -70,17 +71,19 @@ class CriticalitySystem:
     """Analysis context of a certified KKT pair.
 
     Every analysis of the pair reads the one alpha/beta/gamma partition
-    held in ctx. Dt holds the constraint Jacobians rotated into the
-    eigenframe of G(x) + Y, shape (n, p, p). cone_rows are the x-space
-    equality rows of the critical cone, one per gamma x (beta u gamma)
-    entry (H_ij = 0), and cone_null is an orthonormal basis of their
-    null space.
+    held in ctx, the split of G(x) + Y. G is G(x) and Ds the constraint
+    Jacobians D_k(x) as one symmetric stack, shape (n, p, p); Dt holds
+    them rotated into the eigenframe of G(x) + Y. cone_rows are the
+    x-space equality rows of the critical cone, one per gamma x
+    (beta u gamma) entry (H_ij = 0), and cone_null is an orthonormal
+    basis of their null space.
     """
 
     pd: ProblemData
     kkt: KKTPoint
     hessL: np.ndarray
-    jac: tuple
+    G: SymMat
+    Ds: np.ndarray
     ctx: ConeContext
     Dt: np.ndarray
     cone_rows: np.ndarray
@@ -94,6 +97,11 @@ class CriticalitySystem:
     def p(self) -> int:
         return self.ctx.p
 
+    @property
+    def jac(self) -> tuple:
+        """The Jacobians D_k(x) as SymMats, one per variable."""
+        return tuple(SymMat(D) for D in self.Ds)
+
 
 @dataclass(frozen=True)
 class CriticalityVerdict:
@@ -103,29 +111,70 @@ class CriticalityVerdict:
     residual: float
 
 
+def _require_certified(kkt: KKTPoint) -> None:
+    if not kkt.certified:
+        raise InputDataError(
+            f"KKT residuals {kkt.residuals} exceed certification tolerance"
+        )
+
+
+def analysis_context(pd: ProblemData, x, Y, tol: Optional[float] = None) -> CriticalitySystem:
+    """Certify the pair (x, Y) and assemble its analysis context.
+
+    G(x), the Jacobian stack and the split of G(x) + Y are each computed
+    once, and the KKT residuals are read from them; they equal those of
+    kkt_point bit for bit. An uncertified pair raises the error of
+    build_system before the complementarity check. tol has the meaning
+    it has in build_system.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    x.flags.writeable = False
+    Y = as_symmat(Y)
+    Gx = eval_G(pd, x)
+    D = jacobian_stack(pd, x)
+    ctx = cone_context_from_matrix(Gx + Y, tol)
+    kkt = KKTPoint(x, Y, kkt_residual_from(pd, x, Y, Gx, D, ctx.X))
+    _require_certified(kkt)
+    check_complementary(ctx, Gx, Y, tol=1e-6)
+    return _assemble(pd, kkt, Gx, D, ctx)
+
+
 def build_system(pd: ProblemData, kkt: KKTPoint, tol: Optional[float] = None) -> CriticalitySystem:
     """Assemble the analysis context at a certified KKT pair.
 
     tol is the eigenvalue zero-classification tolerance of the partition
     (None: the decomposition's default).
     """
-    if not kkt.certified:
-        raise InputDataError(
-            f"KKT residuals {kkt.residuals} exceed certification tolerance"
-        )
-    X = eval_G(pd, kkt.x)
-    ctx = cone_context(X, kkt.Y, tol_zero=tol, tol=1e-6)
+    _require_certified(kkt)
+    Gx = eval_G(pd, kkt.x)
+    ctx = cone_context(Gx, kkt.Y, tol_zero=tol, tol=1e-6)
+    return _assemble(pd, kkt, Gx, jacobian_stack(pd, kkt.x), ctx)
+
+
+def _symmetrized(D: np.ndarray) -> np.ndarray:
+    """The stack D with each matrix symmetrized as a SymMat symmetrizes it."""
+    return 0.5 * (D + D.swapaxes(-1, -2))
+
+
+def _rotated(d: SpectralDecomp, Ds: np.ndarray) -> np.ndarray:
+    """P^T D P for every matrix D of the stack Ds, in one batched product."""
+    return (d.P.T @ Ds) @ d.P
+
+
+def _assemble(pd: ProblemData, kkt: KKTPoint, Gx: SymMat, D: np.ndarray, ctx: ConeContext) -> CriticalitySystem:
+    """The context of a certified pair from G(x), the Jacobian stack D at
+    x and the split ctx of G(x) + Y."""
     d = ctx.decomp
-    hessL = lagrangian_hessian(pd, kkt.x, kkt.Y)
-    jac = tuple(eval_G_jacobian(pd, kkt.x))
-    Dt = np.array([d.rotate(Dk) for Dk in jac]).reshape(pd.n, d.p, d.p)
+    Ds = _symmetrized(D)
+    Dt = _rotated(d, Ds)
     # gamma x (beta u gamma) entries on and below the diagonal, row-major;
     # the alpha, beta and gamma index blocks are contiguous in that order
     ka, g0 = d.alpha.size, d.p - d.gamma.size
     ii, jj = np.nonzero(np.tri(d.p, dtype=bool)[g0:, ka:])
     cone_rows = Dt[:, ii + g0, jj + ka].T
     cone_null = null_space(cone_rows, atol=_rank_atol(Dt))
-    return CriticalitySystem(pd, kkt, hessL, jac, ctx, Dt, cone_rows, cone_null)
+    hessL = lagrangian_hessian(pd, kkt.x, kkt.Y)
+    return CriticalitySystem(pd, kkt, hessL, Gx, Ds, ctx, Dt, cone_rows, cone_null)
 
 
 def _rank_atol(Dt: np.ndarray) -> float:
@@ -164,7 +213,7 @@ def common_rows(sys: CriticalitySystem, H: np.ndarray, E: np.ndarray) -> np.ndar
     """
     d = sys.ctx.decomp
     n, dim = sys.n, H.shape[-1]
-    adjoint = np.hstack([sys.hessL, np.array([sym_vec(Dk) for Dk in sys.jac]).reshape(n, dim - n)])
+    adjoint = np.hstack([sys.hessL, svec_stack(sys.Ds)])
     cone = np.hstack([sys.cone_rows, np.zeros((len(sys.cone_rows), dim - n))])
     blocks = [adjoint, cone]
     for ai, i in enumerate(d.alpha):
@@ -180,13 +229,23 @@ def rotated_beta_rows(sys: CriticalitySystem, H: np.ndarray, E: np.ndarray, Q: n
 
 
 def witness_residual(sys: CriticalitySystem, xi, eta) -> float:
-    """Aggregate residual of a candidate direction pair."""
-    xi = np.asarray(xi, dtype=float).reshape(sys.n)
-    eta = as_symmat(eta)
-    adj = sys.hessL @ xi + np.array([Dk.inner(eta) for Dk in sys.jac])
-    H = SymMat(sum((xi[k] * sys.jac[k].full() for k in range(sys.n)), np.zeros((sys.p, sys.p))))
-    fixed = H - dir_deriv_from_decomp(sys.ctx.decomp, H + eta)
-    return math.hypot(float(np.linalg.norm(adj)), fixed.norm())
+    """Aggregate residual of a candidate direction pair.
+
+    It reads the unrotated Jacobians and the projection derivative at the
+    split, not the rows a witness is solved from, so it checks those rows
+    independently.
+    """
+    n, p = sys.n, sys.p
+    xi = np.asarray(xi, dtype=float).reshape(n)
+    E = as_symmat(eta).full()
+    Dflat = sys.Ds.reshape(n, p * p)
+    adj = sys.hessL @ xi + (Dflat * E.ravel()).sum(axis=1)
+    H = np.zeros(p * p)
+    for k in range(n):
+        H += xi[k] * Dflat[k]
+    H = H.reshape(p, p)
+    fixed = H - dir_deriv_dense(sys.ctx.decomp, H + E)
+    return math.hypot(float(np.linalg.norm(adj)), float(np.linalg.norm(fixed)))
 
 
 def _extract_witness(sys: CriticalitySystem, z: np.ndarray):
@@ -563,34 +622,35 @@ def xpart_condition(sys: CriticalitySystem) -> dict:
     return {"holds": False, "witness": xi / np.linalg.norm(xi)}
 
 
-def _jacobian_block_rows(pd: ProblemData, xbar, d: SpectralDecomp, idx: np.ndarray) -> np.ndarray:
+def _block_rows(Dt: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """svec of the symmetrized idx x idx block of each rotated constraint Jacobian, one row each."""
-    Dt = np.array([d.rotate(Dk) for Dk in eval_G_jacobian(pd, xbar)]).reshape(pd.n, d.p, d.p)
     ii, jj = svec_indices(idx.size)
     return 0.5 * (Dt[:, idx[ii], idx[jj]] + Dt[:, idx[jj], idx[ii]]) * svec_scale(idx.size)
 
 
-def check_rcq(pd: ProblemData, xbar, tol_feas: float = 1e-8) -> bool:
-    """Surjectivity-type qualification at a feasible point, decided dually."""
-    X = eval_G(pd, xbar)
-    d = spectral_decompose(X)
+def rcq_holds(Gx: SymMat, Ds: np.ndarray, tol_feas: float = 1e-8) -> bool:
+    """Surjectivity-type qualification at a feasible point, decided dually.
+
+    Gx is G(x) and Ds the symmetric Jacobian stack at x (as a
+    CriticalitySystem holds them); G(x) is decomposed here, apart from
+    the split of G(x) + Y.
+    """
+    d = spectral_decompose(Gx)
     scale = max(1.0, float(np.abs(d.lam).max()))
     if d.lam.min() < -tol_feas * scale:
         raise InputDataError("point is infeasible: constraint matrix has a negative eigenvalue")
     J = np.where(d.lam <= d.tol_zero)[0]
     if J.size == 0:
         return True
-    return subspace_psd_nontrivial(_jacobian_block_rows(pd, xbar, d, J), J.size) is None
+    return subspace_psd_nontrivial(_block_rows(_rotated(d, Ds), J), J.size) is None
 
 
-def check_srcq(pd: ProblemData, xbar, ybar, tol: Optional[float] = None) -> bool:
+def srcq_holds(d: SpectralDecomp, Dt: np.ndarray) -> bool:
     """Strict qualification at a KKT pair, via the polar-cone kernel.
 
-    tol is the partition tolerance, with the meaning it has in build_system.
+    d is the split of G(x) + Y and Dt the Jacobians rotated into its
+    eigenframe (the ctx.decomp and Dt of a CriticalitySystem).
     """
-    ybar = as_symmat(ybar)
-    ctx = cone_context(eval_G(pd, xbar), ybar, tol_zero=tol, tol=1e-6)
-    d = ctx.decomp
     red = np.concatenate([d.beta, d.gamma]).astype(int)
     q = red.size
     if q == 0:
@@ -600,8 +660,22 @@ def check_srcq(pd: ProblemData, xbar, ybar, tol: Optional[float] = None) -> bool
     # selection rows: the leading principal subblock of the reduced
     # variable, in matching isometric svec coordinates on both sides
     block = np.eye(nsv)[svec_indices(q)[1] < nb] if nb else None
-    v = cone_kernel_nontrivial(_jacobian_block_rows(pd, xbar, d, red), nsv, block, nb, -1.0)
+    v = cone_kernel_nontrivial(_block_rows(Dt, red), nsv, block, nb, -1.0)
     return v is None
+
+
+def check_rcq(pd: ProblemData, xbar, tol_feas: float = 1e-8) -> bool:
+    """rcq_holds at xbar, from the problem data."""
+    return rcq_holds(eval_G(pd, xbar), _symmetrized(jacobian_stack(pd, xbar)), tol_feas)
+
+
+def check_srcq(pd: ProblemData, xbar, ybar, tol: Optional[float] = None) -> bool:
+    """srcq_holds at the pair (xbar, ybar), from the problem data.
+
+    tol is the partition tolerance, with the meaning it has in build_system.
+    """
+    d = cone_context(eval_G(pd, xbar), ybar, tol_zero=tol, tol=1e-6).decomp
+    return srcq_holds(d, _rotated(d, _symmetrized(jacobian_stack(pd, xbar))))
 
 
 # ----------------------------------------------------------------------

@@ -86,16 +86,15 @@ def make_problem(f_lin, f_quad, G_const, G_lin, G_quad=None) -> ProblemData:
     if G_quad is None:
         quad = tuple(tuple(SymMat.zeros(p) for _ in range(n)) for _ in range(n))
     else:
-        rows = []
-        for i in range(n):
-            rows.append(tuple(as_symmat(G_quad[i][j]) for j in range(n)))
-        for i in range(n):
-            for j in range(n):
-                if rows[i][j].p != p:
-                    raise InputDataError("constraint matrix orders are inconsistent")
-                if not rows[i][j].allclose(rows[j][i], atol=1e-12):
-                    raise InputDataError(f"G_quad[{i}][{j}] != G_quad[{j}][{i}]")
-        quad = tuple(rows)
+        quad = tuple(tuple(as_symmat(G_quad[i][j]) for j in range(n)) for i in range(n))
+        if any(B.p != p for row in quad for B in row):
+            raise InputDataError("constraint matrix orders are inconsistent")
+        # packed uppers (n, n, m); the first asymmetric (i, j) in row-major order
+        upper = np.array([[B._upper for B in row] for row in quad]).reshape(n, n, p * (p + 1) // 2)
+        asym = np.argwhere((np.abs(upper - upper.swapaxes(0, 1)) > 1e-12).any(axis=2))
+        if asym.size:
+            i, j = asym[0]
+            raise InputDataError(f"G_quad[{i}][{j}] != G_quad[{j}][{i}]")
     lin_stack = dense_stack(lin, p)
     quad_stack = dense_stack([B for row in quad for B in row], p).reshape(n, n, p, p)
     return ProblemData(f_lin, f_quad, G_const, lin, quad, lin_stack, quad_stack)
@@ -179,10 +178,16 @@ def kkt_residual(pd: ProblemData, x, Y) -> tuple[float, float]:
     norm of the natural-map residual G(x) - Pi(G(x) + Y).
     """
     Y = as_symmat(Y)
-    r1 = float(np.linalg.norm(eval_grad_f(pd, x) + adjoint_jacobian_apply(pd, x, Y)))
     Gx = eval_G(pd, x)
-    r2 = (Gx - project_psd(Gx + Y)).norm()
-    return r1, r2
+    return kkt_residual_from(pd, x, Y, Gx, jacobian_stack(pd, x), project_psd(Gx + Y))
+
+
+def kkt_residual_from(pd: ProblemData, x, Y: SymMat, Gx: SymMat, D: np.ndarray, X: SymMat) -> tuple[float, float]:
+    """kkt_residual from evaluations already made at x: Gx = G(x), the
+    Jacobian stack D = jacobian_stack(pd, x) and X = Pi(G(x) + Y)."""
+    n, p = pd.n, pd.p
+    r1 = float(np.linalg.norm(eval_grad_f(pd, x) + D.reshape(n, p * p) @ Y.full().ravel()))
+    return r1, (Gx - X).norm()
 
 
 def normal_map_spectral(pd: ProblemData, x, z):

@@ -41,7 +41,7 @@ from .symmat import (
     psd_preimage_span,
     svec_indices,
     svec_scale,
-    sym_vec,
+    svec_stack,
 )
 
 TOL_POS = 1e-8
@@ -401,14 +401,13 @@ def theorem3_conditions(sys: CriticalitySystem, options: Optional[dict] = None) 
     d = sys.ctx.decomp
     n, p = sys.n, sys.p
     samples = int(opts["samples"])
-    Ds = sys.jac
-    jac_scale = max((Dk.max_abs() for Dk in Ds), default=0.0)
+    jac_scale = float(np.abs(sys.Ds).max(initial=0.0))
     # beta is the index range ka:kb of the eigenframe, gamma the range kb:p
     ka, kb = d.alpha.size, d.alpha.size + d.beta.size
     Dflat = sys.Dt.reshape(n, p * p)
 
     nsv = p * (p + 1) // 2
-    A = np.stack([sym_vec(Dk) for Dk in Ds]) if n else np.zeros((0, nsv))
+    A = svec_stack(sys.Ds)
 
     cond_i: dict
     if d.alpha.size == p:

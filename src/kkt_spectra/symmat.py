@@ -245,6 +245,12 @@ def sym_vec(M: SymMat) -> np.ndarray:
     return M._upper * svec_scale(M.p)
 
 
+def svec_stack(A: np.ndarray) -> np.ndarray:
+    """sym_vec of each symmetric array of a stack (k, p, p), as rows (k, p(p+1)/2)."""
+    rows, cols = svec_indices(A.shape[-1])
+    return A[:, rows, cols] * svec_scale(A.shape[-1])
+
+
 def sym_mat(v, p) -> SymMat:
     """Inverse of sym_vec."""
     v = np.asarray(v, dtype=float)
@@ -470,7 +476,16 @@ def dir_deriv_from_decomp(d: SpectralDecomp, H) -> SymMat:
     H = as_symmat(H)
     if H.p != d.p:
         raise InputDataError(f"direction order {H.p} does not match matrix order {d.p}")
-    Ht = d.rotate(H)
+    return SymMat(dir_deriv_dense(d, H.full()))
+
+
+def dir_deriv_dense(d: SpectralDecomp, H: np.ndarray) -> np.ndarray:
+    """dir_deriv_from_decomp on a dense symmetric array H of order d.p.
+
+    Returns the dense array, symmetrized as a SymMat symmetrizes it, so
+    it equals the full matrix of dir_deriv_from_decomp bit for bit.
+    """
+    Ht = d.P.T @ H @ d.P
     ka, kb = d.alpha.size, d.beta.size
     p = d.p
     sa = slice(0, ka)
@@ -487,7 +502,8 @@ def dir_deriv_from_decomp(d: SpectralDecomp, H) -> SymMat:
     if kb:
         lam_b, V_b = eigh(Ht[sb, sb])
         R[sb, sb] = (V_b * np.maximum(lam_b, 0.0)) @ V_b.T
-    return SymMat(d.P @ R @ d.P.T)
+    D = d.P @ R @ d.P.T
+    return 0.5 * (D + D.T)
 
 
 def dir_deriv_projection(A, H, tol_zero: float | None = None) -> SymMat:

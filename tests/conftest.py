@@ -70,3 +70,38 @@ def sample_diag_problem(rng, n, p, pd_quad=False):
     flin = -(fq @ xbar + np.array([Dk.inner(Y) for Dk in Ds]))
     pd = make_problem(flin, fq, SymMat.diag(gconst), G_lin, G_quad)
     return pd, xbar, Y, -w
+
+
+def planted_pair(rng, kind, n, p):
+    """Certified pair (pd, x, Y) at a random x with a random alpha/beta/
+    gamma split and quadratic G.
+
+    kind 'diagonal': every data matrix diagonal; 'rotated': diagonal data
+    seen in a random orthogonal frame; 'coupled': dense data.
+    """
+    ka, kb, _ = rng.multinomial(p, [1.0 / 3.0] * 3)
+    lam = np.concatenate([rng.uniform(0.5, 2.0, ka), np.zeros(p - ka)])
+    w = np.concatenate([np.zeros(ka + kb), rng.uniform(0.5, 2.0, p - ka - kb)])
+    Q = np.eye(p) if kind == "diagonal" else np.linalg.qr(rng.standard_normal((p, p)))[0]
+
+    def draw():
+        M = rng.standard_normal((p, p))
+        M = M + M.T if kind == "coupled" else np.diag(np.diag(M))
+        return Q @ M @ Q.T
+
+    A = [draw() for _ in range(n)]
+    B = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            B[i][j] = B[j][i] = draw()
+    x = rng.standard_normal(n)
+    Gx = (Q * lam) @ Q.T
+    Y = -(Q * w) @ Q.T
+    G0 = Gx - sum(x[i] * (A[i] + 0.5 * sum(x[j] * B[i][j] for j in range(n))) for i in range(n))
+    D = [A[i] + sum(x[j] * B[i][j] for j in range(n)) for i in range(n)]
+    F = rng.standard_normal((n, n))
+    F = F + F.T
+    flin = -(F @ x + np.array([np.sum(Dk * Y) for Dk in D]))
+    quad = [[SymMat(Bij) for Bij in row] for row in B]
+    pd = make_problem(flin, F, SymMat(G0), [SymMat(Ak) for Ak in A], quad)
+    return pd, x, SymMat(Y)

@@ -6,10 +6,13 @@ import json
 import os
 import warnings
 
+import numpy as np
 import pytest
 
+import kkt_spectra
+from conftest import planted_pair
 from kkt_spectra.cli import build_parser, main
-from kkt_spectra.problem import example3_family, problem_to_dict
+from kkt_spectra.problem import builtin_family, eval_G, example3_family, load_problem, problem_to_dict
 
 
 def run(argv):
@@ -247,3 +250,57 @@ def test_parser_built_once_matches_fresh_parser():
     for argv, result in zip(calls, shared):
         build_parser.cache_clear()
         assert run(argv) == result
+
+
+@pytest.mark.parametrize("source", ["family", "file"])
+def test_analyze_evaluates_and_decomposes_each_pair_once(source, tmp_path, monkeypatch):
+    # one analyze report: one G(x), one Jacobian stack, one split of
+    # G(x) + Y (every section but RCQ reads it) and one decomposition of
+    # G(x) alone (RCQ)
+    if source == "family":
+        fam = builtin_family("example2")
+        pd, x, Y = fam.problem, fam.xbar, fam.ybar
+        argv = ["analyze", "--family", "example2", "--format", "json"]
+    else:
+        pd, x, Y = planted_pair(np.random.default_rng(0), "coupled", 3, 3)  # one index in each block
+        ppath, xpath = tmp_path / "prob.json", tmp_path / "pt.json"
+        ppath.write_text(json.dumps(problem_to_dict(pd)))
+        xpath.write_text(json.dumps({"x": x.tolist(), "Y": Y.full().tolist()}))
+        pd = load_problem(ppath)
+        argv = ["analyze", "--problem", str(ppath), "--point", str(xpath), "--format", "json"]
+    G = eval_G(pd, x)
+    targets = {"G(x)": G.full(), "G(x) + Y": (G + Y).full()}
+    calls = {"G": 0, "jacobians": 0}
+    decomposed = []
+
+    def counted(key, real):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+
+        return wrapped
+
+    def recorded(real, stacked):
+        def wrapped(M, *args, **kwargs):
+            decomposed.extend(M if stacked else [kkt_spectra.as_symmat(M).full()])
+            return real(M, *args, **kwargs)
+
+        return wrapped
+
+    modules = [kkt_spectra.symmat, kkt_spectra.problem, kkt_spectra.cones, kkt_spectra.criticality,
+               kkt_spectra.sosc, kkt_spectra.lpkernel, kkt_spectra.perturb, kkt_spectra.cli]
+    wrappers = {
+        "_G_array": counted("G", kkt_spectra.problem._G_array),
+        "jacobian_array": counted("jacobians", kkt_spectra.problem.jacobian_array),
+        "spectral_decompose": recorded(kkt_spectra.symmat.spectral_decompose, False),
+        "spectral_stack": recorded(kkt_spectra.symmat.spectral_stack, True),
+    }
+    for module in modules:
+        for name, wrapper in wrappers.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    code, out, err = run(argv)
+    assert code == 0, err
+    assert calls == {"G": 1, "jacobians": 1}
+    counts = {key: sum(np.array_equal(M, T) for M in decomposed) for key, T in targets.items()}
+    assert counts == {"G(x)": 1, "G(x) + Y": 1}

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import context, sample_diag_problem
+from conftest import context, planted_pair, sample_diag_problem
 from kkt_spectra.criticality import (
     CRITICAL,
     NONCRITICAL,
     UNDETERMINED,
     _mixed_rows,
     _refine_angle,
+    analysis_context,
     build_system,
     check_rcq,
     check_srcq,
@@ -20,15 +21,17 @@ from kkt_spectra.criticality import (
     common_rows,
     diagonal_reduction,
     entry_rows,
+    rcq_holds,
     rotated_beta_rows,
+    srcq_holds,
     witness_residual,
     xpart_condition,
 )
-from kkt_spectra.errors import InputDataError
+from kkt_spectra.errors import InputDataError, NumericError
 from kkt_spectra.lpkernel import nontrivial_xi_solution, null_space
-from kkt_spectra.problem import kkt_point, make_problem
+from kkt_spectra.problem import eval_G, eval_G_jacobian, kkt_point, make_problem
 from kkt_spectra.sosc import check_soscy
-from kkt_spectra.symmat import SymMat, sym_mat
+from kkt_spectra.symmat import SymMat, dir_deriv_from_decomp, project_psd, sym_mat
 
 
 @pytest.fixture
@@ -544,3 +547,57 @@ def test_noncritical_claims_survive_sampling():
             assert witness_residual(sysm, z[: sysm.n], sym_mat(z[sysm.n :], sysm.p)) > 1e-7
         checked += 1
     assert checked > 0
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except NumericError as exc:
+        return str(exc)
+
+
+def _witness_residual_by_symmats(sysm, xi, eta):
+    """witness_residual as SymMat arithmetic, one Jacobian at a time."""
+    adj = sysm.hessL @ xi + np.array([Dk.inner(eta) for Dk in sysm.jac])
+    H = SymMat(sum((xi[k] * sysm.jac[k].full() for k in range(sysm.n)), np.zeros((sysm.p, sysm.p))))
+    fixed = H - dir_deriv_from_decomp(sysm.ctx.decomp, H + eta)
+    return math.hypot(float(np.linalg.norm(adj)), fixed.norm())
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "rotated", "coupled"])
+def test_analysis_context_matches_the_per_step_path_bit_for_bit(kind):
+    # analysis_context evaluates G(x), the Jacobian stack and the split of
+    # G(x) + Y once; everything it derives from them equals what
+    # kkt_point, build_system, check_rcq, check_srcq and the SymMat form
+    # of witness_residual compute one step at a time
+    rng = np.random.default_rng({"diagonal": 61, "rotated": 62, "coupled": 63}[kind])
+    same = lambda a, b: a.shape == b.shape and np.array_equal(a, b)  # noqa: E731
+    for _ in range(30):
+        n, p = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        pd, x, Y = planted_pair(rng, kind, n, p)
+        kkt = kkt_point(pd, x, Y)
+        sysm = analysis_context(pd, x, Y)
+        ref = build_system(pd, kkt)
+        assert sysm.kkt.residuals == kkt.residuals and kkt.certified
+        assert same(sysm.ctx.X.full(), project_psd(eval_G(pd, x) + Y).full())
+        d = sysm.ctx.decomp
+        rotated = np.array([d.rotate(Dk) for Dk in eval_G_jacobian(pd, x)]).reshape(n, p, p)
+        assert same(sysm.Dt, rotated)
+        for field in ("hessL", "Ds", "Dt", "cone_rows", "cone_null"):
+            assert same(getattr(sysm, field), getattr(ref, field)), field
+        assert same(sysm.G.full(), ref.G.full()) and same(d.P, ref.ctx.decomp.P)
+        assert _outcome(rcq_holds, sysm.G, sysm.Ds) == _outcome(check_rcq, pd, x)
+        assert _outcome(srcq_holds, d, sysm.Dt) == _outcome(check_srcq, pd, x, Y)
+        for _ in range(5):
+            xi = rng.standard_normal(n)
+            eta = SymMat(rng.standard_normal((p, p)))
+            assert witness_residual(sysm, xi, eta) == _witness_residual_by_symmats(sysm, xi, eta)
+
+
+def test_analysis_context_certifies_before_the_complementarity_check():
+    pd = make_problem([0.0], [[0.0]], SymMat.zeros(1), [SymMat.eye(1)])
+    # neither stationary nor complementary: the certification error comes first
+    with pytest.raises(InputDataError, match="exceed certification tolerance"):
+        analysis_context(pd, [1.0], SymMat.diag([5.0]))
+    sysm = analysis_context(pd, [0.0], SymMat.zeros(1))
+    assert sysm.kkt.residuals == (0.0, 0.0) and not sysm.kkt.x.flags.writeable

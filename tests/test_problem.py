@@ -117,6 +117,26 @@ def test_stacked_evaluations_match_per_matrix_loops():
             assert _close(lagrangian_hessian(pd, x, Y), 0.5 * (H + H.T))
 
 
+def test_make_problem_names_first_asymmetric_quadratic_pair():
+    B = SymMat([[1.0, 2.0], [2.0, 0.0]])
+    Z = SymMat.zeros(2)
+    lin = [SymMat.eye(2), SymMat.eye(2)]
+    with pytest.raises(InputDataError, match=r"G_quad\[0\]\[1\] != G_quad\[1\]\[0\]"):
+        make_problem([0.0, 0.0], np.eye(2), Z, lin, [[Z, B], [Z, Z]])
+    pd = make_problem([0.0, 0.0], np.eye(2), Z, lin, [[Z, B], [B, Z]])
+    assert np.array_equal(pd.G_quad_stack[1, 0], B.full())
+    # row-major order: the (0, 2) pair is named before the (1, 2) pair,
+    # and a difference below the 1e-12 cut still counts as symmetric
+    tiny = SymMat([[1.0, 2.0 + 5e-13], [2.0 + 5e-13, 0.0]])
+    quad = [[Z, Z, B], [Z, Z, B], [Z, Z, Z]]
+    with pytest.raises(InputDataError, match=r"G_quad\[0\]\[2\] != G_quad\[2\]\[0\]"):
+        make_problem([0.0] * 3, np.eye(3), Z, lin + [Z], quad)
+    quad = [[Z, Z, B], [Z, Z, B], [tiny, Z, Z]]
+    with pytest.raises(InputDataError, match=r"G_quad\[1\]\[2\] != G_quad\[2\]\[1\]"):
+        make_problem([0.0] * 3, np.eye(3), Z, lin + [Z], quad)
+    assert make_problem([], np.zeros((0, 0)), Z, [], []).G_quad_stack.shape == (0, 0, 2, 2)
+
+
 def test_shifted_problem_shares_stacks(fam3):
     pd = fam3.problem
     p1, p2 = fam3.perturbation(1e-3)
