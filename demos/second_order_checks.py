@@ -73,9 +73,11 @@ r = check_soscy(context(pd_ind, [0.0, 0.0], SymMat.zeros(2)))
 print(f"indefinite case: {r.verdict}  min {r.min_value:.3g}  lower bound {r.search_stats['lower_bound']:.3g}")
 
 # Conditions for a local error bound around the primal point: closed
-# adjoint image plus an orthogonality property of projected pairs. The
-# second is checked on sampled perturbations; the report separates
-# exact findings from sampled evidence.
+# adjoint image plus an orthogonality property of projected pairs. Both
+# are decided without sampling: the first by exact special cases and a
+# kernel test (Rockafellar, Thm 9.1) that may leave it Undetermined, the
+# second by Moreau's decomposition, with evidence saying whether it
+# holds vacuously.
 fam = builtin_family("example3")
 t3 = theorem3_conditions(context(fam.problem, fam.xbar, fam.ybar))
 for key, row in t3.items():

@@ -133,7 +133,12 @@ def build_parser() -> _Parser:
         sp.add_argument("--tol-feas", type=float, default=1e-8, help="feasibility tolerance")
         sp.add_argument("--seed", type=int, default=42, help="seed for all sampling")
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--samples", type=int, default=64, help="sampling budget")
+        sp.add_argument(
+            "--samples",
+            type=int,
+            default=64,
+            help="random frames the classifier tries on a beta block of order >= 3",
+        )
         if name == "perturb":
             sp.add_argument(
                 "--geo",
@@ -285,8 +290,8 @@ def _soscy_payload(sysm):
     }
 
 
-def _theorem3_payload(sysm, req: AnalysisRequest):
-    return theorem3_conditions(sysm, {"samples": req.samples, "seed": req.seed})
+def _theorem3_payload(sysm):
+    return theorem3_conditions(sysm)
 
 
 def cmd_analyze(req: AnalysisRequest) -> dict:
@@ -304,7 +309,7 @@ def cmd_analyze(req: AnalysisRequest) -> dict:
         "criticality": _criticality_payload(sysm, req),
         "x_part_condition": xpart_condition(sysm),
         "soscy": _soscy_payload(sysm),
-        "local_bound_conditions": _theorem3_payload(sysm, req),
+        "local_bound_conditions": _theorem3_payload(sysm),
     }
 
 
@@ -327,7 +332,7 @@ def cmd_sosc(req: AnalysisRequest) -> dict:
         "command": "sosc",
         "source": req.family or req.problem,
         "soscy": _soscy_payload(sysm),
-        "local_bound_conditions": _theorem3_payload(sysm, req),
+        "local_bound_conditions": _theorem3_payload(sysm),
     }
 
 

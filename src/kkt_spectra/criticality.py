@@ -606,17 +606,24 @@ def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) 
     )
 
 
+def beta_block_rows(sys: CriticalitySystem) -> Optional[np.ndarray]:
+    """Rows taking xi to the svec of the beta block of P^T G'(x) xi P,
+    shape (|beta|(|beta|+1)/2, n); None when beta is empty."""
+    beta = sys.ctx.decomp.beta
+    k = beta.size
+    if not k:
+        return None
+    ii, jj = svec_indices(k)
+    return sys.Dt[:, beta[ii], beta[jj]].T * svec_scale(k)[:, None]
+
+
 def xpart_condition(sys: CriticalitySystem) -> dict:
     """Test whether the eta-free part of the system forces xi = 0."""
     d = sys.ctx.decomp
     coupling = sys.Dt[:, d.alpha][:, :, d.gamma].reshape(sys.n, -1).T
     eqs = np.vstack([sys.hessL, sys.cone_rows, coupling])
-    k = d.beta.size
-    block = None
-    if k:
-        ii, jj = svec_indices(k)
-        block = sys.Dt[:, d.beta[ii], d.beta[jj]].T * svec_scale(k)[:, None]
-    xi = cone_kernel_nontrivial(eqs, sys.n, block, k, 1.0, atol=_rank_atol(sys.Dt))
+    block = beta_block_rows(sys)
+    xi = cone_kernel_nontrivial(eqs, sys.n, block, d.beta.size, 1.0, atol=_rank_atol(sys.Dt))
     if xi is None:
         return {"holds": True, "witness": None}
     return {"holds": False, "witness": xi / np.linalg.norm(xi)}

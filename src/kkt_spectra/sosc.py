@@ -1,7 +1,9 @@
 """Second-order analysis at a KKT pair: curvature term, sufficient and
 necessary conditions over the critical cone, the directional-derivative
 equivalence check, and the closedness/orthogonality conditions used by
-the multiplier error bound."""
+the multiplier error bound. Those two are decided without sampling: the
+orthogonality by Moreau's decomposition, the closedness by exact special
+cases and a sufficient kernel test (Rockafellar, Thm 9.1)."""
 
 from __future__ import annotations
 
@@ -13,15 +15,14 @@ from typing import Optional
 import numpy as np
 
 from .cones import (
-    DEFAULT_MEMBERSHIP_TOL,
     ConeContext,
     cone_context,
     cone_context_from_matrix,
     critical_cone_psd_membership,
 )
-from .criticality import CriticalitySystem
-from .errors import InputDataError, merged_options
-from .lpkernel import null_space
+from .criticality import CriticalitySystem, _rank_atol, beta_block_rows
+from .errors import InputDataError, NumericError
+from .lpkernel import cone_kernel_nontrivial, null_space, subspace_psd_nontrivial
 from .problem import (
     ProblemData,
     eval_G,
@@ -35,24 +36,16 @@ from .symmat import (
     common_eigenframe,
     det_form,
     dir_deriv_from_decomp,
-    eig_range,
     eigh,
-    psd_part,
     psd_preimage_span,
     svec_indices,
-    svec_scale,
     svec_stack,
 )
 
 TOL_POS = 1e-8
 
-DEFAULT_THEOREM3_OPTIONS = {"samples": 64, "seed": 42}
-
 # mu evaluations per S-procedure bound; the |beta| = 2 bisection needs about 60
 BOUND_STEPS = 200
-
-# theorem-3 samples evaluated per stacked block; bounds memory, not the budget
-SAMPLE_BLOCK = 256
 
 SOSCY_HOLDS = "SOSCy_holds"
 SOSCY_FAILS = "SOSCy_fails"
@@ -382,112 +375,78 @@ def lemma4_check(C, dA, dB, tol: float = 1e-7) -> dict:
     return {"lhs": lhs, "rhs": bool(rhs)}
 
 
-def _sample_blocks(samples: int):
-    """Sizes of the consecutive blocks that evaluate a sample budget."""
-    return [min(SAMPLE_BLOCK, samples - s) for s in range(0, samples, SAMPLE_BLOCK)]
+def _closed_adjoint_image(sys: CriticalitySystem) -> dict:
+    """Condition (i): the image of the polar cone K under the adjoint map
+    W -> (<D_k, W>)_k is closed. In the eigenframe K holds the W whose
+    alpha x (alpha u beta) entries vanish and whose beta block is NSD.
 
-
-def theorem3_conditions(sys: CriticalitySystem, options: Optional[dict] = None) -> dict:
-    """Closedness of the adjoint image of K and the orthogonality of
-    projected pairs, with exact special cases and sampled evidence.
-
-    The sampled branches evaluate their `samples` random directions as
-    stacked array operations, SAMPLE_BLOCK samples at a time, so memory
-    stays bounded for any budget. Each block draws the next stretch of the
-    same random stream that one draw per sample would, so the budget, the
-    seed and the evidence mean what they would sample by sample.
+    Four exact special cases come first. Otherwise Rockafellar's Thm 9.1
+    (Convex Analysis) gives a sufficient test: the image is closed when
+    every W in K that the map sends to 0 lies in the lineality space of
+    K (-W in K too), that is has a zero beta block. The beta blocks of
+    that kernel form a subspace, so the test passes iff the subspace is
+    {0} or meets no nonzero PSD matrix. When it meets one the test is
+    inconclusive.
     """
-    opts = merged_options(DEFAULT_THEOREM3_OPTIONS, options)
     d = sys.ctx.decomp
-    n, p = sys.n, sys.p
-    samples = int(opts["samples"])
-    jac_scale = float(np.abs(sys.Ds).max(initial=0.0))
-    # beta is the index range ka:kb of the eigenframe, gamma the range kb:p
-    ka, kb = d.alpha.size, d.alpha.size + d.beta.size
-    Dflat = sys.Dt.reshape(n, p * p)
-
-    nsv = p * (p + 1) // 2
-    A = svec_stack(sys.Ds)
-
-    cond_i: dict
+    p, k = sys.p, d.beta.size
     if d.alpha.size == p:
-        cond_i = {"verdict": "holds", "evidence": "polar cone trivial (strict interior point)"}
-    elif jac_scale <= 1e-14:
-        cond_i = {"verdict": "holds", "evidence": "zero Jacobian: adjoint image is {0}"}
-    elif d.beta.size <= 1:
-        cond_i = {"verdict": "holds", "evidence": "polyhedral polar cone (beta block <= 1)"}
-    elif np.linalg.matrix_rank(A, tol=1e-11) == nsv:
-        cond_i = {"verdict": "holds", "evidence": "injective adjoint on symmetric matrices"}
-    else:
-        # polar-cone directions Wt in the eigenframe: alpha x (alpha u beta)
-        # entries vanish, the beta block is NSD. Their images
-        # <D_k, P Wt P^T> = <Dt_k, Wt> fold into the R factor of the
-        # stacked images, which has the same singular values.
-        rng = np.random.default_rng(int(opts["seed"]))
-        R = np.zeros((0, n))
-        for size in _sample_blocks(samples):
-            Wt = rng.standard_normal((size, p, p))
-            Wt = 0.5 * (Wt + Wt.transpose(0, 2, 1))
-            Wt[:, :ka, :kb] = 0.0
-            Wt[:, :kb, :ka] = 0.0
-            Wt[:, ka:kb, ka:kb] = -psd_part(-Wt[:, ka:kb, ka:kb])
-            R = np.linalg.qr(np.vstack([R, Wt.reshape(size, p * p) @ Dflat.T]), mode="r")
-        rank = int(np.linalg.matrix_rank(R, tol=1e-9)) if R.size else 0
-        cond_i = {
-            "verdict": "Undetermined",
-            "evidence": f"sampled adjoint image of the polar cone spans rank {rank} of {n}",
-        }
-
-    # cond_ii: sample primal directions in C(xbar), solve the adjoint
-    # equation for a multiplier direction, test projected orthogonality.
-    # An empty cone basis (n = 0 included) rejects every sample.
-    Z = sys.cone_null
-    rng = np.random.default_rng(int(opts["seed"]) + 1)
-    accepted = 0
-    max_violation = 0.0
+        return {"verdict": "holds", "evidence": "polar cone trivial (strict interior point)"}
+    if float(np.abs(sys.Ds).max(initial=0.0)) <= 1e-14:
+        return {"verdict": "holds", "evidence": "zero Jacobian: adjoint image is {0}"}
+    if k <= 1:
+        return {"verdict": "holds", "evidence": "polyhedral polar cone (beta block <= 1)"}
+    if np.linalg.matrix_rank(svec_stack(sys.Ds), tol=1e-11) == p * (p + 1) // 2:
+        return {"verdict": "holds", "evidence": "injective adjoint on symmetric matrices"}
+    # the entries of K outside alpha x (alpha u beta), packed row-major
+    # from the upper triangle, so the beta x beta ones among them come in
+    # svec_indices(k) order; <D_k, P W P^T> = <Dt_k, W>
+    ka, kb = d.alpha.size, d.alpha.size + k
     rows, cols = svec_indices(p)
-    tail = np.arange(p) >= ka
-    gamma = np.arange(p) >= kb
-    # entries of the polar cone outside its beta block: gamma x (beta u gamma)
-    # and its transpose pass through, everything else there vanishes
-    polar_off = np.outer(gamma, tail) | np.outer(tail, gamma)
-    for size in _sample_blocks(samples) if Z.shape[1] else ():
-        xi = rng.standard_normal((size, Z.shape[1])) @ Z.T
-        nx = np.linalg.norm(xi, axis=1)
-        keep = nx > 1e-12
-        xi = xi[keep] / nx[keep, None]
-        # H = G'(x) xi in the eigenframe; H or -H must lie in the critical
-        # cone: gamma rows vanish off the alpha columns, beta block PSD
-        Ht = (xi @ Dflat).reshape(-1, p, p)
-        eq = np.linalg.norm(Ht[:, kb:, ka:], axis=(1, 2))
-        lo, hi = eig_range(Ht[:, ka:kb, ka:kb])
-        plus = np.maximum(eq, -lo) <= DEFAULT_MEMBERSHIP_TOL
-        minus = ~plus & (np.maximum(eq, hi) <= DEFAULT_MEMBERSHIP_TOL)
-        sign = np.where(minus, -1.0, 1.0)[plus | minus]
-        xi = xi[plus | minus] * sign[:, None]
-        Ht = Ht[plus | minus] * sign[:, None, None]
-        rhs = -(sys.hessL @ xi.T)
-        eta_v = np.linalg.lstsq(A, rhs, rcond=None)[0]
-        solved = np.linalg.norm(A @ eta_v - rhs, axis=0) <= 1e-9 * np.maximum(
-            1.0, np.linalg.norm(rhs, axis=0)
-        )
-        E = np.zeros((int(solved.sum()), p, p))
-        E[:, rows, cols] = (eta_v[:, solved] / svec_scale(p)[:, None]).T
-        E[:, cols, rows] = E[:, rows, cols]
-        pair = np.stack([Ht[solved], d.P.T @ E @ d.P])
-        blocks = pair[..., ka:kb, ka:kb]
-        nsd = blocks - psd_part(blocks)
-        inner = np.sum(pair[0] * pair[1] * polar_off, axis=(1, 2)) + np.sum(nsd[0] * nsd[1], axis=(1, 2))
-        max_violation = max(max_violation, float(np.abs(inner).max(initial=0.0)))
-        accepted += inner.size
-    rejected = samples - accepted
-    cond_ii = {
-        "verdict": "holds" if max_violation <= 1e-7 else "fails",
-        "max_violation": max_violation,
-        "accepted": accepted,
-        "rejection_rate": (rejected / samples) if samples else 0.0,
-    }
-    return {"cond_i": cond_i, "cond_ii": cond_ii}
+    free = (rows >= ka) | (cols >= kb)
+    in_beta = (rows[free] >= ka) & (cols[free] < kb)
+    kernel = null_space(svec_stack(sys.Dt)[:, free], atol=_rank_atol(sys.Dt))
+    complement = null_space(kernel[in_beta].T, atol=1e-11).T
+    if complement.shape[0] == k * (k + 1) // 2:
+        return {"verdict": "holds", "evidence": "adjoint kernel has zero beta blocks (Rockafellar Thm 9.1)"}
+    try:
+        W = subspace_psd_nontrivial(complement, k)
+    except NumericError as exc:
+        return {"verdict": UNDETERMINED, "evidence": f"adjoint kernel test undecided: {exc}"}
+    if W is None:
+        return {"verdict": "holds", "evidence": "adjoint kernel meets no nonzero NSD beta block (Rockafellar Thm 9.1)"}
+    return {"verdict": UNDETERMINED, "evidence": "adjoint kernel meets a nonzero NSD beta block"}
+
+
+def _projected_orthogonality(sys: CriticalitySystem) -> dict:
+    """Condition (ii): <Pi(G'(x) xi), Pi(eta)> = 0 for every xi in C(xbar)
+    and every eta with hessL xi + G'(x)* eta = 0, where Pi projects onto
+    the polar cone of the critical cone C.
+
+    It holds identically: G'(x) xi lies in C, and Moreau's decomposition
+    gives Pi(H) = 0 for every H in C. The evidence says whether it holds
+    vacuously, decided by one cone-kernel call: a nonzero xi in C admits
+    an eta iff hessL xi lies in the range of the adjoint, that is iff the
+    part of hessL orthogonal to that range annihilates xi.
+    """
+    atol = _rank_atol(sys.Dt)
+    off_range = null_space(svec_stack(sys.Ds).T, atol=atol).T @ sys.hessL
+    eqs = np.vstack([off_range, sys.cone_rows])
+    try:
+        xi = cone_kernel_nontrivial(eqs, sys.n, beta_block_rows(sys), sys.ctx.decomp.beta.size, 1.0, atol=atol)
+    except NumericError as exc:
+        return {"verdict": "holds", "evidence": f"undecided: {exc}; holds by the identity"}
+    if xi is None:
+        return {"verdict": "holds", "evidence": "vacuous: no nonzero xi in C admits a multiplier direction"}
+    return {"verdict": "holds", "evidence": "identity: G'(x) xi lies in C, so its projection onto the polar cone is 0"}
+
+
+def theorem3_conditions(sys: CriticalitySystem) -> dict:
+    """The two conditions under which noncriticality gives the KKT error
+    bound, each as {"verdict", "evidence"}: closedness of the adjoint
+    image of the polar cone (cond_i) and orthogonality of projected pairs
+    (cond_ii). Both are decided without sampling."""
+    return {"cond_i": _closed_adjoint_image(sys), "cond_ii": _projected_orthogonality(sys)}
 
 
 def multiplier_distance_estimate(pd: ProblemData, xbar, samples) -> list:

@@ -295,12 +295,6 @@ def eig_range(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam[..., 0], lam[..., -1]
 
 
-def psd_part(A: np.ndarray) -> np.ndarray:
-    """Projection onto the PSD cone of each symmetric array of a stack (..., k, k)."""
-    lam, V = np.linalg.eigh(A)
-    return (V * np.maximum(lam, 0.0)[..., None, :]) @ np.swapaxes(V, -1, -2)
-
-
 def spectral_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Descending eigenvalues, eigenvectors and PSD part of each array of a stack.
 

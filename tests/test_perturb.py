@@ -34,7 +34,7 @@ from kkt_spectra.problem import (
     normal_map_stack,
     shifted_problem,
 )
-from kkt_spectra.sosc import check_soscy, theorem3_conditions
+from kkt_spectra.sosc import check_soscy
 from kkt_spectra.symmat import (
     SymMat,
     default_tol_zero,
@@ -364,8 +364,6 @@ def test_unknown_option_keys_rejected(fam3):
     sys3 = context(fam3.problem, fam3.xbar, fam3.ybar)
     with pytest.raises(InputDataError, match="grid"):
         classify_multiplier(sys3, {"grid": 9})
-    with pytest.raises(InputDataError, match="sample"):
-        theorem3_conditions(sys3, {"sample": 4})
 
 
 def test_nonfinite_perturbation_rejected(fam3):
