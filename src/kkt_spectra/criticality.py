@@ -57,6 +57,7 @@ from .symmat import (
     svec_scale,
     svec_stack,
     sym_mat,
+    symmetrized,
 )
 
 DEFAULT_OPTIONS = {"samples": 64, "seed": 42}
@@ -151,11 +152,6 @@ def build_system(pd: ProblemData, kkt: KKTPoint, tol: Optional[float] = None) ->
     return _assemble(pd, kkt, Gx, jacobian_stack(pd, kkt.x), ctx)
 
 
-def _symmetrized(D: np.ndarray) -> np.ndarray:
-    """The stack D with each matrix symmetrized as a SymMat symmetrizes it."""
-    return 0.5 * (D + D.swapaxes(-1, -2))
-
-
 def _rotated(d: SpectralDecomp, Ds: np.ndarray) -> np.ndarray:
     """P^T D P for every matrix D of the stack Ds, in one batched product."""
     return (d.P.T @ Ds) @ d.P
@@ -165,7 +161,7 @@ def _assemble(pd: ProblemData, kkt: KKTPoint, Gx: SymMat, D: np.ndarray, ctx: Co
     """The context of a certified pair from G(x), the Jacobian stack D at
     x and the split ctx of G(x) + Y."""
     d = ctx.decomp
-    Ds = _symmetrized(D)
+    Ds = symmetrized(D)
     Dt = _rotated(d, Ds)
     # gamma x (beta u gamma) entries on and below the diagonal, row-major;
     # the alpha, beta and gamma index blocks are contiguous in that order
@@ -415,7 +411,7 @@ def _mixed_support_angles(C: np.ndarray, d: int):
 
 
 def _classify_two_block(
-    sys: CriticalitySystem, H: np.ndarray, E: np.ndarray, common: np.ndarray
+    sys: CriticalitySystem, H: np.ndarray, E: np.ndarray, common: np.ndarray, N: np.ndarray
 ) -> CriticalityVerdict:
     """Exact tier for a non-commuting 2x2 beta block.
 
@@ -424,10 +420,10 @@ def _classify_two_block(
     and h = 0 with e NSD, are frame-free and decided on the span of the
     PSD preimage of the det form. In the mixed one both blocks have rank
     one in a frame u = (cos theta, sin theta), v = (-sin theta, cos theta):
-    the rows h_uv, e_uv, h_vv and e_uu vanish on the null space N of the
-    common rows, with h_uu >= 0 and e_vv <= 0. At each candidate angle of
-    _mixed_support_angles the sign-row LP over the null space of those
-    rows decides. N has dimension d >= 3 (the common rows leave exactly
+    the rows h_uv, e_uv, h_vv and e_uu vanish on N, the null space of the
+    common rows that classify_multiplier has computed, with h_uu >= 0 and
+    e_vv <= 0. At each candidate angle of _mixed_support_angles the
+    sign-row LP over the null space of those rows decides. N has dimension d >= 3 (the common rows leave exactly
     the three beta x beta entries free); d > 4, or a minor that vanishes
     at every angle, returns Undetermined.
     """
@@ -446,7 +442,6 @@ def _classify_two_block(
                 )
             unverified.append(label)
 
-    N = null_space(common)
     d = N.shape[1]
     if d > 4:
         return CriticalityVerdict(
@@ -518,7 +513,8 @@ def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) 
     beta = sys.ctx.decomp.beta
     common = common_rows(sys, H, E)
 
-    z, _ = nontrivial_xi_solution(common, H.shape[-1], sys.n)
+    N = null_space(common)
+    z, _ = nontrivial_in_span(N, sys.n)
     if z is None:
         cert = (
             "exact: beta empty, homogeneous linear system has no nonzero xi"
@@ -575,7 +571,7 @@ def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) 
         )
 
     if k == 2:
-        return _classify_two_block(sys, H, E, common)
+        return _classify_two_block(sys, H, E, common, N)
 
     # beta block of size >= 3: seeded random frames
     rng = np.random.default_rng(int(opts["seed"]))
@@ -673,7 +669,7 @@ def srcq_holds(d: SpectralDecomp, Dt: np.ndarray) -> bool:
 
 def check_rcq(pd: ProblemData, xbar, tol_feas: float = 1e-8) -> bool:
     """rcq_holds at xbar, from the problem data."""
-    return rcq_holds(eval_G(pd, xbar), _symmetrized(jacobian_stack(pd, xbar)), tol_feas)
+    return rcq_holds(eval_G(pd, xbar), symmetrized(jacobian_stack(pd, xbar)), tol_feas)
 
 
 def check_srcq(pd: ProblemData, xbar, ybar, tol: Optional[float] = None) -> bool:
@@ -682,7 +678,7 @@ def check_srcq(pd: ProblemData, xbar, ybar, tol: Optional[float] = None) -> bool
     tol is the partition tolerance, with the meaning it has in build_system.
     """
     d = cone_context(eval_G(pd, xbar), ybar, tol_zero=tol, tol=1e-6).decomp
-    return srcq_holds(d, _rotated(d, _symmetrized(jacobian_stack(pd, xbar))))
+    return srcq_holds(d, _rotated(d, symmetrized(jacobian_stack(pd, xbar))))
 
 
 # ----------------------------------------------------------------------
@@ -717,33 +713,17 @@ class NLPSystem:
 
 
 def diagonal_reduction(pd: ProblemData, tol: float = 1e-12) -> Optional[NLPSystem]:
-    """Scalarize the constraint when every data matrix is diagonal."""
-
-    def _diag_or_none(M: SymMat):
-        A = M.full()
-        off = A - np.diag(np.diag(A))
-        if np.abs(off).max() > tol * max(1.0, np.abs(A).max()):
-            return None
-        return np.diag(A).copy()
-
-    g0 = _diag_or_none(pd.G_const)
-    if g0 is None:
+    """Scalarize the constraint when every data matrix is diagonal: no
+    off-diagonal entry above tol * max(1, largest entry of its matrix)."""
+    n, p = pd.n, pd.p
+    mats = np.concatenate([pd.G_const[None], pd.G_lin, pd.G_quad.reshape(n * n, p, p)])
+    off = np.abs(mats[:, ~np.eye(p, dtype=bool)]).max(axis=1, initial=0.0)
+    if (off > tol * np.maximum(1.0, np.abs(mats).max(axis=(1, 2), initial=0.0))).any():
         return None
-    p, n = pd.p, pd.n
-    glin = np.zeros((p, n))
-    for i in range(n):
-        col = _diag_or_none(pd.G_lin[i])
-        if col is None:
-            return None
-        glin[:, i] = col
-    gquad = np.zeros((p, n, n))
-    for i in range(n):
-        for j in range(n):
-            dd = _diag_or_none(pd.G_quad[i][j])
-            if dd is None:
-                return None
-            gquad[:, i, j] = dd
-    return NLPSystem(pd.f_lin.copy(), pd.f_quad.copy(), g0, glin, gquad)
+    diag = np.diagonal(mats, axis1=1, axis2=2)
+    glin = np.ascontiguousarray(diag[1 : n + 1].T)
+    gquad = np.ascontiguousarray(diag[n + 1 :].reshape(n, n, p).transpose(2, 0, 1))
+    return NLPSystem(pd.f_lin.copy(), pd.f_quad.copy(), diag[0].copy(), glin, gquad)
 
 
 def classify_nlp(nlp: NLPSystem, xbar, mu, tol: float = 1e-8) -> CriticalityVerdict:

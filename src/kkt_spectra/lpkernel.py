@@ -8,11 +8,12 @@ blocks, subspace_psd_nontrivial decides whether a linear subspace of
 symmetric matrices meets the PSD cone nontrivially, and
 cone_kernel_nontrivial lifts that to kernels with one signed block.
 
-subspace_psd_nontrivial tries its tiers in order: a diagonal null space
-(an LP sweep), q = 2 (the det-form test), commuting rows (a certified
-LP on the diagonal of their common eigenframe), and otherwise a dual
-ascent and a projected-gradient search. The first three are exact; the
-search may raise rather than guess.
+subspace_psd_nontrivial tries its tiers in order: a Gordan certificate
+(the fit of the identity onto the complement is positive definite), a
+diagonal null space (an LP sweep), q = 2 (the det-form test), commuting
+rows (a certified LP on the diagonal of their common eigenframe), and
+otherwise a dual ascent and a projected-gradient search. The first four
+are exact; the search may raise rather than guess.
 """
 
 from __future__ import annotations
@@ -284,11 +285,12 @@ def subspace_psd_nontrivial(constraint_rows, q: int) -> Optional[np.ndarray]:
     subspace meets the PSD cone only at 0 iff its orthogonal complement
     contains a positive definite matrix, because the trace-one spectahedron
     slice is compact and strictly separable from the subspace. The tiers,
-    in order: a diagonal fast path when every null-space matrix is
-    diagonal; at q = 2 the exact det-form test; for commuting rows a
-    certified LP on the diagonal of their common eigenframe (see
-    _commuting_rows_tier); otherwise a least-squares-plus-supergradient
-    dual ascent of DUAL_STEPS steps and an accelerated projected-gradient
+    in order: that certificate for the least-squares fit of the identity
+    onto the complement; a diagonal fast path when every null-space
+    matrix is diagonal; at q = 2 the exact det-form test; for commuting
+    rows a certified LP on the diagonal of their common eigenframe (see
+    _commuting_rows_tier); otherwise a supergradient dual ascent from the
+    fit, DUAL_STEPS steps in all, and an accelerated projected-gradient
     primal pass of PRIMAL_STEPS steps. If the search produces no verdict
     the call raises rather than guess.
     """
@@ -305,6 +307,14 @@ def subspace_psd_nontrivial(constraint_rows, q: int) -> Optional[np.ndarray]:
     if r == nfull:
         return None
     basis = U[:, :r]  # orthonormal basis of the complement (row space)
+
+    # Gordan certificate: the fit of the identity onto the complement, if positive definite
+    t = basis.T @ sym_vec(np.eye(q))
+    nt = np.linalg.norm(t)
+    t = t / nt if nt > 0 else np.eye(r)[0]
+    lam, V = eigh(sym_mat(basis @ t, q).full())
+    if lam.min() >= 1e-7:
+        return None
     N = null_space(rows)
 
     # diagonal fast path: if every null-space matrix is diagonal the PSD
@@ -335,27 +345,19 @@ def subspace_psd_nontrivial(constraint_rows, q: int) -> Optional[np.ndarray]:
     if decided:
         return W
 
-    # dual certificate: least-squares fit of the identity, then ascent
-    t = basis.T @ sym_vec(np.eye(q))
-    best_margin = -np.inf
-    if np.linalg.norm(t) > 0:
-        t = t / np.linalg.norm(t)
-    else:
-        t = np.zeros(r)
-        t[0] = 1.0
-    for it in range(DUAL_STEPS):
-        M = sym_mat(basis @ t, q).full()
-        lam, V = eigh(M)
-        lo = int(np.argmin(lam))
-        best_margin = max(best_margin, lam[lo])
-        if lam[lo] >= 1e-7:
-            return None
-        v = V[:, lo]
+    # dual ascent from the fit, along the least eigenvector
+    best_margin = lam.min()
+    for it in range(1, DUAL_STEPS):
+        v = V[:, int(np.argmin(lam))]
         g = basis.T @ sym_vec(np.outer(v, v))
-        t = t + (0.3 / np.sqrt(it + 1.0)) * g
+        t = t + (0.3 / np.sqrt(it)) * g
         nt = np.linalg.norm(t)
         if nt > 0:
             t /= nt
+        lam, V = eigh(sym_mat(basis @ t, q).full())
+        best_margin = max(best_margin, lam.min())
+        if lam.min() >= 1e-7:
+            return None
 
     # primal pass: minimize the distance to the subspace over the
     # trace-one spectahedron (convex, optimum zero iff nontrivial point)
@@ -410,11 +412,13 @@ def cone_kernel_nontrivial(
     if q == 0 or block_rows is None:
         return Z[:, 0]
     B = (float(sign) * np.atleast_2d(np.asarray(block_rows, dtype=float))) @ Z
-    K = null_space(B)
-    if K.shape[1] > 0:
-        return Z @ K[:, 0]
-    U, s, _ = np.linalg.svd(B, full_matrices=True)
+    if not np.any(B):
+        return Z[:, 0]
+    # one SVD: the kernel of B as null_space reads it, and the complement of its image
+    U, s, vt = np.linalg.svd(B)
     r = int(np.sum(s > 1e-11 * s[0]))
+    if r < B.shape[1]:
+        return Z @ vt[r:].T.copy()[:, 0]  # null_space's layout, which the product's rounding follows
     comp = U[:, r:].T
     W = subspace_psd_nontrivial(comp, q)
     if W is None:

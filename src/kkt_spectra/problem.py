@@ -23,14 +23,14 @@ from .errors import InputDataError
 from .symmat import (
     SymMat,
     as_symmat,
-    dense_stack,
     eigh,
     packing_tables,
     project_psd,
     spectral_decompose,
     spectral_stack,
     svec_indices,
-    sym_vec,
+    svec_stack,
+    symmetrized,
 )
 
 CERTIFICATION_TOL = 1e-8
@@ -38,23 +38,22 @@ CERTIFICATION_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ProblemData:
-    """Immutable problem instance.
+    """Immutable problem instance: five read-only float arrays.
 
     f(x) = f_lin . x + 1/2 x^T f_quad x
-    G(x) = G_const + sum_i x_i G_lin[i] + 1/2 sum_ij x_i x_j G_quad[i][j]
+    G(x) = G_const + sum_i x_i G_lin[i] + 1/2 sum_ij x_i x_j G_quad[i, j]
 
-    G_lin_stack (n, p, p) and G_quad_stack (n, n, p, p) hold the same
-    matrices as dense read-only arrays, built once per problem, so the
-    evaluations below are single matrix products.
+    f_lin has shape (n,), f_quad (n, n), G_const (p, p), G_lin (n, p, p)
+    and G_quad (n, n, p, p), with G_quad[i, j] = G_quad[j, i]. Every
+    matrix is exactly symmetric, so the evaluations below are single
+    matrix products.
     """
 
     f_lin: np.ndarray
     f_quad: np.ndarray
-    G_const: SymMat
-    G_lin: tuple
-    G_quad: tuple
-    G_lin_stack: np.ndarray
-    G_quad_stack: np.ndarray
+    G_const: np.ndarray
+    G_lin: np.ndarray
+    G_quad: np.ndarray
 
     @property
     def n(self) -> int:
@@ -62,42 +61,54 @@ class ProblemData:
 
     @property
     def p(self) -> int:
-        return self.G_const.p
+        return self.G_const.shape[0]
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _unwrapped(obj):
+    """obj with each SymMat in its nested lists replaced by its full matrix."""
+    if isinstance(obj, SymMat):
+        return obj.full()
+    if isinstance(obj, (list, tuple)):
+        return [_unwrapped(M) for M in obj]
+    return obj
+
+
+def _constraint_stack(mats, shape) -> np.ndarray:
+    """Read-only array of the given shape from nested SymMats or array-likes,
+    each trailing matrix symmetrized as a SymMat symmetrizes it."""
+    try:
+        arr = np.array(_unwrapped(mats), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputDataError(f"constraint matrices must be numeric arrays: {exc}") from exc
+    if arr.shape != shape and (arr.size or math.prod(shape)):  # an empty list reads as any empty shape
+        raise InputDataError(f"constraint matrices have shape {arr.shape}, expected {shape}")
+    return _frozen(symmetrized(arr.reshape(shape)))
 
 
 def make_problem(f_lin, f_quad, G_const, G_lin, G_quad=None) -> ProblemData:
-    """Validate and freeze a problem instance."""
+    """Validate and freeze a problem instance; a constraint matrix may be a
+    SymMat or an array-like, G_lin and G_quad lists or stacks of them."""
     f_lin = np.asarray(f_lin, dtype=float).reshape(-1)
     n = f_lin.size
     f_quad = np.asarray(f_quad, dtype=float).reshape(n, n)
     if not np.all(np.isfinite(f_lin)) or not np.all(np.isfinite(f_quad)):
         raise InputDataError("objective data must be finite")
-    f_quad = 0.5 * (f_quad + f_quad.T)
-    f_quad.flags.writeable = False
-    f_lin.flags.writeable = False
-    G_const = as_symmat(G_const)
-    p = G_const.p
-    lin = tuple(as_symmat(A) for A in G_lin)
-    if len(lin) != n:
-        raise InputDataError(f"expected {n} linear constraint matrices, got {len(lin)}")
-    for A in lin:
-        if A.p != p:
-            raise InputDataError("constraint matrix orders are inconsistent")
-    if G_quad is None:
-        quad = tuple(tuple(SymMat.zeros(p) for _ in range(n)) for _ in range(n))
-    else:
-        quad = tuple(tuple(as_symmat(G_quad[i][j]) for j in range(n)) for i in range(n))
-        if any(B.p != p for row in quad for B in row):
-            raise InputDataError("constraint matrix orders are inconsistent")
-        # packed uppers (n, n, m); the first asymmetric (i, j) in row-major order
-        upper = np.array([[B._upper for B in row] for row in quad]).reshape(n, n, p * (p + 1) // 2)
-        asym = np.argwhere((np.abs(upper - upper.swapaxes(0, 1)) > 1e-12).any(axis=2))
-        if asym.size:
-            i, j = asym[0]
-            raise InputDataError(f"G_quad[{i}][{j}] != G_quad[{j}][{i}]")
-    lin_stack = dense_stack(lin, p)
-    quad_stack = dense_stack([B for row in quad for B in row], p).reshape(n, n, p, p)
-    return ProblemData(f_lin, f_quad, G_const, lin, quad, lin_stack, quad_stack)
+    f_quad = symmetrized(f_quad)
+    G_const = as_symmat(G_const).full()
+    p = G_const.shape[0]
+    G_lin = _constraint_stack(G_lin, (n, p, p))
+    G_quad = _constraint_stack(np.zeros((n, n, p, p)) if G_quad is None else G_quad, (n, n, p, p))
+    # the first asymmetric (i, j) in row-major order
+    asym = np.argwhere((np.abs(G_quad - G_quad.swapaxes(0, 1)) > 1e-12).any(axis=(2, 3)))
+    if asym.size:
+        i, j = asym[0]
+        raise InputDataError(f"G_quad[{i}][{j}] != G_quad[{j}][{i}]")
+    return ProblemData(_frozen(f_lin), _frozen(f_quad), G_const, G_lin, G_quad)
 
 
 def eval_grad_f(pd: ProblemData, x) -> np.ndarray:
@@ -109,10 +120,10 @@ def _G_array(pd: ProblemData, x: np.ndarray) -> np.ndarray:
     """G at x of shape (n,), or at each row of a stack (k, n), as (..., p, p)."""
     n, p = pd.n, pd.p
     lead = x.shape[:-1]
-    lin = x[..., None, :] @ pd.G_lin_stack.reshape(n, p * p)
+    lin = x[..., None, :] @ pd.G_lin.reshape(n, p * p)
     outer = (x[..., :, None] * x[..., None, :]).reshape(*lead, 1, n * n)
-    quad = outer @ pd.G_quad_stack.reshape(n * n, p * p)
-    return pd.G_const.full() + (lin + 0.5 * quad).reshape(*lead, p, p)
+    quad = outer @ pd.G_quad.reshape(n * n, p * p)
+    return pd.G_const + (lin + 0.5 * quad).reshape(*lead, p, p)
 
 
 def _checked_x(pd: ProblemData, x) -> np.ndarray:
@@ -129,8 +140,8 @@ def eval_G(pd: ProblemData, x) -> SymMat:
 def jacobian_array(pd: ProblemData, x: np.ndarray) -> np.ndarray:
     """D_i at x of shape (n,), or at each row of a stack (k, n), as (..., n, p, p)."""
     n, p = pd.n, pd.p
-    D = x[..., None, None, :] @ pd.G_quad_stack.reshape(n, n, p * p)
-    return pd.G_lin_stack + D.reshape(*x.shape[:-1], n, p, p)
+    D = x[..., None, None, :] @ pd.G_quad.reshape(n, n, p * p)
+    return pd.G_lin + D.reshape(*x.shape[:-1], n, p, p)
 
 
 def jacobian_stack(pd: ProblemData, x) -> np.ndarray:
@@ -161,7 +172,7 @@ def hessian_array(pd: ProblemData, Y: np.ndarray) -> np.ndarray:
     shape (p, p), or for each slice of a stack (k, p, p), as (..., n, n)."""
     n, p = pd.n, pd.p
     lead = Y.shape[:-2]
-    inner = pd.G_quad_stack.reshape(n * n, p * p) @ Y.reshape(*lead, p * p, 1)
+    inner = pd.G_quad.reshape(n * n, p * p) @ Y.reshape(*lead, p * p, 1)
     H = pd.f_quad + inner.reshape(*lead, n, n)
     return 0.5 * (H + H.swapaxes(-1, -2))
 
@@ -241,8 +252,7 @@ def multiplier_set_residual(pd: ProblemData, xbar, Y) -> tuple[float, float]:
     the PSD cone at G(xbar), by blockwise projection.
     """
     Y = as_symmat(Y)
-    Ds = eval_G_jacobian(pd, xbar)
-    A = np.stack([sym_vec(D) for D in Ds]) if pd.n else np.zeros((0, pd.p * (pd.p + 1) // 2))
+    A = svec_stack(jacobian_stack(pd, xbar))
     r = -(eval_grad_f(pd, xbar) + adjoint_jacobian_apply(pd, xbar, Y))
     if A.size:
         delta, *_ = np.linalg.lstsq(A, r, rcond=None)
@@ -291,79 +301,89 @@ def shifted_problem(pd: ProblemData, p1, p2) -> ProblemData:
 
     The stationarity shift p1 moves into f_lin and the cone shift p2 into
     G_const, so the perturbed KKT system is the plain KKT system of the
-    shifted problem.
+    shifted problem (InputDataError if G_const turns non-finite).
     """
     p1 = np.asarray(p1, dtype=float).reshape(pd.n)
-    p2 = as_symmat(p2)
-    return ProblemData(
-        (pd.f_lin - p1).copy(),
-        pd.f_quad,
-        pd.G_const + p2,
-        pd.G_lin,
-        pd.G_quad,
-        pd.G_lin_stack,
-        pd.G_quad_stack,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        G_const = pd.G_const + as_symmat(p2).full()
+    if not np.isfinite(G_const).all():
+        raise InputDataError("matrix entries must be finite")
+    return ProblemData(_frozen(pd.f_lin - p1), pd.f_quad, _frozen(G_const), pd.G_lin, pd.G_quad)
 
 
 # ----------------------------------------------------------------------
 # file ingestion
 
 
-def _strict_symmetric(raw, p, label) -> SymMat:
-    arr = np.asarray(raw, dtype=float).reshape(p, p)
-    if not np.all(np.isfinite(arr)):
-        raise InputDataError(f"{label}: entries must be finite")
-    denom = np.maximum(1.0, np.abs(arr))
-    if np.max(np.abs(arr - arr.T) / denom) > 1e-12:
-        raise InputDataError(f"{label}: matrix is not symmetric within 1e-12 relative")
-    return SymMat(arr)
+def _relative_asymmetry(S: np.ndarray) -> np.ndarray:
+    """Largest entry of |A - A^T| / max(1, |A|) of each matrix of a stack (k, p, p)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.abs(S - S.swapaxes(1, 2)) / np.maximum(1.0, np.abs(S))).max(axis=(1, 2), initial=0.0)
+
+
+def _checked_matrices(raws, labels, p) -> np.ndarray:
+    """The payload matrices raws, each p * p numbers in any nesting, as a
+    stack (k, p, p). InputDataError names the first matrix, in the order
+    given, that is not p * p numbers, has a non-finite entry or is not
+    symmetric within 1e-12 relative."""
+    mats, unread = [], None
+    for raw, label in zip(raws, labels):
+        try:
+            mats.append(np.asarray(raw, dtype=float).reshape(p, p))
+        except (TypeError, ValueError) as exc:
+            unread = InputDataError(f"{label}: expected a {p}x{p} matrix of numbers ({exc})")
+            break
+    S = np.array(mats).reshape(len(mats), p, p)
+    finite = np.isfinite(S).all(axis=(1, 2))
+    bad = np.flatnonzero(~finite | (_relative_asymmetry(S) > 1e-12))
+    if bad.size:
+        fault = "matrix is not symmetric within 1e-12 relative" if finite[bad[0]] else "entries must be finite"
+        raise InputDataError(f"{labels[bad[0]]}: {fault}")
+    if unread is not None:
+        raise unread
+    return S
 
 
 def problem_from_dict(data: dict) -> ProblemData:
     try:
-        n = int(data["n"])
-        p = int(data["p"])
-        f = data["f"]
-        g = data["G"]
+        n, p = int(data["n"]), int(data["p"])
+        f, g = data["f"], data["G"]
         f_lin = np.asarray(f["lin"], dtype=float).reshape(n)
-        f_quad_raw = np.asarray(f["quad"], dtype=float).reshape(n, n)
-        a0 = g["A0"]
-        a_list = g["A"]
-    except (KeyError, TypeError, ValueError) as exc:
+        f_quad = np.zeros((n, n)) if f["quad"] is None else np.asarray(f["quad"], dtype=float).reshape(n, n)
+        a0, a_list, b = g["A0"], g["A"], g.get("B")
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputDataError(f"malformed problem payload: {exc}") from exc
-    denom = np.maximum(1.0, np.abs(f_quad_raw))
-    if np.max(np.abs(f_quad_raw - f_quad_raw.T) / denom) > 1e-12:
+    if min(n, p) < 1:
+        raise InputDataError(f"a problem needs n >= 1 and p >= 1, got n = {n}, p = {p}")
+    if _relative_asymmetry(f_quad[None])[0] > 1e-12:
         raise InputDataError("f.quad is not symmetric within 1e-12 relative")
-    G_const = _strict_symmetric(a0, p, "G.A0")
-    if len(a_list) != n:
+    if not isinstance(a_list, (list, tuple)) or len(a_list) != n:
         raise InputDataError(f"G.A must list {n} matrices")
-    G_lin = [_strict_symmetric(a_list[i], p, f"G.A[{i}]") for i in range(n)]
-    G_quad = None
-    if data["G"].get("B") is not None:
-        b = data["G"]["B"]
-        if len(b) != n:
-            raise InputDataError(f"G.B must have {n} rows")
-        mats = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                entry = b[i][j]
-                if entry is None:
-                    mats[i][j] = SymMat.zeros(p)
-                else:
-                    mats[i][j] = _strict_symmetric(entry, p, f"G.B[{i}][{j}]")
-                mats[j][i] = mats[i][j]
-        G_quad = mats
-    return make_problem(f_lin, f_quad_raw, G_const, G_lin, G_quad)
+    raws, labels, pairs = [a0, *a_list], ["G.A0", *(f"G.A[{i}]" for i in range(n))], []
+    if b is not None:
+        listed = isinstance(b, (list, tuple)) and len(b) == n
+        if not (listed and all(isinstance(row, (list, tuple)) and len(row) == n for row in b)):
+            raise InputDataError(f"G.B must have {n} rows of {n} matrices")
+        # only the upper triangle i <= j is read; a null entry is zero
+        pairs = [(i, j) for i in range(n) for j in range(i, n) if b[i][j] is not None]
+        raws += [b[i][j] for i, j in pairs]
+        labels += [f"G.B[{i}][{j}]" for i, j in pairs]
+    S = _checked_matrices(raws, labels, p)
+    G_quad = None if b is None else np.zeros((n, n, p, p))
+    for k, (i, j) in enumerate(pairs, n + 1):
+        G_quad[i, j] = G_quad[j, i] = S[k]
+    return make_problem(f_lin, f_quad, S[0], S[1 : n + 1], G_quad)
 
 
 def problem_to_dict(pd: ProblemData) -> dict:
-    b = [[pd.G_quad[i][j].to_rowmajor() if i <= j else None for j in range(pd.n)] for i in range(pd.n)]
+    """The problem-file payload of pd, each matrix a flat row-major list."""
+    n, p = pd.n, pd.p
+    b = [[pd.G_quad[i, j].ravel().tolist() if i <= j else None for j in range(n)] for i in range(n)]
     return {
-        "n": pd.n,
-        "p": pd.p,
-        "f": {"lin": [float(v) for v in pd.f_lin], "quad": [[float(v) for v in row] for row in pd.f_quad]},
-        "G": {"A0": pd.G_const.to_rowmajor(), "A": [A.to_rowmajor() for A in pd.G_lin], "B": b},
+        "n": n,
+        "p": p,
+        "f": {"lin": pd.f_lin.tolist(), "quad": pd.f_quad.tolist()},
+        "G": {"A0": pd.G_const.ravel().tolist(), "A": pd.G_lin.reshape(n, p * p).tolist(), "B": b},
     }
 
 
@@ -381,7 +401,7 @@ def load_point(path, n: int, p: int) -> tuple[np.ndarray, SymMat]:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         x = np.asarray(data["x"], dtype=float).reshape(n)
-        Y = _strict_symmetric(data["Y"], p, "Y")
+        Y = SymMat(_checked_matrices([data["Y"]], ["Y"], p)[0])
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputDataError(f"cannot read point file {path}: {exc}") from exc
     return x, Y

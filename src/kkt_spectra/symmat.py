@@ -1,6 +1,7 @@
 """Dense symmetric-matrix core.
 
-Provides the SymMat value type, the one symmetric eigensolver that every
+Provides the SymMat value type and the symmetrization it applies (also to
+whole stacks of arrays), the one symmetric eigensolver that every
 module uses (LAPACK through numpy, with deterministic eigenvector signs),
 spectral decomposition with a sign partition of the spectrum, the common
 eigenframe of a commuting family, the det form of a linear map into S^2
@@ -40,15 +41,7 @@ class SymMat:
         arr = np.asarray(entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InputDataError(f"expected a square matrix, got shape {arr.shape}")
-        if np.abs(arr).max(initial=0.0) <= _HALF_MAX:
-            arr = 0.5 * (arr + arr.T)
-        else:
-            # a non-finite entry, or one large enough for the sum to overflow:
-            # the check reads the symmetrized matrix
-            with np.errstate(over="ignore", invalid="ignore"):
-                arr = 0.5 * (arr + arr.T)
-            if not np.isfinite(arr).all():
-                raise InputDataError("matrix entries must be finite")
+        arr = symmetrized(arr)
         p = arr.shape[0]
         self._p = p
         self._upper = arr[svec_indices(p)]
@@ -119,9 +112,6 @@ class SymMat:
         other = as_symmat(other)
         return self._p == other._p and bool(np.allclose(self._upper, other._upper, atol=atol, rtol=rtol))
 
-    def to_rowmajor(self) -> list:
-        return [float(v) for v in self.full().ravel()]
-
     def __add__(self, other):
         other = as_symmat(other)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -148,6 +138,22 @@ class SymMat:
 
     def __repr__(self):
         return f"SymMat({self.full().tolist()})"
+
+
+def symmetrized(arr: np.ndarray) -> np.ndarray:
+    """0.5 (A + A^T) of each trailing square matrix A of a float array.
+
+    An entry above _HALF_MAX (a non-finite one included) may overflow the
+    sum, so then the symmetrized entries are checked: InputDataError
+    unless all of them are finite.
+    """
+    if np.abs(arr).max(initial=0.0) <= _HALF_MAX:
+        return 0.5 * (arr + arr.swapaxes(-1, -2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        arr = 0.5 * (arr + arr.swapaxes(-1, -2))
+    if not np.isfinite(arr).all():
+        raise InputDataError("matrix entries must be finite")
+    return arr
 
 
 def as_symmat(obj) -> SymMat:
@@ -220,20 +226,6 @@ def packing_tables(p) -> PackingTables:
     for table in tables:
         table.flags.writeable = False
     return tables
-
-
-def dense_stack(mats, p) -> np.ndarray:
-    """Read-only (k, p, p) array of k SymMats of order p.
-
-    Filled from the packed triangles, so no SymMat caches its full matrix.
-    """
-    rows, cols = svec_indices(p)
-    upper = np.array([M._upper for M in mats]).reshape(len(mats), rows.size)
-    out = np.zeros((len(mats), p, p))
-    out[:, rows, cols] = upper
-    out[:, cols, rows] = upper
-    out.flags.writeable = False
-    return out
 
 
 def sym_vec(M: SymMat) -> np.ndarray:

@@ -212,6 +212,38 @@ def test_perturb_rejects_nonfinite_shift(problem_files, p1):
     assert caught == []
 
 
+def _bad_payload(edit):
+    data = problem_to_dict(example3_family().problem)
+    edit(data["G"])
+    return data
+
+
+# each payload once made the loader raise a bare numpy or Python error
+MALFORMED = {
+    "A0 wrong size": (lambda g: g.update(A0=[0.0, 0.0, 0.0]), "G.A0: expected a 2x2 matrix of numbers"),
+    "A[1] wrong size": (lambda g: g["A"].__setitem__(1, [0.0] * 5), "G.A[1]: expected a 2x2 matrix of numbers"),
+    "B[0][1] wrong size": (lambda g: g["B"][0].__setitem__(1, [1.0]), "G.B[0][1]: expected a 2x2 matrix of numbers"),
+    "non-numeric entry": (lambda g: g["A"][0].__setitem__(2, "one"), "G.A[0]: expected a 2x2 matrix of numbers"),
+    "A not a list": (lambda g: g.update(A=2), "G.A must list 2 matrices"),
+    "B not a list": (lambda g: g.update(B=2), "G.B must have 2 rows of 2 matrices"),
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "perturb"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_problem_file_exits_2(problem_files, tmp_path, command, case):
+    edit, message = MALFORMED[case]
+    _, xpath = problem_files
+    ppath = tmp_path / "bad.json"
+    ppath.write_text(json.dumps(_bad_payload(edit)))
+    argv = [command, "--problem", str(ppath), "--point", xpath]
+    if command == "perturb":
+        argv += ["--p1", "[0.1, 0.0]", "--p2", "[[0.0, 0.0], [0.0, 0.0]]", "--geo", "1e-2:1e-4:5"]
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 def test_flag_validation():
     assert run(["criticality", "--family", "example2", "--seed", "7", "--samples", "16"])[0] == 0
     assert run(["analyze", "--family", "example3", "--samples", "0"])[0] == 2

@@ -31,7 +31,7 @@ from kkt_spectra.errors import InputDataError, NumericError
 from kkt_spectra.lpkernel import nontrivial_xi_solution, null_space
 from kkt_spectra.problem import eval_G, eval_G_jacobian, kkt_point, make_problem
 from kkt_spectra.sosc import check_soscy
-from kkt_spectra.symmat import SymMat, dir_deriv_from_decomp, project_psd, sym_mat
+from kkt_spectra.symmat import SymMat, as_symmat, dir_deriv_from_decomp, project_psd, sym_mat
 
 
 @pytest.fixture
@@ -473,8 +473,8 @@ def test_classification_scale_invariance():
             c * pd.f_lin,
             c * pd.f_quad,
             pd.G_const,
-            list(pd.G_lin),
-            [list(r) for r in pd.G_quad],
+            pd.G_lin,
+            pd.G_quad,
         )
         v_a = classify_multiplier(build_system(pd, kkt_point(pd, xbar, Y)))
         v_b = classify_multiplier(build_system(pd_s, kkt_point(pd_s, xbar, c * Y)))
@@ -489,7 +489,7 @@ def test_rotation_keeps_cone_sosc_and_tag():
     rng = np.random.default_rng(0)
 
     def rot(M, Q):
-        return SymMat(Q @ M.full() @ Q.T)
+        return SymMat(Q @ as_symmat(M).full() @ Q.T)
 
     collapsible = 0
     for trial in range(100):

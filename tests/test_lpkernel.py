@@ -280,9 +280,9 @@ def test_subspace_psd_commuting_rows_certified_trivial():
 
 
 def test_subspace_psd_commuting_rows_skip_the_search(monkeypatch):
-    # cost guard: commuting rows are decided by the diagonal LP, which
-    # calls eigh at most once (the Gordan check); the dual ascent would
-    # call it up to DUAL_STEPS times
+    # cost guard: commuting rows are decided by the Gordan certificate of
+    # the identity's fit or by the diagonal LP, which call eigh once each;
+    # the dual ascent would call it up to DUAL_STEPS times
     rng = np.random.default_rng(31)
     calls = _count_eigh(monkeypatch)
     rows, _, _ = _planted_rows(rng, 6)
@@ -291,6 +291,26 @@ def test_subspace_psd_commuting_rows_skip_the_search(monkeypatch):
     calls.clear()
     assert subspace_psd_nontrivial(_certified_trivial_rows(rng, 6), 6) is None
     assert len(calls) <= 2
+
+
+def test_subspace_psd_gordan_certificate_decides_first(monkeypatch):
+    # rows spanning I and two non-commuting matrices at q = 3: the fit of
+    # the identity onto the row space is I itself, positive definite, so
+    # the call returns None before it builds the null space for the
+    # diagonal, q = 2 and commuting tiers
+    rng = np.random.default_rng(41)
+    A, B = (sym_vec(M + M.T) for M in rng.standard_normal((2, 3, 3)))
+    rows = np.stack([sym_vec(np.eye(3)), A, B])
+    assert common_eigenframe([sym_mat(v, 3).full() for v in rows], 3) is None
+    N = null_space(rows)
+    assert any(np.abs(M - np.diag(np.diag(M))).max() > 1e-3 for M in (sym_mat(v, 3).full() for v in N.T))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a later tier ran")
+
+    monkeypatch.setattr(lpkernel, "null_space", fail)
+    monkeypatch.setattr(lpkernel, "_commuting_rows_tier", fail)
+    assert subspace_psd_nontrivial(rows, 3) is None
 
 
 def test_subspace_psd_non_commuting_rows_reach_the_search(monkeypatch):

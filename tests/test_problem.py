@@ -2,12 +2,13 @@
 
 import json
 import math
+import re
 import tempfile
 
 import numpy as np
 import pytest
 
-from conftest import random_symmetric
+from conftest import planted_pair, random_symmetric
 from kkt_spectra.errors import InputDataError
 from kkt_spectra.problem import (
     adjoint_jacobian_apply,
@@ -100,10 +101,10 @@ def test_stacked_evaluations_match_per_matrix_loops():
             x = rng.standard_normal(n)
             d = rng.standard_normal(n)
             Y = random_symmetric(rng, p, 2.0)
-            A = [pd.G_lin[i].full() for i in range(n)]
-            B = [[pd.G_quad[i][j].full() for j in range(n)] for i in range(n)]
+            A = [pd.G_lin[i] for i in range(n)]
+            B = [[pd.G_quad[i, j] for j in range(n)] for i in range(n)]
 
-            G = pd.G_const.full() + sum(x[i] * A[i] for i in range(n))
+            G = pd.G_const + sum(x[i] * A[i] for i in range(n))
             G = G + sum(0.5 * x[i] * x[j] * B[i][j] for i in range(n) for j in range(n))
             Ds = [A[i] + sum(x[j] * B[i][j] for j in range(n)) for i in range(n)]
             push = sum(d[i] * Ds[i] for i in range(n))
@@ -124,7 +125,7 @@ def test_make_problem_names_first_asymmetric_quadratic_pair():
     with pytest.raises(InputDataError, match=r"G_quad\[0\]\[1\] != G_quad\[1\]\[0\]"):
         make_problem([0.0, 0.0], np.eye(2), Z, lin, [[Z, B], [Z, Z]])
     pd = make_problem([0.0, 0.0], np.eye(2), Z, lin, [[Z, B], [B, Z]])
-    assert np.array_equal(pd.G_quad_stack[1, 0], B.full())
+    assert np.array_equal(pd.G_quad[1, 0], B.full())
     # row-major order: the (0, 2) pair is named before the (1, 2) pair,
     # and a difference below the 1e-12 cut still counts as symmetric
     tiny = SymMat([[1.0, 2.0 + 5e-13], [2.0 + 5e-13, 0.0]])
@@ -134,17 +135,17 @@ def test_make_problem_names_first_asymmetric_quadratic_pair():
     quad = [[Z, Z, B], [Z, Z, B], [tiny, Z, Z]]
     with pytest.raises(InputDataError, match=r"G_quad\[1\]\[2\] != G_quad\[2\]\[1\]"):
         make_problem([0.0] * 3, np.eye(3), Z, lin + [Z], quad)
-    assert make_problem([], np.zeros((0, 0)), Z, [], []).G_quad_stack.shape == (0, 0, 2, 2)
+    assert make_problem([], np.zeros((0, 0)), Z, [], []).G_quad.shape == (0, 0, 2, 2)
 
 
 def test_shifted_problem_shares_stacks(fam3):
     pd = fam3.problem
     p1, p2 = fam3.perturbation(1e-3)
     sp = shifted_problem(pd, p1, p2)
-    assert sp.G_lin_stack is pd.G_lin_stack
-    assert sp.G_quad_stack is pd.G_quad_stack
-    assert pd.G_lin_stack.shape == (2, 2, 2) and pd.G_quad_stack.shape == (2, 2, 2, 2)
-    assert not pd.G_quad_stack.flags.writeable
+    assert sp.G_lin is pd.G_lin
+    assert sp.G_quad is pd.G_quad
+    assert pd.G_lin.shape == (2, 2, 2) and pd.G_quad.shape == (2, 2, 2, 2)
+    assert not pd.G_quad.flags.writeable
 
 
 def test_svec_basis_rotation_matches_loop_definition():
@@ -193,7 +194,7 @@ def test_example2_perturbation_shift(fam2):
     p1, p2 = fam2.perturbation(0.1)
     sp = shifted_problem(pd, p1, p2)
     assert np.allclose(sp.f_lin, pd.f_lin)
-    assert np.allclose(sp.G_const.full(), [[0.0, 0.1], [0.1, 0.0]])
+    assert np.allclose(sp.G_const, [[0.0, 0.1], [0.1, 0.0]])
     assert np.allclose(eval_G(sp, [0.3, -0.2]).full(), [[0.3, 0.1], [0.1, -0.2]])
 
 
@@ -245,12 +246,12 @@ def test_problem_file_round_trip(fam3):
     data = problem_to_dict(pd)
     pd_b = problem_from_dict(json.loads(json.dumps(data)))
     assert np.allclose(pd_b.f_quad, pd.f_quad)
-    assert pd_b.G_quad[0][1].allclose(pd.G_quad[0][1])
+    assert np.array_equal(pd_b.G_quad[0, 1], pd.G_quad[0, 1])
     with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
         json.dump(data, fh)
         path = fh.name
     pd_c = load_problem(path)
-    assert pd_c.G_quad[1][1].allclose(pd.G_quad[1][1])
+    assert np.array_equal(pd_c.G_quad[1, 1], pd.G_quad[1, 1])
 
 
 def test_asymmetric_matrix_rejected(fam3):
@@ -260,6 +261,104 @@ def test_asymmetric_matrix_rejected(fam3):
     bad["G"]["A0"] = [[0.0, 1.0], [0.5, 0.0]]
     with pytest.raises(InputDataError):
         problem_from_dict(bad)
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "rotated", "coupled"])
+def test_problem_dict_round_trip_is_exact(kind):
+    rng = np.random.default_rng(3)
+    for n, p in ((1, 1), (2, 3), (3, 4)):
+        pd, _, _ = planted_pair(rng, kind, n, p)
+        data = problem_to_dict(pd)
+        assert problem_to_dict(problem_from_dict(data)) == data
+        assert problem_to_dict(problem_from_dict(json.loads(json.dumps(data)))) == data
+
+
+@pytest.mark.parametrize("label", ["G.A0", "G.A[1]", "G.B[0][1]"])
+@pytest.mark.parametrize("fault", ["nonfinite", "asymmetric"])
+def test_loader_names_the_first_bad_matrix(fam3, label, fault):
+    # the named matrix is spoiled, and so is every later one the other
+    # way: the message names the first in the order A0, A[i], B[i][j]
+    data = json.loads(json.dumps(problem_to_dict(fam3.problem)))
+    g = data["G"]
+    slots = {"G.A0": (g, "A0"), "G.A[1]": (g["A"], 1), "G.B[0][1]": (g["B"][0], 1)}
+    labels = list(slots)
+    for other in labels[labels.index(label) :]:
+        owner, key = slots[other]
+        spoil_nonfinite = (other == label) == (fault == "nonfinite")
+        owner[key] = [0.0, math.inf, 0.0, 0.0] if spoil_nonfinite else [0.0, 1.0, 0.5, 0.0]
+    message = "entries must be finite" if fault == "nonfinite" else "matrix is not symmetric within 1e-12 relative"
+    with pytest.raises(InputDataError, match=f"^{re.escape(label)}: {message}$"):
+        problem_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(lambda d: d["G"]["B"].__setitem__(1, [None]), r"G\.B must have 2 rows of 2 matrices", id="short B row"),
+        pytest.param(lambda d: d.__setitem__("G", [1.0]), "malformed problem payload", id="G not a dict"),
+        pytest.param(lambda d: d["G"].__setitem__("A", d["G"]["A"][:1]), r"G\.A must list 2 matrices", id="short A"),
+        pytest.param(lambda d: d.__setitem__("p", -1), "needs n >= 1 and p >= 1", id="p negative"),
+        pytest.param(
+            lambda d: d.update(n=0, f={"lin": [], "quad": []}, G={"A0": [0.0] * 4, "A": [], "B": None}),
+            "needs n >= 1",
+            id="n zero",
+        ),
+        pytest.param(lambda d: d.update(p=0, G={"A0": [], "A": [[], []], "B": None}), "needs n >= 1", id="p zero"),
+        pytest.param(lambda d: d.__setitem__("n", math.inf), "malformed problem payload", id="n infinite"),
+    ],
+)
+def test_loader_rejects_malformed_structure(fam3, edit, message):
+    data = json.loads(json.dumps(problem_to_dict(fam3.problem)))
+    edit(data)
+    with pytest.raises(InputDataError, match=message):
+        problem_from_dict(data)
+
+
+def test_objective_that_overflows_when_symmetrized_is_rejected():
+    # 1.5e308 is finite, but f_quad + f_quad^T is not
+    with pytest.raises(InputDataError, match="matrix entries must be finite"):
+        make_problem([0.0], [[1.5e308]], [[1.0]], [[[1.0]]])
+
+
+def test_make_problem_without_variables():
+    pd = make_problem([], np.zeros((0, 0)), SymMat.eye(2), [])
+    assert (pd.n, pd.p) == (0, 2)
+    assert pd.G_lin.shape == (0, 2, 2) and pd.G_quad.shape == (0, 0, 2, 2)
+    assert np.array_equal(eval_G(pd, []).full(), np.eye(2))
+    assert eval_G_jacobian(pd, []) == [] and lagrangian_hessian(pd, [], SymMat.eye(2)).shape == (0, 0)
+
+
+def test_symmat_and_array_inputs_give_identical_stacks():
+    # raw matrices slightly off symmetric: each input form is symmetrized
+    # as a SymMat symmetrizes it, so every stack is the same bit for bit
+    rng = np.random.default_rng(17)
+    n, p = 3, 4
+    A0 = rng.standard_normal((p, p))
+    A = rng.standard_normal((n, p, p))
+    B = rng.standard_normal((p, p, p, p))[:n, :n]
+    B = B + B.swapaxes(0, 1)
+    f_lin, f_quad = rng.standard_normal(n), np.eye(n)
+    forms = [
+        make_problem(f_lin, f_quad, SymMat(A0), [SymMat(M) for M in A], [[SymMat(M) for M in row] for row in B]),
+        make_problem(f_lin, f_quad, A0.tolist(), A.tolist(), B.tolist()),
+        make_problem(f_lin, f_quad, A0, A, B),
+        make_problem(f_lin, f_quad, A0, list(A), [list(row) for row in B]),
+    ]
+    ref = forms[0]
+    assert np.array_equal(ref.G_const, SymMat(A0).full())
+    assert all(np.array_equal(ref.G_lin[i], SymMat(A[i]).full()) for i in range(n))
+    assert all(np.array_equal(ref.G_quad[i, j], SymMat(B[i, j]).full()) for i in range(n) for j in range(n))
+    for pd in forms:
+        for name in ("f_lin", "f_quad", "G_const", "G_lin", "G_quad"):
+            arr = getattr(pd, name)
+            assert arr.tobytes() == getattr(ref, name).tobytes() and arr.shape == getattr(ref, name).shape
+            assert not arr.flags.writeable and arr.flags.c_contiguous
+
+
+def test_null_objective_quadratic_reads_as_zero(fam2):
+    data = problem_to_dict(fam2.problem)
+    data["f"]["quad"] = None
+    assert np.array_equal(problem_from_dict(data).f_quad, np.zeros((2, 2)))
 
 
 def test_builtin_family_validation():

@@ -27,7 +27,7 @@ from kkt_spectra.sosc import (
     sigma_term,
     theorem3_conditions,
 )
-from kkt_spectra.symmat import SymMat, project_psd, spectral_decompose, sym_mat, sym_vec
+from kkt_spectra.symmat import SymMat, as_symmat, project_psd, spectral_decompose, sym_mat, sym_vec
 
 
 def test_sigma_term_fixtures():
@@ -122,7 +122,7 @@ def cone_section_grid_minimum(pd, levels=3, points=20001):
     {d : sum_k d_k G_k PSD} and the second-order form is d^T f_quad d.
     The grid is refined around its best feasible angle at each level.
     """
-    D1, D2 = (D.full() for D in pd.G_lin)
+    D1, D2 = pd.G_lin
     lo, hi = -np.pi, np.pi
     best_t = None
     for _ in range(levels):
@@ -397,7 +397,7 @@ def test_theorem3_survives_a_failing_psd_kernel(monkeypatch, tmp_path):
 
     ppath, xpath = tmp_path / "prob.json", tmp_path / "pt.json"
     ppath.write_text(json.dumps(problem_to_dict(pd)))
-    xpath.write_text(json.dumps({"x": x.tolist(), "Y": Y.to_rowmajor()}))
+    xpath.write_text(json.dumps({"x": x.tolist(), "Y": Y.full().ravel().tolist()}))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["analyze", "--problem", str(ppath), "--point", str(xpath), "--format", "json"])
@@ -443,7 +443,7 @@ def rotated_context(pd, x, Y, Q):
     """Context of the pair seen in the orthogonal frame Q."""
 
     def rot(M):
-        return SymMat(Q @ M.full() @ Q.T)
+        return SymMat(Q @ as_symmat(M).full() @ Q.T)
 
     rpd = make_problem(
         pd.f_lin, pd.f_quad, rot(pd.G_const), [rot(M) for M in pd.G_lin], [[rot(M) for M in row] for row in pd.G_quad]
