@@ -13,8 +13,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -39,36 +37,6 @@ from .sosc import check_soscy, theorem3_conditions
 from .symmat import SymMat, as_symmat
 
 SCHEMA = "kkt-spectra/1"
-
-
-@dataclass(frozen=True)
-class AnalysisRequest:
-    """Validated invocation: one problem source plus knobs."""
-
-    command: str
-    problem: Optional[str] = None
-    family: Optional[str] = None
-    point: Optional[str] = None
-    direction: Optional[list] = None
-    tol_eig: Optional[float] = None
-    tol_feas: float = 1e-8
-    seed: int = 42
-    fmt: str = "text"
-    samples: int = 64
-    geo: Optional[tuple] = None
-    p1: Optional[list] = None
-    p2: Optional[list] = None
-    csv: Optional[str] = None
-
-    def __post_init__(self):
-        if (self.problem is None) == (self.family is None):
-            raise InputDataError("exactly one of --problem or --family is required")
-        if self.tol_eig is not None and self.tol_eig <= 0:
-            raise InputDataError("--tol-eig must be positive")
-        if self.tol_feas <= 0:
-            raise InputDataError("--tol-feas must be positive")
-        if self.samples < 1:
-            raise InputDataError("--samples must be at least 1")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,15 +75,25 @@ def _inline_json(label):
 @functools.cache
 def build_parser() -> _Parser:
     """The argument parser, built once per process and shared by every
-    main() call; parsing leaves it unchanged."""
+    main() call; parsing leaves it unchanged. Each subcommand takes only
+    the flags it reads, so any other flag is a usage error."""
     parser = _Parser(prog="kkt-spectra", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("analyze", "full pipeline: residuals, partition, qualifications, verdicts"),
-        ("criticality", "multiplier classification and the x-part condition"),
-        ("sosc", "second-order condition and the two local-bound conditions"),
-        ("cones", "eigenvalue partition and complementarity flags"),
-        ("perturb", "perturbation sweep with order fit and bound verdicts"),
+    knobs = {
+        "--tol-eig": dict(type=float, help="eigenvalue zero-classification tolerance"),
+        "--tol-feas": dict(type=float, default=1e-8, help="feasibility tolerance of the RCQ check"),
+        "--seed": dict(type=int, default=42, help="seed for all sampling"),
+        "--samples": dict(
+            type=int, default=64, help="random frames the classifier tries on a beta block of order >= 3"
+        ),
+    }
+    for name, blurb, flags in (
+        ("analyze", "full pipeline: residuals, partition, qualifications, verdicts",
+         ("--tol-eig", "--tol-feas", "--seed", "--samples")),
+        ("criticality", "multiplier classification and the x-part condition", ("--tol-eig", "--seed", "--samples")),
+        ("sosc", "second-order condition and the two local-bound conditions", ("--tol-eig",)),
+        ("cones", "eigenvalue partition and complementarity flags", ("--tol-eig",)),
+        ("perturb", "perturbation sweep with order fit and bound verdicts", ("--seed",)),
     ):
         sp = sub.add_parser(name, help=blurb)
         src = sp.add_mutually_exclusive_group(required=True)
@@ -129,16 +107,9 @@ def build_parser() -> _Parser:
             type=_inline_json("--direction"),
             help="inline JSON matrix steering a builtin family's perturbation",
         )
-        sp.add_argument("--tol-eig", type=float, help="eigenvalue zero-classification tolerance")
-        sp.add_argument("--tol-feas", type=float, default=1e-8, help="feasibility tolerance")
-        sp.add_argument("--seed", type=int, default=42, help="seed for all sampling")
+        for flag in flags:
+            sp.add_argument(flag, **knobs[flag])
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument(
-            "--samples",
-            type=int,
-            default=64,
-            help="random frames the classifier tries on a beta block of order >= 3",
-        )
         if name == "perturb":
             sp.add_argument(
                 "--geo",
@@ -152,40 +123,23 @@ def build_parser() -> _Parser:
     return parser
 
 
-def request_from_args(args) -> AnalysisRequest:
-    return AnalysisRequest(
-        command=args.command,
-        problem=args.problem,
-        family=args.family,
-        point=args.point,
-        direction=args.direction,
-        tol_eig=args.tol_eig,
-        tol_feas=args.tol_feas,
-        seed=args.seed,
-        fmt=args.format,
-        samples=args.samples,
-        geo=getattr(args, "geo", None),
-        p1=getattr(args, "p1", None),
-        p2=getattr(args, "p2", None),
-        csv=getattr(args, "csv", None),
-    )
+def _source(args):
+    """The builtin family of --family (None for --problem) and its problem data."""
+    if args.family is not None:
+        fam = builtin_family(args.family, args.direction)
+        return fam, fam.problem
+    if args.direction is not None:
+        raise InputDataError("--direction steers a builtin family's perturbation and needs --family")
+    return None, load_problem(args.problem)
 
 
-def _resolve_inputs(req: AnalysisRequest):
-    """Problem data plus the point to analyze, from files or a builtin."""
-    if req.family is not None:
-        fam = builtin_family(req.family, req.direction)
-        pd = fam.problem
-        x, Y = fam.xbar, fam.ybar
-    else:
-        fam = None
-        pd = load_problem(req.problem)
-        if req.point is None:
-            raise InputDataError("--problem requires --point")
-        x, Y = None, None
-    if req.point is not None:
-        x, Y = load_point(req.point, pd.n, pd.p)
-    return fam, pd, x, Y
+def _point(args, fam, pd):
+    """The pair (x, Y) of --point, or the family's reference pair."""
+    if args.point is not None:
+        return load_point(args.point, pd.n, pd.p)
+    if fam is None:
+        raise InputDataError("--problem requires --point")
+    return fam.xbar, fam.ybar
 
 
 def _jsonable(value):
@@ -240,11 +194,14 @@ def render(payload: dict, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _analysis_context(req: AnalysisRequest):
+def _analysis_context(args):
     """The one analysis context, at the --tol-eig partition, of the
     requested pair; every section of a report reads it."""
-    _, pd, x, Y = _resolve_inputs(req)
-    return analysis_context(pd, x, Y, tol=req.tol_eig)
+    if args.tol_eig is not None and args.tol_eig <= 0:
+        raise InputDataError("--tol-eig must be positive")
+    fam, pd = _source(args)
+    x, Y = _point(args, fam, pd)
+    return analysis_context(pd, x, Y, tol=args.tol_eig)
 
 
 def _residuals_payload(sysm):
@@ -264,8 +221,10 @@ def _partition_payload(ctx):
     }
 
 
-def _criticality_payload(sysm, req: AnalysisRequest):
-    verdict = classify_multiplier(sysm, {"samples": req.samples, "seed": req.seed})
+def _criticality_payload(sysm, args):
+    if args.samples < 1:
+        raise InputDataError("--samples must be at least 1")
+    verdict = classify_multiplier(sysm, samples=args.samples, seed=args.seed)
     out = {
         "tag": verdict.tag,
         "certificate": verdict.certificate,
@@ -290,79 +249,84 @@ def _soscy_payload(sysm):
     }
 
 
-def _theorem3_payload(sysm):
-    return theorem3_conditions(sysm)
-
-
-def cmd_analyze(req: AnalysisRequest) -> dict:
-    sysm = _analysis_context(req)
+def cmd_analyze(args) -> dict:
+    if args.tol_feas <= 0:
+        raise InputDataError("--tol-feas must be positive")
+    sysm = _analysis_context(args)
     return {
         "schema": SCHEMA,
         "command": "analyze",
-        "source": req.family or req.problem,
+        "source": args.family or args.problem,
         "kkt_residuals": _residuals_payload(sysm),
         "partition": _partition_payload(sysm.ctx),
         "constraint_qualifications": {
-            "rcq": rcq_holds(sysm.G, sysm.Ds, tol_feas=req.tol_feas),
+            "rcq": rcq_holds(sysm.G, sysm.Ds, tol_feas=args.tol_feas),
             "srcq": srcq_holds(sysm.ctx.decomp, sysm.Dt),
         },
-        "criticality": _criticality_payload(sysm, req),
+        "criticality": _criticality_payload(sysm, args),
         "x_part_condition": xpart_condition(sysm),
         "soscy": _soscy_payload(sysm),
-        "local_bound_conditions": _theorem3_payload(sysm),
+        "local_bound_conditions": theorem3_conditions(sysm),
     }
 
 
-def cmd_criticality(req: AnalysisRequest) -> dict:
-    sysm = _analysis_context(req)
+def cmd_criticality(args) -> dict:
+    sysm = _analysis_context(args)
     return {
         "schema": SCHEMA,
         "command": "criticality",
-        "source": req.family or req.problem,
+        "source": args.family or args.problem,
         "partition": _partition_payload(sysm.ctx),
-        "criticality": _criticality_payload(sysm, req),
+        "criticality": _criticality_payload(sysm, args),
         "x_part_condition": xpart_condition(sysm),
     }
 
 
-def cmd_sosc(req: AnalysisRequest) -> dict:
-    sysm = _analysis_context(req)
+def cmd_sosc(args) -> dict:
+    sysm = _analysis_context(args)
     return {
         "schema": SCHEMA,
         "command": "sosc",
-        "source": req.family or req.problem,
+        "source": args.family or args.problem,
         "soscy": _soscy_payload(sysm),
-        "local_bound_conditions": _theorem3_payload(sysm),
+        "local_bound_conditions": theorem3_conditions(sysm),
     }
 
 
-def cmd_cones(req: AnalysisRequest) -> dict:
-    sysm = _analysis_context(req)
+def cmd_cones(args) -> dict:
+    sysm = _analysis_context(args)
     return {
         "schema": SCHEMA,
         "command": "cones",
-        "source": req.family or req.problem,
+        "source": args.family or args.problem,
         "kkt_residuals": _residuals_payload(sysm),
         "partition": _partition_payload(sysm.ctx),
     }
 
 
-def cmd_perturb(req: AnalysisRequest) -> dict:
-    fam, pd, x, Y = _resolve_inputs(req)
-    if fam is None:
-        if req.p1 is None or req.p2 is None:
+def cmd_perturb(args) -> dict:
+    fam, pd = _source(args)
+    if fam is not None:
+        for flag, value in (("--point", args.point), ("--p1", args.p1), ("--p2", args.p2)):
+            if value is not None:
+                raise InputDataError(
+                    f"{flag} applies to --problem sweeps; a --family sweep runs from the family's own pair and shift"
+                )
+    else:
+        x, Y = _point(args, fam, pd)
+        if args.p1 is None or args.p2 is None:
             raise InputDataError("user problems need --p1 and --p2 perturbation directions")
         pair = analysis_context(pd, x, Y).kkt
-        p1d = np.asarray(req.p1, dtype=float).reshape(pd.n)
-        p2d = as_symmat(req.p2)
+        p1d = np.asarray(args.p1, dtype=float).reshape(pd.n)
+        p2d = as_symmat(args.p2)
         if p2d.p != pd.p:
             raise InputDataError("--p2 order does not match the problem")
         fam = PerturbationFamily(
             "user", pd, pair.x, pair.Y, lambda s: (s * p1d, float(s) * p2d)
         )
-    start, end, count = req.geo
+    start, end, count = args.geo
     schedule = np.geomspace(start, end, count)
-    report = error_bound_experiment(fam, schedule, {"seed": req.seed})
+    report = error_bound_experiment(fam, schedule, seed=args.seed)
     for s, res in zip(report.excluded_params, report.excluded_residuals):
         print(
             f"warning: dropped parameter {s:.17g}: no start reached a certified root "
@@ -375,10 +339,10 @@ def cmd_perturb(req: AnalysisRequest) -> dict:
         "source": fam.name,
         **report_to_dict(report),
     }
-    if req.csv:
-        with open(req.csv, "w", encoding="utf-8") as fh:
+    if args.csv:
+        with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(report_to_csv(report))
-        payload["csv"] = req.csv
+        payload["csv"] = args.csv
     return payload
 
 
@@ -392,18 +356,16 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        req = request_from_args(args)
-        payload = _DISPATCH[req.command](req)
+        payload = _DISPATCH[args.command](args)
     except InputDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, ConvergenceError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    print(render(payload, req.fmt))
+    print(render(payload, args.format))
     return 0
 
 

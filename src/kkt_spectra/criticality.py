@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .cones import ConeContext, check_complementary, cone_context, cone_context_from_matrix
-from .errors import InputDataError, NumericError, merged_options
+from .errors import InputDataError, NumericError
 from .lpkernel import (
     cone_kernel_nontrivial,
     nontrivial_in_span,
@@ -59,8 +59,6 @@ from .symmat import (
     sym_mat,
     symmetrized,
 )
-
-DEFAULT_OPTIONS = {"samples": 64, "seed": 42}
 
 CRITICAL = "Critical"
 NONCRITICAL = "Noncritical"
@@ -124,9 +122,10 @@ def analysis_context(pd: ProblemData, x, Y, tol: Optional[float] = None) -> Crit
 
     G(x), the Jacobian stack and the split of G(x) + Y are each computed
     once, and the KKT residuals are read from them; they equal those of
-    kkt_point bit for bit. An uncertified pair raises the error of
-    build_system before the complementarity check. tol has the meaning
-    it has in build_system.
+    kkt_point bit for bit. An uncertified pair raises InputDataError
+    before the complementarity check. tol is the eigenvalue
+    zero-classification tolerance of the partition (None: the
+    decomposition's default).
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     x.flags.writeable = False
@@ -141,15 +140,10 @@ def analysis_context(pd: ProblemData, x, Y, tol: Optional[float] = None) -> Crit
 
 
 def build_system(pd: ProblemData, kkt: KKTPoint, tol: Optional[float] = None) -> CriticalitySystem:
-    """Assemble the analysis context at a certified KKT pair.
-
-    tol is the eigenvalue zero-classification tolerance of the partition
-    (None: the decomposition's default).
-    """
+    """The analysis_context of the pair of kkt, which must be certified;
+    tol as in analysis_context."""
     _require_certified(kkt)
-    Gx = eval_G(pd, kkt.x)
-    ctx = cone_context(Gx, kkt.Y, tol_zero=tol, tol=1e-6)
-    return _assemble(pd, kkt, Gx, jacobian_stack(pd, kkt.x), ctx)
+    return analysis_context(pd, kkt.x, kkt.Y, tol)
 
 
 def _rotated(d: SpectralDecomp, Ds: np.ndarray) -> np.ndarray:
@@ -493,7 +487,7 @@ def _classify_two_block(
     return CriticalityVerdict(NONCRITICAL, None, f"exact: 2x2 beta block, pure supports and {mixed} exhausted", 0.0)
 
 
-def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) -> CriticalityVerdict:
+def classify_multiplier(sys: CriticalitySystem, *, samples: int = 64, seed: int = 42) -> CriticalityVerdict:
     """Decide whether the system admits a nonzero direction.
 
     Exact tiers: empty degenerate block (pure linear system), singleton
@@ -504,11 +498,12 @@ def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) 
     roots in tan(theta) of a minor; see _classify_two_block). Larger
     non-commuting blocks get seeded random frames, a one-sided search:
     positives are certified witnesses, negatives return Undetermined.
+    That search tries the identity, the eigenframe of each nonzero
+    Jacobian block and samples random orthogonal frames drawn from seed.
     Every witness is re-verified, after one polish if needed; an exact
     tier whose witness still fails, or whose support LP raises
     NumericError without a witness elsewhere, returns Undetermined.
     """
-    opts = merged_options(DEFAULT_OPTIONS, options)
     H, E = entry_rows(sys)
     beta = sys.ctx.decomp.beta
     common = common_rows(sys, H, E)
@@ -574,8 +569,7 @@ def classify_multiplier(sys: CriticalitySystem, options: Optional[dict] = None) 
         return _classify_two_block(sys, H, E, common, N)
 
     # beta block of size >= 3: seeded random frames
-    rng = np.random.default_rng(int(opts["seed"]))
-    samples = int(opts["samples"])
+    rng = np.random.default_rng(seed)
     frames = [np.eye(k)]
     for Dt in sys.Dt:
         B = Dt[np.ix_(beta, beta)]

@@ -1,5 +1,4 @@
-"""Exception types shared across the package, and the option-key check
-that raises one."""
+"""Exception types shared across the package."""
 
 
 class KKTSpectraError(Exception):
@@ -34,13 +33,3 @@ class ConvergenceError(KKTSpectraError):
         self.best = best
         self.residual = residual
 
-
-def merged_options(defaults: dict, options) -> dict:
-    """Defaults overridden by options; an unknown key raises InputDataError."""
-    opts = dict(defaults)
-    if options:
-        unknown = sorted(map(str, set(options) - set(defaults)))
-        if unknown:
-            raise InputDataError(f"unknown option keys: {', '.join(unknown)}")
-        opts.update(options)
-    return opts

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cones import ConeContext
 from .criticality import CriticalitySystem
-from .errors import ConvergenceError, InputDataError, merged_options
+from .errors import ConvergenceError, InputDataError
 from .problem import (
     PerturbationFamily,
     ProblemData,
@@ -44,8 +44,6 @@ BACKTRACKS = 20  # step halvings per Newton line search
 LM_STEPS = 60  # Levenberg-Marquardt fallback iterations
 RESIDUAL_TOL = 1e-12  # stopping residual, relative to the perturbation scale
 JITTER_STARTS = 8  # jittered starts per schedule point
-
-DEFAULT_EXPERIMENT_OPTIONS = {"seed": 42}
 
 CERT_FACTOR = 1e-10
 
@@ -488,7 +486,7 @@ def _trend_verdict(params, ratios):
     return "inconclusive"
 
 
-def error_bound_experiment(family: PerturbationFamily, schedule, options=None):
+def error_bound_experiment(family: PerturbationFamily, schedule, *, seed: int = 42):
     """Sweep a perturbation schedule and collect distance ratios.
 
     Solves are warm-started by continuation along the schedule; at each
@@ -497,11 +495,10 @@ def error_bound_experiment(family: PerturbationFamily, schedule, options=None):
     are assembled as one stack, x0 and z0 = G(x0) + Y0, and solved in
     lockstep by one solve_perturbed_starts call, and the certified root
     closest to the reference point is kept. A parameter where no start
-    certifies is dropped and named in excluded_params. options holds only
-    the jitter "seed"; an unknown key raises InputDataError.
+    certifies is dropped and named in excluded_params. seed seeds the
+    jitter.
     """
-    opts = merged_options(DEFAULT_EXPERIMENT_OPTIONS, options)
-    rng = np.random.default_rng(opts["seed"])
+    rng = np.random.default_rng(seed)
     pd = family.problem
     xbar = np.asarray(family.xbar, dtype=float)
     ybar = family.ybar

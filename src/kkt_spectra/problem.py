@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -85,14 +86,20 @@ def _constraint_stack(mats, shape) -> np.ndarray:
         arr = np.array(_unwrapped(mats), dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputDataError(f"constraint matrices must be numeric arrays: {exc}") from exc
-    if arr.shape != shape and (arr.size or math.prod(shape)):  # an empty list reads as any empty shape
+    if arr.shape != shape:
         raise InputDataError(f"constraint matrices have shape {arr.shape}, expected {shape}")
     return _frozen(symmetrized(arr.reshape(shape)))
 
 
+def _check_dimensions(n: int, p: int) -> None:
+    if min(n, p) < 1:
+        raise InputDataError(f"a problem needs n >= 1 and p >= 1, got n = {n}, p = {p}")
+
+
 def make_problem(f_lin, f_quad, G_const, G_lin, G_quad=None) -> ProblemData:
-    """Validate and freeze a problem instance; a constraint matrix may be a
-    SymMat or an array-like, G_lin and G_quad lists or stacks of them."""
+    """Validate and freeze a problem instance of n >= 1 variables and
+    order p >= 1; a constraint matrix may be a SymMat or an array-like,
+    G_lin and G_quad lists or stacks of them."""
     f_lin = np.asarray(f_lin, dtype=float).reshape(-1)
     n = f_lin.size
     f_quad = np.asarray(f_quad, dtype=float).reshape(n, n)
@@ -101,6 +108,7 @@ def make_problem(f_lin, f_quad, G_const, G_lin, G_quad=None) -> ProblemData:
     f_quad = symmetrized(f_quad)
     G_const = as_symmat(G_const).full()
     p = G_const.shape[0]
+    _check_dimensions(n, p)
     G_lin = _constraint_stack(G_lin, (n, p, p))
     G_quad = _constraint_stack(np.zeros((n, n, p, p)) if G_quad is None else G_quad, (n, n, p, p))
     # the first asymmetric (i, j) in row-major order
@@ -344,17 +352,26 @@ def _checked_matrices(raws, labels, p) -> np.ndarray:
     return S
 
 
+def _dimension(data: dict, key: str) -> int:
+    """The size field key of a problem payload, which must be an integer
+    (a bool, a fraction or a string raises InputDataError)."""
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputDataError(f"malformed problem payload: {key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def problem_from_dict(data: dict) -> ProblemData:
     try:
-        n, p = int(data["n"]), int(data["p"])
+        n, p = _dimension(data, "n"), _dimension(data, "p")
+        # the declared sizes shape every read below, so they are checked first
+        _check_dimensions(n, p)
         f, g = data["f"], data["G"]
         f_lin = np.asarray(f["lin"], dtype=float).reshape(n)
         f_quad = np.zeros((n, n)) if f["quad"] is None else np.asarray(f["quad"], dtype=float).reshape(n, n)
         a0, a_list, b = g["A0"], g["A"], g.get("B")
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputDataError(f"malformed problem payload: {exc}") from exc
-    if min(n, p) < 1:
-        raise InputDataError(f"a problem needs n >= 1 and p >= 1, got n = {n}, p = {p}")
     if _relative_asymmetry(f_quad[None])[0] > 1e-12:
         raise InputDataError("f.quad is not symmetric within 1e-12 relative")
     if not isinstance(a_list, (list, tuple)) or len(a_list) != n:

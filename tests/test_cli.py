@@ -214,18 +214,24 @@ def test_perturb_rejects_nonfinite_shift(problem_files, p1):
 
 def _bad_payload(edit):
     data = problem_to_dict(example3_family().problem)
-    edit(data["G"])
+    edit(data)
     return data
 
 
-# each payload once made the loader raise a bare numpy or Python error
+# each payload once made the loader raise a bare numpy or Python error,
+# or load with a size it silently rounded
 MALFORMED = {
-    "A0 wrong size": (lambda g: g.update(A0=[0.0, 0.0, 0.0]), "G.A0: expected a 2x2 matrix of numbers"),
-    "A[1] wrong size": (lambda g: g["A"].__setitem__(1, [0.0] * 5), "G.A[1]: expected a 2x2 matrix of numbers"),
-    "B[0][1] wrong size": (lambda g: g["B"][0].__setitem__(1, [1.0]), "G.B[0][1]: expected a 2x2 matrix of numbers"),
-    "non-numeric entry": (lambda g: g["A"][0].__setitem__(2, "one"), "G.A[0]: expected a 2x2 matrix of numbers"),
-    "A not a list": (lambda g: g.update(A=2), "G.A must list 2 matrices"),
-    "B not a list": (lambda g: g.update(B=2), "G.B must have 2 rows of 2 matrices"),
+    "A0 wrong size": (lambda d: d["G"].update(A0=[0.0, 0.0, 0.0]), "G.A0: expected a 2x2 matrix of numbers"),
+    "A[1] wrong size": (lambda d: d["G"]["A"].__setitem__(1, [0.0] * 5), "G.A[1]: expected a 2x2 matrix of numbers"),
+    "B[0][1] wrong size": (
+        lambda d: d["G"]["B"][0].__setitem__(1, [1.0]), "G.B[0][1]: expected a 2x2 matrix of numbers"
+    ),
+    "non-numeric entry": (lambda d: d["G"]["A"][0].__setitem__(2, "one"), "G.A[0]: expected a 2x2 matrix of numbers"),
+    "A not a list": (lambda d: d["G"].update(A=2), "G.A must list 2 matrices"),
+    "B not a list": (lambda d: d["G"].update(B=2), "G.B must have 2 rows of 2 matrices"),
+    "n fractional": (lambda d: d.update(n=2.5), "malformed problem payload: n must be an integer, got 2.5"),
+    "n a string": (lambda d: d.update(n="2"), "malformed problem payload: n must be an integer, got '2'"),
+    "p a bool": (lambda d: d.update(p=True), "malformed problem payload: p must be an integer, got True"),
 }
 
 
@@ -248,6 +254,75 @@ def test_flag_validation():
     assert run(["criticality", "--family", "example2", "--seed", "7", "--samples", "16"])[0] == 0
     assert run(["analyze", "--family", "example3", "--samples", "0"])[0] == 2
     assert run(["analyze", "--family", "example3", "--tol-feas", "-1"])[0] == 2
+    assert run(["sosc", "--family", "example3", "--tol-eig", "0"])[0] == 2
+
+
+# the flags each subcommand reads, 39 settable values in all, each with a
+# value it parses
+FLAG_SETS = {
+    "analyze": {"--problem", "--family", "--point", "--direction", "--tol-eig", "--tol-feas", "--seed", "--samples",
+                "--format"},
+    "criticality": {"--problem", "--family", "--point", "--direction", "--tol-eig", "--seed", "--samples", "--format"},
+    "sosc": {"--problem", "--family", "--point", "--direction", "--tol-eig", "--format"},
+    "cones": {"--problem", "--family", "--point", "--direction", "--tol-eig", "--format"},
+    "perturb": {"--problem", "--family", "--point", "--direction", "--seed", "--format", "--geo", "--p1", "--p2",
+                "--csv"},
+}
+FLAG_VALUES = {
+    "--problem": "prob.json",
+    "--family": "example2",
+    "--point": "pt.json",
+    "--direction": "[[0.0, 1.0], [1.0, 0.0]]",
+    "--tol-eig": "1e-9",
+    "--tol-feas": "1e-8",
+    "--seed": "7",
+    "--samples": "16",
+    "--format": "json",
+    "--geo": "1e-2:1e-3:2",
+    "--p1": "[0.1, 0.0]",
+    "--p2": "[[0.0, 0.0], [0.0, 0.0]]",
+    "--csv": "rows.csv",
+    "--grid-points": "181",
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_SETS))
+def test_each_subcommand_takes_only_the_flags_it_reads(command):
+    # a flag the command would not read is a usage error, not a silent no-op
+    def argv(flag):
+        source = [] if flag in ("--problem", "--family") else ["--family", "example2"]
+        geo = ["--geo", FLAG_VALUES["--geo"]] if command == "perturb" and flag != "--geo" else []
+        return [command, *source, *geo, flag, FLAG_VALUES[flag]]
+
+    accepted = FLAG_SETS[command]
+    for flag in sorted(accepted):
+        args = build_parser().parse_args(argv(flag))
+        assert args.command == command
+    for flag in sorted(set(FLAG_VALUES) - accepted):
+        code, out, err = run(argv(flag))
+        assert (code, out) == (1, ""), flag
+        assert f"unrecognized arguments: {flag}" in err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, "--direction") for command in sorted(FLAG_SETS)]
+    + [("perturb-family", flag) for flag in ("--point", "--p1", "--p2")],
+)
+def test_flags_without_effect_in_context_exit_2(problem_files, command, flag):
+    # --direction steers only a builtin family, and a --family sweep reads
+    # neither --point nor the shift directions
+    ppath, xpath = problem_files
+    value = xpath if flag == "--point" else FLAG_VALUES[flag]
+    if command == "perturb-family":
+        argv = ["perturb", "--family", "example2", "--geo", "1e-2:1e-3:2", flag, value]
+    else:
+        argv = [command, "--problem", ppath, "--point", xpath, flag, value]
+        if command == "perturb":
+            argv += ["--p1", "[0.1, 0.0]", "--p2", "[[0.0, 0.0], [0.0, 0.0]]", "--geo", "1e-2:1e-3:2"]
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
 
 
 def test_tol_eig_sets_one_partition_for_every_section():

@@ -104,8 +104,8 @@ def test_classify_two_block_tier():
     v = classify_multiplier(sysm)
     assert v.tag == CRITICAL and v.residual <= 1e-7
     assert v.certificate.startswith("exact: 2x2 beta block")
-    with pytest.raises(InputDataError, match="grid_points"):
-        classify_multiplier(sysm, {"grid_points": 181})
+    with pytest.raises(TypeError, match="grid_points"):
+        classify_multiplier(sysm, grid_points=181)
 
 
 def test_classify_undetermined_semidecision():

@@ -294,7 +294,7 @@ def test_reference_sweep_evaluation_budget(name, schedule, budget, fam2, fam3, m
 
     monkeypatch.setattr(perturb, "normal_map_spectral", counted)
     monkeypatch.setattr(perturb, "solve_perturbed_starts", recorded)
-    rep = error_bound_experiment(fam, np.geomspace(*schedule), {"seed": 42})
+    rep = error_bound_experiment(fam, np.geomspace(*schedule), seed=42)
     assert len(rep.samples) == schedule[2]
     assert sum(rows) <= budget
     assert steps and max(steps) < NEWTON_STEPS
@@ -319,7 +319,7 @@ def sweep_starts(fam, s, seed, monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(perturb, "solve_perturbed_starts", recorded)
-        error_bound_experiment(fam, [s], {"seed": seed})
+        error_bound_experiment(fam, [s], seed=seed)
     assert len(calls) == 1 and len(calls[0][3]) == 1 + JITTER_STARTS
     return calls[0]
 
@@ -357,13 +357,14 @@ def test_lockstep_starts_match_single_solves(name, s, seed, fam2, fam3, monkeypa
 
 
 def test_unknown_option_keys_rejected(fam3):
-    with pytest.raises(InputDataError, match="jitter"):
-        error_bound_experiment(fam3, [1e-3], {"jitter": 2})
-    with pytest.raises(InputDataError, match="solver"):
-        error_bound_experiment(fam3, [], {"solver": {"maxiters": 5}})
+    # the knobs are keyword arguments, so an unknown one is a TypeError
+    with pytest.raises(TypeError, match="jitter"):
+        error_bound_experiment(fam3, [1e-3], jitter=2)
+    with pytest.raises(TypeError, match="positional"):
+        error_bound_experiment(fam3, [], {"seed": 42})
     sys3 = context(fam3.problem, fam3.xbar, fam3.ybar)
-    with pytest.raises(InputDataError, match="grid"):
-        classify_multiplier(sys3, {"grid": 9})
+    with pytest.raises(TypeError, match="grid"):
+        classify_multiplier(sys3, grid=9)
 
 
 def test_nonfinite_perturbation_rejected(fam3):
@@ -507,11 +508,11 @@ def random_kernel_problem(rng, n, p):
 
 
 def kernel_stacks():
-    """Seeded (spd, X, ZV) stacks over n in 0..3, p in 1..4, k in {1, 3, 9};
+    """Seeded (spd, X, ZV) stacks over n in 1..3, p in 1..4, k in {1, 3, 9};
     every other stack has a zero eigenvalue in each z, so that the
     projection elements meet their kernel block."""
     rng = np.random.default_rng(14)
-    for n in range(4):
+    for n in range(1, 4):
         for p in range(1, 5):
             spd = random_kernel_problem(rng, n, p)
             rows, cols = svec_indices(p)

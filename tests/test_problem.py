@@ -135,7 +135,6 @@ def test_make_problem_names_first_asymmetric_quadratic_pair():
     quad = [[Z, Z, B], [Z, Z, B], [tiny, Z, Z]]
     with pytest.raises(InputDataError, match=r"G_quad\[1\]\[2\] != G_quad\[2\]\[1\]"):
         make_problem([0.0] * 3, np.eye(3), Z, lin + [Z], quad)
-    assert make_problem([], np.zeros((0, 0)), Z, [], []).G_quad.shape == (0, 0, 2, 2)
 
 
 def test_shifted_problem_shares_stacks(fam3):
@@ -320,12 +319,13 @@ def test_objective_that_overflows_when_symmetrized_is_rejected():
         make_problem([0.0], [[1.5e308]], [[1.0]], [[[1.0]]])
 
 
-def test_make_problem_without_variables():
-    pd = make_problem([], np.zeros((0, 0)), SymMat.eye(2), [])
-    assert (pd.n, pd.p) == (0, 2)
-    assert pd.G_lin.shape == (0, 2, 2) and pd.G_quad.shape == (0, 0, 2, 2)
-    assert np.array_equal(eval_G(pd, []).full(), np.eye(2))
-    assert eval_G_jacobian(pd, []) == [] and lagrangian_hessian(pd, [], SymMat.eye(2)).shape == (0, 0)
+def test_make_problem_rejects_empty_dimensions():
+    # with n = 0 or p = 0 the analysis kernels once raised bare ValueErrors,
+    # and at p = 0 the x-part condition returned a witness first
+    with pytest.raises(InputDataError, match=r"^a problem needs n >= 1 and p >= 1, got n = 0, p = 2$"):
+        make_problem([], np.zeros((0, 0)), SymMat.eye(2), [])
+    with pytest.raises(InputDataError, match=r"^a problem needs n >= 1 and p >= 1, got n = 2, p = 0$"):
+        make_problem([0.0, 0.0], np.eye(2), np.zeros((0, 0)), np.zeros((2, 0, 0)))
 
 
 def test_symmat_and_array_inputs_give_identical_stacks():
