@@ -12,8 +12,8 @@ subspace_psd_nontrivial tries its tiers in order: a Gordan certificate
 (the fit of the identity onto the complement is positive definite), a
 diagonal null space (an LP sweep), q = 2 (the det-form test), commuting
 rows (a certified LP on the diagonal of their common eigenframe), and
-otherwise a dual ascent and a projected-gradient search. The first four
-are exact; the search may raise rather than guess.
+otherwise one primal-dual interior-point solve of a small SDP. Every
+answer is verified; the interior-point tier raises rather than guess.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ from .errors import NumericError
 from .symmat import common_eigenframe, eigh, psd_preimage_span, sym_mat, sym_vec
 
 FEAS_TOL = 1e-9
-# step budgets of the subspace-PSD search: dual ascent, then primal pass
-DUAL_STEPS = 400
-PRIMAL_STEPS = 1500
+IPM_STEPS = 50  # iteration cap of the interior-point tier
 
 
 def null_space(A, rtol: float = 1e-11, atol: float = 0.0) -> np.ndarray:
@@ -221,24 +219,6 @@ def polish_xi_solution(eq_rows, z: np.ndarray, xi_dim: int) -> np.ndarray:
     return np.concatenate([xi, w])
 
 
-def project_simplex(w: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {w >= 0, sum w = 1}."""
-    w = np.asarray(w, dtype=float)
-    u = np.sort(w)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, w.size + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(w - theta, 0.0)
-
-
-def _project_spectahedron(S: np.ndarray) -> np.ndarray:
-    lam, V = eigh(0.5 * (S + S.T))
-    w = project_simplex(lam)
-    return (V * w) @ V.T
-
-
 def _commuting_rows_tier(rows: np.ndarray, basis: np.ndarray, q: int):
     """Exact decision for rows that commute: (decided, W or None).
 
@@ -277,6 +257,66 @@ def _commuting_rows_tier(rows: np.ndarray, basis: np.ndarray, q: int):
     return False, None
 
 
+def _step_length(X: np.ndarray, dX: np.ndarray) -> float:
+    """0.95 of the largest step that keeps X + step dX positive definite, at most 1."""
+    Li = np.linalg.inv(np.linalg.cholesky(X))
+    low = np.linalg.eigvalsh(Li @ dX @ Li.T)[0]
+    return min(1.0, -0.95 / low) if low < 0.0 else 1.0
+
+
+def _interior_point_tier(rows: np.ndarray, N: np.ndarray, q: int) -> Optional[np.ndarray]:
+    """Whether span(N) meets S^q_+ \\ {0}: max t s.t. W - t I >= 0, W = mat(N c),
+    <I, W> = 1, c = a/|a|^2 - K y (a = N^T svec(I) != 0 once the Gordan fit
+    declines, K a basis of its complement), by HKM steps with Mehrotra's
+    predictor-corrector. The primal is min <C, X> over X >= 0, tr X = 1 and
+    <A_j, X> = 0, C = mat(N a)/|a|^2, A_j = mat(N K e_j). None once beta =
+    <C, X> < 0 and the part of Z = X - beta I in span(N) is below 1e-9 |Z|
+    and lambda_min(Z); once t > 0 or mu is at round-off, W/|W| if its
+    lambda_min >= -1e-8 and the rows annihilate it to 1e-9."""
+    a = N.T @ sym_vec(np.eye(q))
+    K = null_space(a[None, :])
+    m = K.shape[1] + 1
+    A = np.stack([sym_mat(v, q).full() for v in (N @ K).T] + [np.eye(q)])
+    Af = A.reshape(m, q * q)
+    C = sym_mat(N @ a, q).full() / (a @ a)
+    y = np.append(np.zeros(m - 1), np.linalg.eigvalsh(C)[0] - 1.0)  # t below lambda_min(C)
+    X = np.eye(q) / q
+    for _ in range(IPM_STEPS):
+        S = C - np.tensordot(y, A, 1)
+        beta = float(np.vdot(C, X))
+        if beta < 0.0:  # Z = X - beta I is positive definite
+            Z = (X - beta * np.eye(q)) / np.linalg.norm(X - beta * np.eye(q))
+            part = np.linalg.norm(N.T @ sym_vec(Z))
+            if part <= FEAS_TOL and np.linalg.eigvalsh(Z)[0] > part:
+                return None
+        mu = float(np.vdot(X, S)) / q
+        if y[-1] > 0.0 or mu <= 1e-13:
+            break
+        try:
+            Si = np.linalg.inv(S)
+            M = Af @ (X @ A @ Si).reshape(m, -1).T  # M_ij = <A_i, X A_j S^-1>
+            rp = np.eye(m)[-1] - Af @ X.ravel()
+            def direction(R):  # dX + sym(X dS S^-1) = R, <A_i, dX> = rp_i, dS = -sum_j dy_j A_j
+                dy = np.linalg.solve(M, rp - Af @ R.ravel())
+                dS = -np.tensordot(dy, A, 1)
+                dX = R - X @ dS @ Si
+                return 0.5 * (dX + dX.T), dy, dS
+            dX, dy, dS = direction(-X)
+            ap, ad = _step_length(X, dX), _step_length(S, dS)
+            sigma = min(1.0, float(np.vdot(X + ap * dX, S + ad * dS)) / (q * mu)) ** 3
+            dX, dy, dS = direction(sigma * mu * Si - X - dX @ dS @ Si)
+            ap, ad = _step_length(X, dX), _step_length(S, dS)
+        except np.linalg.LinAlgError:
+            break
+        X, y = X + ap * dX, y + ad * dy
+    W = sym_mat(N @ (a / (a @ a) - K @ y[:-1]), q).full()
+    W = W / np.linalg.norm(W)
+    residual = np.linalg.norm(rows @ sym_vec(W)) / max(1.0, np.abs(rows).max())
+    if np.linalg.eigvalsh(W)[0] >= -1e-8 and residual <= FEAS_TOL:
+        return W
+    raise NumericError(f"subspace PSD feasibility undecided: q={q}, t={y[-1]:.3e}, mu={mu:.3e}")
+
+
 def subspace_psd_nontrivial(constraint_rows, q: int) -> Optional[np.ndarray]:
     """Find a nonzero PSD matrix in a subspace of S^q, or certify none.
 
@@ -289,10 +329,10 @@ def subspace_psd_nontrivial(constraint_rows, q: int) -> Optional[np.ndarray]:
     onto the complement; a diagonal fast path when every null-space
     matrix is diagonal; at q = 2 the exact det-form test; for commuting
     rows a certified LP on the diagonal of their common eigenframe (see
-    _commuting_rows_tier); otherwise a supergradient dual ascent from the
-    fit, DUAL_STEPS steps in all, and an accelerated projected-gradient
-    primal pass of PRIMAL_STEPS steps. If the search produces no verdict
-    the call raises rather than guess.
+    _commuting_rows_tier); otherwise one interior-point solve whose PSD
+    witness or positive definite complement matrix is verified before it
+    is returned (_interior_point_tier). If neither verifies, the call
+    raises NumericError rather than guess.
     """
     if q == 0:
         return None
@@ -344,51 +384,7 @@ def subspace_psd_nontrivial(constraint_rows, q: int) -> Optional[np.ndarray]:
     decided, W = _commuting_rows_tier(rows, basis, q)
     if decided:
         return W
-
-    # dual ascent from the fit, along the least eigenvector
-    best_margin = lam.min()
-    for it in range(1, DUAL_STEPS):
-        v = V[:, int(np.argmin(lam))]
-        g = basis.T @ sym_vec(np.outer(v, v))
-        t = t + (0.3 / np.sqrt(it)) * g
-        nt = np.linalg.norm(t)
-        if nt > 0:
-            t /= nt
-        lam, V = eigh(sym_mat(basis @ t, q).full())
-        best_margin = max(best_margin, lam.min())
-        if lam.min() >= 1e-7:
-            return None
-
-    # primal pass: minimize the distance to the subspace over the
-    # trace-one spectahedron (convex, optimum zero iff nontrivial point)
-    W = np.eye(q) / q
-    Wp = W.copy()
-    tk = 1.0
-    dist = np.inf
-    for _ in range(PRIMAL_STEPS):
-        coef = basis.T @ sym_vec(W)
-        dist = float(np.linalg.norm(coef))
-        if dist <= 1e-10:
-            break
-        grad = sym_mat(basis @ coef, q).full()
-        Wn = _project_spectahedron(W - grad)
-        tn = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
-        W = Wn + ((tk - 1.0) / tn) * (Wn - Wp)
-        Wp = Wn
-        tk = tn
-    coef = basis.T @ sym_vec(Wp)
-    dist = float(np.linalg.norm(coef))
-    if dist <= 1e-7:
-        Wstar = Wp - sym_mat(basis @ coef, q).full()
-        lam, _ = eigh(0.5 * (Wstar + Wstar.T))
-        if lam.min() >= -1e-8 and np.linalg.norm(Wstar) >= 1e-6:
-            return Wstar / np.linalg.norm(Wstar)
-    if best_margin >= 1e-9:
-        return None
-    raise NumericError(
-        "subspace PSD feasibility undecided: "
-        f"q={q}, dual margin={best_margin:.3e}, primal distance={dist:.3e}"
-    )
+    return _interior_point_tier(rows, N, q)
 
 
 def cone_kernel_nontrivial(

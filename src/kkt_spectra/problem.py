@@ -417,9 +417,12 @@ def load_point(path, n: int, p: int) -> tuple[np.ndarray, SymMat]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        x = np.asarray(data["x"], dtype=float).reshape(n)
+        x = np.asarray(data["x"], dtype=object).ravel()  # json also reads bools, NaN and Infinity
+        if x.size != n or not all(type(v) in (int, float) and math.isfinite(v) for v in x):
+            raise InputDataError(f"x: expected {n} finite numbers")
+        x = x.astype(float)
         Y = SymMat(_checked_matrices([data["Y"]], ["Y"], p)[0])
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputDataError(f"cannot read point file {path}: {exc}") from exc
     return x, Y
 

@@ -250,6 +250,26 @@ def test_malformed_problem_file_exits_2(problem_files, tmp_path, command, case):
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+# json parses NaN and Infinity, and a bool once loaded as 1.0
+MALFORMED_X = ["[Infinity, 0.0]", "[NaN, 0.0]", "[true, 0.0]", '["1.5", 0.0]', "[0.0]"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "perturb"])
+@pytest.mark.parametrize("x", MALFORMED_X)
+def test_malformed_point_x_exits_2(problem_files, tmp_path, command, x):
+    ppath, _ = problem_files
+    xpath = tmp_path / "bad_point.json"
+    xpath.write_text('{"x": %s, "Y": [[0.0, 0.0], [0.0, 0.0]]}' % x)
+    argv = [command, "--problem", ppath, "--point", str(xpath)]
+    if command == "perturb":
+        argv += ["--p1", "[0.1, 0.0]", "--p2", "[[0.0, 0.0], [0.0, 0.0]]", "--geo", "1e-2:1e-4:5"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(argv)
+    assert (code, out, err) == (2, "", "error: x: expected 2 finite numbers\n")
+    assert caught == []
+
+
 def test_flag_validation():
     assert run(["criticality", "--family", "example2", "--seed", "7", "--samples", "16"])[0] == 0
     assert run(["analyze", "--family", "example3", "--samples", "0"])[0] == 2

@@ -10,7 +10,6 @@ from kkt_spectra.lpkernel import (
     nontrivial_xi_solution,
     null_space,
     polish_xi_solution,
-    project_simplex,
     subspace_psd_nontrivial,
 )
 from kkt_spectra.symmat import common_eigenframe, eigh, sym_mat, sym_vec
@@ -107,12 +106,6 @@ def test_polish_xi_solution_resolves_trailing_block():
     assert np.linalg.norm(out[:2]) == pytest.approx(1.0, abs=1e-15)
     assert np.abs(E @ out).max() <= 1e-12
     assert np.allclose(out, z / np.linalg.norm(z[:2]), atol=1e-12)
-
-
-def test_project_simplex():
-    w = project_simplex(np.array([0.2, 0.9, -0.4]))
-    assert abs(w.sum() - 1) < 1e-12 and np.all(w >= 0)
-    assert np.allclose(project_simplex(np.array([2.0, 0.0])), [1.0, 0.0])
 
 
 def test_subspace_psd_nontrivial_hand_cases():
@@ -250,6 +243,10 @@ def _certified_trivial_rows(rng, q):
     return _frame_rows(Q, D)
 
 
+def _fail(*args, **kwargs):
+    raise AssertionError("a later tier ran")
+
+
 def _count_eigh(monkeypatch):
     calls = []
 
@@ -258,6 +255,18 @@ def _count_eigh(monkeypatch):
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(lpkernel, "eigh", counted)
+    return calls
+
+
+def _count_interior_point(monkeypatch):
+    calls = []
+    tier = lpkernel._interior_point_tier
+
+    def counted(*args):
+        calls.append(1)
+        return tier(*args)
+
+    monkeypatch.setattr(lpkernel, "_interior_point_tier", counted)
     return calls
 
 
@@ -281,10 +290,11 @@ def test_subspace_psd_commuting_rows_certified_trivial():
 
 def test_subspace_psd_commuting_rows_skip_the_search(monkeypatch):
     # cost guard: commuting rows are decided by the Gordan certificate of
-    # the identity's fit or by the diagonal LP, which call eigh once each;
-    # the dual ascent would call it up to DUAL_STEPS times
+    # the identity's fit or by the diagonal LP, which call eigh once each,
+    # and never reach the interior-point tier
     rng = np.random.default_rng(31)
     calls = _count_eigh(monkeypatch)
+    monkeypatch.setattr(lpkernel, "_interior_point_tier", _fail)
     rows, _, _ = _planted_rows(rng, 6)
     assert subspace_psd_nontrivial(rows, 6) is not None
     assert len(calls) <= 2
@@ -305,25 +315,22 @@ def test_subspace_psd_gordan_certificate_decides_first(monkeypatch):
     N = null_space(rows)
     assert any(np.abs(M - np.diag(np.diag(M))).max() > 1e-3 for M in (sym_mat(v, 3).full() for v in N.T))
 
-    def fail(*args, **kwargs):
-        raise AssertionError("a later tier ran")
-
-    monkeypatch.setattr(lpkernel, "null_space", fail)
-    monkeypatch.setattr(lpkernel, "_commuting_rows_tier", fail)
+    monkeypatch.setattr(lpkernel, "null_space", _fail)
+    monkeypatch.setattr(lpkernel, "_commuting_rows_tier", _fail)
     assert subspace_psd_nontrivial(rows, 3) is None
 
 
 def test_subspace_psd_non_commuting_rows_reach_the_search(monkeypatch):
     # q - 1 rows annihilating a positive definite W0, bumped off their
     # common frame by 1e-6 (commutators far above the common_eigenframe
-    # threshold): the diagonal tier must decline, and the search finds a
-    # PSD element only after its full dual ascent
+    # threshold): the diagonal and commuting tiers must decline, and the
+    # interior-point tier returns a certified positive definite witness
     rng = np.random.default_rng(37)
     frames = []
     monkeypatch.setattr(
         lpkernel, "common_eigenframe", lambda *a: frames.append(common_eigenframe(*a)) or frames[-1]
     )
-    calls = _count_eigh(monkeypatch)
+    calls = _count_interior_point(monkeypatch)
     for q in (3, 5):
         Q, _ = np.linalg.qr(rng.standard_normal((q, q)))
         w = rng.uniform(0.5, 1.0, q)
@@ -338,6 +345,70 @@ def test_subspace_psd_non_commuting_rows_reach_the_search(monkeypatch):
         calls.clear()
         W = subspace_psd_nontrivial(rows, q)
         assert len(frames) == 1 and frames[0] is None
-        assert len(calls) >= lpkernel.DUAL_STEPS
-        assert W is not None and np.linalg.eigvalsh(W).min() >= -1e-8
-        assert np.linalg.norm(rows @ sym_vec(W)) <= 1e-7
+        assert len(calls) == 1
+        assert W is not None and np.linalg.eigvalsh(W).min() > 0.0
+        assert np.linalg.norm(rows @ sym_vec(W)) <= 1e-9 * max(1.0, np.abs(rows).max())
+        assert abs(np.linalg.norm(W) - 1.0) <= 1e-12
+
+
+def _rows_orthogonal_to(rng, count, P):
+    """count random svec rows, each orthogonal to svec(P)."""
+    p = sym_vec(P) / np.linalg.norm(sym_vec(P))
+    R = rng.standard_normal((count, p.size))
+    return R - np.outer(R @ p, p)
+
+
+def _stress_case(rng, kind, q):
+    """Rows of one stress subspace of S^q and its planted answer: for
+    "rank-one" the matrix v v^T spanning its only PSD ray, True when a PSD
+    point is planted, None when a row combination is PD."""
+    nfull = q * (q + 1) // 2
+    Q, _ = np.linalg.qr(rng.standard_normal((q, q)))
+    if kind == "line":
+        # span(M): M = +-V V^T meets the cone, an indefinite M does not
+        if rng.uniform() < 0.5:
+            V = rng.standard_normal((q, int(rng.integers(1, q + 1))))
+            M, answer = rng.choice([-1.0, 1.0]) * V @ V.T, True
+        else:
+            d = rng.uniform(0.1, 1.0, q) * rng.choice([-1.0, 1.0], q)
+            d[:2] = [-abs(d[0]), abs(d[1])]
+            M, answer = (Q * d) @ Q.T, None
+        return null_space(sym_vec(M)[None, :]).T, answer
+    if kind == "rank-one":
+        # Z >= 0 with kernel v is a row, so v v^T spans the only PSD ray
+        Z = (Q[:, 1:] * rng.uniform(0.5, 2.0, q - 1)) @ Q[:, 1:].T
+        V = np.outer(Q[:, 0], Q[:, 0])
+        rows = np.vstack([sym_vec(Z), _rows_orthogonal_to(rng, int(rng.integers(0, nfull - 2)), V)])
+        return rows, V
+    if kind == "pd-scaled":
+        P = (Q * rng.uniform(0.5, 2.0, q)) @ Q.T
+        rows = _rows_orthogonal_to(rng, int(rng.integers(1, nfull - 1)), P)
+        return rows * 10.0 ** rng.uniform(-4.0, 4.0, (len(rows), 1)), True
+    # "pd-rows": a PD matrix, eigenvalues over 1e-3..1, mixed into random rows
+    R = rng.standard_normal((int(rng.integers(2, nfull - 1)), nfull))
+    R[0] = sym_vec((Q * 10.0 ** rng.uniform(-3.0, 0.0, q)) @ Q.T)
+    return rng.standard_normal((len(R), len(R))) @ R, None
+
+
+def test_subspace_psd_interior_point_stress(monkeypatch):
+    # 240 seeded subspaces of S^3..S^6, 60 of each kind, each with a
+    # planted answer; every witness is re-checked on the unscaled rows
+    rng = np.random.default_rng(43)
+    calls = _count_interior_point(monkeypatch)
+    reached = dict.fromkeys(("line", "rank-one", "pd-scaled", "pd-rows"), 0)
+    for i in range(240):
+        kind = list(reached)[i % 4]
+        q = int(rng.integers(3, 7))
+        rows, answer = _stress_case(rng, kind, q)
+        calls.clear()
+        W = subspace_psd_nontrivial(rows, q)
+        reached[kind] += len(calls)
+        if answer is None:
+            assert W is None, kind
+            continue
+        assert W is not None, kind
+        assert np.linalg.eigvalsh(W).min() >= -1e-8 and abs(np.linalg.norm(W) - 1.0) <= 1e-12
+        assert np.linalg.norm(rows @ sym_vec(W)) <= 1e-9 * max(1.0, np.abs(rows).max())
+        if kind == "rank-one":
+            assert np.linalg.norm(W - answer) <= 1e-6
+    assert min(reached.values()) >= 15, reached
