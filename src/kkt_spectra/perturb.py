@@ -20,11 +20,9 @@ from .errors import ConvergenceError, InputDataError
 from .problem import (
     PerturbationFamily,
     ProblemData,
+    ProblemKernels,
     _G_array,
     eval_G,
-    hessian_array,
-    jacobian_array,
-    normal_map_spectral,
     shifted_problem,
 )
 from .sosc import SOSCY_HOLDS, check_soscy
@@ -162,40 +160,80 @@ def _perturbation(pd: ProblemData, p1, p2):
     return p1, p2
 
 
-def _residuals(spd: ProblemData, X: np.ndarray, ZV: np.ndarray):
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a (k, m) array: one dot product per
+    row, the sum np.linalg.norm takes of one vector."""
+    return np.sqrt((A[:, None, :] @ A[:, :, None])[:, 0, 0])
+
+
+def _residuals(kern: ProblemKernels, X: np.ndarray, ZV: np.ndarray):
     """Normal-map residual rows (Psi_1, svec Psi_2) of a stack of iterates,
-    their norms, and the spectral split (lam, P, Pi(z)) of each z."""
-    p = spd.p
-    psi1, psi2, split = normal_map_spectral(spd, X, _svec_full(ZV, p))
-    R = np.concatenate([psi1, _packed_upper(psi2) * svec_scale(p)], axis=1)
-    # one dot product per row, the sum np.linalg.norm takes of one vector
-    return R, np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0]), split
+    their norms, and the split (lam, P, Pi(z), D) kern.normal_map computed
+    them from."""
+    p = kern.p
+    psi1, psi2, split = kern.normal_map(X, _svec_full(ZV, p))
+    # packed as _packed_upper lays it out: at n = 1 the concatenation
+    # inherits that layout, and the row norms round by it
+    R = np.concatenate([psi1, psi2.T.take(packing_tables(p).upper, 0).T * svec_scale(p)], axis=1)
+    return R, _row_norms(R), split
 
 
-def _newton_elements(spd: ProblemData, X: np.ndarray, ZV: np.ndarray, split) -> np.ndarray:
+def _newton_elements(kern: ProblemKernels, ZV: np.ndarray, split) -> np.ndarray:
     """Semismooth Newton elements of the normal map at a stack of iterates.
 
-    split is the spectral split (lam, P, Pi(z)) of the (k, p, p) stack of
-    z that the residual evaluation of the same iterates returned; it gives
-    the frames, the multipliers Y = z - Pi(z) and the projection elements.
-    The blocks are the Lagrangian Hessians, the svec constraint Jacobians
-    and the projection elements, shape (k, n + m, n + m).
+    ZV holds the svec z of the iterates and split the split (lam, P, Pi(z),
+    D) that their residual evaluation returned; it gives the frames, the
+    multipliers Y = z - Pi(z), the projection elements and the Jacobian
+    stack of G at x. The blocks are the Lagrangian Hessians, the svec
+    constraint Jacobians and the projection elements, shape
+    (k, n + m, n + m).
     """
-    k, n, p = len(X), spd.n, spd.p
+    n, p = kern.n, kern.p
     m = p * (p + 1) // 2
     svs = svec_scale(p)
-    lam, P, Pz = split
-    Y = _svec_full(ZV - _packed_upper(Pz) * svs, p)
+    lam, P, Pz, D = split
+    Y = _svec_full(ZV - Pz.reshape(len(Pz), p * p).take(packing_tables(p).upper, 1) * svs, p)
     # packed entries outermost in memory, as _packed_upper lays them out
-    D = jacobian_array(spd, X).reshape(k, n, p * p).transpose(2, 0, 1)
-    Dsv = D.take(packing_tables(p).upper, 0).transpose(1, 2, 0) * svs
+    Dsv = D.transpose(2, 0, 1).take(packing_tables(p).upper, 0).transpose(1, 2, 0) * svs
     JP = _projection_jacobian(lam, P)
-    J = np.empty((k, n + m, n + m))
-    J[:, :n, :n] = hessian_array(spd, Y)
+    J = np.empty((len(ZV), n + m, n + m))
+    J[:, :n, :n] = kern.hessians(Y)
     J[:, :n, n:] = Dsv @ (np.eye(m) - JP)
     J[:, n:, :n] = Dsv.swapaxes(1, 2)
     J[:, n:, n:] = -JP
     return J
+
+
+def _backtracks(kern: ProblemKernels, Xb, Zb, RNb, db):
+    """Armijo backtracking of the starts whose full Newton step failed.
+
+    Start i searches from (Xb[i], Zb[i]) at residual RNb[i] along db[i]
+    and accepts the first t = 2^-j, j = 1 ... BACKTRACKS - 1, whose
+    residual is at most (1 - 1e-4 t) RNb[i]. The halvings run in doubling
+    blocks, j = 1, then 2-3, 4-7, 8-15 and so on: each block is one
+    stacked residual evaluation over the starts still searching times the
+    steps of the block, and each start keeps its first accepted t, so the
+    outcome is that of halving one step at a time. Yields per block the
+    accepted starts (positions in Xb), the evaluated stack (X, svec z,
+    residual rows, norms and split) and the row of that stack each
+    accepted start takes. A start never yielded found no step.
+    """
+    n = kern.n
+    live = np.arange(len(Xb))
+    j0 = 1
+    while live.size and j0 < BACKTRACKS:
+        j1 = min(2 * j0, BACKTRACKS)
+        t = 0.5 ** np.arange(j0, j1)
+        Xs = (Xb[:, None] + t[:, None] * db[:, None, :n]).reshape(-1, n)
+        Zs = (Zb[:, None] + t[:, None] * db[:, None, n:]).reshape(-1, Zb.shape[1])
+        Rs, RNs, split = _residuals(kern, Xs, Zs)
+        ok = RNs.reshape(-1, t.size) <= (1.0 - 1e-4 * t) * RNb[:, None]
+        hit = ok.any(axis=1)
+        if hit.any():
+            h, rest = hit.nonzero()[0], (~hit).nonzero()[0]
+            yield live.take(h), (Xs, Zs, Rs, RNs, *split), h * t.size + ok.argmax(axis=1).take(h)
+            live, Xb, Zb, RNb, db = (A.take(rest, 0) for A in (live, Xb, Zb, RNb, db))
+        j0 = j1
 
 
 def _newton_directions(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -219,22 +257,25 @@ def _newton_directions(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return delta
 
 
-def _certify(spd: ProblemData, p1, p2, X, ZV, Pz, steps, tol_cert) -> list:
+def _certify(kern: ProblemKernels, p1, p2, X, ZV, Pz, steps, tol_cert) -> list:
     """Certify a stack of roots at their canonical splitting points.
 
     Row i has the iterate (X[i], svec z ZV[i]), Pi(z) in Pz[i] and its
     step count. Its multiplier is Y = z - Pi(z) and its residual the
     normal-map norm at (x, G(x) + Y), all rows in one stacked pass with
-    the packing SymMat applies. Returns a PerturbationSample per row whose
-    residual is at most tol_cert and a ConvergenceError per other row.
+    the packing SymMat applies; the norms of Psi_1 and of the full
+    symmetric Psi_2 are stacked too. Returns a PerturbationSample per row
+    whose residual is at most tol_cert and a ConvergenceError per other
+    row.
     """
-    p = spd.p
+    p = kern.p
     Y = _multipliers(ZV, Pz, p)
-    Zc = _packed_full(_packed_sym(_G_array(spd, X)) + Y, p)
-    psi1, psi2, _ = normal_map_spectral(spd, X, Zc)
+    Zc = _packed_full(_packed_sym(kern.G(X)) + Y, p)
+    psi1, psi2, _ = kern.normal_map(X, Zc)
+    norms = zip(_row_norms(psi1).tolist(), _row_norms(psi2.take(packing_tables(p).mirror, 1)).tolist())
     out = []
-    for x, y, count, r1, r2 in zip(X, Y, steps, psi1, psi2):
-        res = math.hypot(float(np.linalg.norm(r1)), float(np.linalg.norm(r2)))
+    for x, y, count, (r1, r2) in zip(X, Y, steps, norms):
+        res = math.hypot(r1, r2)
         sample = PerturbationSample(p1, p2, x, SymMat._from_packed(p, y), int(count), res)
         if not (res <= tol_cert):
             sample = ConvergenceError(
@@ -249,24 +290,31 @@ def solve_perturbed_starts(pd: ProblemData, p1, p2, starts) -> list:
 
     starts lists (x, z) pairs. The semismooth Newton iteration on the
     normal-map system of the shifted data runs all starts in lockstep as
-    one (k, n + p(p+1)/2) stack of (x, svec z) iterates. Each residual
-    evaluation (one normal_map_spectral call per backtracking round, over
-    the starts still searching) also returns the eigensolve of z it made;
-    it is kept per start next to the residual, so each step builds the
-    Newton elements of the live starts without a new eigensolve and solves
-    them in one batched solve, with a masked batch around any singular
-    element, whose step is taken by least squares. The kernels pack and
-    unpack svec rows through the cached flat index tables of
-    symmat.packing_tables, each gather laid out in memory as the
+    one (k, n + p(p+1)/2) stack of (x, svec z) iterates. The kernels of
+    the shifted problem (problem.ProblemKernels, its data views reshaped
+    once) are built once per call and shared by the Newton steps, the line
+    search, the fallback and the certification. Each residual evaluation
+    is one normal_map call over a stack of iterates, which also returns
+    the eigensolve of z and the Jacobian stack of G at x it made; both
+    are kept per start next to the residual, so each step builds the
+    Newton elements of the live starts without a new eigensolve or
+    Jacobian and solves them in one batched solve, with a masked batch
+    around any singular element, whose step is taken by least squares.
+    Psi_2 is packed straight from its upper triangle, with no mirror. The
+    svec rows are packed and unpacked through the cached flat index tables
+    of symmat.packing_tables, each gather laid out in memory as the
     corresponding fancy index lays it out, since the products downstream
     round by layout.
 
     The live starts are kept as one compact stack, gathered again only
     when a start leaves it. The first line-search round of a step tries
-    the full step on that stack directly; only later rounds, which all
-    halve to the same step, gather the starts still searching. Every
-    start keeps its own control flow: its line search, its stop at
-    residual RESIDUAL_TOL * scale, or once it is certifiable
+    the full step on that stack directly. The starts it rejects search
+    the halvings t = 2^-j, j = 1 ... BACKTRACKS - 1, in doubling blocks
+    (j = 1, 2-3, 4-7, 8-15, 16-19): one residual call per block over the
+    starts still searching times the block's steps, each start keeping
+    its first accepted t, so every outcome is that of halving one step at
+    a time. Every start keeps its own control flow: its line search, its
+    stop at residual RESIDUAL_TOL * scale, or once it is certifiable
     (CERT_FACTOR * scale) and a step no longer halves it, and its handoff
     to the fallback. A start whose line search fails uncertified, or that
     spends NEWTON_STEPS steps, goes on alone through a
@@ -281,7 +329,7 @@ def solve_perturbed_starts(pd: ProblemData, p1, p2, starts) -> list:
     perturbation or iterate raises InputDataError.
     """
     p1, p2 = _perturbation(pd, p1, p2)
-    spd = shifted_problem(pd, p1, p2)
+    kern = ProblemKernels(shifted_problem(pd, p1, p2))
     n, p = pd.n, pd.p
     m = p * (p + 1) // 2
     k = len(starts)
@@ -305,10 +353,10 @@ def solve_perturbed_starts(pd: ProblemData, p1, p2, starts) -> list:
         lam = 1e-6
         u = np.concatenate([X[i], ZV[i]])
         r, rn, iters = R[i], RN[i], int(steps[i])
-        split = (LAM[i : i + 1], PF[i : i + 1], PZ[i : i + 1])
+        split = tuple(A[i : i + 1] for A in (LAM, PF, PZ, DJ))
         eye = np.eye(n + m)
         for _ in range(LM_STEPS):
-            J = _newton_elements(spd, u[None, :n], u[None, n:], split)[0]
+            J = _newton_elements(kern, u[None, n:], split)[0]
             g = J.T @ r
             A = J.T @ J
             while lam <= 1e12:
@@ -318,7 +366,7 @@ def solve_perturbed_starts(pd: ProblemData, p1, p2, starts) -> list:
                     lam *= 10.0
                     continue
                 un = u + delta
-                r_new, rn_new, split_new = _residuals(spd, un[None, :n], un[None, n:])
+                r_new, rn_new, split_new = _residuals(kern, un[None, :n], un[None, n:])
                 if rn_new[0] < rn:
                     break
                 lam *= 10.0
@@ -331,12 +379,12 @@ def solve_perturbed_starts(pd: ProblemData, p1, p2, starts) -> list:
             if done:
                 break
         X[i], ZV[i], RN[i], steps[i] = u[:n], u[n:], rn, iters
-        LAM[i], PF[i], PZ[i] = (a[0] for a in split)
+        LAM[i], PF[i], PZ[i], DJ[i] = (a[0] for a in split)
 
     out = [None] * k
     steps = np.zeros(k, dtype=int)
-    R, RN, (LAM, PF, PZ) = _residuals(spd, X, ZV)
-    state = (X, ZV, R, RN, LAM, PF, PZ, steps)
+    R, RN, (LAM, PF, PZ, DJ) = _residuals(kern, X, ZV)
+    state = (X, ZV, R, RN, LAM, PF, PZ, DJ, steps)
     certify = ~(RN > tol_stop)
     fallback = []
     # the live starts a hold their state as one compact stack, gathered
@@ -344,39 +392,30 @@ def solve_perturbed_starts(pd: ProblemData, p1, p2, starts) -> list:
     a = (~certify).nonzero()[0]
     stack = [A.take(a, 0) for A in state]
     while a.size:
-        Xa, Za, Ra, RNa, La, Pa, PZa, Sa = stack
-        J = _newton_elements(spd, Xa, Za, (La, Pa, PZa))
-        delta = _newton_directions(J, -Ra)
-        # the first round tries the full step on the whole stack; each later
-        # round halves the step of the starts still searching, so they all
-        # share the step t of that round
+        Xa, Za, Ra, RNa, *split, Sa = stack
+        delta = _newton_directions(_newton_elements(kern, Za, split), -Ra)
+        # the first round tries the full step on the whole stack; the
+        # starts it rejects backtrack in blocks of halvings
         Xt, Zt = Xa + delta[:, :n], Za + delta[:, n:]
-        Rt, RNt, (Lt, Pt, PZt) = _residuals(spd, Xt, Zt)
+        Rt, RNt, split_t = _residuals(kern, Xt, Zt)
         St = Sa + 1
-        trial = [Xt, Zt, Rt, RNt, Lt, Pt, PZt, St]
+        trial = [Xt, Zt, Rt, RNt, *split_t, St]
         searching = ~(RNt <= (1.0 - 1e-4) * RNa)
         if np.count_nonzero(searching):
             b = searching.nonzero()[0]
-            Xb, Zb, RNb, db = (A.take(b, 0) for A in (Xa, Za, RNa, delta))
-            t = 1.0
-            for _ in range(BACKTRACKS - 1):
-                t *= 0.5
-                Xs, Zs = Xb + t * db[:, :n], Zb + t * db[:, n:]
-                Rs, RNs, (Ls, Ps, PZs) = _residuals(spd, Xs, Zs)
-                ok = RNs <= (1.0 - 1e-4 * t) * RNb
-                if np.count_nonzero(ok):
-                    hit, rest = ok.nonzero()[0], (~ok).nonzero()[0]
-                    rows = b.take(hit)
-                    for T, S in zip(trial, (Xs, Zs, Rs, RNs, Ls, Ps, PZs)):
-                        T[rows] = S.take(hit, 0)
-                    searching[rows] = False
-                    b, Xb, Zb, RNb, db = (A.take(rest, 0) for A in (b, Xb, Zb, RNb, db))
-                    if not b.size:
-                        break
+            for found, evaluated, src in _backtracks(
+                kern, *(A.take(b, 0) for A in (Xa, Za, RNa, delta))
+            ):
+                rows = b.take(found)
+                for T, S in zip(trial, evaluated):
+                    T[rows] = S.take(src, 0)
+                searching[rows] = False
             # a start whose line search failed keeps its iterate and leaves:
             # nothing changed, so a retry would repeat the same search
-            for T, A in zip(trial, stack):
-                T[b] = A.take(b, 0)
+            if np.count_nonzero(searching):
+                b = searching.nonzero()[0]
+                for T, A in zip(trial, stack):
+                    T[b] = A.take(b, 0)
         done = ~searching & settled(RNt, RNa)
         leave = done | searching | (St >= NEWTON_STEPS)
         stack = trial
@@ -405,7 +444,7 @@ def solve_perturbed_starts(pd: ProblemData, p1, p2, starts) -> list:
         )
     c = np.flatnonzero(certify)
     if c.size:
-        for i, o in zip(c, _certify(spd, p1, p2, X[c], ZV[c], PZ[c], steps[c], tol_cert)):
+        for i, o in zip(c, _certify(kern, p1, p2, X[c], ZV[c], PZ[c], steps[c], tol_cert)):
             out[i] = o
     return out
 

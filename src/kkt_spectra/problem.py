@@ -124,14 +124,72 @@ def eval_grad_f(pd: ProblemData, x) -> np.ndarray:
     return pd.f_lin + pd.f_quad @ x
 
 
+class ProblemKernels:
+    """The array evaluations of one problem: G, its Jacobian stack, the
+    Lagrangian Hessians and the normal map, each at one point or at every
+    slice of a stack.
+
+    The views of the data that the products multiply by are reshaped once,
+    when the kernels are built; build them once per problem where many
+    evaluations follow, as the perturbed solver does per solve. Every
+    product is a (batched) matmul whose slices are the products of one
+    point, so each row of a stack is the value that point gets alone.
+    """
+
+    def __init__(self, pd: ProblemData):
+        n, p = pd.n, pd.p
+        self.n, self.p = n, p
+        self.f_lin, self.f_quad, self.G_const = pd.f_lin, pd.f_quad, pd.G_const
+        self.lin = pd.G_lin.reshape(n, p * p)
+        self.quad = pd.G_quad.reshape(n * n, p * p)
+        self.quad_rows = pd.G_quad.reshape(n, n, p * p)
+
+    def G(self, x: np.ndarray) -> np.ndarray:
+        """G at x of shape (n,), or at each row of a stack (k, n), as (..., p, p)."""
+        n, p = self.n, self.p
+        lead = x.shape[:-1]
+        lin = x[..., None, :] @ self.lin
+        outer = (x[..., :, None] * x[..., None, :]).reshape(*lead, 1, n * n)
+        return self.G_const + (lin + 0.5 * (outer @ self.quad)).reshape(*lead, p, p)
+
+    def jacobians(self, x: np.ndarray) -> np.ndarray:
+        """D_i at x of shape (n,), or at each row of a stack (k, n), as flat
+        rows (..., n, p * p)."""
+        return self.lin + (x[..., None, None, :] @ self.quad_rows)[..., 0, :]
+
+    def hessians(self, Y: np.ndarray) -> np.ndarray:
+        """Lagrangian Hessian f_quad + [<Y, B_ij>] for a dense symmetric Y of
+        shape (p, p), or for each slice of a stack (k, p, p), as (..., n, n)."""
+        n, p = self.n, self.p
+        lead = Y.shape[:-2]
+        H = self.f_quad + (self.quad @ Y.reshape(*lead, p * p, 1)).reshape(*lead, n, n)
+        return 0.5 * (H + H.swapaxes(-1, -2))
+
+    def normal_map(self, x: np.ndarray, z):
+        """Normal-map values (Psi_1, Psi_2) at a stack of k points (x, z), with
+        the split (lam, P, Pi(z), D) they were computed from.
+
+        Psi_1 = grad f(x) + G'(x)* (z - Pi(z)) and Psi_2 = G(x) - Pi(z), with
+        Pi the PSD projection. x is a float array (k, n) and z has shape
+        (k, p, p) with symmetric slices; returns Psi_1 as (k, n), Psi_2 as
+        flat rows (k, p * p) whose upper triangles are its values (the lower
+        ones may differ in the last bit), the spectral_stack output of z and
+        the Jacobian stack D of G at x as (k, n, p * p). One LAPACK call
+        covers the stack. InputDataError unless x is finite.
+        """
+        if not np.isfinite(x).all():
+            raise InputDataError("x entries must be finite")
+        k, p = len(x), self.p
+        lam, P, Pz = spectral_stack(z)
+        D = self.jacobians(x)
+        grad = self.f_lin + (self.f_quad @ x[:, :, None])[:, :, 0]
+        psi1 = grad + (D @ (z - Pz).reshape(k, p * p, 1))[:, :, 0]
+        return psi1, (self.G(x) - Pz).reshape(k, p * p), (lam, P, Pz, D)
+
+
 def _G_array(pd: ProblemData, x: np.ndarray) -> np.ndarray:
     """G at x of shape (n,), or at each row of a stack (k, n), as (..., p, p)."""
-    n, p = pd.n, pd.p
-    lead = x.shape[:-1]
-    lin = x[..., None, :] @ pd.G_lin.reshape(n, p * p)
-    outer = (x[..., :, None] * x[..., None, :]).reshape(*lead, 1, n * n)
-    quad = outer @ pd.G_quad.reshape(n * n, p * p)
-    return pd.G_const + (lin + 0.5 * quad).reshape(*lead, p, p)
+    return ProblemKernels(pd).G(x)
 
 
 def _checked_x(pd: ProblemData, x) -> np.ndarray:
@@ -147,9 +205,7 @@ def eval_G(pd: ProblemData, x) -> SymMat:
 
 def jacobian_array(pd: ProblemData, x: np.ndarray) -> np.ndarray:
     """D_i at x of shape (n,), or at each row of a stack (k, n), as (..., n, p, p)."""
-    n, p = pd.n, pd.p
-    D = x[..., None, None, :] @ pd.G_quad.reshape(n, n, p * p)
-    return pd.G_lin + D.reshape(*x.shape[:-1], n, p, p)
+    return ProblemKernels(pd).jacobians(x).reshape(*x.shape[:-1], pd.n, pd.p, pd.p)
 
 
 def jacobian_stack(pd: ProblemData, x) -> np.ndarray:
@@ -178,11 +234,7 @@ def adjoint_jacobian_apply(pd: ProblemData, x, Y) -> np.ndarray:
 def hessian_array(pd: ProblemData, Y: np.ndarray) -> np.ndarray:
     """Lagrangian Hessian f_quad + [<Y, B_ij>] for a dense symmetric Y of
     shape (p, p), or for each slice of a stack (k, p, p), as (..., n, n)."""
-    n, p = pd.n, pd.p
-    lead = Y.shape[:-2]
-    inner = pd.G_quad.reshape(n * n, p * p) @ Y.reshape(*lead, p * p, 1)
-    H = pd.f_quad + inner.reshape(*lead, n, n)
-    return 0.5 * (H + H.swapaxes(-1, -2))
+    return ProblemKernels(pd).hessians(Y)
 
 
 def lagrangian_hessian(pd: ProblemData, x, Y) -> np.ndarray:
@@ -209,39 +261,17 @@ def kkt_residual_from(pd: ProblemData, x, Y: SymMat, Gx: SymMat, D: np.ndarray, 
     return r1, (Gx - X).norm()
 
 
-def normal_map_spectral(pd: ProblemData, x, z):
-    """Normal-map values (Psi_1, Psi_2) at a stack of k points (x, z), with
-    the spectral split (lam, P, Pi(z)) of z they were computed from.
-
-    Psi_1 = grad f(x) + G'(x)* (z - Pi(z)) and Psi_2 = G(x) - Pi(z), with
-    Pi the PSD projection. x has shape (k, n) and z shape (k, p, p) with
-    symmetric slices; returns Psi_1 as (k, n) and Psi_2 as (k, p, p),
-    whose lower triangles mirror the upper ones, and the spectral_stack
-    output of z. One LAPACK call covers the stack and every product is a
-    batched matmul whose slices are the products of one point, so each row
-    is the value that point gets alone.
-    """
-    x = np.asarray(x, dtype=float)
-    n = pd.n
-    if x.ndim != 2 or x.shape[1] != n:
-        raise InputDataError(f"x stack has shape {x.shape}, expected (k, {n})")
-    if not np.isfinite(x).all():
-        raise InputDataError("x entries must be finite")
-    k, p = len(x), pd.p
-    split = spectral_stack(z)
-    Pz = split[2]
-    D = jacobian_array(pd, x).reshape(k, n, p * p)
-    grad = pd.f_lin + (pd.f_quad @ x[:, :, None])[:, :, 0]
-    psi1 = grad + (D @ (z - Pz).reshape(k, p * p, 1))[:, :, 0]
-    psi2 = (_G_array(pd, x) - Pz).reshape(k, p * p).take(packing_tables(p).mirror, 1)
-    return psi1, psi2.reshape(k, p, p), split
-
-
 def normal_map_stack(pd: ProblemData, x, z) -> tuple[np.ndarray, np.ndarray]:
     """Normal-map values (Psi_1, Psi_2) at a stack of k points (x, z):
-    normal_map_spectral without the spectral split."""
-    psi1, psi2, _ = normal_map_spectral(pd, x, z)
-    return psi1, psi2
+    ProblemKernels.normal_map for x of shape (k, n), with Psi_2 as
+    (k, p, p), its lower triangles mirroring the upper ones (one gather
+    through the packing tables)."""
+    x = np.asarray(x, dtype=float)
+    n, p = pd.n, pd.p
+    if x.ndim != 2 or x.shape[1] != n:
+        raise InputDataError(f"x stack has shape {x.shape}, expected (k, {n})")
+    psi1, psi2, _ = ProblemKernels(pd).normal_map(x, z)
+    return psi1, psi2.take(packing_tables(p).mirror, 1).reshape(len(psi2), p, p)
 
 
 def robinson_normal_map(pd: ProblemData, x, z) -> tuple[np.ndarray, SymMat]:
@@ -329,6 +359,29 @@ def _relative_asymmetry(S: np.ndarray) -> np.ndarray:
         return (np.abs(S - S.swapaxes(1, 2)) / np.maximum(1.0, np.abs(S))).max(axis=(1, 2), initial=0.0)
 
 
+def _numbers(raw, shape) -> np.ndarray:
+    """A payload field of real numbers in any nesting as a float array of
+    the given shape. json also reads true, false, strings and null, which
+    are not numbers: any of them, or a count that does not fit the shape,
+    raises ValueError (OverflowError for an integer beyond float range).
+    numpy scalars are numbers; numpy bools, like bools, are not."""
+    flat = np.asarray(raw, dtype=object).ravel()
+    # one test per entry type, then the first entry of a rejected type
+    bad = {t for t in set(map(type, flat)) if issubclass(t, bool) or not issubclass(t, numbers.Real)}
+    if bad:
+        v = next(v for v in flat if type(v) in bad)
+        raise ValueError(f"{type(v).__name__} entry {v!r}")
+    return flat.astype(float).reshape(shape)
+
+
+def _field(raw, label: str, shape, what: str) -> np.ndarray:
+    """_numbers of one payload field; InputDataError naming label."""
+    try:
+        return _numbers(raw, shape)
+    except (OverflowError, ValueError) as exc:
+        raise InputDataError(f"{label}: expected {what} ({exc})") from exc
+
+
 def _checked_matrices(raws, labels, p) -> np.ndarray:
     """The payload matrices raws, each p * p numbers in any nesting, as a
     stack (k, p, p). InputDataError names the first matrix, in the order
@@ -337,8 +390,8 @@ def _checked_matrices(raws, labels, p) -> np.ndarray:
     mats, unread = [], None
     for raw, label in zip(raws, labels):
         try:
-            mats.append(np.asarray(raw, dtype=float).reshape(p, p))
-        except (TypeError, ValueError) as exc:
+            mats.append(_numbers(raw, (p, p)))
+        except (OverflowError, ValueError) as exc:
             unread = InputDataError(f"{label}: expected a {p}x{p} matrix of numbers ({exc})")
             break
     S = np.array(mats).reshape(len(mats), p, p)
@@ -367,11 +420,12 @@ def problem_from_dict(data: dict) -> ProblemData:
         # the declared sizes shape every read below, so they are checked first
         _check_dimensions(n, p)
         f, g = data["f"], data["G"]
-        f_lin = np.asarray(f["lin"], dtype=float).reshape(n)
-        f_quad = np.zeros((n, n)) if f["quad"] is None else np.asarray(f["quad"], dtype=float).reshape(n, n)
+        lin, quad = f["lin"], f["quad"]
         a0, a_list, b = g["A0"], g["A"], g.get("B")
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputDataError(f"malformed problem payload: {exc}") from exc
+    f_lin = _field(lin, "f.lin", n, f"{n} numbers")
+    f_quad = np.zeros((n, n)) if quad is None else _field(quad, "f.quad", (n, n), f"a {n}x{n} matrix of numbers")
     if _relative_asymmetry(f_quad[None])[0] > 1e-12:
         raise InputDataError("f.quad is not symmetric within 1e-12 relative")
     if not isinstance(a_list, (list, tuple)) or len(a_list) != n:
@@ -417,10 +471,12 @@ def load_point(path, n: int, p: int) -> tuple[np.ndarray, SymMat]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        x = np.asarray(data["x"], dtype=object).ravel()  # json also reads bools, NaN and Infinity
-        if x.size != n or not all(type(v) in (int, float) and math.isfinite(v) for v in x):
-            raise InputDataError(f"x: expected {n} finite numbers")
-        x = x.astype(float)
+        try:
+            x = _numbers(data["x"], n)  # json also reads NaN and Infinity
+            if not np.isfinite(x).all():
+                raise ValueError("non-finite entry")
+        except (OverflowError, ValueError) as exc:
+            raise InputDataError(f"x: expected {n} finite numbers") from exc
         Y = SymMat(_checked_matrices([data["Y"]], ["Y"], p)[0])
     except (OSError, json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputDataError(f"cannot read point file {path}: {exc}") from exc

@@ -270,6 +270,37 @@ def test_malformed_point_x_exits_2(problem_files, tmp_path, command, x):
     assert caught == []
 
 
+# json reads true and numeric strings, which once loaded as the numbers
+# 1.0 and 0.0: the problem loaded, or stopped at certification
+NON_NUMBER_FIELDS = {
+    "f.lin": lambda d, v: d["f"]["lin"].__setitem__(0, v),
+    "f.quad": lambda d, v: d["f"]["quad"][0].__setitem__(0, v),
+    "G.A0": lambda d, v: d["G"]["A0"].__setitem__(3, v),
+    "G.A[1]": lambda d, v: d["G"]["A"][1].__setitem__(0, v),
+    "G.B[0][1]": lambda d, v: d["G"]["B"][0][1].__setitem__(3, v),
+    "Y": None,
+}
+
+
+@pytest.mark.parametrize("field", sorted(NON_NUMBER_FIELDS))
+def test_non_number_entry_exits_2(problem_files, tmp_path, field):
+    ppath, xpath = problem_files
+    for value in (True, "0"):
+        edit = NON_NUMBER_FIELDS[field]
+        if edit is None:
+            bad = tmp_path / "bad_point.json"
+            bad.write_text(json.dumps({"x": [0.0, 0.0], "Y": [[0.0, 0.0], [0.0, value]]}))
+            argv = ["analyze", "--problem", ppath, "--point", str(bad)]
+        else:
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(_bad_payload(lambda d: edit(d, value))))
+            argv = ["analyze", "--problem", str(bad), "--point", xpath]
+        code, out, err = run(argv)
+        assert (code, out) == (2, ""), (field, value)
+        assert err.startswith(f"error: {field}: expected ") and err.count("\n") == 1
+        assert f"{type(value).__name__} entry {value!r}" in err
+
+
 def test_flag_validation():
     assert run(["criticality", "--family", "example2", "--seed", "7", "--samples", "16"])[0] == 0
     assert run(["analyze", "--family", "example3", "--samples", "0"])[0] == 2

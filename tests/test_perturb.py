@@ -11,6 +11,7 @@ from kkt_spectra.cones import cone_context
 from kkt_spectra.criticality import classify_multiplier
 from kkt_spectra.errors import ConvergenceError, InputDataError
 from kkt_spectra.perturb import (
+    BACKTRACKS,
     CERT_FACTOR,
     JITTER_STARTS,
     NEWTON_STEPS,
@@ -29,8 +30,8 @@ from kkt_spectra.problem import (
     hessian_array,
     jacobian_array,
     kkt_residual,
+    ProblemKernels,
     make_problem,
-    normal_map_spectral,
     normal_map_stack,
     shifted_problem,
 )
@@ -276,15 +277,16 @@ def test_solver_stops_at_certified_floor(dx, Y0, fam3):
 )
 def test_reference_sweep_evaluation_budget(name, schedule, budget, fam2, fam3, monkeypatch):
     # a residual evaluation is one row through the stacked normal-map
-    # kernel the solver calls: one per start, per trial point and per root
-    # in the stacked certification pass
+    # kernel the solver calls: one per start, per trial point (each block
+    # of halvings included) and per root in the stacked certification pass
     fam = fam2 if name == "example2" else fam3
     rows = []
     steps = []
+    normal_map = ProblemKernels.normal_map
 
-    def counted(spd, x, z):
+    def counted(kern, x, z):
         rows.append(len(x))
-        return normal_map_spectral(spd, x, z)
+        return normal_map(kern, x, z)
 
     def recorded(*args):
         outcomes = solve_perturbed_starts(*args)
@@ -292,12 +294,92 @@ def test_reference_sweep_evaluation_budget(name, schedule, budget, fam2, fam3, m
             steps.append(out.best.newton_iters if isinstance(out, ConvergenceError) else out.newton_iters)
         return outcomes
 
-    monkeypatch.setattr(perturb, "normal_map_spectral", counted)
+    monkeypatch.setattr(ProblemKernels, "normal_map", counted)
     monkeypatch.setattr(perturb, "solve_perturbed_starts", recorded)
     rep = error_bound_experiment(fam, np.geomspace(*schedule), seed=42)
     assert len(rep.samples) == schedule[2]
-    assert sum(rows) <= budget
+    assert 0 < sum(rows) <= budget
     assert steps and max(steps) < NEWTON_STEPS
+
+
+def sequential_backtracks(kern, Xb, Zb, RNb, db):
+    """The halving loop the blocked search replaces: one residual call per
+    halving t = 2^-j over the starts still searching, each start taking
+    the first t that passes the Armijo test."""
+    n = kern.n
+    live = np.arange(len(Xb))
+    t = 1.0
+    for _ in range(BACKTRACKS - 1):
+        t *= 0.5
+        Xs, Zs = Xb + t * db[:, :n], Zb + t * db[:, n:]
+        Rs, RNs, split = perturb._residuals(kern, Xs, Zs)
+        ok = RNs <= (1.0 - 1e-4 * t) * RNb
+        if np.count_nonzero(ok):
+            hit, rest = ok.nonzero()[0], (~ok).nonzero()[0]
+            yield live.take(hit), (Xs, Zs, Rs, RNs, *split), hit
+            live, Xb, Zb, RNb, db = (A.take(rest, 0) for A in (live, Xb, Zb, RNb, db))
+            if not live.size:
+                break
+
+
+def outcome_bytes(outcomes):
+    """Every bit of a list of solver outcomes, as comparable tuples."""
+    out = []
+    for o in outcomes:
+        head = (type(o).__name__, str(o), o.residual) if isinstance(o, ConvergenceError) else ()
+        smp = o.best if isinstance(o, ConvergenceError) else o
+        out.append(head + (smp.x.tobytes(), smp.Y.full().tobytes(), smp.newton_iters, smp.residual))
+    return out
+
+
+def test_blocked_search_matches_sequential_halving(monkeypatch):
+    # the doubling blocks evaluate the halvings of the sequential loop and
+    # keep each start's first accepted one: whole solves agree bit for bit
+    assert (0.5 ** np.arange(1, BACKTRACKS)).tolist() == [0.5**j for j in range(1, BACKTRACKS)]
+    calls = {"blocked": 0, "sequential": 0}
+    residuals = perturb._residuals
+    side = []
+
+    def counted(kern, X, ZV):
+        calls[side[-1]] += 1
+        return residuals(kern, X, ZV)
+
+    monkeypatch.setattr(perturb, "_residuals", counted)
+    rng = np.random.default_rng(21)
+    for trial in range(32):
+        n, p, k = 1 + trial % 4, 1 + trial // 4 % 4, int(rng.integers(1, 10))
+        pd = random_kernel_problem(rng, n, p)
+        p1, p2 = 1e-2 * rng.standard_normal(n), random_symmetric(rng, p, 1e-2)
+        starts = [(rng.standard_normal(n) * 10.0 ** rng.integers(-3, 1), random_symmetric(rng, p)) for _ in range(k)]
+        side.append("blocked")
+        blocked = solve_perturbed_starts(pd, p1, p2, starts)
+        side.append("sequential")
+        with monkeypatch.context() as mp:
+            mp.setattr(perturb, "_backtracks", sequential_backtracks)
+            sequential = solve_perturbed_starts(pd, p1, p2, starts)
+        assert outcome_bytes(blocked) == outcome_bytes(sequential), (n, p, k)
+    # the seeded starts search deep enough for the blocks to save calls
+    assert calls["blocked"] < calls["sequential"]
+
+
+def test_reference_pass_calls(fam2, monkeypatch):
+    # example2's reference sweep made 109 kernel calls with one call per
+    # halving; the blocks bring it to at most 80, with the same report
+    calls = []
+    normal_map = ProblemKernels.normal_map
+
+    def counted(kern, x, z):
+        calls.append(len(x))
+        return normal_map(kern, x, z)
+
+    monkeypatch.setattr(ProblemKernels, "normal_map", counted)
+    schedule = np.geomspace(1e-2, 1e-3, 3)
+    blocked = report_to_dict(error_bound_experiment(fam2, schedule, seed=42))
+    assert len(calls) <= 80
+    blocked_calls = len(calls)
+    monkeypatch.setattr(perturb, "_backtracks", sequential_backtracks)
+    assert report_to_dict(error_bound_experiment(fam2, schedule, seed=42)) == blocked
+    assert len(calls) - blocked_calls > blocked_calls
 
 
 def user_family(fam3):
@@ -420,8 +502,9 @@ def test_newton_directions_mask_singular_elements(fam3):
     X = np.array([[0.0, 0.0], [0.1, 0.05]])
     Z = np.array([eval_G(spd, X[0]).full(), eval_G(spd, X[1]).full() + np.diag([-0.3, 0.2])])
     ZV = Z[:, [0, 0, 1], [0, 1, 1]] * np.array([1.0, math.sqrt(2.0), 1.0])
-    R, _, split = perturb._residuals(spd, X, ZV)
-    singular, regular = perturb._newton_elements(spd, X, ZV, split)
+    kern = ProblemKernels(spd)
+    R, _, split = perturb._residuals(kern, X, ZV)
+    singular, regular = perturb._newton_elements(kern, ZV, split)
     overflow = 1e-310 * np.eye(5)
     sign = np.linalg.slogdet(np.array([singular, regular, overflow]))[0]
     assert sign[0] == 0.0 and sign[1] != 0.0 and sign[2] != 0.0
@@ -481,10 +564,11 @@ def test_stacked_certification_matches_per_root_rule():
             X = rng.standard_normal((k, n)) * 10.0 ** rng.integers(-6, 1, size=(k, 1))
             ZV = rng.standard_normal((k, p * (p + 1) // 2))
             steps = rng.integers(0, 60, size=k)
-            Pz = perturb._residuals(spd, X, ZV)[2][2]
+            kern = ProblemKernels(spd)
+            Pz = perturb._residuals(kern, X, ZV)[2][2]
             res = [per_root(spd, p1, p2, X[i], ZV[i], steps[i], math.inf).residual for i in range(k)]
             tol_cert = float(np.median(res))
-            got = perturb._certify(spd, p1, p2, X, ZV, Pz, steps, tol_cert)
+            got = perturb._certify(kern, p1, p2, X, ZV, Pz, steps, tol_cert)
             for i, out in enumerate(got):
                 want = per_root(spd, p1, p2, X[i].copy(), ZV[i].copy(), steps[i], tol_cert)
                 assert type(out) is type(want)
@@ -565,17 +649,20 @@ def test_packing_tables_match_index_definitions():
 
 def test_residual_rows_match_normal_map():
     # the residual rows are normal_map_stack at the dense z, packed by svec
-    # through the fancy index; the norms are one dot product per row
+    # through the fancy index; the norms are one dot product per row, and
+    # the split holds the eigensolve of z and the Jacobian stack at x
     for spd, X, ZV in kernel_stacks():
-        p = spd.p
+        k, n, p = len(X), spd.n, spd.p
         rows, cols = svec_indices(p)
         Z = dense_from_svec(ZV, p)
-        R, RN, split = perturb._residuals(spd, X, ZV)
+        R, RN, split = perturb._residuals(ProblemKernels(spd), X, ZV)
         psi1, psi2 = normal_map_stack(spd, X, Z)
         want = np.concatenate([psi1, psi2[:, rows, cols] * svec_scale(p)], axis=1)
         assert R.tobytes() == want.tobytes()
         assert RN.tobytes() == np.sqrt((want[:, None, :] @ want[:, :, None])[:, 0, 0]).tobytes()
-        for got, ref in zip(split, spectral_stack(Z)):
+        refs = (*spectral_stack(Z), jacobian_array(spd, X).reshape(k, n, p * p))
+        assert len(split) == len(refs)
+        for got, ref in zip(split, refs):
             assert got.tobytes() == ref.tobytes()
 
 
@@ -586,7 +673,7 @@ def assembled_newton_elements(spd, X, ZV, split):
     m = p * (p + 1) // 2
     rows, cols = svec_indices(p)
     svs = svec_scale(p)
-    lam, P, Pz = split
+    lam, P, Pz, _ = split
     Y = dense_from_svec(ZV - Pz[:, rows, cols] * svs, p)
     Dsv = jacobian_array(spd, X)[:, :, rows, cols] * svs
     tol = default_tol_zero(lam)[:, None]
@@ -606,7 +693,10 @@ def assembled_newton_elements(spd, X, ZV, split):
 
 
 def test_newton_elements_match_assembly():
+    # the elements reuse the Jacobian stack of the residual evaluation; the
+    # assembly evaluates it again at x
     for spd, X, ZV in kernel_stacks():
-        split = perturb._residuals(spd, X, ZV)[2]
-        got = perturb._newton_elements(spd, X, ZV, split)
+        kern = ProblemKernels(spd)
+        split = perturb._residuals(kern, X, ZV)[2]
+        got = perturb._newton_elements(kern, ZV, split)
         assert got.tobytes() == assembled_newton_elements(spd, X, ZV, split).tobytes()

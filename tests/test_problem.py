@@ -313,6 +313,26 @@ def test_loader_rejects_malformed_structure(fam3, edit, message):
         problem_from_dict(data)
 
 
+def test_loader_reads_numpy_scalars_as_numbers(fam3):
+    # a payload built in Python may hold numpy scalars: they load as the
+    # numbers they are, while bools, numpy bools and strings do not
+    data = json.loads(json.dumps(problem_to_dict(fam3.problem)))
+    scalars = json.loads(json.dumps(data))
+    scalars["f"]["lin"] = [np.float64(v) for v in data["f"]["lin"]]
+    scalars["f"]["quad"] = np.array(data["f"]["quad"])
+    scalars["G"]["A0"] = [np.float32(v) for v in data["G"]["A0"]]
+    scalars["G"]["B"][0][1] = [np.int64(v) for v in data["G"]["B"][0][1]]
+    want = problem_from_dict(data)
+    got = problem_from_dict(scalars)
+    for name in ("f_lin", "f_quad", "G_const", "G_lin", "G_quad"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    for value in (True, np.bool_(True), "0"):
+        bad = json.loads(json.dumps(data))
+        bad["f"]["lin"] = [value, np.float64(0.0)]
+        with pytest.raises(InputDataError, match=r"^f\.lin: expected 2 numbers"):
+            problem_from_dict(bad)
+
+
 def test_objective_that_overflows_when_symmetrized_is_rejected():
     # 1.5e308 is finite, but f_quad + f_quad^T is not
     with pytest.raises(InputDataError, match="matrix entries must be finite"):
