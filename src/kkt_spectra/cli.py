@@ -55,8 +55,8 @@ def _geo_schedule(text: str):
         count = int(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad --geo value: {exc}") from exc
-    if start <= 0 or end <= 0:
-        raise argparse.ArgumentTypeError("--geo endpoints must be positive")
+    if not (math.isfinite(start) and math.isfinite(end) and start > 0 and end > 0):
+        raise argparse.ArgumentTypeError("--geo endpoints must be finite and positive")
     if count < 1:
         raise argparse.ArgumentTypeError("--geo count must be at least 1")
     return (start, end, count)
@@ -82,15 +82,12 @@ def build_parser() -> _Parser:
     knobs = {
         "--tol-eig": dict(type=float, help="eigenvalue zero-classification tolerance"),
         "--tol-feas": dict(type=float, default=1e-8, help="feasibility tolerance of the RCQ check"),
-        "--seed": dict(type=int, default=42, help="seed for all sampling"),
-        "--samples": dict(
-            type=int, default=64, help="random frames the classifier tries on a beta block of order >= 3"
-        ),
+        "--seed": dict(type=int, default=42, help="seed of the sweep's jittered starts"),
     }
     for name, blurb, flags in (
         ("analyze", "full pipeline: residuals, partition, qualifications, verdicts",
-         ("--tol-eig", "--tol-feas", "--seed", "--samples")),
-        ("criticality", "multiplier classification and the x-part condition", ("--tol-eig", "--seed", "--samples")),
+         ("--tol-eig", "--tol-feas")),
+        ("criticality", "multiplier classification and the x-part condition", ("--tol-eig",)),
         ("sosc", "second-order condition and the two local-bound conditions", ("--tol-eig",)),
         ("cones", "eigenvalue partition and complementarity flags", ("--tol-eig",)),
         ("perturb", "perturbation sweep with order fit and bound verdicts", ("--seed",)),
@@ -194,11 +191,16 @@ def render(payload: dict, fmt: str) -> str:
     return "\n".join(lines)
 
 
+def _require_tolerance(flag: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise InputDataError(f"{flag} must be finite and positive")
+
+
 def _analysis_context(args):
     """The one analysis context, at the --tol-eig partition, of the
     requested pair; every section of a report reads it."""
-    if args.tol_eig is not None and args.tol_eig <= 0:
-        raise InputDataError("--tol-eig must be positive")
+    if args.tol_eig is not None:
+        _require_tolerance("--tol-eig", args.tol_eig)
     fam, pd = _source(args)
     x, Y = _point(args, fam, pd)
     return analysis_context(pd, x, Y, tol=args.tol_eig)
@@ -221,10 +223,8 @@ def _partition_payload(ctx):
     }
 
 
-def _criticality_payload(sysm, args):
-    if args.samples < 1:
-        raise InputDataError("--samples must be at least 1")
-    verdict = classify_multiplier(sysm, samples=args.samples, seed=args.seed)
+def _criticality_payload(sysm):
+    verdict = classify_multiplier(sysm)
     out = {
         "tag": verdict.tag,
         "certificate": verdict.certificate,
@@ -250,8 +250,7 @@ def _soscy_payload(sysm):
 
 
 def cmd_analyze(args) -> dict:
-    if args.tol_feas <= 0:
-        raise InputDataError("--tol-feas must be positive")
+    _require_tolerance("--tol-feas", args.tol_feas)
     sysm = _analysis_context(args)
     return {
         "schema": SCHEMA,
@@ -263,7 +262,7 @@ def cmd_analyze(args) -> dict:
             "rcq": rcq_holds(sysm.G, sysm.Ds, tol_feas=args.tol_feas),
             "srcq": srcq_holds(sysm.ctx.decomp, sysm.Dt),
         },
-        "criticality": _criticality_payload(sysm, args),
+        "criticality": _criticality_payload(sysm),
         "x_part_condition": xpart_condition(sysm),
         "soscy": _soscy_payload(sysm),
         "local_bound_conditions": theorem3_conditions(sysm),
@@ -277,7 +276,7 @@ def cmd_criticality(args) -> dict:
         "command": "criticality",
         "source": args.family or args.problem,
         "partition": _partition_payload(sysm.ctx),
-        "criticality": _criticality_payload(sysm, args),
+        "criticality": _criticality_payload(sysm),
         "x_part_condition": xpart_condition(sysm),
     }
 

@@ -96,11 +96,6 @@ class CriticalitySystem:
     def p(self) -> int:
         return self.ctx.p
 
-    @property
-    def jac(self) -> tuple:
-        """The Jacobians D_k(x) as SymMats, one per variable."""
-        return tuple(SymMat(D) for D in self.Ds)
-
 
 @dataclass(frozen=True)
 class CriticalityVerdict:
@@ -257,6 +252,12 @@ def _verified_witness(sys: CriticalitySystem, eqs: np.ndarray, z: np.ndarray):
     if res > 1e-7:
         xi, eta, res = _extract_witness(sys, polish_xi_solution(eqs, z, sys.n))
     return (xi, eta, res) if res <= 1e-7 else None
+
+
+def _critical(found, certificate: str) -> CriticalityVerdict:
+    """Critical verdict of a re-verified witness (xi, eta, residual)."""
+    xi, eta, res = found
+    return CriticalityVerdict(CRITICAL, (xi, eta), certificate, res)
 
 
 LP_UNDECIDED = "support LP numerically undecided"
@@ -487,7 +488,78 @@ def _classify_two_block(
     return CriticalityVerdict(NONCRITICAL, None, f"exact: 2x2 beta block, pure supports and {mixed} exhausted", 0.0)
 
 
-def classify_multiplier(sys: CriticalitySystem, *, samples: int = 64, seed: int = 42) -> CriticalityVerdict:
+def _classify_large_block(
+    sys: CriticalitySystem, H: np.ndarray, E: np.ndarray, common: np.ndarray
+) -> CriticalityVerdict:
+    """Tiers for a non-commuting beta block of order k >= 3, in order.
+
+    1. The pure supports, h PSD with e = 0 and h = 0 with e NSD, are
+       convex: one cone_kernel_nontrivial call each excludes the support
+       or finds a solution, a witness when its xi is nonzero. A solution
+       with xi = 0, a NumericError or a failed re-verification leaves the
+       support open.
+    2. A witness xi lies in the critical cone C and the second-order form
+       Q vanishes on it (FINDINGS.md), so an S-procedure bound of Q or -Q
+       above TOL_POS on C u -C proves Noncritical.
+    3. Support enumeration in the identity frame and the eigenframe of
+       each nonzero Jacobian beta block, for a witness only.
+    Otherwise Undetermined, naming the open supports; no tier decides the
+    mixed ones.
+    """
+    from .sosc import TOL_POS, _supergradient_bound, reduced_second_order_form
+
+    beta = sys.ctx.decomp.beta
+    k, dim = int(beta.size), H.shape[-1]
+    ii, jj = (beta[i] for i in svec_indices(k))
+    open_supports = []
+    for label, pinned, block in (("h psd, e = 0", E, H), ("h = 0, e nsd", H, -E)):
+        eqs = np.vstack([common, pinned[ii, jj]])
+        try:
+            z = cone_kernel_nontrivial(eqs, dim, block[ii, jj] * svec_scale(k)[:, None], k)
+        except NumericError:
+            open_supports.append(f"pure support '{label}' ({LP_UNDECIDED})")
+            continue
+        if z is None:
+            continue
+        if np.linalg.norm(z[: sys.n]) <= 1e-9 * np.linalg.norm(z):
+            open_supports.append(f"pure support '{label}' (its solution has xi = 0)")
+            continue
+        found = _verified_witness(sys, eqs, z)
+        if found is None:
+            open_supports.append(f"pure support '{label}' (witness re-verification failed)")
+            continue
+        return _critical(found, f"exact: beta block of order {k}, pure support '{label}'")
+
+    _, Qh, blocks = reduced_second_order_form(sys)
+    for sign, form in ((1.0, "Q"), (-1.0, "-Q")):
+        bound, _ = _supergradient_bound(sign * Qh, blocks)
+        if bound > TOL_POS:
+            return CriticalityVerdict(
+                NONCRITICAL,
+                None,
+                f"exact: beta block of order {k}, S-procedure bound {bound:.6e} > 0 of {form} on C u -C, "
+                "where every witness has a zero form",
+                0.0,
+            )
+
+    frames = [np.eye(k)] + [eigh(B)[1] for B in sys.Dt[:, beta[:, None], beta] if np.abs(B).max() > 0]
+    for i, Q in enumerate(frames):
+        branch, _ = _branch_search(sys, common, *rotated_beta_rows(sys, H, E, Q))
+        found = None if branch is None else _verified_witness(sys, *branch)
+        if found is not None:
+            where = f"frame {i + 1} of {len(frames)} (identity, then Jacobian eigenframes)"
+            return _critical(found, f"exact: beta block of order {k}, support in {where}")
+    open_supports.append("the mixed supports")
+    return CriticalityVerdict(
+        UNDETERMINED,
+        None,
+        f"semi-decision: beta block of order {k}, second-order bound not positive and no witness in "
+        f"{len(frames)} frames x 2^{k} supports; open: {', '.join(open_supports)}",
+        0.0,
+    )
+
+
+def classify_multiplier(sys: CriticalitySystem) -> CriticalityVerdict:
     """Decide whether the system admits a nonzero direction.
 
     Exact tiers: empty degenerate block (pure linear system), singleton
@@ -496,13 +568,11 @@ def classify_multiplier(sys: CriticalitySystem, *, samples: int = 64, seed: int 
     lossless diagonal reduction of the dual block), and any other 2x2
     block (pure supports on the det-form span, mixed support at the real
     roots in tan(theta) of a minor; see _classify_two_block). Larger
-    non-commuting blocks get seeded random frames, a one-sided search:
-    positives are certified witnesses, negatives return Undetermined.
-    That search tries the identity, the eigenframe of each nonzero
-    Jacobian block and samples random orthogonal frames drawn from seed.
-    Every witness is re-verified, after one polish if needed; an exact
-    tier whose witness still fails, or whose support LP raises
-    NumericError without a witness elsewhere, returns Undetermined.
+    non-commuting blocks get the certified tiers of _classify_large_block
+    and otherwise end Undetermined. Every witness is re-verified, after
+    one polish if needed; an exact tier whose witness still fails, or
+    whose support LP raises NumericError without a witness elsewhere,
+    returns Undetermined. The result depends on the pair alone.
     """
     H, E = entry_rows(sys)
     beta = sys.ctx.decomp.beta
@@ -521,8 +591,7 @@ def classify_multiplier(sys: CriticalitySystem, *, samples: int = 64, seed: int 
         found = _verified_witness(sys, common, z)
         if found is None:
             return _unverified("beta empty, nonzero linear solution")
-        xi, eta, res = found
-        return CriticalityVerdict(CRITICAL, (xi, eta), "exact: beta empty, nonzero linear solution", res)
+        return _critical(found, "exact: beta empty, nonzero linear solution")
 
     if beta.size == 1:
         b = beta[0]
@@ -537,10 +606,7 @@ def classify_multiplier(sys: CriticalitySystem, *, samples: int = 64, seed: int 
                 found = _verified_witness(sys, eqs, z)
                 if found is None:
                     return _unverified(f"beta singleton, branch '{label}'")
-                xi, eta, res = found
-                return CriticalityVerdict(
-                    CRITICAL, (xi, eta), f"exact: beta singleton, branch '{label}'", res
-                )
+                return _critical(found, f"exact: beta singleton, branch '{label}'")
         return CriticalityVerdict(
             NONCRITICAL, None, "exact: beta singleton, both complementarity branches exhausted", 0.0
         )
@@ -554,8 +620,7 @@ def classify_multiplier(sys: CriticalitySystem, *, samples: int = 64, seed: int 
             found = _verified_witness(sys, *branch)
             if found is None:
                 return _unverified(tier)
-            xi, eta, res = found
-            return CriticalityVerdict(CRITICAL, (xi, eta), f"exact: {tier}", res)
+            return _critical(found, f"exact: {tier}")
         if undecided:
             return _unverified(tier, LP_UNDECIDED)
         return CriticalityVerdict(
@@ -567,33 +632,7 @@ def classify_multiplier(sys: CriticalitySystem, *, samples: int = 64, seed: int 
 
     if k == 2:
         return _classify_two_block(sys, H, E, common, N)
-
-    # beta block of size >= 3: seeded random frames
-    rng = np.random.default_rng(seed)
-    frames = [np.eye(k)]
-    for Dt in sys.Dt:
-        B = Dt[np.ix_(beta, beta)]
-        if np.abs(B).max() > 0:
-            _, V = eigh(B)
-            frames.append(V)
-    for _ in range(samples):
-        Qr, _ = np.linalg.qr(rng.standard_normal((k, k)))
-        frames.append(Qr)
-    for Qr in frames:
-        branch, _ = _branch_search(sys, common, *rotated_beta_rows(sys, H, E, Qr))
-        if branch is not None:
-            found = _verified_witness(sys, *branch)
-            if found is not None:
-                xi, eta, res = found
-                return CriticalityVerdict(
-                    CRITICAL, (xi, eta), f"random frame search ({len(frames)} frames x 2^{k} supports)", res
-                )
-    return CriticalityVerdict(
-        UNDETERMINED,
-        None,
-        f"semi-decision: {len(frames)} random frames x 2^{k} supports, no witness",
-        0.0,
-    )
+    return _classify_large_block(sys, H, E, common)
 
 
 def beta_block_rows(sys: CriticalitySystem) -> Optional[np.ndarray]:

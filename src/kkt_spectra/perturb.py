@@ -478,10 +478,13 @@ def _jitter_draws(rng, n: int, p: int):
 
 
 def fit_order_exponent(pairs):
-    """Log-log slope of deviation against parameter, with its stderr."""
+    """Log-log slope of deviation against parameter, with its stderr.
+
+    The slope needs two distinct parameters; with fewer, InputDataError.
+    """
     pts = [(float(s), float(v)) for s, v in pairs if s > 0.0 and v > 0.0]
-    if len(pts) < 2:
-        raise InputDataError("need at least two positive (parameter, deviation) pairs")
+    if len({s for s, _ in pts}) < 2:
+        raise InputDataError("need positive (parameter, deviation) pairs at two distinct parameters")
     xs = np.log([s for s, _ in pts])
     ys = np.log([v for _, v in pts])
     slope, intercept = np.polyfit(xs, ys, 1)
@@ -724,12 +727,12 @@ def lemma6_order_check(ctx: ConeContext, samples=8, seed=0, schedule=None):
             norms = [t[1] for t in triples]
             max_norm = max(max_norm, max(norms, default=0.0))
             pos = [(t[0], t[1]) for t in triples if t[1] > 1e-14 * base_scale]
-            if len(pos) >= 2:
+            if len({s for s, _ in pos}) >= 2:
                 e, se = fit_order_exponent(pos)
                 exps.append(e)
                 errs.append(se)
             ppos = [(t[2], t[1]) for t in triples if t[1] > 1e-14 * base_scale and t[2] > 0]
-            if len(ppos) >= 2:
+            if len({s for s, _ in ppos}) >= 2:
                 pe, _ = fit_order_exponent(ppos)
                 pexps.append(pe)
         if not exps:

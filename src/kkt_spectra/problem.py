@@ -213,11 +213,6 @@ def jacobian_stack(pd: ProblemData, x) -> np.ndarray:
     return jacobian_array(pd, _checked_x(pd, x))
 
 
-def eval_G_jacobian(pd: ProblemData, x) -> list:
-    """Partial derivative matrices D_i(x) = A_i + sum_j x_j B_ij."""
-    return [SymMat(D) for D in jacobian_stack(pd, x)]
-
-
 def jacobian_apply(pd: ProblemData, x, d) -> SymMat:
     """Push a primal direction through the constraint Jacobian: G'(x)d."""
     n, p = pd.n, pd.p

@@ -232,7 +232,8 @@ def _supergradient_bound(Qh: np.ndarray, blocks: np.ndarray):
     forms = np.array([det_form(a, w * f, b) for a, f, b in minors for w in (1.0, 0.0)])
     mu = np.zeros(len(forms))
     bound, best = -math.inf, None
-    scale = max(1.0, float(np.abs(Qh).max())) / float(np.abs(forms).max())
+    # when every form vanishes, mu stays 0 and the bound is lambda_min(Qh)
+    scale = max(1.0, float(np.abs(Qh).max())) / max(float(np.abs(forms).max()), np.finfo(float).tiny)
     for k in range(BOUND_STEPS):
         lam, V = eigh(Qh - np.tensordot(mu, forms, 1))
         if lam[-1] > bound:
@@ -242,6 +243,22 @@ def _supergradient_bound(Qh: np.ndarray, blocks: np.ndarray):
             break
         mu = np.maximum(mu + scale / math.sqrt(k + 1.0) * g / np.linalg.norm(g), 0.0)
     return bound, list(best.T)
+
+
+def reduced_second_order_form(sys: CriticalitySystem):
+    """(Z, Qh, blocks): the basis Z = sys.cone_null of the critical
+    cone's linear span, the second-order form Q = hessL - sigma quadratic
+    in its coordinates (Qh = Z^T Q Z), and the beta blocks of the
+    pushed-forward direction of each column of Z ([] when beta is empty).
+    The critical cone is the set of Z c with B(c) = sum_i c_i blocks[i]
+    PSD."""
+    Q = sys.hessL - _sigma_quadratic(sys)
+    Q = 0.5 * (Q + Q.T)
+    Z = sys.cone_null
+    Qh = Z.T @ Q @ Z
+    Qh = 0.5 * (Qh + Qh.T)
+    blocks = _beta_block_map(sys) if sys.ctx.decomp.beta.size else []
+    return Z, Qh, blocks
 
 
 def check_soscy(sys: CriticalitySystem) -> SecondOrderReport:
@@ -257,18 +274,13 @@ def check_soscy(sys: CriticalitySystem) -> SecondOrderReport:
     cone (see _report).
     """
     d = sys.ctx.decomp
-    Q = sys.hessL - _sigma_quadratic(sys)
-    Q = 0.5 * (Q + Q.T)
-    Z = sys.cone_null
+    Z, Qh, blocks = reduced_second_order_form(sys)
     stats = {"starts": 0, "certified": 0, "best_uncertified": None}
 
     if Z.shape[1] == 0:
         stats["path"] = "trivial cone"
         return _report(math.inf, math.inf, None, stats)
 
-    Qh = Z.T @ Q @ Z
-    Qh = 0.5 * (Qh + Qh.T)
-    blocks = _beta_block_map(sys) if d.beta.size else []
     block_scale = max((np.abs(B).max() for B in blocks), default=0.0)
 
     exact_subspace = d.beta.size == 0 or block_scale <= 1e-12

@@ -5,7 +5,7 @@ import pytest
 
 from kkt_spectra.cones import cone_context_from_matrix
 from kkt_spectra.criticality import build_system
-from kkt_spectra.problem import builtin_family, eval_G_jacobian, kkt_point, make_problem
+from kkt_spectra.problem import builtin_family, jacobian_stack, kkt_point, make_problem
 from kkt_spectra.symmat import SymMat
 
 
@@ -66,8 +66,8 @@ def sample_diag_problem(rng, n, p, pd_quad=False):
     G_quad = [[SymMat.diag(gquad[:, i, j]) for j in range(n)] for i in range(n)]
     pd = make_problem(np.zeros(n), fq, SymMat.diag(gconst), G_lin, G_quad)
     Y = SymMat.diag(-w)
-    Ds = eval_G_jacobian(pd, xbar)
-    flin = -(fq @ xbar + np.array([Dk.inner(Y) for Dk in Ds]))
+    Ds = jacobian_stack(pd, xbar)
+    flin = -(fq @ xbar + np.array([SymMat(Dk).inner(Y) for Dk in Ds]))
     pd = make_problem(flin, fq, SymMat.diag(gconst), G_lin, G_quad)
     return pd, xbar, Y, -w
 
@@ -105,3 +105,21 @@ def planted_pair(rng, kind, n, p):
     quad = [[SymMat(Bij) for Bij in row] for row in B]
     pd = make_problem(flin, F, SymMat(G0), [SymMat(Ak) for Ak in A], quad)
     return pd, x, SymMat(Y)
+
+
+def coupled_block_pair(rng, n, q):
+    """Pair at x = 0 whose q x q degenerate block is driven by dense
+    Jacobians, so its blocks do not commute.
+
+    G(0) = 0 of order q + 1 and Y = Diag(0, ..., 0, -w): beta is the
+    first q indices and gamma the last. The first Jacobian is positive
+    definite, so Robinson's condition holds, and f_lin makes the pair
+    stationary.
+    """
+    p = q + 1
+    w = float(rng.uniform(0.5, 2.0))
+    A = [random_symmetric(rng, p).full() for _ in range(n)]
+    A[0] = A[0] + (0.5 - min(0.0, np.linalg.eigvalsh(A[0]).min())) * np.eye(p)
+    G_lin = [SymMat(Ak) for Ak in A]
+    pd = make_problem([w * Ak[-1, -1] for Ak in A], random_symmetric(rng, n).full(), SymMat.zeros(p), G_lin)
+    return pd, np.zeros(n), SymMat.diag([0.0] * q + [-w])

@@ -302,18 +302,41 @@ def test_non_number_entry_exits_2(problem_files, tmp_path, field):
 
 
 def test_flag_validation():
-    assert run(["criticality", "--family", "example2", "--seed", "7", "--samples", "16"])[0] == 0
-    assert run(["analyze", "--family", "example3", "--samples", "0"])[0] == 2
+    # the classifier has no sampling knobs: analyze and criticality read no --seed or --samples
+    assert run(["criticality", "--family", "example2"])[0] == 0
+    assert run(["analyze", "--family", "example2", "--samples", "4"])[0] == 1
+    assert run(["criticality", "--family", "example2", "--seed", "3"])[0] == 1
     assert run(["analyze", "--family", "example3", "--tol-feas", "-1"])[0] == 2
     assert run(["sosc", "--family", "example3", "--tol-eig", "0"])[0] == 2
+    # a non-finite tolerance is rejected, not read as "every eigenvalue is zero"
+    for flag in ("--tol-eig", "--tol-feas"):
+        for value in ("nan", "inf"):
+            code, out, err = run(["analyze", "--family", "example2", flag, value])
+            assert (code, out) == (2, ""), (flag, value)
+            assert err == f"error: {flag} must be finite and positive\n"
 
 
-# the flags each subcommand reads, 39 settable values in all, each with a
+@pytest.mark.parametrize("end", ["nan", "inf", "-inf"])
+def test_geo_rejects_non_finite_endpoints(end):
+    code, out, err = run(["perturb", "--family", "example2", "--geo", f"1e-2:{end}:3"])
+    assert (code, out) == (1, "")
+    assert "argument --geo: --geo endpoints must be finite and positive" in err
+
+
+def test_perturb_equal_parameters_report_no_exponent():
+    # three equal parameters carry no slope: the fit is null, as on a one-point schedule
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["perturb", "--family", "example2", "--geo", "1e-2:1e-2:3", "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["exponent_fit"] == {"exponent": None, "stderr": None}
+
+
+# the flags each subcommand reads, 35 settable values in all, each with a
 # value it parses
 FLAG_SETS = {
-    "analyze": {"--problem", "--family", "--point", "--direction", "--tol-eig", "--tol-feas", "--seed", "--samples",
-                "--format"},
-    "criticality": {"--problem", "--family", "--point", "--direction", "--tol-eig", "--seed", "--samples", "--format"},
+    "analyze": {"--problem", "--family", "--point", "--direction", "--tol-eig", "--tol-feas", "--format"},
+    "criticality": {"--problem", "--family", "--point", "--direction", "--tol-eig", "--format"},
     "sosc": {"--problem", "--family", "--point", "--direction", "--tol-eig", "--format"},
     "cones": {"--problem", "--family", "--point", "--direction", "--tol-eig", "--format"},
     "perturb": {"--problem", "--family", "--point", "--direction", "--seed", "--format", "--geo", "--p1", "--p2",
@@ -398,7 +421,7 @@ def test_tol_eig_sets_one_partition_for_every_section():
 def test_parser_built_once_matches_fresh_parser():
     calls = [
         ["analyze", "--family", "example2", "--format", "json"],
-        ["analyze", "--family", "example2", "--samples", "many"],
+        ["analyze", "--family", "example2", "--tol-eig", "many"],
         ["perturb", "--family", "example3", "--geo", "1e-2:1e-3:2", "--format", "json"],
     ]
     build_parser.cache_clear()

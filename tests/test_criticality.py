@@ -1,11 +1,12 @@
 """Multiplier classification, qualification checks, diagonal reduction."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from conftest import context, planted_pair, sample_diag_problem
+from conftest import context, coupled_block_pair, planted_pair, sample_diag_problem
 from kkt_spectra.criticality import (
     CRITICAL,
     NONCRITICAL,
@@ -29,8 +30,8 @@ from kkt_spectra.criticality import (
 )
 from kkt_spectra.errors import InputDataError, NumericError
 from kkt_spectra.lpkernel import nontrivial_xi_solution, null_space
-from kkt_spectra.problem import eval_G, eval_G_jacobian, kkt_point, make_problem
-from kkt_spectra.sosc import check_soscy
+from kkt_spectra.problem import eval_G, jacobian_stack, kkt_point, make_problem
+from kkt_spectra.sosc import TOL_POS, _supergradient_bound, check_soscy, reduced_second_order_form
 from kkt_spectra.symmat import SymMat, as_symmat, dir_deriv_from_decomp, project_psd, sym_mat
 
 
@@ -119,8 +120,9 @@ def test_classify_undetermined_semidecision():
     )
     v = classify_multiplier(build_system(pd, kkt_point(pd, [0.0, 0.0], SymMat.zeros(2))))
     assert v.tag == NONCRITICAL and v.certificate.startswith("exact: 2x2 beta block")
-    # |beta| = 3 with non-commuting data stays on the random-frame search,
-    # which can only fail to find a witness
+    # |beta| = 3 with non-commuting data: entry (3, 3) of xi1 D1 + xi2 D2
+    # is 0, so a PSD beta block forces xi2 = 0 and then xi1 = 0. C(xbar)
+    # is {0}, and the S-procedure bound certifies it
     pd3 = make_problem(
         [0.0, 0.0],
         [[0.0, 0.0], [0.0, 0.0]],
@@ -131,7 +133,15 @@ def test_classify_undetermined_semidecision():
         ],
     )
     v3 = classify_multiplier(build_system(pd3, kkt_point(pd3, [0.0, 0.0], SymMat.zeros(3))))
-    assert v3.tag == UNDETERMINED and v3.certificate.startswith("semi-decision")
+    assert v3.tag == NONCRITICAL and "S-procedure bound" in v3.certificate
+    # an open draw of the coupled probe: the bound is not positive and
+    # neither pure support nor the deterministic frames hold a witness
+    rng = np.random.default_rng(0)
+    pdo, xo, Yo = coupled_block_pair(rng, int(rng.integers(6, 8)), 3)
+    vo = classify_multiplier(context(pdo, xo, Yo))
+    assert vo.tag == UNDETERMINED and vo.witness is None
+    assert vo.certificate.startswith("semi-decision: beta block of order 3, second-order bound not positive")
+    assert vo.certificate.endswith("open: the mixed supports")
 
 
 def test_classify_two_block_mixed_support_off_grid():
@@ -222,7 +232,7 @@ def test_entry_rows_match_definition():
         h, e = rotated_beta_rows(sysm, H, E, Qb)
         for _ in range(5):
             z = rng.standard_normal(H.shape[-1])
-            Gxi = sum(z[k] * sysm.jac[k].full() for k in range(n))
+            Gxi = sum(z[k] * sysm.Ds[k] for k in range(n))
             Ht = d.P.T @ Gxi @ d.P
             Et = d.P.T @ sym_mat(z[n:], p).full() @ d.P
             assert np.allclose(H @ z, Ht, rtol=0.0, atol=1e-12)
@@ -359,6 +369,82 @@ def test_classify_beta3_and_determinism():
     v2 = classify_multiplier(sysm)
     assert v2.certificate == v.certificate
     assert np.array_equal(v2.witness[0], v.witness[0])
+
+
+def planted_critical_pair(rng, q):
+    """A pair with a planted witness (xi0, e0) and a non-commuting beta
+    block of order q.
+
+    x = 0, G(0) = 0 of order q, Y = 0 and f_lin = 0, so every index is
+    in beta. h0 = U diag(a) U^T and e0 = -U diag(b) U^T with
+    complementary supports, U random orthogonal or the eigenvectors of
+    D_2; D_1 makes G'(0) xi0 = h0 and f_quad maps xi0 to
+    v = -(<D_k, e0>)_k, which closes the adjoint equation.
+    """
+    n = int(rng.integers(3, 6))
+    xi0 = rng.standard_normal(n)
+    xi0 /= np.linalg.norm(xi0)
+    D = [None] + [M + M.T for M in rng.standard_normal((n - 1, q, q))]
+    U = np.linalg.qr(rng.standard_normal((q, q)))[0] if rng.integers(2) else np.linalg.eigh(D[1])[1]
+    r1 = int(rng.integers(0, q + 1))
+    r2 = int(rng.integers(0, q - r1 + 1))
+    a = np.concatenate([rng.uniform(0.5, 2.0, r1), np.zeros(q - r1)])
+    b = np.concatenate([np.zeros(r1), rng.uniform(0.5, 2.0, r2), np.zeros(q - r1 - r2)])
+    h0, e0 = (U * a) @ U.T, -(U * b) @ U.T
+    D[0] = (h0 - sum(xi0[k] * D[k] for k in range(1, n))) / xi0[0]
+    v = -np.array([np.sum(Dk * e0) for Dk in D])
+    P = np.eye(n) - np.outer(xi0, xi0)
+    R = rng.standard_normal((n, n))
+    fq = np.outer(v, xi0) + np.outer(xi0, v) - (xi0 @ v) * np.outer(xi0, xi0) + P @ (R + R.T) @ P
+    pd = make_problem(np.zeros(n), fq, SymMat.zeros(q), [SymMat(Dk) for Dk in D])
+    return context(pd, np.zeros(n), SymMat.zeros(q)), xi0, SymMat(e0)
+
+
+def test_classify_planted_critical_pairs():
+    # a planted witness rules out Noncritical; every Critical found is
+    # re-verified, and both witness tiers of the |beta| >= 3 path fire
+    rng = np.random.default_rng(21)
+    tiers = {"pure support": 0, "frame": 0, UNDETERMINED: 0}
+    for trial in range(48):
+        q = 3 + trial % 2
+        sysm, xi0, e0 = planted_critical_pair(rng, q)
+        assert sysm.ctx.decomp.beta.size == q and witness_residual(sysm, xi0, e0) <= 1e-9
+        v = classify_multiplier(sysm)
+        assert v.tag != NONCRITICAL, (trial, v.certificate)
+        if v.tag == CRITICAL:
+            assert witness_residual(sysm, *v.witness) <= 1e-7 and v.residual <= 1e-7
+            tiers["pure support" if "pure support" in v.certificate else "frame"] += 1
+        else:
+            tiers[UNDETERMINED] += 1
+            assert v.certificate.startswith(f"semi-decision: beta block of order {q}") and v.witness is None
+    assert tiers["pure support"] >= 10 and tiers["frame"] >= 5, tiers
+
+
+def test_classify_coupled_probe_bounds():
+    # the 60 coupled pairs of ROADMAP item 2: at most 20 stay Undetermined,
+    # and each Noncritical carries an S-procedure bound above TOL_POS that
+    # the bound recomputed from the pair reproduces
+    rng = np.random.default_rng(0)
+    tags = {CRITICAL: 0, NONCRITICAL: 0, UNDETERMINED: 0}
+    for _ in range(60):
+        pd, x, Y = coupled_block_pair(rng, int(rng.integers(6, 8)), 3)
+        sysm = context(pd, x, Y)
+        v = classify_multiplier(sysm)
+        tags[v.tag] += 1
+        if v.tag == NONCRITICAL:
+            printed, form = re.search(r"S-procedure bound (\S+) > 0 of (-?Q) ", v.certificate).groups()
+            _, Qh, blocks = reduced_second_order_form(sysm)
+            bound, _ = _supergradient_bound(-Qh if form == "-Q" else Qh, blocks)
+            assert bound > TOL_POS and f"{bound:.6e}" == printed
+    assert tags[UNDETERMINED] <= 20, tags
+
+
+def test_classify_multiplier_takes_no_options():
+    pd, x, Y = coupled_block_pair(np.random.default_rng(0), 6, 3)
+    sysm = context(pd, x, Y)
+    for option in ("samples", "seed"):
+        with pytest.raises(TypeError, match=option):
+            classify_multiplier(sysm, **{option: 1})
 
 
 def test_classify_unverifiable_witness_is_undetermined():
@@ -558,8 +644,9 @@ def _outcome(check, *args):
 
 def _witness_residual_by_symmats(sysm, xi, eta):
     """witness_residual as SymMat arithmetic, one Jacobian at a time."""
-    adj = sysm.hessL @ xi + np.array([Dk.inner(eta) for Dk in sysm.jac])
-    H = SymMat(sum((xi[k] * sysm.jac[k].full() for k in range(sysm.n)), np.zeros((sysm.p, sysm.p))))
+    jac = [SymMat(Dk) for Dk in sysm.Ds]
+    adj = sysm.hessL @ xi + np.array([Dk.inner(eta) for Dk in jac])
+    H = SymMat(sum((xi[k] * jac[k].full() for k in range(sysm.n)), np.zeros((sysm.p, sysm.p))))
     fixed = H - dir_deriv_from_decomp(sysm.ctx.decomp, H + eta)
     return math.hypot(float(np.linalg.norm(adj)), fixed.norm())
 
@@ -581,7 +668,7 @@ def test_analysis_context_matches_the_per_step_path_bit_for_bit(kind):
         assert sysm.kkt.residuals == kkt.residuals and kkt.certified
         assert same(sysm.ctx.X.full(), project_psd(eval_G(pd, x) + Y).full())
         d = sysm.ctx.decomp
-        rotated = np.array([d.rotate(Dk) for Dk in eval_G_jacobian(pd, x)]).reshape(n, p, p)
+        rotated = np.array([d.rotate(Dk) for Dk in jacobian_stack(pd, x)]).reshape(n, p, p)
         assert same(sysm.Dt, rotated)
         for field in ("hessL", "Ds", "Dt", "cone_rows", "cone_null"):
             assert same(getattr(sysm, field), getattr(ref, field)), field

@@ -119,6 +119,9 @@ def test_fit_order_exponent():
     assert abs(e - 2.0 / 3.0) <= 1e-12 and se <= 1e-12
     with pytest.raises(InputDataError):
         fit_order_exponent([(1e-2, 0.0), (1e-3, 0.0)])
+    # equal parameters carry no slope, however many deviations they hold
+    with pytest.raises(InputDataError, match="two distinct parameters"):
+        fit_order_exponent([(1e-2, 1e-1), (1e-2, 2e-1), (1e-2, 3e-1)])
 
 
 def test_example2_experiment(fam2):

@@ -14,9 +14,9 @@ from kkt_spectra.problem import (
     adjoint_jacobian_apply,
     builtin_family,
     eval_G,
-    eval_G_jacobian,
     eval_grad_f,
     jacobian_apply,
+    jacobian_stack,
     kkt_point,
     kkt_residual,
     lagrangian_hessian,
@@ -53,14 +53,14 @@ def test_derivatives_against_finite_differences():
             quad,
         )
         x = rng.standard_normal(n)
-        Ds = eval_G_jacobian(pd, x)
+        Ds = jacobian_stack(pd, x)
         Y = random_symmetric(rng, p, 2.0)
         H = lagrangian_hessian(pd, x, Y)
         for i in range(n):
             e = np.zeros(n)
             e[i] = h
             fd = (eval_G(pd, x + e).full() - eval_G(pd, x - e).full()) / (2 * h)
-            worst_jac = max(worst_jac, np.max(np.abs(fd - Ds[i].full())))
+            worst_jac = max(worst_jac, np.max(np.abs(fd - Ds[i])))
             gp = eval_grad_f(pd, x + e) + adjoint_jacobian_apply(pd, x + e, Y)
             gm = eval_grad_f(pd, x - e) + adjoint_jacobian_apply(pd, x - e, Y)
             worst_hess = max(worst_hess, np.max(np.abs((gp - gm) / (2 * h) - H[:, i])))
@@ -112,7 +112,7 @@ def test_stacked_evaluations_match_per_matrix_loops():
             H = pd.f_quad + np.array([[np.sum(B[i][j] * Y.full()) for j in range(n)] for i in range(n)])
 
             assert _close(eval_G(pd, x).full(), G)
-            assert all(_close(Dn.full(), D) for Dn, D in zip(eval_G_jacobian(pd, x), Ds))
+            assert all(_close(Dn, D) for Dn, D in zip(jacobian_stack(pd, x), Ds))
             assert _close(jacobian_apply(pd, x, d).full(), push)
             assert _close(adjoint_jacobian_apply(pd, x, Y), adj)
             assert _close(lagrangian_hessian(pd, x, Y), 0.5 * (H + H.T))
@@ -233,10 +233,8 @@ def test_example3_path_jacobian_rank(fam3):
     pd = fam3.problem
     p1, p2 = fam3.perturbation(1e-3)
     spt = shifted_problem(pd, p1, p2)
-    Ds = eval_G_jacobian(spt, fam3.reference_x(1e-3))
-    A = np.stack(
-        [np.array([D.full()[0, 0], D.full()[1, 1], D.full()[0, 1]]) for D in Ds]
-    )
+    Ds = jacobian_stack(spt, fam3.reference_x(1e-3))
+    A = np.stack([np.array([D[0, 0], D[1, 1], D[0, 1]]) for D in Ds])
     assert np.linalg.matrix_rank(A) == 2
 
 

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import context, random_symmetric, sample_diag_problem
+from conftest import context, coupled_block_pair, random_symmetric, sample_diag_problem
 from kkt_spectra import lpkernel, sosc
 from kkt_spectra.cli import main
 from kkt_spectra.cones import cone_context, critical_cone_psd_membership, project_critical_cone_polar
@@ -173,24 +173,6 @@ def test_s_procedure_exact_on_the_circle():
             assert r.min_value == np.inf and r.verdict == SOSCY_HOLDS
         else:
             assert abs(r.min_value - grid) <= 1e-6
-
-
-def coupled_block_pair(rng, n, q):
-    """Pair at x = 0 whose q x q degenerate block is driven by dense
-    Jacobians, so its blocks do not commute.
-
-    G(0) = 0 of order q + 1 and Y = Diag(0, ..., 0, -w): beta is the
-    first q indices and gamma the last. The first Jacobian is positive
-    definite, so Robinson's condition holds, and f_lin makes the pair
-    stationary.
-    """
-    p = q + 1
-    w = float(rng.uniform(0.5, 2.0))
-    A = [random_symmetric(rng, p).full() for _ in range(n)]
-    A[0] = A[0] + (0.5 - min(0.0, np.linalg.eigvalsh(A[0]).min())) * np.eye(p)
-    G_lin = [SymMat(Ak) for Ak in A]
-    pd = make_problem([w * Ak[-1, -1] for Ak in A], random_symmetric(rng, n).full(), SymMat.zeros(p), G_lin)
-    return pd, np.zeros(n), SymMat.diag([0.0] * q + [-w])
 
 
 def test_s_procedure_verdicts_are_certified():
@@ -414,7 +396,7 @@ def theorem3_sample_loop(sys, samples, seed):
     number of samples that admit an eta and the largest |inner product|.
     """
     p = sys.p
-    A = np.stack([sym_vec(Dk) for Dk in sys.jac])
+    A = np.stack([sym_vec(Dk) for Dk in sys.Ds])
     Z = sys.cone_null
     rng = np.random.default_rng(seed + 1)
     accepted = 0
