@@ -43,7 +43,6 @@ from .problem import (
     example2_family,
     example3_family,
     kkt_point,
-    kkt_residual,
     load_point,
     load_problem,
     make_problem,

@@ -19,6 +19,7 @@ import numpy as np
 from .cones import is_normal_cone_polyhedral, strict_complementarity
 from .criticality import (
     analysis_context,
+    certified_split,
     classify_multiplier,
     rcq_holds,
     srcq_holds,
@@ -30,6 +31,7 @@ from .problem import (
     FAMILY_NAMES,
     PerturbationFamily,
     builtin_family,
+    kkt_point,
     load_point,
     load_problem,
 )
@@ -62,6 +64,12 @@ def _geo_schedule(text: str):
     return (start, end, count)
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError("--seed must be a non-negative integer")
+    return int(text)
+
+
 def _inline_json(label):
     def parse(text: str):
         try:
@@ -82,7 +90,7 @@ def build_parser() -> _Parser:
     knobs = {
         "--tol-eig": dict(type=float, help="eigenvalue zero-classification tolerance"),
         "--tol-feas": dict(type=float, default=1e-8, help="feasibility tolerance of the RCQ check"),
-        "--seed": dict(type=int, default=42, help="seed of the sweep's jittered starts"),
+        "--seed": dict(type=_seed, default=42, help="seed of the sweep's jittered starts"),
     }
     for name, blurb, flags in (
         ("analyze", "full pipeline: residuals, partition, qualifications, verdicts",
@@ -315,7 +323,8 @@ def cmd_perturb(args) -> dict:
         x, Y = _point(args, fam, pd)
         if args.p1 is None or args.p2 is None:
             raise InputDataError("user problems need --p1 and --p2 perturbation directions")
-        pair = analysis_context(pd, x, Y).kkt
+        pair = kkt_point(pd, x, Y)
+        certified_split(pd, pair)
         p1d = np.asarray(args.p1, dtype=float).reshape(pd.n)
         p2d = as_symmat(args.p2)
         if p2d.p != pd.p:

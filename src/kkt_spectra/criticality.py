@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cones import ConeContext, check_complementary, cone_context, cone_context_from_matrix
+from .cones import ConeContext, check_complementary, cone_context_from_matrix
 from .errors import InputDataError, NumericError
 from .lpkernel import (
     cone_kernel_nontrivial,
@@ -40,7 +40,7 @@ from .problem import (
     ProblemData,
     eval_G,
     jacobian_stack,
-    kkt_residual_from,
+    kkt_point,
     lagrangian_hessian,
 )
 from .symmat import (
@@ -105,53 +105,38 @@ class CriticalityVerdict:
     residual: float
 
 
-def _require_certified(kkt: KKTPoint) -> None:
+def complementary_split(kkt: KKTPoint, tol: Optional[float] = None) -> ConeContext:
+    """The split of G(x) + Y that kkt holds, or a re-split at the partition's
+    zero tolerance tol, checked to give back (G(x), Y) within 1e-6."""
+    ctx = kkt.split if tol is None else cone_context_from_matrix(kkt.split.decomp.source, tol)
+    check_complementary(ctx, kkt.G, kkt.Y, tol=1e-6)
+    return ctx
+
+
+def certified_split(pd: ProblemData, kkt: KKTPoint, tol: Optional[float] = None) -> ConeContext:
+    """complementary_split of kkt; InputDataError first when kkt is not a
+    kkt_point of pd, then when it is uncertified."""
+    if kkt.pd is not pd:
+        raise InputDataError("the KKT point was evaluated on a different problem")
     if not kkt.certified:
         raise InputDataError(
             f"KKT residuals {kkt.residuals} exceed certification tolerance"
         )
+    return complementary_split(kkt, tol)
 
 
 def analysis_context(pd: ProblemData, x, Y, tol: Optional[float] = None) -> CriticalitySystem:
-    """Certify the pair (x, Y) and assemble its analysis context.
-
-    G(x), the Jacobian stack and the split of G(x) + Y are each computed
-    once, and the KKT residuals are read from them; they equal those of
-    kkt_point bit for bit. An uncertified pair raises InputDataError
-    before the complementarity check. tol is the eigenvalue
-    zero-classification tolerance of the partition (None: the
-    decomposition's default).
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    x.flags.writeable = False
-    Y = as_symmat(Y)
-    Gx = eval_G(pd, x)
-    D = jacobian_stack(pd, x)
-    ctx = cone_context_from_matrix(Gx + Y, tol)
-    kkt = KKTPoint(x, Y, kkt_residual_from(pd, x, Y, Gx, D, ctx.X))
-    _require_certified(kkt)
-    check_complementary(ctx, Gx, Y, tol=1e-6)
-    return _assemble(pd, kkt, Gx, D, ctx)
+    """build_system of the pair (x, Y) of pd."""
+    return build_system(pd, kkt_point(pd, x, Y), tol)
 
 
 def build_system(pd: ProblemData, kkt: KKTPoint, tol: Optional[float] = None) -> CriticalitySystem:
-    """The analysis_context of the pair of kkt, which must be certified;
-    tol as in analysis_context."""
-    _require_certified(kkt)
-    return analysis_context(pd, kkt.x, kkt.Y, tol)
-
-
-def _rotated(d: SpectralDecomp, Ds: np.ndarray) -> np.ndarray:
-    """P^T D P for every matrix D of the stack Ds, in one batched product."""
-    return (d.P.T @ Ds) @ d.P
-
-
-def _assemble(pd: ProblemData, kkt: KKTPoint, Gx: SymMat, D: np.ndarray, ctx: ConeContext) -> CriticalitySystem:
-    """The context of a certified pair from G(x), the Jacobian stack D at
-    x and the split ctx of G(x) + Y."""
+    """The analysis context of kkt, a certified kkt_point of pd, assembled
+    from the evaluations it carries; tol as in complementary_split (None:
+    the decomposition's default)."""
+    ctx = certified_split(pd, kkt, tol)
     d = ctx.decomp
-    Ds = symmetrized(D)
-    Dt = _rotated(d, Ds)
+    Dt = _rotated(d, kkt.Ds)
     # gamma x (beta u gamma) entries on and below the diagonal, row-major;
     # the alpha, beta and gamma index blocks are contiguous in that order
     ka, g0 = d.alpha.size, d.p - d.gamma.size
@@ -159,7 +144,12 @@ def _assemble(pd: ProblemData, kkt: KKTPoint, Gx: SymMat, D: np.ndarray, ctx: Co
     cone_rows = Dt[:, ii + g0, jj + ka].T
     cone_null = null_space(cone_rows, atol=_rank_atol(Dt))
     hessL = lagrangian_hessian(pd, kkt.x, kkt.Y)
-    return CriticalitySystem(pd, kkt, hessL, Gx, Ds, ctx, Dt, cone_rows, cone_null)
+    return CriticalitySystem(pd, kkt, hessL, kkt.G, kkt.Ds, ctx, Dt, cone_rows, cone_null)
+
+
+def _rotated(d: SpectralDecomp, Ds: np.ndarray) -> np.ndarray:
+    """P^T D P for every matrix D of the stack Ds, in one batched product."""
+    return (d.P.T @ Ds) @ d.P
 
 
 def _rank_atol(Dt: np.ndarray) -> float:
@@ -710,8 +700,9 @@ def check_srcq(pd: ProblemData, xbar, ybar, tol: Optional[float] = None) -> bool
 
     tol is the partition tolerance, with the meaning it has in build_system.
     """
-    d = cone_context(eval_G(pd, xbar), ybar, tol_zero=tol, tol=1e-6).decomp
-    return srcq_holds(d, _rotated(d, symmetrized(jacobian_stack(pd, xbar))))
+    kkt = kkt_point(pd, xbar, ybar)
+    d = complementary_split(kkt, tol).decomp
+    return srcq_holds(d, _rotated(d, kkt.Ds))
 
 
 # ----------------------------------------------------------------------

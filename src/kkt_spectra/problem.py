@@ -2,7 +2,7 @@
 
 A problem is min f(x) subject to G(x) PSD, with quadratic f and a
 degree-2 matrix polynomial G(x) = A0 + sum_i x_i A_i + 1/2 sum_ij x_i x_j B_ij.
-This module evaluates values and derivatives, KKT and normal-map
+This module evaluates values and derivatives, KKT pairs, normal-map
 residuals (the normal map also at a stack of points, with the spectral
 split of z it computed if asked, and G, its Jacobians and the Lagrangian
 Hessian on stacked arrays), multiplier-set distances, and loads problems
@@ -20,13 +20,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .cones import ConeContext, cone_context_from_matrix
 from .errors import InputDataError
 from .symmat import (
     SymMat,
     as_symmat,
     eigh,
     packing_tables,
-    project_psd,
     spectral_decompose,
     spectral_stack,
     svec_indices,
@@ -237,25 +237,6 @@ def lagrangian_hessian(pd: ProblemData, x, Y) -> np.ndarray:
     return hessian_array(pd, as_symmat(Y).full())
 
 
-def kkt_residual(pd: ProblemData, x, Y) -> tuple[float, float]:
-    """Stationarity and complementarity residuals of a candidate pair.
-
-    r1 is the Euclidean norm of the Lagrangian gradient, r2 the Frobenius
-    norm of the natural-map residual G(x) - Pi(G(x) + Y).
-    """
-    Y = as_symmat(Y)
-    Gx = eval_G(pd, x)
-    return kkt_residual_from(pd, x, Y, Gx, jacobian_stack(pd, x), project_psd(Gx + Y))
-
-
-def kkt_residual_from(pd: ProblemData, x, Y: SymMat, Gx: SymMat, D: np.ndarray, X: SymMat) -> tuple[float, float]:
-    """kkt_residual from evaluations already made at x: Gx = G(x), the
-    Jacobian stack D = jacobian_stack(pd, x) and X = Pi(G(x) + Y)."""
-    n, p = pd.n, pd.p
-    r1 = float(np.linalg.norm(eval_grad_f(pd, x) + D.reshape(n, p * p) @ Y.full().ravel()))
-    return r1, (Gx - X).norm()
-
-
 def normal_map_stack(pd: ProblemData, x, z) -> tuple[np.ndarray, np.ndarray]:
     """Normal-map values (Psi_1, Psi_2) at a stack of k points (x, z):
     ProblemKernels.normal_map for x of shape (k, n), with Psi_2 as
@@ -311,10 +292,17 @@ def multiplier_set_residual(pd: ProblemData, xbar, Y) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class KKTPoint:
-    """A candidate primal/multiplier pair with its KKT residuals."""
+    """A candidate pair (x, Y) of the problem pd with the evaluations every
+    analysis of the pair reads, each made once: G = G(x), the Jacobians
+    D_k(x) as one symmetric stack Ds (n, p, p), the split of G(x) + Y at
+    the default partition, and the KKT residuals read from them."""
 
+    pd: ProblemData
     x: np.ndarray
     Y: SymMat
+    G: SymMat
+    Ds: np.ndarray
+    split: ConeContext
     residuals: tuple[float, float]
 
     @property
@@ -323,10 +311,20 @@ class KKTPoint:
 
 
 def kkt_point(pd: ProblemData, x, Y) -> KKTPoint:
-    x = np.asarray(x, dtype=float).reshape(-1)
+    """Evaluate the pair (x, Y) of pd; InputDataError unless x has n entries
+    and Y order p. Its residuals are the norm of the Lagrangian gradient and
+    the Frobenius norm of the natural-map residual G(x) - Pi(G(x) + Y)."""
     Y = as_symmat(Y)
+    x = _checked_x(pd, x)
+    n, p = pd.n, pd.p
+    if Y.p != p:
+        raise InputDataError(f"matrix orders differ: {p} vs {Y.p}")
     x.flags.writeable = False
-    return KKTPoint(x, Y, kkt_residual(pd, x, Y))
+    Gx = SymMat(_G_array(pd, x))
+    D = jacobian_array(pd, x)
+    split = cone_context_from_matrix(Gx + Y)
+    r1 = float(np.linalg.norm(eval_grad_f(pd, x) + D.reshape(n, p * p) @ Y.full().ravel()))
+    return KKTPoint(pd, x, Y, Gx, symmetrized(D), split, (r1, (Gx - split.X).norm()))
 
 
 def shifted_problem(pd: ProblemData, p1, p2) -> ProblemData:

@@ -16,17 +16,15 @@ import numpy as np
 
 from .cones import (
     ConeContext,
-    cone_context,
     cone_context_from_matrix,
     critical_cone_psd_membership,
 )
-from .criticality import CriticalitySystem, _rank_atol, beta_block_rows
+from .criticality import CriticalitySystem, _rank_atol, beta_block_rows, complementary_split
 from .errors import InputDataError, NumericError
 from .lpkernel import cone_kernel_nontrivial, null_space, subspace_psd_nontrivial
 from .problem import (
     ProblemData,
-    eval_G,
-    jacobian_apply,
+    kkt_point,
     lagrangian_hessian,
     multiplier_set_residual,
 )
@@ -84,11 +82,16 @@ def sigma_term(ctx: ConeContext, H, tol: float = 1e-7) -> float:
     return 2.0 * total
 
 
+def _pushed(Ds: np.ndarray, d) -> SymMat:
+    """G'(x) d from the symmetric Jacobian stack Ds of shape (n, p, p) at x."""
+    n, p = Ds.shape[:2]
+    return SymMat((np.asarray(d, dtype=float).reshape(n) @ Ds.reshape(n, p * p)).reshape(p, p))
+
+
 def critical_cone_x_membership(pd: ProblemData, xbar, ybar, d) -> dict:
     """Check G'(xbar) d against the matrix critical cone at (G(xbar), ybar)."""
-    ctx = cone_context(eval_G(pd, xbar), ybar, tol=1e-6)
-    H = jacobian_apply(pd, xbar, d)
-    mem = critical_cone_psd_membership(ctx, H)
+    kkt = kkt_point(pd, xbar, ybar)
+    mem = critical_cone_psd_membership(complementary_split(kkt), _pushed(kkt.Ds, d))
     return {"member": mem.member, "violation": mem.violation}
 
 
@@ -105,11 +108,10 @@ def _sigma_quadratic(sys: CriticalitySystem) -> np.ndarray:
 
 def evaluate_second_order_form(pd: ProblemData, xbar, ybar, d) -> float:
     """q(d) = <d, hessL d> - sigma_term along G'(xbar)d."""
+    kkt = kkt_point(pd, xbar, ybar)
+    ctx, H = complementary_split(kkt), _pushed(kkt.Ds, d)
     d = np.asarray(d, dtype=float)
-    ctx = cone_context(eval_G(pd, xbar), ybar, tol=1e-6)
-    hessL = lagrangian_hessian(pd, xbar, ybar)
-    H = jacobian_apply(pd, xbar, d)
-    return float(d @ hessL @ d) - sigma_term(ctx, H)
+    return float(d @ lagrangian_hessian(pd, xbar, ybar) @ d) - sigma_term(ctx, H)
 
 
 def _beta_block_map(sys: CriticalitySystem):
@@ -329,7 +331,7 @@ def check_soscy(sys: CriticalitySystem) -> SecondOrderReport:
     for c in (s * v for v in cands for s in (1.0, -1.0)):
         c = _restore(blocks, c) if d.beta.size > 2 else c
         stats["starts"] += 1
-        mem = critical_cone_psd_membership(sys.ctx, jacobian_apply(sys.pd, sys.kkt.x, Z @ c), tol)
+        mem = critical_cone_psd_membership(sys.ctx, _pushed(sys.Ds, Z @ c), tol)
         val = float(c @ Qh @ c)
         if mem.member:
             stats["certified"] += 1

@@ -12,7 +12,8 @@ import pytest
 import kkt_spectra
 from conftest import planted_pair
 from kkt_spectra.cli import build_parser, main
-from kkt_spectra.problem import builtin_family, eval_G, example3_family, load_problem, problem_to_dict
+from kkt_spectra.criticality import build_system
+from kkt_spectra.problem import builtin_family, eval_G, example3_family, kkt_point, load_problem, problem_to_dict
 
 
 def run(argv):
@@ -314,6 +315,10 @@ def test_flag_validation():
             code, out, err = run(["analyze", "--family", "example2", flag, value])
             assert (code, out) == (2, ""), (flag, value)
             assert err == f"error: {flag} must be finite and positive\n"
+    # a negative seed is a usage error naming --seed, not a traceback from the generator
+    code, out, err = run(["perturb", "--family", "example2", "--seed", "-1", "--geo", "1e-2:1e-3:2"])
+    assert (code, out) == (1, "")
+    assert "argument --seed: --seed must be a non-negative integer" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("end", ["nan", "inf", "-inf"])
@@ -433,17 +438,20 @@ def test_parser_built_once_matches_fresh_parser():
         assert run(argv) == result
 
 
-@pytest.mark.parametrize("source", ["family", "file"])
+@pytest.mark.parametrize("source", ["family", "file", "library"])
 def test_analyze_evaluates_and_decomposes_each_pair_once(source, tmp_path, monkeypatch):
     # one analyze report: one G(x), one Jacobian stack, one split of
     # G(x) + Y (every section but RCQ reads it) and one decomposition of
-    # G(x) alone (RCQ)
+    # G(x) alone (RCQ); the library idiom build_system(pd, kkt_point(...))
+    # makes the same evaluations and split, and no RCQ decomposition
+    argv = None
     if source == "family":
         fam = builtin_family("example2")
         pd, x, Y = fam.problem, fam.xbar, fam.ybar
         argv = ["analyze", "--family", "example2", "--format", "json"]
     else:
         pd, x, Y = planted_pair(np.random.default_rng(0), "coupled", 3, 3)  # one index in each block
+    if source == "file":
         ppath, xpath = tmp_path / "prob.json", tmp_path / "pt.json"
         ppath.write_text(json.dumps(problem_to_dict(pd)))
         xpath.write_text(json.dumps({"x": x.tolist(), "Y": Y.full().tolist()}))
@@ -480,8 +488,11 @@ def test_analyze_evaluates_and_decomposes_each_pair_once(source, tmp_path, monke
         for name, wrapper in wrappers.items():
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
-    code, out, err = run(argv)
-    assert code == 0, err
+    if argv is None:
+        build_system(pd, kkt_point(pd, x, Y))
+    else:
+        code, out, err = run(argv)
+        assert code == 0, err
     assert calls == {"G": 1, "jacobians": 1}
     counts = {key: sum(np.array_equal(M, T) for M in decomposed) for key, T in targets.items()}
-    assert counts == {"G(x)": 1, "G(x) + Y": 1}
+    assert counts == {"G(x)": int(argv is not None), "G(x) + Y": 1}

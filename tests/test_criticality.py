@@ -28,9 +28,10 @@ from kkt_spectra.criticality import (
     witness_residual,
     xpart_condition,
 )
+from kkt_spectra.cones import cone_context_from_matrix
 from kkt_spectra.errors import InputDataError, NumericError
 from kkt_spectra.lpkernel import nontrivial_xi_solution, null_space
-from kkt_spectra.problem import eval_G, jacobian_stack, kkt_point, make_problem
+from kkt_spectra.problem import eval_G, eval_grad_f, jacobian_stack, kkt_point, make_problem
 from kkt_spectra.sosc import TOL_POS, _supergradient_bound, check_soscy, reduced_second_order_form
 from kkt_spectra.symmat import SymMat, as_symmat, dir_deriv_from_decomp, project_psd, sym_mat
 
@@ -665,7 +666,7 @@ def test_analysis_context_matches_the_per_step_path_bit_for_bit(kind):
         kkt = kkt_point(pd, x, Y)
         sysm = analysis_context(pd, x, Y)
         ref = build_system(pd, kkt)
-        assert sysm.kkt.residuals == kkt.residuals and kkt.certified
+        assert kkt.certified
         assert same(sysm.ctx.X.full(), project_psd(eval_G(pd, x) + Y).full())
         d = sysm.ctx.decomp
         rotated = np.array([d.rotate(Dk) for Dk in jacobian_stack(pd, x)]).reshape(n, p, p)
@@ -679,6 +680,60 @@ def test_analysis_context_matches_the_per_step_path_bit_for_bit(kind):
             xi = rng.standard_normal(n)
             eta = SymMat(rng.standard_normal((p, p)))
             assert witness_residual(sysm, xi, eta) == _witness_residual_by_symmats(sysm, xi, eta)
+
+
+def test_kkt_point_residuals_match_the_projection_formula_bit_for_bit():
+    # the residuals kkt_point reads from its split of G(x) + Y equal the
+    # formula on the PSD projection of G(x) + Y, at planted certified pairs
+    # and at random pairs of the same problems
+    rng = np.random.default_rng(64)
+    for k in range(120):
+        n, p = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        pd, x, Y = planted_pair(rng, ("diagonal", "rotated", "coupled")[k % 3], n, p)
+        if k % 2:
+            x, Y = rng.standard_normal(n), SymMat(rng.standard_normal((p, p)))
+        G, D = eval_G(pd, x), jacobian_stack(pd, x)
+        r1 = float(np.linalg.norm(eval_grad_f(pd, x) + D.reshape(n, p * p) @ Y.full().ravel()))
+        assert kkt_point(pd, x, Y).residuals == (r1, (G - project_psd(G + Y)).norm())
+
+
+def test_build_system_rejects_a_point_of_another_problem(fam2):
+    twin = make_problem(fam2.problem.f_lin, fam2.problem.f_quad, fam2.problem.G_const, fam2.problem.G_lin)
+    kkt = kkt_point(fam2.problem, fam2.xbar, fam2.ybar)
+    with pytest.raises(InputDataError, match="different problem"):
+        build_system(twin, kkt)
+    assert build_system(fam2.problem, kkt).kkt is kkt
+
+
+def test_build_system_at_a_given_tolerance_resplits_the_pair():
+    # G(0) + Y = diag(2, 1e-7, -1e-7): a tolerance above 1e-7 moves the two
+    # small eigenvalues to beta, so build_system re-splits G(x) + Y there,
+    # as a fresh split and analysis_context at that tolerance do
+    G_lin = [SymMat.diag([1.0, 0.0, 0.0]), SymMat.diag([0.0, 1.0, 0.0])]
+    pd = make_problem([0.0, 0.0], np.eye(2), SymMat.diag([2.0, 1e-7, 0.0]), G_lin)
+    x, Y = [0.0, 0.0], SymMat.diag([0.0, 0.0, -1e-7])
+    kkt = kkt_point(pd, x, Y)
+    assert kkt.certified and kkt.split.decomp.beta.size == 0
+    for tol in (1e-6, 1e-3):
+        sysm, ref = build_system(pd, kkt, tol), analysis_context(pd, x, Y, tol)
+        d, fresh = sysm.ctx.decomp, cone_context_from_matrix(eval_G(pd, x) + Y, tol).decomp
+        assert d.beta.size == 2 and d.tol_zero == tol
+        assert np.array_equal(d.P, fresh.P) and np.array_equal(d.beta, fresh.beta)
+        for field in ("hessL", "Ds", "Dt", "cone_rows", "cone_null"):
+            assert np.array_equal(getattr(sysm, field), getattr(ref, field)), field
+        for a, b in ((sysm.G, ref.G), (sysm.ctx.X, ref.ctx.X), (sysm.ctx.Y, ref.ctx.Y)):
+            assert np.array_equal(a.full(), b.full())
+        for name in ("P", "lam", "alpha", "beta", "gamma", "sigma"):
+            assert np.array_equal(getattr(d, name), getattr(ref.ctx.decomp, name)), name
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_every_pair_path_rejects_a_multiplier_of_the_wrong_order(fam2, order):
+    pd, x, Y = fam2.problem, fam2.xbar, SymMat.eye(order)
+    message = f"matrix orders differ: 2 vs {order}"
+    for call in (kkt_point, analysis_context, check_srcq):
+        with pytest.raises(InputDataError, match=message):
+            call(pd, x, Y)
 
 
 def test_analysis_context_certifies_before_the_complementarity_check():

@@ -29,7 +29,7 @@ from kkt_spectra.problem import (
     eval_G,
     hessian_array,
     jacobian_array,
-    kkt_residual,
+    kkt_point,
     ProblemKernels,
     make_problem,
     normal_map_stack,
@@ -106,7 +106,7 @@ def test_example2_solve_matches_bisection_oracle(fam2):
         lam = np.linalg.eigvalsh(smp.Y.full())
         assert lam.max() <= 1e-9
         assert abs(smp.Y.full()[0, 0] + 1.0) <= 0.2
-        r1, r2 = kkt_residual(spd, smp.x, smp.Y)
+        r1, r2 = kkt_point(spd, smp.x, smp.Y).residuals
         assert max(r1, r2) <= 1e-9
         prev_x, prev_Y = smp.x, smp.Y
 

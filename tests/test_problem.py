@@ -18,7 +18,6 @@ from kkt_spectra.problem import (
     jacobian_apply,
     jacobian_stack,
     kkt_point,
-    kkt_residual,
     lagrangian_hessian,
     load_problem,
     make_problem,
@@ -171,7 +170,7 @@ def test_svec_basis_rotation_matches_loop_definition():
 def test_example2_reference_pair(fam2):
     pd = fam2.problem
     assert pd.n == 2 and pd.p == 2
-    r1, r2 = kkt_residual(pd, fam2.xbar, fam2.ybar)
+    r1, r2 = kkt_point(pd, fam2.xbar, fam2.ybar).residuals
     assert r1 == 0.0 and r2 == 0.0
     assert kkt_point(pd, fam2.xbar, fam2.ybar).certified
 
@@ -209,7 +208,7 @@ def test_example3_fixed_values(fam3):
     assert np.allclose(
         lagrangian_hessian(pd, [0, 0], SymMat.eye(2)), [[4.0, 3.0], [3.0, 4.0]]
     )
-    r1, r2 = kkt_residual(pd, fam3.xbar, fam3.ybar)
+    r1, r2 = kkt_point(pd, fam3.xbar, fam3.ybar).residuals
     assert r1 == 0.0 and r2 == 0.0
     xt = np.array([0.7, -0.3])
     assert np.allclose(eval_G(pd, xt).full(), np.diag([0.49 - 0.21, 0.09 - 0.21]))
@@ -221,7 +220,7 @@ def test_example3_reference_path(fam3):
         p1, p2 = fam3.perturbation(t)
         spt = shifted_problem(pd, p1, p2)
         xr = fam3.reference_x(t)
-        rr1, rr2 = kkt_residual(spt, xr, SymMat.zeros(2))
+        rr1, rr2 = kkt_point(spt, xr, SymMat.zeros(2)).residuals
         assert rr1 < 1e-12 * max(1.0, 1 / math.sqrt(t))
         assert rr2 < 1e-14
         assert np.linalg.eigvalsh(eval_G(spt, xr).full()).min() > -1e-15
