@@ -10,12 +10,15 @@ perturbation size alone or needs the multiplier drift as well.
 import numpy as np
 
 from kkt_spectra import (
+    SymMat,
     builtin_family,
     error_bound_experiment,
     fit_order_exponent,
     report_to_csv,
-    solve_perturbed_kkt,
+    shifted_problem,
+    solve_perturbed_starts,
 )
+from kkt_spectra.problem import ProblemKernels
 
 schedule = np.geomspace(1e-2, 1e-5, 13)
 
@@ -46,9 +49,13 @@ with open("example2_sweep.csv", "w") as fh:
     fh.write(report_to_csv(rep2))
 print("wrote example2_sweep.csv")
 
-# Individual solves are available directly; each returns the perturbed
-# pair plus iteration diagnostics. Warm starts come from continuation
-# when a previous solution is passed along.
+# Individual solves are available directly. solve_perturbed_starts runs
+# a list of (x, z) starts in lockstep, z = G(x) + Y on the perturbed
+# data, and returns per start the certified pair with its iteration
+# diagnostics, or the ConvergenceError that carries its best iterate.
+# Here one cold start: x = 0 with a zero multiplier, so z = G(0).
 p1, p2 = fam2.perturbation(1e-4)
-sol = solve_perturbed_kkt(fam2.problem, p1, p2)
+x0 = np.zeros(2)
+z0 = SymMat(ProblemKernels(shifted_problem(fam2.problem, p1, p2)).G(x0))
+(sol,) = solve_perturbed_starts(fam2.problem, p1, p2, [(x0, z0)])
 print("single solve at 1e-4: x =", sol.x, " iters =", sol.newton_iters)

@@ -20,7 +20,6 @@ from kkt_spectra import (
     sigma_term,
     theorem3_conditions,
 )
-from kkt_spectra.problem import eval_G
 
 # The curvature correction. For a constraint value X and multiplier Y,
 # directions H in the critical cone pick up the extra term

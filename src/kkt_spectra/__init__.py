@@ -46,10 +46,8 @@ from .problem import (
     load_point,
     load_problem,
     make_problem,
-    normal_map_stack,
     problem_from_dict,
     problem_to_dict,
-    robinson_normal_map,
     shifted_problem,
 )
 from .criticality import (
@@ -86,7 +84,6 @@ from .perturb import (
     lemma6_order_check,
     report_to_csv,
     report_to_dict,
-    solve_perturbed_kkt,
     solve_perturbed_starts,
     xpart_bound_check,
 )

@@ -30,13 +30,14 @@ from .perturb import error_bound_experiment, report_to_csv, report_to_dict
 from .problem import (
     FAMILY_NAMES,
     PerturbationFamily,
+    _field,
     builtin_family,
     kkt_point,
     load_point,
     load_problem,
 )
 from .sosc import check_soscy, theorem3_conditions
-from .symmat import SymMat, as_symmat
+from .symmat import SymMat
 
 SCHEMA = "kkt-spectra/1"
 
@@ -128,10 +129,21 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _inline_matrix(flag: str, value) -> SymMat:
+    """The inline JSON value of flag as a SymMat; its entries follow the
+    problem files' number rule, and InputDataError names flag unless it is
+    a square matrix of numbers."""
+    shape = np.asarray(value, dtype=object).shape
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise InputDataError(f"{flag}: expected a square matrix of numbers, got {json.dumps(value)}")
+    return SymMat(_field(value, flag, shape, "a square matrix of numbers"))
+
+
 def _source(args):
     """The builtin family of --family (None for --problem) and its problem data."""
     if args.family is not None:
-        fam = builtin_family(args.family, args.direction)
+        direction = None if args.direction is None else _inline_matrix("--direction", args.direction)
+        fam = builtin_family(args.family, direction)
         return fam, fam.problem
     if args.direction is not None:
         raise InputDataError("--direction steers a builtin family's perturbation and needs --family")
@@ -325,8 +337,8 @@ def cmd_perturb(args) -> dict:
             raise InputDataError("user problems need --p1 and --p2 perturbation directions")
         pair = kkt_point(pd, x, Y)
         certified_split(pd, pair)
-        p1d = np.asarray(args.p1, dtype=float).reshape(pd.n)
-        p2d = as_symmat(args.p2)
+        p1d = _field(args.p1, "--p1", pd.n, f"{pd.n} numbers")
+        p2d = _inline_matrix("--p2", args.p2)
         if p2d.p != pd.p:
             raise InputDataError("--p2 order does not match the problem")
         fam = PerturbationFamily(

@@ -35,14 +35,7 @@ from .lpkernel import (
     polish_xi_solution,
     subspace_psd_nontrivial,
 )
-from .problem import (
-    KKTPoint,
-    ProblemData,
-    eval_G,
-    jacobian_stack,
-    kkt_point,
-    lagrangian_hessian,
-)
+from .problem import KKTPoint, ProblemData, ProblemKernels, _checked_x, kkt_point
 from .symmat import (
     SpectralDecomp,
     SymMat,
@@ -143,7 +136,7 @@ def build_system(pd: ProblemData, kkt: KKTPoint, tol: Optional[float] = None) ->
     ii, jj = np.nonzero(np.tri(d.p, dtype=bool)[g0:, ka:])
     cone_rows = Dt[:, ii + g0, jj + ka].T
     cone_null = null_space(cone_rows, atol=_rank_atol(Dt))
-    hessL = lagrangian_hessian(pd, kkt.x, kkt.Y)
+    hessL = ProblemKernels(pd).hessians(kkt.Y.full())
     return CriticalitySystem(pd, kkt, hessL, kkt.G, kkt.Ds, ctx, Dt, cone_rows, cone_null)
 
 
@@ -692,7 +685,9 @@ def srcq_holds(d: SpectralDecomp, Dt: np.ndarray) -> bool:
 
 def check_rcq(pd: ProblemData, xbar, tol_feas: float = 1e-8) -> bool:
     """rcq_holds at xbar, from the problem data."""
-    return rcq_holds(eval_G(pd, xbar), symmetrized(jacobian_stack(pd, xbar)), tol_feas)
+    kern, x = ProblemKernels(pd), _checked_x(pd, xbar)
+    Ds = symmetrized(kern.jacobians(x).reshape(pd.n, pd.p, pd.p))
+    return rcq_holds(SymMat(kern.G(x)), Ds, tol_feas)
 
 
 def check_srcq(pd: ProblemData, xbar, ybar, tol: Optional[float] = None) -> bool:

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericError
-from .symmat import common_eigenframe, eigh, psd_preimage_span, sym_mat, sym_vec
+from .symmat import common_eigenframe, eigh, psd_preimage_span, sym_mat_stack, sym_vec
 
 FEAS_TOL = 1e-9
 IPM_STEPS = 50  # iteration cap of the interior-point tier
@@ -232,7 +232,7 @@ def _commuting_rows_tier(rows: np.ndarray, basis: np.ndarray, q: int):
     definite beyond round-off. Non-commuting rows, an LP that raises, or a
     verdict that fails its check leave the decision open (False, None).
     """
-    mats = np.stack([sym_mat(basis[:, j], q).full() for j in range(basis.shape[1])])
+    mats = sym_mat_stack(basis.T, q)
     Q = common_eigenframe(mats, q)
     if Q is None:
         return False, None
@@ -251,7 +251,7 @@ def _commuting_rows_tier(rows: np.ndarray, basis: np.ndarray, q: int):
         if np.linalg.norm(rows @ sym_vec(W)) <= FEAS_TOL * max(1.0, np.abs(rows).max()):
             return True, W
     elif y is not None:
-        lam, _ = eigh(sym_mat(basis @ y, q).full())
+        lam, _ = eigh(sym_mat_stack(basis @ y, q))
         if lam[-1] > 1e-12 * lam[0]:
             return True, None
     return False, None
@@ -276,9 +276,9 @@ def _interior_point_tier(rows: np.ndarray, N: np.ndarray, q: int) -> Optional[np
     a = N.T @ sym_vec(np.eye(q))
     K = null_space(a[None, :])
     m = K.shape[1] + 1
-    A = np.stack([sym_mat(v, q).full() for v in (N @ K).T] + [np.eye(q)])
+    A = np.concatenate([sym_mat_stack((N @ K).T, q), np.eye(q)[None]])
     Af = A.reshape(m, q * q)
-    C = sym_mat(N @ a, q).full() / (a @ a)
+    C = sym_mat_stack(N @ a, q) / (a @ a)
     y = np.append(np.zeros(m - 1), np.linalg.eigvalsh(C)[0] - 1.0)  # t below lambda_min(C)
     X = np.eye(q) / q
     for _ in range(IPM_STEPS):
@@ -309,7 +309,7 @@ def _interior_point_tier(rows: np.ndarray, N: np.ndarray, q: int) -> Optional[np
         except np.linalg.LinAlgError:
             break
         X, y = X + ap * dX, y + ad * dy
-    W = sym_mat(N @ (a / (a @ a) - K @ y[:-1]), q).full()
+    W = sym_mat_stack(N @ (a / (a @ a) - K @ y[:-1]), q)
     W = W / np.linalg.norm(W)
     residual = np.linalg.norm(rows @ sym_vec(W)) / max(1.0, np.abs(rows).max())
     if np.linalg.eigvalsh(W)[0] >= -1e-8 and residual <= FEAS_TOL:
@@ -352,14 +352,14 @@ def subspace_psd_nontrivial(constraint_rows, q: int) -> Optional[np.ndarray]:
     t = basis.T @ sym_vec(np.eye(q))
     nt = np.linalg.norm(t)
     t = t / nt if nt > 0 else np.eye(r)[0]
-    lam, V = eigh(sym_mat(basis @ t, q).full())
+    lam, V = eigh(sym_mat_stack(basis @ t, q))
     if lam.min() >= 1e-7:
         return None
     N = null_space(rows)
 
     # diagonal fast path: if every null-space matrix is diagonal the PSD
     # condition is componentwise and an LP sweep is exact
-    mats = [sym_mat(N[:, j], q).full() for j in range(N.shape[1])]
+    mats = sym_mat_stack(N.T, q)
     if all(np.abs(M - np.diag(np.diag(M))).max() <= 1e-12 * max(1.0, np.abs(M).max()) for M in mats):
         D = np.stack([np.diag(M) for M in mats]).T  # q x dimV
         for j in range(q):
@@ -378,7 +378,7 @@ def subspace_psd_nontrivial(constraint_rows, q: int) -> Optional[np.ndarray]:
         _, anchor = psd_preimage_span(N[0], N[1] / np.sqrt(2.0), N[2])
         if anchor is None:
             return None
-        W = sym_mat(N @ anchor, 2).full()
+        W = sym_mat_stack(N @ anchor, 2)
         return W / np.linalg.norm(W)
 
     decided, W = _commuting_rows_tier(rows, basis, q)

@@ -17,14 +17,7 @@ import numpy as np
 from .cones import ConeContext
 from .criticality import CriticalitySystem
 from .errors import ConvergenceError, InputDataError
-from .problem import (
-    PerturbationFamily,
-    ProblemData,
-    ProblemKernels,
-    _G_array,
-    eval_G,
-    shifted_problem,
-)
+from .problem import PerturbationFamily, ProblemData, ProblemKernels, shifted_problem
 from .sosc import SOSCY_HOLDS, check_soscy
 from .symmat import (
     SymMat,
@@ -34,6 +27,7 @@ from .symmat import (
     project_psd,
     svec_indices,
     svec_scale,
+    sym_mat_stack,
     sym_vec,
 )
 
@@ -118,18 +112,6 @@ def _projection_jacobian(lam: np.ndarray, P: np.ndarray) -> np.ndarray:
     return (R * w[:, None, :]) @ R.swapaxes(1, 2)
 
 
-def _svec_full(V: np.ndarray, p: int) -> np.ndarray:
-    """Dense symmetric (k, p, p) arrays from rows of svec coordinates."""
-    if not np.isfinite(V).all():
-        raise InputDataError("matrix entries must be finite")
-    return _packed_full(V / svec_scale(p), p)
-
-
-def _packed_full(U: np.ndarray, p: int) -> np.ndarray:
-    """Dense symmetric (k, p, p) arrays from rows of packed upper triangles."""
-    return U.take(packing_tables(p).gather, 1).reshape(len(U), p, p)
-
-
 def _packed_upper(A: np.ndarray) -> np.ndarray:
     """Packed upper triangles A[:, rows, cols] of a (k, p, p) stack, laid
     out as that fancy index lays them out: packed entries outermost in
@@ -171,7 +153,7 @@ def _residuals(kern: ProblemKernels, X: np.ndarray, ZV: np.ndarray):
     their norms, and the split (lam, P, Pi(z), D) kern.normal_map computed
     them from."""
     p = kern.p
-    psi1, psi2, split = kern.normal_map(X, _svec_full(ZV, p))
+    psi1, psi2, split = kern.normal_map(X, sym_mat_stack(ZV, p))
     # packed as _packed_upper lays it out: at n = 1 the concatenation
     # inherits that layout, and the row norms round by it
     R = np.concatenate([psi1, psi2.T.take(packing_tables(p).upper, 0).T * svec_scale(p)], axis=1)
@@ -192,7 +174,7 @@ def _newton_elements(kern: ProblemKernels, ZV: np.ndarray, split) -> np.ndarray:
     m = p * (p + 1) // 2
     svs = svec_scale(p)
     lam, P, Pz, D = split
-    Y = _svec_full(ZV - Pz.reshape(len(Pz), p * p).take(packing_tables(p).upper, 1) * svs, p)
+    Y = sym_mat_stack(ZV - Pz.reshape(len(Pz), p * p).take(packing_tables(p).upper, 1) * svs, p)
     # packed entries outermost in memory, as _packed_upper lays them out
     Dsv = D.transpose(2, 0, 1).take(packing_tables(p).upper, 0).transpose(1, 2, 0) * svs
     JP = _projection_jacobian(lam, P)
@@ -270,7 +252,7 @@ def _certify(kern: ProblemKernels, p1, p2, X, ZV, Pz, steps, tol_cert) -> list:
     """
     p = kern.p
     Y = _multipliers(ZV, Pz, p)
-    Zc = _packed_full(_packed_sym(kern.G(X)) + Y, p)
+    Zc = (_packed_sym(kern.G(X)) + Y).take(packing_tables(p).gather, 1).reshape(len(X), p, p)
     psi1, psi2, _ = kern.normal_map(X, Zc)
     norms = zip(_row_norms(psi1).tolist(), _row_norms(psi2.take(packing_tables(p).mirror, 1)).tolist())
     out = []
@@ -449,25 +431,6 @@ def solve_perturbed_starts(pd: ProblemData, p1, p2, starts) -> list:
     return out
 
 
-def solve_perturbed_kkt(pd: ProblemData, p1, p2, start=None):
-    """Track a KKT root of the canonically perturbed problem from one start.
-
-    The k = 1 case of solve_perturbed_starts; start is an (x, z) pair and
-    defaults to x = 0, z = G(0) of the shifted data. Returns the certified
-    PerturbationSample, raises its ConvergenceError (carrying the best
-    iterate) on stagnation, and InputDataError on a non-finite
-    perturbation or iterate.
-    """
-    p1, p2 = _perturbation(pd, p1, p2)
-    if start is None:
-        x0 = np.zeros(pd.n)
-        start = (x0, eval_G(shifted_problem(pd, p1, p2), x0))
-    (out,) = solve_perturbed_starts(pd, p1, p2, [start])
-    if isinstance(out, ConvergenceError):
-        raise out
-    return out
-
-
 def _jitter_draws(rng, n: int, p: int):
     """The JITTER_STARTS jitters of one schedule point from one block draw:
     per start its multiplier noise (p, p), then its x noise (n,), the
@@ -571,7 +534,7 @@ def error_bound_experiment(family: PerturbationFamily, schedule, *, seed: int = 
         X0 = np.vstack([prev_x, prev_x + delta * dx])
         Y_up = prev_Y.full()[rows, cols]
         Y0 = np.vstack([Y_up, Y_up + delta * _packed_sym(0.5 * (M + np.swapaxes(M, 1, 2)))])
-        Z0 = _packed_sym(_G_array(spd, X0)) + Y0
+        Z0 = _packed_sym(ProblemKernels(spd).G(X0)) + Y0
         outcomes = solve_perturbed_starts(
             pd, p1, p2, [(x0, SymMat._from_packed(p, z0)) for x0, z0 in zip(X0, Z0)]
         )
@@ -662,7 +625,9 @@ def lemma6_order_check(ctx: ConeContext, samples=8, seed=0, schedule=None):
     each block norm (in the fixed base frame) against both the parameter
     s and its predicted predictor (the X deviation, the Y deviation,
     their minimum, or their product). The alpha-gamma coupling residual
-    gets its own row under the key "eq89".
+    gets its own row under the key "eq89". InputDataError without a
+    direction of order p or two distinct schedule values, the least a fit
+    needs.
     """
     d = ctx.decomp
     P = d.P
@@ -673,6 +638,8 @@ def lemma6_order_check(ctx: ConeContext, samples=8, seed=0, schedule=None):
     if schedule is None:
         schedule = np.geomspace(1e-2, 1e-6, 9)
     schedule = np.asarray(list(schedule), dtype=float)
+    if np.unique(schedule).size < 2:
+        raise InputDataError(f"the schedule needs two distinct values, got {schedule.tolist()}")
     rng = np.random.default_rng(seed)
     if isinstance(samples, (int, np.integer)):
         dirs = []
@@ -683,6 +650,8 @@ def lemma6_order_check(ctx: ConeContext, samples=8, seed=0, schedule=None):
             dirs.append(M)
     else:
         dirs = [as_symmat(S).full() for S in samples]
+    if not dirs or any(M.shape != Ab.shape for M in dirs):
+        raise InputDataError(f"samples must give at least one direction, each of order {p}")
 
     idx = {"alpha": d.alpha, "beta": d.beta, "gamma": d.gamma}
     lam_a = d.lam[d.alpha]

@@ -2,12 +2,12 @@
 
 A problem is min f(x) subject to G(x) PSD, with quadratic f and a
 degree-2 matrix polynomial G(x) = A0 + sum_i x_i A_i + 1/2 sum_ij x_i x_j B_ij.
-This module evaluates values and derivatives, KKT pairs, normal-map
-residuals (the normal map also at a stack of points, with the spectral
-split of z it computed if asked, and G, its Jacobians and the Lagrangian
-Hessian on stacked arrays), multiplier-set distances, and loads problems
-from JSON files.
-It also registers the two builtin perturbation families.
+Two evaluators read the data: ProblemKernels evaluates the arrays (G,
+its Jacobian stack, the Lagrangian Hessians and the normal map, at one
+point or at a stack of points) and kkt_point evaluates a candidate pair
+once, for every analysis of it to read. The module also loads problems
+and points from JSON files and registers the two builtin perturbation
+families.
 """
 
 from __future__ import annotations
@@ -22,17 +22,7 @@ import numpy as np
 
 from .cones import ConeContext, cone_context_from_matrix
 from .errors import InputDataError
-from .symmat import (
-    SymMat,
-    as_symmat,
-    eigh,
-    packing_tables,
-    spectral_decompose,
-    spectral_stack,
-    svec_indices,
-    svec_stack,
-    symmetrized,
-)
+from .symmat import SymMat, as_symmat, spectral_stack, symmetrized
 
 CERTIFICATION_TOL = 1e-8
 
@@ -187,107 +177,12 @@ class ProblemKernels:
         return psi1, (self.G(x) - Pz).reshape(k, p * p), (lam, P, Pz, D)
 
 
-def _G_array(pd: ProblemData, x: np.ndarray) -> np.ndarray:
-    """G at x of shape (n,), or at each row of a stack (k, n), as (..., p, p)."""
-    return ProblemKernels(pd).G(x)
-
-
 def _checked_x(pd: ProblemData, x) -> np.ndarray:
+    """x as a float array of shape (n,); InputDataError unless it has n entries."""
     x = np.asarray(x, dtype=float)
     if x.size != pd.n:
         raise InputDataError(f"x has length {x.size}, expected {pd.n}")
     return x.reshape(pd.n)
-
-
-def eval_G(pd: ProblemData, x) -> SymMat:
-    return SymMat(_G_array(pd, _checked_x(pd, x)))
-
-
-def jacobian_array(pd: ProblemData, x: np.ndarray) -> np.ndarray:
-    """D_i at x of shape (n,), or at each row of a stack (k, n), as (..., n, p, p)."""
-    return ProblemKernels(pd).jacobians(x).reshape(*x.shape[:-1], pd.n, pd.p, pd.p)
-
-
-def jacobian_stack(pd: ProblemData, x) -> np.ndarray:
-    """Partial derivative matrices D_i(x) = A_i + sum_j x_j B_ij as an (n, p, p) array."""
-    return jacobian_array(pd, _checked_x(pd, x))
-
-
-def jacobian_apply(pd: ProblemData, x, d) -> SymMat:
-    """Push a primal direction through the constraint Jacobian: G'(x)d."""
-    n, p = pd.n, pd.p
-    d = np.asarray(d, dtype=float).reshape(n)
-    return SymMat((d @ jacobian_stack(pd, x).reshape(n, p * p)).reshape(p, p))
-
-
-def adjoint_jacobian_apply(pd: ProblemData, x, Y) -> np.ndarray:
-    """Adjoint of the constraint Jacobian: (G'(x)* Y)_i = <D_i(x), Y>."""
-    n, p = pd.n, pd.p
-    return jacobian_stack(pd, x).reshape(n, p * p) @ as_symmat(Y).full().ravel()
-
-
-def hessian_array(pd: ProblemData, Y: np.ndarray) -> np.ndarray:
-    """Lagrangian Hessian f_quad + [<Y, B_ij>] for a dense symmetric Y of
-    shape (p, p), or for each slice of a stack (k, p, p), as (..., n, n)."""
-    return ProblemKernels(pd).hessians(Y)
-
-
-def lagrangian_hessian(pd: ProblemData, x, Y) -> np.ndarray:
-    """Hessian of the Lagrangian: f_quad + [<Y, B_ij>]."""
-    return hessian_array(pd, as_symmat(Y).full())
-
-
-def normal_map_stack(pd: ProblemData, x, z) -> tuple[np.ndarray, np.ndarray]:
-    """Normal-map values (Psi_1, Psi_2) at a stack of k points (x, z):
-    ProblemKernels.normal_map for x of shape (k, n), with Psi_2 as
-    (k, p, p), its lower triangles mirroring the upper ones (one gather
-    through the packing tables)."""
-    x = np.asarray(x, dtype=float)
-    n, p = pd.n, pd.p
-    if x.ndim != 2 or x.shape[1] != n:
-        raise InputDataError(f"x stack has shape {x.shape}, expected (k, {n})")
-    psi1, psi2, _ = ProblemKernels(pd).normal_map(x, z)
-    return psi1, psi2.take(packing_tables(p).mirror, 1).reshape(len(psi2), p, p)
-
-
-def robinson_normal_map(pd: ProblemData, x, z) -> tuple[np.ndarray, SymMat]:
-    """Normal-map value (Psi_1, Psi_2) at (x, z): normal_map_stack at k = 1."""
-    x = _checked_x(pd, x)
-    psi1, psi2 = normal_map_stack(pd, x[None], as_symmat(z).full()[None])
-    return psi1[0], SymMat._from_packed(pd.p, psi2[0][svec_indices(pd.p)])
-
-
-def multiplier_set_residual(pd: ProblemData, xbar, Y) -> tuple[float, float]:
-    """Distances from Y to the two sets whose intersection is Lambda(xbar).
-
-    d1: distance to the affine set of the stationarity equation, by the
-    least-norm correction of the underdetermined linear system (infinite
-    when that system is inconsistent). d2: distance to the normal cone of
-    the PSD cone at G(xbar), by blockwise projection.
-    """
-    Y = as_symmat(Y)
-    A = svec_stack(jacobian_stack(pd, xbar))
-    r = -(eval_grad_f(pd, xbar) + adjoint_jacobian_apply(pd, xbar, Y))
-    if A.size:
-        delta, *_ = np.linalg.lstsq(A, r, rcond=None)
-        if np.linalg.norm(A @ delta - r) > 1e-8 * max(1.0, np.linalg.norm(r)):
-            d1 = math.inf
-        else:
-            d1 = float(np.linalg.norm(delta))
-    else:
-        d1 = 0.0 if np.linalg.norm(r) <= 1e-12 else math.inf
-
-    Gx = eval_G(pd, xbar)
-    d = spectral_decompose(Gx)
-    ka = d.alpha.size
-    Yt = d.rotate(Y)
-    N = np.zeros_like(Yt)
-    if ka < pd.p:
-        lam_b, V_b = eigh(Yt[ka:, ka:])
-        N[ka:, ka:] = (V_b * np.minimum(lam_b, 0.0)) @ V_b.T
-    proj = SymMat(d.P @ N @ d.P.T)
-    d2 = (Y - proj).norm()
-    return d1, d2
 
 
 @dataclass(frozen=True)
@@ -320,11 +215,12 @@ def kkt_point(pd: ProblemData, x, Y) -> KKTPoint:
     if Y.p != p:
         raise InputDataError(f"matrix orders differ: {p} vs {Y.p}")
     x.flags.writeable = False
-    Gx = SymMat(_G_array(pd, x))
-    D = jacobian_array(pd, x)
+    kern = ProblemKernels(pd)
+    Gx = SymMat(kern.G(x))
+    D = kern.jacobians(x)
     split = cone_context_from_matrix(Gx + Y)
-    r1 = float(np.linalg.norm(eval_grad_f(pd, x) + D.reshape(n, p * p) @ Y.full().ravel()))
-    return KKTPoint(pd, x, Y, Gx, symmetrized(D), split, (r1, (Gx - split.X).norm()))
+    r1 = float(np.linalg.norm(eval_grad_f(pd, x) + D @ Y.full().ravel()))
+    return KKTPoint(pd, x, Y, Gx, symmetrized(D.reshape(n, p, p)), split, (r1, (Gx - split.X).norm()))
 
 
 def shifted_problem(pd: ProblemData, p1, p2) -> ProblemData:

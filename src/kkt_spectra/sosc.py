@@ -22,12 +22,7 @@ from .cones import (
 from .criticality import CriticalitySystem, _rank_atol, beta_block_rows, complementary_split
 from .errors import InputDataError, NumericError
 from .lpkernel import cone_kernel_nontrivial, null_space, subspace_psd_nontrivial
-from .problem import (
-    ProblemData,
-    kkt_point,
-    lagrangian_hessian,
-    multiplier_set_residual,
-)
+from .problem import ProblemData, ProblemKernels, _checked_x, eval_grad_f, kkt_point
 from .symmat import (
     SymMat,
     as_symmat,
@@ -36,6 +31,7 @@ from .symmat import (
     dir_deriv_from_decomp,
     eigh,
     psd_preimage_span,
+    spectral_decompose,
     svec_indices,
     svec_stack,
 )
@@ -83,9 +79,13 @@ def sigma_term(ctx: ConeContext, H, tol: float = 1e-7) -> float:
 
 
 def _pushed(Ds: np.ndarray, d) -> SymMat:
-    """G'(x) d from the symmetric Jacobian stack Ds of shape (n, p, p) at x."""
+    """G'(x) d from the symmetric Jacobian stack Ds of shape (n, p, p) at x;
+    InputDataError unless d has n entries."""
     n, p = Ds.shape[:2]
-    return SymMat((np.asarray(d, dtype=float).reshape(n) @ Ds.reshape(n, p * p)).reshape(p, p))
+    d = np.asarray(d, dtype=float)
+    if d.size != n:
+        raise InputDataError(f"direction has length {d.size}, expected {n}")
+    return SymMat((d.reshape(n) @ Ds.reshape(n, p * p)).reshape(p, p))
 
 
 def critical_cone_x_membership(pd: ProblemData, xbar, ybar, d) -> dict:
@@ -111,7 +111,7 @@ def evaluate_second_order_form(pd: ProblemData, xbar, ybar, d) -> float:
     kkt = kkt_point(pd, xbar, ybar)
     ctx, H = complementary_split(kkt), _pushed(kkt.Ds, d)
     d = np.asarray(d, dtype=float)
-    return float(d @ lagrangian_hessian(pd, xbar, ybar) @ d) - sigma_term(ctx, H)
+    return float(d @ ProblemKernels(pd).hessians(kkt.Y.full()) @ d) - sigma_term(ctx, H)
 
 
 def _beta_block_map(sys: CriticalitySystem):
@@ -466,18 +466,51 @@ def theorem3_conditions(sys: CriticalitySystem) -> dict:
 def multiplier_distance_estimate(pd: ProblemData, xbar, samples) -> list:
     """Ratio table dist(y, multiplier set) / perturbation size.
 
-    Each sample is a (Y, p1, p2) triple; the distance surrogate adds the
-    stationarity-correction norm and the normal-cone projection gap. A
-    zero perturbation with an exact multiplier reports ratio 0.
+    Each sample is a (Y, p1, p2) triple. The distance surrogate adds the
+    distances from Y to the two sets whose intersection is Lambda(xbar):
+    the stationarity gap, a least-norm correction (infinite when the
+    stationarity equation is inconsistent), and the cone gap to the
+    normal cone at G(xbar), by blockwise projection. A zero perturbation
+    with an exact multiplier reports ratio 0. G(xbar), its Jacobians and
+    the decomposition of G(xbar) are evaluated once per call.
+    InputDataError unless xbar has n entries and each sample a Y and p2
+    of order p and a p1 of n entries.
     """
+    n, p = pd.n, pd.p
+    x = _checked_x(pd, xbar)
+    kern = ProblemKernels(pd)
+    D = kern.jacobians(x)
+    A = svec_stack(D.reshape(n, p, p))
+    grad = eval_grad_f(pd, x)
+    d = spectral_decompose(SymMat(kern.G(x)))
+    ka = d.alpha.size
     table = []
-    for Y, p1, p2 in samples:
-        d1, d2 = multiplier_set_residual(pd, xbar, Y)
+    for k, (Y, p1, p2) in enumerate(samples):
+        Y, p1, p2 = as_symmat(Y), np.asarray(p1, dtype=float), as_symmat(p2)
+        if Y.p != p or p2.p != p or p1.size != n:
+            raise InputDataError(
+                f"sample {k}: expected Y and p2 of order {p} and p1 of length {n}, "
+                f"got orders {Y.p} and {p2.p} and length {p1.size}"
+            )
+        r = -(grad + D @ Y.full().ravel())
+        delta, *_ = np.linalg.lstsq(A, r, rcond=None)
+        if np.linalg.norm(A @ delta - r) > 1e-8 * max(1.0, np.linalg.norm(r)):
+            d1 = math.inf
+        else:
+            d1 = float(np.linalg.norm(delta))
+        Yt = d.rotate(Y)
+        N = np.zeros_like(Yt)
+        if ka < p:
+            lam_b, V_b = eigh(Yt[ka:, ka:])
+            N[ka:, ka:] = (V_b * np.minimum(lam_b, 0.0)) @ V_b.T
+        d2 = (Y - SymMat(d.P @ N @ d.P.T)).norm()
         dist = d1 + d2
-        denom = float(np.linalg.norm(np.asarray(p1, dtype=float))) + as_symmat(p2).norm()
+        denom = float(np.linalg.norm(p1)) + p2.norm()
         if denom == 0.0:
             ratio = 0.0 if dist <= 1e-12 else math.inf
         else:
             ratio = dist / denom
-        table.append({"p_norm": denom, "distance": dist, "ratio": ratio})
+        table.append(
+            {"p_norm": denom, "distance": dist, "ratio": ratio, "stationarity_gap": d1, "cone_gap": d2}
+        )
     return table

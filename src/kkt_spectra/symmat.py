@@ -243,6 +243,19 @@ def svec_stack(A: np.ndarray) -> np.ndarray:
     return A[:, rows, cols] * svec_scale(A.shape[-1])
 
 
+def sym_mat_stack(V: np.ndarray, p: int) -> np.ndarray:
+    """Inverse of svec_stack: dense symmetric arrays (..., p, p) from rows
+    of svec coordinates (..., p(p+1)/2), one packed gather that copies each
+    entry to both of its triangles; InputDataError unless V has rows of
+    that length and finite entries."""
+    scale = svec_scale(p)
+    if V.shape[-1:] != scale.shape:
+        raise InputDataError(f"svec rows of shape {V.shape} do not match order {p}")
+    if not np.isfinite(V).all():
+        raise InputDataError("matrix entries must be finite")
+    return (V / scale).take(packing_tables(p).gather, -1).reshape(*V.shape[:-1], p, p)
+
+
 def sym_mat(v, p) -> SymMat:
     """Inverse of sym_vec."""
     v = np.asarray(v, dtype=float)
@@ -407,8 +420,12 @@ class SpectralDecomp:
         return self.source.p
 
     def rotate(self, H) -> np.ndarray:
-        """Compress a direction into the eigenbasis: P^T H P."""
-        return self.P.T @ as_symmat(H).full() @ self.P
+        """Compress a direction into the eigenbasis: P^T H P; InputDataError
+        unless H has order p."""
+        H = as_symmat(H)
+        if H.p != self.p:
+            raise InputDataError(f"direction order {H.p} does not match matrix order {self.p}")
+        return self.P.T @ H.full() @ self.P
 
 
 def _sigma_from_lam(lam: np.ndarray) -> np.ndarray:

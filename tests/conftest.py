@@ -5,7 +5,7 @@ import pytest
 
 from kkt_spectra.cones import cone_context_from_matrix
 from kkt_spectra.criticality import build_system
-from kkt_spectra.problem import builtin_family, jacobian_stack, kkt_point, make_problem
+from kkt_spectra.problem import ProblemKernels, builtin_family, kkt_point, make_problem
 from kkt_spectra.symmat import SymMat
 
 
@@ -66,7 +66,7 @@ def sample_diag_problem(rng, n, p, pd_quad=False):
     G_quad = [[SymMat.diag(gquad[:, i, j]) for j in range(n)] for i in range(n)]
     pd = make_problem(np.zeros(n), fq, SymMat.diag(gconst), G_lin, G_quad)
     Y = SymMat.diag(-w)
-    Ds = jacobian_stack(pd, xbar)
+    Ds = ProblemKernels(pd).jacobians(xbar).reshape(n, p, p)
     flin = -(fq @ xbar + np.array([SymMat(Dk).inner(Y) for Dk in Ds]))
     pd = make_problem(flin, fq, SymMat.diag(gconst), G_lin, G_quad)
     return pd, xbar, Y, -w

@@ -24,10 +24,15 @@ from kkt_spectra.criticality import (
     witness_residual,
 )
 from kkt_spectra.lpkernel import null_space
-from kkt_spectra.perturb import error_bound_experiment, lemma6_order_check, solve_perturbed_kkt
+from kkt_spectra.perturb import (
+    PerturbationSample,
+    error_bound_experiment,
+    lemma6_order_check,
+    solve_perturbed_starts,
+)
 from kkt_spectra.problem import (
+    ProblemKernels,
     builtin_family,
-    eval_G,
     kkt_point,
     make_problem,
 )
@@ -59,10 +64,11 @@ def criterion(num, label, budget, body):
 def test_criterion_01_closed_form_path():
     def body():
         fam = builtin_family("example3")
-        start = (fam.xbar, eval_G(fam.problem, fam.xbar) + fam.ybar)
+        start = (fam.xbar, SymMat(ProblemKernels(fam.problem).G(fam.xbar)) + fam.ybar)
         for t in (1e-2, 1e-3, 1e-4):
             p1, p2 = fam.perturbation(t)
-            smp = solve_perturbed_kkt(fam.problem, p1, p2, start)
+            (smp,) = solve_perturbed_starts(fam.problem, p1, p2, [start])
+            assert isinstance(smp, PerturbationSample), (t, smp)
             ref = np.array([2.0, 1.0]) * (math.sqrt(3.0) / 3.0) * math.sqrt(t)
             assert np.max(np.abs(smp.x - ref)) <= 1e-6, (t, smp.x, ref)
             assert smp.Y.norm() <= 1e-6, t

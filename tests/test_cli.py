@@ -13,7 +13,14 @@ import kkt_spectra
 from conftest import planted_pair
 from kkt_spectra.cli import build_parser, main
 from kkt_spectra.criticality import build_system
-from kkt_spectra.problem import builtin_family, eval_G, example3_family, kkt_point, load_problem, problem_to_dict
+from kkt_spectra.problem import (
+    ProblemKernels,
+    builtin_family,
+    example3_family,
+    kkt_point,
+    load_problem,
+    problem_to_dict,
+)
 
 
 def run(argv):
@@ -211,6 +218,32 @@ def test_perturb_rejects_nonfinite_shift(problem_files, p1):
         code, out, err = run(argv)
     assert (code, out, err) == (2, "", "error: perturbation entries must be finite\n")
     assert caught == []
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--p1", "[1,2,3]"),
+        ("--p1", '"ab"'),
+        ("--p1", "[true,0]"),
+        ("--p2", "[[0,0],[0]]"),
+        ("--p2", "[[0,0],[0,false]]"),
+        ("--direction", "[[1,2],[3]]"),
+        ("--direction", '"x"'),
+    ],
+)
+def test_malformed_inline_values_exit_2_naming_the_flag(problem_files, flag, value):
+    # inline values follow the problem files' number rule: a wrong count,
+    # a ragged matrix, a string or a bool is a data error naming the flag
+    ppath, xpath = problem_files
+    shift = {"--p1": "[0.1, 0.0]", "--p2": "[[0.0, 0.0], [0.0, 0.0]]", flag: value}
+    if flag == "--direction":
+        argv = ["perturb", "--family", "example2", "--direction", value]
+    else:
+        argv = ["perturb", "--problem", ppath, "--point", xpath, "--p1", shift["--p1"], "--p2", shift["--p2"]]
+    code, out, err = run(argv + ["--geo", "1e-2:1e-3:2", "--format", "json"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag}: expected ") and err.count("\n") == 1, err
 
 
 def _bad_payload(edit):
@@ -457,7 +490,7 @@ def test_analyze_evaluates_and_decomposes_each_pair_once(source, tmp_path, monke
         xpath.write_text(json.dumps({"x": x.tolist(), "Y": Y.full().tolist()}))
         pd = load_problem(ppath)
         argv = ["analyze", "--problem", str(ppath), "--point", str(xpath), "--format", "json"]
-    G = eval_G(pd, x)
+    G = kkt_spectra.SymMat(ProblemKernels(pd).G(np.asarray(x, dtype=float)))
     targets = {"G(x)": G.full(), "G(x) + Y": (G + Y).full()}
     calls = {"G": 0, "jacobians": 0}
     decomposed = []
@@ -478,9 +511,10 @@ def test_analyze_evaluates_and_decomposes_each_pair_once(source, tmp_path, monke
 
     modules = [kkt_spectra.symmat, kkt_spectra.problem, kkt_spectra.cones, kkt_spectra.criticality,
                kkt_spectra.sosc, kkt_spectra.lpkernel, kkt_spectra.perturb, kkt_spectra.cli]
+    # every array evaluation goes through the kernels' methods
+    monkeypatch.setattr(ProblemKernels, "G", counted("G", ProblemKernels.G))
+    monkeypatch.setattr(ProblemKernels, "jacobians", counted("jacobians", ProblemKernels.jacobians))
     wrappers = {
-        "_G_array": counted("G", kkt_spectra.problem._G_array),
-        "jacobian_array": counted("jacobians", kkt_spectra.problem.jacobian_array),
         "spectral_decompose": recorded(kkt_spectra.symmat.spectral_decompose, False),
         "spectral_stack": recorded(kkt_spectra.symmat.spectral_stack, True),
     }

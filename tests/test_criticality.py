@@ -31,7 +31,7 @@ from kkt_spectra.criticality import (
 from kkt_spectra.cones import cone_context_from_matrix
 from kkt_spectra.errors import InputDataError, NumericError
 from kkt_spectra.lpkernel import nontrivial_xi_solution, null_space
-from kkt_spectra.problem import eval_G, eval_grad_f, jacobian_stack, kkt_point, make_problem
+from kkt_spectra.problem import ProblemKernels, eval_grad_f, kkt_point, make_problem
 from kkt_spectra.sosc import TOL_POS, _supergradient_bound, check_soscy, reduced_second_order_form
 from kkt_spectra.symmat import SymMat, as_symmat, dir_deriv_from_decomp, project_psd, sym_mat
 
@@ -667,9 +667,10 @@ def test_analysis_context_matches_the_per_step_path_bit_for_bit(kind):
         sysm = analysis_context(pd, x, Y)
         ref = build_system(pd, kkt)
         assert kkt.certified
-        assert same(sysm.ctx.X.full(), project_psd(eval_G(pd, x) + Y).full())
+        kern = ProblemKernels(pd)
+        assert same(sysm.ctx.X.full(), project_psd(SymMat(kern.G(x)) + Y).full())
         d = sysm.ctx.decomp
-        rotated = np.array([d.rotate(Dk) for Dk in jacobian_stack(pd, x)]).reshape(n, p, p)
+        rotated = np.array([d.rotate(Dk) for Dk in kern.jacobians(x).reshape(n, p, p)]).reshape(n, p, p)
         assert same(sysm.Dt, rotated)
         for field in ("hessL", "Ds", "Dt", "cone_rows", "cone_null"):
             assert same(getattr(sysm, field), getattr(ref, field)), field
@@ -692,7 +693,8 @@ def test_kkt_point_residuals_match_the_projection_formula_bit_for_bit():
         pd, x, Y = planted_pair(rng, ("diagonal", "rotated", "coupled")[k % 3], n, p)
         if k % 2:
             x, Y = rng.standard_normal(n), SymMat(rng.standard_normal((p, p)))
-        G, D = eval_G(pd, x), jacobian_stack(pd, x)
+        kern = ProblemKernels(pd)
+        G, D = SymMat(kern.G(x)), kern.jacobians(x)
         r1 = float(np.linalg.norm(eval_grad_f(pd, x) + D.reshape(n, p * p) @ Y.full().ravel()))
         assert kkt_point(pd, x, Y).residuals == (r1, (G - project_psd(G + Y)).norm())
 
@@ -716,7 +718,8 @@ def test_build_system_at_a_given_tolerance_resplits_the_pair():
     assert kkt.certified and kkt.split.decomp.beta.size == 0
     for tol in (1e-6, 1e-3):
         sysm, ref = build_system(pd, kkt, tol), analysis_context(pd, x, Y, tol)
-        d, fresh = sysm.ctx.decomp, cone_context_from_matrix(eval_G(pd, x) + Y, tol).decomp
+        Gx = SymMat(ProblemKernels(pd).G(np.asarray(x)))
+        d, fresh = sysm.ctx.decomp, cone_context_from_matrix(Gx + Y, tol).decomp
         assert d.beta.size == 2 and d.tol_zero == tol
         assert np.array_equal(d.P, fresh.P) and np.array_equal(d.beta, fresh.beta)
         for field in ("hessL", "Ds", "Dt", "cone_rows", "cone_null"):

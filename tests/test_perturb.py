@@ -20,19 +20,14 @@ from kkt_spectra.perturb import (
     lemma6_order_check,
     report_to_csv,
     report_to_dict,
-    solve_perturbed_kkt,
     solve_perturbed_starts,
     xpart_bound_check,
 )
 from kkt_spectra.problem import (
     PerturbationFamily,
-    eval_G,
-    hessian_array,
-    jacobian_array,
     kkt_point,
     ProblemKernels,
     make_problem,
-    normal_map_stack,
     shifted_problem,
 )
 from kkt_spectra.sosc import check_soscy
@@ -48,24 +43,36 @@ from kkt_spectra.symmat import (
 )
 
 
+def G_at(pd, x):
+    """G(x) as a SymMat."""
+    return SymMat(ProblemKernels(pd).G(np.asarray(x, dtype=float)))
+
+
 def natural_start(fam):
-    return fam.xbar, eval_G(fam.problem, fam.xbar) + fam.ybar
+    return fam.xbar, G_at(fam.problem, fam.xbar) + fam.ybar
+
+
+def solve_one(pd, p1, p2, start):
+    """The solve from one start: its certified root, or its
+    ConvergenceError raised."""
+    (out,) = solve_perturbed_starts(pd, p1, p2, [start])
+    if isinstance(out, ConvergenceError):
+        raise out
+    return out
 
 
 def test_example3_closed_form_path(fam3):
     start = natural_start(fam3)
     for t in (1e-2, 1e-3, 1e-5):
         p1, p2 = fam3.perturbation(t)
-        smp = solve_perturbed_kkt(fam3.problem, p1, p2, start)
+        smp = solve_one(fam3.problem, p1, p2, start)
         assert np.max(np.abs(smp.x - fam3.reference_x(t))) <= 1e-6
         assert smp.Y.norm() <= 1e-7
 
 
 def test_zero_perturbation_is_exact_root(fam2, fam3):
     for fam in (fam3, fam2):
-        smp = solve_perturbed_kkt(
-            fam.problem, np.zeros(2), SymMat.zeros(2), natural_start(fam)
-        )
+        smp = solve_one(fam.problem, np.zeros(2), SymMat.zeros(2), natural_start(fam))
         assert smp.newton_iters == 0 and smp.residual <= 1e-12
 
 
@@ -96,9 +103,7 @@ def test_example2_solve_matches_bisection_oracle(fam2):
     for eps in (1e-2, 1e-3, 1e-4):
         p1, p2 = fam2.perturbation(eps)
         spd = shifted_problem(fam2.problem, p1, p2)
-        smp = solve_perturbed_kkt(
-            fam2.problem, p1, p2, (prev_x, eval_G(spd, prev_x) + prev_Y)
-        )
+        smp = solve_one(fam2.problem, p1, p2, (prev_x, G_at(spd, prev_x) + prev_Y))
         v = oracle_x2(eps)
         xo = np.array([eps**2 / v, v])
         rel = np.max(np.abs(smp.x - xo) / np.maximum(np.abs(xo), 1e-300))
@@ -175,6 +180,31 @@ def test_lemma6_block_orders():
     # zero direction: every block vanishes identically
     tab0 = lemma6_order_check(ctx, samples=[SymMat.zeros(3)])
     assert all(row.get("vanishes") for row in tab0.values())
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"samples": 0},
+        {"samples": -2},
+        {"samples": []},
+        {"samples": [SymMat.zeros(2)]},
+        {"schedule": [1e-3]},
+        {"schedule": [1e-3, 1e-3, 1e-3]},
+        {"schedule": []},
+    ],
+    ids=[
+        "zero-samples", "negative-samples", "no-directions", "wrong-order", "one-value", "repeated-value",
+        "empty-schedule",
+    ],
+)
+def test_lemma6_rejects_empty_input(kwargs):
+    # no direction, or fewer than two distinct schedule values, leaves
+    # nothing to fit: a table of vanishing blocks would be read from no
+    # data; a direction of another order does not perturb the split
+    ctx = cone_context(SymMat.diag([2.0, 0.0, 0.0]), SymMat.diag([0.0, 0.0, -3.0]))
+    with pytest.raises(InputDataError, match="direction|distinct"):
+        lemma6_order_check(ctx, **kwargs)
 
 
 def test_lemma6_eq89_without_degenerate_block():
@@ -267,7 +297,7 @@ def test_solver_stops_at_certified_floor(dx, Y0, fam3):
     p1, p2 = fam3.perturbation(t)
     spd = shifted_problem(fam3.problem, p1, p2)
     x0 = fam3.reference_x(t) + np.array(dx)
-    smp = solve_perturbed_kkt(fam3.problem, p1, p2, (x0, eval_G(spd, x0) + SymMat(Y0)))
+    smp = solve_one(fam3.problem, p1, p2, (x0, G_at(spd, x0) + SymMat(Y0)))
     assert smp.newton_iters < 20
     assert smp.residual <= CERT_FACTOR
     assert np.max(np.abs(smp.x - fam3.reference_x(t))) <= 1e-6
@@ -422,10 +452,7 @@ def test_lockstep_starts_match_single_solves(name, s, seed, fam2, fam3, monkeypa
     together = solve_perturbed_starts(pd, p1, p2, starts)
     assert len(together) == len(starts)
     for start, joint in zip(starts, together):
-        try:
-            alone = solve_perturbed_kkt(pd, p1, p2, start)
-        except ConvergenceError as exc:
-            alone = exc
+        (alone,) = solve_perturbed_starts(pd, p1, p2, [start])
         assert type(joint) is type(alone)
         if isinstance(alone, ConvergenceError):
             assert (str(joint), joint.residual) == (str(alone), alone.residual)
@@ -457,8 +484,6 @@ def test_nonfinite_perturbation_rejected(fam3):
     # infinite shift makes that floor infinite: both must stop at the input
     for bad in ([math.nan, 0.0], [math.inf, 0.0]):
         with pytest.raises(InputDataError, match="finite"):
-            solve_perturbed_kkt(fam3.problem, bad, np.zeros((2, 2)))
-        with pytest.raises(InputDataError, match="finite"):
             solve_perturbed_starts(fam3.problem, bad, np.zeros((2, 2)), [natural_start(fam3)])
         fam = PerturbationFamily(
             "bad", fam3.problem, fam3.xbar, fam3.ybar, lambda t, v=bad: (t * np.array(v), SymMat.zeros(2))
@@ -469,7 +494,7 @@ def test_nonfinite_perturbation_rejected(fam3):
     # from its packed entries
     inf_p2 = SymMat._from_packed(2, np.array([math.inf, 0.0, math.inf]))
     with pytest.raises(InputDataError, match="finite"):
-        solve_perturbed_kkt(fam3.problem, np.zeros(2), inf_p2)
+        solve_perturbed_starts(fam3.problem, np.zeros(2), inf_p2, [natural_start(fam3)])
 
 
 def per_element_newton_directions(J, rhs):
@@ -503,7 +528,7 @@ def test_newton_directions_mask_singular_elements(fam3):
     p1, p2 = fam3.perturbation(1e-2)
     spd = shifted_problem(fam3.problem, p1, p2)
     X = np.array([[0.0, 0.0], [0.1, 0.05]])
-    Z = np.array([eval_G(spd, X[0]).full(), eval_G(spd, X[1]).full() + np.diag([-0.3, 0.2])])
+    Z = np.array([G_at(spd, X[0]).full(), G_at(spd, X[1]).full() + np.diag([-0.3, 0.2])])
     ZV = Z[:, [0, 0, 1], [0, 1, 1]] * np.array([1.0, math.sqrt(2.0), 1.0])
     kern = ProblemKernels(spd)
     R, _, split = perturb._residuals(kern, X, ZV)
@@ -540,12 +565,14 @@ def test_block_jitter_draw_matches_per_start_draws():
 
 def test_stacked_certification_matches_per_root_rule():
     # the per-root rule: multiplier from project_psd, canonical point from
-    # eval_G and SymMat arithmetic, one normal-map call per root
+    # G(x) and SymMat arithmetic, one normal-map call per root with Psi_2
+    # mirrored from its upper triangle
     def per_root(spd, p1, p2, xc, zvc, count, tol_cert):
         z = sym_mat(zvc, spd.p)
         Y = z - project_psd(z)
-        z_canon = eval_G(spd, xc) + Y
-        psi1, psi2 = normal_map_stack(spd, xc[None], z_canon.full()[None])
+        z_canon = G_at(spd, xc) + Y
+        psi1, psi2, _ = ProblemKernels(spd).normal_map(xc[None], z_canon.full()[None])
+        psi2 = psi2.take(packing_tables(spd.p).mirror, 1)
         res = math.hypot(float(np.linalg.norm(psi1)), float(np.linalg.norm(psi2)))
         sample = perturb.PerturbationSample(p1, p2, xc, Y, int(count), res)
         if res > tol_cert:
@@ -651,7 +678,7 @@ def test_packing_tables_match_index_definitions():
 
 
 def test_residual_rows_match_normal_map():
-    # the residual rows are normal_map_stack at the dense z, packed by svec
+    # the residual rows are the normal map at the dense z, packed by svec
     # through the fancy index; the norms are one dot product per row, and
     # the split holds the eigensolve of z and the Jacobian stack at x
     for spd, X, ZV in kernel_stacks():
@@ -659,11 +686,12 @@ def test_residual_rows_match_normal_map():
         rows, cols = svec_indices(p)
         Z = dense_from_svec(ZV, p)
         R, RN, split = perturb._residuals(ProblemKernels(spd), X, ZV)
-        psi1, psi2 = normal_map_stack(spd, X, Z)
-        want = np.concatenate([psi1, psi2[:, rows, cols] * svec_scale(p)], axis=1)
+        kern = ProblemKernels(spd)
+        psi1, psi2, _ = kern.normal_map(X, Z)
+        want = np.concatenate([psi1, psi2.reshape(k, p, p)[:, rows, cols] * svec_scale(p)], axis=1)
         assert R.tobytes() == want.tobytes()
         assert RN.tobytes() == np.sqrt((want[:, None, :] @ want[:, :, None])[:, 0, 0]).tobytes()
-        refs = (*spectral_stack(Z), jacobian_array(spd, X).reshape(k, n, p * p))
+        refs = (*spectral_stack(Z), kern.jacobians(X))
         assert len(split) == len(refs)
         for got, ref in zip(split, refs):
             assert got.tobytes() == ref.tobytes()
@@ -678,7 +706,8 @@ def assembled_newton_elements(spd, X, ZV, split):
     svs = svec_scale(p)
     lam, P, Pz, _ = split
     Y = dense_from_svec(ZV - Pz[:, rows, cols] * svs, p)
-    Dsv = jacobian_array(spd, X)[:, :, rows, cols] * svs
+    kern = ProblemKernels(spd)
+    Dsv = kern.jacobians(X).reshape(k, n, p, p)[:, :, rows, cols] * svs
     tol = default_tol_zero(lam)[:, None]
     li, lj = lam[:, rows], lam[:, cols]
     w = np.where(lj >= -tol, 1.0, 0.0)
@@ -688,7 +717,7 @@ def assembled_newton_elements(spd, X, ZV, split):
     B = (0.5 * svs)[:, None] * B * svs
     JP = (B * w[:, None, :]) @ np.swapaxes(B, 1, 2)
     J = np.zeros((k, n + m, n + m))
-    J[:, :n, :n] = hessian_array(spd, Y)
+    J[:, :n, :n] = kern.hessians(Y)
     J[:, :n, n:] = Dsv @ (np.eye(m) - JP)
     J[:, n:, :n] = np.swapaxes(Dsv, 1, 2)
     J[:, n:, n:] = -JP

@@ -11,24 +11,19 @@ import pytest
 from conftest import planted_pair, random_symmetric
 from kkt_spectra.errors import InputDataError
 from kkt_spectra.problem import (
-    adjoint_jacobian_apply,
+    ProblemKernels,
     builtin_family,
-    eval_G,
     eval_grad_f,
-    jacobian_apply,
-    jacobian_stack,
     kkt_point,
-    lagrangian_hessian,
     load_problem,
     make_problem,
-    multiplier_set_residual,
     problem_from_dict,
     problem_to_dict,
-    robinson_normal_map,
     shifted_problem,
 )
 from kkt_spectra.perturb import _svec_basis_rotation
-from kkt_spectra.symmat import SymMat, sym_vec
+from kkt_spectra.sosc import multiplier_distance_estimate
+from kkt_spectra.symmat import SymMat, packing_tables, sym_vec
 
 
 def test_derivatives_against_finite_differences():
@@ -51,21 +46,23 @@ def test_derivatives_against_finite_differences():
             [random_symmetric(rng, p, 2.0) for _ in range(n)],
             quad,
         )
+        kern = ProblemKernels(pd)
         x = rng.standard_normal(n)
-        Ds = jacobian_stack(pd, x)
+        Ds = kern.jacobians(x).reshape(n, p, p)
         Y = random_symmetric(rng, p, 2.0)
-        H = lagrangian_hessian(pd, x, Y)
+        H = kern.hessians(Y.full())
         for i in range(n):
             e = np.zeros(n)
             e[i] = h
-            fd = (eval_G(pd, x + e).full() - eval_G(pd, x - e).full()) / (2 * h)
+            fd = (kern.G(x + e) - kern.G(x - e)) / (2 * h)
             worst_jac = max(worst_jac, np.max(np.abs(fd - Ds[i])))
-            gp = eval_grad_f(pd, x + e) + adjoint_jacobian_apply(pd, x + e, Y)
-            gm = eval_grad_f(pd, x - e) + adjoint_jacobian_apply(pd, x - e, Y)
+            # the adjoint G'(x)* Y, entry i being <D_i(x), Y>
+            gp = eval_grad_f(pd, x + e) + kern.jacobians(x + e) @ Y.full().ravel()
+            gm = eval_grad_f(pd, x - e) + kern.jacobians(x - e) @ Y.full().ravel()
             worst_hess = max(worst_hess, np.max(np.abs((gp - gm) / (2 * h) - H[:, i])))
         d = rng.standard_normal(n)
-        lhs = jacobian_apply(pd, x, d).inner(Y)
-        rhs = float(d @ adjoint_jacobian_apply(pd, x, Y))
+        lhs = SymMat((d @ kern.jacobians(x)).reshape(p, p)).inner(Y)
+        rhs = float(d @ (kern.jacobians(x) @ Y.full().ravel()))
         worst_adj = max(worst_adj, abs(lhs - rhs))
     assert worst_jac < 1e-6
     assert worst_hess < 1e-5
@@ -110,11 +107,13 @@ def test_stacked_evaluations_match_per_matrix_loops():
             adj = [np.sum(D * Y.full()) for D in Ds]
             H = pd.f_quad + np.array([[np.sum(B[i][j] * Y.full()) for j in range(n)] for i in range(n)])
 
-            assert _close(eval_G(pd, x).full(), G)
-            assert all(_close(Dn, D) for Dn, D in zip(jacobian_stack(pd, x), Ds))
-            assert _close(jacobian_apply(pd, x, d).full(), push)
-            assert _close(adjoint_jacobian_apply(pd, x, Y), adj)
-            assert _close(lagrangian_hessian(pd, x, Y), 0.5 * (H + H.T))
+            kern = ProblemKernels(pd)
+            flat = kern.jacobians(x)
+            assert _close(kern.G(x), G)
+            assert all(_close(Dn, D) for Dn, D in zip(flat.reshape(n, p, p), Ds))
+            assert _close(SymMat((d @ flat).reshape(p, p)).full(), push)
+            assert _close(flat @ Y.full().ravel(), adj)
+            assert _close(kern.hessians(Y.full()), 0.5 * (H + H.T))
 
 
 def test_make_problem_names_first_asymmetric_quadratic_pair():
@@ -177,13 +176,18 @@ def test_example2_reference_pair(fam2):
 
 def test_example2_multiplier_set_residuals(fam2):
     pd = fam2.problem
+
+    def gaps(Y):
+        (row,) = multiplier_distance_estimate(pd, fam2.xbar, [(Y, np.zeros(2), SymMat.zeros(2))])
+        return row["stationarity_gap"], row["cone_gap"]
+
     # zero multiplier is not stationary: least-norm correction is diag(-1, 0)
-    d1, d2 = multiplier_set_residual(pd, fam2.xbar, SymMat.zeros(2))
+    d1, d2 = gaps(SymMat.zeros(2))
     assert abs(d1 - 1.0) < 1e-12 and d2 == 0.0
-    d1, d2 = multiplier_set_residual(pd, fam2.xbar, fam2.ybar)
+    d1, d2 = gaps(fam2.ybar)
     assert d1 < 1e-12 and d2 < 1e-12
     # wrong-sign multiplier: stationarity gap 2, cone gap 1
-    d1, d2 = multiplier_set_residual(pd, fam2.xbar, SymMat.diag([1.0, 0.0]))
+    d1, d2 = gaps(SymMat.diag([1.0, 0.0]))
     assert abs(d1 - 2.0) < 1e-12 and abs(d2 - 1.0) < 1e-12
 
 
@@ -193,25 +197,28 @@ def test_example2_perturbation_shift(fam2):
     sp = shifted_problem(pd, p1, p2)
     assert np.allclose(sp.f_lin, pd.f_lin)
     assert np.allclose(sp.G_const, [[0.0, 0.1], [0.1, 0.0]])
-    assert np.allclose(eval_G(sp, [0.3, -0.2]).full(), [[0.3, 0.1], [0.1, -0.2]])
+    assert np.allclose(ProblemKernels(sp).G(np.array([0.3, -0.2])), [[0.3, 0.1], [0.1, -0.2]])
 
 
 def test_robinson_normal_map_vanishes_at_reference(fam2):
     pd = fam2.problem
-    z = eval_G(pd, fam2.xbar) + fam2.ybar
-    psi1, psi2 = robinson_normal_map(pd, fam2.xbar, z)
-    assert np.allclose(psi1, 0.0) and psi2.norm() == 0.0
+    kern = ProblemKernels(pd)
+    z = kern.G(fam2.xbar) + fam2.ybar.full()
+    psi1, psi2, _ = kern.normal_map(fam2.xbar[None], z[None])
+    # Psi_2 with its upper triangle mirrored onto the lower one
+    psi2 = psi2.take(packing_tables(pd.p).mirror, 1)
+    assert np.allclose(psi1, 0.0) and np.linalg.norm(psi2) == 0.0
 
 
 def test_example3_fixed_values(fam3):
     pd = fam3.problem
     assert np.allclose(
-        lagrangian_hessian(pd, [0, 0], SymMat.eye(2)), [[4.0, 3.0], [3.0, 4.0]]
+        ProblemKernels(pd).hessians(np.eye(2)), [[4.0, 3.0], [3.0, 4.0]]
     )
     r1, r2 = kkt_point(pd, fam3.xbar, fam3.ybar).residuals
     assert r1 == 0.0 and r2 == 0.0
     xt = np.array([0.7, -0.3])
-    assert np.allclose(eval_G(pd, xt).full(), np.diag([0.49 - 0.21, 0.09 - 0.21]))
+    assert np.allclose(ProblemKernels(pd).G(xt), np.diag([0.49 - 0.21, 0.09 - 0.21]))
 
 
 def test_example3_reference_path(fam3):
@@ -223,7 +230,7 @@ def test_example3_reference_path(fam3):
         rr1, rr2 = kkt_point(spt, xr, SymMat.zeros(2)).residuals
         assert rr1 < 1e-12 * max(1.0, 1 / math.sqrt(t))
         assert rr2 < 1e-14
-        assert np.linalg.eigvalsh(eval_G(spt, xr).full()).min() > -1e-15
+        assert np.linalg.eigvalsh(ProblemKernels(spt).G(xr)).min() > -1e-15
 
 
 def test_example3_path_jacobian_rank(fam3):
@@ -232,7 +239,7 @@ def test_example3_path_jacobian_rank(fam3):
     pd = fam3.problem
     p1, p2 = fam3.perturbation(1e-3)
     spt = shifted_problem(pd, p1, p2)
-    Ds = jacobian_stack(spt, fam3.reference_x(1e-3))
+    Ds = ProblemKernels(spt).jacobians(fam3.reference_x(1e-3)).reshape(2, 2, 2)
     A = np.stack([np.array([D[0, 0], D[1, 1], D[0, 1]]) for D in Ds])
     assert np.linalg.matrix_rank(A) == 2
 

@@ -10,10 +10,19 @@ import pytest
 from conftest import context, coupled_block_pair, random_symmetric, sample_diag_problem
 from kkt_spectra import lpkernel, sosc
 from kkt_spectra.cli import main
-from kkt_spectra.cones import cone_context, critical_cone_psd_membership, project_critical_cone_polar
+from kkt_spectra.cones import (
+    cone_context,
+    critical_cone_nsd_membership,
+    critical_cone_psd_membership,
+    graph_tangent_membership,
+    normal_membership,
+    project_critical_cone,
+    project_critical_cone_polar,
+    tangent_membership,
+)
 from kkt_spectra.criticality import CRITICAL, build_system, classify_multiplier
 from kkt_spectra.errors import InputDataError, NumericError
-from kkt_spectra.problem import builtin_family, jacobian_apply, kkt_point, make_problem, problem_to_dict
+from kkt_spectra.problem import ProblemKernels, builtin_family, kkt_point, make_problem, problem_to_dict
 from kkt_spectra.sosc import (
     SOSCY_FAILS,
     SOSCY_HOLDS,
@@ -404,7 +413,7 @@ def theorem3_sample_loop(sys, samples, seed):
     for _ in range(samples if Z.shape[1] else 0):
         xi = Z @ rng.standard_normal(Z.shape[1])
         xi /= np.linalg.norm(xi)
-        H = jacobian_apply(sys.pd, sys.kkt.x, xi)
+        H = SymMat((xi @ ProblemKernels(sys.pd).jacobians(sys.kkt.x)).reshape(p, p))
         if not critical_cone_psd_membership(sys.ctx, H).member:
             if critical_cone_psd_membership(sys.ctx, -H).member:
                 xi, H = -xi, -H
@@ -458,6 +467,67 @@ def test_multiplier_distance_estimate(fam2):
         fam2.problem, fam2.xbar, [(fam2.ybar, np.zeros(2), SymMat.zeros(2))]
     )
     assert tab[0]["ratio"] == 0.0 and tab[0]["distance"] <= 1e-12
+
+
+def test_multiplier_distance_estimate_evaluates_the_point_once(fam2, monkeypatch):
+    # G(xbar), its Jacobian stack and the decomposition of G(xbar) do not
+    # depend on a sample, so k samples cost one of each
+    counts = {"G": 0, "jacobians": 0, "decompose": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(ProblemKernels, "G", counted("G", ProblemKernels.G))
+    monkeypatch.setattr(ProblemKernels, "jacobians", counted("jacobians", ProblemKernels.jacobians))
+    monkeypatch.setattr(sosc, "spectral_decompose", counted("decompose", sosc.spectral_decompose))
+    rng = np.random.default_rng(4)
+    samples = [(random_symmetric(rng, 2), rng.standard_normal(2), random_symmetric(rng, 2)) for _ in range(5)]
+    tab = multiplier_distance_estimate(fam2.problem, fam2.xbar, samples)
+    assert len(tab) == 5
+    assert counts == {"G": 1, "jacobians": 1, "decompose": 1}
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [
+        (SymMat.zeros(3), np.zeros(2), SymMat.zeros(2)),  # Y of order 3 at p = 2
+        (SymMat.zeros(2), np.array([1.0, 0.0, 0.0]), SymMat.zeros(2)),  # p1 of length 3 at n = 2
+        (SymMat.zeros(2), np.zeros(2), SymMat.zeros(3)),  # p2 of order 3
+    ],
+    ids=["Y-order", "p1-length", "p2-order"],
+)
+def test_multiplier_distance_estimate_rejects_misshapen_samples(fam2, sample):
+    with pytest.raises(InputDataError, match="sample 1"):
+        multiplier_distance_estimate(fam2.problem, fam2.xbar, [(fam2.ybar, np.zeros(2), SymMat.zeros(2)), sample])
+
+
+CONE_CTX = cone_context(SymMat.diag([2.0, 0.0]), SymMat.diag([0.0, -3.0]))
+FAM2 = builtin_family("example2")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda H, d: tangent_membership(CONE_CTX, H),
+        lambda H, d: normal_membership(CONE_CTX, H),
+        lambda H, d: critical_cone_psd_membership(CONE_CTX, H),
+        lambda H, d: critical_cone_nsd_membership(CONE_CTX, H),
+        lambda H, d: graph_tangent_membership(CONE_CTX, H, H),
+        lambda H, d: project_critical_cone(CONE_CTX, H),
+        lambda H, d: sigma_term(CONE_CTX, H),
+        lambda H, d: critical_cone_x_membership(FAM2.problem, FAM2.xbar, FAM2.ybar, d),
+        lambda H, d: evaluate_second_order_form(FAM2.problem, FAM2.xbar, FAM2.ybar, d),
+    ],
+    ids=["tangent", "normal", "critical-psd", "critical-nsd", "graph", "project", "sigma", "x-membership", "form"],
+)
+def test_wrong_size_directions_raise_input_data_error(call):
+    # a direction of order 3 against a 2x2 split, or of length 3 at n = 2
+    with pytest.raises(InputDataError, match="direction"):
+        call(SymMat.eye(3), [1.0, 0.0, 0.0])
 
 
 def grid_sigma_oracle(X, Y, H, coarse=61, fine=21):

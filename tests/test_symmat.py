@@ -19,7 +19,9 @@ from kkt_spectra.symmat import (
     pseudoinverse,
     psd_preimage_span,
     spectral_decompose,
+    svec_stack,
     sym_mat,
+    sym_mat_stack,
     sym_vec,
 )
 
@@ -174,6 +176,26 @@ def test_svec_isometry():
         va, vb = sym_vec(SymMat(A)), sym_vec(SymMat(B))
         assert abs(va @ vb - np.sum(A * B)) < 1e-10
         assert sym_mat(va, p).allclose(A, atol=1e-12)
+
+
+def test_sym_mat_stack_unpacks_as_sym_mat():
+    # each row, and a single row alone, unpacks bit for bit to the full
+    # matrix sym_mat gives, and svec_stack packs it back
+    rng = np.random.default_rng(3)
+    for p in range(1, 6):
+        m = p * (p + 1) // 2
+        for k in (0, 1, 4):
+            V = rng.normal(size=(k, m))
+            S = sym_mat_stack(V, p)
+            assert S.shape == (k, p, p)
+            for v, M in zip(V, S):
+                assert M.tobytes() == sym_mat(v, p).full().tobytes()
+                assert sym_mat_stack(v, p).tobytes() == M.tobytes()
+            assert np.allclose(svec_stack(S), V, rtol=0.0, atol=1e-15)
+    with pytest.raises(InputDataError, match="order 2"):
+        sym_mat_stack(np.zeros((2, 4)), 2)
+    with pytest.raises(InputDataError, match="finite"):
+        sym_mat_stack(np.array([[0.0, math.nan, 1.0]]), 2)
 
 
 def test_moreau_split():
