@@ -166,9 +166,8 @@ def entry_rows(sys: CriticalitySystem):
     H = np.zeros((p, p, dim))
     H[:, :, :n] = np.moveaxis(sys.Dt, 0, -1)
     O = np.einsum("ai,bj->ijab", P, P)
-    rows, cols = svec_indices(p)
     E = np.zeros((p, p, dim))
-    E[:, :, n:] = (0.5 * (O + O.transpose(1, 0, 2, 3)))[:, :, rows, cols] * svec_scale(p)
+    E[:, :, n:] = svec_stack(0.5 * (O + O.transpose(1, 0, 2, 3)))
     return H, E
 
 
@@ -476,6 +475,8 @@ def _classify_large_block(
 ) -> CriticalityVerdict:
     """Tiers for a non-commuting beta block of order k >= 3, in order.
 
+    0. A witness xi lies in the critical cone C, so C = {0} (a basis
+       sys.cone_null with no columns) proves Noncritical.
     1. The pure supports, h PSD with e = 0 and h = 0 with e NSD, are
        convex: one cone_kernel_nontrivial call each excludes the support
        or finds a solution, a witness when its xi is nonzero. A solution
@@ -493,6 +494,10 @@ def _classify_large_block(
 
     beta = sys.ctx.decomp.beta
     k, dim = int(beta.size), H.shape[-1]
+    if not sys.cone_null.shape[1]:
+        return CriticalityVerdict(
+            NONCRITICAL, None, f"exact: beta block of order {k}, critical cone is {{0}}, which holds no witness", 0.0
+        )
     ii, jj = (beta[i] for i in svec_indices(k))
     open_supports = []
     for label, pinned, block in (("h psd, e = 0", E, H), ("h = 0, e nsd", H, -E)):

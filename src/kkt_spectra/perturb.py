@@ -17,7 +17,7 @@ import numpy as np
 from .cones import ConeContext
 from .criticality import CriticalitySystem
 from .errors import ConvergenceError, InputDataError
-from .problem import PerturbationFamily, ProblemData, ProblemKernels, shifted_problem
+from .problem import PerturbationFamily, ProblemData, ProblemKernels, _checked_order, _checked_x, shifted_problem
 from .sosc import SOSCY_HOLDS, check_soscy
 from .symmat import (
     SymMat,
@@ -27,8 +27,10 @@ from .symmat import (
     project_psd,
     svec_indices,
     svec_scale,
+    svec_stack,
     sym_mat_stack,
     sym_vec,
+    upper_stack,
 )
 
 NEWTON_STEPS = 60  # semismooth Newton iterations before the fallback
@@ -82,15 +84,12 @@ def _svec_basis_rotation(P: np.ndarray) -> np.ndarray:
     is svec of the symmetrized outer product of columns i and j of P[q],
     scaled by sqrt(2) off the diagonal; entry (l, c) for the packed pair
     (a, b) is therefore s_l s_c (P_ai P_bj + P_bi P_aj) / 2 with the svec
-    weights s. The four factors come from one gather on the flat frames,
-    stacked last in memory: the layout fancy indexing gives them, which
-    the products of the projection elements run on.
+    weights s. The four factors come from one take on the flat frames.
     """
     k, p = len(P), P.shape[-1]
     tables = packing_tables(p)
-    F = P.reshape(k, p * p).T.take(tables.rotation, 0)
-    R = (F[0] * F[1] + F[2] * F[3]).transpose(2, 0, 1)
-    return tables.half_s * R * svec_scale(p)
+    F = P.reshape(k, p * p).take(tables.rotation, 1)
+    return tables.half_s * (F[:, 0] * F[:, 1] + F[:, 2] * F[:, 3]) * svec_scale(p)
 
 
 def _projection_jacobian(lam: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -104,27 +103,17 @@ def _projection_jacobian(lam: np.ndarray, P: np.ndarray) -> np.ndarray:
     """
     rows, cols = svec_indices(lam.shape[1])
     tol = default_tol_zero(lam)[:, None]
-    # laid out as lam[:, rows] is, a layout that R * w below inherits
-    li, lj = lam.T.take(rows, 0).T, lam.T.take(cols, 0).T
+    li, lj = lam.take(rows, 1), lam.take(cols, 1)
     w = np.where(lj >= -tol, 1.0, 0.0)
     np.divide(li, li - lj, out=w, where=(li > tol) & (lj < -tol))
     R = _svec_basis_rotation(P)
     return (R * w[:, None, :]) @ R.swapaxes(1, 2)
 
 
-def _packed_upper(A: np.ndarray) -> np.ndarray:
-    """Packed upper triangles A[:, rows, cols] of a (k, p, p) stack, laid
-    out as that fancy index lays them out: packed entries outermost in
-    memory. Products and concatenations of these rows round by their
-    layout, so the gather keeps the layout of the fancy index."""
-    k, p = len(A), A.shape[-1]
-    return A.reshape(k, p * p).T.take(packing_tables(p).upper, 0).T
-
-
 def _packed_sym(A: np.ndarray) -> np.ndarray:
     """Packed upper triangles of the symmetric parts 0.5 (A + A^T) of a
     (k, p, p) stack, the entries SymMat keeps of each slice."""
-    return _packed_upper(0.5 * (A + A.swapaxes(1, 2)))
+    return upper_stack(0.5 * (A + A.swapaxes(1, 2)))
 
 
 def _multipliers(ZV: np.ndarray, Pz: np.ndarray, p: int) -> np.ndarray:
@@ -134,9 +123,8 @@ def _multipliers(ZV: np.ndarray, Pz: np.ndarray, p: int) -> np.ndarray:
 
 def _perturbation(pd: ProblemData, p1, p2):
     """The canonical perturbation as (p1 array, p2 SymMat); InputDataError
-    unless every entry is finite."""
-    p1 = np.asarray(p1, dtype=float).reshape(pd.n)
-    p2 = as_symmat(p2)
+    unless p1 has n entries, p2 has order p and every entry is finite."""
+    p1, p2 = _checked_x(pd, p1, "p1"), _checked_order(pd, p2, "p2")
     if not (np.isfinite(p1).all() and math.isfinite(p2.max_abs())):
         raise InputDataError("perturbation entries must be finite")
     return p1, p2
@@ -154,9 +142,7 @@ def _residuals(kern: ProblemKernels, X: np.ndarray, ZV: np.ndarray):
     them from."""
     p = kern.p
     psi1, psi2, split = kern.normal_map(X, sym_mat_stack(ZV, p))
-    # packed as _packed_upper lays it out: at n = 1 the concatenation
-    # inherits that layout, and the row norms round by it
-    R = np.concatenate([psi1, psi2.T.take(packing_tables(p).upper, 0).T * svec_scale(p)], axis=1)
+    R = np.concatenate([psi1, svec_stack(psi2.reshape(len(X), p, p))], axis=1)
     return R, _row_norms(R), split
 
 
@@ -172,11 +158,9 @@ def _newton_elements(kern: ProblemKernels, ZV: np.ndarray, split) -> np.ndarray:
     """
     n, p = kern.n, kern.p
     m = p * (p + 1) // 2
-    svs = svec_scale(p)
     lam, P, Pz, D = split
-    Y = sym_mat_stack(ZV - Pz.reshape(len(Pz), p * p).take(packing_tables(p).upper, 1) * svs, p)
-    # packed entries outermost in memory, as _packed_upper lays them out
-    Dsv = D.transpose(2, 0, 1).take(packing_tables(p).upper, 0).transpose(1, 2, 0) * svs
+    Y = sym_mat_stack(ZV - svec_stack(Pz), p)
+    Dsv = svec_stack(D.reshape(len(ZV), n, p, p))
     JP = _projection_jacobian(lam, P)
     J = np.empty((len(ZV), n + m, n + m))
     J[:, :n, :n] = kern.hessians(Y)
@@ -270,23 +254,39 @@ def _certify(kern: ProblemKernels, p1, p2, X, ZV, Pz, steps, tol_cert) -> list:
 def solve_perturbed_starts(pd: ProblemData, p1, p2, starts) -> list:
     """Track KKT roots of the canonically perturbed problem from k starts.
 
-    starts lists (x, z) pairs. The semismooth Newton iteration on the
-    normal-map system of the shifted data runs all starts in lockstep as
-    one (k, n + p(p+1)/2) stack of (x, svec z) iterates. The kernels of
-    the shifted problem (problem.ProblemKernels, its data views reshaped
-    once) are built once per call and shared by the Newton steps, the line
-    search, the fallback and the certification. Each residual evaluation
-    is one normal_map call over a stack of iterates, which also returns
-    the eigensolve of z and the Jacobian stack of G at x it made; both
-    are kept per start next to the residual, so each step builds the
-    Newton elements of the live starts without a new eigensolve or
-    Jacobian and solves them in one batched solve, with a masked batch
-    around any singular element, whose step is taken by least squares.
-    Psi_2 is packed straight from its upper triangle, with no mirror. The
-    svec rows are packed and unpacked through the cached flat index tables
-    of symmat.packing_tables, each gather laid out in memory as the
-    corresponding fancy index lays it out, since the products downstream
-    round by layout.
+    starts lists (x, z) pairs. Checks the perturbation and the starts,
+    packs the starts as one stack and solves it with _solve_stack on the
+    kernels of the shifted problem. Returns, in start order, a
+    PerturbationSample per certified root and a ConvergenceError (carrying
+    the best iterate) per stagnated start; each start gets bit for bit
+    what it gets alone. InputDataError unless p1 has n entries, p2 and
+    every z order p and every x n entries, or if an entry of the
+    perturbation or an iterate is not finite.
+    """
+    p1, p2 = _perturbation(pd, p1, p2)
+    k, m = len(starts), pd.p * (pd.p + 1) // 2
+    X = np.array([_checked_x(pd, x, f"x of start {i}") for i, (x, _) in enumerate(starts)]).reshape(k, pd.n)
+    ZV = np.array([sym_vec(_checked_order(pd, z, f"z of start {i}")) for i, (_, z) in enumerate(starts)]).reshape(k, m)
+    return _solve_stack(ProblemKernels(shifted_problem(pd, p1, p2)), p1, p2, X, ZV)
+
+
+def _solve_stack(kern: ProblemKernels, p1: np.ndarray, p2: SymMat, X: np.ndarray, ZV: np.ndarray) -> list:
+    """Track KKT roots of the perturbed problem whose shifted data kern
+    evaluates, from the starts (X[i], svec z ZV[i]).
+
+    The semismooth Newton iteration on the normal-map system runs all
+    starts in lockstep as one (k, n + p(p+1)/2) stack of (x, svec z)
+    iterates; the kernels (problem.ProblemKernels, built once by the
+    caller) are shared by the Newton steps, the line search, the fallback
+    and the certification. Each residual evaluation is one normal_map
+    call over a stack of iterates, which also returns the eigensolve of z
+    and the Jacobian stack of G at x it made; both are kept per start next
+    to the residual, so each step builds the Newton elements of the live
+    starts without a new eigensolve or Jacobian and solves them in one
+    batched solve, with a masked batch around any singular element, whose
+    step is taken by least squares. The svec rows are packed by
+    symmat.svec_stack and unpacked by symmat.sym_mat_stack, so every row
+    is laid out alike in any stack.
 
     The live starts are kept as one compact stack, gathered again only
     when a start leaves it. The first line-search round of a step tries
@@ -302,21 +302,15 @@ def solve_perturbed_starts(pd: ProblemData, p1, p2, starts) -> list:
     spends NEWTON_STEPS steps, goes on alone through a
     Levenberg-Marquardt fallback on the same kernels at k = 1. The roots
     of all starts are then certified together at their canonical
-    splitting points in one stacked pass.
-    Returns, in start order, a PerturbationSample per certified root and
-    a ConvergenceError (carrying the best iterate) per stagnated start.
-    For n >= 2 a row's outcome does not depend on the other rows; at
-    n = 1 the packed-block products round by the stack's layout, so a
-    start can end differently in a stack than alone. A non-finite
-    perturbation or iterate raises InputDataError.
+    splitting points in one stacked pass. Returns, in start order, a
+    PerturbationSample per certified root and a ConvergenceError per
+    stagnated start; a row's outcome does not depend on the other rows.
+    X and ZV are not changed.
     """
-    p1, p2 = _perturbation(pd, p1, p2)
-    kern = ProblemKernels(shifted_problem(pd, p1, p2))
-    n, p = pd.n, pd.p
+    n, p = kern.n, kern.p
     m = p * (p + 1) // 2
-    k = len(starts)
-    X = np.array([np.asarray(x0, dtype=float).reshape(n) for x0, _ in starts]).reshape(k, n)
-    ZV = np.array([sym_vec(as_symmat(z0)) for _, z0 in starts]).reshape(k, m)
+    k = len(X)
+    X, ZV = X.copy(), ZV.copy()
 
     scale = max(1.0, float(np.linalg.norm(p1)) + p2.norm())
     tol_stop = RESIDUAL_TOL * scale
@@ -497,11 +491,11 @@ def error_bound_experiment(family: PerturbationFamily, schedule, *, seed: int = 
     Solves are warm-started by continuation along the schedule; at each
     parameter the continuation start and JITTER_STARTS jittered starts
     (drawn as one block: per start its multiplier noise, then its x noise)
-    are assembled as one stack, x0 and z0 = G(x0) + Y0, and solved in
-    lockstep by one solve_perturbed_starts call, and the certified root
-    closest to the reference point is kept. A parameter where no start
-    certifies is dropped and named in excluded_params. seed seeds the
-    jitter.
+    are assembled as one stack of arrays, x0 and svec(G(x0) + Y0), and
+    solved in lockstep by one _solve_stack call on the one kernel set of
+    the shifted problem, and the certified root closest to the reference
+    point is kept. A parameter where no start certifies is dropped and
+    named in excluded_params. seed seeds the jitter.
     """
     rng = np.random.default_rng(seed)
     pd = family.problem
@@ -519,11 +513,10 @@ def error_bound_experiment(family: PerturbationFamily, schedule, *, seed: int = 
     excluded_residuals = []
     multiple_roots = False
 
-    rows, cols = svec_indices(p)
     for s in schedule:
         p1, p2 = _perturbation(pd, *family.perturbation(float(s)))
         pnorm = float(np.linalg.norm(p1)) + p2.norm()
-        spd = shifted_problem(pd, p1, p2)
+        kern = ProblemKernels(shifted_problem(pd, p1, p2))
         delta = 0.5 * max(
             float(np.max(np.abs(prev_x - xbar))) if n else 0.0,
             math.sqrt(pnorm),
@@ -532,12 +525,8 @@ def error_bound_experiment(family: PerturbationFamily, schedule, *, seed: int = 
         # the continuation start, then the jittered ones: x0 and z0 = G(x0) + Y0
         M, dx = _jitter_draws(rng, n, p)
         X0 = np.vstack([prev_x, prev_x + delta * dx])
-        Y_up = prev_Y.full()[rows, cols]
-        Y0 = np.vstack([Y_up, Y_up + delta * _packed_sym(0.5 * (M + np.swapaxes(M, 1, 2)))])
-        Z0 = _packed_sym(ProblemKernels(spd).G(X0)) + Y0
-        outcomes = solve_perturbed_starts(
-            pd, p1, p2, [(x0, SymMat._from_packed(p, z0)) for x0, z0 in zip(X0, Z0)]
-        )
+        Y0 = np.vstack([prev_Y._upper, prev_Y._upper + delta * _packed_sym(M)])
+        outcomes = _solve_stack(kern, p1, p2, X0, (_packed_sym(kern.G(X0)) + Y0) * svec_scale(p))
         roots = [o for o in outcomes if isinstance(o, PerturbationSample)]
         if not roots:
             excluded_params.append(float(s))

@@ -177,12 +177,21 @@ class ProblemKernels:
         return psi1, (self.G(x) - Pz).reshape(k, p * p), (lam, P, Pz, D)
 
 
-def _checked_x(pd: ProblemData, x) -> np.ndarray:
-    """x as a float array of shape (n,); InputDataError unless it has n entries."""
+def _checked_x(pd: ProblemData, x, name: str = "x") -> np.ndarray:
+    """x as a float array of shape (n,); InputDataError naming it unless it
+    has n entries."""
     x = np.asarray(x, dtype=float)
     if x.size != pd.n:
-        raise InputDataError(f"x has length {x.size}, expected {pd.n}")
+        raise InputDataError(f"{name} has length {x.size}, expected {pd.n}")
     return x.reshape(pd.n)
+
+
+def _checked_order(pd: ProblemData, M, name: str) -> SymMat:
+    """M as a SymMat; InputDataError naming it unless its order is p."""
+    M = as_symmat(M)
+    if M.p != pd.p:
+        raise InputDataError(f"{name} has order {M.p}, expected {pd.p}")
+    return M
 
 
 @dataclass(frozen=True)
@@ -228,11 +237,12 @@ def shifted_problem(pd: ProblemData, p1, p2) -> ProblemData:
 
     The stationarity shift p1 moves into f_lin and the cone shift p2 into
     G_const, so the perturbed KKT system is the plain KKT system of the
-    shifted problem (InputDataError if G_const turns non-finite).
+    shifted problem. InputDataError unless p1 has n entries and p2 order
+    p, or if G_const turns non-finite.
     """
-    p1 = np.asarray(p1, dtype=float).reshape(pd.n)
+    p1 = _checked_x(pd, p1, "p1")
     with np.errstate(over="ignore", invalid="ignore"):
-        G_const = pd.G_const + as_symmat(p2).full()
+        G_const = pd.G_const + _checked_order(pd, p2, "p2").full()
     if not np.isfinite(G_const).all():
         raise InputDataError("matrix entries must be finite")
     return ProblemData(_frozen(pd.f_lin - p1), pd.f_quad, _frozen(G_const), pd.G_lin, pd.G_quad)

@@ -22,7 +22,7 @@ from .cones import (
 from .criticality import CriticalitySystem, _rank_atol, beta_block_rows, complementary_split
 from .errors import InputDataError, NumericError
 from .lpkernel import cone_kernel_nontrivial, null_space, subspace_psd_nontrivial
-from .problem import ProblemData, ProblemKernels, _checked_x, eval_grad_f, kkt_point
+from .problem import ProblemData, ProblemKernels, _checked_order, _checked_x, eval_grad_f, kkt_point
 from .symmat import (
     SymMat,
     as_symmat,
@@ -346,10 +346,11 @@ def check_soscy(sys: CriticalitySystem) -> SecondOrderReport:
 
 def lemma4_check(C, dA, dB, tol: float = 1e-7) -> dict:
     """Equivalence of the projection-derivative equation with its three
-    blockwise characterizing conditions at the split of C."""
-    C = as_symmat(C)
-    dA = as_symmat(dA)
-    dB = as_symmat(dB)
+    blockwise characterizing conditions at the split of C; InputDataError
+    unless the three matrices share one order."""
+    C, dA, dB = as_symmat(C), as_symmat(dA), as_symmat(dB)
+    if not C.p == dA.p == dB.p:
+        raise InputDataError(f"matrix orders differ: C {C.p}, dA {dA.p}, dB {dB.p}")
     ctx = cone_context_from_matrix(C)
     d = ctx.decomp
     scale = max(1.0, dA.norm(), dB.norm())
@@ -486,12 +487,8 @@ def multiplier_distance_estimate(pd: ProblemData, xbar, samples) -> list:
     ka = d.alpha.size
     table = []
     for k, (Y, p1, p2) in enumerate(samples):
-        Y, p1, p2 = as_symmat(Y), np.asarray(p1, dtype=float), as_symmat(p2)
-        if Y.p != p or p2.p != p or p1.size != n:
-            raise InputDataError(
-                f"sample {k}: expected Y and p2 of order {p} and p1 of length {n}, "
-                f"got orders {Y.p} and {p2.p} and length {p1.size}"
-            )
+        Y, p2 = _checked_order(pd, Y, f"Y of sample {k}"), _checked_order(pd, p2, f"p2 of sample {k}")
+        p1 = _checked_x(pd, p1, f"p1 of sample {k}")
         r = -(grad + D @ Y.full().ravel())
         delta, *_ = np.linalg.lstsq(A, r, rcond=None)
         if np.linalg.norm(A @ delta - r) > 1e-8 * max(1.0, np.linalg.norm(r)):

@@ -237,10 +237,17 @@ def sym_vec(M: SymMat) -> np.ndarray:
     return M._upper * svec_scale(M.p)
 
 
+def upper_stack(A: np.ndarray) -> np.ndarray:
+    """Packed upper triangles A[..., rows, cols] of a stack (..., p, p), as
+    C-ordered rows (..., p(p+1)/2): one take of the flat positions
+    packing_tables(p).upper, so a row packs alike in any stack."""
+    p = A.shape[-1]
+    return A.reshape(*A.shape[:-2], p * p).take(packing_tables(p).upper, -1)
+
+
 def svec_stack(A: np.ndarray) -> np.ndarray:
-    """sym_vec of each symmetric array of a stack (k, p, p), as rows (k, p(p+1)/2)."""
-    rows, cols = svec_indices(A.shape[-1])
-    return A[:, rows, cols] * svec_scale(A.shape[-1])
+    """sym_vec of each symmetric array of a stack (..., p, p), as rows (..., p(p+1)/2)."""
+    return upper_stack(A) * svec_scale(A.shape[-1])
 
 
 def sym_mat_stack(V: np.ndarray, p: int) -> np.ndarray:

@@ -477,6 +477,24 @@ def test_classify_undecided_support_lp_is_undetermined():
     )
 
 
+def test_classify_large_block_with_trivial_critical_cone():
+    # the objective scaled by 1e6 leaves the linear rows a nonzero solution
+    # at their rank tolerance while the critical cone is {0}: a witness lies
+    # in that cone, so the block of order 3 is noncritical; the bound tier
+    # used to raise IndexError on the empty cone basis
+    rng = np.random.default_rng(11)
+    pd, x, Y = coupled_block_pair(rng, int(rng.integers(3, 8)), 3)
+    v = classify_multiplier(context(pd, x, Y))
+    assert (v.tag, v.certificate) == (NONCRITICAL, "exact: linear rows alone force xi = 0")
+    pd6 = make_problem(1e6 * pd.f_lin, 1e6 * pd.f_quad, pd.G_const, pd.G_lin, pd.G_quad)
+    sys6 = context(pd6, x, SymMat(1e6 * Y.full()))
+    assert sys6.ctx.decomp.beta.size == 3 and sys6.cone_null.shape[1] == 0
+    assert check_soscy(sys6).search_stats["path"] == "trivial cone"
+    v6 = classify_multiplier(sys6)
+    assert (v6.tag, v6.witness) == (NONCRITICAL, None)
+    assert v6.certificate == "exact: beta block of order 3, critical cone is {0}, which holds no witness"
+
+
 def test_xpart_condition(scalar_system, fam3):
     _, sys1 = scalar_system
     sys3 = build_system(fam3.problem, kkt_point(fam3.problem, fam3.xbar, fam3.ybar))

@@ -40,6 +40,7 @@ from kkt_spectra.symmat import (
     svec_indices,
     svec_scale,
     sym_mat,
+    sym_vec,
 )
 
 
@@ -316,19 +317,20 @@ def test_reference_sweep_evaluation_budget(name, schedule, budget, fam2, fam3, m
     rows = []
     steps = []
     normal_map = ProblemKernels.normal_map
+    solve_stack = perturb._solve_stack
 
     def counted(kern, x, z):
         rows.append(len(x))
         return normal_map(kern, x, z)
 
     def recorded(*args):
-        outcomes = solve_perturbed_starts(*args)
+        outcomes = solve_stack(*args)
         for out in outcomes:
             steps.append(out.best.newton_iters if isinstance(out, ConvergenceError) else out.newton_iters)
         return outcomes
 
     monkeypatch.setattr(ProblemKernels, "normal_map", counted)
-    monkeypatch.setattr(perturb, "solve_perturbed_starts", recorded)
+    monkeypatch.setattr(perturb, "_solve_stack", recorded)
     rep = error_bound_experiment(fam, np.geomspace(*schedule), seed=42)
     assert len(rep.samples) == schedule[2]
     assert 0 < sum(rows) <= budget
@@ -424,18 +426,20 @@ def user_family(fam3):
 
 
 def sweep_starts(fam, s, seed, monkeypatch):
-    """The (pd, p1, p2, starts) a one-point sweep at s hands to the solver:
-    the reference pair, then JITTER_STARTS jittered starts."""
+    """The (kern, p1, p2, X, ZV) a one-point sweep at s hands to the
+    stacked solver: the reference pair, then JITTER_STARTS jittered
+    starts."""
     calls = []
+    solve_stack = perturb._solve_stack
 
     def recorded(*args):
         calls.append(args)
-        return solve_perturbed_starts(*args)
+        return solve_stack(*args)
 
     with monkeypatch.context() as mp:
-        mp.setattr(perturb, "solve_perturbed_starts", recorded)
+        mp.setattr(perturb, "_solve_stack", recorded)
         error_bound_experiment(fam, [s], seed=seed)
-    assert len(calls) == 1 and len(calls[0][3]) == 1 + JITTER_STARTS
+    assert len(calls) == 1 and len(calls[0][3]) == len(calls[0][4]) == 1 + JITTER_STARTS
     return calls[0]
 
 
@@ -448,11 +452,11 @@ def test_lockstep_starts_match_single_solves(name, s, seed, fam2, fam3, monkeypa
     # one k-start call gives, start by start and bit for bit, what k
     # separate single-start calls give
     fam = {"example2": fam2, "example3": fam3, "user": user_family(fam3)}[name]
-    pd, p1, p2, starts = sweep_starts(fam, s, seed, monkeypatch)
-    together = solve_perturbed_starts(pd, p1, p2, starts)
-    assert len(together) == len(starts)
-    for start, joint in zip(starts, together):
-        (alone,) = solve_perturbed_starts(pd, p1, p2, [start])
+    kern, p1, p2, X, ZV = sweep_starts(fam, s, seed, monkeypatch)
+    together = perturb._solve_stack(kern, p1, p2, X, ZV)
+    assert len(together) == len(X)
+    for i, joint in enumerate(together):
+        (alone,) = perturb._solve_stack(kern, p1, p2, X[i : i + 1], ZV[i : i + 1])
         assert type(joint) is type(alone)
         if isinstance(alone, ConvergenceError):
             assert (str(joint), joint.residual) == (str(alone), alone.residual)
@@ -495,6 +499,36 @@ def test_nonfinite_perturbation_rejected(fam3):
     inf_p2 = SymMat._from_packed(2, np.array([math.inf, 0.0, math.inf]))
     with pytest.raises(InputDataError, match="finite"):
         solve_perturbed_starts(fam3.problem, np.zeros(2), inf_p2, [natural_start(fam3)])
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("p1", "p1 has length 3, expected 2"),
+        ("p2", "p2 has order 3, expected 2"),
+        ("x", "x of start 1 has length 3, expected 2"),
+        ("z", "z of start 1 has order 3, expected 2"),
+        ("shifted", "p1 has length 3, expected 2"),
+        ("family", "p1 has length 3, expected 2"),
+    ],
+    ids=["p1", "p2", "x", "z", "shifted", "family"],
+)
+def test_solver_inputs_of_the_wrong_size_rejected(case, message, fam2):
+    # each used to escape as numpy's reshape or broadcast ValueError
+    pd, p1, p2 = fam2.problem, np.zeros(2), SymMat.zeros(2)
+    starts = [natural_start(fam2)] * 2
+    calls = {
+        "p1": lambda: solve_perturbed_starts(pd, [1.0, 0.0, 0.0], p2, starts),
+        "p2": lambda: solve_perturbed_starts(pd, p1, SymMat.zeros(3), starts),
+        "x": lambda: solve_perturbed_starts(pd, p1, p2, [starts[0], (np.zeros(3), starts[0][1])]),
+        "z": lambda: solve_perturbed_starts(pd, p1, p2, [starts[0], (fam2.xbar, SymMat.eye(3))]),
+        "shifted": lambda: shifted_problem(pd, np.zeros(3), SymMat.zeros(2)),
+        "family": lambda: error_bound_experiment(
+            PerturbationFamily("bad", pd, fam2.xbar, fam2.ybar, lambda t: (np.zeros(3), SymMat.zeros(2))), [1e-2]
+        ),
+    }
+    with pytest.raises(InputDataError, match=message):
+        calls[case]()
 
 
 def per_element_newton_directions(J, rhs):
@@ -679,8 +713,9 @@ def test_packing_tables_match_index_definitions():
 
 def test_residual_rows_match_normal_map():
     # the residual rows are the normal map at the dense z, packed by svec
-    # through the fancy index; the norms are one dot product per row, and
-    # the split holds the eigensolve of z and the Jacobian stack at x
+    # as C-ordered copies of the fancy index; the norms are one dot product
+    # per row, and the split holds the eigensolve of z and the Jacobian
+    # stack at x
     for spd, X, ZV in kernel_stacks():
         k, n, p = len(X), spd.n, spd.p
         rows, cols = svec_indices(p)
@@ -688,7 +723,8 @@ def test_residual_rows_match_normal_map():
         R, RN, split = perturb._residuals(ProblemKernels(spd), X, ZV)
         kern = ProblemKernels(spd)
         psi1, psi2, _ = kern.normal_map(X, Z)
-        want = np.concatenate([psi1, psi2.reshape(k, p, p)[:, rows, cols] * svec_scale(p)], axis=1)
+        packed = np.ascontiguousarray(psi2.reshape(k, p, p)[:, rows, cols])
+        want = np.concatenate([psi1, packed * svec_scale(p)], axis=1)
         assert R.tobytes() == want.tobytes()
         assert RN.tobytes() == np.sqrt((want[:, None, :] @ want[:, :, None])[:, 0, 0]).tobytes()
         refs = (*spectral_stack(Z), kern.jacobians(X))
@@ -699,21 +735,22 @@ def test_residual_rows_match_normal_map():
 
 def assembled_newton_elements(spd, X, ZV, split):
     """The Newton elements assembled entry by entry from scatters and
-    fancy-indexed frames."""
+    C-ordered copies of fancy-indexed frames."""
     k, n, p = len(X), spd.n, spd.p
     m = p * (p + 1) // 2
     rows, cols = svec_indices(p)
     svs = svec_scale(p)
     lam, P, Pz, _ = split
-    Y = dense_from_svec(ZV - Pz[:, rows, cols] * svs, p)
+    c_order = np.ascontiguousarray
+    Y = dense_from_svec(ZV - c_order(Pz[:, rows, cols]) * svs, p)
     kern = ProblemKernels(spd)
-    Dsv = kern.jacobians(X).reshape(k, n, p, p)[:, :, rows, cols] * svs
+    Dsv = c_order(kern.jacobians(X).reshape(k, n, p, p)[:, :, rows, cols]) * svs
     tol = default_tol_zero(lam)[:, None]
-    li, lj = lam[:, rows], lam[:, cols]
+    li, lj = c_order(lam[:, rows]), c_order(lam[:, cols])
     w = np.where(lj >= -tol, 1.0, 0.0)
     np.divide(li, li - lj, out=w, where=(li > tol) & (lj < -tol))
     r, c = rows[:, None], cols[:, None]
-    B = P[:, r, rows] * P[:, c, cols] + P[:, c, rows] * P[:, r, cols]
+    B = c_order(P[:, r, rows]) * c_order(P[:, c, cols]) + c_order(P[:, c, rows]) * c_order(P[:, r, cols])
     B = (0.5 * svs)[:, None] * B * svs
     JP = (B * w[:, None, :]) @ np.swapaxes(B, 1, 2)
     J = np.zeros((k, n + m, n + m))
@@ -732,3 +769,29 @@ def test_newton_elements_match_assembly():
         split = perturb._residuals(kern, X, ZV)[2]
         got = perturb._newton_elements(kern, ZV, split)
         assert got.tobytes() == assembled_newton_elements(spd, X, ZV, split).tobytes()
+
+
+def test_stacked_rows_and_starts_match_lone_ones():
+    # a start's residual row, its Newton element and its whole outcome are
+    # bit for bit what it gets alone, whichever starts share its stack, at
+    # every n (n = 1 included, where a (k, 1) Psi_1 column is both C- and
+    # F-ordered)
+    rng = np.random.default_rng(26)
+    for trial in range(32):
+        n, p, k = 1 + trial % 4, 1 + trial // 4 % 4, int(rng.integers(2, 10))
+        pd = random_kernel_problem(rng, n, p)
+        kern = ProblemKernels(pd)
+        X = rng.standard_normal((k, n)) * 10.0 ** rng.integers(-3, 1, size=(k, 1))
+        ZV = np.array([sym_vec(random_symmetric(rng, p)) for _ in range(k)])
+        R, RN, split = perturb._residuals(kern, X, ZV)
+        J = perturb._newton_elements(kern, ZV, split)
+        for i in range(k):
+            Ri, RNi, split_i = perturb._residuals(kern, X[i : i + 1], ZV[i : i + 1])
+            assert (R[i].tobytes(), RN[i]) == (Ri[0].tobytes(), RNi[0]), (n, p, k, i)
+            Ji = perturb._newton_elements(kern, ZV[i : i + 1], split_i)
+            assert J[i].tobytes() == Ji[0].tobytes(), (n, p, k, i)
+        p1, p2 = 1e-2 * rng.standard_normal(n), random_symmetric(rng, p, 1e-2)
+        starts = [(x, sym_mat(z, p)) for x, z in zip(X, ZV)]
+        together = outcome_bytes(solve_perturbed_starts(pd, p1, p2, starts))
+        for i, start in enumerate(starts):
+            assert together[i] == outcome_bytes(solve_perturbed_starts(pd, p1, p2, [start]))[0], (n, p, k, i)

@@ -252,6 +252,13 @@ def test_lemma4_fixtures():
     assert lemma4_check(C, SymMat.zeros(2), SymMat.zeros(2)) == {"lhs": True, "rhs": True}
 
 
+@pytest.mark.parametrize("orders", [(2, 3, 2), (2, 2, 3), (3, 2, 2)])
+def test_lemma4_rejects_mixed_orders(orders):
+    # numpy's broadcast error used to escape for a mismatched pair
+    with pytest.raises(InputDataError, match="matrix orders differ"):
+        lemma4_check(*(SymMat.eye(p) for p in orders))
+
+
 def constructed_lemma4_triple(rng, p):
     """A triple satisfying the equivalence's three conditions exactly."""
     C = random_symmetric(rng, p, 2.0)
