@@ -6,8 +6,6 @@ the normal cone. Critical multipliers are the ones that slow Newton
 methods down and break standard error bounds.
 """
 
-import numpy as np
-
 from kkt_spectra import (
     SymMat,
     build_system,
@@ -59,10 +57,3 @@ print("witness xi:", xi, " eta:", eta.full())
 # Any verdict of criticality comes with a witness whose residual in the
 # linearized system is numerically zero.
 print("witness residual:", witness_residual(sys1, xi, eta))
-
-# The same machinery accepts a custom constraint direction for the
-# degenerate family: the off-diagonal entry couples the branches but
-# the verdict is unchanged.
-fam2 = builtin_family("example2", matrix=np.array([[0.0, 0.7], [0.7, 0.3]]))
-sys2 = build_system(fam2.problem, kkt_point(fam2.problem, fam2.xbar, fam2.ybar))
-print("example2 (rotated direction) verdict:", classify_multiplier(sys2).tag)

@@ -30,6 +30,8 @@ from .perturb import error_bound_experiment, report_to_csv, report_to_dict
 from .problem import (
     FAMILY_NAMES,
     PerturbationFamily,
+    _checked_matrices,
+    _checked_order,
     _field,
     builtin_family,
     kkt_point,
@@ -81,6 +83,50 @@ def _inline_json(label):
     return parse
 
 
+# the flags beyond the problem source, --point and --format, each taken by
+# the subcommands that list it in COMMANDS
+_FLAGS = {
+    "--tol-feas": dict(type=float, default=1e-8, help="feasibility tolerance of the RCQ check"),
+    "--tol-eig": dict(type=float, help="eigenvalue zero-classification tolerance"),
+    "--direction": dict(
+        type=_inline_json("--direction"), help="inline JSON matrix steering a builtin family's perturbation"
+    ),
+    "--seed": dict(type=_seed, default=42, help="seed of the sweep's jittered starts"),
+    "--geo": dict(type=_geo_schedule, required=True, help="geometric schedule start:end:count"),
+    "--p1": dict(type=_inline_json("--p1"), help="inline JSON stationarity shift direction"),
+    "--p2": dict(type=_inline_json("--p2"), help="inline JSON cone shift direction"),
+    "--csv": dict(help="also write sweep rows to this CSV file"),
+}
+
+# each subcommand: its help, the _FLAGS it reads, and the _SECTIONS of its
+# report, which cmd_report fills in this order (perturb's sweep report is
+# cmd_perturb's)
+COMMANDS = {
+    "analyze": (
+        "full pipeline: residuals, partition, qualifications, verdicts",
+        ("--tol-feas", "--tol-eig"),
+        ("kkt_residuals", "partition", "constraint_qualifications", "criticality", "x_part_condition", "soscy",
+         "local_bound_conditions"),
+    ),
+    "criticality": (
+        "multiplier classification and the x-part condition",
+        ("--tol-eig",),
+        ("partition", "criticality", "x_part_condition"),
+    ),
+    "sosc": (
+        "second-order condition and the two local-bound conditions",
+        ("--tol-eig",),
+        ("soscy", "local_bound_conditions"),
+    ),
+    "cones": ("eigenvalue partition and complementarity flags", ("--tol-eig",), ("kkt_residuals", "partition")),
+    "perturb": (
+        "perturbation sweep with order fit and bound verdicts",
+        ("--direction", "--seed", "--geo", "--p1", "--p2", "--csv"),
+        (),
+    ),
+}
+
+
 @functools.cache
 def build_parser() -> _Parser:
     """The argument parser, built once per process and shared by every
@@ -88,19 +134,7 @@ def build_parser() -> _Parser:
     the flags it reads, so any other flag is a usage error."""
     parser = _Parser(prog="kkt-spectra", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    knobs = {
-        "--tol-eig": dict(type=float, help="eigenvalue zero-classification tolerance"),
-        "--tol-feas": dict(type=float, default=1e-8, help="feasibility tolerance of the RCQ check"),
-        "--seed": dict(type=_seed, default=42, help="seed of the sweep's jittered starts"),
-    }
-    for name, blurb, flags in (
-        ("analyze", "full pipeline: residuals, partition, qualifications, verdicts",
-         ("--tol-eig", "--tol-feas")),
-        ("criticality", "multiplier classification and the x-part condition", ("--tol-eig",)),
-        ("sosc", "second-order condition and the two local-bound conditions", ("--tol-eig",)),
-        ("cones", "eigenvalue partition and complementarity flags", ("--tol-eig",)),
-        ("perturb", "perturbation sweep with order fit and bound verdicts", ("--seed",)),
-    ):
+    for name, (blurb, flags, _) in COMMANDS.items():
         sp = sub.add_parser(name, help=blurb)
         src = sp.add_mutually_exclusive_group(required=True)
         src.add_argument("--problem", help="problem JSON file")
@@ -108,44 +142,30 @@ def build_parser() -> _Parser:
             "--family", choices=FAMILY_NAMES, help="builtin perturbation family"
         )
         sp.add_argument("--point", help="point JSON file {x, Y} (default: family reference)")
-        sp.add_argument(
-            "--direction",
-            type=_inline_json("--direction"),
-            help="inline JSON matrix steering a builtin family's perturbation",
-        )
         for flag in flags:
-            sp.add_argument(flag, **knobs[flag])
+            sp.add_argument(flag, **_FLAGS[flag])
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        if name == "perturb":
-            sp.add_argument(
-                "--geo",
-                type=_geo_schedule,
-                required=True,
-                help="geometric schedule start:end:count",
-            )
-            sp.add_argument("--p1", type=_inline_json("--p1"), help="inline JSON stationarity shift direction")
-            sp.add_argument("--p2", type=_inline_json("--p2"), help="inline JSON cone shift direction")
-            sp.add_argument("--csv", help="also write sweep rows to this CSV file")
     return parser
 
 
 def _inline_matrix(flag: str, value) -> SymMat:
-    """The inline JSON value of flag as a SymMat; its entries follow the
-    problem files' number rule, and InputDataError names flag unless it is
-    a square matrix of numbers."""
+    """The inline JSON value of flag as a SymMat; it follows the problem
+    files' matrix rule (numbers, finite, symmetric within 1e-12 relative),
+    and InputDataError names flag unless it is a square matrix that does."""
     shape = np.asarray(value, dtype=object).shape
     if len(shape) != 2 or shape[0] != shape[1]:
         raise InputDataError(f"{flag}: expected a square matrix of numbers, got {json.dumps(value)}")
-    return SymMat(_field(value, flag, shape, "a square matrix of numbers"))
+    return SymMat(_checked_matrices([value], [flag], shape[0])[0])
 
 
 def _source(args):
-    """The builtin family of --family (None for --problem) and its problem data."""
+    """The builtin family of --family, steered by --direction where the
+    subcommand takes it (None for --problem), and its problem data."""
+    direction = getattr(args, "direction", None)
     if args.family is not None:
-        direction = None if args.direction is None else _inline_matrix("--direction", args.direction)
-        fam = builtin_family(args.family, direction)
+        fam = builtin_family(args.family, None if direction is None else _inline_matrix("--direction", direction))
         return fam, fam.problem
-    if args.direction is not None:
+    if direction is not None:
         raise InputDataError("--direction steers a builtin family's perturbation and needs --family")
     return None, load_problem(args.problem)
 
@@ -216,21 +236,6 @@ def _require_tolerance(flag: str, value: float) -> None:
         raise InputDataError(f"{flag} must be finite and positive")
 
 
-def _analysis_context(args):
-    """The one analysis context, at the --tol-eig partition, of the
-    requested pair; every section of a report reads it."""
-    if args.tol_eig is not None:
-        _require_tolerance("--tol-eig", args.tol_eig)
-    fam, pd = _source(args)
-    x, Y = _point(args, fam, pd)
-    return analysis_context(pd, x, Y, tol=args.tol_eig)
-
-
-def _residuals_payload(sysm):
-    r1, r2 = sysm.kkt.residuals
-    return {"stationarity": r1, "complementarity": r2}
-
-
 def _partition_payload(ctx):
     d = ctx.decomp
     return {
@@ -245,17 +250,12 @@ def _partition_payload(ctx):
 
 def _criticality_payload(sysm):
     verdict = classify_multiplier(sysm)
-    out = {
+    return {
         "tag": verdict.tag,
         "certificate": verdict.certificate,
         "witness_residual": verdict.residual,
+        "witness": None if verdict.witness is None else dict(zip(("xi", "eta"), verdict.witness)),
     }
-    if verdict.witness is not None:
-        xi, eta = verdict.witness
-        out["witness"] = {"xi": xi, "eta": eta}
-    else:
-        out["witness"] = None
-    return out
 
 
 def _soscy_payload(sysm):
@@ -269,58 +269,37 @@ def _soscy_payload(sysm):
     }
 
 
-def cmd_analyze(args) -> dict:
-    _require_tolerance("--tol-feas", args.tol_feas)
-    sysm = _analysis_context(args)
-    return {
-        "schema": SCHEMA,
-        "command": "analyze",
-        "source": args.family or args.problem,
-        "kkt_residuals": _residuals_payload(sysm),
-        "partition": _partition_payload(sysm.ctx),
-        "constraint_qualifications": {
-            "rcq": rcq_holds(sysm.G, sysm.Ds, tol_feas=args.tol_feas),
-            "srcq": srcq_holds(sysm.ctx.decomp, sysm.Dt),
-        },
-        "criticality": _criticality_payload(sysm),
-        "x_part_condition": xpart_condition(sysm),
-        "soscy": _soscy_payload(sysm),
-        "local_bound_conditions": theorem3_conditions(sysm),
-    }
+# each report section's payload, read from the analysis context sysm and
+# the parsed flags
+_SECTIONS = {
+    "kkt_residuals": lambda sysm, args: dict(zip(("stationarity", "complementarity"), sysm.kkt.residuals)),
+    "partition": lambda sysm, args: _partition_payload(sysm.ctx),
+    "constraint_qualifications": lambda sysm, args: {
+        "rcq": rcq_holds(sysm.G, sysm.Ds, tol_feas=args.tol_feas),
+        "srcq": srcq_holds(sysm.ctx.decomp, sysm.Dt),
+    },
+    "criticality": lambda sysm, args: _criticality_payload(sysm),
+    "x_part_condition": lambda sysm, args: xpart_condition(sysm),
+    "soscy": lambda sysm, args: _soscy_payload(sysm),
+    "local_bound_conditions": lambda sysm, args: theorem3_conditions(sysm),
+}
 
 
-def cmd_criticality(args) -> dict:
-    sysm = _analysis_context(args)
-    return {
-        "schema": SCHEMA,
-        "command": "criticality",
-        "source": args.family or args.problem,
-        "partition": _partition_payload(sysm.ctx),
-        "criticality": _criticality_payload(sysm),
-        "x_part_condition": xpart_condition(sysm),
-    }
-
-
-def cmd_sosc(args) -> dict:
-    sysm = _analysis_context(args)
-    return {
-        "schema": SCHEMA,
-        "command": "sosc",
-        "source": args.family or args.problem,
-        "soscy": _soscy_payload(sysm),
-        "local_bound_conditions": theorem3_conditions(sysm),
-    }
-
-
-def cmd_cones(args) -> dict:
-    sysm = _analysis_context(args)
-    return {
-        "schema": SCHEMA,
-        "command": "cones",
-        "source": args.family or args.problem,
-        "kkt_residuals": _residuals_payload(sysm),
-        "partition": _partition_payload(sysm.ctx),
-    }
+def cmd_report(args) -> dict:
+    """The report of every subcommand but perturb: its COMMANDS sections,
+    in order, each read from the one analysis context, at the --tol-eig
+    partition, of the requested pair."""
+    _, tolerances, sections = COMMANDS[args.command]
+    for flag in tolerances:
+        value = vars(args)[flag[2:].replace("-", "_")]
+        if value is not None:
+            _require_tolerance(flag, value)
+    fam, pd = _source(args)
+    x, Y = _point(args, fam, pd)
+    sysm = analysis_context(pd, x, Y, tol=args.tol_eig)
+    payload = {"schema": SCHEMA, "command": args.command, "source": args.family or args.problem}
+    payload.update((name, _SECTIONS[name](sysm, args)) for name in sections)
+    return payload
 
 
 def cmd_perturb(args) -> dict:
@@ -338,9 +317,7 @@ def cmd_perturb(args) -> dict:
         pair = kkt_point(pd, x, Y)
         certified_split(pd, pair)
         p1d = _field(args.p1, "--p1", pd.n, f"{pd.n} numbers")
-        p2d = _inline_matrix("--p2", args.p2)
-        if p2d.p != pd.p:
-            raise InputDataError("--p2 order does not match the problem")
+        p2d = _checked_order(pd, _inline_matrix("--p2", args.p2), "--p2")
         fam = PerturbationFamily(
             "user", pd, pair.x, pair.Y, lambda s: (s * p1d, float(s) * p2d)
         )
@@ -366,19 +343,10 @@ def cmd_perturb(args) -> dict:
     return payload
 
 
-_DISPATCH = {
-    "analyze": cmd_analyze,
-    "criticality": cmd_criticality,
-    "sosc": cmd_sosc,
-    "cones": cmd_cones,
-    "perturb": cmd_perturb,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        payload = _DISPATCH[args.command](args)
+        payload = (cmd_perturb if args.command == "perturb" else cmd_report)(args)
     except InputDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

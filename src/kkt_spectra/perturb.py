@@ -513,43 +513,46 @@ def error_bound_experiment(family: PerturbationFamily, schedule, *, seed: int = 
     excluded_residuals = []
     multiple_roots = False
 
-    for s in schedule:
-        p1, p2 = _perturbation(pd, *family.perturbation(float(s)))
-        pnorm = float(np.linalg.norm(p1)) + p2.norm()
-        kern = ProblemKernels(shifted_problem(pd, p1, p2))
-        delta = 0.5 * max(
-            float(np.max(np.abs(prev_x - xbar))) if n else 0.0,
-            math.sqrt(pnorm),
-            1e-8,
-        )
-        # the continuation start, then the jittered ones: x0 and z0 = G(x0) + Y0
-        M, dx = _jitter_draws(rng, n, p)
-        X0 = np.vstack([prev_x, prev_x + delta * dx])
-        Y0 = np.vstack([prev_Y._upper, prev_Y._upper + delta * _packed_sym(M)])
-        outcomes = _solve_stack(kern, p1, p2, X0, (_packed_sym(kern.G(X0)) + Y0) * svec_scale(p))
-        roots = [o for o in outcomes if isinstance(o, PerturbationSample)]
-        if not roots:
-            excluded_params.append(float(s))
-            excluded_residuals.append(min(o.residual for o in outcomes))
-            continue
-        distinct = []
-        for smp in roots:
-            tol = 1e-6 * max(1.0, float(np.linalg.norm(smp.x)))
-            if all(np.linalg.norm(smp.x - other.x) > tol for other in distinct):
-                distinct.append(smp)
-        if len(distinct) > 1:
-            multiple_roots = True
-        # equidistant roots (symmetric branches) tie-break by multiplier drift
-        dists = [float(np.linalg.norm(smp.x - xbar)) for smp in distinct]
-        dmin = min(dists)
-        near = [
-            smp for smp, dx in zip(distinct, dists) if dx <= dmin + 1e-6 * max(1.0, dmin)
-        ]
-        best = min(near, key=lambda smp: (smp.Y - ybar).norm())
-        samples.append(best)
-        kept_params.append(float(s))
-        prev_x = best.x.copy()
-        prev_Y = best.Y
+    # an overflow in a point's arithmetic is decided by the finiteness
+    # checks and the dropped-point rule, not reported as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in schedule:
+            p1, p2 = _perturbation(pd, *family.perturbation(float(s)))
+            pnorm = float(np.linalg.norm(p1)) + p2.norm()
+            kern = ProblemKernels(shifted_problem(pd, p1, p2))
+            delta = 0.5 * max(
+                float(np.max(np.abs(prev_x - xbar))) if n else 0.0,
+                math.sqrt(pnorm),
+                1e-8,
+            )
+            # the continuation start, then the jittered ones: x0 and z0 = G(x0) + Y0
+            M, dx = _jitter_draws(rng, n, p)
+            X0 = np.vstack([prev_x, prev_x + delta * dx])
+            Y0 = np.vstack([prev_Y._upper, prev_Y._upper + delta * _packed_sym(M)])
+            outcomes = _solve_stack(kern, p1, p2, X0, (_packed_sym(kern.G(X0)) + Y0) * svec_scale(p))
+            roots = [o for o in outcomes if isinstance(o, PerturbationSample)]
+            if not roots:
+                excluded_params.append(float(s))
+                excluded_residuals.append(min(o.residual for o in outcomes))
+                continue
+            distinct = []
+            for smp in roots:
+                tol = 1e-6 * max(1.0, float(np.linalg.norm(smp.x)))
+                if all(np.linalg.norm(smp.x - other.x) > tol for other in distinct):
+                    distinct.append(smp)
+            if len(distinct) > 1:
+                multiple_roots = True
+            # equidistant roots (symmetric branches) tie-break by multiplier drift
+            dists = [float(np.linalg.norm(smp.x - xbar)) for smp in distinct]
+            dmin = min(dists)
+            near = [
+                smp for smp, dx in zip(distinct, dists) if dx <= dmin + 1e-6 * max(1.0, dmin)
+            ]
+            best = min(near, key=lambda smp: (smp.Y - ybar).norm())
+            samples.append(best)
+            kept_params.append(float(s))
+            prev_x = best.x.copy()
+            prev_Y = best.Y
 
     deviations = [float(np.linalg.norm(smp.x - xbar)) for smp in samples]
     p_norms = [float(np.linalg.norm(smp.p1)) + smp.p2.norm() for smp in samples]

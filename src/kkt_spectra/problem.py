@@ -218,11 +218,8 @@ def kkt_point(pd: ProblemData, x, Y) -> KKTPoint:
     """Evaluate the pair (x, Y) of pd; InputDataError unless x has n entries
     and Y order p. Its residuals are the norm of the Lagrangian gradient and
     the Frobenius norm of the natural-map residual G(x) - Pi(G(x) + Y)."""
-    Y = as_symmat(Y)
-    x = _checked_x(pd, x)
+    x, Y = _checked_x(pd, x), _checked_order(pd, Y, "Y")
     n, p = pd.n, pd.p
-    if Y.p != p:
-        raise InputDataError(f"matrix orders differ: {p} vs {Y.p}")
     x.flags.writeable = False
     kern = ProblemKernels(pd)
     Gx = SymMat(kern.G(x))

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -21,6 +23,9 @@ from kkt_spectra.problem import (
     load_problem,
     problem_to_dict,
 )
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run(argv):
@@ -220,6 +225,23 @@ def test_perturb_rejects_nonfinite_shift(problem_files, p1):
     assert caught == []
 
 
+@pytest.mark.parametrize("family, geo, code", [("example2", "1e200:1e200:2", 2), ("example3", "1e150:1e150:2", 0)])
+def test_overflowing_sweep_prints_no_runtime_warning(family, geo, code):
+    # run in a fresh process, whose stderr shows any warning: it holds the
+    # error or the dropped points, and no numpy warning from the overflow
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from kkt_spectra.cli import main; sys.exit(main(sys.argv[1:]))",
+         "perturb", "--family", family, "--geo", geo],
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert all(line.startswith(("error: ", "warning: dropped")) for line in proc.stderr.splitlines()), proc.stderr
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [
@@ -228,13 +250,24 @@ def test_perturb_rejects_nonfinite_shift(problem_files, p1):
         ("--p1", "[true,0]"),
         ("--p2", "[[0,0],[0]]"),
         ("--p2", "[[0,0],[0,false]]"),
+        ("--p2", "[[0,1],[0,0]]"),
+        ("--p2", "[[NaN,0],[0,0]]"),
         ("--direction", "[[1,2],[3]]"),
         ("--direction", '"x"'),
+        ("--direction", "[[0,1],[0,0]]"),
+        ("--direction", "[[Infinity,0],[0,0]]"),
     ],
 )
 def test_malformed_inline_values_exit_2_naming_the_flag(problem_files, flag, value):
     # inline values follow the problem files' number rule: a wrong count,
-    # a ragged matrix, a string or a bool is a data error naming the flag
+    # a ragged matrix, a string or a bool is a data error naming the flag;
+    # a matrix also follows their matrix rule, finite and symmetric within
+    # 1e-12 relative, rather than being symmetrized
+    faults = {
+        "[[0,1],[0,0]]": "matrix is not symmetric within 1e-12 relative",
+        "[[NaN,0],[0,0]]": "entries must be finite",
+        "[[Infinity,0],[0,0]]": "entries must be finite",
+    }
     ppath, xpath = problem_files
     shift = {"--p1": "[0.1, 0.0]", "--p2": "[[0.0, 0.0], [0.0, 0.0]]", flag: value}
     if flag == "--direction":
@@ -243,7 +276,7 @@ def test_malformed_inline_values_exit_2_naming_the_flag(problem_files, flag, val
         argv = ["perturb", "--problem", ppath, "--point", xpath, "--p1", shift["--p1"], "--p2", shift["--p2"]]
     code, out, err = run(argv + ["--geo", "1e-2:1e-3:2", "--format", "json"])
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: {flag}: expected ") and err.count("\n") == 1, err
+    assert err.startswith(f"error: {flag}: {faults.get(value, 'expected ')}") and err.count("\n") == 1, err
 
 
 def _bad_payload(edit):
@@ -370,13 +403,13 @@ def test_perturb_equal_parameters_report_no_exponent():
     assert json.loads(out)["exponent_fit"] == {"exponent": None, "stderr": None}
 
 
-# the flags each subcommand reads, 35 settable values in all, each with a
+# the flags each subcommand reads, 31 settable values in all, each with a
 # value it parses
 FLAG_SETS = {
-    "analyze": {"--problem", "--family", "--point", "--direction", "--tol-eig", "--tol-feas", "--format"},
-    "criticality": {"--problem", "--family", "--point", "--direction", "--tol-eig", "--format"},
-    "sosc": {"--problem", "--family", "--point", "--direction", "--tol-eig", "--format"},
-    "cones": {"--problem", "--family", "--point", "--direction", "--tol-eig", "--format"},
+    "analyze": {"--problem", "--family", "--point", "--tol-eig", "--tol-feas", "--format"},
+    "criticality": {"--problem", "--family", "--point", "--tol-eig", "--format"},
+    "sosc": {"--problem", "--family", "--point", "--tol-eig", "--format"},
+    "cones": {"--problem", "--family", "--point", "--tol-eig", "--format"},
     "perturb": {"--problem", "--family", "--point", "--direction", "--seed", "--format", "--geo", "--p1", "--p2",
                 "--csv"},
 }
@@ -418,8 +451,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads(command):
 
 @pytest.mark.parametrize(
     "command, flag",
-    [(command, "--direction") for command in sorted(FLAG_SETS)]
-    + [("perturb-family", flag) for flag in ("--point", "--p1", "--p2")],
+    [("perturb", "--direction")] + [("perturb-family", flag) for flag in ("--point", "--p1", "--p2")],
 )
 def test_flags_without_effect_in_context_exit_2(problem_files, command, flag):
     # --direction steers only a builtin family, and a --family sweep reads
@@ -429,9 +461,8 @@ def test_flags_without_effect_in_context_exit_2(problem_files, command, flag):
     if command == "perturb-family":
         argv = ["perturb", "--family", "example2", "--geo", "1e-2:1e-3:2", flag, value]
     else:
-        argv = [command, "--problem", ppath, "--point", xpath, flag, value]
-        if command == "perturb":
-            argv += ["--p1", "[0.1, 0.0]", "--p2", "[[0.0, 0.0], [0.0, 0.0]]", "--geo", "1e-2:1e-3:2"]
+        argv = [command, "--problem", ppath, "--point", xpath, flag, value,
+                "--p1", "[0.1, 0.0]", "--p2", "[[0.0, 0.0], [0.0, 0.0]]", "--geo", "1e-2:1e-3:2"]
     code, out, err = run(argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {flag} ") and err.count("\n") == 1

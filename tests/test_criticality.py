@@ -751,7 +751,7 @@ def test_build_system_at_a_given_tolerance_resplits_the_pair():
 @pytest.mark.parametrize("order", [1, 3])
 def test_every_pair_path_rejects_a_multiplier_of_the_wrong_order(fam2, order):
     pd, x, Y = fam2.problem, fam2.xbar, SymMat.eye(order)
-    message = f"matrix orders differ: 2 vs {order}"
+    message = f"Y has order {order}, expected 2"
     for call in (kkt_point, analysis_context, check_srcq):
         with pytest.raises(InputDataError, match=message):
             call(pd, x, Y)

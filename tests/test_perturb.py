@@ -1,6 +1,7 @@
 """Perturbed solves, order fitting, block-order regression, bound verdicts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from kkt_spectra.perturb import (
 )
 from kkt_spectra.problem import (
     PerturbationFamily,
+    builtin_family,
     kkt_point,
     ProblemKernels,
     make_problem,
@@ -499,6 +501,28 @@ def test_nonfinite_perturbation_rejected(fam3):
     inf_p2 = SymMat._from_packed(2, np.array([math.inf, 0.0, math.inf]))
     with pytest.raises(InputDataError, match="finite"):
         solve_perturbed_starts(fam3.problem, np.zeros(2), inf_p2, [natural_start(fam3)])
+
+
+# sweeps whose arithmetic overflows: example2 stops at a non-finite shifted
+# problem, and example3 drops both points
+OVERFLOW_SWEEPS = [("example2", 1e200, "matrix entries must be finite"),
+                   ("example2", 1e300, "matrix entries must be finite"),
+                   ("example3", 1e150, [1e150, 1e150])]
+
+
+@pytest.mark.parametrize("name, s, outcome", OVERFLOW_SWEEPS, ids=["example2-1e200", "example2-1e300", "example3-1e150"])
+def test_overflowing_sweep_ignores_the_warning_filter(name, s, outcome):
+    # the finiteness checks and the dropped-point rule decide an overflowing
+    # point, so turning warnings into errors changes nothing
+    def run(action):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            try:
+                return error_bound_experiment(builtin_family(name), [s, s]).excluded_params
+            except InputDataError as exc:
+                return str(exc)
+
+    assert run("error") == run("ignore") == outcome
 
 
 @pytest.mark.parametrize(
