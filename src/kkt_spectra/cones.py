@@ -20,7 +20,7 @@ from .symmat import (
     as_symmat,
     dir_deriv_from_decomp,
     eig_range,
-    eigh,
+    frame_projection,
     moreau_split,
 )
 
@@ -83,113 +83,73 @@ def check_complementary(ctx: ConeContext, X: SymMat, Y: SymMat, tol=1e-8) -> Non
         )
 
 
-def _block_slices(d: SpectralDecomp):
-    ka, kb = d.alpha.size, d.beta.size
-    return slice(0, ka), slice(ka, ka + kb), slice(ka + kb, d.p)
+def _block_rule(ctx: ConeContext, H, tol, vanish, block, psd: bool) -> Membership:
+    """The one membership rule of the eigenframe of ctx: the block
+    Ht[vanish] of the rotated direction must vanish and its diagonal
+    block Ht[block, block] lie in S+ (psd) or S- (not psd). The violation
+    is the larger of the vanishing block's norm and that diagonal block's
+    spectral distance from its cone."""
+    Ht = ctx.decomp.rotate(H)
+    lo, hi = eig_range(Ht[block, block])
+    violation = max(float(np.linalg.norm(Ht[vanish])), max(0.0, -float(lo) if psd else float(hi)))
+    return Membership(violation <= tol, violation)
 
 
 def tangent_membership(ctx: ConeContext, H, tol=DEFAULT_MEMBERSHIP_TOL) -> Membership:
     """Tangent cone to the PSD cone at X: compressed (beta+gamma) block PSD."""
-    d = ctx.decomp
-    _, sb, sg = _block_slices(d)
-    Ht = d.rotate(H)
-    comp = Ht[sb.start : d.p, sb.start : d.p]
-    lo, _ = eig_range(comp)
-    violation = max(0.0, -float(lo))
-    return Membership(violation <= tol, violation)
+    _, sb, _ = ctx.decomp.slices
+    return _block_rule(ctx, H, tol, (slice(0), slice(0)), slice(sb.start, None), True)
 
 
 def normal_membership(ctx: ConeContext, H, tol=DEFAULT_MEMBERSHIP_TOL) -> Membership:
     """Normal cone at X: compressed (beta+gamma) block NSD, alpha rows zero."""
-    d = ctx.decomp
-    sa, sb, sg = _block_slices(d)
-    Ht = d.rotate(H)
-    eq = float(np.linalg.norm(Ht[sa, :]))
-    comp = Ht[sb.start : d.p, sb.start : d.p]
-    _, hi = eig_range(comp)
-    violation = max(eq, max(0.0, float(hi)))
-    return Membership(violation <= tol, violation)
+    sa, sb, _ = ctx.decomp.slices
+    return _block_rule(ctx, H, tol, (sa, slice(None)), slice(sb.start, None), False)
 
 
 def critical_cone_psd_membership(ctx: ConeContext, H, tol=DEFAULT_MEMBERSHIP_TOL) -> Membership:
     """Critical cone of the PSD cone at (X, Y): gamma rows vanish, beta block PSD."""
-    d = ctx.decomp
-    sa, sb, sg = _block_slices(d)
-    Ht = d.rotate(H)
-    eq = float(np.linalg.norm(Ht[sg, sb.start : d.p]))
-    lo, _ = eig_range(Ht[sb, sb])
-    violation = max(eq, max(0.0, -float(lo)))
-    return Membership(violation <= tol, violation)
+    _, sb, sg = ctx.decomp.slices
+    return _block_rule(ctx, H, tol, (sg, slice(sb.start, None)), sb, True)
 
 
 def critical_cone_nsd_membership(ctx: ConeContext, H, tol=DEFAULT_MEMBERSHIP_TOL) -> Membership:
     """Critical cone of the NSD cone at (Y, X): alpha rows vanish, beta block NSD."""
-    d = ctx.decomp
-    sa, sb, sg = _block_slices(d)
-    Ht = d.rotate(H)
-    eq = float(np.linalg.norm(Ht[sa, 0 : sb.stop]))
-    _, hi = eig_range(Ht[sb, sb])
-    violation = max(eq, max(0.0, float(hi)))
-    return Membership(violation <= tol, violation)
+    sa, sb, _ = ctx.decomp.slices
+    return _block_rule(ctx, H, tol, (sa, slice(0, sb.stop)), sb, False)
 
 
 def graph_tangent_membership(ctx: ConeContext, H1, H2, tol=DEFAULT_MEMBERSHIP_TOL) -> GraphMembership:
     """Tangent directions (H1, H2) to the graph of the PSD normal cone map.
 
     member_blocks evaluates the block conditions in the eigenbasis of
-    A = X + Y; member_deriv evaluates the equivalent fixed-point test
-    H1 = dPi(A; H1 + H2). Both flags are returned so the equivalence is
-    testable from outside.
+    A = X + Y: H1 in the critical cone of the PSD cone, H2 in that of
+    the NSD cone, the Sigma coupling of their alpha x gamma blocks and
+    the orthogonality of their beta blocks. member_deriv evaluates the
+    equivalent fixed-point test H1 = dPi(A; H1 + H2). Both flags are
+    returned so the equivalence is testable from outside. The violation
+    is the largest of the four conditions' violations; each critical
+    cone reads the norm of its whole vanishing block.
     """
     d = ctx.decomp
-    sa, sb, sg = _block_slices(d)
-    H1 = as_symmat(H1)
-    H2 = as_symmat(H2)
-    H1t = d.rotate(H1)
-    H2t = d.rotate(H2)
-
-    viols = [
-        float(np.linalg.norm(H1t[sb, sg])),
-        float(np.linalg.norm(H1t[sg, sg])),
-        float(np.linalg.norm(H2t[sa, sa])),
-        float(np.linalg.norm(H2t[sa, sb])),
-    ]
-    S = d.sigma[sa, sg]
-    viols.append(float(np.linalg.norm((S - 1.0) * H1t[sa, sg] + S * H2t[sa, sg])))
-    B1 = H1t[sb, sb]
-    B2 = H2t[sb, sb]
-    lo1, _ = eig_range(B1)
-    _, hi2 = eig_range(B2)
-    viols.append(max(0.0, -float(lo1)))
-    viols.append(max(0.0, float(hi2)))
-    n1 = float(np.linalg.norm(B1))
-    n2 = float(np.linalg.norm(B2))
-    viols.append(abs(float(np.sum(B1 * B2))) / max(1.0, n1 * n2))
-    violation = max(viols)
-
+    sa, sb, sg = d.slices
+    H1, H2 = as_symmat(H1), as_symmat(H2)
+    H1t, H2t = d.rotate(H1), d.rotate(H2)
+    S, B1, B2 = d.sigma[sa, sg], H1t[sb, sb], H2t[sb, sb]
+    violation = max(
+        critical_cone_psd_membership(ctx, H1, tol).violation,
+        critical_cone_nsd_membership(ctx, H2, tol).violation,
+        float(np.linalg.norm((S - 1.0) * H1t[sa, sg] + S * H2t[sa, sg])),
+        abs(float(np.sum(B1 * B2))) / max(1.0, float(np.linalg.norm(B1)) * float(np.linalg.norm(B2))),
+    )
     deriv_gap = (H1 - dir_deriv_from_decomp(d, H1 + H2)).norm()
     return GraphMembership(violation <= tol, deriv_gap <= tol, violation)
 
 
 def project_critical_cone(ctx: ConeContext, Z) -> SymMat:
-    """Metric projection onto the critical cone of the PSD cone at (X, Y).
-
-    Blockwise in the eigenbasis: alpha rows pass through, the beta block
-    is projected onto its small PSD cone, gamma rows are zeroed.
-    """
-    d = ctx.decomp
-    sa, sb, sg = _block_slices(d)
-    Zt = d.rotate(Z)
-    R = np.zeros_like(Zt)
-    R[sa, sa] = Zt[sa, sa]
-    R[sa, sb] = Zt[sa, sb]
-    R[sb, sa] = Zt[sb, sa]
-    R[sa, sg] = Zt[sa, sg]
-    R[sg, sa] = Zt[sg, sa]
-    if d.beta.size:
-        lam_b, V_b = eigh(Zt[sb, sb])
-        R[sb, sb] = (V_b * np.maximum(lam_b, 0.0)) @ V_b.T
-    return SymMat(d.P @ R @ d.P.T)
+    """Metric projection onto the critical cone of the PSD cone at (X, Y):
+    the blockwise rule of frame_projection with weight 1."""
+    return SymMat(frame_projection(ctx.decomp, ctx.decomp.rotate(Z), 1.0))
 
 
 def project_critical_cone_polar(ctx: ConeContext, Z) -> SymMat:

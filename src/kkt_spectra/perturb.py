@@ -437,9 +437,10 @@ def _jitter_draws(rng, n: int, p: int):
 def fit_order_exponent(pairs):
     """Log-log slope of deviation against parameter, with its stderr.
 
-    The slope needs two distinct parameters; with fewer, InputDataError.
+    Only pairs whose parameter and deviation are both finite and positive
+    count. The slope needs two distinct parameters; with fewer, InputDataError.
     """
-    pts = [(float(s), float(v)) for s, v in pairs if s > 0.0 and v > 0.0]
+    pts = [(float(s), float(v)) for s, v in pairs if 0.0 < s < math.inf and 0.0 < v < math.inf]
     if len({s for s, _ in pts}) < 2:
         raise InputDataError("need positive (parameter, deviation) pairs at two distinct parameters")
     xs = np.log([s for s, _ in pts])
@@ -645,11 +646,10 @@ def lemma6_order_check(ctx: ConeContext, samples=8, seed=0, schedule=None):
     if not dirs or any(M.shape != Ab.shape for M in dirs):
         raise InputDataError(f"samples must give at least one direction, each of order {p}")
 
-    idx = {"alpha": d.alpha, "beta": d.beta, "gamma": d.gamma}
-    lam_a = d.lam[d.alpha]
-    lam_g = d.lam[d.gamma]
-    names = [name for name, _, ri, ci, _ in _BLOCK_SPECS if idx[ri].size and idx[ci].size]
-    if d.alpha.size and d.gamma.size:
+    idx = dict(zip(("alpha", "beta", "gamma"), d.slices))
+    sa, _, sg = d.slices
+    names = [name for name, _, ri, ci, _ in _BLOCK_SPECS if Ab[idx[ri], idx[ci]].size]
+    if d.curvature.size:
         names.append("eq89")
     per_dir = {name: [] for name in names}
 
@@ -668,13 +668,11 @@ def lemma6_order_check(ctx: ConeContext, samples=8, seed=0, schedule=None):
             for name, side, ri, ci, kind in _BLOCK_SPECS:
                 if name not in rows:
                     continue
-                block = (Xt if side == "X" else Yt)[np.ix_(idx[ri], idx[ci])]
+                block = (Xt if side == "X" else Yt)[idx[ri], idx[ci]]
                 key = kind if kind in ("min", "product") else f"linear_{side}"
                 rows[name].append((float(s), float(np.linalg.norm(block)), pred[key]))
             if "eq89" in rows:
-                R = Yt[np.ix_(d.alpha, d.gamma)] + (
-                    np.diag(1.0 / lam_a) @ Xt[np.ix_(d.alpha, d.gamma)] @ np.diag(lam_g)
-                )
+                R = Yt[sa, sg] + d.curvature.T * Xt[sa, sg]
                 rows["eq89"].append((float(s), float(np.linalg.norm(R)), pred["product"]))
         for name, triples in rows.items():
             per_dir[name].append(triples)

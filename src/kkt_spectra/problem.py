@@ -433,6 +433,7 @@ def example3_family() -> PerturbationFamily:
     The parameter t tilts the objective by sqrt(t) and shifts the
     constraint by -t diag(2, 1); the perturbed solution path is
     x(t) = (2 sqrt(3)/3, sqrt(3)/3) * sqrt(t) with zero multiplier.
+    A negative t raises InputDataError.
     """
     B11 = SymMat.diag([2.0, 0.0])
     B12 = SymMat.eye(2)
@@ -448,6 +449,8 @@ def example3_family() -> PerturbationFamily:
     B = SymMat.diag([2.0, 1.0])
 
     def perturbation(t: float):
+        if t < 0.0:
+            raise InputDataError(f"example3 takes a parameter t >= 0, got {t}")
         return math.sqrt(t) * a, (-float(t)) * B
 
     def reference_x(t: float):

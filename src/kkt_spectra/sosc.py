@@ -17,6 +17,7 @@ import numpy as np
 from .cones import (
     ConeContext,
     cone_context_from_matrix,
+    critical_cone_nsd_membership,
     critical_cone_psd_membership,
 )
 from .criticality import CriticalitySystem, _rank_atol, beta_block_rows, complementary_split
@@ -68,14 +69,8 @@ def sigma_term(ctx: ConeContext, H, tol: float = 1e-7) -> float:
             f"direction lies outside the critical cone (violation {mem.violation:.3e})"
         )
     d = ctx.decomp
-    Ht = d.rotate(H)
-    total = 0.0
-    for j in d.gamma:
-        acc = 0.0
-        for i in d.alpha:
-            acc += Ht[j, i] ** 2 / d.lam[i]
-        total += d.lam[j] * acc
-    return 2.0 * total
+    sa, _, sg = d.slices
+    return 2.0 * float(np.sum(d.curvature * d.rotate(H)[sg, sa] ** 2))
 
 
 def _pushed(Ds: np.ndarray, d) -> SymMat:
@@ -98,12 +93,9 @@ def critical_cone_x_membership(pd: ProblemData, xbar, ybar, d) -> dict:
 def _sigma_quadratic(sys: CriticalitySystem) -> np.ndarray:
     """Matrix S with d^T S d = sigma_term(G'(x)d), no membership gate."""
     d = sys.ctx.decomp
-    S = np.zeros((sys.n, sys.n))
-    for j in d.gamma:
-        for i in d.alpha:
-            v = sys.Dt[:, j, i]
-            S += (2.0 * d.lam[j] / d.lam[i]) * np.outer(v, v)
-    return S
+    sa, _, sg = d.slices
+    V = sys.Dt[:, sg, sa].reshape(sys.n, -1)
+    return (2.0 * d.curvature.ravel() * V) @ V.T
 
 
 def evaluate_second_order_form(pd: ProblemData, xbar, ybar, d) -> float:
@@ -347,7 +339,10 @@ def check_soscy(sys: CriticalitySystem) -> SecondOrderReport:
 def lemma4_check(C, dA, dB, tol: float = 1e-7) -> dict:
     """Equivalence of the projection-derivative equation with its three
     blockwise characterizing conditions at the split of C; InputDataError
-    unless the three matrices share one order."""
+    unless the three matrices share one order. The conditions are that dA
+    lies in the critical cone of the PSD cone, that dB less the
+    displacement U lies in that of the NSD cone (the norm of its whole
+    alpha x (alpha u beta) block within tol) and the scalar identity."""
     C, dA, dB = as_symmat(C), as_symmat(dA), as_symmat(dB)
     if not C.p == dA.p == dB.p:
         raise InputDataError(f"matrix orders differ: C {C.p}, dA {dA.p}, dB {dB.p}")
@@ -358,34 +353,19 @@ def lemma4_check(C, dA, dB, tol: float = 1e-7) -> dict:
     lhs_res = (dA - dir_deriv_from_decomp(d, dA + dB)).norm()
     lhs = bool(lhs_res <= tol * scale)
 
-    mem = critical_cone_psd_membership(ctx, dA, tol * scale)
-    rhs = mem.member
+    rhs = critical_cone_psd_membership(ctx, dA, tol * scale).member
     if rhs:
-        # displacement that absorbs the alpha-gamma coupling of dA
+        # displacement U that absorbs the alpha-gamma coupling of dA; the
+        # rest W = dB - U must lie in the critical cone of the NSD cone
+        sa, _, sg = d.slices
         At = d.rotate(dA)
         Ut = np.zeros((d.p, d.p))
-        for i in d.alpha:
-            for j in d.gamma:
-                Ut[i, j] = Ut[j, i] = -(d.lam[j] / d.lam[i]) * At[i, j]
-        U = SymMat(d.P @ Ut @ d.P.T)
-        W = dB - U
-        Wt = d.rotate(W)
-        sa = d.alpha
-        sb = d.beta
-        viol = 0.0
-        if sa.size:
-            viol = max(viol, float(np.linalg.norm(Wt[np.ix_(sa, sa)])))
-            if sb.size:
-                viol = max(viol, float(np.linalg.norm(Wt[np.ix_(sa, sb)])))
-        if sb.size:
-            lam_b, _ = eigh(Wt[np.ix_(sb, sb)])
-            viol = max(viol, max(0.0, float(lam_b.max())))
-        rhs = viol <= tol * scale
+        Ut[sa, sg] = -d.curvature.T * At[sa, sg]
+        Ut[sg, sa] = Ut[sa, sg].T
+        W = dB - SymMat(d.P @ Ut @ d.P.T)
+        rhs = critical_cone_nsd_membership(ctx, W, tol * scale).member
         if rhs:
-            st = 0.0
-            for j in d.gamma:
-                for i in d.alpha:
-                    st += d.lam[j] * At[j, i] ** 2 / d.lam[i]
+            st = float(np.sum(d.curvature * At[sg, sa] ** 2))
             rhs = abs(dA.inner(dB) + 2.0 * st) <= tol * scale
     return {"lhs": lhs, "rhs": bool(rhs)}
 

@@ -8,8 +8,9 @@ eigenframe of a commuting family, the det form of a linear map into S^2
 and the span of its PSD preimage, projection onto the PSD cone, the
 stacked kernels (eigenvalue range, PSD part and descending spectral split
 of a stack of arrays), the divided-difference Sigma matrix, the
-directional derivative of the PSD projection, and the spectral
-pseudoinverse.
+one blockwise projection rule of the eigenframe (the directional
+derivative of the PSD projection and the critical-cone projection), and
+the spectral pseudoinverse.
 """
 
 from __future__ import annotations
@@ -426,6 +427,18 @@ class SpectralDecomp:
     def p(self) -> int:
         return self.source.p
 
+    @property
+    def slices(self) -> tuple[slice, slice, slice]:
+        """The alpha, beta and gamma index blocks as slices."""
+        ka, kb = self.alpha.size, self.beta.size
+        return slice(0, ka), slice(ka, ka + kb), slice(ka + kb, self.p)
+
+    @property
+    def curvature(self) -> np.ndarray:
+        """The gamma x alpha matrix of weights lam_j / lam_i (j in gamma,
+        i in alpha) that every curvature and coupling term reads."""
+        return self.lam[self.gamma][:, None] / self.lam[self.alpha]
+
     def rotate(self, H) -> np.ndarray:
         """Compress a direction into the eigenbasis: P^T H P; InputDataError
         unless H has order p."""
@@ -495,35 +508,37 @@ def dir_deriv_dense(d: SpectralDecomp, H: np.ndarray) -> np.ndarray:
     Returns the dense array, symmetrized as a SymMat symmetrizes it, so
     it equals the full matrix of dir_deriv_from_decomp bit for bit.
     """
-    Ht = d.P.T @ H @ d.P
-    ka, kb = d.alpha.size, d.beta.size
-    p = d.p
-    sa = slice(0, ka)
-    sb = slice(ka, ka + kb)
-    sg = slice(ka + kb, p)
-    R = np.zeros((p, p))
-    R[sa, sa] = Ht[sa, sa]
-    R[sa, sb] = Ht[sa, sb]
-    R[sb, sa] = Ht[sb, sa]
-    if ka and p - ka - kb:
-        S = d.sigma[sa, sg]
-        R[sa, sg] = S * Ht[sa, sg]
-        R[sg, sa] = R[sa, sg].T
-    if kb:
-        lam_b, V_b = eigh(Ht[sb, sb])
-        R[sb, sb] = (V_b * np.maximum(lam_b, 0.0)) @ V_b.T
-    D = d.P @ R @ d.P.T
+    sa, _, sg = d.slices
+    D = frame_projection(d, d.P.T @ H @ d.P, d.sigma[sa, sg])
     return 0.5 * (D + D.T)
 
 
-def dir_deriv_projection(A, H, tol_zero: float | None = None) -> SymMat:
-    """Directional derivative of the PSD projection at A along H.
+def frame_projection(d: SpectralDecomp, Ht: np.ndarray, weights) -> np.ndarray:
+    """P R P^T for the one blockwise rule R of the eigenframe of d.
 
-    Blockwise in the eigenbasis of A: the alpha rows pass through (with
-    the Sigma weights on the alpha x gamma block), the beta block is
-    projected onto its small PSD cone, and the gamma rows vanish.
-    Positively homogeneous of degree 1 in H.
+    Ht is a direction in that frame. R keeps its alpha x (alpha u beta)
+    blocks, scales its alpha x gamma block entrywise by weights, projects
+    its beta block onto the PSD cone and zeroes its beta x gamma and
+    gamma x gamma blocks. With the Sigma weights this is the directional
+    derivative of the PSD projection, with weight 1 the projection onto
+    the critical cone.
     """
+    sa, sb, sg = d.slices
+    R = np.zeros_like(Ht)
+    R[sa, : sb.stop] = Ht[sa, : sb.stop]
+    R[sb, sa] = Ht[sb, sa]
+    R[sa, sg] = weights * Ht[sa, sg]
+    R[sg, sa] = R[sa, sg].T
+    if d.beta.size:
+        lam_b, V_b = eigh(Ht[sb, sb])
+        R[sb, sb] = (V_b * np.maximum(lam_b, 0.0)) @ V_b.T
+    return d.P @ R @ d.P.T
+
+
+def dir_deriv_projection(A, H, tol_zero: float | None = None) -> SymMat:
+    """Directional derivative of the PSD projection at A along H: the
+    frame_projection of H in the eigenframe of A with the Sigma weights,
+    positively homogeneous of degree 1 in H."""
     A = as_symmat(A)
     H = as_symmat(H)
     if A.p != H.p:
@@ -532,10 +547,10 @@ def dir_deriv_projection(A, H, tol_zero: float | None = None) -> SymMat:
 
 
 def pseudoinverse(M, tol_zero: float | None = None) -> SymMat:
-    """Spectral pseudoinverse: reciprocal of eigenvalues above tol_zero."""
-    M = as_symmat(M)
-    lam, P = jacobi_eigh(M)
-    if tol_zero is None:
-        tol_zero = default_tol_zero(lam)
-    inv = np.where(np.abs(lam) > tol_zero, 1.0 / np.where(lam == 0.0, 1.0, lam), 0.0)
-    return SymMat((P * inv) @ P.T)
+    """Spectral pseudoinverse: reciprocal of the alpha and gamma eigenvalues
+    of the partition at tol_zero; InputDataError if tol_zero is negative."""
+    d = spectral_decompose(M, tol_zero)
+    sa, _, sg = d.slices
+    inv = np.zeros(d.p)
+    inv[sa], inv[sg] = 1.0 / d.lam[sa], 1.0 / d.lam[sg]
+    return SymMat((d.P * inv) @ d.P.T)

@@ -17,10 +17,11 @@ def test_demos_found():
 
 @pytest.mark.parametrize("script", DEMOS, ids=[path.stem for path in DEMOS])
 def test_demo_runs(script, tmp_path):
-    # run in a scratch directory: perturbation_sweep.py writes a CSV there
+    # run in a scratch directory: perturbation_sweep.py writes a CSV there;
+    # a RuntimeWarning fails the demo, as it fails an in-process test
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)],
         cwd=tmp_path,
         env=env,
         capture_output=True,

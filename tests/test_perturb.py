@@ -132,6 +132,22 @@ def test_fit_order_exponent():
         fit_order_exponent([(1e-2, 1e-1), (1e-2, 2e-1), (1e-2, 3e-1)])
 
 
+@pytest.mark.parametrize("bad", [(math.inf, 1.0), (1e-3, math.inf), (math.nan, 1.0), (1e-3, math.nan)])
+def test_fit_order_exponent_drops_nonfinite_pairs(bad):
+    # a non-finite pair is dropped: one finite pair is left, too few for a slope
+    with pytest.raises(InputDataError, match="two distinct parameters"):
+        fit_order_exponent([(1e-2, 1e-1), bad])
+    e, se = fit_order_exponent([(1e-2, 1e-1), (1e-4, 1e-2), bad])
+    assert abs(e - 0.5) <= 1e-12 and se == 0.0
+
+
+def test_example3_rejects_negative_parameter(fam3):
+    with pytest.raises(InputDataError, match="t >= 0"):
+        fam3.perturbation(-1e-2)
+    with pytest.raises(InputDataError, match="t >= 0"):
+        error_bound_experiment(fam3, [-1e-2])
+
+
 def test_example2_experiment(fam2):
     rep = error_bound_experiment(fam2, np.geomspace(1e-2, 1e-5, 13))
     e, _ = rep.exponent_fit

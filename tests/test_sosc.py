@@ -7,11 +7,12 @@ import json
 import numpy as np
 import pytest
 
-from conftest import context, coupled_block_pair, random_symmetric, sample_diag_problem
+from conftest import context, coupled_block_pair, planted_pair, random_symmetric, sample_diag_problem
 from kkt_spectra import lpkernel, sosc
 from kkt_spectra.cli import main
 from kkt_spectra.cones import (
     cone_context,
+    cone_context_from_matrix,
     critical_cone_nsd_membership,
     critical_cone_psd_membership,
     graph_tangent_membership,
@@ -311,6 +312,44 @@ def test_lemma4_equivalence_fuzz():
         if out["lhs"]:
             true_cases += 1
     assert true_cases >= 50
+
+
+def test_lemma4_rhs_matches_graph_tangent_blocks():
+    # the same triples as acceptance criterion 10: both block tests agree
+    rng = np.random.default_rng(11)
+    for trial in range(500):
+        p = int(rng.integers(2, 5))
+        if trial % 2 == 0:
+            C, dA, dB = constructed_lemma4_triple(rng, p)
+        else:
+            C = random_symmetric(rng, p, 2.0)
+            dA = random_symmetric(rng, p)
+            dB = random_symmetric(rng, p)
+        blocks = graph_tangent_membership(cone_context_from_matrix(C), dA, dB).member_blocks
+        assert lemma4_check(C, dA, dB)["rhs"] == blocks, trial
+
+
+def test_sigma_quadratic_matches_sigma_term():
+    # planted pairs with alpha and gamma both non-empty, so the curvature
+    # term is not identically zero; d is drawn in the critical cone
+    rng = np.random.default_rng(5)
+    checks = nonzero = 0
+    for trial in range(60):
+        n, p = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+        sys = context(*planted_pair(rng, ("diagonal", "rotated", "coupled")[trial % 3], n, p))
+        if not (sys.ctx.decomp.alpha.size and sys.ctx.decomp.gamma.size):
+            continue
+        S = sosc._sigma_quadratic(sys)
+        for _ in range(4):
+            d = sys.cone_null @ rng.standard_normal(sys.cone_null.shape[1])
+            H = sosc._pushed(sys.Ds, d)
+            if not critical_cone_psd_membership(sys.ctx, H).member:
+                continue
+            s = sigma_term(sys.ctx, H)
+            assert abs(d @ S @ d - s) <= 1e-12 * max(1.0, abs(s)), (trial, s)
+            checks += 1
+            nonzero += abs(s) > 1e-9
+    assert checks >= 80 and nonzero >= 10
 
 
 def test_theorem3_conditions(fam2, fam3):
