@@ -83,13 +83,12 @@ def check_complementary(ctx: ConeContext, X: SymMat, Y: SymMat, tol=1e-8) -> Non
         )
 
 
-def _block_rule(ctx: ConeContext, H, tol, vanish, block, psd: bool) -> Membership:
-    """The one membership rule of the eigenframe of ctx: the block
-    Ht[vanish] of the rotated direction must vanish and its diagonal
-    block Ht[block, block] lie in S+ (psd) or S- (not psd). The violation
-    is the larger of the vanishing block's norm and that diagonal block's
+def _block_rule(Ht: np.ndarray, tol, vanish, block, psd: bool) -> Membership:
+    """The one membership rule of the eigenframe: the block Ht[vanish] of
+    the rotated direction Ht must vanish and its diagonal block
+    Ht[block, block] lie in S+ (psd) or S- (not psd). The violation is
+    the larger of the vanishing block's norm and that diagonal block's
     spectral distance from its cone."""
-    Ht = ctx.decomp.rotate(H)
     lo, hi = eig_range(Ht[block, block])
     violation = max(float(np.linalg.norm(Ht[vanish])), max(0.0, -float(lo) if psd else float(hi)))
     return Membership(violation <= tol, violation)
@@ -98,25 +97,31 @@ def _block_rule(ctx: ConeContext, H, tol, vanish, block, psd: bool) -> Membershi
 def tangent_membership(ctx: ConeContext, H, tol=DEFAULT_MEMBERSHIP_TOL) -> Membership:
     """Tangent cone to the PSD cone at X: compressed (beta+gamma) block PSD."""
     _, sb, _ = ctx.decomp.slices
-    return _block_rule(ctx, H, tol, (slice(0), slice(0)), slice(sb.start, None), True)
+    return _block_rule(ctx.decomp.rotate(H), tol, (slice(0), slice(0)), slice(sb.start, None), True)
 
 
 def normal_membership(ctx: ConeContext, H, tol=DEFAULT_MEMBERSHIP_TOL) -> Membership:
     """Normal cone at X: compressed (beta+gamma) block NSD, alpha rows zero."""
     sa, sb, _ = ctx.decomp.slices
-    return _block_rule(ctx, H, tol, (sa, slice(None)), slice(sb.start, None), False)
+    return _block_rule(ctx.decomp.rotate(H), tol, (sa, slice(None)), slice(sb.start, None), False)
+
+
+def _critical_rules(d: SpectralDecomp):
+    """The (vanish, block, psd) rules of the critical cones of the PSD cone
+    (gamma x (beta u gamma) vanishes, beta block PSD) and of the NSD cone
+    (alpha x (alpha u beta) vanishes, beta block NSD)."""
+    sa, sb, sg = d.slices
+    return ((sg, slice(sb.start, None)), sb, True), ((sa, slice(0, sb.stop)), sb, False)
 
 
 def critical_cone_psd_membership(ctx: ConeContext, H, tol=DEFAULT_MEMBERSHIP_TOL) -> Membership:
     """Critical cone of the PSD cone at (X, Y): gamma rows vanish, beta block PSD."""
-    _, sb, sg = ctx.decomp.slices
-    return _block_rule(ctx, H, tol, (sg, slice(sb.start, None)), sb, True)
+    return _block_rule(ctx.decomp.rotate(H), tol, *_critical_rules(ctx.decomp)[0])
 
 
 def critical_cone_nsd_membership(ctx: ConeContext, H, tol=DEFAULT_MEMBERSHIP_TOL) -> Membership:
     """Critical cone of the NSD cone at (Y, X): alpha rows vanish, beta block NSD."""
-    sa, sb, _ = ctx.decomp.slices
-    return _block_rule(ctx, H, tol, (sa, slice(0, sb.stop)), sb, False)
+    return _block_rule(ctx.decomp.rotate(H), tol, *_critical_rules(ctx.decomp)[1])
 
 
 def graph_tangent_membership(ctx: ConeContext, H1, H2, tol=DEFAULT_MEMBERSHIP_TOL) -> GraphMembership:
@@ -136,9 +141,10 @@ def graph_tangent_membership(ctx: ConeContext, H1, H2, tol=DEFAULT_MEMBERSHIP_TO
     H1, H2 = as_symmat(H1), as_symmat(H2)
     H1t, H2t = d.rotate(H1), d.rotate(H2)
     S, B1, B2 = d.sigma[sa, sg], H1t[sb, sb], H2t[sb, sb]
+    psd_rule, nsd_rule = _critical_rules(d)
     violation = max(
-        critical_cone_psd_membership(ctx, H1, tol).violation,
-        critical_cone_nsd_membership(ctx, H2, tol).violation,
+        _block_rule(H1t, tol, *psd_rule).violation,
+        _block_rule(H2t, tol, *nsd_rule).violation,
         float(np.linalg.norm((S - 1.0) * H1t[sa, sg] + S * H2t[sa, sg])),
         abs(float(np.sum(B1 * B2))) / max(1.0, float(np.linalg.norm(B1)) * float(np.linalg.norm(B2))),
     )

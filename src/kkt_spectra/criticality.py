@@ -11,9 +11,12 @@ conditions to the feasibility kernels in lpkernel.
 The rows of the system act on the stacked variable z = (xi, svec eta)
 of length n + p(p + 1)/2. entry_rows builds them once per pair as two
 (p, p, dim) arrays, H for the entries of P^T G'(x) xi P and E for those
-of P^T eta P, and every tier reads its rows from them by indexing:
-common_rows stacks the rows valid in every branch, rotated_beta_rows
-turns the beta block into a frame Q.
+of P^T eta P, and every tier reads its rows from them, cutting the
+alpha, beta and gamma blocks from SpectralDecomp.slices: common_rows
+stacks the rows valid in every branch, rotated_beta_rows turns the beta
+block into a frame Q. One support enumeration (_branch_search) decides
+every beta block whose Jacobian blocks commute, an empty or singleton
+block included, and one rule (_verified_witness) accepts every witness.
 """
 
 from __future__ import annotations
@@ -35,11 +38,10 @@ from .lpkernel import (
     polish_xi_solution,
     subspace_psd_nontrivial,
 )
-from .problem import KKTPoint, ProblemData, ProblemKernels, _checked_x, kkt_point
+from .problem import KKTPoint, ProblemData, ProblemKernels, _checked_order, _checked_x, kkt_point
 from .symmat import (
     SpectralDecomp,
     SymMat,
-    as_symmat,
     common_eigenframe,
     dir_deriv_dense,
     eig_range,
@@ -130,11 +132,10 @@ def build_system(pd: ProblemData, kkt: KKTPoint, tol: Optional[float] = None) ->
     ctx = certified_split(pd, kkt, tol)
     d = ctx.decomp
     Dt = _rotated(d, kkt.Ds)
-    # gamma x (beta u gamma) entries on and below the diagonal, row-major;
-    # the alpha, beta and gamma index blocks are contiguous in that order
-    ka, g0 = d.alpha.size, d.p - d.gamma.size
-    ii, jj = np.nonzero(np.tri(d.p, dtype=bool)[g0:, ka:])
-    cone_rows = Dt[:, ii + g0, jj + ka].T
+    # gamma x (beta u gamma) entries on and below the diagonal, row-major
+    _, sb, sg = d.slices
+    kg, kr = d.gamma.size, d.p - sb.start
+    cone_rows = Dt[:, sg, sb.start :][:, np.tri(kg, kr, kr - kg, dtype=bool)].T
     cone_null = null_space(cone_rows, atol=_rank_atol(Dt))
     hessL = ProblemKernels(pd).hessians(kkt.Y.full())
     return CriticalitySystem(pd, kkt, hessL, kkt.G, kkt.Ds, ctx, Dt, cone_rows, cone_null)
@@ -179,20 +180,21 @@ def common_rows(sys: CriticalitySystem, H: np.ndarray, E: np.ndarray) -> np.ndar
     divided-difference coupling over gamma.
     """
     d = sys.ctx.decomp
+    sa, sb, sg = d.slices
     n, dim = sys.n, H.shape[-1]
     adjoint = np.hstack([sys.hessL, svec_stack(sys.Ds)])
     cone = np.hstack([sys.cone_rows, np.zeros((len(sys.cone_rows), dim - n))])
     blocks = [adjoint, cone]
-    for ai, i in enumerate(d.alpha):
-        s = d.sigma[i, d.gamma][:, None]
-        blocks += [E[i, d.alpha[ai:]], E[i, d.beta], (s - 1.0) * H[i, d.gamma] + s * E[i, d.gamma]]
+    for i in range(sa.stop):
+        s = d.sigma[i, sg][:, None]
+        blocks += [E[i, i : sa.stop], E[i, sb], (s - 1.0) * H[i, sg] + s * E[i, sg]]
     return np.vstack(blocks)
 
 
 def rotated_beta_rows(sys: CriticalitySystem, H: np.ndarray, E: np.ndarray, Q: np.ndarray):
     """Entry rows of Q^T H_bb Q and Q^T eta_bb Q, each of shape (k, k, dim)."""
-    b = sys.ctx.decomp.beta
-    return tuple(np.einsum("ai,bj,abd->ijd", Q, Q, M[np.ix_(b, b)]) for M in (H, E))
+    _, sb, _ = sys.ctx.decomp.slices
+    return tuple(np.einsum("ai,bj,abd->ijd", Q, Q, M[sb, sb]) for M in (H, E))
 
 
 def witness_residual(sys: CriticalitySystem, xi, eta) -> float:
@@ -203,8 +205,8 @@ def witness_residual(sys: CriticalitySystem, xi, eta) -> float:
     independently.
     """
     n, p = sys.n, sys.p
-    xi = np.asarray(xi, dtype=float).reshape(n)
-    E = as_symmat(eta).full()
+    xi = _checked_x(sys.pd, xi, "xi")
+    E = _checked_order(sys.pd, eta, "eta").full()
     Dflat = sys.Ds.reshape(n, p * p)
     adj = sys.hessL @ xi + (Dflat * E.ravel()).sum(axis=1)
     H = np.zeros(p * p)
@@ -215,25 +217,26 @@ def witness_residual(sys: CriticalitySystem, xi, eta) -> float:
     return math.hypot(float(np.linalg.norm(adj)), float(np.linalg.norm(fixed)))
 
 
-def _extract_witness(sys: CriticalitySystem, z: np.ndarray):
-    xi = z[: sys.n].copy()
-    eta = sym_mat(z[sys.n :], sys.p)
-    nrm = np.linalg.norm(xi)
-    xi /= nrm
-    eta = (1.0 / nrm) * eta
-    return xi, eta, witness_residual(sys, xi, eta)
-
-
 def _verified_witness(sys: CriticalitySystem, eqs: np.ndarray, z: np.ndarray):
     """(xi, eta, residual) of a solution z of the rows eqs, or None.
 
-    A witness that misses re-verification is polished once (eta re-solved
-    against eqs at its xi) and checked again.
+    The witness is z scaled to a unit xi. One that misses re-verification
+    is polished once (eta re-solved against eqs at its xi) and checked
+    again. Every tier accepts its witnesses by this one rule.
     """
-    xi, eta, res = _extract_witness(sys, z)
-    if res > 1e-7:
-        xi, eta, res = _extract_witness(sys, polish_xi_solution(eqs, z, sys.n))
-    return (xi, eta, res) if res <= 1e-7 else None
+    for polish in (False, True):
+        v = polish_xi_solution(eqs, z, sys.n) if polish else z
+        nrm = np.linalg.norm(v[: sys.n])
+        xi, eta = v[: sys.n] / nrm, (1.0 / nrm) * sym_mat(v[sys.n :], sys.p)
+        res = witness_residual(sys, xi, eta)
+        if res <= 1e-7:
+            return xi, eta, res
+    return None
+
+
+def _noncritical(certificate: str) -> CriticalityVerdict:
+    """Noncritical verdict of an exact tier."""
+    return CriticalityVerdict(NONCRITICAL, None, certificate, 0.0)
 
 
 def _critical(found, certificate: str) -> CriticalityVerdict:
@@ -258,16 +261,19 @@ def _branch_search(sys: CriticalitySystem, common: np.ndarray, h: np.ndarray, e:
     support whose system has a nonzero xi, or None; undecided says whether
     the support LP raised NumericError on a support before it.
     """
-    k = h.shape[0]
-    iu = np.triu_indices(k, 1)
-    offdiag = np.stack([h[iu], e[iu]], axis=1).reshape(-1, h.shape[-1])
-    hd, ed = h[range(k), range(k)], e[range(k), range(k)]
+    k, dim = h.shape[0], h.shape[-1]
+    rows, cols = svec_indices(k)
+    off = rows != cols
+    offdiag = np.stack([h[rows[off], cols[off]], e[rows[off], cols[off]]], axis=1).reshape(-1, dim)
+    diag = np.arange(k)
+    hd, ed = h[diag, diag], e[diag, diag]
+    # support i of 2^k: bit j set pins e's entry j to zero, clear pins h's
+    on = ((np.arange(1 << k)[:, None] >> diag) & 1).astype(bool)[:, :, None]
     undecided = False
-    for mask in range(1 << k):
-        on = ((mask >> np.arange(k)) & 1).astype(bool)[:, None]
-        eqs = np.vstack([common, offdiag, np.where(on, ed, hd)])
+    for pinned, signed in zip(np.where(on, ed, hd), np.where(on, hd, -ed)):
+        eqs = np.vstack([common, offdiag, pinned])
         try:
-            z, _ = nontrivial_xi_solution(eqs, h.shape[-1], sys.n, np.where(on, hd, -ed))
+            z, _ = nontrivial_xi_solution(eqs, dim, sys.n, signed)
         except NumericError:
             undecided = True
             continue
@@ -326,6 +332,12 @@ def _mixed_rows(H: np.ndarray, E: np.ndarray) -> np.ndarray:
     )
 
 
+def _at_angle(C: np.ndarray, theta: float) -> np.ndarray:
+    """The mixed rows c^2 C[0] + c s C[1] + s^2 C[2] at the angle theta."""
+    c, s = math.cos(theta), math.sin(theta)
+    return c * c * C[0] + c * s * C[1] + s * s * C[2]
+
+
 def _refine_angle(C: np.ndarray, theta: float, steps: int = 8) -> Optional[float]:
     """Gauss-Newton on M(theta) x = 0 with |x| = 1, from a root estimate.
 
@@ -334,14 +346,13 @@ def _refine_angle(C: np.ndarray, theta: float, steps: int = 8) -> Optional[float
     Returns theta in [0, pi), or None when M(theta) is far from losing
     rank (a root of the minor alone).
     """
-    c, s = math.cos(theta), math.sin(theta)
-    _, sv, vt = np.linalg.svd(c * c * C[0] + c * s * C[1] + s * s * C[2])
+    _, sv, vt = np.linalg.svd(_at_angle(C, theta))
     if sv[-1] > 1e-4:
         return None
     x = vt[-1]
     for _ in range(steps):
         c, s = math.cos(theta), math.sin(theta)
-        M = c * c * C[0] + c * s * C[1] + s * s * C[2]
+        M = _at_angle(C, theta)
         r = M @ x
         if np.linalg.norm(r) <= 1e-15:
             break
@@ -404,26 +415,25 @@ def _classify_two_block(
     the three beta x beta entries free); d > 4, or a minor that vanishes
     at every angle, returns Undetermined.
     """
-    b0, b1 = sys.ctx.decomp.beta
+    _, sb, _ = sys.ctx.decomp.slices
+    tier = "2x2 beta block"
     # (00, 01, 11) entry rows of the beta blocks of h and e
-    H, E = H[[b0, b0, b1], [b0, b1, b1]], E[[b0, b0, b1], [b0, b1, b1]]
+    H, E = H[sb, sb][svec_indices(2)], E[sb, sb][svec_indices(2)]
     unverified, undecided = [], []
     for label, pinned, block in (("h psd, e = 0", E, H), ("h = 0, e nsd", H, -E)):
-        Z = null_space(np.vstack([common, pinned]))
+        eqs = np.vstack([common, pinned])
+        Z = null_space(eqs)
         z = _psd_point_with_xi(Z, block @ Z, sys.n)
-        if z is not None:
-            xi, eta, res = _extract_witness(sys, z)
-            if res <= 1e-7:
-                return CriticalityVerdict(
-                    CRITICAL, (xi, eta), f"exact: 2x2 beta block, pure support '{label}'", res
-                )
-            unverified.append(label)
+        if z is None:
+            continue
+        found = _verified_witness(sys, eqs, z)
+        if found is not None:
+            return _critical(found, f"exact: {tier}, pure support '{label}'")
+        unverified.append(label)
 
     d = N.shape[1]
     if d > 4:
-        return CriticalityVerdict(
-            UNDETERMINED, None, f"semi-decision: 2x2 beta block, mixed support with d = {d} > 4 not decided", 0.0
-        )
+        return _unverified(tier, f"mixed support with d = {d} > 4 not decided")
     HN, EN = H @ N, E @ N
     h_scale, e_scale = np.abs(HN).max(), np.abs(EN).max()
     thetas = []
@@ -434,17 +444,15 @@ def _classify_two_block(
         C = _mixed_rows(HN / h_scale, EN / e_scale)
         found = _mixed_support_angles(C, d)
         if found is None:
-            return CriticalityVerdict(
-                UNDETERMINED, None, f"semi-decision: 2x2 beta block, every {d}x{d} minor of the mixed rows vanishes", 0.0
-            )
+            return _unverified(tier, f"every {d}x{d} minor of the mixed rows vanishes")
         thetas, count = found
         mixed = f"the mixed support (pi/2 and {count} real roots in tan(theta) of a {d}x{d} minor)"
     for theta in thetas:
-        c, s = math.cos(theta), math.sin(theta)
-        _, sv, vt = np.linalg.svd(c * c * C[0] + c * s * C[1] + s * s * C[2])
+        _, sv, vt = np.linalg.svd(_at_angle(C, theta))
         null = vt[sv <= 1e-8]
         if null.shape[0] == 0:
             continue
+        c, s = math.cos(theta), math.sin(theta)
         h_uu = c * c * H[0] + 2.0 * c * s * H[1] + s * s * H[2]
         e_vv = s * s * E[0] - 2.0 * c * s * E[1] + c * c * E[2]
         try:
@@ -454,11 +462,9 @@ def _classify_two_block(
             continue
         if z is None:
             continue
-        xi, eta, res = _extract_witness(sys, z)
-        if res <= 1e-7:
-            return CriticalityVerdict(
-                CRITICAL, (xi, eta), f"exact: 2x2 beta block, mixed support at theta={theta:.6f}", res
-            )
+        found = _verified_witness(sys, np.vstack([common, _at_angle(_mixed_rows(H, E), theta)]), z)
+        if found is not None:
+            return _critical(found, f"exact: {tier}, mixed support at theta={theta:.6f}")
         unverified.append(f"theta={theta:.6f}")
     reasons = [
         f"{reason} ({', '.join(labels)})"
@@ -466,8 +472,8 @@ def _classify_two_block(
         if labels
     ]
     if reasons:
-        return _unverified("2x2 beta block", "; ".join(reasons))
-    return CriticalityVerdict(NONCRITICAL, None, f"exact: 2x2 beta block, pure supports and {mixed} exhausted", 0.0)
+        return _unverified(tier, "; ".join(reasons))
+    return _noncritical(f"exact: {tier}, pure supports and {mixed} exhausted")
 
 
 def _classify_large_block(
@@ -492,18 +498,17 @@ def _classify_large_block(
     """
     from .sosc import TOL_POS, _supergradient_bound, reduced_second_order_form
 
-    beta = sys.ctx.decomp.beta
-    k, dim = int(beta.size), H.shape[-1]
+    _, sb, _ = sys.ctx.decomp.slices
+    k, dim = sys.ctx.decomp.beta.size, H.shape[-1]
+    tier = f"beta block of order {k}"
     if not sys.cone_null.shape[1]:
-        return CriticalityVerdict(
-            NONCRITICAL, None, f"exact: beta block of order {k}, critical cone is {{0}}, which holds no witness", 0.0
-        )
-    ii, jj = (beta[i] for i in svec_indices(k))
+        return _noncritical(f"exact: {tier}, critical cone is {{0}}, which holds no witness")
+    iu = svec_indices(k)
     open_supports = []
     for label, pinned, block in (("h psd, e = 0", E, H), ("h = 0, e nsd", H, -E)):
-        eqs = np.vstack([common, pinned[ii, jj]])
+        eqs = np.vstack([common, pinned[sb, sb][iu]])
         try:
-            z = cone_kernel_nontrivial(eqs, dim, block[ii, jj] * svec_scale(k)[:, None], k)
+            z = cone_kernel_nontrivial(eqs, dim, block[sb, sb][iu] * svec_scale(k)[:, None], k)
         except NumericError:
             open_supports.append(f"pure support '{label}' ({LP_UNDECIDED})")
             continue
@@ -516,140 +521,94 @@ def _classify_large_block(
         if found is None:
             open_supports.append(f"pure support '{label}' (witness re-verification failed)")
             continue
-        return _critical(found, f"exact: beta block of order {k}, pure support '{label}'")
+        return _critical(found, f"exact: {tier}, pure support '{label}'")
 
     _, Qh, blocks = reduced_second_order_form(sys)
     for sign, form in ((1.0, "Q"), (-1.0, "-Q")):
         bound, _ = _supergradient_bound(sign * Qh, blocks)
         if bound > TOL_POS:
-            return CriticalityVerdict(
-                NONCRITICAL,
-                None,
-                f"exact: beta block of order {k}, S-procedure bound {bound:.6e} > 0 of {form} on C u -C, "
-                "where every witness has a zero form",
-                0.0,
+            return _noncritical(
+                f"exact: {tier}, S-procedure bound {bound:.6e} > 0 of {form} on C u -C, "
+                "where every witness has a zero form"
             )
 
-    frames = [np.eye(k)] + [eigh(B)[1] for B in sys.Dt[:, beta[:, None], beta] if np.abs(B).max() > 0]
+    frames = [np.eye(k)] + [eigh(B)[1] for B in sys.Dt[:, sb, sb] if np.abs(B).max() > 0]
     for i, Q in enumerate(frames):
         branch, _ = _branch_search(sys, common, *rotated_beta_rows(sys, H, E, Q))
         found = None if branch is None else _verified_witness(sys, *branch)
         if found is not None:
             where = f"frame {i + 1} of {len(frames)} (identity, then Jacobian eigenframes)"
-            return _critical(found, f"exact: beta block of order {k}, support in {where}")
+            return _critical(found, f"exact: {tier}, support in {where}")
     open_supports.append("the mixed supports")
-    return CriticalityVerdict(
-        UNDETERMINED,
-        None,
-        f"semi-decision: beta block of order {k}, second-order bound not positive and no witness in "
-        f"{len(frames)} frames x 2^{k} supports; open: {', '.join(open_supports)}",
-        0.0,
+    return _unverified(
+        tier,
+        f"second-order bound not positive and no witness in {len(frames)} frames x 2^{k} supports; "
+        f"open: {', '.join(open_supports)}",
     )
 
 
 def classify_multiplier(sys: CriticalitySystem) -> CriticalityVerdict:
     """Decide whether the system admits a nonzero direction.
 
-    Exact tiers: empty degenerate block (pure linear system), singleton
-    block (two polyhedral branches), any block whose Jacobian data is
-    simultaneously diagonalizable (support enumeration after a provably
-    lossless diagonal reduction of the dual block), and any other 2x2
-    block (pure supports on the det-form span, mixed support at the real
-    roots in tan(theta) of a minor; see _classify_two_block). Larger
-    non-commuting blocks get the certified tiers of _classify_large_block
-    and otherwise end Undetermined. Every witness is re-verified, after
-    one polish if needed; an exact tier whose witness still fails, or
-    whose support LP raises NumericError without a witness elsewhere,
-    returns Undetermined. The result depends on the pair alone.
+    Tiers, in order: the linear rows alone (Noncritical when they force
+    xi = 0); support enumeration in the common eigenframe of commuting
+    Jacobian beta blocks (a lossless diagonal reduction of the dual
+    block; the identity frame, with 1 or 2 supports, when beta has order
+    0 or 1); any other 2x2 block (see _classify_two_block); the certified
+    tiers of _classify_large_block, which end Undetermined when none
+    decides. Every witness goes through _verified_witness; an exact tier
+    whose witness still fails, or whose support LP raises NumericError
+    without a witness elsewhere, returns Undetermined. The result depends
+    on the pair alone.
     """
     H, E = entry_rows(sys)
-    beta = sys.ctx.decomp.beta
+    _, sb, _ = sys.ctx.decomp.slices
+    k = sys.ctx.decomp.beta.size
     common = common_rows(sys, H, E)
 
     N = null_space(common)
     z, _ = nontrivial_in_span(N, sys.n)
     if z is None:
-        cert = (
-            "exact: beta empty, homogeneous linear system has no nonzero xi"
-            if beta.size == 0
-            else "exact: linear rows alone force xi = 0"
-        )
-        return CriticalityVerdict(NONCRITICAL, None, cert, 0.0)
-    if beta.size == 0:
-        found = _verified_witness(sys, common, z)
-        if found is None:
-            return _unverified("beta empty, nonzero linear solution")
-        return _critical(found, "exact: beta empty, nonzero linear solution")
+        if k == 0:
+            return _noncritical("exact: beta empty, homogeneous linear system has no nonzero xi")
+        return _noncritical("exact: linear rows alone force xi = 0")
 
-    if beta.size == 1:
-        b = beta[0]
-        branches = (
-            (H[b, b], -E[b, b], "H-block pinned to zero"),
-            (E[b, b], H[b, b], "eta-block pinned to zero"),
-        )
-        for pinned, ineq, label in branches:
-            eqs = np.vstack([common, pinned])
-            z, _ = nontrivial_xi_solution(eqs, H.shape[-1], sys.n, [ineq])
-            if z is not None:
-                found = _verified_witness(sys, eqs, z)
-                if found is None:
-                    return _unverified(f"beta singleton, branch '{label}'")
-                return _critical(found, f"exact: beta singleton, branch '{label}'")
-        return CriticalityVerdict(
-            NONCRITICAL, None, "exact: beta singleton, both complementarity branches exhausted", 0.0
-        )
-
-    k = int(beta.size)
-    Q = common_eigenframe([Dt[np.ix_(beta, beta)] for Dt in sys.Dt], k)
+    Q = common_eigenframe(sys.Dt[:, sb, sb], k)
     if Q is not None:
         tier = f"common-eigenframe enumeration over 2^{k} supports"
         branch, undecided = _branch_search(sys, common, *rotated_beta_rows(sys, H, E, Q))
         if branch is not None:
             found = _verified_witness(sys, *branch)
-            if found is None:
-                return _unverified(tier)
-            return _critical(found, f"exact: {tier}")
+            return _unverified(tier) if found is None else _critical(found, f"exact: {tier}")
         if undecided:
             return _unverified(tier, LP_UNDECIDED)
-        return CriticalityVerdict(
-            NONCRITICAL,
-            None,
-            f"exact: common-eigenframe data, all 2^{k} complementarity supports exhausted",
-            0.0,
-        )
+        if k == 1:  # the wording example2's reports carry
+            return _noncritical("exact: beta singleton, both complementarity branches exhausted")
+        return _noncritical(f"exact: common-eigenframe data, all 2^{k} complementarity supports exhausted")
 
     if k == 2:
         return _classify_two_block(sys, H, E, common, N)
     return _classify_large_block(sys, H, E, common)
 
 
-def beta_block_rows(sys: CriticalitySystem) -> Optional[np.ndarray]:
+def beta_block_rows(sys: CriticalitySystem) -> np.ndarray:
     """Rows taking xi to the svec of the beta block of P^T G'(x) xi P,
-    shape (|beta|(|beta|+1)/2, n); None when beta is empty."""
-    beta = sys.ctx.decomp.beta
-    k = beta.size
-    if not k:
-        return None
-    ii, jj = svec_indices(k)
-    return sys.Dt[:, beta[ii], beta[jj]].T * svec_scale(k)[:, None]
+    shape (|beta|(|beta|+1)/2, n); no rows when beta is empty."""
+    _, sb, _ = sys.ctx.decomp.slices
+    return svec_stack(sys.Dt[:, sb, sb]).T
 
 
 def xpart_condition(sys: CriticalitySystem) -> dict:
     """Test whether the eta-free part of the system forces xi = 0."""
     d = sys.ctx.decomp
-    coupling = sys.Dt[:, d.alpha][:, :, d.gamma].reshape(sys.n, -1).T
+    sa, _, sg = d.slices
+    coupling = sys.Dt[:, sa, sg].reshape(sys.n, -1).T
     eqs = np.vstack([sys.hessL, sys.cone_rows, coupling])
     block = beta_block_rows(sys)
     xi = cone_kernel_nontrivial(eqs, sys.n, block, d.beta.size, 1.0, atol=_rank_atol(sys.Dt))
     if xi is None:
         return {"holds": True, "witness": None}
     return {"holds": False, "witness": xi / np.linalg.norm(xi)}
-
-
-def _block_rows(Dt: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """svec of the symmetrized idx x idx block of each rotated constraint Jacobian, one row each."""
-    ii, jj = svec_indices(idx.size)
-    return 0.5 * (Dt[:, idx[ii], idx[jj]] + Dt[:, idx[jj], idx[ii]]) * svec_scale(idx.size)
 
 
 def rcq_holds(Gx: SymMat, Ds: np.ndarray, tol_feas: float = 1e-8) -> bool:
@@ -663,10 +622,10 @@ def rcq_holds(Gx: SymMat, Ds: np.ndarray, tol_feas: float = 1e-8) -> bool:
     scale = max(1.0, float(np.abs(d.lam).max()))
     if d.lam.min() < -tol_feas * scale:
         raise InputDataError("point is infeasible: constraint matrix has a negative eigenvalue")
-    J = np.where(d.lam <= d.tol_zero)[0]
-    if J.size == 0:
+    t = d.slices[1].start  # the eigenvalues at most tol_zero: the trailing block from t
+    if t == d.p:
         return True
-    return subspace_psd_nontrivial(_block_rows(_rotated(d, Ds), J), J.size) is None
+    return subspace_psd_nontrivial(svec_stack(symmetrized(_rotated(d, Ds)[:, t:, t:])), d.p - t) is None
 
 
 def srcq_holds(d: SpectralDecomp, Dt: np.ndarray) -> bool:
@@ -675,16 +634,15 @@ def srcq_holds(d: SpectralDecomp, Dt: np.ndarray) -> bool:
     d is the split of G(x) + Y and Dt the Jacobians rotated into its
     eigenframe (the ctx.decomp and Dt of a CriticalitySystem).
     """
-    red = np.concatenate([d.beta, d.gamma]).astype(int)
-    q = red.size
+    t = d.slices[1].start  # the reduced variable: the trailing beta u gamma block from t
+    q, nb = d.p - t, d.beta.size
     if q == 0:
         return True
-    nb = int(d.beta.size)
     nsv = q * (q + 1) // 2
     # selection rows: the leading principal subblock of the reduced
     # variable, in matching isometric svec coordinates on both sides
     block = np.eye(nsv)[svec_indices(q)[1] < nb] if nb else None
-    v = cone_kernel_nontrivial(_block_rows(Dt, red), nsv, block, nb, -1.0)
+    v = cone_kernel_nontrivial(svec_stack(symmetrized(Dt[:, t:, t:])), nsv, block, nb, -1.0)
     return v is None
 
 
@@ -812,4 +770,4 @@ def classify_nlp(nlp: NLPSystem, xbar, mu, tol: float = 1e-8) -> CriticalityVerd
             return CriticalityVerdict(CRITICAL, (z[: nlp.n], SymMat.diag(z[nlp.n :])), f"exact: {tier}", res)
     if undecided:
         return _unverified(tier, LP_UNDECIDED)
-    return CriticalityVerdict(NONCRITICAL, None, f"exact: {tier} exhausted", 0.0)
+    return _noncritical(f"exact: {tier} exhausted")

@@ -106,15 +106,6 @@ def evaluate_second_order_form(pd: ProblemData, xbar, ybar, d) -> float:
     return float(d @ ProblemKernels(pd).hessians(kkt.Y.full()) @ d) - sigma_term(ctx, H)
 
 
-def _beta_block_map(sys: CriticalitySystem):
-    """Beta blocks of the pushed-forward direction map, one per column of
-    the critical-cone basis."""
-    beta = sys.ctx.decomp.beta
-    Db = sys.Dt[:, beta[:, None], beta]
-    Z = sys.cone_null
-    return np.array([sum(Z[k, c] * Db[k] for k in range(sys.n)) for c in range(Z.shape[1])])
-
-
 def _report(bound: float, value: float, minimizer, stats: dict) -> SecondOrderReport:
     """Verdicts from a certified lower bound and the value at a direction
     verified in the cone (inf without one; a holds then reports its bound).
@@ -251,7 +242,10 @@ def reduced_second_order_form(sys: CriticalitySystem):
     Z = sys.cone_null
     Qh = Z.T @ Q @ Z
     Qh = 0.5 * (Qh + Qh.T)
-    blocks = _beta_block_map(sys) if sys.ctx.decomp.beta.size else []
+    d = sys.ctx.decomp
+    _, sb, _ = d.slices
+    # blocks[c] = sum_k Z[k, c] Dt_k[beta, beta], summed over k in order
+    blocks = (Z[:, :, None, None] * sys.Dt[:, None, sb, sb]).sum(axis=0) if d.beta.size else []
     return Z, Qh, blocks
 
 

@@ -106,20 +106,27 @@ class SymMat:
             return 0.0
         return float(np.max(np.abs(self._upper)))
 
+    def _operand(self, other) -> "SymMat":
+        """other as a SymMat of this order; InputDataError otherwise."""
+        other = as_symmat(other)
+        if other._p != self._p:
+            raise InputDataError(f"matrix orders differ: {self._p} vs {other._p}")
+        return other
+
     def inner(self, other: "SymMat") -> float:
-        return float(np.sum(self.full() * as_symmat(other).full()))
+        return float(np.sum(self.full() * self._operand(other).full()))
 
     def allclose(self, other, atol=1e-12, rtol=0.0) -> bool:
         other = as_symmat(other)
         return self._p == other._p and bool(np.allclose(self._upper, other._upper, atol=atol, rtol=rtol))
 
     def __add__(self, other):
-        other = as_symmat(other)
+        other = self._operand(other)
         with np.errstate(over="ignore", invalid="ignore"):
             return SymMat._finite(self._p, self._upper + other._upper)
 
     def __sub__(self, other):
-        other = as_symmat(other)
+        other = self._operand(other)
         with np.errstate(over="ignore", invalid="ignore"):
             return SymMat._finite(self._p, self._upper - other._upper)
 
@@ -329,15 +336,18 @@ def jacobi_eigh(M) -> tuple[np.ndarray, np.ndarray]:
 
 
 def common_eigenframe(blocks, k: int) -> np.ndarray | None:
-    """Orthogonal k x k frame simultaneously diagonalizing every block.
+    """Orthogonal k x k frame simultaneously diagonalizing every block of
+    the stack blocks (m, k, k); the identity when every block is diagonal,
+    so always at k <= 1.
 
     Returns None when two blocks fail to commute, or when the frame of a
     generic combination leaves an off-diagonal entry in some block.
     """
-    scale = max([np.abs(B).max() for B in blocks], default=0.0)
+    blocks = np.asarray(blocks, dtype=float)
+    scale = np.abs(blocks).max(initial=0.0)
     if scale == 0.0:
         return np.eye(k)
-    off = max(np.abs(B - np.diag(np.diag(B))).max() for B in blocks)
+    off = np.abs(blocks[:, ~np.eye(k, dtype=bool)]).max(initial=0.0)
     if off <= 1e-12 * max(1.0, scale):
         return np.eye(k)
     for a in range(len(blocks)):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import context, coupled_block_pair, planted_pair, sample_diag_problem
+from kkt_spectra import criticality
 from kkt_spectra.criticality import (
     CRITICAL,
     NONCRITICAL,
@@ -171,7 +172,7 @@ def test_classify_two_block_mixed_support_off_grid():
     assert np.allclose(h, np.outer(u, u) * np.trace(h), atol=1e-9)
 
 
-def test_classify_two_block_pure_support():
+def test_classify_two_block_pure_support(monkeypatch):
     # f_quad has kernel e1 and the first Jacobian is positive definite, so
     # xi = e1, eta = 0 is a witness with h PSD and e = 0
     pd = make_problem(
@@ -185,6 +186,19 @@ def test_classify_two_block_pure_support():
     assert v.tag == CRITICAL and v.certificate == "exact: 2x2 beta block, pure support 'h psd, e = 0'"
     assert witness_residual(sysm, *v.witness) <= 1e-7
     assert abs(abs(v.witness[0][0]) - 1.0) <= 1e-9
+    # an eta off by 1e-5 fails re-verification; like every tier, the pure
+    # support polishes it (eta re-solved at fixed xi) and accepts the result
+    point = criticality._psd_point_with_xi
+
+    def perturbed(Z, block, xi_dim):
+        z = point(Z, block, xi_dim)
+        return None if z is None else np.concatenate([z[:xi_dim], z[xi_dim:] + 1e-5])
+
+    monkeypatch.setattr(criticality, "_psd_point_with_xi", perturbed)
+    v = classify_multiplier(sysm)
+    assert v.tag == CRITICAL and v.certificate == "exact: 2x2 beta block, pure support 'h psd, e = 0'"
+    assert v.residual <= 1e-12 and witness_residual(sysm, *v.witness) == v.residual
+    monkeypatch.undo()
     # the third Jacobian is the sum of the first two, so xi = (1, 1, -1)
     # gives h = 0; f_quad maps it to (v' D_k v)_k for v = (0.6, 0.8), so
     # eta = -v v^T closes the adjoint row. f_quad is nonsingular, so the
@@ -755,6 +769,22 @@ def test_every_pair_path_rejects_a_multiplier_of_the_wrong_order(fam2, order):
     for call in (kkt_point, analysis_context, check_srcq):
         with pytest.raises(InputDataError, match=message):
             call(pd, x, Y)
+
+
+@pytest.mark.parametrize(
+    "xi, eta, message",
+    [
+        ([1.0, 0.0, 0.0], SymMat.zeros(2), "xi has length 3, expected 2"),
+        ([1.0], SymMat.zeros(2), "xi has length 1, expected 2"),
+        ([1.0, 0.0], SymMat.zeros(3), "eta has order 3, expected 2"),
+        ([1.0, 0.0], SymMat.zeros(1), "eta has order 1, expected 2"),
+    ],
+    ids=["xi-long", "xi-short", "eta-order-3", "eta-order-1"],
+)
+def test_witness_residual_rejects_misshapen_directions(fam2, xi, eta, message):
+    sysm = build_system(fam2.problem, kkt_point(fam2.problem, fam2.xbar, fam2.ybar))
+    with pytest.raises(InputDataError, match=message):
+        witness_residual(sysm, xi, eta)
 
 
 def test_analysis_context_certifies_before_the_complementarity_check():

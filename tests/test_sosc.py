@@ -642,3 +642,21 @@ def test_sigma_term_against_grid_oracle():
         s_grid = grid_sigma_oracle(X, Y, H)
         tol = max(0.05 * abs(s_closed), 1e-6)
         assert abs(s_closed - s_grid) <= tol, (s_closed, s_grid)
+
+
+def test_beta_blocks_of_the_second_order_form_match_the_loop_bit_for_bit():
+    # the reference sums Z[k, c] D_k over the Jacobians in order, one
+    # column of the cone basis at a time; the stacked sum keeps that order
+    rng = np.random.default_rng(5)
+    checked = 0
+    for kind in ("rotated", "coupled"):
+        for _ in range(40):
+            sysm = context(*planted_pair(rng, kind, int(rng.integers(1, 5)), int(rng.integers(2, 6))))
+            _, sb, _ = sysm.ctx.decomp.slices
+            Z, Db = sysm.cone_null, sysm.Dt[:, sb, sb]
+            if not (Z.shape[1] and Db.shape[1]):
+                continue
+            loop = np.array([sum(Z[k, c] * Db[k] for k in range(sysm.n)) for c in range(Z.shape[1])])
+            assert np.array_equal(sosc.reduced_second_order_form(sysm)[2], loop)
+            checked += 1
+    assert checked >= 20

@@ -272,6 +272,20 @@ def test_symmat_rejects_nonfinite_entries(build, message):
             build()
 
 
+@pytest.mark.parametrize("orders", [(1, 2), (2, 3)], ids=["1-vs-2", "2-vs-3"])
+@pytest.mark.parametrize(
+    "op",
+    [lambda A, B: A + B, lambda A, B: A - B, lambda A, B: A.inner(B)],
+    ids=["add", "sub", "inner"],
+)
+def test_symmat_arithmetic_rejects_mismatched_orders(op, orders):
+    # both directions: neither operand may be broadcast into the other
+    p, q = orders
+    for A, B in ((SymMat.eye(p), SymMat.eye(q)), (SymMat.eye(q), SymMat.eye(p))):
+        with pytest.raises(InputDataError, match=f"matrix orders differ: {A.p} vs {B.p}"):
+            op(A, B)
+
+
 def test_symmat_keeps_large_finite_entries():
     big = SymMat.diag([8e307, 1.0])
     assert big.max_abs() == 8e307
