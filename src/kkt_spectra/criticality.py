@@ -14,9 +14,12 @@ of length n + p(p + 1)/2. entry_rows builds them once per pair as two
 of P^T eta P, and every tier reads its rows from them, cutting the
 alpha, beta and gamma blocks from SpectralDecomp.slices: common_rows
 stacks the rows valid in every branch, rotated_beta_rows turns the beta
-block into a frame Q. One support enumeration (_branch_search) decides
-every beta block whose Jacobian blocks commute, an empty or singleton
-block included, and one rule (_verified_witness) accepts every witness.
+block into a frame Q. Every support is solved on N, the one null space
+of the common rows, which _on_null restricts by the support's rows. One
+support enumeration (_branch_search) decides every beta block whose
+Jacobian blocks commute, an empty or singleton block included, and one
+rule (_verified_witness) accepts every witness, a point of its
+support's span.
 """
 
 from __future__ import annotations
@@ -30,14 +33,7 @@ import numpy as np
 
 from .cones import ConeContext, check_complementary, cone_context_from_matrix
 from .errors import InputDataError, NumericError
-from .lpkernel import (
-    cone_kernel_nontrivial,
-    nontrivial_in_span,
-    nontrivial_xi_solution,
-    null_space,
-    polish_xi_solution,
-    subspace_psd_nontrivial,
-)
+from .lpkernel import cone_kernel_nontrivial, nontrivial_in_span, null_space, polish_in_span, subspace_psd_nontrivial
 from .problem import KKTPoint, ProblemData, ProblemKernels, _checked_order, _checked_x, kkt_point
 from .symmat import (
     SpectralDecomp,
@@ -217,15 +213,16 @@ def witness_residual(sys: CriticalitySystem, xi, eta) -> float:
     return math.hypot(float(np.linalg.norm(adj)), float(np.linalg.norm(fixed)))
 
 
-def _verified_witness(sys: CriticalitySystem, eqs: np.ndarray, z: np.ndarray):
-    """(xi, eta, residual) of a solution z of the rows eqs, or None.
+def _verified_witness(sys: CriticalitySystem, Z: np.ndarray, z: np.ndarray):
+    """(xi, eta, residual) of a point z of the solution span Z, or None.
 
     The witness is z scaled to a unit xi. One that misses re-verification
-    is polished once (eta re-solved against eqs at its xi) and checked
-    again. Every tier accepts its witnesses by this one rule.
+    is polished once (the least-norm point of span(Z) at its unit xi, see
+    polish_in_span) and checked again. Every tier accepts its witnesses
+    by this one rule.
     """
     for polish in (False, True):
-        v = polish_xi_solution(eqs, z, sys.n) if polish else z
+        v = polish_in_span(Z, z, sys.n) if polish else z
         nrm = np.linalg.norm(v[: sys.n])
         xi, eta = v[: sys.n] / nrm, (1.0 / nrm) * sym_mat(v[sys.n :], sys.p)
         res = witness_residual(sys, xi, eta)
@@ -253,13 +250,20 @@ def _unverified(tier: str, reason: str = "witness re-verification failed") -> Cr
     return CriticalityVerdict(UNDETERMINED, None, f"semi-decision: {tier}, {reason}", 0.0)
 
 
-def _branch_search(sys: CriticalitySystem, common: np.ndarray, h: np.ndarray, e: np.ndarray):
+def _on_null(N: np.ndarray, cut: float, rows: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of {N c : rows N c = 0}: the null space of the common
+    rows stacked with rows, N and cut as classify_multiplier takes them."""
+    return N @ null_space(rows @ N, atol=cut)
+
+
+def _branch_search(sys: CriticalitySystem, N: np.ndarray, cut: float, h: np.ndarray, e: np.ndarray):
     """Enumerate complementarity supports of a diagonalized beta block.
 
-    h and e are the rotated beta rows (see rotated_beta_rows). Returns
-    (branch, undecided): branch is (equality rows, solution) of the first
-    support whose system has a nonzero xi, or None; undecided says whether
-    the support LP raised NumericError on a support before it.
+    h and e are the rotated beta rows (see rotated_beta_rows); each
+    support is solved on N (see _on_null). Returns (branch, undecided):
+    branch is (solution span, solution) of the first support whose
+    system has a nonzero xi, or None; undecided says whether the support
+    LP raised NumericError on a support before it.
     """
     k, dim = h.shape[0], h.shape[-1]
     rows, cols = svec_indices(k)
@@ -271,14 +275,14 @@ def _branch_search(sys: CriticalitySystem, common: np.ndarray, h: np.ndarray, e:
     on = ((np.arange(1 << k)[:, None] >> diag) & 1).astype(bool)[:, :, None]
     undecided = False
     for pinned, signed in zip(np.where(on, ed, hd), np.where(on, hd, -ed)):
-        eqs = np.vstack([common, offdiag, pinned])
+        Z = _on_null(N, cut, np.vstack([offdiag, pinned]))
         try:
-            z, _ = nontrivial_xi_solution(eqs, dim, sys.n, signed)
+            z, _ = nontrivial_in_span(Z, sys.n, signed)
         except NumericError:
             undecided = True
             continue
         if z is not None:
-            return (eqs, z), undecided
+            return (Z, z), undecided
     return None, undecided
 
 
@@ -399,19 +403,21 @@ def _mixed_support_angles(C: np.ndarray, d: int):
 
 
 def _classify_two_block(
-    sys: CriticalitySystem, H: np.ndarray, E: np.ndarray, common: np.ndarray, N: np.ndarray
+    sys: CriticalitySystem, H: np.ndarray, E: np.ndarray, N: np.ndarray, cut: float
 ) -> CriticalityVerdict:
     """Exact tier for a non-commuting 2x2 beta block.
 
     On the block the pair (h, -e) = (H_bb, -eta_bb) must be complementary
     in S^2_+. That leaves three supports. The pure ones, h PSD with e = 0
     and h = 0 with e NSD, are frame-free and decided on the span of the
-    PSD preimage of the det form. In the mixed one both blocks have rank
-    one in a frame u = (cos theta, sin theta), v = (-sin theta, cos theta):
-    the rows h_uv, e_uv, h_vv and e_uu vanish on N, the null space of the
-    common rows that classify_multiplier has computed, with h_uu >= 0 and
-    e_vv <= 0. At each candidate angle of _mixed_support_angles the
-    sign-row LP over the null space of those rows decides. N has dimension d >= 3 (the common rows leave exactly
+    PSD preimage of the det form within the part of N that the pinned
+    block annihilates (_on_null; N is the null space of the common rows
+    that classify_multiplier has computed, and cut its rank cut). In the
+    mixed one both blocks have rank one in a frame u = (cos theta,
+    sin theta), v = (-sin theta, cos theta): the rows h_uv, e_uv, h_vv
+    and e_uu vanish on N, with h_uu >= 0 and e_vv <= 0. At each candidate
+    angle of _mixed_support_angles the sign-row LP over the null space of
+    those rows decides. N has dimension d >= 3 (the common rows leave exactly
     the three beta x beta entries free); d > 4, or a minor that vanishes
     at every angle, returns Undetermined.
     """
@@ -421,12 +427,11 @@ def _classify_two_block(
     H, E = H[sb, sb][svec_indices(2)], E[sb, sb][svec_indices(2)]
     unverified, undecided = [], []
     for label, pinned, block in (("h psd, e = 0", E, H), ("h = 0, e nsd", H, -E)):
-        eqs = np.vstack([common, pinned])
-        Z = null_space(eqs)
+        Z = _on_null(N, cut, pinned)
         z = _psd_point_with_xi(Z, block @ Z, sys.n)
         if z is None:
             continue
-        found = _verified_witness(sys, eqs, z)
+        found = _verified_witness(sys, Z, z)
         if found is not None:
             return _critical(found, f"exact: {tier}, pure support '{label}'")
         unverified.append(label)
@@ -455,14 +460,15 @@ def _classify_two_block(
         c, s = math.cos(theta), math.sin(theta)
         h_uu = c * c * H[0] + 2.0 * c * s * H[1] + s * s * H[2]
         e_vv = s * s * E[0] - 2.0 * c * s * E[1] + c * c * E[2]
+        Z = N @ null.T
         try:
-            z, _ = nontrivial_in_span(N @ null.T, sys.n, [h_uu, -e_vv])
+            z, _ = nontrivial_in_span(Z, sys.n, [h_uu, -e_vv])
         except NumericError:
             undecided.append(f"theta={theta:.6f}")
             continue
         if z is None:
             continue
-        found = _verified_witness(sys, np.vstack([common, _at_angle(_mixed_rows(H, E), theta)]), z)
+        found = _verified_witness(sys, Z, z)
         if found is not None:
             return _critical(found, f"exact: {tier}, mixed support at theta={theta:.6f}")
         unverified.append(f"theta={theta:.6f}")
@@ -477,17 +483,17 @@ def _classify_two_block(
 
 
 def _classify_large_block(
-    sys: CriticalitySystem, H: np.ndarray, E: np.ndarray, common: np.ndarray
+    sys: CriticalitySystem, H: np.ndarray, E: np.ndarray, N: np.ndarray, cut: float
 ) -> CriticalityVerdict:
     """Tiers for a non-commuting beta block of order k >= 3, in order.
 
     0. A witness xi lies in the critical cone C, so C = {0} (a basis
        sys.cone_null with no columns) proves Noncritical.
     1. The pure supports, h PSD with e = 0 and h = 0 with e NSD, are
-       convex: one cone_kernel_nontrivial call each excludes the support
-       or finds a solution, a witness when its xi is nonzero. A solution
-       with xi = 0, a NumericError or a failed re-verification leaves the
-       support open.
+       convex: one cone_kernel_nontrivial call each on N (_on_null)
+       excludes the support or finds a solution, a witness when its xi
+       is nonzero. A solution with xi = 0, a NumericError or a failed
+       re-verification leaves the support open.
     2. A witness xi lies in the critical cone C and the second-order form
        Q vanishes on it (FINDINGS.md), so an S-procedure bound of Q or -Q
        above TOL_POS on C u -C proves Noncritical.
@@ -499,16 +505,16 @@ def _classify_large_block(
     from .sosc import TOL_POS, _supergradient_bound, reduced_second_order_form
 
     _, sb, _ = sys.ctx.decomp.slices
-    k, dim = sys.ctx.decomp.beta.size, H.shape[-1]
+    k = sys.ctx.decomp.beta.size
     tier = f"beta block of order {k}"
     if not sys.cone_null.shape[1]:
         return _noncritical(f"exact: {tier}, critical cone is {{0}}, which holds no witness")
     iu = svec_indices(k)
     open_supports = []
     for label, pinned, block in (("h psd, e = 0", E, H), ("h = 0, e nsd", H, -E)):
-        eqs = np.vstack([common, pinned[sb, sb][iu]])
+        Z = _on_null(N, cut, pinned[sb, sb][iu])
         try:
-            z = cone_kernel_nontrivial(eqs, dim, block[sb, sb][iu] * svec_scale(k)[:, None], k)
+            z = cone_kernel_nontrivial(Z, block[sb, sb][iu] * svec_scale(k)[:, None], k)
         except NumericError:
             open_supports.append(f"pure support '{label}' ({LP_UNDECIDED})")
             continue
@@ -517,7 +523,7 @@ def _classify_large_block(
         if np.linalg.norm(z[: sys.n]) <= 1e-9 * np.linalg.norm(z):
             open_supports.append(f"pure support '{label}' (its solution has xi = 0)")
             continue
-        found = _verified_witness(sys, eqs, z)
+        found = _verified_witness(sys, Z, z)
         if found is None:
             open_supports.append(f"pure support '{label}' (witness re-verification failed)")
             continue
@@ -534,7 +540,7 @@ def _classify_large_block(
 
     frames = [np.eye(k)] + [eigh(B)[1] for B in sys.Dt[:, sb, sb] if np.abs(B).max() > 0]
     for i, Q in enumerate(frames):
-        branch, _ = _branch_search(sys, common, *rotated_beta_rows(sys, H, E, Q))
+        branch, _ = _branch_search(sys, N, cut, *rotated_beta_rows(sys, H, E, Q))
         found = None if branch is None else _verified_witness(sys, *branch)
         if found is not None:
             where = f"frame {i + 1} of {len(frames)} (identity, then Jacobian eigenframes)"
@@ -565,8 +571,10 @@ def classify_multiplier(sys: CriticalitySystem) -> CriticalityVerdict:
     _, sb, _ = sys.ctx.decomp.slices
     k = sys.ctx.decomp.beta.size
     common = common_rows(sys, H, E)
-
+    # every support below is solved on N; cut stands for the relative rank
+    # cut a stacked SVD of the common and support rows would apply
     N = null_space(common)
+    cut = 1e-11 * float(np.abs(common).max())
     z, _ = nontrivial_in_span(N, sys.n)
     if z is None:
         if k == 0:
@@ -576,7 +584,7 @@ def classify_multiplier(sys: CriticalitySystem) -> CriticalityVerdict:
     Q = common_eigenframe(sys.Dt[:, sb, sb], k)
     if Q is not None:
         tier = f"common-eigenframe enumeration over 2^{k} supports"
-        branch, undecided = _branch_search(sys, common, *rotated_beta_rows(sys, H, E, Q))
+        branch, undecided = _branch_search(sys, N, cut, *rotated_beta_rows(sys, H, E, Q))
         if branch is not None:
             found = _verified_witness(sys, *branch)
             return _unverified(tier) if found is None else _critical(found, f"exact: {tier}")
@@ -587,8 +595,8 @@ def classify_multiplier(sys: CriticalitySystem) -> CriticalityVerdict:
         return _noncritical(f"exact: common-eigenframe data, all 2^{k} complementarity supports exhausted")
 
     if k == 2:
-        return _classify_two_block(sys, H, E, common, N)
-    return _classify_large_block(sys, H, E, common)
+        return _classify_two_block(sys, H, E, N, cut)
+    return _classify_large_block(sys, H, E, N, cut)
 
 
 def beta_block_rows(sys: CriticalitySystem) -> np.ndarray:
@@ -605,7 +613,7 @@ def xpart_condition(sys: CriticalitySystem) -> dict:
     coupling = sys.Dt[:, sa, sg].reshape(sys.n, -1).T
     eqs = np.vstack([sys.hessL, sys.cone_rows, coupling])
     block = beta_block_rows(sys)
-    xi = cone_kernel_nontrivial(eqs, sys.n, block, d.beta.size, 1.0, atol=_rank_atol(sys.Dt))
+    xi = cone_kernel_nontrivial(null_space(eqs, atol=_rank_atol(sys.Dt)), block, d.beta.size, 1.0)
     if xi is None:
         return {"holds": True, "witness": None}
     return {"holds": False, "witness": xi / np.linalg.norm(xi)}
@@ -616,8 +624,10 @@ def rcq_holds(Gx: SymMat, Ds: np.ndarray, tol_feas: float = 1e-8) -> bool:
 
     Gx is G(x) and Ds the symmetric Jacobian stack at x (as a
     CriticalitySystem holds them); G(x) is decomposed here, apart from
-    the split of G(x) + Y.
+    the split of G(x) + Y; tol_feas must be finite and nonnegative.
     """
+    if not (math.isfinite(tol_feas) and tol_feas >= 0.0):
+        raise InputDataError("tol_feas must be nonnegative and finite")
     d = spectral_decompose(Gx)
     scale = max(1.0, float(np.abs(d.lam).max()))
     if d.lam.min() < -tol_feas * scale:
@@ -642,7 +652,7 @@ def srcq_holds(d: SpectralDecomp, Dt: np.ndarray) -> bool:
     # selection rows: the leading principal subblock of the reduced
     # variable, in matching isometric svec coordinates on both sides
     block = np.eye(nsv)[svec_indices(q)[1] < nb] if nb else None
-    v = cone_kernel_nontrivial(svec_stack(symmetrized(Dt[:, t:, t:])), nsv, block, nb, -1.0)
+    v = cone_kernel_nontrivial(null_space(svec_stack(symmetrized(Dt[:, t:, t:]))), block, nb, -1.0)
     return v is None
 
 
@@ -753,9 +763,9 @@ def classify_nlp(nlp: NLPSystem, xbar, mu, tol: float = 1e-8) -> CriticalityVerd
     undecided = False
     for bits in itertools.product((0, 1), repeat=len(i_zero)):
         on = np.array(bits, dtype=bool)[:, None]
-        eqs = np.vstack([base, np.where(on, e_zero, g_zero)])
+        Z = null_space(np.vstack([base, np.where(on, e_zero, g_zero)]))
         try:
-            z, _ = nontrivial_xi_solution(eqs, dim, nlp.n, np.where(on, g_zero, -e_zero))
+            z, _ = nontrivial_in_span(Z, nlp.n, np.where(on, g_zero, -e_zero))
         except NumericError:
             undecided = True
             continue
@@ -763,7 +773,7 @@ def classify_nlp(nlp: NLPSystem, xbar, mu, tol: float = 1e-8) -> CriticalityVerd
             z = z / np.linalg.norm(z[: nlp.n])
             res = _residual(z)
             if res > 1e-7:
-                z = polish_xi_solution(eqs, z, nlp.n)
+                z = polish_in_span(Z, z, nlp.n)
                 res = _residual(z)
             if res > 1e-7:
                 return _unverified(tier)

@@ -1,12 +1,13 @@
 """Shared feasibility kernels for homogeneous cone systems.
 
 Three deciders live here. A dense phase-1 simplex with Bland's rule
-settles linear feasibility. On top of it, nontrivial_xi_solution decides
-whether a homogeneous system of equalities and inequalities admits a
-solution whose designated leading block is nonzero. For semidefinite
-blocks, subspace_psd_nontrivial decides whether a linear subspace of
-symmetric matrices meets the PSD cone nontrivially, and
-cone_kernel_nontrivial lifts that to kernels with one signed block.
+settles linear feasibility. On top of it, nontrivial_in_span decides
+whether the span of given orthonormal columns, cut by homogeneous
+inequalities, holds a point whose designated leading block is nonzero;
+polish_in_span re-solves such a point at its unit leading block. For
+semidefinite blocks, subspace_psd_nontrivial decides whether a linear
+subspace of symmetric matrices meets the PSD cone nontrivially, and
+cone_kernel_nontrivial lifts that to a span with one signed block.
 
 subspace_psd_nontrivial tries its tiers in order: a Gordan certificate
 (the fit of the identity onto the complement is positive definite), a
@@ -144,28 +145,20 @@ def linear_feasible(A_eq, b_eq, A_ge=None, b_ge=None, tol: float = FEAS_TOL):
     return sol[:n] - sol[n : 2 * n], infeas
 
 
-def nontrivial_xi_solution(eq_rows, dim: int, xi_dim: int, ineq_rows=()):
-    """Solve a homogeneous system asking for a nonzero leading block.
+def nontrivial_in_span(Z: np.ndarray, xi_dim: int, ineq_rows=()):
+    """Find z in the span of the orthonormal columns Z with a nonzero leading block.
 
-    Seeks z with eq_rows z = 0, a z >= 0 for every inequality row a, and
+    Seeks z = Z c with a z >= 0 for every inequality row a and
     z[:xi_dim] != 0; returns (z or None, merit). The merit is 0 when a
     witness exists and otherwise the smallest phase-1 infeasibility seen.
 
     With at most one inequality the decision is exact by symmetry: the
-    null space is computed, the leading-block projection is maximized by
-    an SVD, and a sign flip fixes the single inequality. With two or more
-    inequalities each leading coordinate is pinned to 1 in turn (both
-    signs) and the resulting LP decides, which is exhaustive because any
-    solution has some nonzero coordinate that scaling normalizes.
+    leading-block projection is maximized by an SVD, and a sign flip
+    fixes the single inequality. With two or more inequalities each
+    leading coordinate is pinned to 1 in turn (both signs) and the
+    resulting LP decides, which is exhaustive because any solution has
+    some nonzero coordinate that scaling normalizes.
     """
-    eq = np.atleast_2d(np.asarray(eq_rows, dtype=float)) if len(np.atleast_1d(eq_rows)) else np.zeros((0, dim))
-    if eq.size == 0:
-        eq = np.zeros((0, dim))
-    return nontrivial_in_span(null_space(eq), xi_dim, ineq_rows)
-
-
-def nontrivial_in_span(Z: np.ndarray, xi_dim: int, ineq_rows=()):
-    """nontrivial_xi_solution over the span of the orthonormal columns Z."""
     if Z.shape[1] == 0:
         return None, np.inf
     Zxi = Z[:xi_dim]
@@ -203,20 +196,17 @@ def nontrivial_in_span(Z: np.ndarray, xi_dim: int, ineq_rows=()):
     return None, best
 
 
-def polish_xi_solution(eq_rows, z: np.ndarray, xi_dim: int) -> np.ndarray:
-    """z with its leading block scaled to unit norm and the rest re-solved.
+def polish_in_span(Z: np.ndarray, z: np.ndarray, xi_dim: int) -> np.ndarray:
+    """The least-norm point of the span of the orthonormal columns Z whose
+    leading block is z's, scaled to unit norm.
 
-    One Gauss-Newton step on the homogeneous rows with the leading block
-    held, which is exact because the rows are linear: the trailing block
-    becomes the least-squares solution w of
-    eq_rows[:, xi_dim:] w = -eq_rows[:, :xi_dim] xi. It removes the error
-    an inexact solve leaves in w; no w can repair a xi that the rows
-    themselves reject.
+    The point is Z c for the least-norm c with Z[:xi_dim] c = xi, which is
+    exact because the span is linear. It removes the error an inexact
+    solve leaves in the trailing block; no point of the span can repair a
+    xi that the span itself rejects.
     """
-    E = np.atleast_2d(np.asarray(eq_rows, dtype=float))
     xi = z[:xi_dim] / np.linalg.norm(z[:xi_dim])
-    w = np.linalg.lstsq(E[:, xi_dim:], -(E[:, :xi_dim] @ xi), rcond=None)[0]
-    return np.concatenate([xi, w])
+    return Z @ np.linalg.lstsq(Z[:xi_dim], xi, rcond=None)[0]
 
 
 def _commuting_rows_tier(rows: np.ndarray, basis: np.ndarray, q: int):
@@ -387,22 +377,16 @@ def subspace_psd_nontrivial(constraint_rows, q: int) -> Optional[np.ndarray]:
     return _interior_point_tier(rows, N, q)
 
 
-def cone_kernel_nontrivial(
-    eq_rows, dim: int, block_rows, q: int, sign: float = 1.0, atol: float = 0.0
-) -> Optional[np.ndarray]:
-    """Find v != 0 with eq_rows v = 0 and sign * mat(block_rows v) PSD.
+def cone_kernel_nontrivial(Z: np.ndarray, block_rows, q: int, sign: float = 1.0) -> Optional[np.ndarray]:
+    """Find v != 0 in the span of the orthonormal columns Z with
+    sign * mat(block_rows v) PSD.
 
     block_rows maps v to the svec of a symmetric q-block. Returns a
     witness v or None when only v = 0 qualifies. The kernel of the block
-    map inside the equality null space settles the easy case (block zero
-    is PSD); otherwise the block map is injective there and the decision
-    reduces to subspace_psd_nontrivial on its image. atol is the absolute
-    rank cut of the equality rows (see null_space).
+    map inside the span settles the easy case (block zero is PSD);
+    otherwise the block map is injective there and the decision reduces
+    to subspace_psd_nontrivial on its image.
     """
-    eq = np.atleast_2d(np.asarray(eq_rows, dtype=float)) if np.size(eq_rows) else np.zeros((0, dim))
-    if eq.size == 0:
-        eq = np.zeros((0, dim))
-    Z = null_space(eq, atol=atol)
     if Z.shape[1] == 0:
         return None
     if q == 0 or block_rows is None:

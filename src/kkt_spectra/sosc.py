@@ -422,7 +422,7 @@ def _projected_orthogonality(sys: CriticalitySystem) -> dict:
     off_range = null_space(svec_stack(sys.Ds).T, atol=atol).T @ sys.hessL
     eqs = np.vstack([off_range, sys.cone_rows])
     try:
-        xi = cone_kernel_nontrivial(eqs, sys.n, beta_block_rows(sys), sys.ctx.decomp.beta.size, 1.0, atol=atol)
+        xi = cone_kernel_nontrivial(null_space(eqs, atol=atol), beta_block_rows(sys), sys.ctx.decomp.beta.size, 1.0)
     except NumericError as exc:
         return {"verdict": "holds", "evidence": f"undecided: {exc}; holds by the identity"}
     if xi is None:

@@ -469,13 +469,14 @@ def _sigma_from_lam(lam: np.ndarray) -> np.ndarray:
 
 
 def spectral_decompose(M, tol_zero: float | None = None) -> SpectralDecomp:
-    """Decompose M = P Diag(lam) P^T with descending lam and sign partition."""
+    """Decompose M = P Diag(lam) P^T with descending lam and sign partition;
+    InputDataError unless tol_zero is finite and nonnegative."""
     M = as_symmat(M)
     lam, P = jacobi_eigh(M)
     if tol_zero is None:
         tol_zero = default_tol_zero(lam)
-    if tol_zero < 0.0:
-        raise InputDataError("tol_zero must be nonnegative")
+    if not (math.isfinite(tol_zero) and tol_zero >= 0.0):
+        raise InputDataError("tol_zero must be nonnegative and finite")
     ka = int(np.sum(lam > tol_zero))
     kg = int(np.sum(lam < -tol_zero))
     p = M.p
@@ -558,7 +559,8 @@ def dir_deriv_projection(A, H, tol_zero: float | None = None) -> SymMat:
 
 def pseudoinverse(M, tol_zero: float | None = None) -> SymMat:
     """Spectral pseudoinverse: reciprocal of the alpha and gamma eigenvalues
-    of the partition at tol_zero; InputDataError if tol_zero is negative."""
+    of the partition at tol_zero; InputDataError unless tol_zero is
+    finite and nonnegative."""
     d = spectral_decompose(M, tol_zero)
     sa, _, sg = d.slices
     inv = np.zeros(d.p)

@@ -1,13 +1,16 @@
 """Multiplier classification, qualification checks, diagonal reduction."""
 
+import importlib.util
+import json
 import math
+import os
 import re
 
 import numpy as np
 import pytest
 
 from conftest import context, coupled_block_pair, planted_pair, sample_diag_problem
-from kkt_spectra import criticality
+from kkt_spectra import criticality, lpkernel
 from kkt_spectra.criticality import (
     CRITICAL,
     NONCRITICAL,
@@ -31,10 +34,20 @@ from kkt_spectra.criticality import (
 )
 from kkt_spectra.cones import cone_context_from_matrix
 from kkt_spectra.errors import InputDataError, NumericError
-from kkt_spectra.lpkernel import nontrivial_xi_solution, null_space
-from kkt_spectra.problem import ProblemKernels, eval_grad_f, kkt_point, make_problem
+from kkt_spectra.lpkernel import nontrivial_in_span, null_space
+from kkt_spectra.problem import ProblemKernels, eval_grad_f, kkt_point, make_problem, problem_from_dict
 from kkt_spectra.sosc import TOL_POS, _supergradient_bound, check_soscy, reduced_second_order_form
-from kkt_spectra.symmat import SymMat, as_symmat, dir_deriv_from_decomp, project_psd, sym_mat
+from kkt_spectra.symmat import (
+    SymMat,
+    as_symmat,
+    dir_deriv_from_decomp,
+    project_psd,
+    pseudoinverse,
+    spectral_decompose,
+    sym_mat,
+)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture
@@ -341,7 +354,7 @@ def _angle_grid_oracle(sysm, angles):
                 else:
                     eqs.append(h[(j, j)])
                     ineqs.append(-e[(j, j)])
-            z, _ = nontrivial_xi_solution(np.stack(eqs), H.shape[-1], sysm.n, ineqs)
+            z, _ = nontrivial_in_span(null_space(np.stack(eqs)), sysm.n, ineqs)
             if z is not None:
                 nx = np.linalg.norm(z[: sysm.n])
                 if witness_residual(sysm, z[: sysm.n] / nx, sym_mat(z[sysm.n :] / nx, sysm.p)) <= 1e-7:
@@ -794,3 +807,88 @@ def test_analysis_context_certifies_before_the_complementarity_check():
         analysis_context(pd, [1.0], SymMat.diag([5.0]))
     sysm = analysis_context(pd, [0.0], SymMat.zeros(1))
     assert sysm.kkt.residuals == (0.0, 0.0) and not sysm.kkt.x.flags.writeable
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1.0])
+def test_tolerances_must_be_finite_and_nonnegative(fam2, tol):
+    # a nan or infinite tol_zero put every eigenvalue in beta, and a nan
+    # tol_feas passed the feasibility check at an infeasible point
+    M = SymMat.diag([2.0, -4.0])
+    for call in (
+        lambda: spectral_decompose(M, tol),
+        lambda: pseudoinverse(M, tol),
+        lambda: analysis_context(fam2.problem, fam2.xbar, fam2.ybar, tol),
+    ):
+        with pytest.raises(InputDataError, match="tol_zero must be nonnegative and finite"):
+            call()
+    with pytest.raises(InputDataError, match="tol_feas must be nonnegative and finite"):
+        check_rcq(fam2.problem, [-1.0, 0.0], tol_feas=tol)
+
+
+def _benchmark_corpus():
+    """The benchmark's seeded pair generators (perfbench/corpus.py)."""
+    spec = importlib.util.spec_from_file_location("benchmark_corpus", os.path.join(ROOT, "perfbench", "corpus.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _exactness_pairs():
+    corpus, rng = _benchmark_corpus(), np.random.default_rng(31)
+    for i in range(40):
+        prob, point, _ = corpus.diag_pair(rng, 1 + i % 4, 1 + (i // 4) % 4, pd_quad=i % 2 == 0)
+        yield problem_from_dict(prob), point["x"], point["Y"]
+    for i in range(40):
+        prob, point, *_ = corpus.rotated_pair(rng, 1 + i % 4, 2 + (i // 4) % 3)
+        yield problem_from_dict(prob), point["x"], point["Y"]
+    for i in range(12):
+        yield coupled_block_pair(rng, 4 + i % 3, 3)
+
+
+def test_supports_solved_on_n_span_the_stacked_null_space(monkeypatch):
+    # every support the classifier tries is solved on N, the null space of
+    # the common rows, cut by the support rows; that span must be the null
+    # space of the common rows stacked with the support rows
+    tried = []
+    on_null = criticality._on_null
+
+    def recording(N, cut, rows):
+        Z = on_null(N, cut, rows)
+        tried.append((rows, Z))
+        return Z
+
+    monkeypatch.setattr(criticality, "_on_null", recording)
+    supports = 0
+    for pd, x, Y in _exactness_pairs():
+        sysm = analysis_context(pd, x, Y)
+        common = common_rows(sysm, *entry_rows(sysm))
+        tried.clear()
+        classify_multiplier(sysm)
+        for rows, Z in tried:
+            S = null_space(np.vstack([common, rows]))
+            assert Z.shape == S.shape
+            assert np.abs(Z @ Z.T - S @ S.T).max() <= 1e-9
+        supports += len(tried)
+    assert supports >= 200
+
+
+def test_classifier_takes_one_full_width_null_space(monkeypatch):
+    # a Noncritical pair with a commuting beta block of order 2: its four
+    # supports are solved on the null space of the common rows, so the only
+    # null space of width n + p(p + 1)/2 is that one
+    with open(os.path.join(ROOT, "tests", "golden", "pair_ref_rotated.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    pd = problem_from_dict(doc["problem"])
+    sysm = analysis_context(pd, np.asarray(doc["point"]["x"]), np.asarray(doc["point"]["Y"]))
+    assert sysm.ctx.decomp.beta.size == 2
+    widths = []
+
+    def counting(A, *args, **kwargs):
+        widths.append(np.atleast_2d(np.asarray(A)).shape[1])
+        return null_space(A, *args, **kwargs)
+
+    for module in (criticality, lpkernel):
+        monkeypatch.setattr(module, "null_space", counting)
+    v = classify_multiplier(sysm)
+    assert v.certificate == "exact: common-eigenframe data, all 2^2 complementarity supports exhausted"
+    assert widths.count(sysm.n + sysm.p * (sysm.p + 1) // 2) == 1

@@ -25,7 +25,14 @@ import numpy as np
 import pytest
 
 from kkt_spectra.cli import main
-from kkt_spectra.criticality import build_system, check_rcq, check_srcq, classify_multiplier, xpart_condition
+from kkt_spectra.criticality import (
+    build_system,
+    check_rcq,
+    check_srcq,
+    classify_multiplier,
+    witness_residual,
+    xpart_condition,
+)
 from kkt_spectra.problem import example3_family, kkt_point, problem_from_dict, problem_to_dict
 from kkt_spectra.sosc import check_soscy
 
@@ -81,7 +88,8 @@ def test_perturb_json_matches_golden(name, tmp_path):
 def test_classified_pair_matches_golden(name):
     # a commuting rotated beta block (Noncritical and Critical), a
     # non-commuting 2x2 one, and a zero critical-cone row seen in a rotated
-    # frame: verdicts and x-part exact, witness to 1e-9
+    # frame: verdicts and x-part exact, witness to 1e-9; a pinned witness
+    # is itself a witness of the pair to 1e-12
     with open(os.path.join(GOLDEN, f"pair_{name}.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
     exp = doc["expected"]
@@ -100,5 +108,6 @@ def test_classified_pair_matches_golden(name):
     if exp["witness"] is None:
         assert v.witness is None
     else:
+        assert witness_residual(sysm, exp["witness"]["xi"], exp["witness"]["eta"]) <= 1e-12
         np.testing.assert_allclose(v.witness[0], exp["witness"]["xi"], rtol=0.0, atol=1e-9)
         np.testing.assert_allclose(v.witness[1].full(), exp["witness"]["eta"], rtol=0.0, atol=1e-9)

@@ -7,9 +7,9 @@ from kkt_spectra import lpkernel
 from kkt_spectra.lpkernel import (
     cone_kernel_nontrivial,
     linear_feasible,
-    nontrivial_xi_solution,
+    nontrivial_in_span,
     null_space,
-    polish_xi_solution,
+    polish_in_span,
     subspace_psd_nontrivial,
 )
 from kkt_spectra.symmat import common_eigenframe, eigh, sym_mat, sym_vec
@@ -53,28 +53,28 @@ def test_linear_feasible_random_consistency():
             assert np.min(Age @ x - Age @ x0) >= -1e-7
 
 
-def test_nontrivial_xi_solution_hand_cases():
-    z, _ = nontrivial_xi_solution(np.zeros((0, 3)), 3, 2)
+def test_nontrivial_in_span_hand_cases():
+    z, _ = nontrivial_in_span(null_space(np.zeros((0, 3))), 2)
     assert z is not None and np.linalg.norm(z[:2]) > 1e-9
-    z, _ = nontrivial_xi_solution(np.array([[1.0, 0, 0], [0, 1.0, 0]]), 3, 2)
+    z, _ = nontrivial_in_span(null_space(np.array([[1.0, 0, 0], [0, 1.0, 0]])), 2)
     assert z is None
-    z, _ = nontrivial_xi_solution(
-        np.array([[1.0, 1.0, 0.0]]), 3, 2, [np.array([1.0, -1.0, 0.0])]
+    z, _ = nontrivial_in_span(
+        null_space(np.array([[1.0, 1.0, 0.0]])), 2, [np.array([1.0, -1.0, 0.0])]
     )
     assert z is not None and z[0] - z[1] >= -1e-12 and abs(z[0] + z[1]) < 1e-12
     # conflicting inequalities force the xi coordinate to zero
-    z, merit = nontrivial_xi_solution(
-        np.zeros((0, 2)), 2, 1, [np.array([1.0, 0.0]), np.array([-1.0, 0.0])]
+    z, merit = nontrivial_in_span(
+        null_space(np.zeros((0, 2))), 1, [np.array([1.0, 0.0]), np.array([-1.0, 0.0])]
     )
     assert z is None and merit > 1e-3
-    z, _ = nontrivial_xi_solution(
-        np.zeros((0, 2)), 2, 1, [np.array([1.0, 1.0]), np.array([1.0, -1.0])]
+    z, _ = nontrivial_in_span(
+        null_space(np.zeros((0, 2))), 1, [np.array([1.0, 1.0]), np.array([1.0, -1.0])]
     )
     assert z is not None and abs(z[0]) > 1e-9
     assert z[0] + z[1] >= -1e-9 and z[0] - z[1] >= -1e-9
 
 
-def test_nontrivial_xi_solution_random():
+def test_nontrivial_in_span_random():
     rng = np.random.default_rng(11)
     found = 0
     for _ in range(100):
@@ -86,7 +86,7 @@ def test_nontrivial_xi_solution_random():
             else np.zeros((0, dim))
         )
         ineqs = [rng.standard_normal(dim) for _ in range(int(rng.integers(2, 5)))]
-        z, _ = nontrivial_xi_solution(eq, dim, xi_dim, ineqs)
+        z, _ = nontrivial_in_span(null_space(eq), xi_dim, ineqs)
         if z is None:
             continue
         found += 1
@@ -97,12 +97,12 @@ def test_nontrivial_xi_solution_random():
     assert found > 0
 
 
-def test_polish_xi_solution_resolves_trailing_block():
+def test_polish_in_span_resolves_trailing_block():
     rng = np.random.default_rng(3)
     E = rng.standard_normal((3, 5))
     z = null_space(E)[:, 0]
     noisy = 7.0 * z + np.concatenate([np.zeros(2), 1e-6 * rng.standard_normal(3)])
-    out = polish_xi_solution(E, noisy, 2)
+    out = polish_in_span(null_space(E), noisy, 2)
     assert np.linalg.norm(out[:2]) == pytest.approx(1.0, abs=1e-15)
     assert np.abs(E @ out).max() <= 1e-12
     assert np.allclose(out, z / np.linalg.norm(z[:2]), atol=1e-12)
@@ -169,16 +169,16 @@ def test_subspace_psd_certified_trivial():
 def test_cone_kernel_nontrivial():
     eq = np.array([[1.0, 1.0, 0.0]])
     blk = np.array([[1.0, 0.0, 0.0]])
-    v = cone_kernel_nontrivial(eq, 3, blk, 1, 1.0)
+    v = cone_kernel_nontrivial(null_space(eq), blk, 1, 1.0)
     assert v is not None and abs(v[0] + v[1]) < 1e-9
-    v = cone_kernel_nontrivial(np.zeros((0, 1)), 1, np.array([[1.0]]), 1, 1.0)
+    v = cone_kernel_nontrivial(null_space(np.zeros((0, 1))), np.array([[1.0]]), 1, 1.0)
     assert v is not None and v[0] > 0
-    v = cone_kernel_nontrivial(np.zeros((0, 1)), 1, np.array([[1.0]]), 1, -1.0)
+    v = cone_kernel_nontrivial(null_space(np.zeros((0, 1))), np.array([[1.0]]), 1, -1.0)
     assert v is not None and v[0] < 0
-    assert cone_kernel_nontrivial(np.array([[1.0]]), 1, np.array([[1.0]]), 1, 1.0) is None
+    assert cone_kernel_nontrivial(null_space(np.array([[1.0]])), np.array([[1.0]]), 1, 1.0) is None
     # zero diagonal forced: remaining off-diagonal block is PSD only at 0
     rows_eq = np.stack([sym_vec(np.diag([1.0, 0.0])), sym_vec(np.diag([0.0, 1.0]))])
-    assert cone_kernel_nontrivial(rows_eq, 3, np.eye(3), 2, 1.0) is None
+    assert cone_kernel_nontrivial(null_space(rows_eq), np.eye(3), 2, 1.0) is None
 
 
 def test_subspace_psd_q2_det_form():
