@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -39,6 +40,7 @@ from .symmat import (
     SpectralDecomp,
     SymMat,
     common_eigenframe,
+    det_form,
     dir_deriv_dense,
     eig_range,
     eigh,
@@ -54,6 +56,11 @@ from .symmat import (
 CRITICAL = "Critical"
 NONCRITICAL = "Noncritical"
 UNDETERMINED = "Undetermined"
+
+TOL_POS = 1e-8
+
+# mu evaluations per S-procedure bound; the |beta| = 2 bisection needs about 60
+BOUND_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -86,6 +93,26 @@ class CriticalitySystem:
     @property
     def p(self) -> int:
         return self.ctx.p
+
+    @cached_property
+    def second_order(self):
+        """(Qh, blocks), once per context: Q = hessL - sigma quadratic as
+        Qh = Z^T Q Z on Z = cone_null, and the beta block of G'(x) Z[:, c]
+        per column c ([] when beta is empty); C = {Z c : sum_i c_i blocks[i] PSD}."""
+        Q = self.hessL - _sigma_quadratic(self)
+        Q = 0.5 * (Q + Q.T)
+        Z = self.cone_null
+        Qh = Z.T @ Q @ Z
+        Qh = 0.5 * (Qh + Qh.T)
+        _, sb, _ = self.ctx.decomp.slices
+        # blocks[c] = sum_k Z[k, c] Dt_k[beta, beta], summed over k in order
+        blocks = (Z[:, :, None, None] * self.Dt[:, None, sb, sb]).sum(axis=0) if self.ctx.decomp.beta.size else []
+        return Qh, blocks
+
+    @cached_property
+    def s_procedure(self):
+        """_supergradient_bound of Q, once per context: the classifier and check_soscy share it."""
+        return _supergradient_bound(*self.second_order)
 
 
 @dataclass(frozen=True)
@@ -149,6 +176,39 @@ def _rank_atol(Dt: np.ndarray) -> float:
     exactly zero block seen in a rotated frame does not cut a null space.
     """
     return 1e-11 * max(1.0, float(np.abs(Dt).max(initial=0.0)))
+
+
+def _sigma_quadratic(sys: CriticalitySystem) -> np.ndarray:
+    """Matrix S with d^T S d = sigma_term(G'(x)d), no membership gate."""
+    d = sys.ctx.decomp
+    sa, _, sg = d.slices
+    V = sys.Dt[:, sg, sa].reshape(sys.n, -1)
+    return (2.0 * d.curvature.ravel() * V) @ V.T
+
+
+def _supergradient_bound(Qh: np.ndarray, blocks: np.ndarray):
+    """Best bound lambda_min(Qh - sum_i mu_i F_i) of a projected
+    supergradient ascent over mu >= 0 with normalized, diminishing steps,
+    and the eigenvectors there, bottom first, as candidates. Each 2x2
+    principal minor of B(c) gives two forms F_i, nonnegative wherever B(c)
+    is PSD or NSD: its determinant and, with the coupling dropped, the
+    product of its diagonal entries."""
+    pairs = itertools.combinations(range(blocks.shape[1]), 2)
+    minors = [(blocks[:, i, i], blocks[:, i, j], blocks[:, j, j]) for i, j in pairs]
+    forms = np.array([det_form(a, w * f, b) for a, f, b in minors for w in (1.0, 0.0)])
+    mu = np.zeros(len(forms))
+    bound, best = -math.inf, None
+    # when every form vanishes, mu stays 0 and the bound is lambda_min(Qh)
+    scale = max(1.0, float(np.abs(Qh).max())) / max(float(np.abs(forms).max()), np.finfo(float).tiny)
+    for k in range(BOUND_STEPS):
+        lam, V = eigh(Qh - np.tensordot(mu, forms, 1))
+        if lam[-1] > bound:
+            bound, best = float(lam[-1]), V[:, ::-1]
+        g = -np.einsum("i,kij,j->k", V[:, -1], forms, V[:, -1])
+        if not g.any():
+            break
+        mu = np.maximum(mu + scale / math.sqrt(k + 1.0) * g / np.linalg.norm(g), 0.0)
+    return bound, list(best.T)
 
 
 def entry_rows(sys: CriticalitySystem):
@@ -490,20 +550,20 @@ def _classify_large_block(
     0. A witness xi lies in the critical cone C, so C = {0} (a basis
        sys.cone_null with no columns) proves Noncritical.
     1. The pure supports, h PSD with e = 0 and h = 0 with e NSD, are
-       convex: one cone_kernel_nontrivial call each on N (_on_null)
-       excludes the support or finds a solution, a witness when its xi
-       is nonzero. A solution with xi = 0, a NumericError or a failed
-       re-verification leaves the support open.
+       convex: one cone_kernel_nontrivial call each on N (_on_null), less
+       L0, its xi = 0 directions on which the block vanishes, excludes the
+       support or finds a solution with the xi it has on N, a witness when
+       xi is nonzero. Only 'h = 0, e nsd' can still give xi = 0 (a nonzero
+       NSD e); that, a NumericError or a failed re-verification leaves the
+       support open.
     2. A witness xi lies in the critical cone C and the second-order form
-       Q vanishes on it (FINDINGS.md), so an S-procedure bound of Q or -Q
-       above TOL_POS on C u -C proves Noncritical.
+       Q vanishes on it (FINDINGS.md), so an S-procedure bound of Q
+       (sys.s_procedure) or -Q above TOL_POS on C u -C proves Noncritical.
     3. Support enumeration in the identity frame and the eigenframe of
        each nonzero Jacobian beta block, for a witness only.
     Otherwise Undetermined, naming the open supports; no tier decides the
     mixed ones.
     """
-    from .sosc import TOL_POS, _supergradient_bound, reduced_second_order_form
-
     _, sb, _ = sys.ctx.decomp.slices
     k = sys.ctx.decomp.beta.size
     tier = f"beta block of order {k}"
@@ -512,9 +572,13 @@ def _classify_large_block(
     iu = svec_indices(k)
     open_supports = []
     for label, pinned, block in (("h psd, e = 0", E, H), ("h = 0, e nsd", H, -E)):
+        rows = block[sb, sb][iu]
         Z = _on_null(N, cut, pinned[sb, sb][iu])
+        L0 = null_space(np.vstack([Z[: sys.n], rows @ Z]))
+        if L0.shape[1]:
+            Z = Z @ null_space(L0.T)
         try:
-            z = cone_kernel_nontrivial(Z, block[sb, sb][iu] * svec_scale(k)[:, None], k)
+            z = cone_kernel_nontrivial(Z, rows * svec_scale(k)[:, None], k)
         except NumericError:
             open_supports.append(f"pure support '{label}' ({LP_UNDECIDED})")
             continue
@@ -529,9 +593,9 @@ def _classify_large_block(
             continue
         return _critical(found, f"exact: {tier}, pure support '{label}'")
 
-    _, Qh, blocks = reduced_second_order_form(sys)
-    for sign, form in ((1.0, "Q"), (-1.0, "-Q")):
-        bound, _ = _supergradient_bound(sign * Qh, blocks)
+    Qh, blocks = sys.second_order
+    for form in ("Q", "-Q"):
+        bound, _ = sys.s_procedure if form == "Q" else _supergradient_bound(-Qh, blocks)
         if bound > TOL_POS:
             return _noncritical(
                 f"exact: {tier}, S-procedure bound {bound:.6e} > 0 of {form} on C u -C, "

@@ -7,7 +7,6 @@ cases and a sufficient kernel test (Rockafellar, Thm 9.1)."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -20,7 +19,7 @@ from .cones import (
     critical_cone_nsd_membership,
     critical_cone_psd_membership,
 )
-from .criticality import CriticalitySystem, _rank_atol, beta_block_rows, complementary_split
+from .criticality import BOUND_STEPS, TOL_POS, CriticalitySystem, _rank_atol, beta_block_rows, complementary_split
 from .errors import InputDataError, NumericError
 from .lpkernel import cone_kernel_nontrivial, null_space, subspace_psd_nontrivial
 from .problem import ProblemData, ProblemKernels, _checked_order, _checked_x, eval_grad_f, kkt_point
@@ -36,11 +35,6 @@ from .symmat import (
     svec_indices,
     svec_stack,
 )
-
-TOL_POS = 1e-8
-
-# mu evaluations per S-procedure bound; the |beta| = 2 bisection needs about 60
-BOUND_STEPS = 200
 
 SOSCY_HOLDS = "SOSCy_holds"
 SOSCY_FAILS = "SOSCy_fails"
@@ -88,14 +82,6 @@ def critical_cone_x_membership(pd: ProblemData, xbar, ybar, d) -> dict:
     kkt = kkt_point(pd, xbar, ybar)
     mem = critical_cone_psd_membership(complementary_split(kkt), _pushed(kkt.Ds, d))
     return {"member": mem.member, "violation": mem.violation}
-
-
-def _sigma_quadratic(sys: CriticalitySystem) -> np.ndarray:
-    """Matrix S with d^T S d = sigma_term(G'(x)d), no membership gate."""
-    d = sys.ctx.decomp
-    sa, _, sg = d.slices
-    V = sys.Dt[:, sg, sa].reshape(sys.n, -1)
-    return (2.0 * d.curvature.ravel() * V) @ V.T
 
 
 def evaluate_second_order_form(pd: ProblemData, xbar, ybar, d) -> float:
@@ -205,50 +191,6 @@ def _s_lemma(Qh: np.ndarray, K: np.ndarray):
     return bound, cands
 
 
-def _supergradient_bound(Qh: np.ndarray, blocks: np.ndarray):
-    """Best bound lambda_min(Qh - sum_i mu_i F_i) of a projected
-    supergradient ascent over mu >= 0 with normalized, diminishing steps,
-    and the eigenvectors there, bottom first, as candidates. Each 2x2
-    principal minor of B(c) gives two forms F_i, nonnegative wherever B(c)
-    is PSD or NSD: its determinant and, with the coupling dropped, the
-    product of its diagonal entries."""
-    pairs = itertools.combinations(range(blocks.shape[1]), 2)
-    minors = [(blocks[:, i, i], blocks[:, i, j], blocks[:, j, j]) for i, j in pairs]
-    forms = np.array([det_form(a, w * f, b) for a, f, b in minors for w in (1.0, 0.0)])
-    mu = np.zeros(len(forms))
-    bound, best = -math.inf, None
-    # when every form vanishes, mu stays 0 and the bound is lambda_min(Qh)
-    scale = max(1.0, float(np.abs(Qh).max())) / max(float(np.abs(forms).max()), np.finfo(float).tiny)
-    for k in range(BOUND_STEPS):
-        lam, V = eigh(Qh - np.tensordot(mu, forms, 1))
-        if lam[-1] > bound:
-            bound, best = float(lam[-1]), V[:, ::-1]
-        g = -np.einsum("i,kij,j->k", V[:, -1], forms, V[:, -1])
-        if not g.any():
-            break
-        mu = np.maximum(mu + scale / math.sqrt(k + 1.0) * g / np.linalg.norm(g), 0.0)
-    return bound, list(best.T)
-
-
-def reduced_second_order_form(sys: CriticalitySystem):
-    """(Z, Qh, blocks): the basis Z = sys.cone_null of the critical
-    cone's linear span, the second-order form Q = hessL - sigma quadratic
-    in its coordinates (Qh = Z^T Q Z), and the beta blocks of the
-    pushed-forward direction of each column of Z ([] when beta is empty).
-    The critical cone is the set of Z c with B(c) = sum_i c_i blocks[i]
-    PSD."""
-    Q = sys.hessL - _sigma_quadratic(sys)
-    Q = 0.5 * (Q + Q.T)
-    Z = sys.cone_null
-    Qh = Z.T @ Q @ Z
-    Qh = 0.5 * (Qh + Qh.T)
-    d = sys.ctx.decomp
-    _, sb, _ = d.slices
-    # blocks[c] = sum_k Z[k, c] Dt_k[beta, beta], summed over k in order
-    blocks = (Z[:, :, None, None] * sys.Dt[:, None, sb, sb]).sum(axis=0) if d.beta.size else []
-    return Z, Qh, blocks
-
-
 def check_soscy(sys: CriticalitySystem) -> SecondOrderReport:
     """Minimize the second-order form over the unit sphere in C(xbar).
 
@@ -259,10 +201,11 @@ def check_soscy(sys: CriticalitySystem) -> SecondOrderReport:
     minimum). Non-commuting blocks take an S-procedure lower bound over
     C u -C, where the even form has the same minimum, exact at |beta| = 2
     by the S-lemma; `fails` there needs a direction re-verified in the
-    cone (see _report).
+    cone (see _report). Q and the blocks are sys.second_order, and from
+    |beta| = 3 on the bound is sys.s_procedure, shared with the classifier.
     """
     d = sys.ctx.decomp
-    Z, Qh, blocks = reduced_second_order_form(sys)
+    Z, (Qh, blocks) = sys.cone_null, sys.second_order
     stats = {"starts": 0, "certified": 0, "best_uncertified": None}
 
     if Z.shape[1] == 0:
@@ -300,7 +243,7 @@ def check_soscy(sys: CriticalitySystem) -> SecondOrderReport:
     # lambda_min(Qh - sum_i mu_i F_i) bounds the minimum for every mu >= 0
     stats["path"] = "S-procedure"
     if d.beta.size > 2:
-        bound, cands = _supergradient_bound(Qh, blocks)
+        bound, cands = sys.s_procedure
     else:
         a, f, b = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 1]
         span, _ = psd_preimage_span(a, f, b)

@@ -123,3 +123,61 @@ def coupled_block_pair(rng, n, q):
     G_lin = [SymMat(Ak) for Ak in A]
     pd = make_problem([w * Ak[-1, -1] for Ak in A], random_symmetric(rng, n).full(), SymMat.zeros(p), G_lin)
     return pd, np.zeros(n), SymMat.diag([0.0] * q + [-w])
+
+
+def planted_block_pair(rng):
+    """Pair at x = 0 with a planted witness that spans all three blocks.
+
+    Returns (pd, x, Y, xi0, eta0). In a random orthogonal frame P, G(0)
+    holds lambda_alpha ~ U(0.5, 2) and Y holds lambda_gamma ~ -U(0.5, 2),
+    with |alpha|, |gamma| in {1, 2}, |beta| in 1-4 and n in 3-6. The
+    witness has, in that frame, complementary beta blocks U diag(a) U^T
+    and -U diag(b) U^T, a nonzero alpha x gamma block H_ag and its coupled
+    E_ag = -(lambda_j / lambda_i) H_ag, and free beta x gamma and
+    gamma x gamma entries of eta0. The first Jacobian is solved so that
+    G'(0) xi0 = P H P^T, f_quad so that hessL xi0 = -(<D_k, eta0>)_k with
+    dense quadratic G, and f_lin for stationarity.
+    """
+
+    def sym(m):
+        M = rng.standard_normal((m, m))
+        return M + M.T
+
+    ka, kb, kg = int(rng.integers(1, 3)), int(rng.integers(1, 5)), int(rng.integers(1, 3))
+    n, p = int(rng.integers(3, 7)), ka + kb + kg
+    sa, sb, sg = slice(0, ka), slice(ka, ka + kb), slice(ka + kb, p)
+    P = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    lam_a, lam_g = rng.uniform(0.5, 2.0, ka), -rng.uniform(0.5, 2.0, kg)
+    G0 = (P[:, sa] * lam_a) @ P[:, sa].T
+    Y = (P[:, sg] * lam_g) @ P[:, sg].T
+    U = np.linalg.qr(rng.standard_normal((kb, kb)))[0]
+    r1 = int(rng.integers(0, kb + 1))
+    r2 = int(rng.integers(0, kb - r1 + 1))
+    a = np.concatenate([rng.uniform(0.5, 2.0, r1), np.zeros(kb - r1)])
+    b = np.concatenate([np.zeros(r1), rng.uniform(0.5, 2.0, r2), np.zeros(kb - r1 - r2)])
+    Ht = sym(p)
+    Ht[sb, sb] = (U * a) @ U.T
+    Ht[sb, sg] = Ht[sg, sb] = Ht[sg, sg] = 0.0
+    Et = sym(p)
+    Et[sa, sa] = Et[sa, sb] = Et[sb, sa] = 0.0
+    Et[sa, sg] = -(lam_g[None, :] / lam_a[:, None]) * Ht[sa, sg]
+    Et[sg, sa] = Et[sa, sg].T
+    Et[sb, sb] = -(U * b) @ U.T
+    # xi0[0] bounded away from 0, since D_0 is solved through it
+    xi0 = rng.standard_normal(n)
+    xi0[0] = abs(xi0[0]) + 0.5
+    xi0 /= np.linalg.norm(xi0)
+    D = [None] + [sym(p) for _ in range(n - 1)]
+    D[0] = (P @ Ht @ P.T - sum(xi0[k] * D[k] for k in range(1, n))) / xi0[0]
+    B = np.zeros((n, n, p, p))
+    for i in range(n):
+        for j in range(i, n):
+            B[i, j] = B[j, i] = sym(p)
+    eta0 = P @ Et @ P.T
+    v = -np.array([np.sum(Dk * eta0) for Dk in D]) - np.einsum("ijab,ab->ij", B, Y) @ xi0
+    R = sym(n)
+    M = np.eye(n) - np.outer(xi0, xi0)
+    fq = np.outer(v, xi0) + np.outer(xi0, v) - (xi0 @ v) * np.outer(xi0, xi0) + M @ R @ M
+    flin = -np.array([np.sum(Dk * Y) for Dk in D])
+    pd = make_problem(flin, fq, SymMat(G0), [SymMat(Dk) for Dk in D], B)
+    return pd, np.zeros(n), SymMat(Y), xi0, SymMat(eta0)

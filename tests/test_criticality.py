@@ -9,14 +9,16 @@ import re
 import numpy as np
 import pytest
 
-from conftest import context, coupled_block_pair, planted_pair, sample_diag_problem
+from conftest import context, coupled_block_pair, planted_block_pair, planted_pair, sample_diag_problem
 from kkt_spectra import criticality, lpkernel
 from kkt_spectra.criticality import (
     CRITICAL,
     NONCRITICAL,
+    TOL_POS,
     UNDETERMINED,
     _mixed_rows,
     _refine_angle,
+    _supergradient_bound,
     analysis_context,
     build_system,
     check_rcq,
@@ -36,7 +38,7 @@ from kkt_spectra.cones import cone_context_from_matrix
 from kkt_spectra.errors import InputDataError, NumericError
 from kkt_spectra.lpkernel import nontrivial_in_span, null_space
 from kkt_spectra.problem import ProblemKernels, eval_grad_f, kkt_point, make_problem, problem_from_dict
-from kkt_spectra.sosc import TOL_POS, _supergradient_bound, check_soscy, reduced_second_order_form
+from kkt_spectra.sosc import SOSCY_HOLDS, check_soscy, evaluate_second_order_form, sigma_term
 from kkt_spectra.symmat import (
     SymMat,
     as_symmat,
@@ -461,10 +463,93 @@ def test_classify_coupled_probe_bounds():
         tags[v.tag] += 1
         if v.tag == NONCRITICAL:
             printed, form = re.search(r"S-procedure bound (\S+) > 0 of (-?Q) ", v.certificate).groups()
-            _, Qh, blocks = reduced_second_order_form(sysm)
+            Qh, blocks = sysm.second_order
             bound, _ = _supergradient_bound(-Qh if form == "-Q" else Qh, blocks)
             assert bound > TOL_POS and f"{bound:.6e}" == printed
     assert tags[UNDETERMINED] <= 20, tags
+
+
+def test_classifier_and_soscy_share_one_ascent_of_q(monkeypatch):
+    # coupled pairs of order 3 reach both the classifier's bound tier and
+    # the S-procedure tier of check_soscy; the ascent of +Q runs once per
+    # context, so a pair runs it at most twice (+Q and -Q), one run fewer
+    # than when check_soscy ran its own ascent of +Q
+    ascent = criticality._supergradient_bound
+    runs = []
+
+    def counted(*args):
+        runs.append(args)
+        return ascent(*args)
+
+    monkeypatch.setattr(criticality, "_supergradient_bound", counted)
+    rng = np.random.default_rng(0)
+    reached = 0
+    for _ in range(8):
+        sysm = context(*coupled_block_pair(rng, int(rng.integers(6, 8)), 3))
+        classify_multiplier(sysm)
+        in_classifier = len(runs)
+        report = check_soscy(sysm)
+        total = len(runs)
+        # the unshared pipeline: the classifier's runs and one for check_soscy
+        unshared = in_classifier + (report.search_stats["path"] == "S-procedure")
+        assert total <= 2
+        if in_classifier:
+            reached += 1
+            assert total == unshared - 1, (in_classifier, total)
+        bound, cands = sysm.s_procedure
+        fresh_bound, fresh_cands = ascent(*sysm.second_order)
+        assert bound == fresh_bound and len(cands) == len(fresh_cands)
+        assert all(np.array_equal(c, f) for c, f in zip(cands, fresh_cands))
+        runs.clear()
+    assert reached >= 6
+
+
+@pytest.fixture(scope="module")
+def planted_block_verdicts():
+    """(context, classifier verdict, SOSC report) of 400 planted_block_pairs
+    per seed 0, 1 and 2."""
+    out = []
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        for _ in range(400):
+            pd, x, Y, xi0, eta0 = planted_block_pair(rng)
+            sysm = context(pd, x, Y)
+            assert witness_residual(sysm, xi0, eta0) <= 1e-9
+            out.append((sysm, classify_multiplier(sysm), check_soscy(sysm)))
+    return out
+
+
+def test_planted_block_pairs_are_never_noncritical_and_never_hold_sosc(planted_block_verdicts):
+    for sysm, v, report in planted_block_verdicts:
+        assert v.tag != NONCRITICAL, v.certificate
+        assert report.verdict != SOSCY_HOLDS, report.search_stats
+
+
+def test_planted_block_witnesses_have_a_zero_form_with_nonzero_curvature(planted_block_verdicts):
+    # FINDINGS.md: xi^T hessL xi = sigma(xi) at every witness, so the
+    # second-order form vanishes on it while its curvature term does not
+    checked = 0
+    for sysm, v, _ in planted_block_verdicts:
+        if v.tag != CRITICAL:
+            continue
+        xi = v.witness[0]
+        form = evaluate_second_order_form(sysm.pd, sysm.kkt.x, sysm.kkt.Y, xi)
+        curvature = sigma_term(sysm.ctx, SymMat(np.tensordot(xi, sysm.Ds, 1)))
+        assert abs(form) <= 1e-9 and abs(curvature) >= 1e-6, (form, curvature)
+        checked += 1
+    assert checked >= 1000
+
+
+def test_pure_supports_quotient_out_their_xi_zero_directions(planted_block_verdicts):
+    # before the pure supports of a block of order >= 3 were solved on the
+    # quotient by their xi = 0 directions, 387 of these pairs ended
+    # Undetermined (nearly all naming a pure support whose solution had
+    # xi = 0); the quotient must remove at least 80 % of them
+    before = 387
+    large = [v for sysm, v, _ in planted_block_verdicts if sysm.ctx.decomp.beta.size >= 3]
+    after = sum(v.tag == UNDETERMINED for v in large)
+    print(f"|beta| >= 3 Undetermined on {len(large)} planted pairs: {before} before, {after} now")
+    assert after <= 0.2 * before
 
 
 def test_classify_multiplier_takes_no_options():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import context, coupled_block_pair, planted_pair, random_symmetric, sample_diag_problem
-from kkt_spectra import lpkernel, sosc
+from kkt_spectra import criticality, lpkernel, sosc
 from kkt_spectra.cli import main
 from kkt_spectra.cones import (
     cone_context,
@@ -21,13 +21,12 @@ from kkt_spectra.cones import (
     project_critical_cone_polar,
     tangent_membership,
 )
-from kkt_spectra.criticality import CRITICAL, build_system, classify_multiplier
+from kkt_spectra.criticality import CRITICAL, TOL_POS, build_system, classify_multiplier
 from kkt_spectra.errors import InputDataError, NumericError
 from kkt_spectra.problem import ProblemKernels, builtin_family, kkt_point, make_problem, problem_to_dict
 from kkt_spectra.sosc import (
     SOSCY_FAILS,
     SOSCY_HOLDS,
-    TOL_POS,
     UNDETERMINED,
     check_soscy,
     critical_cone_x_membership,
@@ -339,7 +338,7 @@ def test_sigma_quadratic_matches_sigma_term():
         sys = context(*planted_pair(rng, ("diagonal", "rotated", "coupled")[trial % 3], n, p))
         if not (sys.ctx.decomp.alpha.size and sys.ctx.decomp.gamma.size):
             continue
-        S = sosc._sigma_quadratic(sys)
+        S = criticality._sigma_quadratic(sys)
         for _ in range(4):
             d = sys.cone_null @ rng.standard_normal(sys.cone_null.shape[1])
             H = sosc._pushed(sys.Ds, d)
@@ -657,6 +656,6 @@ def test_beta_blocks_of_the_second_order_form_match_the_loop_bit_for_bit():
             if not (Z.shape[1] and Db.shape[1]):
                 continue
             loop = np.array([sum(Z[k, c] * Db[k] for k in range(sysm.n)) for c in range(Z.shape[1])])
-            assert np.array_equal(sosc.reduced_second_order_form(sysm)[2], loop)
+            assert np.array_equal(sysm.second_order[1], loop)
             checked += 1
     assert checked >= 20
