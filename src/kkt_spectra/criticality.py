@@ -73,7 +73,9 @@ class CriticalitySystem:
     them rotated into the eigenframe of G(x) + Y. cone_rows are the
     x-space equality rows of the critical cone, one per gamma x
     (beta u gamma) entry (H_ij = 0), and cone_null is an orthonormal
-    basis of their null space.
+    basis of their null space, cut at rank_atol = 1e-11 max(1, max |Dt|),
+    the pair's one absolute rank cut: rows at rotation round-off count as
+    zero, and every span of the pair's analyses is cut at it.
     """
 
     pd: ProblemData
@@ -85,6 +87,7 @@ class CriticalitySystem:
     Dt: np.ndarray
     cone_rows: np.ndarray
     cone_null: np.ndarray
+    rank_atol: float
 
     @property
     def n(self) -> int:
@@ -159,23 +162,15 @@ def build_system(pd: ProblemData, kkt: KKTPoint, tol: Optional[float] = None) ->
     _, sb, sg = d.slices
     kg, kr = d.gamma.size, d.p - sb.start
     cone_rows = Dt[:, sg, sb.start :][:, np.tri(kg, kr, kr - kg, dtype=bool)].T
-    cone_null = null_space(cone_rows, atol=_rank_atol(Dt))
+    rank_atol = 1e-11 * max(1.0, float(np.abs(Dt).max(initial=0.0)))
+    cone_null = null_space(cone_rows, atol=rank_atol)
     hessL = ProblemKernels(pd).hessians(kkt.Y.full())
-    return CriticalitySystem(pd, kkt, hessL, kkt.G, kkt.Ds, ctx, Dt, cone_rows, cone_null)
+    return CriticalitySystem(pd, kkt, hessL, kkt.G, kkt.Ds, ctx, Dt, cone_rows, cone_null, rank_atol)
 
 
 def _rotated(d: SpectralDecomp, Ds: np.ndarray) -> np.ndarray:
     """P^T D P for every matrix D of the stack Ds, in one batched product."""
     return (d.P.T @ Ds) @ d.P
-
-
-def _rank_atol(Dt: np.ndarray) -> float:
-    """Absolute rank cut for rows taken from the rotated Jacobians.
-
-    Rows at rotation round-off on the data's scale count as zero, so an
-    exactly zero block seen in a rotated frame does not cut a null space.
-    """
-    return 1e-11 * max(1.0, float(np.abs(Dt).max(initial=0.0)))
 
 
 def _sigma_quadratic(sys: CriticalitySystem) -> np.ndarray:
@@ -311,8 +306,9 @@ def _unverified(tier: str, reason: str = "witness re-verification failed") -> Cr
 
 
 def _on_null(N: np.ndarray, cut: float, rows: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of {N c : rows N c = 0}: the null space of the common
-    rows stacked with rows, N and cut as classify_multiplier takes them."""
+    """Orthonormal basis of {N c : rows N c = 0} for a span N at an absolute
+    rank cut: each classifier support is cut from its common null space,
+    the x-part and cond_ii spans from cone_null at rank_atol."""
     return N @ null_space(rows @ N, atol=cut)
 
 
@@ -337,7 +333,7 @@ def _branch_search(sys: CriticalitySystem, N: np.ndarray, cut: float, h: np.ndar
     for pinned, signed in zip(np.where(on, ed, hd), np.where(on, hd, -ed)):
         Z = _on_null(N, cut, np.vstack([offdiag, pinned]))
         try:
-            z, _ = nontrivial_in_span(Z, sys.n, signed)
+            z = nontrivial_in_span(Z, sys.n, signed)
         except NumericError:
             undecided = True
             continue
@@ -522,7 +518,7 @@ def _classify_two_block(
         e_vv = s * s * E[0] - 2.0 * c * s * E[1] + c * c * E[2]
         Z = N @ null.T
         try:
-            z, _ = nontrivial_in_span(Z, sys.n, [h_uu, -e_vv])
+            z = nontrivial_in_span(Z, sys.n, [h_uu, -e_vv])
         except NumericError:
             undecided.append(f"theta={theta:.6f}")
             continue
@@ -639,7 +635,7 @@ def classify_multiplier(sys: CriticalitySystem) -> CriticalityVerdict:
     # cut a stacked SVD of the common and support rows would apply
     N = null_space(common)
     cut = 1e-11 * float(np.abs(common).max())
-    z, _ = nontrivial_in_span(N, sys.n)
+    z = nontrivial_in_span(N, sys.n)
     if z is None:
         if k == 0:
             return _noncritical("exact: beta empty, homogeneous linear system has no nonzero xi")
@@ -671,13 +667,13 @@ def beta_block_rows(sys: CriticalitySystem) -> np.ndarray:
 
 
 def xpart_condition(sys: CriticalitySystem) -> dict:
-    """Test whether the eta-free part of the system forces xi = 0."""
+    """Test whether the eta-free part of the system forces xi = 0, on its
+    span cut from sys.cone_null (_on_null)."""
     d = sys.ctx.decomp
     sa, _, sg = d.slices
     coupling = sys.Dt[:, sa, sg].reshape(sys.n, -1).T
-    eqs = np.vstack([sys.hessL, sys.cone_rows, coupling])
-    block = beta_block_rows(sys)
-    xi = cone_kernel_nontrivial(null_space(eqs, atol=_rank_atol(sys.Dt)), block, d.beta.size, 1.0)
+    Z = _on_null(sys.cone_null, sys.rank_atol, np.vstack([sys.hessL, coupling]))
+    xi = cone_kernel_nontrivial(Z, beta_block_rows(sys), d.beta.size, 1.0)
     if xi is None:
         return {"holds": True, "witness": None}
     return {"holds": False, "witness": xi / np.linalg.norm(xi)}
@@ -699,7 +695,7 @@ def rcq_holds(Gx: SymMat, Ds: np.ndarray, tol_feas: float = 1e-8) -> bool:
     t = d.slices[1].start  # the eigenvalues at most tol_zero: the trailing block from t
     if t == d.p:
         return True
-    return subspace_psd_nontrivial(svec_stack(symmetrized(_rotated(d, Ds)[:, t:, t:])), d.p - t) is None
+    return subspace_psd_nontrivial(null_space(svec_stack(symmetrized(_rotated(d, Ds)[:, t:, t:]))), d.p - t) is None
 
 
 def srcq_holds(d: SpectralDecomp, Dt: np.ndarray) -> bool:
@@ -715,7 +711,7 @@ def srcq_holds(d: SpectralDecomp, Dt: np.ndarray) -> bool:
     nsv = q * (q + 1) // 2
     # selection rows: the leading principal subblock of the reduced
     # variable, in matching isometric svec coordinates on both sides
-    block = np.eye(nsv)[svec_indices(q)[1] < nb] if nb else None
+    block = np.eye(nsv)[svec_indices(q)[1] < nb]
     v = cone_kernel_nontrivial(null_space(svec_stack(symmetrized(Dt[:, t:, t:]))), block, nb, -1.0)
     return v is None
 
@@ -825,11 +821,14 @@ def classify_nlp(nlp: NLPSystem, xbar, mu, tol: float = 1e-8) -> CriticalityVerd
 
     tier = f"scalar branch enumeration over 2^{len(i_zero)} supports"
     undecided = False
+    # every support is solved on N (see _on_null), cut as in classify_multiplier
+    N = null_space(base)
+    cut = 1e-11 * max(1.0, float(np.abs(base).max()), float(np.abs(g_zero).max(initial=0.0)))
     for bits in itertools.product((0, 1), repeat=len(i_zero)):
         on = np.array(bits, dtype=bool)[:, None]
-        Z = null_space(np.vstack([base, np.where(on, e_zero, g_zero)]))
+        Z = _on_null(N, cut, np.where(on, e_zero, g_zero))
         try:
-            z, _ = nontrivial_in_span(Z, nlp.n, np.where(on, g_zero, -e_zero))
+            z = nontrivial_in_span(Z, nlp.n, np.where(on, g_zero, -e_zero))
         except NumericError:
             undecided = True
             continue

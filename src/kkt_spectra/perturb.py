@@ -722,12 +722,11 @@ def xpart_bound_check(sys: CriticalitySystem, report: ErrorBoundReport):
             report.schedule, report.p_norms, report.deviations, report.y_devs, report.ratios_91
         )
     ]
-    verdict = _trend_verdict(list(report.schedule), report.ratios_91)
     return {
         "soscy_verdict": soscy.verdict,
-        "verdict_91": verdict,
+        "verdict_91": report.verdict_91,
         "rows": rows,
-        "consistent": not (soscy.verdict == SOSCY_HOLDS and verdict == "diverging"),
+        "consistent": not (soscy.verdict == SOSCY_HOLDS and report.verdict_91 == "diverging"),
     }
 
 

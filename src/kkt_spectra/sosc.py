@@ -19,7 +19,7 @@ from .cones import (
     critical_cone_nsd_membership,
     critical_cone_psd_membership,
 )
-from .criticality import BOUND_STEPS, TOL_POS, CriticalitySystem, _rank_atol, beta_block_rows, complementary_split
+from .criticality import BOUND_STEPS, TOL_POS, CriticalitySystem, _on_null, beta_block_rows, complementary_split
 from .errors import InputDataError, NumericError
 from .lpkernel import cone_kernel_nontrivial, null_space, subspace_psd_nontrivial
 from .problem import ProblemData, ProblemKernels, _checked_order, _checked_x, eval_grad_f, kkt_point
@@ -312,13 +312,13 @@ def _closed_adjoint_image(sys: CriticalitySystem) -> dict:
     W -> (<D_k, W>)_k is closed. In the eigenframe K holds the W whose
     alpha x (alpha u beta) entries vanish and whose beta block is NSD.
 
-    Four exact special cases come first. Otherwise Rockafellar's Thm 9.1
-    (Convex Analysis) gives a sufficient test: the image is closed when
-    every W in K that the map sends to 0 lies in the lineality space of
-    K (-W in K too), that is has a zero beta block. The beta blocks of
-    that kernel form a subspace, so the test passes iff the subspace is
-    {0} or meets no nonzero PSD matrix. When it meets one the test is
-    inconclusive.
+    Three exact special cases come first. Otherwise Rockafellar's Thm
+    9.1 (Convex Analysis) gives a sufficient test: the image is closed
+    when every W in K that the map sends to 0 lies in the lineality space
+    of K (-W in K too), that is has a zero beta block. The beta blocks of
+    that kernel span a subspace (cut at 1e-11), so the test passes iff
+    it is {0}, as for an injective adjoint, or meets no nonzero PSD
+    matrix. When it meets one the test is inconclusive.
     """
     d = sys.ctx.decomp
     p, k = sys.p, d.beta.size
@@ -328,8 +328,6 @@ def _closed_adjoint_image(sys: CriticalitySystem) -> dict:
         return {"verdict": "holds", "evidence": "zero Jacobian: adjoint image is {0}"}
     if k <= 1:
         return {"verdict": "holds", "evidence": "polyhedral polar cone (beta block <= 1)"}
-    if np.linalg.matrix_rank(svec_stack(sys.Ds), tol=1e-11) == p * (p + 1) // 2:
-        return {"verdict": "holds", "evidence": "injective adjoint on symmetric matrices"}
     # the entries of K outside alpha x (alpha u beta), packed row-major
     # from the upper triangle, so the beta x beta ones among them come in
     # svec_indices(k) order; <D_k, P W P^T> = <Dt_k, W>
@@ -337,12 +335,13 @@ def _closed_adjoint_image(sys: CriticalitySystem) -> dict:
     rows, cols = svec_indices(p)
     free = (rows >= ka) | (cols >= kb)
     in_beta = (rows[free] >= ka) & (cols[free] < kb)
-    kernel = null_space(svec_stack(sys.Dt)[:, free], atol=_rank_atol(sys.Dt))
-    complement = null_space(kernel[in_beta].T, atol=1e-11).T
-    if complement.shape[0] == k * (k + 1) // 2:
+    kernel = null_space(svec_stack(sys.Dt)[:, free], atol=sys.rank_atol)
+    U, s, _ = np.linalg.svd(kernel[in_beta], full_matrices=False)
+    span = U[:, s > 1e-11]
+    if not span.shape[1]:
         return {"verdict": "holds", "evidence": "adjoint kernel has zero beta blocks (Rockafellar Thm 9.1)"}
     try:
-        W = subspace_psd_nontrivial(complement, k)
+        W = subspace_psd_nontrivial(span, k)
     except NumericError as exc:
         return {"verdict": UNDETERMINED, "evidence": f"adjoint kernel test undecided: {exc}"}
     if W is None:
@@ -359,13 +358,13 @@ def _projected_orthogonality(sys: CriticalitySystem) -> dict:
     gives Pi(H) = 0 for every H in C. The evidence says whether it holds
     vacuously, decided by one cone-kernel call: a nonzero xi in C admits
     an eta iff hessL xi lies in the range of the adjoint, that is iff the
-    part of hessL orthogonal to that range annihilates xi.
+    part of hessL orthogonal to that range annihilates xi; that part
+    cuts the span from sys.cone_null (_on_null) at the context's rank cut.
     """
-    atol = _rank_atol(sys.Dt)
-    off_range = null_space(svec_stack(sys.Ds).T, atol=atol).T @ sys.hessL
-    eqs = np.vstack([off_range, sys.cone_rows])
+    off_range = null_space(svec_stack(sys.Ds).T, atol=sys.rank_atol).T @ sys.hessL
+    Z = _on_null(sys.cone_null, sys.rank_atol, off_range)
     try:
-        xi = cone_kernel_nontrivial(null_space(eqs, atol=atol), beta_block_rows(sys), sys.ctx.decomp.beta.size, 1.0)
+        xi = cone_kernel_nontrivial(Z, beta_block_rows(sys), sys.ctx.decomp.beta.size, 1.0)
     except NumericError as exc:
         return {"verdict": "holds", "evidence": f"undecided: {exc}; holds by the identity"}
     if xi is None:

@@ -356,7 +356,7 @@ def _angle_grid_oracle(sysm, angles):
                 else:
                     eqs.append(h[(j, j)])
                     ineqs.append(-e[(j, j)])
-            z, _ = nontrivial_in_span(null_space(np.stack(eqs)), sysm.n, ineqs)
+            z = nontrivial_in_span(null_space(np.stack(eqs)), sysm.n, ineqs)
             if z is not None:
                 nx = np.linalg.norm(z[: sysm.n])
                 if witness_residual(sysm, z[: sysm.n] / nx, sym_mat(z[sysm.n :] / nx, sysm.p)) <= 1e-7:

@@ -54,20 +54,20 @@ def test_linear_feasible_random_consistency():
 
 
 def test_nontrivial_in_span_hand_cases():
-    z, _ = nontrivial_in_span(null_space(np.zeros((0, 3))), 2)
+    z = nontrivial_in_span(null_space(np.zeros((0, 3))), 2)
     assert z is not None and np.linalg.norm(z[:2]) > 1e-9
-    z, _ = nontrivial_in_span(null_space(np.array([[1.0, 0, 0], [0, 1.0, 0]])), 2)
+    z = nontrivial_in_span(null_space(np.array([[1.0, 0, 0], [0, 1.0, 0]])), 2)
     assert z is None
-    z, _ = nontrivial_in_span(
+    z = nontrivial_in_span(
         null_space(np.array([[1.0, 1.0, 0.0]])), 2, [np.array([1.0, -1.0, 0.0])]
     )
     assert z is not None and z[0] - z[1] >= -1e-12 and abs(z[0] + z[1]) < 1e-12
     # conflicting inequalities force the xi coordinate to zero
-    z, merit = nontrivial_in_span(
+    z = nontrivial_in_span(
         null_space(np.zeros((0, 2))), 1, [np.array([1.0, 0.0]), np.array([-1.0, 0.0])]
     )
-    assert z is None and merit > 1e-3
-    z, _ = nontrivial_in_span(
+    assert z is None
+    z = nontrivial_in_span(
         null_space(np.zeros((0, 2))), 1, [np.array([1.0, 1.0]), np.array([1.0, -1.0])]
     )
     assert z is not None and abs(z[0]) > 1e-9
@@ -86,7 +86,7 @@ def test_nontrivial_in_span_random():
             else np.zeros((0, dim))
         )
         ineqs = [rng.standard_normal(dim) for _ in range(int(rng.integers(2, 5)))]
-        z, _ = nontrivial_in_span(null_space(eq), xi_dim, ineqs)
+        z = nontrivial_in_span(null_space(eq), xi_dim, ineqs)
         if z is None:
             continue
         found += 1
@@ -109,11 +109,11 @@ def test_polish_in_span_resolves_trailing_block():
 
 
 def test_subspace_psd_nontrivial_hand_cases():
-    W = subspace_psd_nontrivial(np.zeros((0, 3)), 2)
+    W = subspace_psd_nontrivial(null_space(np.zeros((0, 3))), 2)
     assert W is not None and np.linalg.eigvalsh(W).min() >= -1e-12
     # off-diagonal-only subspace of S^2 meets the PSD cone only at 0
     rows = np.stack([sym_vec(np.diag([1.0, 0.0])), sym_vec(np.diag([0.0, 1.0]))])
-    assert subspace_psd_nontrivial(rows, 2) is None
+    assert subspace_psd_nontrivial(null_space(rows), 2) is None
     # trace-zero diagonal subspace likewise
     rows = np.stack(
         [
@@ -121,10 +121,10 @@ def test_subspace_psd_nontrivial_hand_cases():
             sym_vec(np.diag([1.0, 1.0])) / np.sqrt(2),
         ]
     )
-    assert subspace_psd_nontrivial(rows, 2) is None
+    assert subspace_psd_nontrivial(null_space(rows), 2) is None
     # full diagonal subspace contains PSD elements
     rows = np.stack([sym_vec(np.array([[0.0, 1.0], [1.0, 0.0]]) / np.sqrt(2))])
-    W = subspace_psd_nontrivial(rows, 2)
+    W = subspace_psd_nontrivial(null_space(rows), 2)
     assert W is not None and np.linalg.eigvalsh(W).min() >= -1e-8
     assert abs(W[0, 1]) <= 1e-9
 
@@ -147,7 +147,7 @@ def test_subspace_psd_constructed_witnesses():
         Vb = np.stack(basis, axis=1)
         U, _, _ = np.linalg.svd(Vb, full_matrices=True)
         comp = U[:, k:].T
-        W = subspace_psd_nontrivial(comp, q)
+        W = subspace_psd_nontrivial(null_space(comp), q)
         assert W is not None, "known PSD element missed"
         assert np.linalg.norm(comp @ sym_vec(W)) <= 1e-6
         assert np.linalg.eigvalsh(W).min() >= -1e-7
@@ -163,7 +163,7 @@ def test_subspace_psd_certified_trivial():
         rows = [sym_vec((Q * d) @ Q.T)]  # PD certificate row
         for _ in range(int(rng.integers(0, 3))):
             rows.append(rng.standard_normal(nfull))
-        assert subspace_psd_nontrivial(np.stack(rows), q) is None
+        assert subspace_psd_nontrivial(null_space(np.stack(rows)), q) is None
 
 
 def test_cone_kernel_nontrivial():
@@ -179,6 +179,53 @@ def test_cone_kernel_nontrivial():
     # zero diagonal forced: remaining off-diagonal block is PSD only at 0
     rows_eq = np.stack([sym_vec(np.diag([1.0, 0.0])), sym_vec(np.diag([0.0, 1.0]))])
     assert cone_kernel_nontrivial(null_space(rows_eq), np.eye(3), 2, 1.0) is None
+
+
+def test_subspace_psd_span_edge_cases():
+    # S^0, a span with no columns, and a span of all of S^q
+    assert subspace_psd_nontrivial(np.zeros((0, 0)), 0) is None
+    assert subspace_psd_nontrivial(np.zeros((3, 0)), 2) is None
+    V, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((6, 6)))
+    assert np.array_equal(subspace_psd_nontrivial(V, 3), np.eye(3) / np.sqrt(3.0))
+
+
+def test_subspace_psd_diagonal_span_without_a_psd_point(monkeypatch):
+    # span(diag(2, 1, 1, -0.1)) holds no nonzero PSD point, and the fit of
+    # the identity onto its complement, diag(1 - 2c, 1 - c, 1 - c, 1 + c/10)
+    # with c = 3.9/6.01, is not positive definite: the diagonal LP sweep
+    # decides, and no later tier runs
+    v = sym_vec(np.diag([2.0, 1.0, 1.0, -0.1]))
+    sweeps = []
+    monkeypatch.setattr(lpkernel, "linear_feasible", lambda *a: sweeps.append(1) or linear_feasible(*a))
+    monkeypatch.setattr(lpkernel, "_commuting_rows_tier", _fail)
+    monkeypatch.setattr(lpkernel, "_interior_point_tier", _fail)
+    assert subspace_psd_nontrivial((v / np.linalg.norm(v))[:, None], 4) is None
+    assert len(sweeps) == 4
+
+
+@pytest.mark.parametrize(
+    "diagonals, expect",
+    [
+        ([[1.0, -1.0, 0.0]], None),  # Gordan: the fit of I is I itself
+        ([[1.0, 0.0, -1.0], [0.0, 1.0, 0.0]], [0.0, 1.0]),  # the diagonal LP finds diag(0, 1, 0)
+    ],
+)
+def test_cone_kernel_takes_one_svd_and_no_least_squares(monkeypatch, diagonals, expect):
+    # a block map onto diagonal matrices, decided by the Gordan or the
+    # diagonal tier: the one SVD of the map yields the image span the
+    # subspace decider reads and the factors its witness is pulled back by
+    block_rows = np.stack([sym_vec(np.diag(d)) for d in diagonals], axis=1)
+    svds = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    monkeypatch.setattr(np.linalg, "lstsq", _fail)
+    v = cone_kernel_nontrivial(np.eye(len(diagonals)), block_rows, 3)
+    assert len(svds) == 1
+    if expect is None:
+        assert v is None
+    else:
+        assert np.abs(np.abs(v) - expect).max() <= 1e-12
+        assert np.linalg.eigvalsh(sym_mat(block_rows @ v, 3).full()).min() >= -1e-12
 
 
 def test_subspace_psd_q2_det_form():
@@ -200,7 +247,7 @@ def test_subspace_psd_q2_det_form():
         if abs(max(dets)) <= 1e-3:
             continue
         expect = max(dets) > 0
-        W = subspace_psd_nontrivial(comp, 2)
+        W = subspace_psd_nontrivial(null_space(comp), 2)
         assert (W is not None) == expect
         decided[expect] += 1
         if W is not None:
@@ -275,7 +322,7 @@ def test_subspace_psd_commuting_rows_planted_witness():
     for q in range(3, 7):
         for _ in range(40):
             rows, _, _ = _planted_rows(rng, q)
-            W = subspace_psd_nontrivial(rows, q)
+            W = subspace_psd_nontrivial(null_space(rows), q)
             assert W is not None, "planted PSD element missed"
             assert np.linalg.norm(rows @ sym_vec(W)) <= 1e-9 * max(1.0, np.abs(rows).max())
             assert np.linalg.eigvalsh(W).min() >= -1e-12 and abs(np.linalg.norm(W) - 1.0) <= 1e-12
@@ -285,7 +332,7 @@ def test_subspace_psd_commuting_rows_certified_trivial():
     rng = np.random.default_rng(29)
     for q in range(3, 7):
         for _ in range(40):
-            assert subspace_psd_nontrivial(_certified_trivial_rows(rng, q), q) is None
+            assert subspace_psd_nontrivial(null_space(_certified_trivial_rows(rng, q)), q) is None
 
 
 def test_subspace_psd_commuting_rows_skip_the_search(monkeypatch):
@@ -296,18 +343,18 @@ def test_subspace_psd_commuting_rows_skip_the_search(monkeypatch):
     calls = _count_eigh(monkeypatch)
     monkeypatch.setattr(lpkernel, "_interior_point_tier", _fail)
     rows, _, _ = _planted_rows(rng, 6)
-    assert subspace_psd_nontrivial(rows, 6) is not None
+    assert subspace_psd_nontrivial(null_space(rows), 6) is not None
     assert len(calls) <= 2
     calls.clear()
-    assert subspace_psd_nontrivial(_certified_trivial_rows(rng, 6), 6) is None
+    assert subspace_psd_nontrivial(null_space(_certified_trivial_rows(rng, 6)), 6) is None
     assert len(calls) <= 2
 
 
 def test_subspace_psd_gordan_certificate_decides_first(monkeypatch):
     # rows spanning I and two non-commuting matrices at q = 3: the fit of
     # the identity onto the row space is I itself, positive definite, so
-    # the call returns None before it builds the null space for the
-    # diagonal, q = 2 and commuting tiers
+    # the call on the span of their null space returns None before the
+    # diagonal, q = 2 and commuting tiers, and takes no complement
     rng = np.random.default_rng(41)
     A, B = (sym_vec(M + M.T) for M in rng.standard_normal((2, 3, 3)))
     rows = np.stack([sym_vec(np.eye(3)), A, B])
@@ -317,7 +364,7 @@ def test_subspace_psd_gordan_certificate_decides_first(monkeypatch):
 
     monkeypatch.setattr(lpkernel, "null_space", _fail)
     monkeypatch.setattr(lpkernel, "_commuting_rows_tier", _fail)
-    assert subspace_psd_nontrivial(rows, 3) is None
+    assert subspace_psd_nontrivial(N, 3) is None
 
 
 def test_subspace_psd_non_commuting_rows_reach_the_search(monkeypatch):
@@ -343,7 +390,7 @@ def test_subspace_psd_non_commuting_rows_reach_the_search(monkeypatch):
         assert np.abs(rows @ w0).max() <= 1e-12
         frames.clear()
         calls.clear()
-        W = subspace_psd_nontrivial(rows, q)
+        W = subspace_psd_nontrivial(null_space(rows), q)
         assert len(frames) == 1 and frames[0] is None
         assert len(calls) == 1
         assert W is not None and np.linalg.eigvalsh(W).min() > 0.0
@@ -401,7 +448,7 @@ def test_subspace_psd_interior_point_stress(monkeypatch):
         q = int(rng.integers(3, 7))
         rows, answer = _stress_case(rng, kind, q)
         calls.clear()
-        W = subspace_psd_nontrivial(rows, q)
+        W = subspace_psd_nontrivial(null_space(rows), q)
         reached[kind] += len(calls)
         if answer is None:
             assert W is None, kind

@@ -404,6 +404,20 @@ def test_theorem3_closedness_kernel_tier():
     assert t["cond_i"] == {"verdict": "holds", "evidence": "adjoint kernel has zero beta blocks (Rockafellar Thm 9.1)"}
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_theorem3_injective_adjoint_has_an_empty_kernel(p):
+    # G(0) = 0 and Y = 0, so all of the p x p block is beta, and the
+    # Jacobians, seen in a random frame, span S^p: the adjoint is
+    # injective, its kernel is {0}, and the general test says so
+    Q, _ = np.linalg.qr(np.random.default_rng(p).standard_normal((p, p)))
+    Ds = [SymMat(Q @ unit(p, i, j) @ Q.T) for i in range(p) for j in range(i, p)]
+    pd = make_problem(np.zeros(len(Ds)), np.eye(len(Ds)), SymMat.zeros(p), Ds)
+    sys = context(pd, np.zeros(len(Ds)), SymMat.zeros(p))
+    assert sys.ctx.decomp.beta.size == p
+    t = theorem3_conditions(sys)
+    assert t["cond_i"] == {"verdict": "holds", "evidence": "adjoint kernel has zero beta blocks (Rockafellar Thm 9.1)"}
+
+
 def kernel_tier_pair():
     """Pair with alpha = {0}, beta = {1, 2}, gamma = {3} on which both
     theorem-3 conditions reach subspace_psd_nontrivial, while SRCQ, the
