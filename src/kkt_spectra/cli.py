@@ -86,7 +86,6 @@ def _inline_json(label):
 # the flags beyond the problem source, --point and --format, each taken by
 # the subcommands that list it in COMMANDS
 _FLAGS = {
-    "--tol-feas": dict(type=float, default=1e-8, help="feasibility tolerance of the RCQ check"),
     "--tol-eig": dict(type=float, help="eigenvalue zero-classification tolerance"),
     "--direction": dict(
         type=_inline_json("--direction"), help="inline JSON matrix steering a builtin family's perturbation"
@@ -104,7 +103,7 @@ _FLAGS = {
 COMMANDS = {
     "analyze": (
         "full pipeline: residuals, partition, qualifications, verdicts",
-        ("--tol-feas", "--tol-eig"),
+        ("--tol-eig",),
         ("kkt_residuals", "partition", "constraint_qualifications", "criticality", "x_part_condition", "soscy",
          "local_bound_conditions"),
     ),
@@ -231,11 +230,6 @@ def render(payload: dict, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _require_tolerance(flag: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise InputDataError(f"{flag} must be finite and positive")
-
-
 def _partition_payload(ctx):
     d = ctx.decomp
     return {
@@ -269,19 +263,18 @@ def _soscy_payload(sysm):
     }
 
 
-# each report section's payload, read from the analysis context sysm and
-# the parsed flags
+# each report section's payload, read from the analysis context sysm
 _SECTIONS = {
-    "kkt_residuals": lambda sysm, args: dict(zip(("stationarity", "complementarity"), sysm.kkt.residuals)),
-    "partition": lambda sysm, args: _partition_payload(sysm.ctx),
-    "constraint_qualifications": lambda sysm, args: {
-        "rcq": rcq_holds(sysm.G, sysm.Ds, tol_feas=args.tol_feas),
+    "kkt_residuals": lambda sysm: dict(zip(("stationarity", "complementarity"), sysm.kkt.residuals)),
+    "partition": lambda sysm: _partition_payload(sysm.ctx),
+    "constraint_qualifications": lambda sysm: {
+        "rcq": rcq_holds(sysm.G, sysm.Ds),
         "srcq": srcq_holds(sysm.ctx.decomp, sysm.Dt),
     },
-    "criticality": lambda sysm, args: _criticality_payload(sysm),
-    "x_part_condition": lambda sysm, args: xpart_condition(sysm),
-    "soscy": lambda sysm, args: _soscy_payload(sysm),
-    "local_bound_conditions": lambda sysm, args: theorem3_conditions(sysm),
+    "criticality": lambda sysm: _criticality_payload(sysm),
+    "x_part_condition": lambda sysm: xpart_condition(sysm),
+    "soscy": lambda sysm: _soscy_payload(sysm),
+    "local_bound_conditions": lambda sysm: theorem3_conditions(sysm),
 }
 
 
@@ -289,16 +282,13 @@ def cmd_report(args) -> dict:
     """The report of every subcommand but perturb: its COMMANDS sections,
     in order, each read from the one analysis context, at the --tol-eig
     partition, of the requested pair."""
-    _, tolerances, sections = COMMANDS[args.command]
-    for flag in tolerances:
-        value = vars(args)[flag[2:].replace("-", "_")]
-        if value is not None:
-            _require_tolerance(flag, value)
+    if args.tol_eig is not None and not (math.isfinite(args.tol_eig) and args.tol_eig > 0):
+        raise InputDataError("--tol-eig must be finite and positive")
     fam, pd = _source(args)
     x, Y = _point(args, fam, pd)
     sysm = analysis_context(pd, x, Y, tol=args.tol_eig)
     payload = {"schema": SCHEMA, "command": args.command, "source": args.family or args.problem}
-    payload.update((name, _SECTIONS[name](sysm, args)) for name in sections)
+    payload.update((name, _SECTIONS[name](sysm)) for name in COMMANDS[args.command][2])
     return payload
 
 

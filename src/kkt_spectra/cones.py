@@ -61,14 +61,15 @@ def cone_context_from_matrix(A, tol_zero=None) -> ConeContext:
     return ConeContext(X, Y, d)
 
 
-def cone_context(X, Y, tol_zero=None, tol=1e-8) -> ConeContext:
-    """Build a context from a candidate pair, validating complementarity."""
+def cone_context(X, Y) -> ConeContext:
+    """Build a context from a candidate pair at the default partition,
+    validating complementarity (check_complementary at 1e-8)."""
     X = as_symmat(X)
     Y = as_symmat(Y)
     if X.p != Y.p:
         raise InputDataError(f"matrix orders differ: {X.p} vs {Y.p}")
-    ctx = cone_context_from_matrix(X + Y, tol_zero)
-    check_complementary(ctx, X, Y, tol)
+    ctx = cone_context_from_matrix(X + Y)
+    check_complementary(ctx, X, Y)
     return ctx
 
 
@@ -94,16 +95,16 @@ def _block_rule(Ht: np.ndarray, tol, vanish, block, psd: bool) -> Membership:
     return Membership(violation <= tol, violation)
 
 
-def tangent_membership(ctx: ConeContext, H, tol=DEFAULT_MEMBERSHIP_TOL) -> Membership:
+def tangent_membership(ctx: ConeContext, H) -> Membership:
     """Tangent cone to the PSD cone at X: compressed (beta+gamma) block PSD."""
     _, sb, _ = ctx.decomp.slices
-    return _block_rule(ctx.decomp.rotate(H), tol, (slice(0), slice(0)), slice(sb.start, None), True)
+    return _block_rule(ctx.decomp.rotate(H), DEFAULT_MEMBERSHIP_TOL, (slice(0), slice(0)), slice(sb.start, None), True)
 
 
-def normal_membership(ctx: ConeContext, H, tol=DEFAULT_MEMBERSHIP_TOL) -> Membership:
+def normal_membership(ctx: ConeContext, H) -> Membership:
     """Normal cone at X: compressed (beta+gamma) block NSD, alpha rows zero."""
     sa, sb, _ = ctx.decomp.slices
-    return _block_rule(ctx.decomp.rotate(H), tol, (sa, slice(None)), slice(sb.start, None), False)
+    return _block_rule(ctx.decomp.rotate(H), DEFAULT_MEMBERSHIP_TOL, (sa, slice(None)), slice(sb.start, None), False)
 
 
 def _critical_rules(d: SpectralDecomp):
@@ -124,7 +125,7 @@ def critical_cone_nsd_membership(ctx: ConeContext, H, tol=DEFAULT_MEMBERSHIP_TOL
     return _block_rule(ctx.decomp.rotate(H), tol, *_critical_rules(ctx.decomp)[1])
 
 
-def graph_tangent_membership(ctx: ConeContext, H1, H2, tol=DEFAULT_MEMBERSHIP_TOL) -> GraphMembership:
+def graph_tangent_membership(ctx: ConeContext, H1, H2) -> GraphMembership:
     """Tangent directions (H1, H2) to the graph of the PSD normal cone map.
 
     member_blocks evaluates the block conditions in the eigenbasis of
@@ -143,13 +144,13 @@ def graph_tangent_membership(ctx: ConeContext, H1, H2, tol=DEFAULT_MEMBERSHIP_TO
     S, B1, B2 = d.sigma[sa, sg], H1t[sb, sb], H2t[sb, sb]
     psd_rule, nsd_rule = _critical_rules(d)
     violation = max(
-        _block_rule(H1t, tol, *psd_rule).violation,
-        _block_rule(H2t, tol, *nsd_rule).violation,
+        _block_rule(H1t, DEFAULT_MEMBERSHIP_TOL, *psd_rule).violation,
+        _block_rule(H2t, DEFAULT_MEMBERSHIP_TOL, *nsd_rule).violation,
         float(np.linalg.norm((S - 1.0) * H1t[sa, sg] + S * H2t[sa, sg])),
         abs(float(np.sum(B1 * B2))) / max(1.0, float(np.linalg.norm(B1)) * float(np.linalg.norm(B2))),
     )
     deriv_gap = (H1 - dir_deriv_from_decomp(d, H1 + H2)).norm()
-    return GraphMembership(violation <= tol, deriv_gap <= tol, violation)
+    return GraphMembership(violation <= DEFAULT_MEMBERSHIP_TOL, deriv_gap <= DEFAULT_MEMBERSHIP_TOL, violation)
 
 
 def project_critical_cone(ctx: ConeContext, Z) -> SymMat:

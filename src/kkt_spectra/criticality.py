@@ -35,7 +35,9 @@ import numpy as np
 from .cones import ConeContext, check_complementary, cone_context_from_matrix
 from .errors import InputDataError, NumericError
 from .lpkernel import cone_kernel_nontrivial, nontrivial_in_span, null_space, polish_in_span, subspace_psd_nontrivial
-from .problem import KKTPoint, ProblemData, ProblemKernels, _checked_order, _checked_x, kkt_point
+from .problem import (
+    CERTIFICATION_TOL, KKTPoint, ProblemData, ProblemKernels, _checked_order, _checked_vector, kkt_point
+)
 from .symmat import (
     SpectralDecomp,
     SymMat,
@@ -256,7 +258,7 @@ def witness_residual(sys: CriticalitySystem, xi, eta) -> float:
     independently.
     """
     n, p = sys.n, sys.p
-    xi = _checked_x(sys.pd, xi, "xi")
+    xi = _checked_vector(xi, sys.pd.n, "xi")
     E = _checked_order(sys.pd, eta, "eta").full()
     Dflat = sys.Ds.reshape(n, p * p)
     adj = sys.hessL @ xi + (Dflat * E.ravel()).sum(axis=1)
@@ -398,8 +400,9 @@ def _at_angle(C: np.ndarray, theta: float) -> np.ndarray:
     return c * c * C[0] + c * s * C[1] + s * s * C[2]
 
 
-def _refine_angle(C: np.ndarray, theta: float, steps: int = 8) -> Optional[float]:
-    """Gauss-Newton on M(theta) x = 0 with |x| = 1, from a root estimate.
+def _refine_angle(C: np.ndarray, theta: float) -> Optional[float]:
+    """Gauss-Newton on M(theta) x = 0 with |x| = 1, from a root estimate,
+    at most 8 steps.
 
     A double root of the chosen minor is only known to about the square
     root of machine precision; the full 4-row system pins it down again.
@@ -410,7 +413,7 @@ def _refine_angle(C: np.ndarray, theta: float, steps: int = 8) -> Optional[float
     if sv[-1] > 1e-4:
         return None
     x = vt[-1]
-    for _ in range(steps):
+    for _ in range(8):
         c, s = math.cos(theta), math.sin(theta)
         M = _at_angle(C, theta)
         r = M @ x
@@ -679,22 +682,20 @@ def xpart_condition(sys: CriticalitySystem) -> dict:
     return {"holds": False, "witness": xi / np.linalg.norm(xi)}
 
 
-def rcq_holds(Gx: SymMat, Ds: np.ndarray, tol_feas: float = 1e-8) -> bool:
+def rcq_holds(Gx: SymMat, Ds: np.ndarray) -> bool:
     """Surjectivity-type qualification at a feasible point, decided dually.
 
     Gx is G(x) and Ds the symmetric Jacobian stack at x (as a
     CriticalitySystem holds them); G(x) is decomposed here, apart from
-    the split of G(x) + Y; tol_feas must be finite and nonnegative.
+    the split of G(x) + Y. The point is feasible when lambda_min(G(x)) is
+    at least -CERTIFICATION_TOL max(1, |lambda|_max), which every
+    certified pair meets.
     """
-    if not (math.isfinite(tol_feas) and tol_feas >= 0.0):
-        raise InputDataError("tol_feas must be nonnegative and finite")
     d = spectral_decompose(Gx)
     scale = max(1.0, float(np.abs(d.lam).max()))
-    if d.lam.min() < -tol_feas * scale:
+    if d.lam.min() < -CERTIFICATION_TOL * scale:
         raise InputDataError("point is infeasible: constraint matrix has a negative eigenvalue")
     t = d.slices[1].start  # the eigenvalues at most tol_zero: the trailing block from t
-    if t == d.p:
-        return True
     return subspace_psd_nontrivial(null_space(svec_stack(symmetrized(_rotated(d, Ds)[:, t:, t:]))), d.p - t) is None
 
 
@@ -706,8 +707,6 @@ def srcq_holds(d: SpectralDecomp, Dt: np.ndarray) -> bool:
     """
     t = d.slices[1].start  # the reduced variable: the trailing beta u gamma block from t
     q, nb = d.p - t, d.beta.size
-    if q == 0:
-        return True
     nsv = q * (q + 1) // 2
     # selection rows: the leading principal subblock of the reduced
     # variable, in matching isometric svec coordinates on both sides
@@ -716,20 +715,17 @@ def srcq_holds(d: SpectralDecomp, Dt: np.ndarray) -> bool:
     return v is None
 
 
-def check_rcq(pd: ProblemData, xbar, tol_feas: float = 1e-8) -> bool:
+def check_rcq(pd: ProblemData, xbar) -> bool:
     """rcq_holds at xbar, from the problem data."""
-    kern, x = ProblemKernels(pd), _checked_x(pd, xbar)
+    kern, x = ProblemKernels(pd), _checked_vector(xbar, pd.n, "x")
     Ds = symmetrized(kern.jacobians(x).reshape(pd.n, pd.p, pd.p))
-    return rcq_holds(SymMat(kern.G(x)), Ds, tol_feas)
+    return rcq_holds(SymMat(kern.G(x)), Ds)
 
 
-def check_srcq(pd: ProblemData, xbar, ybar, tol: Optional[float] = None) -> bool:
-    """srcq_holds at the pair (xbar, ybar), from the problem data.
-
-    tol is the partition tolerance, with the meaning it has in build_system.
-    """
+def check_srcq(pd: ProblemData, xbar, ybar) -> bool:
+    """srcq_holds at the pair (xbar, ybar), from the problem data."""
     kkt = kkt_point(pd, xbar, ybar)
-    d = complementary_split(kkt, tol).decomp
+    d = complementary_split(kkt).decomp
     return srcq_holds(d, _rotated(d, kkt.Ds))
 
 
@@ -764,13 +760,13 @@ class NLPSystem:
         return self.glin + np.einsum("jab,b->ja", self.gquad, x)
 
 
-def diagonal_reduction(pd: ProblemData, tol: float = 1e-12) -> Optional[NLPSystem]:
+def diagonal_reduction(pd: ProblemData) -> Optional[NLPSystem]:
     """Scalarize the constraint when every data matrix is diagonal: no
-    off-diagonal entry above tol * max(1, largest entry of its matrix)."""
+    off-diagonal entry above 1e-12 * max(1, largest entry of its matrix)."""
     n, p = pd.n, pd.p
     mats = np.concatenate([pd.G_const[None], pd.G_lin, pd.G_quad.reshape(n * n, p, p)])
     off = np.abs(mats[:, ~np.eye(p, dtype=bool)]).max(axis=1, initial=0.0)
-    if (off > tol * np.maximum(1.0, np.abs(mats).max(axis=(1, 2), initial=0.0))).any():
+    if (off > 1e-12 * np.maximum(1.0, np.abs(mats).max(axis=(1, 2), initial=0.0))).any():
         return None
     diag = np.diagonal(mats, axis1=1, axis2=2)
     glin = np.ascontiguousarray(diag[1 : n + 1].T)
@@ -778,20 +774,21 @@ def diagonal_reduction(pd: ProblemData, tol: float = 1e-12) -> Optional[NLPSyste
     return NLPSystem(pd.f_lin.copy(), pd.f_quad.copy(), diag[0].copy(), glin, gquad)
 
 
-def classify_nlp(nlp: NLPSystem, xbar, mu, tol: float = 1e-8) -> CriticalityVerdict:
-    """Exact branch enumeration of the scalarized criticality system."""
-    xbar = np.asarray(xbar, dtype=float).reshape(nlp.n)
-    mu = np.asarray(mu, dtype=float).reshape(nlp.m)
+def classify_nlp(nlp: NLPSystem, xbar, mu) -> CriticalityVerdict:
+    """Exact branch enumeration of the scalarized criticality system; a
+    constraint is active, and a multiplier zero, within 1e-8 relative.
+    InputDataError unless xbar has n entries and mu has m."""
+    xbar, mu = _checked_vector(xbar, nlp.n, "xbar"), _checked_vector(mu, nlp.m, "mu")
     g = nlp.g(xbar)
     grads = nlp.grad_g(xbar)
-    scale = max(1.0, float(np.abs(g).max()), float(np.abs(mu).max()))
-    active = np.abs(g) <= tol * scale
-    if np.any(mu > tol * scale):
+    zero = 1e-8 * max(1.0, float(np.abs(g).max()), float(np.abs(mu).max()))
+    active = np.abs(g) <= zero
+    if np.any(mu > zero):
         raise InputDataError("scalar multiplier has the wrong sign")
-    if np.any(~active & (np.abs(mu) > tol * scale)):
+    if np.any(~active & (np.abs(mu) > zero)):
         raise InputDataError("multiplier not complementary to an inactive constraint")
-    i_minus = [j for j in range(nlp.m) if active[j] and mu[j] < -tol * scale]
-    i_zero = [j for j in range(nlp.m) if active[j] and abs(mu[j]) <= tol * scale]
+    i_minus = [j for j in range(nlp.m) if active[j] and mu[j] < -zero]
+    i_zero = [j for j in range(nlp.m) if active[j] and abs(mu[j]) <= zero]
     inactive = [j for j in range(nlp.m) if not active[j]]
     hessL = nlp.f_quad + np.einsum("j,jab->ab", mu, nlp.gquad)
     hessL = 0.5 * (hessL + hessL.T)

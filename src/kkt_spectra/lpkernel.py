@@ -379,8 +379,6 @@ def cone_kernel_nontrivial(Z: np.ndarray, block_rows: np.ndarray, q: int, sign: 
     """
     if Z.shape[1] == 0:
         return None
-    if q == 0:
-        return Z[:, 0]
     B = (float(sign) * np.asarray(block_rows, dtype=float)) @ Z
     if not np.any(B):
         return Z[:, 0]

@@ -17,7 +17,7 @@ import numpy as np
 from .cones import ConeContext
 from .criticality import CriticalitySystem
 from .errors import ConvergenceError, InputDataError
-from .problem import PerturbationFamily, ProblemData, ProblemKernels, _checked_order, _checked_x, shifted_problem
+from .problem import PerturbationFamily, ProblemData, ProblemKernels, _checked_order, _checked_vector, shifted_problem
 from .sosc import SOSCY_HOLDS, check_soscy
 from .symmat import (
     SymMat,
@@ -124,7 +124,7 @@ def _multipliers(ZV: np.ndarray, Pz: np.ndarray, p: int) -> np.ndarray:
 def _perturbation(pd: ProblemData, p1, p2):
     """The canonical perturbation as (p1 array, p2 SymMat); InputDataError
     unless p1 has n entries, p2 has order p and every entry is finite."""
-    p1, p2 = _checked_x(pd, p1, "p1"), _checked_order(pd, p2, "p2")
+    p1, p2 = _checked_vector(p1, pd.n, "p1"), _checked_order(pd, p2, "p2")
     if not (np.isfinite(p1).all() and math.isfinite(p2.max_abs())):
         raise InputDataError("perturbation entries must be finite")
     return p1, p2
@@ -265,7 +265,7 @@ def solve_perturbed_starts(pd: ProblemData, p1, p2, starts) -> list:
     """
     p1, p2 = _perturbation(pd, p1, p2)
     k, m = len(starts), pd.p * (pd.p + 1) // 2
-    X = np.array([_checked_x(pd, x, f"x of start {i}") for i, (x, _) in enumerate(starts)]).reshape(k, pd.n)
+    X = np.array([_checked_vector(x, pd.n, f"x of start {i}") for i, (x, _) in enumerate(starts)]).reshape(k, pd.n)
     ZV = np.array([sym_vec(_checked_order(pd, z, f"z of start {i}")) for i, (_, z) in enumerate(starts)]).reshape(k, m)
     return _solve_stack(ProblemKernels(shifted_problem(pd, p1, p2)), p1, p2, X, ZV)
 

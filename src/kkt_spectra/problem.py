@@ -90,9 +90,11 @@ def make_problem(f_lin, f_quad, G_const, G_lin, G_quad=None) -> ProblemData:
     """Validate and freeze a problem instance of n >= 1 variables and
     order p >= 1; a constraint matrix may be a SymMat or an array-like,
     G_lin and G_quad lists or stacks of them."""
-    f_lin = np.asarray(f_lin, dtype=float).reshape(-1)
+    f_lin, f_quad = _floats(f_lin, "f_lin").reshape(-1), _floats(f_quad, "f_quad")
     n = f_lin.size
-    f_quad = np.asarray(f_quad, dtype=float).reshape(n, n)
+    if f_quad.size != n * n:
+        raise InputDataError(f"f_quad has {f_quad.size} entries, expected {n}x{n}")
+    f_quad = f_quad.reshape(n, n)
     if not np.all(np.isfinite(f_lin)) or not np.all(np.isfinite(f_quad)):
         raise InputDataError("objective data must be finite")
     f_quad = symmetrized(f_quad)
@@ -177,13 +179,21 @@ class ProblemKernels:
         return psi1, (self.G(x) - Pz).reshape(k, p * p), (lam, P, Pz, D)
 
 
-def _checked_x(pd: ProblemData, x, name: str = "x") -> np.ndarray:
+def _floats(raw, name: str) -> np.ndarray:
+    """raw as a float array; InputDataError naming it unless every entry is a number."""
+    try:
+        return np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputDataError(f"{name}: expected numbers ({exc})") from exc
+
+
+def _checked_vector(x, n: int, name: str) -> np.ndarray:
     """x as a float array of shape (n,); InputDataError naming it unless it
-    has n entries."""
-    x = np.asarray(x, dtype=float)
-    if x.size != pd.n:
-        raise InputDataError(f"{name} has length {x.size}, expected {pd.n}")
-    return x.reshape(pd.n)
+    has n entries, each a number."""
+    x = _floats(x, name)
+    if x.size != n:
+        raise InputDataError(f"{name} has length {x.size}, expected {n}")
+    return x.reshape(n)
 
 
 def _checked_order(pd: ProblemData, M, name: str) -> SymMat:
@@ -218,7 +228,7 @@ def kkt_point(pd: ProblemData, x, Y) -> KKTPoint:
     """Evaluate the pair (x, Y) of pd; InputDataError unless x has n entries
     and Y order p. Its residuals are the norm of the Lagrangian gradient and
     the Frobenius norm of the natural-map residual G(x) - Pi(G(x) + Y)."""
-    x, Y = _checked_x(pd, x), _checked_order(pd, Y, "Y")
+    x, Y = _checked_vector(x, pd.n, "x"), _checked_order(pd, Y, "Y")
     n, p = pd.n, pd.p
     x.flags.writeable = False
     kern = ProblemKernels(pd)
@@ -237,7 +247,7 @@ def shifted_problem(pd: ProblemData, p1, p2) -> ProblemData:
     shifted problem. InputDataError unless p1 has n entries and p2 order
     p, or if G_const turns non-finite.
     """
-    p1 = _checked_x(pd, p1, "p1")
+    p1 = _checked_vector(p1, pd.n, "p1")
     with np.errstate(over="ignore", invalid="ignore"):
         G_const = pd.G_const + _checked_order(pd, p2, "p2").full()
     if not np.isfinite(G_const).all():

@@ -22,7 +22,7 @@ from .cones import (
 from .criticality import BOUND_STEPS, TOL_POS, CriticalitySystem, _on_null, beta_block_rows, complementary_split
 from .errors import InputDataError, NumericError
 from .lpkernel import cone_kernel_nontrivial, null_space, subspace_psd_nontrivial
-from .problem import ProblemData, ProblemKernels, _checked_order, _checked_x, eval_grad_f, kkt_point
+from .problem import ProblemData, ProblemKernels, _checked_order, _checked_vector, eval_grad_f, kkt_point
 from .symmat import (
     SymMat,
     as_symmat,
@@ -50,14 +50,14 @@ class SecondOrderReport:
     search_stats: dict
 
 
-def sigma_term(ctx: ConeContext, H, tol: float = 1e-7) -> float:
+def sigma_term(ctx: ConeContext, H) -> float:
     """Curvature correction 2<Y, H X^+ H> for H in the critical cone.
 
     In the eigenbasis of X + Y the value is a weighted sum of squared
     alpha-gamma couplings, so it is always nonpositive.
     """
     H = as_symmat(H)
-    mem = critical_cone_psd_membership(ctx, H, tol)
+    mem = critical_cone_psd_membership(ctx, H)
     if not mem.member:
         raise InputDataError(
             f"direction lies outside the critical cone (violation {mem.violation:.3e})"
@@ -114,11 +114,11 @@ def _face_minimum(Qh: np.ndarray, A: np.ndarray, tol: float):
     (value, direction, feasible faces); (inf, None, 0) when the cone is
     {0}.
     """
-    k, m = A.shape
+    k = A.shape[0]
     best, best_c, feasible = math.inf, None, 0
     for mask in range(1 << k):
         active = [j for j in range(k) if (mask >> j) & 1]
-        N = null_space(A[active]) if active else np.eye(m)
+        N = null_space(A[active])
         if N.shape[1] == 0:
             continue
         R = N.T @ Qh @ N
@@ -273,24 +273,25 @@ def check_soscy(sys: CriticalitySystem) -> SecondOrderReport:
     return _report(bound, best_val, None if best_c is None else Z @ best_c, stats)
 
 
-def lemma4_check(C, dA, dB, tol: float = 1e-7) -> dict:
+def lemma4_check(C, dA, dB) -> dict:
     """Equivalence of the projection-derivative equation with its three
     blockwise characterizing conditions at the split of C; InputDataError
     unless the three matrices share one order. The conditions are that dA
     lies in the critical cone of the PSD cone, that dB less the
     displacement U lies in that of the NSD cone (the norm of its whole
-    alpha x (alpha u beta) block within tol) and the scalar identity."""
+    alpha x (alpha u beta) block within tol) and the scalar identity,
+    each within tol = 1e-7 max(1, |dA|, |dB|)."""
     C, dA, dB = as_symmat(C), as_symmat(dA), as_symmat(dB)
     if not C.p == dA.p == dB.p:
         raise InputDataError(f"matrix orders differ: C {C.p}, dA {dA.p}, dB {dB.p}")
     ctx = cone_context_from_matrix(C)
     d = ctx.decomp
-    scale = max(1.0, dA.norm(), dB.norm())
+    tol = 1e-7 * max(1.0, dA.norm(), dB.norm())
 
     lhs_res = (dA - dir_deriv_from_decomp(d, dA + dB)).norm()
-    lhs = bool(lhs_res <= tol * scale)
+    lhs = bool(lhs_res <= tol)
 
-    rhs = critical_cone_psd_membership(ctx, dA, tol * scale).member
+    rhs = critical_cone_psd_membership(ctx, dA, tol).member
     if rhs:
         # displacement U that absorbs the alpha-gamma coupling of dA; the
         # rest W = dB - U must lie in the critical cone of the NSD cone
@@ -300,10 +301,10 @@ def lemma4_check(C, dA, dB, tol: float = 1e-7) -> dict:
         Ut[sa, sg] = -d.curvature.T * At[sa, sg]
         Ut[sg, sa] = Ut[sa, sg].T
         W = dB - SymMat(d.P @ Ut @ d.P.T)
-        rhs = critical_cone_nsd_membership(ctx, W, tol * scale).member
+        rhs = critical_cone_nsd_membership(ctx, W, tol).member
         if rhs:
             st = float(np.sum(d.curvature * At[sg, sa] ** 2))
-            rhs = abs(dA.inner(dB) + 2.0 * st) <= tol * scale
+            rhs = abs(dA.inner(dB) + 2.0 * st) <= tol
     return {"lhs": lhs, "rhs": bool(rhs)}
 
 
@@ -394,7 +395,7 @@ def multiplier_distance_estimate(pd: ProblemData, xbar, samples) -> list:
     of order p and a p1 of n entries.
     """
     n, p = pd.n, pd.p
-    x = _checked_x(pd, xbar)
+    x = _checked_vector(xbar, pd.n, "x")
     kern = ProblemKernels(pd)
     D = kern.jacobians(x)
     A = svec_stack(D.reshape(n, p, p))
@@ -404,7 +405,7 @@ def multiplier_distance_estimate(pd: ProblemData, xbar, samples) -> list:
     table = []
     for k, (Y, p1, p2) in enumerate(samples):
         Y, p2 = _checked_order(pd, Y, f"Y of sample {k}"), _checked_order(pd, p2, f"p2 of sample {k}")
-        p1 = _checked_x(pd, p1, f"p1 of sample {k}")
+        p1 = _checked_vector(p1, pd.n, f"p1 of sample {k}")
         r = -(grad + D @ Y.full().ravel())
         delta, *_ = np.linalg.lstsq(A, r, rcond=None)
         if np.linalg.norm(A @ delta - r) > 1e-8 * max(1.0, np.linalg.norm(r)):

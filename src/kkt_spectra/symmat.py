@@ -546,7 +546,7 @@ def frame_projection(d: SpectralDecomp, Ht: np.ndarray, weights) -> np.ndarray:
     return d.P @ R @ d.P.T
 
 
-def dir_deriv_projection(A, H, tol_zero: float | None = None) -> SymMat:
+def dir_deriv_projection(A, H) -> SymMat:
     """Directional derivative of the PSD projection at A along H: the
     frame_projection of H in the eigenframe of A with the Sigma weights,
     positively homogeneous of degree 1 in H."""
@@ -554,14 +554,13 @@ def dir_deriv_projection(A, H, tol_zero: float | None = None) -> SymMat:
     H = as_symmat(H)
     if A.p != H.p:
         raise InputDataError(f"matrix orders differ: {A.p} vs {H.p}")
-    return dir_deriv_from_decomp(spectral_decompose(A, tol_zero), H)
+    return dir_deriv_from_decomp(spectral_decompose(A), H)
 
 
-def pseudoinverse(M, tol_zero: float | None = None) -> SymMat:
+def pseudoinverse(M) -> SymMat:
     """Spectral pseudoinverse: reciprocal of the alpha and gamma eigenvalues
-    of the partition at tol_zero; InputDataError unless tol_zero is
-    finite and nonnegative."""
-    d = spectral_decompose(M, tol_zero)
+    of the default partition (default_tol_zero)."""
+    d = spectral_decompose(M)
     sa, _, sg = d.slices
     inv = np.zeros(d.p)
     inv[sa], inv[sg] = 1.0 / d.lam[sa], 1.0 / d.lam[sg]

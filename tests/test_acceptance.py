@@ -185,7 +185,7 @@ def test_criterion_06_graph_characterizations_agree():
             ctx = random_cone_context(rng, p)
             H1 = random_symmetric(rng, p)
             H2 = random_symmetric(rng, p)
-            g = graph_tangent_membership(ctx, H1, H2, tol=1e-7)
+            g = graph_tangent_membership(ctx, H1, H2)
             assert g.member_blocks == g.member_deriv, (trial, g)
 
     criterion(6, "block vs derivative graph test", 10.0, body)

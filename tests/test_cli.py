@@ -373,14 +373,12 @@ def test_flag_validation():
     assert run(["criticality", "--family", "example2"])[0] == 0
     assert run(["analyze", "--family", "example2", "--samples", "4"])[0] == 1
     assert run(["criticality", "--family", "example2", "--seed", "3"])[0] == 1
-    assert run(["analyze", "--family", "example3", "--tol-feas", "-1"])[0] == 2
     assert run(["sosc", "--family", "example3", "--tol-eig", "0"])[0] == 2
     # a non-finite tolerance is rejected, not read as "every eigenvalue is zero"
-    for flag in ("--tol-eig", "--tol-feas"):
-        for value in ("nan", "inf"):
-            code, out, err = run(["analyze", "--family", "example2", flag, value])
-            assert (code, out) == (2, ""), (flag, value)
-            assert err == f"error: {flag} must be finite and positive\n"
+    for value in ("nan", "inf"):
+        code, out, err = run(["analyze", "--family", "example2", "--tol-eig", value])
+        assert (code, out) == (2, ""), value
+        assert err == "error: --tol-eig must be finite and positive\n"
     # a negative seed is a usage error naming --seed, not a traceback from the generator
     code, out, err = run(["perturb", "--family", "example2", "--seed", "-1", "--geo", "1e-2:1e-3:2"])
     assert (code, out) == (1, "")
@@ -403,10 +401,10 @@ def test_perturb_equal_parameters_report_no_exponent():
     assert json.loads(out)["exponent_fit"] == {"exponent": None, "stderr": None}
 
 
-# the flags each subcommand reads, 31 settable values in all, each with a
+# the flags each subcommand reads, 30 settable values in all, each with a
 # value it parses
 FLAG_SETS = {
-    "analyze": {"--problem", "--family", "--point", "--tol-eig", "--tol-feas", "--format"},
+    "analyze": {"--problem", "--family", "--point", "--tol-eig", "--format"},
     "criticality": {"--problem", "--family", "--point", "--tol-eig", "--format"},
     "sosc": {"--problem", "--family", "--point", "--tol-eig", "--format"},
     "cones": {"--problem", "--family", "--point", "--tol-eig", "--format"},

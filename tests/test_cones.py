@@ -133,7 +133,7 @@ def test_critical_cone_vs_tangent_and_orthogonality():
         H = random_symmetric(rng, p)
         c = critical_cone_psd_membership(ctx, H, 1e-7)
         if c.member:
-            t = tangent_membership(ctx, H, 1e-7)
+            t = tangent_membership(ctx, H)
             ortho = abs(ctx.Y.inner(H)) <= 1e-7 * max(1.0, ctx.Y.norm() * H.norm())
             assert t.member and ortho, (trial, c, t)
 
@@ -149,5 +149,5 @@ def test_critical_cone_moreau_identity():
         assert (Hc + Hp).allclose(Z.full(), atol=1e-10)
         assert abs(Hc.inner(Hp)) <= 1e-8 * max(1.0, Z.norm() ** 2)
         assert critical_cone_psd_membership(ctx, Hc, 1e-7).member
-        assert tangent_membership(ctx, Hc, 1e-7).member
+        assert tangent_membership(ctx, Hc).member
         assert abs(ctx.Y.inner(Hc)) <= 1e-7 * max(1.0, ctx.Y.norm() * Hc.norm())

@@ -37,14 +37,15 @@ from kkt_spectra.criticality import (
 from kkt_spectra.cones import cone_context_from_matrix
 from kkt_spectra.errors import InputDataError, NumericError
 from kkt_spectra.lpkernel import nontrivial_in_span, null_space
-from kkt_spectra.problem import ProblemKernels, eval_grad_f, kkt_point, make_problem, problem_from_dict
+from kkt_spectra.problem import (
+    CERTIFICATION_TOL, ProblemKernels, eval_grad_f, kkt_point, make_problem, problem_from_dict
+)
 from kkt_spectra.sosc import SOSCY_HOLDS, check_soscy, evaluate_second_order_form, sigma_term
 from kkt_spectra.symmat import (
     SymMat,
     as_symmat,
     dir_deriv_from_decomp,
     project_psd,
-    pseudoinverse,
     spectral_decompose,
     sym_mat,
 )
@@ -660,6 +661,22 @@ def test_classify_nlp_fixtures(fam2, fam3):
         classify_nlp(diagonal_reduction(fam2.problem), [1.0, 1.0], [-1.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "xbar, mu, message",
+    [
+        ([0.0, 0.0, 0.0], [-1.0, 0.0], "xbar has length 3, expected 2"),
+        ([0.0, 0.0], [-1.0], "mu has length 1, expected 2"),
+        ([0.0, 0.0], [-1.0, 0.0, 0.0], "mu has length 3, expected 2"),
+        (["a", 0.0], [-1.0, 0.0], "xbar: expected numbers"),
+    ],
+    ids=["xbar-long", "mu-short", "mu-long", "xbar-not-numbers"],
+)
+def test_classify_nlp_names_a_misshapen_argument(fam2, xbar, mu, message):
+    # the error names the argument, where numpy's reshape would raise a bare ValueError
+    with pytest.raises(InputDataError, match=f"^{message}"):
+        classify_nlp(diagonal_reduction(fam2.problem), xbar, mu)
+
+
 def test_diagonal_oracle_agreement():
     rng = np.random.default_rng(7)
     tags = {CRITICAL: 0, NONCRITICAL: 0}
@@ -896,18 +913,23 @@ def test_analysis_context_certifies_before_the_complementarity_check():
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1.0])
 def test_tolerances_must_be_finite_and_nonnegative(fam2, tol):
-    # a nan or infinite tol_zero put every eigenvalue in beta, and a nan
-    # tol_feas passed the feasibility check at an infeasible point
+    # a nan or infinite tol_zero put every eigenvalue in beta
     M = SymMat.diag([2.0, -4.0])
     for call in (
         lambda: spectral_decompose(M, tol),
-        lambda: pseudoinverse(M, tol),
         lambda: analysis_context(fam2.problem, fam2.xbar, fam2.ybar, tol),
     ):
         with pytest.raises(InputDataError, match="tol_zero must be nonnegative and finite"):
             call()
-    with pytest.raises(InputDataError, match="tol_feas must be nonnegative and finite"):
-        check_rcq(fam2.problem, [-1.0, 0.0], tol_feas=tol)
+
+
+def test_rcq_feasibility_bound_is_the_certification_tolerance(fam2):
+    # G(x) = Diag(x): lambda_min(G(x)) down to -CERTIFICATION_TOL counts as
+    # feasible, the bound every certified pair meets
+    assert check_rcq(fam2.problem, [-0.5 * CERTIFICATION_TOL, 0.0]) is True
+    for x1 in (-2.0 * CERTIFICATION_TOL, -1.0):
+        with pytest.raises(InputDataError, match="point is infeasible"):
+            check_rcq(fam2.problem, [x1, 0.0])
 
 
 def _benchmark_corpus():

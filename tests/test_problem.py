@@ -343,6 +343,23 @@ def test_objective_that_overflows_when_symmetrized_is_rejected():
         make_problem([0.0], [[1.5e308]], [[1.0]], [[[1.0]]])
 
 
+@pytest.mark.parametrize(
+    "f_lin, f_quad, message",
+    [
+        ([1.0, 0.0], [[2.0]], r"f_quad has 1 entries, expected 2x2"),
+        ([1.0, 0.0], np.eye(3), r"f_quad has 9 entries, expected 2x2"),
+        (["a", 0.0], np.eye(2), r"f_lin: expected numbers \(could not convert string to float: 'a'\)"),
+        ([1.0, 0.0], [[1.0, "b"], [0.0, 1.0]], r"f_quad: expected numbers"),
+    ],
+    ids=["f_quad-short", "f_quad-long", "f_lin-string", "f_quad-string"],
+)
+def test_make_problem_names_a_malformed_objective(f_lin, f_quad, message):
+    # the error names the argument, where numpy's reshape or float conversion
+    # would raise a bare ValueError
+    with pytest.raises(InputDataError, match=f"^{message}"):
+        make_problem(f_lin, f_quad, SymMat.zeros(2), [SymMat.diag([1.0, 0.0]), SymMat.diag([0.0, 1.0])])
+
+
 def test_make_problem_rejects_empty_dimensions():
     # with n = 0 or p = 0 the analysis kernels once raised bare ValueErrors,
     # and at p = 0 the x-part condition returned a witness first
