@@ -15,11 +15,11 @@ of P^T eta P, and every tier reads its rows from them, cutting the
 alpha, beta and gamma blocks from SpectralDecomp.slices: common_rows
 stacks the rows valid in every branch, rotated_beta_rows turns the beta
 block into a frame Q. Every support is solved on N, the one null space
-of the common rows, which _on_null restricts by the support's rows. One
-support enumeration (_branch_search) decides every beta block whose
-Jacobian blocks commute, an empty or singleton block included, and one
-rule (_verified_witness) accepts every witness, a point of its
-support's span.
+of the common rows, which _on_null restricts by the support's rows. The
+one walk of the 2^k complementarity supports (_supports), which
+sosc._face_minimum shares, serves the enumeration (_branch_search) of
+every beta block whose Jacobian blocks commute, an empty or singleton
+block included; one rule (_verified_witness) accepts every witness.
 """
 
 from __future__ import annotations
@@ -314,26 +314,33 @@ def _on_null(N: np.ndarray, cut: float, rows: np.ndarray) -> np.ndarray:
     return N @ null_space(rows @ N, atol=cut)
 
 
+def _supports(N: np.ndarray, cut: float, fixed: np.ndarray, h: np.ndarray, e: np.ndarray):
+    """The 2^k complementarity supports of the row pairs (h_j, e_j): support
+    i pins e_j and keeps h_j >= 0 where bit j of i is set, and pins h_j and
+    keeps -e_j >= 0 where it is clear. Yields, in order of i, the span cut
+    from N by the fixed and pinned rows (_on_null) and the signed rows."""
+    k = len(h)
+    on = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(bool)[:, :, None]
+    for pinned, signed in zip(np.where(on, e, h), np.where(on, h, -e)):
+        yield _on_null(N, cut, np.vstack([fixed, pinned])), signed
+
+
 def _branch_search(sys: CriticalitySystem, N: np.ndarray, cut: float, h: np.ndarray, e: np.ndarray):
     """Enumerate complementarity supports of a diagonalized beta block.
 
-    h and e are the rotated beta rows (see rotated_beta_rows); each
-    support is solved on N (see _on_null). Returns (branch, undecided):
-    branch is (solution span, solution) of the first support whose
-    system has a nonzero xi, or None; undecided says whether the support
-    LP raised NumericError on a support before it.
+    h and e are the rotated beta rows (see rotated_beta_rows); the
+    off-diagonal entries of both vanish in every support (see _supports).
+    Returns (branch, undecided): branch is (solution span, solution) of
+    the first support whose system has a nonzero xi, or None; undecided
+    says whether the support LP raised NumericError on a support before it.
     """
     k, dim = h.shape[0], h.shape[-1]
     rows, cols = svec_indices(k)
     off = rows != cols
     offdiag = np.stack([h[rows[off], cols[off]], e[rows[off], cols[off]]], axis=1).reshape(-1, dim)
     diag = np.arange(k)
-    hd, ed = h[diag, diag], e[diag, diag]
-    # support i of 2^k: bit j set pins e's entry j to zero, clear pins h's
-    on = ((np.arange(1 << k)[:, None] >> diag) & 1).astype(bool)[:, :, None]
     undecided = False
-    for pinned, signed in zip(np.where(on, ed, hd), np.where(on, hd, -ed)):
-        Z = _on_null(N, cut, np.vstack([offdiag, pinned]))
+    for Z, signed in _supports(N, cut, offdiag, h[diag, diag], e[diag, diag]):
         try:
             z = nontrivial_in_span(Z, sys.n, signed)
         except NumericError:
@@ -487,7 +494,8 @@ def _classify_two_block(
     unverified, undecided = [], []
     for label, pinned, block in (("h psd, e = 0", E, H), ("h = 0, e nsd", H, -E)):
         Z = _on_null(N, cut, pinned)
-        z = _psd_point_with_xi(Z, block @ Z, sys.n)
+        B = block @ Z  # the zero map where it is round-off against the block's scale
+        z = _psd_point_with_xi(Z, B * (np.abs(B).max(initial=0.0) > 1e-11 * np.abs(block).max()), sys.n)
         if z is None:
             continue
         found = _verified_witness(sys, Z, z)
@@ -676,7 +684,7 @@ def xpart_condition(sys: CriticalitySystem) -> dict:
     sa, _, sg = d.slices
     coupling = sys.Dt[:, sa, sg].reshape(sys.n, -1).T
     Z = _on_null(sys.cone_null, sys.rank_atol, np.vstack([sys.hessL, coupling]))
-    xi = cone_kernel_nontrivial(Z, beta_block_rows(sys), d.beta.size, 1.0)
+    xi = cone_kernel_nontrivial(Z, beta_block_rows(sys), d.beta.size)
     if xi is None:
         return {"holds": True, "witness": None}
     return {"holds": False, "witness": xi / np.linalg.norm(xi)}
@@ -711,7 +719,7 @@ def srcq_holds(d: SpectralDecomp, Dt: np.ndarray) -> bool:
     # selection rows: the leading principal subblock of the reduced
     # variable, in matching isometric svec coordinates on both sides
     block = np.eye(nsv)[svec_indices(q)[1] < nb]
-    v = cone_kernel_nontrivial(null_space(svec_stack(symmetrized(Dt[:, t:, t:]))), block, nb, -1.0)
+    v = cone_kernel_nontrivial(null_space(svec_stack(symmetrized(Dt[:, t:, t:]))), -block, nb)
     return v is None
 
 

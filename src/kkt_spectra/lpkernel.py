@@ -7,7 +7,7 @@ inequalities, holds a point whose designated leading block is nonzero;
 polish_in_span re-solves such a point at its unit leading block. For
 semidefinite blocks, subspace_psd_nontrivial decides whether the span
 of given orthonormal svec columns meets the PSD cone nontrivially, and
-cone_kernel_nontrivial lifts that to a span with one signed block.
+cone_kernel_nontrivial lifts that to a span with one PSD block.
 
 subspace_psd_nontrivial tries its tiers in order: a Gordan certificate
 (the fit of the identity onto the span's complement is positive
@@ -104,43 +104,19 @@ def _phase1(A: np.ndarray, b: np.ndarray):
     return x[:n], max(-T[m, -1], 0.0)
 
 
-def linear_feasible(A_eq, b_eq, A_ge=None, b_ge=None):
-    """Find free x with A_eq x = b_eq and A_ge x >= b_ge.
+def linear_feasible(A, b):
+    """Find free x with A x >= b.
 
     Returns (x or None, infeasibility measure). Free variables are split
-    into positive parts and inequality rows get slack columns before the
+    into positive parts and every row gets a slack column before the
     phase-1 call; rows are normalized so FEAS_TOL is meaningful.
     """
-    A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float)) if A_eq is not None else None
-    blocks = []
-    rhs = []
-    n = None
-    if A_eq is not None and A_eq.shape[0]:
-        n = A_eq.shape[1]
-        blocks.append(A_eq)
-        rhs.append(np.asarray(b_eq, dtype=float).reshape(-1))
-    if A_ge is not None:
-        A_ge = np.atleast_2d(np.asarray(A_ge, dtype=float))
-        if A_ge.shape[0]:
-            n = A_ge.shape[1] if n is None else n
-            blocks.append(A_ge)
-            rhs.append(np.asarray(b_ge, dtype=float).reshape(-1))
-    if n is None:
-        raise NumericError("linear_feasible: no constraints given")
-    k_ge = blocks[-1].shape[0] if A_ge is not None and blocks[-1] is A_ge else 0
-    M = np.vstack(blocks)
-    v = np.concatenate(rhs)
-    m = M.shape[0]
-    # columns: u (n), w (n), slacks (k_ge); x = u - w
-    S = np.zeros((m, 2 * n + k_ge))
-    S[:, :n] = M
-    S[:, n : 2 * n] = -M
-    if k_ge:
-        S[m - k_ge :, 2 * n :] = -np.eye(k_ge)
-    scale = np.maximum(1.0, np.maximum(np.abs(S).max(axis=1), np.abs(v)))
-    S /= scale[:, None]
-    v = v / scale
-    sol, infeas = _phase1(S, v)
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    m, n = A.shape
+    # columns: u (n), w (n), slacks (m); x = u - w
+    S = np.hstack([A, -A, -np.eye(m)])
+    scale = np.maximum(1.0, np.maximum(np.abs(S).max(axis=1), np.abs(b)))
+    sol, infeas = _phase1(S / scale[:, None], np.asarray(b, dtype=float) / scale)
     if infeas > FEAS_TOL:
         return None, infeas
     return sol[:n] - sol[n : 2 * n], infeas
@@ -180,7 +156,7 @@ def nontrivial_in_span(Z: np.ndarray, xi_dim: int, ineq_rows=()) -> Optional[np.
             rows = np.vstack([A_ge, s * Zxi[i]])
             rhs = np.zeros(rows.shape[0])
             rhs[-1] = 1.0
-            c, _ = linear_feasible(None, None, rows, rhs)
+            c, _ = linear_feasible(rows, rhs)
             if c is None:
                 continue
             z = Z @ c
@@ -231,7 +207,7 @@ def _commuting_rows_tier(V: np.ndarray, q: int):
     rhs[-1] = 1.0
     try:
         d, infeas = _phase1(lhs, rhs)
-        y = None if infeas <= FEAS_TOL else linear_feasible(None, None, D.T, np.ones(q))[0]
+        y = None if infeas <= FEAS_TOL else linear_feasible(D.T, np.ones(q))[0]
     except NumericError:
         return False, None
     if infeas <= FEAS_TOL:
@@ -345,7 +321,7 @@ def subspace_psd_nontrivial(V: np.ndarray, q: int) -> Optional[np.ndarray]:
             rows_ge = np.vstack([D, D[j]])
             rhs = np.zeros(q + 1)
             rhs[-1] = 1.0
-            c, _ = linear_feasible(None, None, rows_ge, rhs)
+            c, _ = linear_feasible(rows_ge, rhs)
             if c is not None:
                 W = np.diag(D @ c)
                 return W / np.linalg.norm(W)
@@ -366,9 +342,9 @@ def subspace_psd_nontrivial(V: np.ndarray, q: int) -> Optional[np.ndarray]:
     return _interior_point_tier(V, q)
 
 
-def cone_kernel_nontrivial(Z: np.ndarray, block_rows: np.ndarray, q: int, sign: float = 1.0) -> Optional[np.ndarray]:
+def cone_kernel_nontrivial(Z: np.ndarray, block_rows: np.ndarray, q: int) -> Optional[np.ndarray]:
     """Find v != 0 in the span of the orthonormal columns Z with
-    sign * mat(block_rows v) PSD.
+    mat(block_rows v) PSD.
 
     block_rows maps v to the svec of a symmetric q-block. Returns a
     witness v or None when only v = 0 qualifies. The kernel of the block
@@ -379,12 +355,12 @@ def cone_kernel_nontrivial(Z: np.ndarray, block_rows: np.ndarray, q: int, sign: 
     """
     if Z.shape[1] == 0:
         return None
-    B = (float(sign) * np.asarray(block_rows, dtype=float)) @ Z
+    B = np.asarray(block_rows, dtype=float) @ Z
     if not np.any(B):
         return Z[:, 0]
-    # one SVD: the kernel of B as null_space reads it, and the span of its image
+    # one SVD for the kernel of B and its image, cut relative to the rows: B at round-off has a kernel
     U, s, vt = np.linalg.svd(B)
-    r = int(np.sum(s > 1e-11 * s[0]))
+    r = int(np.sum(s > 1e-11 * np.abs(block_rows).max()))
     if r < B.shape[1]:
         return Z @ vt[r:].T.copy()[:, 0]  # null_space's layout, which the product's rounding follows
     W = subspace_psd_nontrivial(U[:, :r], q)

@@ -19,7 +19,9 @@ from .cones import (
     critical_cone_nsd_membership,
     critical_cone_psd_membership,
 )
-from .criticality import BOUND_STEPS, TOL_POS, CriticalitySystem, _on_null, beta_block_rows, complementary_split
+from .criticality import (
+    BOUND_STEPS, TOL_POS, CriticalitySystem, _on_null, _supports, beta_block_rows, complementary_split
+)
 from .errors import InputDataError, NumericError
 from .lpkernel import cone_kernel_nontrivial, null_space, subspace_psd_nontrivial
 from .problem import ProblemData, ProblemKernels, _checked_order, _checked_vector, eval_grad_f, kkt_point
@@ -114,11 +116,10 @@ def _face_minimum(Qh: np.ndarray, A: np.ndarray, tol: float):
     (value, direction, feasible faces); (inf, None, 0) when the cone is
     {0}.
     """
-    k = A.shape[0]
+    m = A.shape[1]
     best, best_c, feasible = math.inf, None, 0
-    for mask in range(1 << k):
-        active = [j for j in range(k) if (mask >> j) & 1]
-        N = null_space(A[active])
+    # the faces {A_S c = 0} are the supports of the row pairs (A_j, 0)
+    for N, _ in _supports(np.eye(m), 0.0, np.zeros((0, m)), A, np.zeros_like(A)):
         if N.shape[1] == 0:
             continue
         R = N.T @ Qh @ N
@@ -365,7 +366,7 @@ def _projected_orthogonality(sys: CriticalitySystem) -> dict:
     off_range = null_space(svec_stack(sys.Ds).T, atol=sys.rank_atol).T @ sys.hessL
     Z = _on_null(sys.cone_null, sys.rank_atol, off_range)
     try:
-        xi = cone_kernel_nontrivial(Z, beta_block_rows(sys), sys.ctx.decomp.beta.size, 1.0)
+        xi = cone_kernel_nontrivial(Z, beta_block_rows(sys), sys.ctx.decomp.beta.size)
     except NumericError as exc:
         return {"verdict": "holds", "evidence": f"undecided: {exc}; holds by the identity"}
     if xi is None:

@@ -39,7 +39,10 @@ class SymMat:
     __slots__ = ("_p", "_upper", "_cache")
 
     def __init__(self, entries):
-        arr = np.asarray(entries, dtype=float)
+        try:
+            arr = np.asarray(entries, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InputDataError(f"expected a matrix of numbers ({exc})") from exc
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InputDataError(f"expected a square matrix, got shape {arr.shape}")
         arr = symmetrized(arr)

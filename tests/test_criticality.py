@@ -19,6 +19,7 @@ from kkt_spectra.criticality import (
     _mixed_rows,
     _refine_angle,
     _supergradient_bound,
+    _supports,
     analysis_context,
     build_system,
     check_rcq,
@@ -618,6 +619,45 @@ def test_xpart_condition(scalar_system, fam3):
     pd_lf = make_problem([0.0], [[1.0]], SymMat.zeros(2), [SymMat.zeros(2)])
     sys_lf = build_system(pd_lf, kkt_point(pd_lf, [0.0], SymMat.zeros(2)))
     assert xpart_condition(sys_lf)["holds"] is True
+
+
+def test_xpart_condition_finds_a_witness_the_block_map_sends_to_round_off():
+    # the planted xi0 of this pair has hessL xi0 and G'(x) xi0 below 3e-16:
+    # the beta block map is round-off on the x-part span, so its kernel
+    # holds a witness, and the rank cut relative to the map itself lost it
+    sysm, _, _ = planted_critical_pair(np.random.default_rng(21), 3)
+    xp = xpart_condition(sysm)
+    assert xp["holds"] is False
+    xi = xp["witness"]
+    scale = max(1.0, float(np.abs(sysm.hessL).max()), float(np.abs(sysm.Dt).max()))
+    assert np.linalg.norm(sysm.hessL @ xi) <= 1e-12 * scale
+    assert np.abs(np.tensordot(xi, sysm.Dt, 1)).max() <= 1e-12 * scale
+
+
+def test_supports_walk_the_bits_of_the_support_index():
+    # rows labelled h0, h1, e0, e1 are the coordinate rows of R^4; support i
+    # pins e_j where bit j of i is set and h_j where it is clear. Golden
+    # witnesses come from the first support that solves, so the order is
+    # part of the output
+    h0, h1, e0, e1 = np.eye(4)
+    pins = [[h0, h1], [e0, h1], [h0, e1], [e0, e1]]
+    signs = [[-e0, -e1], [h0, -e1], [-e0, h1], [h0, h1]]
+    got = list(_supports(np.eye(4), 0.0, np.zeros((0, 4)), np.array([h0, h1]), np.array([e0, e1])))
+    assert len(got) == 4
+    for (Z, signed), pinned, want in zip(got, pins, signs):
+        assert Z.shape == (4, 2) and np.abs(np.array(pinned) @ Z).max() <= 1e-15
+        assert np.array_equal(signed, want)
+
+
+def test_two_block_pure_support_reads_a_round_off_block_map_as_zero():
+    # corpus pair planted_block-50: on the span of 'h psd, e = 0' the h
+    # block is round-off, which the det form once read as the cone {0}
+    rng = np.random.default_rng(103)
+    for _ in range(51):
+        pd, x, Y, _, _ = planted_block_pair(rng)
+    v = classify_multiplier(context(pd, x, Y))
+    assert v.tag == CRITICAL
+    assert v.certificate == "exact: 2x2 beta block, pure support 'h psd, e = 0'"
 
 
 def test_check_rcq(fam2):

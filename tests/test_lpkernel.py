@@ -24,13 +24,14 @@ def test_null_space():
 
 
 def test_linear_feasible_hand_cases():
-    x, infeas = linear_feasible([[1, 1], [1, -1]], [1, 0])
+    # each equality a x = b is the pair a x >= b, -a x >= -b
+    x, infeas = linear_feasible([[1, 1], [1, -1], [-1, -1], [-1, 1]], [1, 0, -1, 0])
     assert infeas <= 1e-9 and np.allclose(x, [0.5, 0.5])
-    x, infeas = linear_feasible([[1.0], [1.0]], [1.0, 2.0])
+    x, infeas = linear_feasible([[1.0], [1.0], [-1.0], [-1.0]], [1.0, 2.0, -1.0, -2.0])
     assert x is None and infeas > 1e-3
-    x, _ = linear_feasible(None, None, [[1.0]], [3.0])
+    x, _ = linear_feasible([[1.0]], [3.0])
     assert x is not None and x[0] >= 3 - 1e-9
-    x, _ = linear_feasible([[1, 1]], [0], [[1, 0]], [1])
+    x, _ = linear_feasible([[1, 1], [-1, -1], [1, 0]], [0, 0, 1])
     assert x is not None and abs(x[0] + x[1]) <= 1e-9 and x[0] >= 1 - 1e-9
 
 
@@ -41,12 +42,7 @@ def test_linear_feasible_random_consistency():
         Aeq = rng.standard_normal((m, n))
         x0 = rng.standard_normal(n)
         Age = rng.standard_normal((int(rng.integers(0, 4)), n))
-        x, _ = linear_feasible(
-            Aeq,
-            Aeq @ x0,
-            Age if Age.size else None,
-            Age @ x0 if Age.size else None,
-        )
+        x, _ = linear_feasible(np.vstack([Aeq, -Aeq, Age]), np.concatenate([Aeq @ x0, -(Aeq @ x0), Age @ x0]))
         assert x is not None
         assert np.linalg.norm(Aeq @ x - Aeq @ x0) <= 1e-7 * max(1, np.linalg.norm(Aeq @ x0))
         if Age.size:
@@ -169,16 +165,24 @@ def test_subspace_psd_certified_trivial():
 def test_cone_kernel_nontrivial():
     eq = np.array([[1.0, 1.0, 0.0]])
     blk = np.array([[1.0, 0.0, 0.0]])
-    v = cone_kernel_nontrivial(null_space(eq), blk, 1, 1.0)
+    v = cone_kernel_nontrivial(null_space(eq), blk, 1)
     assert v is not None and abs(v[0] + v[1]) < 1e-9
-    v = cone_kernel_nontrivial(null_space(np.zeros((0, 1))), np.array([[1.0]]), 1, 1.0)
+    v = cone_kernel_nontrivial(null_space(np.zeros((0, 1))), np.array([[1.0]]), 1)
     assert v is not None and v[0] > 0
-    v = cone_kernel_nontrivial(null_space(np.zeros((0, 1))), np.array([[1.0]]), 1, -1.0)
+    v = cone_kernel_nontrivial(null_space(np.zeros((0, 1))), -np.array([[1.0]]), 1)
     assert v is not None and v[0] < 0
-    assert cone_kernel_nontrivial(null_space(np.array([[1.0]])), np.array([[1.0]]), 1, 1.0) is None
+    assert cone_kernel_nontrivial(null_space(np.array([[1.0]])), np.array([[1.0]]), 1) is None
     # zero diagonal forced: remaining off-diagonal block is PSD only at 0
     rows_eq = np.stack([sym_vec(np.diag([1.0, 0.0])), sym_vec(np.diag([0.0, 1.0]))])
-    assert cone_kernel_nontrivial(null_space(rows_eq), np.eye(3), 2, 1.0) is None
+    assert cone_kernel_nontrivial(null_space(rows_eq), np.eye(3), 2) is None
+
+
+def test_cone_kernel_cuts_a_round_off_map_against_its_rows():
+    # on the span of (1e-17, 1) the block map is 1e-17 against rows of size
+    # 1: it is the zero map there, and the span's vector is the witness
+    z = np.array([1e-17, 1.0])
+    v = cone_kernel_nontrivial((z / np.linalg.norm(z))[:, None], np.array([[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]), 2)
+    assert v is not None and np.linalg.norm(v) > 0.5
 
 
 def test_subspace_psd_span_edge_cases():

@@ -6,7 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
+from kkt_spectra.cones import cone_context
 from kkt_spectra.errors import InputDataError
+from kkt_spectra.problem import example2_family, kkt_point, make_problem
 from kkt_spectra.symmat import (
     SymMat,
     det_form,
@@ -267,6 +269,23 @@ def test_symmat_rejects_nonfinite_entries(build, message):
         warnings.simplefilter("error")
         with pytest.raises(InputDataError, match=message):
             build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SymMat([[1, "x"], [2, 3]]),
+        lambda: make_problem([0.0], [[0.0]], [["a"]], [[[1.0]]]),
+        lambda: kkt_point(example2_family().problem, [0, 0], [[1, 0], [0]]),
+        lambda: cone_context([["a"]], [[0.0]]),
+    ],
+    ids=["symmat-string", "make_problem-string", "kkt_point-ragged", "cone_context-string"],
+)
+def test_symmat_rejects_entries_that_are_not_a_matrix_of_numbers(build):
+    # numpy's float conversion raises a bare ValueError on these; every entry
+    # point that coerces a matrix through SymMat names the input fault instead
+    with pytest.raises(InputDataError, match="expected a matrix of numbers"):
+        build()
 
 
 @pytest.mark.parametrize("orders", [(1, 2), (2, 3)], ids=["1-vs-2", "2-vs-3"])
