@@ -141,7 +141,7 @@ def graph_tangent_membership(ctx: ConeContext, H1, H2) -> GraphMembership:
     sa, sb, sg = d.slices
     H1, H2 = as_symmat(H1), as_symmat(H2)
     H1t, H2t = d.rotate(H1), d.rotate(H2)
-    S, B1, B2 = d.sigma[sa, sg], H1t[sb, sb], H2t[sb, sb]
+    S, B1, B2 = d.sigma, H1t[sb, sb], H2t[sb, sb]
     psd_rule, nsd_rule = _critical_rules(d)
     violation = max(
         _block_rule(H1t, DEFAULT_MEMBERSHIP_TOL, *psd_rule).violation,

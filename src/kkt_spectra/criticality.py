@@ -239,7 +239,7 @@ def common_rows(sys: CriticalitySystem, H: np.ndarray, E: np.ndarray) -> np.ndar
     cone = np.hstack([sys.cone_rows, np.zeros((len(sys.cone_rows), dim - n))])
     blocks = [adjoint, cone]
     for i in range(sa.stop):
-        s = d.sigma[i, sg][:, None]
+        s = d.sigma[i][:, None]
         blocks += [E[i, i : sa.stop], E[i, sb], (s - 1.0) * H[i, sg] + s * E[i, sg]]
     return np.vstack(blocks)
 

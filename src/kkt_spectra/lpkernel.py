@@ -11,11 +11,12 @@ cone_kernel_nontrivial lifts that to a span with one PSD block.
 
 subspace_psd_nontrivial tries its tiers in order: a Gordan certificate
 (the fit of the identity onto the span's complement is positive
-definite), a diagonal span (an LP sweep), q = 2 (the det-form test), a
-commuting complement (a certified LP on the diagonal of its common
-eigenframe), and otherwise one primal-dual interior-point solve of a
-small SDP. Every answer is verified; the interior-point tier raises
-rather than guess.
+definite), q = 2 (the det-form test), a frame that diagonalizes the
+complement, the identity for a diagonal span or else the common
+eigenframe of a commuting complement (one certified LP on the diagonal),
+and otherwise one primal-dual interior-point solve of a small SDP.
+Every answer is verified; the interior-point tier raises rather than
+guess.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def _phase1(A: np.ndarray, b: np.ndarray):
         ratios = np.full(m, np.inf)
         ratios[pos] = T[:m, -1][pos] / col[pos]
         rmin = ratios.min()
-        ties = [i for i in range(m) if ratios[i] <= rmin + 1e-12 * (1.0 + rmin)]
+        ties = [i for i in range(m) if ratios[i] <= rmin + 1e-12 * (1.0 + abs(rmin))]
         leave = min(ties, key=lambda i: basis[i])
         _pivot(T, leave, enter)
         basis[leave] = enter
@@ -182,26 +183,21 @@ def polish_in_span(Z: np.ndarray, z: np.ndarray, xi_dim: int) -> np.ndarray:
     return Z @ np.linalg.lstsq(Z[:xi_dim], xi, rcond=None)[0]
 
 
-def _commuting_rows_tier(V: np.ndarray, q: int):
-    """Exact decision for a span whose complement commutes: (decided, W or None).
+def _frame_tier(V: np.ndarray, q: int, Q: np.ndarray, R: np.ndarray):
+    """Exact decision in a frame Q that diagonalizes every matrix of the
+    stack R (r, q, q) orthogonal to span(V), chosen so that Q diag(d) Q^T
+    lies in span(V) iff it is orthogonal to every R_k: (decided, W or None).
 
-    In the common eigenframe Q of an orthonormal basis R_k of the
-    complement only diag(Q^T W Q) is constrained, and the diagonal of a
-    PSD matrix is a nonnegative vector, so span(V) meets S^q_+ \\ {0} iff
-    {d >= 0, 1^T d = 1, D d = 0} is feasible, D[k, i] = (Q^T R_k Q)_ii. A
-    feasible d gives W = Q diag(d) Q^T, returned only if svec W lies
-    within 1e-9 of span(V); an infeasible LP has a Gordan multiplier y
-    with D^T y >= 1, and None is returned only if sum_k y_k R_k is
-    positive definite beyond round-off. A complement that does not
-    commute, an LP that raises, or a verdict that fails its check leave
-    the decision open (False, None).
+    The diagonal of a PSD matrix in the frame Q is a nonnegative vector,
+    so span(V) meets S^q_+ \\ {0} iff {d >= 0, 1^T d = 1, D d = 0} is
+    feasible, D[k, i] = (Q^T R_k Q)_ii. A feasible d gives W = Q diag(d)
+    Q^T, returned only if svec W lies within FEAS_TOL of span(V); an
+    infeasible LP has a Gordan multiplier y with D^T y >= 1, and None is
+    returned only if sum_k y_k R_k is positive definite beyond round-off.
+    An LP that raises or a verdict that fails its check leave the
+    decision open (False, None).
     """
-    basis = null_space(V.T)
-    mats = sym_mat_stack(basis.T, q)
-    Q = common_eigenframe(mats, q)
-    if Q is None:
-        return False, None
-    D = np.einsum("ij,rik,kj->rj", Q, mats, Q)  # r x q
+    D = np.einsum("ij,rik,kj->rj", Q, R, Q)  # r x q
     lhs = np.vstack([D, np.ones(q)])
     rhs = np.zeros(lhs.shape[0])
     rhs[-1] = 1.0
@@ -213,10 +209,11 @@ def _commuting_rows_tier(V: np.ndarray, q: int):
     if infeas <= FEAS_TOL:
         W = (Q * np.maximum(d, 0.0)) @ Q.T
         W /= np.linalg.norm(W)
-        if np.linalg.norm(basis.T @ sym_vec(W)) <= FEAS_TOL:
+        w = sym_vec(W)
+        if np.linalg.norm(w - V @ (V.T @ w)) <= FEAS_TOL:
             return True, W
     elif y is not None:
-        lam, _ = eigh(sym_mat_stack(basis @ y, q))
+        lam, _ = eigh(np.tensordot(y, R, 1))
         if lam[-1] > 1e-12 * lam[0]:
             return True, None
     return False, None
@@ -292,12 +289,13 @@ def subspace_psd_nontrivial(V: np.ndarray, q: int) -> Optional[np.ndarray]:
     definite matrix, because the trace-one spectahedron slice is compact
     and strictly separable from the subspace. The tiers, in order: that
     certificate for the fit s - V V^T s of s = svec(I) onto the
-    complement; a diagonal fast path when every matrix of the span is
-    diagonal; at q = 2 the exact det-form test; for a commuting
-    complement a certified LP on the diagonal of its common eigenframe
-    (_commuting_rows_tier); otherwise one interior-point solve whose PSD
-    witness or positive definite complement matrix is verified before it
-    is returned (_interior_point_tier), which raises rather than guess.
+    complement; at q = 2 the exact det-form test; one certified LP on
+    the diagonal of a frame that diagonalizes the complement (_frame_tier),
+    the identity when every matrix of the span is diagonal and otherwise
+    the common eigenframe of a commuting complement; otherwise one
+    interior-point solve whose PSD witness or positive definite
+    complement matrix is verified before it is returned
+    (_interior_point_tier), which raises rather than guess.
     """
     if V.shape[1] == 0:
         return None
@@ -312,21 +310,6 @@ def subspace_psd_nontrivial(V: np.ndarray, q: int) -> Optional[np.ndarray]:
     if nt >= 1e-7 * q and eigh(sym_mat_stack(fit / nt, q))[0].min() >= 1e-7:
         return None
 
-    # diagonal fast path: if every matrix of the span is diagonal the PSD
-    # condition is componentwise and an LP sweep is exact
-    mats = sym_mat_stack(V.T, q)
-    if all(np.abs(M - np.diag(np.diag(M))).max() <= 1e-12 * max(1.0, np.abs(M).max()) for M in mats):
-        D = np.stack([np.diag(M) for M in mats]).T  # q x dimV
-        for j in range(q):
-            rows_ge = np.vstack([D, D[j]])
-            rhs = np.zeros(q + 1)
-            rhs[-1] = 1.0
-            c, _ = linear_feasible(rows_ge, rhs)
-            if c is not None:
-                W = np.diag(D @ c)
-                return W / np.linalg.norm(W)
-        return None
-
     if q == 2:
         # the map c -> mat(V c) is injective, so the subspace meets
         # S^2_+ \ {0} iff its det form is not negative definite
@@ -336,9 +319,20 @@ def subspace_psd_nontrivial(V: np.ndarray, q: int) -> Optional[np.ndarray]:
         W = sym_mat_stack(V @ anchor, 2)
         return W / np.linalg.norm(W)
 
-    decided, W = _commuting_rows_tier(V, q)
-    if decided:
-        return W
+    # a frame diagonalizing the complement: the identity for a diagonal span,
+    # whose diagonal complement is all the frame LP reads, else the common
+    # eigenframe of the complement, if it commutes
+    mats = sym_mat_stack(V.T, q)
+    if all(np.abs(M - np.diag(np.diag(M))).max() <= 1e-12 * max(1.0, np.abs(M).max()) for M in mats):
+        Q = np.eye(q)
+        R = null_space(np.diagonal(mats, axis1=1, axis2=2)).T[:, :, None] * Q
+    else:
+        R = sym_mat_stack(null_space(V.T).T, q)
+        Q = common_eigenframe(R, q)
+    if Q is not None:
+        decided, W = _frame_tier(V, q, Q, R)
+        if decided:
+            return W
     return _interior_point_tier(V, q)
 
 

@@ -434,7 +434,6 @@ class SpectralDecomp:
     beta: np.ndarray
     gamma: np.ndarray
     tol_zero: float
-    sigma: np.ndarray
 
     @property
     def p(self) -> int:
@@ -452,6 +451,14 @@ class SpectralDecomp:
         i in alpha) that every curvature and coupling term reads."""
         return self.lam[self.gamma][:, None] / self.lam[self.alpha]
 
+    @property
+    def sigma(self) -> np.ndarray:
+        """The alpha x gamma block of divided differences of max(lam, 0),
+        lam_i / (lam_i - lam_j) (i in alpha, j in gamma): the weights the
+        directional derivative of the PSD projection puts on that block."""
+        la = self.lam[self.alpha][:, None]
+        return la / (la - self.lam[self.gamma])
+
     def rotate(self, H) -> np.ndarray:
         """Compress a direction into the eigenbasis: P^T H P; InputDataError
         unless H has order p."""
@@ -459,16 +466,6 @@ class SpectralDecomp:
         if H.p != self.p:
             raise InputDataError(f"direction order {H.p} does not match matrix order {self.p}")
         return self.P.T @ H.full() @ self.P
-
-
-def _sigma_from_lam(lam: np.ndarray) -> np.ndarray:
-    lp = np.maximum(lam, 0.0)
-    num = lp[:, None] - lp[None, :]
-    den = lam[:, None] - lam[None, :]
-    sig = np.ones_like(den)
-    mask = den != 0.0
-    sig[mask] = num[mask] / den[mask]
-    return sig
 
 
 def spectral_decompose(M, tol_zero: float | None = None) -> SpectralDecomp:
@@ -486,10 +483,9 @@ def spectral_decompose(M, tol_zero: float | None = None) -> SpectralDecomp:
     alpha = np.arange(0, ka)
     beta = np.arange(ka, p - kg)
     gamma = np.arange(p - kg, p)
-    sigma = _sigma_from_lam(lam)
-    for arr in (P, lam, alpha, beta, gamma, sigma):
+    for arr in (P, lam, alpha, beta, gamma):
         arr.flags.writeable = False
-    return SpectralDecomp(M, P, lam, alpha, beta, gamma, float(tol_zero), sigma)
+    return SpectralDecomp(M, P, lam, alpha, beta, gamma, float(tol_zero))
 
 
 def project_psd(M) -> SymMat:
@@ -522,8 +518,7 @@ def dir_deriv_dense(d: SpectralDecomp, H: np.ndarray) -> np.ndarray:
     Returns the dense array, symmetrized as a SymMat symmetrizes it, so
     it equals the full matrix of dir_deriv_from_decomp bit for bit.
     """
-    sa, _, sg = d.slices
-    D = frame_projection(d, d.P.T @ H @ d.P, d.sigma[sa, sg])
+    D = frame_projection(d, d.P.T @ H @ d.P, d.sigma)
     return 0.5 * (D + D.T)
 
 

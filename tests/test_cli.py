@@ -14,7 +14,7 @@ import pytest
 import kkt_spectra
 from conftest import planted_pair
 from kkt_spectra.cli import build_parser, main
-from kkt_spectra.criticality import build_system
+from kkt_spectra.criticality import build_system, classify_nlp, diagonal_reduction
 from kkt_spectra.problem import (
     ProblemKernels,
     builtin_family,
@@ -240,6 +240,27 @@ def test_overflowing_sweep_prints_no_runtime_warning(family, geo, code):
     assert proc.returncode == code, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert all(line.startswith(("error: ", "warning: dropped")) for line in proc.stderr.splitlines()), proc.stderr
+
+
+def test_analyze_of_a_scaled_diagonal_problem_exits_0():
+    # constraint entries of 1e-8 beside a multiplier of -9.5e7 drive a
+    # basic variable of the phase-1 simplex negative by round-off; the
+    # console script still reports, and its tag is the scalar reduction's
+    data = os.path.join(ROOT, "tests", "data")
+    ppath, xpath = (os.path.join(data, f"scaled_diagonal_{name}.json") for name in ("problem", "point"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from kkt_spectra.cli import main; sys.exit(main(sys.argv[1:]))",
+         "analyze", "--problem", ppath, "--point", xpath, "--format", "json"],
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    with open(xpath) as fh:
+        point = json.load(fh)
+    scalar = classify_nlp(diagonal_reduction(load_problem(ppath)), point["x"], np.diag(point["Y"]))
+    assert json.loads(proc.stdout)["criticality"]["tag"] == scalar.tag
 
 
 @pytest.mark.parametrize(

@@ -89,7 +89,7 @@ def constructed_graph_member(rng, ctx):
     H1t[sb, sa] = H1t[sa, sb].T
     H1t[sa, sg] = rng.normal(size=(ka, kg))
     H1t[sg, sa] = H1t[sa, sg].T
-    S = d.sigma[sa, sg]
+    S = d.sigma
     H2t[sa, sg] = (1.0 - S) / S * H1t[sa, sg]
     H2t[sg, sa] = H2t[sa, sg].T
     H2t[sb, sg] = rng.normal(size=(kb, kg))

@@ -49,6 +49,15 @@ def test_linear_feasible_random_consistency():
             assert np.min(Age @ x - Age @ x0) >= -1e-7
 
 
+def test_linear_feasible_survives_a_basic_variable_driven_negative():
+    # the second pivot meets a basic variable at -1e-2 from round-off, so
+    # the least ratio is below -1 and the tie set must still hold its row
+    A, b = np.array([[-1e-10, -1e-3], [-1e-8, 0.0]]), np.array([0.0, 1.0])
+    x, _ = linear_feasible(A, b)
+    assert x is not None
+    assert np.all(A @ x - b >= -1e-9 * (np.abs(A) @ np.abs(x) + np.abs(b)))
+
+
 def test_nontrivial_in_span_hand_cases():
     z = nontrivial_in_span(null_space(np.zeros((0, 3))), 2)
     assert z is not None and np.linalg.norm(z[:2]) > 1e-9
@@ -196,32 +205,82 @@ def test_subspace_psd_span_edge_cases():
 def test_subspace_psd_diagonal_span_without_a_psd_point(monkeypatch):
     # span(diag(2, 1, 1, -0.1)) holds no nonzero PSD point, and the fit of
     # the identity onto its complement, diag(1 - 2c, 1 - c, 1 - c, 1 + c/10)
-    # with c = 3.9/6.01, is not positive definite: the diagonal LP sweep
-    # decides, and no later tier runs
+    # with c = 3.9/6.01, is not positive definite: the frame tier decides
+    # in the identity frame by one primal LP and one Gordan LP, and the
+    # interior point does not run
     v = sym_vec(np.diag([2.0, 1.0, 1.0, -0.1]))
-    sweeps = []
-    monkeypatch.setattr(lpkernel, "linear_feasible", lambda *a: sweeps.append(1) or linear_feasible(*a))
-    monkeypatch.setattr(lpkernel, "_commuting_rows_tier", _fail)
+    lps, gordan, phase1 = [], [], lpkernel._phase1
+    monkeypatch.setattr(lpkernel, "_phase1", lambda *a: lps.append(1) or phase1(*a))
+    monkeypatch.setattr(lpkernel, "linear_feasible", lambda *a: gordan.append(1) or linear_feasible(*a))
     monkeypatch.setattr(lpkernel, "_interior_point_tier", _fail)
     assert subspace_psd_nontrivial((v / np.linalg.norm(v))[:, None], 4) is None
-    assert len(sweeps) == 4
+    assert len(gordan) == 1 and len(lps) == 2
+
+
+def _scaled_diagonal_span(rng):
+    """A span of diagonal matrices of S^q, q in 3..6, holding diag(d) for
+    a d >= 0 with one zero entry and the others scaled over 1e-9..1."""
+    q = int(rng.integers(3, 7))
+    k = int(rng.integers(1, q))
+    d = np.abs(rng.standard_normal(q)) * 10.0 ** rng.integers(-9, 1, size=q)
+    d[rng.integers(q)] = 0.0
+    C, _ = np.linalg.qr(np.column_stack([d, rng.standard_normal((q, k - 1))]))
+    return np.stack([sym_vec(np.diag(c)) for c in C.T], axis=1), q
+
+
+def test_subspace_psd_scaled_diagonal_spans_get_verified_witnesses():
+    # the frame tier decides these in the identity frame; every answer is
+    # a PSD witness in the span, never an exception, a NaN (a RuntimeWarning
+    # is an error under the suite's settings) or a None
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        V, q = _scaled_diagonal_span(rng)
+        W = subspace_psd_nontrivial(V, q)
+        assert W is not None
+        w = sym_vec(W)
+        assert np.linalg.eigvalsh(W)[0] >= -1e-9
+        assert np.linalg.norm(w - V @ (V.T @ w)) <= 1e-8
+
+
+def test_subspace_psd_diagonal_frame_leaves_an_unverified_lp_to_the_interior_point(monkeypatch):
+    # an LP that reports infeasibility without a Gordan multiplier decides
+    # nothing: span(diag(1, 0, 0)) still gets the interior point's witness
+    calls = _count_interior_point(monkeypatch)
+    monkeypatch.setattr(lpkernel, "_phase1", lambda A, b: (np.zeros(np.shape(A)[1]), 1.0))
+    W = subspace_psd_nontrivial(sym_vec(np.diag([1.0, 0.0, 0.0]))[:, None], 3)
+    assert len(calls) == 1
+    assert W is not None and np.abs(W - np.diag([1.0, 0.0, 0.0])).max() <= 1e-8
 
 
 @pytest.mark.parametrize(
     "diagonals, expect",
     [
         ([[1.0, -1.0, 0.0]], None),  # Gordan: the fit of I is I itself
-        ([[1.0, 0.0, -1.0], [0.0, 1.0, 0.0]], [0.0, 1.0]),  # the diagonal LP finds diag(0, 1, 0)
+        ([[1.0, 0.0, -1.0], [0.0, 1.0, 0.0]], [0.0, 1.0]),  # the identity-frame LP finds diag(0, 1, 0)
     ],
 )
 def test_cone_kernel_takes_one_svd_and_no_least_squares(monkeypatch, diagonals, expect):
     # a block map onto diagonal matrices, decided by the Gordan or the
-    # diagonal tier: the one SVD of the map yields the image span the
+    # frame tier: the one SVD of the map yields the image span the
     # subspace decider reads and the factors its witness is pulled back by
     block_rows = np.stack([sym_vec(np.diag(d)) for d in diagonals], axis=1)
-    svds = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    svds, inside = [], []
+    svd, decide = np.linalg.svd, lpkernel.subspace_psd_nontrivial
+
+    def counted(*args, **kwargs):  # the subspace decider's own SVDs are not counted
+        if not inside:
+            svds.append(1)
+        return svd(*args, **kwargs)
+
+    def decided(*args):
+        inside.append(1)
+        try:
+            return decide(*args)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(lpkernel, "subspace_psd_nontrivial", decided)
     monkeypatch.setattr(np.linalg, "lstsq", _fail)
     v = cone_kernel_nontrivial(np.eye(len(diagonals)), block_rows, 3)
     assert len(svds) == 1
@@ -341,7 +400,7 @@ def test_subspace_psd_commuting_rows_certified_trivial():
 
 def test_subspace_psd_commuting_rows_skip_the_search(monkeypatch):
     # cost guard: commuting rows are decided by the Gordan certificate of
-    # the identity's fit or by the diagonal LP, which call eigh once each,
+    # the identity's fit or by the frame LP, which call eigh once each,
     # and never reach the interior-point tier
     rng = np.random.default_rng(31)
     calls = _count_eigh(monkeypatch)
@@ -358,7 +417,7 @@ def test_subspace_psd_gordan_certificate_decides_first(monkeypatch):
     # rows spanning I and two non-commuting matrices at q = 3: the fit of
     # the identity onto the row space is I itself, positive definite, so
     # the call on the span of their null space returns None before the
-    # diagonal, q = 2 and commuting tiers, and takes no complement
+    # q = 2 and frame tiers, and takes no complement
     rng = np.random.default_rng(41)
     A, B = (sym_vec(M + M.T) for M in rng.standard_normal((2, 3, 3)))
     rows = np.stack([sym_vec(np.eye(3)), A, B])
@@ -367,15 +426,15 @@ def test_subspace_psd_gordan_certificate_decides_first(monkeypatch):
     assert any(np.abs(M - np.diag(np.diag(M))).max() > 1e-3 for M in (sym_mat(v, 3).full() for v in N.T))
 
     monkeypatch.setattr(lpkernel, "null_space", _fail)
-    monkeypatch.setattr(lpkernel, "_commuting_rows_tier", _fail)
+    monkeypatch.setattr(lpkernel, "_frame_tier", _fail)
     assert subspace_psd_nontrivial(N, 3) is None
 
 
 def test_subspace_psd_non_commuting_rows_reach_the_search(monkeypatch):
     # q - 1 rows annihilating a positive definite W0, bumped off their
     # common frame by 1e-6 (commutators far above the common_eigenframe
-    # threshold): the diagonal and commuting tiers must decline, and the
-    # interior-point tier returns a certified positive definite witness
+    # threshold): there is no frame tier, and the interior-point tier
+    # returns a certified positive definite witness
     rng = np.random.default_rng(37)
     frames = []
     monkeypatch.setattr(
